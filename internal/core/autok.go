@@ -281,9 +281,8 @@ func (p *Pipeline) attemptAutoK(ctx context.Context, a *sparse.CSR, base Spectra
 	perm := cluster.PermutationFromAssignment(km.Assign, k, embedding, k, base.Order)
 	endPermute()
 
-	basisBytes := int64(eo.MaxBasis+1) * int64(n) * 8
 	embedBytes := int64(len(embedding)) * 8
-	foot := simBytes + int64(n)*8*2 + basisBytes
+	foot := simBytes + int64(n)*8*2 + eigen.ModeledBytes(eo, n)
 	if kmPhase := embedBytes + int64(n)*4 + int64(k*k)*8; kmPhase > foot {
 		foot = kmPhase
 	}

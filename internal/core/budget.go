@@ -3,6 +3,7 @@ package core
 import (
 	"time"
 
+	"bootes/internal/eigen"
 	"bootes/internal/faultinject"
 	"bootes/internal/lsh"
 	"bootes/internal/sparse"
@@ -84,16 +85,16 @@ func estimateSpectralFootprint(a *sparse.CSR, opts SpectralOptions) int64 {
 		simBytes = int64(n+1)*8 + nnz*(4+8)
 	}
 
-	maxBasis := opts.Eigen.MaxBasis
-	if maxBasis == 0 {
-		maxBasis = 2*k + 16
-		if maxBasis < 48 {
-			maxBasis = 48
+	eo := opts.Eigen
+	eo.K = k
+	if eo.MaxBasis == 0 {
+		eo.MaxBasis = 2*k + 16
+		if eo.MaxBasis < 48 {
+			eo.MaxBasis = 48
 		}
 	}
 	degreeWork := int64(n) * 8 * 2
-	basisBytes := int64(maxBasis+1) * int64(n) * 8
-	eigPhase := simBytes + degreeWork + basisBytes
+	eigPhase := simBytes + degreeWork + eigen.ModeledBytes(eo, n)
 	kmPhase := int64(n)*int64(k)*8 + int64(n)*4 + int64(k*k)*8
 	foot := eigPhase
 	if kmPhase > foot {

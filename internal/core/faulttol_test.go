@@ -261,3 +261,21 @@ func TestConcurrentCancelledPlans(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+func TestFootprintEstimateBoundsRealizedModel(t *testing.T) {
+	// The budget check runs before anything is allocated, so its estimate
+	// must never undercount the model the finished pass reports. Both take
+	// the solver's term from eigen.ModeledBytes (basis plus Ritz block).
+	a := blockMatrix(6, 8)
+	for _, k := range []int{2, 8, 32} {
+		opts := SpectralOptions{K: k, Seed: 3}
+		res, err := Spectral{Opts: opts}.Reorder(a)
+		if err != nil {
+			t.Fatalf("k=%d: %v", k, err)
+		}
+		est := estimateSpectralFootprint(a, opts)
+		if est < res.FootprintBytes {
+			t.Errorf("k=%d: estimate %d below realized %d", k, est, res.FootprintBytes)
+		}
+	}
+}

@@ -172,11 +172,11 @@ func (s Spectral) ReorderContext(ctx context.Context, a *sparse.CSR) (*SpectralR
 	endPermute()
 
 	// Peak footprint model: the similarity matrix coexists with the degree
-	// arrays and the Lanczos basis; per the paper S is freed before k-means,
-	// so the peak is max(eigend phase, k-means phase).
-	basisBytes := int64(eo.MaxBasis+1) * int64(n) * 8 // Lanczos basis vectors
+	// arrays and the Lanczos vectors (basis plus retained Ritz block); per
+	// the paper S is freed before k-means, so the peak is max(eigend phase,
+	// k-means phase).
 	embedBytes := int64(len(embedding)) * 8
-	eigPhase := simBytes + degreeWork + basisBytes
+	eigPhase := simBytes + degreeWork + eigen.ModeledBytes(eo, n)
 	kmPhase := embedBytes + int64(n)*4 + int64(k*k)*8
 	foot := eigPhase
 	if kmPhase > foot {

@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 
 	"bootes/internal/sparse"
+	"bootes/internal/workloads"
 )
 
 func TestSymTridEigenKnown(t *testing.T) {
@@ -392,5 +393,107 @@ func TestNormalizedSpectrumBoundedProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
+	}
+}
+
+// scrambledBlockOp is the normalized similarity of a scrambled-block matrix,
+// hub columns dropped as the spectral pipeline's exact tier does: the
+// operator shape the pipeline hands the solver.
+func scrambledBlockOp(rows int, density float64, seed int64) *NormalizedSimilarity {
+	a := workloads.Generate(workloads.ArchScrambledBlock, workloads.Params{
+		Rows: rows, Cols: rows, Density: density, Seed: seed,
+	})
+	return NewNormalizedSimilarity(sparse.SimilarityCapped(a, sparse.HubDegreeThreshold(a)))
+}
+
+func TestSmallBasisStillAddsKrylovVectors(t *testing.T) {
+	// MaxBasis=20 is below the 24-vector Ritz block K=16 retains: without
+	// the floor every restart kept the whole basis, added nothing, and the
+	// solve stopped unconverged after the first cycle's 20 matvecs. Raised
+	// to 25, each restart adds one Krylov vector, so enough restarts
+	// converge.
+	op := scrambledBlockOp(600, 0.01, 3)
+	res, err := Largest(op, Options{K: 16, MaxBasis: 20, MaxRestarts: 200, Seed: 1, Tol: 1e-8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Converged {
+		t.Fatalf("not converged after %d matvecs", res.MatVecs)
+	}
+	dense, err := denseLargest(context.Background(), op, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range dense.Values {
+		if math.Abs(res.Values[i]-dense.Values[i]) > 1e-7 {
+			t.Errorf("θ%d = %v, dense %v", i+1, res.Values[i], dense.Values[i])
+		}
+	}
+}
+
+// seqCSROp is a sequential CSR matvec that allocates nothing, so an
+// allocation count over a solve measures the solver alone (the production
+// operators' parallel loops allocate per call).
+type seqCSROp struct{ m *sparse.CSR }
+
+func (o seqCSROp) Dim() int { return o.m.Rows }
+
+func (o seqCSROp) Apply(x, y []float64) error {
+	for i := range y {
+		s := 0.0
+		vals := o.m.RowVals(i)
+		for p, c := range o.m.Row(i) {
+			s += vals[p] * x[c]
+		}
+		y[i] = s
+	}
+	return nil
+}
+
+func TestLargestAllocationsIndependentOfMatvecs(t *testing.T) {
+	op := scrambledBlockOp(2000, 0.006, 5)
+	sop := seqCSROp{m: op.S.Clone()}
+	for i := 0; i < sop.m.Rows; i++ {
+		vals := sop.m.RowVals(i)
+		for p, c := range sop.m.Row(i) {
+			vals[p] *= op.InvSqrt[i] * op.InvSqrt[c]
+		}
+	}
+	run := func(restarts int) (allocs float64, matvecs int) {
+		// A tolerance this tight outlasts the shorter restart budget.
+		opts := Options{K: 32, MaxBasis: 80, Tol: 1e-14, MaxRestarts: restarts, Seed: 1}
+		allocs = testing.AllocsPerRun(1, func() {
+			res, err := Largest(sop, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			matvecs = res.MatVecs
+		})
+		return allocs, matvecs
+	}
+	shortAllocs, shortMV := run(1)
+	longAllocs, longMV := run(4)
+	if longMV <= shortMV {
+		t.Fatalf("matvecs %d → %d: the longer solve must do more work", shortMV, longMV)
+	}
+	if longAllocs != shortAllocs {
+		t.Errorf("allocations grew with matvecs: %v allocs at %d matvecs, %v at %d",
+			shortAllocs, shortMV, longAllocs, longMV)
+	}
+}
+
+func TestModeledBytesCountsRitzBlock(t *testing.T) {
+	const n = 1000
+	// Basis of MaxBasis+1 vectors plus the K+min(K,8) retained Ritz block.
+	if got, want := ModeledBytes(Options{K: 16, MaxBasis: 48}, n), int64(49+24)*n*8; got != want {
+		t.Errorf("K=16 MaxBasis=48: %d bytes, want %d", got, want)
+	}
+	// A basis below the Ritz block is raised to K+min(K,8)+1.
+	if got, want := ModeledBytes(Options{K: 16, MaxBasis: 20}, n), int64(26+24)*n*8; got != want {
+		t.Errorf("K=16 MaxBasis=20: %d bytes, want %d", got, want)
+	}
+	// The dense path holds the materialized operator and K result vectors.
+	if got, want := ModeledBytes(Options{K: 4, MaxBasis: 48}, 90), int64(90+4)*90*8; got != want {
+		t.Errorf("n=90 dense path: %d bytes, want %d", got, want)
 	}
 }

@@ -8,9 +8,10 @@ import (
 
 // JacobiEigen computes all eigenvalues and eigenvectors of a dense symmetric
 // n×n matrix a (row-major, length n*n) with the cyclic Jacobi rotation
-// method. It is O(n³) per sweep and intended as the reference solver for
-// tests and for tiny projected problems. a is not modified. Eigenvalues are
-// ascending; eigenvector i is the i-th column of v (row-major).
+// method. It is O(n³) per sweep and serves as the independent reference the
+// Householder + QL solver (symEigen) is tested against. a is not modified.
+// Eigenvalues are ascending; eigenvector i is the i-th column of v
+// (row-major).
 func JacobiEigen(a []float64, n int) (eig []float64, v []float64, err error) {
 	if len(a) != n*n {
 		return nil, nil, errors.New("eigen: dense matrix size mismatch")

@@ -16,7 +16,9 @@ type Options struct {
 	// operator).
 	K int
 	// MaxBasis bounds the Krylov basis size per restart cycle.
-	// 0 selects max(4K+8, 48), clamped to the operator dimension.
+	// 0 selects max(4K+8, 48). Values below K+min(K,8)+1 are raised to it,
+	// so every restart cycle adds at least one Krylov vector; the result is
+	// clamped to the operator dimension.
 	MaxBasis int
 	// Tol is the Ritz-residual tolerance relative to the spectral scale.
 	// 0 selects 1e-8.
@@ -25,8 +27,9 @@ type Options struct {
 	MaxRestarts int
 	// Seed seeds the random start vector for determinism.
 	Seed int64
-	// DenseFallbackDim: problems of dimension ≤ this are solved densely with
-	// Jacobi rotations instead of Lanczos. 0 selects 96.
+	// DenseFallbackDim: problems of dimension ≤ this are solved densely
+	// (Householder tridiagonalization + implicit QL) instead of by Lanczos.
+	// 0 selects 96.
 	DenseFallbackDim int
 	// LocalReorth switches from full reorthogonalization to the classic
 	// three-term recurrence (orthogonalize only against the two previous
@@ -44,6 +47,11 @@ func (o Options) withDefaults(n int) Options {
 			o.MaxBasis = 48
 		}
 	}
+	// A restart retains ritzBlock(K) vectors plus the residual direction;
+	// a basis no larger than that restarts without adding a Krylov vector.
+	if floor := ritzBlock(o.K) + 1; o.MaxBasis < floor {
+		o.MaxBasis = floor
+	}
 	if o.MaxBasis > n {
 		o.MaxBasis = n
 	}
@@ -60,7 +68,8 @@ func (o Options) withDefaults(n int) Options {
 }
 
 // Result holds converged eigenpairs of the operator, largest eigenvalue
-// first. Vectors[i] is the unit eigenvector for Values[i].
+// first. Vectors[i] is the unit eigenvector for Values[i], signed so that
+// its largest-magnitude entry is positive.
 type Result struct {
 	Values  []float64
 	Vectors [][]float64
@@ -75,7 +84,7 @@ type Result struct {
 
 // Largest computes the K algebraically largest eigenpairs of a symmetric
 // operator using thick-restart Lanczos with full reorthogonalization. For
-// tiny problems it falls back to a dense Jacobi solve.
+// tiny problems it falls back to a dense solve.
 func Largest(op Operator, opts Options) (*Result, error) {
 	return LargestContext(context.Background(), op, opts)
 }
@@ -105,13 +114,32 @@ func LargestContext(ctx context.Context, op Operator, opts Options) (*Result, er
 	return thickRestartLanczos(ctx, op, opts)
 }
 
-// denseLargest materializes the operator column by column and solves with
-// Jacobi rotations.
+// fixSigns flips each vector, if needed, so that its largest-magnitude
+// entry is positive (the first such entry on ties). Every solver path
+// applies it to the vectors it returns. An eigenvector's sign is arbitrary
+// — it falls out of the solver's rotation conventions — but the spectral
+// layout downstream is not sign-invariant, so fixing the sign makes plans
+// independent of how the solver got there.
+func fixSigns(vecs [][]float64) {
+	for _, v := range vecs {
+		k := 0
+		for i, x := range v {
+			if math.Abs(x) > math.Abs(v[k]) {
+				k = i
+			}
+		}
+		if v[k] < 0 {
+			scale(v, -1)
+		}
+	}
+}
+
+// denseLargest materializes the operator row by row and solves it with the
+// dense symmetric solver.
 func denseLargest(ctx context.Context, op Operator, k int) (*Result, error) {
 	n := op.Dim()
 	a := make([]float64, n*n)
 	x := make([]float64, n)
-	y := make([]float64, n)
 	for j := 0; j < n; j++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -120,11 +148,9 @@ func denseLargest(ctx context.Context, op Operator, k int) (*Result, error) {
 			x[i] = 0
 		}
 		x[j] = 1
-		if err := op.Apply(x, y); err != nil {
+		// Op·e_j is column j, which for a symmetric operator is also row j.
+		if err := op.Apply(x, a[j*n:(j+1)*n]); err != nil {
 			return nil, err
-		}
-		for i := 0; i < n; i++ {
-			a[i*n+j] = y[i]
 		}
 	}
 	// Symmetrize to wash out round-off asymmetry.
@@ -134,20 +160,18 @@ func denseLargest(ctx context.Context, op Operator, k int) (*Result, error) {
 			a[i*n+j], a[j*n+i] = m, m
 		}
 	}
-	eig, v, err := JacobiEigen(a, n)
-	if err != nil {
+	eig := make([]float64, n)
+	if err := symEigen(a, n, eig, x); err != nil { // x is free: solver scratch
 		return nil, err
 	}
-	res := &Result{MatVecs: n, Converged: true}
+	vecs := rowViews(make([]float64, k*n), k, n)
+	res := &Result{Values: make([]float64, k), Vectors: vecs, MatVecs: n, Converged: true}
 	for i := 0; i < k; i++ {
-		col := n - 1 - i // ascending order → take from the back
-		res.Values = append(res.Values, eig[col])
-		vec := make([]float64, n)
-		for row := 0; row < n; row++ {
-			vec[row] = v[row*n+col]
-		}
-		res.Vectors = append(res.Vectors, vec)
+		row := n - 1 - i // ascending order → take from the back
+		res.Values[i] = eig[row]
+		copy(vecs[i], a[row*n:(row+1)*n])
 	}
+	fixSigns(vecs)
 	return res, nil
 }
 
@@ -158,36 +182,45 @@ func denseLargest(ctx context.Context, op Operator, k int) (*Result, error) {
 func thickRestartLanczos(ctx context.Context, op Operator, opts Options) (*Result, error) {
 	n := op.Dim()
 	m := opts.MaxBasis
+	keepMax := min(ritzBlock(opts.K), m)
 	rng := rand.New(rand.NewSource(opts.Seed ^ 0x1a2c3))
 
-	// basis holds up to m+1 orthonormal vectors of length n.
-	basis := make([][]float64, 0, m+1)
-	v := randomUnit(rng, n)
-	basis = append(basis, v)
-
-	// proj is the projected symmetric matrix in the current basis,
-	// stored dense row-major (size grows with the basis).
-	proj := make([]float64, (m+1)*(m+1))
-	at := func(i, j int) float64 { return proj[i*(m+1)+j] }
-	set := func(i, j int, x float64) {
-		proj[i*(m+1)+j] = x
-		proj[j*(m+1)+i] = x
-	}
-
-	matvecs := 0
+	// Every buffer is allocated once and reused across restarts, so no
+	// Lanczos step or restart allocates: the basis lives in one (m+1)×n
+	// slab, the retained Ritz block in one keepMax×n slab.
+	basis := rowViews(make([]float64, (m+1)*n), m+1, n)
+	ritz := rowViews(make([]float64, keepMax*n), keepMax, n)
 	w := make([]float64, n)
+	// proj is the projected symmetric matrix in the current basis, stored
+	// dense row-major with stride m+1. Each Rayleigh–Ritz solve copies its
+	// leading q×q block into sub, which comes back holding the Ritz
+	// coefficient vectors as rows.
+	stride := m + 1
+	proj := make([]float64, stride*stride)
+	set := func(i, j int, x float64) {
+		proj[i*stride+j] = x
+		proj[j*stride+i] = x
+	}
+	sub := make([]float64, m*m)
+	theta := make([]float64, m)    // Ritz values, ascending
+	coupling := make([]float64, m) // signed residual coefficient per Ritz pair
+	coef := make([]float64, m+1)   // Gram–Schmidt coefficients, solver scratch
+
+	fillRandomUnit(rng, basis[0])
+	size := 1 // vectors currently in the basis
+	matvecs := 0
 	kept := 0 // size of the retained Ritz block after the latest restart
 
 	for restart := 0; restart <= opts.MaxRestarts; restart++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		// Extend the basis with Lanczos steps from position len(basis)-1.
-		for len(basis) <= m {
+		// Extend the basis with Lanczos steps from position size-1.
+		for size <= m {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			j := len(basis) - 1
+			j := size - 1
 			if err := op.Apply(basis[j], w); err != nil {
 				return nil, err
 			}
@@ -197,144 +230,113 @@ func thickRestartLanczos(ctx context.Context, op Operator, opts Options) (*Resul
 				// in exact arithmetic (plus the arrow block at j == kept,
 				// handled by the branch condition). H entries beyond the
 				// tridiagonal couple are left at their recorded values.
-				for _, i := range []int{j - 1, j} {
+				for i := j - 1; i <= j; i++ {
 					d := dot(w, basis[i])
 					axpy(w, basis[i], -d)
 					set(i, j, d)
 				}
 			} else {
-				// Full reorthogonalization (two modified Gram-Schmidt
-				// passes). Because the basis is orthonormal, the pass-0
-				// coefficients are exactly the projected-matrix entries
-				// H[i,j] = ⟨v_i, Op·v_j⟩ (they overwrite the β coupling
-				// recorded at the previous step, which equals the same
-				// projection); pass 1 removes round-off.
-				for pass := 0; pass < 2; pass++ {
-					for i, b := range basis {
-						d := dot(w, b)
-						axpy(w, b, -d)
-						if pass == 0 {
-							set(i, j, d)
-						}
-					}
+				// Full reorthogonalization (CGS2: two classical
+				// Gram–Schmidt passes). The first pass projects the
+				// unmodified w, so its coefficients are exactly the
+				// projected-matrix entries H[i,j] = ⟨v_i, Op·v_j⟩ (they
+				// overwrite the β coupling recorded at the previous step,
+				// which equals the same projection); the second pass
+				// removes round-off.
+				gramSchmidt(w, basis[:size], coef)
+				for i, d := range coef[:size] {
+					set(i, j, d)
 				}
+				gramSchmidt(w, basis[:size], coef)
 			}
+			next := basis[size]
 			beta := norm(w)
 			if beta < 1e-12 {
 				// Invariant subspace: continue with a fresh random direction.
-				v = randomUnit(rng, n)
-				orthogonalize(v, basis)
-				if norm(v) < 1e-12 {
+				fillRandomUnit(rng, next)
+				orthogonalize(next, basis[:size], coef)
+				nv := norm(next)
+				if nv < 1e-12 {
 					break // dimension exhausted
 				}
-				scale(v, 1/norm(v))
-				basis = append(basis, v)
+				scale(next, 1/nv)
+				size++
 				// Coupling to the rest of the basis is zero (already set).
 				continue
 			}
-			nv := append([]float64(nil), w...)
-			scale(nv, 1/beta)
-			set(j, len(basis), beta)
-			basis = append(basis, nv)
+			copy(next, w)
+			scale(next, 1/beta)
+			set(j, size, beta)
+			size++
 		}
 
-		// Rayleigh–Ritz on the projected matrix of order q = len(basis)-1
-		// (the last basis vector is the residual direction, not part of the
+		// Rayleigh–Ritz on the projected matrix of order q = size-1 (the
+		// last basis vector is the residual direction, not part of the
 		// projection — its coupling column is the residual norm).
-		q := len(basis) - 1
-		sub := make([]float64, q*q)
+		q := size - 1
 		for i := 0; i < q; i++ {
-			for j := 0; j < q; j++ {
-				sub[i*q+j] = at(i, j)
-			}
+			copy(sub[i*q:(i+1)*q], proj[i*stride:i*stride+q])
 		}
-		eig, z, err := JacobiEigen(sub, q)
-		if err != nil {
+		if err := symEigen(sub, q, theta, coef); err != nil {
 			return nil, err
 		}
-		// Residual of Ritz pair i: |Σ_j coupling[j]·z[j,i]| where coupling
-		// is the projected row of the residual vector.
-		coupling := make([]float64, q)
-		for j := 0; j < q; j++ {
-			coupling[j] = at(j, q)
+		// Ritz pair i is (theta[i], Σ_j z_i[j]·v_j) with z_i row i of sub;
+		// its residual is |⟨r, z_i⟩|, r being the projected row of the
+		// residual vector.
+		r := proj[q*stride : q*stride+q]
+		for i := 0; i < q; i++ {
+			coupling[i] = dot(r, sub[i*q:(i+1)*q])
 		}
-		scaleRef := math.Max(math.Abs(eig[0]), math.Abs(eig[q-1]))
+		scaleRef := math.Max(math.Abs(theta[0]), math.Abs(theta[q-1]))
 		if scaleRef == 0 {
 			scaleRef = 1
 		}
-		resid := make([]float64, q)
-		for i := 0; i < q; i++ {
-			s := 0.0
-			for j := 0; j < q; j++ {
-				s += coupling[j] * z[j*q+i]
-			}
-			resid[i] = math.Abs(s)
-		}
-		// Wanted pairs are the top K (eig ascending → last K columns).
+		// Wanted pairs are the top K (theta ascending → last K).
 		allConverged := true
 		for i := 0; i < opts.K; i++ {
-			if resid[q-1-i] > opts.Tol*scaleRef {
+			if math.Abs(coupling[q-1-i]) > opts.Tol*scaleRef {
 				allConverged = false
 				break
 			}
 		}
 
-		// Form Ritz vectors we keep: K wanted plus padding for restart.
-		keep := opts.K + minInt(opts.K, 8)
-		if keep > q {
-			keep = q
-		}
-		if allConverged || restart == opts.MaxRestarts || q >= n-1 {
+		// Form the Ritz vectors we keep: K wanted plus padding for restart.
+		finished := allConverged || restart == opts.MaxRestarts || q >= n-1
+		keep := min(keepMax, q)
+		if finished {
 			keep = opts.K
 		}
-		ritz := make([][]float64, keep)
 		for i := 0; i < keep; i++ {
 			col := q - 1 - i
-			vec := make([]float64, n)
-			for j := 0; j < q; j++ {
-				c := z[j*q+col]
-				if c != 0 {
-					axpy(vec, basis[j], c)
-				}
+			combine(ritz[i], basis[:q], sub[col*q:(col+1)*q])
+			if nv := norm(ritz[i]); nv > 0 {
+				scale(ritz[i], 1/nv)
 			}
-			nv := norm(vec)
-			if nv > 0 {
-				scale(vec, 1/nv)
-			}
-			ritz[i] = vec
 		}
-
-		if allConverged || restart == opts.MaxRestarts || q >= n-1 {
-			res := &Result{MatVecs: matvecs, Converged: allConverged}
-			for i := 0; i < opts.K; i++ {
-				res.Values = append(res.Values, eig[q-1-i])
-				res.Vectors = append(res.Vectors, ritz[i])
-			}
-			return res, nil
+		if finished {
+			return ritzResult(theta[:q], ritz, opts.K, matvecs, allConverged), nil
 		}
 
 		// Thick restart: basis = retained Ritz vectors + residual direction.
-		residVec := basis[q]
-		newBasis := make([][]float64, 0, m+1)
-		newBasis = append(newBasis, ritz...)
-		orthogonalize(residVec, newBasis)
-		nv := norm(residVec)
+		res := basis[keep]
+		if keep != q {
+			copy(res, basis[q])
+		}
+		for i := 0; i < keep; i++ {
+			copy(basis[i], ritz[i])
+		}
+		orthogonalize(res, basis[:keep], coef)
+		nv := norm(res)
 		if nv < 1e-12 {
-			residVec = randomUnit(rng, n)
-			orthogonalize(residVec, newBasis)
-			nv = norm(residVec)
+			fillRandomUnit(rng, res)
+			orthogonalize(res, basis[:keep], coef)
+			nv = norm(res)
 			if nv < 1e-12 {
-				res := &Result{MatVecs: matvecs, Converged: allConverged}
-				for i := 0; i < opts.K; i++ {
-					res.Values = append(res.Values, eig[q-1-i])
-					res.Vectors = append(res.Vectors, ritz[i])
-				}
-				return res, nil
+				return ritzResult(theta[:q], ritz, opts.K, matvecs, allConverged), nil
 			}
 		}
-		scale(residVec, 1/nv)
-		newBasis = append(newBasis, residVec)
-		basis = newBasis
+		scale(res, 1/nv)
+		size = keep + 1
 		kept = keep
 
 		// Rebuild the projected matrix: diag(theta) with arrow coupling.
@@ -343,15 +345,22 @@ func thickRestartLanczos(ctx context.Context, op Operator, opts Options) (*Resul
 		}
 		for i := 0; i < keep; i++ {
 			col := q - 1 - i
-			set(i, i, eig[col])
-			s := 0.0
-			for j := 0; j < q; j++ {
-				s += coupling[j] * z[j*q+col]
-			}
-			set(i, keep, s)
+			set(i, i, theta[col])
+			set(i, keep, coupling[col])
 		}
 	}
 	return nil, ErrNoConverge
+}
+
+// ritzResult packages the top k Ritz pairs: theta holds the Ritz values in
+// ascending order and ritz[i] the vector of the i-th largest.
+func ritzResult(theta []float64, ritz [][]float64, k, matvecs int, converged bool) *Result {
+	res := &Result{Values: make([]float64, k), Vectors: ritz[:k:k], MatVecs: matvecs, Converged: converged}
+	for i := range res.Values {
+		res.Values[i] = theta[len(theta)-1-i]
+	}
+	fixSigns(res.Vectors)
+	return res
 }
 
 // SmallestLaplacian converts the K largest eigenpairs of the normalized
@@ -368,48 +377,31 @@ func SmallestLaplacian(op Operator, opts Options) (*Result, error) {
 	return r, nil
 }
 
-func randomUnit(rng *rand.Rand, n int) []float64 {
-	v := make([]float64, n)
-	for i := range v {
-		v[i] = rng.NormFloat64()
+// ritzBlock is the number of Ritz vectors a thick restart retains: the K
+// wanted pairs plus up to eight more, which speed up convergence of the
+// trailing wanted ones.
+func ritzBlock(k int) int { return k + min(k, 8) }
+
+// ModeledBytes is the vector storage LargestContext holds for a dimension-n
+// operator under opts, in float64s: the (MaxBasis+1)×n basis slab plus the
+// retained Ritz block, or, for a problem small enough for the dense path,
+// the materialized n×n operator plus the K result vectors. It is the
+// eigensolve term of the spectral pipeline's footprint model.
+func ModeledBytes(opts Options, n int) int64 {
+	o := opts.withDefaults(n)
+	vecs := o.MaxBasis + 1 + min(ritzBlock(o.K), o.MaxBasis)
+	if n <= o.DenseFallbackDim || o.MaxBasis >= n {
+		vecs = n + o.K
 	}
-	scale(v, 1/norm(v))
+	return int64(vecs) * int64(n) * 8
+}
+
+// rowViews cuts a rows×n slab into per-row views, each capped at its own
+// row so an append can never spill into the next.
+func rowViews(slab []float64, rows, n int) [][]float64 {
+	v := make([][]float64, rows)
+	for i := range v {
+		v[i] = slab[i*n : (i+1)*n : (i+1)*n]
+	}
 	return v
-}
-
-func orthogonalize(v []float64, basis [][]float64) {
-	for pass := 0; pass < 2; pass++ {
-		for _, b := range basis {
-			axpy(v, b, -dot(v, b))
-		}
-	}
-}
-
-func dot(a, b []float64) float64 {
-	s := 0.0
-	for i := range a {
-		s += a[i] * b[i]
-	}
-	return s
-}
-
-func axpy(y, x []float64, alpha float64) {
-	for i := range y {
-		y[i] += alpha * x[i]
-	}
-}
-
-func scale(v []float64, alpha float64) {
-	for i := range v {
-		v[i] *= alpha
-	}
-}
-
-func norm(v []float64) float64 { return math.Sqrt(dot(v, v)) }
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -1,7 +1,8 @@
 // Package eigen provides the sparse symmetric eigensolver Bootes' spectral
-// clustering needs: a Lanczos iteration with full reorthogonalization over a
-// linear operator, a symmetric tridiagonal QL solver for the projected
-// problem, and a dense Jacobi solver used as a reference in tests.
+// clustering needs: a thick-restart Lanczos iteration with full (CGS2)
+// reorthogonalization over a linear operator, and Householder
+// tridiagonalization + implicit QL for the dense and projected problems. A
+// dense Jacobi solver serves as the reference in tests.
 //
 // Spectral clustering needs the eigenvectors of the normalized Laplacian
 // L = I − D^{-1/2} S D^{-1/2} associated with the k smallest eigenvalues.
@@ -119,7 +120,9 @@ func NewNormalizedSimilarity(s *sparse.CSR) *NormalizedSimilarity {
 func (o *NormalizedSimilarity) Dim() int { return o.S.Rows }
 
 // Apply computes y = D^{-1/2} S D^{-1/2} x. The scaling and the SpMV inside
-// are row-parallel; >90% of Lanczos time is spent here.
+// are row-parallel. Planning the 40-matrix cold-sparse benchmark corpus on
+// 2 vCPUs, about a third of Lanczos wall time is spent here; the rest is
+// reorthogonalization, the Ritz rotation and the projected solve.
 func (o *NormalizedSimilarity) Apply(x, y []float64) error {
 	if err := checkDims(o.S.Rows, x, y); err != nil {
 		return err

@@ -75,20 +75,19 @@ func BlockLargestContext(ctx context.Context, op Operator, opts Options) (*Resul
 	}
 
 	rng := rand.New(rand.NewSource(opts.Seed ^ 0x5b5c4e))
-	x := make([][]float64, b) // current orthonormal block
-	v := make([][]float64, b) // Op·x
-	u := make([][]float64, b) // Ritz vectors (next block)
+	x := rowViews(make([]float64, b*n), b, n) // current orthonormal block
+	v := rowViews(make([]float64, b*n), b, n) // Op·x
+	u := rowViews(make([]float64, b*n), b, n) // Ritz vectors (next block)
 	for j := 0; j < b; j++ {
-		x[j] = randomUnit(rng, n)
-		v[j] = make([]float64, n)
-		u[j] = make([]float64, n)
+		fillRandomUnit(rng, x[j])
 	}
-	orthonormalizeBlock(x)
+	c := make([]float64, b) // projection coefficients, solver scratch
+	orthonormalizeBlock(x, c)
 
 	h := make([]float64, b*b)
+	eig := make([]float64, b)
+	theta := make([]float64, b) // Ritz values, largest first
 	matvecs := 0
-	var values []float64
-	var theta []float64
 	for iter := 0; iter < opts.MaxRestarts; iter++ {
 		// V = Op·X, one application per block column.
 		for j := 0; j < b; j++ {
@@ -101,53 +100,40 @@ func BlockLargestContext(ctx context.Context, op Operator, opts Options) (*Resul
 			matvecs++
 		}
 		// Rayleigh–Ritz: H = Xᵀ(Op·X), symmetrized against round-off.
+		for j := 0; j < b; j++ {
+			project(c, x, v[j])
+			for i, d := range c {
+				h[i*b+j] = d
+			}
+		}
 		for i := 0; i < b; i++ {
-			for j := i; j < b; j++ {
-				d := (dot(x[i], v[j]) + dot(x[j], v[i])) / 2
+			for j := i + 1; j < b; j++ {
+				d := (h[i*b+j] + h[j*b+i]) / 2
 				h[i*b+j], h[j*b+i] = d, d
 			}
 		}
-		eig, q, err := JacobiEigen(h, b)
-		if err != nil {
+		if err := symEigen(h, b, eig, c); err != nil {
 			return nil, err
 		}
-		// Rotate to Ritz pairs, largest first: u_r = Σ_j q[j,col]·x_j.
-		theta = theta[:0]
-		scale := 0.0
+		// Rotate to Ritz pairs, largest first: u_r = Σ_j z[j]·x_j with z
+		// the eigenvector (row of h) of the r-th largest eigenvalue.
+		ref := 0.0
 		for r := 0; r < b; r++ {
-			col := b - 1 - r // JacobiEigen returns ascending order
-			theta = append(theta, eig[col])
-			if a := math.Abs(eig[col]); a > scale {
-				scale = a
-			}
-			ur := u[r]
-			for i := range ur {
-				ur[i] = 0
-			}
-			for j := 0; j < b; j++ {
-				if c := q[j*b+col]; c != 0 {
-					axpy(ur, x[j], c)
-				}
-			}
+			row := b - 1 - r // symEigen returns ascending order
+			theta[r] = eig[row]
+			ref = math.Max(ref, math.Abs(eig[row]))
+			combine(u[r], x, h[row*b:(row+1)*b])
 		}
-		if scale == 0 {
-			scale = 1
+		if ref == 0 {
+			ref = 1
 		}
 		// Same rotation applied to V gives W = V·Q = Op·U — the residual
 		// numerator AND the next iterate (this is the operator application
 		// that advances the subspace; rotating X alone would leave it fixed).
-		// X's storage is free once U is built, so W overwrites it row by row.
+		// X's storage is free once U is built, so W overwrites it.
 		for r := 0; r < b; r++ {
-			col := b - 1 - r
-			wr := x[r]
-			for i := range wr {
-				wr[i] = 0
-			}
-			for j := 0; j < b; j++ {
-				if c := q[j*b+col]; c != 0 {
-					axpy(wr, v[j], c)
-				}
-			}
+			row := b - 1 - r
+			combine(x[r], v, h[row*b:(row+1)*b])
 		}
 		done := true
 		for r := 0; r < opts.K; r++ {
@@ -157,46 +143,43 @@ func BlockLargestContext(ctx context.Context, op Operator, opts Options) (*Resul
 				s := x[r][i] - theta[r]*u[r][i]
 				res += s * s
 			}
-			if math.Sqrt(res) > opts.Tol*scale {
+			if math.Sqrt(res) > opts.Tol*ref {
 				done = false
 				break
 			}
 		}
 		if done {
-			values = append(values[:0], theta...)
-			return blockResult(values, u, opts.K, matvecs, true), nil
+			return blockResult(theta, u, opts.K, matvecs, true), nil
 		}
 		// Next block: orth(W) = orth(Op·X·Q) — one step of subspace iteration
-		// with the Ritz ordering leading, so MGS favors dominant directions.
-		orthonormalizeBlock(x)
+		// with the Ritz ordering leading, so Gram–Schmidt favors dominant
+		// directions.
+		orthonormalizeBlock(x, c)
 	}
 	// Out of iterations: the latest Ritz pairs (θ, U) are mutually
 	// consistent best-available approximations.
-	values = append(values[:0], theta...)
-	return blockResult(values, u, opts.K, matvecs, false), nil
+	return blockResult(theta, u, opts.K, matvecs, false), nil
 }
 
 // blockResult shapes the leading k Ritz pairs into a Result.
 func blockResult(theta []float64, vecs [][]float64, k, matvecs int, converged bool) *Result {
-	res := &Result{MatVecs: matvecs, Converged: converged}
-	for r := 0; r < k; r++ {
-		res.Values = append(res.Values, theta[r])
-		res.Vectors = append(res.Vectors, vecs[r])
+	fixSigns(vecs[:k])
+	return &Result{
+		Values:    append([]float64(nil), theta[:k]...),
+		Vectors:   vecs[:k:k],
+		MatVecs:   matvecs,
+		Converged: converged,
 	}
-	return res
 }
 
-// orthonormalizeBlock runs two passes of modified Gram–Schmidt over the block
-// in place. Vectors that cancel to (numerical) zero are replaced by fresh
-// coordinate directions so the block keeps full rank.
-func orthonormalizeBlock(x [][]float64) {
+// orthonormalizeBlock orthonormalizes the block in place, each vector
+// against its predecessors by CGS2. Vectors that cancel to (numerical) zero
+// are replaced by fresh coordinate directions so the block keeps full rank.
+// c is scratch of length ≥ len(x).
+func orthonormalizeBlock(x [][]float64, c []float64) {
 	n := len(x[0])
 	for j := range x {
-		for pass := 0; pass < 2; pass++ {
-			for i := 0; i < j; i++ {
-				axpy(x[j], x[i], -dot(x[j], x[i]))
-			}
-		}
+		orthogonalize(x[j], x[:j], c)
 		nrm := norm(x[j])
 		if nrm < 1e-12 {
 			// Degenerate direction: re-seed deterministically from the unit
@@ -205,9 +188,7 @@ func orthonormalizeBlock(x [][]float64) {
 				x[j][i] = 0
 			}
 			x[j][j%n] = 1
-			for i := 0; i < j; i++ {
-				axpy(x[j], x[i], -dot(x[j], x[i]))
-			}
+			orthogonalize(x[j], x[:j], c)
 			nrm = norm(x[j])
 			if nrm < 1e-12 {
 				continue
