@@ -17,6 +17,7 @@ import (
 	"bootes/internal/core"
 	"bootes/internal/eigen"
 	"bootes/internal/experiments"
+	"bootes/internal/refine"
 	"bootes/internal/reorder"
 	"bootes/internal/sparse"
 	"bootes/internal/trafficmodel"
@@ -211,7 +212,7 @@ func BenchmarkAblationImplicitSimilarity(b *testing.B) {
 	a := ablationMatrix()
 	var foot int64
 	for i := 0; i < b.N; i++ {
-		res, err := core.Spectral{Opts: core.SpectralOptions{K: 16, Seed: 1, ImplicitSimilarity: true}}.Reorder(a)
+		res, err := core.Spectral{Opts: core.SpectralOptions{K: 16, Seed: 1, Similarity: core.SimImplicit}}.Reorder(a)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -523,9 +524,10 @@ func BenchmarkAblationTwoLevelCache(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationKSelection compares three ways of choosing the cluster
-// count on a matrix with 24 hidden groups: the heuristic gate, the eigengap
-// spectrum heuristic, and the best of a full sweep (oracle).
+// BenchmarkAblationKSelection compares two ways of choosing the cluster
+// count on a matrix with 24 hidden groups: eigengap auto-k over the refined
+// similarity (the Options.AutoK policy, which can pick k outside the
+// candidate set), and the best of a full candidate sweep (oracle).
 func BenchmarkAblationKSelection(b *testing.B) {
 	a := ablationMatrix()
 	const cache = 64 << 10
@@ -533,27 +535,23 @@ func BenchmarkAblationKSelection(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ratioFor := func(k int) float64 {
-		res, err := core.Spectral{Opts: core.SpectralOptions{K: k, Seed: 1}}.Reorder(a)
-		if err != nil {
-			b.Fatal(err)
-		}
-		est, err := trafficmodel.EstimateBWithPerm(a, a, res.Perm, cache, 12)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return float64(est.BTraffic) / float64(base.BTraffic)
-	}
-	b.Run("eigengap", func(b *testing.B) {
-		ratio := 0.0
+	b.Run("autok", func(b *testing.B) {
+		ratio, k := 0.0, 0
 		for i := 0; i < b.N; i++ {
-			k, _, err := core.SelectKByEigengap(a, core.SpectralOptions{Seed: 1})
+			p := &core.Pipeline{ForceReorder: true, Spectral: core.SpectralOptions{Seed: 1},
+				AutoK: core.AutoKOptions{Enabled: true, Refine: refine.Default()}}
+			res, err := p.Reorder(a)
 			if err != nil {
 				b.Fatal(err)
 			}
-			ratio = ratioFor(k)
+			est, err := trafficmodel.EstimateBWithPerm(a, a, res.Perm, cache, 12)
+			if err != nil {
+				b.Fatal(err)
+			}
+			ratio, k = float64(est.BTraffic)/float64(base.BTraffic), int(res.Extra["k"])
 		}
 		b.ReportMetric(ratio, "traffic-ratio")
+		b.ReportMetric(float64(k), "k")
 	})
 	b.Run("oracle-sweep", func(b *testing.B) {
 		ratio := 0.0

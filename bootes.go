@@ -266,13 +266,15 @@ type ReorderPlan struct {
 
 // spectralOptions maps the public options to the core spectral
 // configuration. planKey and PlanContext share it so the cache key and the
-// executed pipeline can never disagree about an option.
+// executed pipeline can never disagree about an option. The legacy
+// ImplicitSimilarity flag is spelled SimImplicit here, unless Similarity
+// names a tier explicitly.
 func (o *Options) spectralOptions() core.SpectralOptions {
-	return core.SpectralOptions{
-		Seed:               o.Seed,
-		ImplicitSimilarity: o.ImplicitSimilarity,
-		Similarity:         o.Similarity,
+	sim := o.Similarity
+	if sim == SimAuto && o.ImplicitSimilarity {
+		sim = SimImplicit
 	}
+	return core.SpectralOptions{Seed: o.Seed, Similarity: sim}
 }
 
 // autoKOptions maps the public auto-k options to the core configuration.

@@ -38,6 +38,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -484,7 +485,10 @@ func scenarioPlanDirect(e *episode) {
 // invariant checkable: every response is a valid plan or a marked-degraded
 // plan, and an identity plan must carry the ladder-exhausted reason. The
 // second call exercises the cache-hit path; the post-episode cache sweep
-// asserts no auto-k-keyed degraded entry was persisted.
+// asserts no auto-k-keyed degraded entry was persisted. When the first call
+// selected k without degrading, the faults are cleared and a ForceK plan at
+// that k and seed must reproduce its permutation bit for bit: auto-k and
+// fixed-k share one spectral pass, so the same k gives the same plan.
 func scenarioPlanAutoK(e *episode) {
 	archetypes := []workloads.Archetype{
 		workloads.ArchScrambledBlock,
@@ -514,6 +518,7 @@ func scenarioPlanAutoK(e *episode) {
 		Cache:        cache,
 		Budget:       bootes.Budget{MaxWallClock: e.budget()},
 	}
+	var selected *bootes.ReorderPlan
 	for call := 0; call < 2; call++ {
 		plan, err := bootes.PlanContext(ctx, m, opts)
 		if err != nil {
@@ -530,6 +535,24 @@ func scenarioPlanAutoK(e *episode) {
 			e.violatef("plan-autok: identity plan without ladder exhaustion (degraded=%v reason=%q)",
 				plan.Degraded, plan.DegradedReason)
 		}
+		if call == 0 && strings.HasPrefix(plan.AutoK, "selected:") && !plan.Degraded {
+			selected = plan
+		}
+	}
+	if selected == nil {
+		return
+	}
+	faultinject.Reset()
+	fixed, err := bootes.PlanContext(context.Background(), m, &bootes.Options{
+		Seed: opts.Seed, ForceReorder: true, ForceK: selected.K,
+	})
+	switch {
+	case err != nil:
+		e.violatef("plan-autok: fault-free ForceK=%d re-plan failed: %v", selected.K, err)
+	case fixed.Degraded:
+		e.violatef("plan-autok: fault-free ForceK=%d re-plan degraded: %s", selected.K, fixed.DegradedReason)
+	case !slices.Equal(fixed.Perm, selected.Perm):
+		e.violatef("plan-autok: ForceK=%d plan differs from the auto-k plan at the same k and seed", selected.K)
 	}
 }
 

@@ -6,10 +6,8 @@ import (
 	"strings"
 	"time"
 
-	"bootes/internal/cluster"
 	"bootes/internal/eigen"
 	"bootes/internal/faultinject"
-	"bootes/internal/lsh"
 	"bootes/internal/obs"
 	"bootes/internal/refine"
 	"bootes/internal/sparse"
@@ -112,14 +110,15 @@ func selectEigengap(values []float64, kmin, kmax int, stop, minRatio float64) (b
 }
 
 // estimateAutoKFootprint is the pre-allocation memory model for the auto-k
-// rung: the spectral footprint at K = KMax+1 plus one extra similarity-sized
-// working set for the refinement pipeline (the refined copy coexists with
-// its source between ops).
+// rung: the spectral footprint at K = KMax+1 plus the refined similarity,
+// which coexists with S through both solves. Diffusion (S·Sᵀ) can fill the
+// refined matrix up to n×n, and nothing short of forming it tells how far,
+// so it is charged at that bound.
 func estimateAutoKFootprint(a *sparse.CSR, base SpectralOptions, ak AutoKOptions) int64 {
 	opts := base
 	opts.K = ak.withDefaults().KMax + 1
-	est := estimateSpectralFootprint(a, opts)
-	return est + est/2
+	n := int64(a.Rows)
+	return estimateSpectralFootprint(a, opts) + (n+1)*8 + n*n*(4+8)
 }
 
 // attemptAutoK runs the auto-k rung with panic containment. Outcomes:
@@ -140,38 +139,25 @@ func (p *Pipeline) attemptAutoK(ctx context.Context, a *sparse.CSR, base Spectra
 	start := time.Now()
 	ak := p.AutoK.withDefaults()
 	n := a.Rows
-	kmax := ak.KMax
-	if kmax > n-1 {
-		kmax = n - 1
-	}
+	kmax := min(ak.KMax, n-1)
 	if kmax < 2 {
 		return nil, fmt.Sprintf("%s: matrix too small for eigengap selection (n=%d)", AutoKFallbackAmbiguous, n), nil
 	}
 
-	eff := EffectiveSimilarityMode(a, base)
+	hub, colCounts := resolveHub(a, base.HubThreshold)
+	eff := resolveSimilarityMode(a, base, hub, colCounts)
 	if eff == SimImplicit {
 		return nil, AutoKFallbackImplicit + ": refinement needs an explicit similarity matrix", nil
 	}
 
-	// Materialize the explicit similarity for the effective tier — the same
-	// kernels buildSimilarityOperator dispatches to, but auto-k needs the CSR
-	// itself for refinement, not just the operator.
+	// Materialize the explicit similarity through the shared tier dispatch
+	// (refinement needs the CSR itself, not just an operator) and refine it.
 	endSimilarity := obs.StartStage(ctx, obs.StageSimilarity)
 	defer endSimilarity()
-	hub, colCounts := resolveHub(a, base.HubThreshold)
-	var sim *sparse.CSR
-	switch eff {
-	case SimApprox:
-		sim, err = lsh.SparsifiedSimilarity(ctx, a, hub, colCounts, lshParams(base))
-	case SimBitset:
-		sim, err = sparse.SimilarityBitsetContext(ctx, a, hub, colCounts)
-	default: // SimExact
-		sim, err = sparse.SimilarityContext(ctx, a, hub, colCounts)
-	}
+	sim, simBytes, err := explicitSimilarity(ctx, a, base, eff, hub, colCounts)
 	if err != nil {
 		return nil, "", fmt.Errorf("core: auto-k similarity: %w", err)
 	}
-	obs.SimilarityModeUsed(ctx, eff.String())
 	refined, err := refine.Apply(ctx, sim, ak.Refine)
 	if err != nil {
 		if ctx.Err() != nil {
@@ -179,7 +165,7 @@ func (p *Pipeline) attemptAutoK(ctx context.Context, a *sparse.CSR, base Spectra
 		}
 		return nil, "", fmt.Errorf("core: auto-k refinement: %w", err)
 	}
-	simBytes := sim.ModeledBytes() + refined.ModeledBytes()
+	simBytes += refined.ModeledBytes()
 	endSimilarity()
 
 	// One spectrum solve sized for the largest admissible k; it exists only
@@ -194,27 +180,10 @@ func (p *Pipeline) attemptAutoK(ctx context.Context, a *sparse.CSR, base Spectra
 	// eigenvalue — it would report a multiplicity of one regardless of k.
 	// The block solver's oversampled random block resolves the degeneracy,
 	// which here IS the quantity being measured.
-	op := eigen.NewNormalizedSimilarity(refined)
-	eo := base.Eigen
-	eo.K = kmax + 1
-	if eo.Seed == 0 {
-		eo.Seed = base.Seed
-	}
-	if eo.Tol == 0 {
-		eo.Tol = 1e-5
-	}
-	if eo.MaxRestarts == 0 {
-		eo.MaxRestarts = 12
-	}
-	if eo.MaxBasis == 0 {
-		eo.MaxBasis = 2*eo.K + 16
-		if eo.MaxBasis < 48 {
-			eo.MaxBasis = 48
-		}
-	}
+	eo := base.eigenOptions(kmax + 1)
 	endEigensolve := obs.StartStage(ctx, obs.StageEigensolve)
 	defer endEigensolve()
-	res, err := eigen.BlockLargestContext(ctx, op, eo)
+	res, err := eigen.BlockLargestContext(ctx, eigen.NewNormalizedSimilarity(refined), eo)
 	endEigensolve()
 	if err != nil {
 		if ctx.Err() != nil {
@@ -231,72 +200,23 @@ func (p *Pipeline) attemptAutoK(ctx context.Context, a *sparse.CSR, base Spectra
 
 	// The refined operator's job ends at selecting k. Its eigenvectors make
 	// a poor ordering embedding — thresholding and diffusion erase the weak
-	// ties that guide within-cluster layout — so the embedding comes from a
-	// second, standard eigensolve over the raw similarity, mirroring the
-	// fixed-k sweep path (same solver, seeds, and NJW normalization). Auto-k
-	// therefore costs one block solve for the spectrum plus one Lanczos
-	// solve at the selected k.
-	rawOp := eigen.NewNormalizedSimilarity(sim)
-	reo := base.Eigen
-	reo.K = k
-	if reo.Seed == 0 {
-		reo.Seed = base.Seed
-	}
-	endEmbedSolve := obs.StartStage(ctx, obs.StageEigensolve)
-	defer endEmbedSolve()
-	rawRes, err := eigen.LargestContext(ctx, rawOp, reo)
-	endEmbedSolve()
+	// ties that guide within-cluster layout — so the ordering comes from the
+	// shared spectral core over the raw similarity: embed(k) → assign(k),
+	// exactly the pass a fixed-k plan at the selected k runs, so both give
+	// the same permutation. Auto-k therefore costs one block solve for the
+	// spectrum plus one Lanczos solve at the selected k.
+	raw, err := embed(ctx, eigen.NewNormalizedSimilarity(sim), base, k)
 	if err != nil {
-		if ctx.Err() != nil {
-			return nil, "", ctx.Err()
-		}
-		return nil, "", fmt.Errorf("core: auto-k embedding solve: %w", err)
+		return nil, "", err
 	}
-
-	// NJW embedding + k-means + layout, identical to the fixed-k pass.
-	endKMeans := obs.StartStage(ctx, obs.StageKMeans)
-	defer endKMeans()
-	embedding := buildEmbedding(rawRes.Vectors, n, k)
-	ko := base.KMeans
-	ko.K = k
-	if ko.Seed == 0 {
-		ko.Seed = base.Seed + int64(k)
-	}
-	if ko.MaxIters == 0 {
-		ko.MaxIters = 40
-	}
-	if ko.Restarts == 0 {
-		ko.Restarts = 2
-	}
-	km, err := cluster.KMeansContext(ctx, embedding, n, k, ko)
-	endKMeans()
+	sr, err = assign(ctx, raw.Vectors, n, k, base, true)
 	if err != nil {
-		if ctx.Err() != nil {
-			return nil, "", ctx.Err()
-		}
-		return nil, "", fmt.Errorf("core: auto-k k-means: %w", err)
+		return nil, "", err
 	}
-	endPermute := obs.StartStage(ctx, obs.StagePermute)
-	defer endPermute()
-	perm := cluster.PermutationFromAssignment(km.Assign, k, embedding, k, base.Order)
-	endPermute()
-
-	embedBytes := int64(len(embedding)) * 8
-	foot := simBytes + int64(n)*8*2 + eigen.ModeledBytes(eo, n)
-	if kmPhase := embedBytes + int64(n)*4 + int64(k*k)*8; kmPhase > foot {
-		foot = kmPhase
-	}
-	return &SpectralResult{
-		Perm:           perm,
-		Assign:         km.Assign,
-		Embedding:      embedding,
-		K:              k,
-		Eigenvalues:    res.Values,
-		MatVecs:        res.MatVecs + rawRes.MatVecs,
-		KMeansIters:    km.Iters,
-		Inertia:        km.Inertia,
-		Similarity:     eff,
-		PreprocessTime: time.Since(start),
-		FootprintBytes: foot + int64(n)*4,
-	}, fmt.Sprintf("%s: k=%d gap-ratio=%.2f", AutoKSelected, k, ratio), nil
+	sr.Eigenvalues = res.Values
+	sr.MatVecs = res.MatVecs + raw.MatVecs
+	sr.Similarity = eff
+	sr.PreprocessTime = time.Since(start)
+	sr.FootprintBytes = spectralFootprint(n, k, simBytes, eo)
+	return sr, fmt.Sprintf("%s: k=%d gap-ratio=%.2f", AutoKSelected, k, ratio), nil
 }

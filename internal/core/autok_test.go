@@ -95,23 +95,29 @@ func autoKPipeline(seed int64) *Pipeline {
 	}
 }
 
-func TestAutoKRecoversPlantedK(t *testing.T) {
-	cases := []struct {
-		n, k  int
-		noise float64
-	}{
-		{96, 3, 0},
-		{144, 6, 0},
-		{480, 24, 0.04},
-		{640, 64, 0.04},
+// plantedCases are the golden auto-k fixtures: k planted blocks over n rows,
+// with cross-block noise for the large-k ones (see noisyPlanted).
+var plantedCases = []struct {
+	n, k  int
+	noise float64
+}{
+	{96, 3, 0},
+	{144, 6, 0},
+	{480, 24, 0.04},
+	{640, 64, 0.04},
+}
+
+func plantedFixture(t *testing.T, n, k int, noise float64) *sparse.CSR {
+	t.Helper()
+	if noise > 0 {
+		return noisyPlanted(t, n, k, noise, int64(k))
 	}
-	for _, c := range cases {
-		var m *sparse.CSR
-		if c.noise > 0 {
-			m = noisyPlanted(t, c.n, c.k, c.noise, int64(c.k))
-		} else {
-			m = plantedBlockMatrix(t, c.n, c.k, int64(c.k))
-		}
+	return plantedBlockMatrix(t, n, k, int64(k))
+}
+
+func TestAutoKRecoversPlantedK(t *testing.T) {
+	for _, c := range plantedCases {
+		m := plantedFixture(t, c.n, c.k, c.noise)
 		res, err := autoKPipeline(7).ReorderContext(context.Background(), m)
 		if err != nil {
 			t.Fatalf("n=%d k=%d: %v", c.n, c.k, err)
@@ -127,6 +133,34 @@ func TestAutoKRecoversPlantedK(t *testing.T) {
 		}
 		if err := res.Perm.Validate(c.n); err != nil {
 			t.Errorf("n=%d k=%d: invalid permutation: %v", c.n, c.k, err)
+		}
+	}
+}
+
+// TestAutoKMatchesForceK: auto-k orders rows with the shared spectral core,
+// so a selected plan is bit-identical to a ForceK plan at the selected k and
+// the same seed.
+func TestAutoKMatchesForceK(t *testing.T) {
+	for _, c := range plantedCases {
+		m := plantedFixture(t, c.n, c.k, c.noise)
+		auto, err := autoKPipeline(7).ReorderContext(context.Background(), m)
+		if err != nil {
+			t.Fatalf("n=%d k=%d: %v", c.n, c.k, err)
+		}
+		if !strings.HasPrefix(auto.AutoK, AutoKSelected+":") || auto.Degraded {
+			t.Fatalf("n=%d k=%d: outcome %q degraded=%v, want a healthy selection", c.n, c.k, auto.AutoK, auto.Degraded)
+		}
+		k := int(auto.Extra["k"])
+		forced := &Pipeline{ForceReorder: true, ForceK: k, Spectral: SpectralOptions{Seed: 7}}
+		fixed, err := forced.ReorderContext(context.Background(), m)
+		if err != nil {
+			t.Fatalf("n=%d ForceK=%d: %v", c.n, k, err)
+		}
+		if fixed.Degraded {
+			t.Fatalf("n=%d ForceK=%d: degraded: %s", c.n, k, fixed.DegradedReason)
+		}
+		if !sameInt32(auto.Perm, fixed.Perm) {
+			t.Errorf("n=%d: auto-k plan at k=%d differs from the ForceK plan", c.n, k)
 		}
 	}
 }
@@ -168,7 +202,6 @@ func TestAutoKAmbiguousSpectrumFallsBack(t *testing.T) {
 func TestAutoKImplicitTierFallsBack(t *testing.T) {
 	m := plantedBlockMatrix(t, 96, 3, 3)
 	p := autoKPipeline(7)
-	p.Spectral.ImplicitSimilarity = true
 	p.Spectral.Similarity = SimImplicit
 	res, err := p.ReorderContext(context.Background(), m)
 	if err != nil {

@@ -3,7 +3,6 @@ package core
 import (
 	"time"
 
-	"bootes/internal/eigen"
 	"bootes/internal/faultinject"
 	"bootes/internal/lsh"
 	"bootes/internal/sparse"
@@ -37,8 +36,8 @@ func (b Budget) memoryExceeded(estimate int64) bool {
 
 // estimateSpectralFootprint upper-bounds the peak modeled bytes of one
 // spectral pass over a with the given options, using only column degrees —
-// nothing is allocated. It mirrors the footprint model in
-// Spectral.ReorderContext but replaces the exact nnz(S) (known only after
+// nothing is allocated. It feeds spectralFootprint, the model the finished
+// pass reports, but replaces the exact nnz(S) (known only after
 // construction) with the degree-sum bound from sparse.EstimateSimilarityNNZ,
 // so the estimate is always ≥ the realized footprint of the similarity phase.
 func estimateSpectralFootprint(a *sparse.CSR, opts SpectralOptions) int64 {
@@ -46,10 +45,7 @@ func estimateSpectralFootprint(a *sparse.CSR, opts SpectralOptions) int64 {
 	if n == 0 {
 		return 0
 	}
-	k := opts.K
-	if k > n {
-		k = n
-	}
+	k := min(opts.K, n)
 	hub, colCounts := resolveHub(a, opts.HubThreshold)
 
 	var simBytes int64
@@ -85,20 +81,5 @@ func estimateSpectralFootprint(a *sparse.CSR, opts SpectralOptions) int64 {
 		simBytes = int64(n+1)*8 + nnz*(4+8)
 	}
 
-	eo := opts.Eigen
-	eo.K = k
-	if eo.MaxBasis == 0 {
-		eo.MaxBasis = 2*k + 16
-		if eo.MaxBasis < 48 {
-			eo.MaxBasis = 48
-		}
-	}
-	degreeWork := int64(n) * 8 * 2
-	eigPhase := simBytes + degreeWork + eigen.ModeledBytes(eo, n)
-	kmPhase := int64(n)*int64(k)*8 + int64(n)*4 + int64(k*k)*8
-	foot := eigPhase
-	if kmPhase > foot {
-		foot = kmPhase
-	}
-	return foot + int64(n)*4
+	return spectralFootprint(n, k, simBytes, opts.eigenOptions(k))
 }

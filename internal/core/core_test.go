@@ -79,7 +79,7 @@ func TestSpectralImplicitMatchesExplicitQuality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	implicit, err := Spectral{Opts: SpectralOptions{K: 4, Seed: 5, ImplicitSimilarity: true}}.Reorder(a)
+	implicit, err := Spectral{Opts: SpectralOptions{K: 4, Seed: 5, Similarity: SimImplicit}}.Reorder(a)
 	if err != nil {
 		t.Fatal(err)
 	}

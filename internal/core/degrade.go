@@ -62,7 +62,6 @@ func buildLadder(base SpectralOptions, eff SimilarityMode) []rung {
 	}
 
 	impl := base
-	impl.ImplicitSimilarity = true
 	impl.Similarity = SimImplicit
 	if eff != SimImplicit {
 		ladder = append(ladder, rung{name: "implicit-similarity", opts: impl})

@@ -72,14 +72,6 @@ func TestSimilaritySelectorExplicitWins(t *testing.T) {
 			t.Errorf("explicit %v resolved to %v", mode, got)
 		}
 	}
-	// The legacy flag maps to implicit when no explicit mode is set, and
-	// loses to an explicit mode.
-	if got := EffectiveSimilarityMode(selectorMatrix(32), SpectralOptions{ImplicitSimilarity: true}); got != SimImplicit {
-		t.Errorf("legacy ImplicitSimilarity resolved to %v", got)
-	}
-	if got := EffectiveSimilarityMode(m, SpectralOptions{ImplicitSimilarity: true, Similarity: SimExact}); got != SimExact {
-		t.Errorf("explicit mode should beat the legacy flag, got %v", got)
-	}
 }
 
 // modeFingerprint runs one spectral pass with the given similarity mode and

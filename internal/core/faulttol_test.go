@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"bootes/internal/faultinject"
+	"bootes/internal/refine"
 	"bootes/internal/sparse"
 	"bootes/internal/workloads"
 )
@@ -264,8 +265,9 @@ func TestConcurrentCancelledPlans(t *testing.T) {
 
 func TestFootprintEstimateBoundsRealizedModel(t *testing.T) {
 	// The budget check runs before anything is allocated, so its estimate
-	// must never undercount the model the finished pass reports. Both take
-	// the solver's term from eigen.ModeledBytes (basis plus Ritz block).
+	// must never undercount the model the finished pass reports. Both go
+	// through spectralFootprint, with the solver's term from
+	// eigen.ModeledBytes (basis plus Ritz block).
 	a := blockMatrix(6, 8)
 	for _, k := range []int{2, 8, 32} {
 		opts := SpectralOptions{K: k, Seed: 3}
@@ -277,5 +279,20 @@ func TestFootprintEstimateBoundsRealizedModel(t *testing.T) {
 		if est < res.FootprintBytes {
 			t.Errorf("k=%d: estimate %d below realized %d", k, est, res.FootprintBytes)
 		}
+	}
+
+	// Auto-k reports the same formula over its raw plus refined similarity;
+	// the auto-k rung's budget estimate must bound that too.
+	p := &Pipeline{ForceReorder: true, Spectral: SpectralOptions{Seed: 3},
+		AutoK: AutoKOptions{Enabled: true, Refine: refine.Default()}}
+	res, err := p.ReorderContext(context.Background(), a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(res.AutoK, AutoKSelected+":") {
+		t.Fatalf("auto-k outcome %q, want a selection to measure", res.AutoK)
+	}
+	if est := estimateAutoKFootprint(a, p.Spectral, p.AutoK); est < res.FootprintBytes {
+		t.Errorf("auto-k: estimate %d below realized %d", est, res.FootprintBytes)
 	}
 }

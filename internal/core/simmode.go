@@ -126,15 +126,10 @@ var (
 )
 
 // resolveSimilarityMode resolves opts against the selector given the already
-// computed hub threshold and column counts. The legacy ImplicitSimilarity
-// flag is honored when no explicit mode is set.
+// computed hub threshold and column counts.
 func resolveSimilarityMode(a *sparse.CSR, opts SpectralOptions, hub int, colCounts []int) SimilarityMode {
-	mode := opts.Similarity
-	if mode == SimAuto && opts.ImplicitSimilarity {
-		mode = SimImplicit
-	}
-	if mode != SimAuto {
-		return mode
+	if opts.Similarity != SimAuto {
+		return opts.Similarity
 	}
 	n := a.Rows
 	if n >= simImplicitMinRows {
@@ -154,16 +149,12 @@ func resolveSimilarityMode(a *sparse.CSR, opts SpectralOptions, hub int, colCoun
 }
 
 // EffectiveSimilarityMode resolves the tier a spectral pass over a with opts
-// will run: an explicit mode wins, the legacy ImplicitSimilarity flag maps
-// to SimImplicit, and SimAuto consults the size/density selector. The result
-// is never SimAuto. Plan caching keys on the result's Class.
+// will run: an explicit mode wins, and SimAuto consults the size/density
+// selector. The result is never SimAuto. Plan caching keys on the result's
+// Class.
 func EffectiveSimilarityMode(a *sparse.CSR, opts SpectralOptions) SimilarityMode {
-	mode := opts.Similarity
-	if mode == SimAuto && opts.ImplicitSimilarity {
-		mode = SimImplicit
-	}
-	if mode != SimAuto {
-		return mode
+	if opts.Similarity != SimAuto {
+		return opts.Similarity
 	}
 	hub, colCounts := resolveHub(a, opts.HubThreshold)
 	return resolveSimilarityMode(a, opts, hub, colCounts)
@@ -181,44 +172,51 @@ func lshParams(opts SpectralOptions) lsh.Params {
 }
 
 // buildSimilarityOperator constructs the normalized similarity operator for
-// the resolved tier, returning the operator, its modeled similarity-phase
-// bytes, and the tier that ran (recorded in bootes_similarity_mode_total).
-// Shared by the single-k spectral pass and the sweep so the two cannot drift.
+// the resolved tier under a similarity stage span, returning the operator,
+// its modeled similarity-phase bytes, and the tier that ran (recorded in
+// bootes_similarity_mode_total). Shared by the single-k spectral pass and the
+// sweep so the two cannot drift.
 func buildSimilarityOperator(ctx context.Context, a *sparse.CSR, opts SpectralOptions) (eigen.Operator, int64, SimilarityMode, error) {
-	n := a.Rows
+	endSimilarity := obs.StartStage(ctx, obs.StageSimilarity)
+	defer endSimilarity()
 	hub, colCounts := resolveHub(a, opts.HubThreshold)
 	mode := resolveSimilarityMode(a, opts, hub, colCounts)
+	if mode == SimImplicit {
+		impl := eigen.NewImplicitSimilarityCappedWithCounts(a, hub, colCounts)
+		obs.SimilarityModeUsed(ctx, mode.String())
+		return impl, impl.At.ModeledBytes() + int64(a.Rows)*8*2, mode, nil // Āᵀ + two matvec temps
+	}
+	sim, simBytes, err := explicitSimilarity(ctx, a, opts, mode, hub, colCounts)
+	if err != nil {
+		return nil, 0, mode, err
+	}
+	return eigen.NewNormalizedSimilarity(sim), simBytes, mode, nil
+}
+
+// explicitSimilarity forms S for an explicit tier (exact, bitset or approx)
+// through that tier's kernel, given the resolved hub cap and column counts,
+// and returns it with the tier's modeled similarity-phase bytes. Auto-k
+// calls it directly because refinement needs S itself, not an operator.
+func explicitSimilarity(ctx context.Context, a *sparse.CSR, opts SpectralOptions, mode SimilarityMode, hub int, colCounts []int) (*sparse.CSR, int64, error) {
 	var (
-		op       eigen.Operator
-		simBytes int64
+		sim   *sparse.CSR
+		extra int64
+		err   error
 	)
 	switch mode {
-	case SimImplicit:
-		impl := eigen.NewImplicitSimilarityCappedWithCounts(a, hub, colCounts)
-		op = impl
-		simBytes = impl.At.ModeledBytes() + int64(n)*8*2 // Āᵀ + two matvec temps
 	case SimApprox:
-		sim, err := lsh.SparsifiedSimilarity(ctx, a, hub, colCounts, lshParams(opts))
-		if err != nil {
-			return nil, 0, mode, err
-		}
-		simBytes = sim.ModeledBytes() + lsh.ModeledSparsifyBytes(n, lshParams(opts))
-		op = eigen.NewNormalizedSimilarity(sim)
+		p := lshParams(opts)
+		sim, err = lsh.SparsifiedSimilarity(ctx, a, hub, colCounts, p)
+		extra = lsh.ModeledSparsifyBytes(a.Rows, p)
 	case SimBitset:
-		sim, err := sparse.SimilarityBitsetContext(ctx, a, hub, colCounts)
-		if err != nil {
-			return nil, 0, mode, err
-		}
-		simBytes = sim.ModeledBytes() + 2*a.NNZ()*(4+8) // plus the two bit packs
-		op = eigen.NewNormalizedSimilarity(sim)
+		sim, err = sparse.SimilarityBitsetContext(ctx, a, hub, colCounts)
+		extra = 2 * a.NNZ() * (4 + 8) // the two bit packs
 	default: // SimExact
-		sim, err := sparse.SimilarityContext(ctx, a, hub, colCounts)
-		if err != nil {
-			return nil, 0, mode, err
-		}
-		simBytes = sim.ModeledBytes()
-		op = eigen.NewNormalizedSimilarity(sim)
+		sim, err = sparse.SimilarityContext(ctx, a, hub, colCounts)
+	}
+	if err != nil {
+		return nil, 0, err
 	}
 	obs.SimilarityModeUsed(ctx, mode.String())
-	return op, simBytes, mode, nil
+	return sim, sim.ModeledBytes() + extra, nil
 }

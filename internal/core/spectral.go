@@ -27,14 +27,11 @@ type SpectralOptions struct {
 	// K is the number of eigenvectors and k-means clusters. It must be ≥ 2;
 	// the pipeline restricts it to CandidateKs.
 	K int
-	// ImplicitSimilarity applies S = Ā·Āᵀ as an operator instead of forming
-	// it explicitly — the memory ablation discussed in DESIGN.md. The paper's
-	// Algorithm 4 forms S explicitly. Legacy flag: equivalent to Similarity =
-	// SimImplicit; ignored when Similarity is set explicitly.
-	ImplicitSimilarity bool
 	// Similarity selects the similarity construction tier (see
 	// SimilarityMode). The zero value SimAuto picks a tier from the matrix
-	// size and the modeled similarity bytes.
+	// size and the modeled similarity bytes; SimImplicit applies S = Ā·Āᵀ as
+	// an operator instead of forming it — the memory ablation discussed in
+	// DESIGN.md (the paper's Algorithm 4 forms S explicitly).
 	Similarity SimilarityMode
 	// LSH parameterizes the approximate tier's MinHash/banding sparsifier;
 	// the zero value selects lsh.DefaultParams (fixed seed).
@@ -52,6 +49,48 @@ type SpectralOptions struct {
 	// sparse.SimilarityCapped). 0 selects sparse.HubDegreeThreshold(a);
 	// negative disables hub exclusion (the ablation baseline).
 	HubThreshold int
+}
+
+// eigenOptions is the eigensolver configuration for a kdim-vector solve:
+// Eigen with every unset field filled in. Clustering only needs the
+// invariant subspace approximately, so the defaults trade residual precision
+// for speed. Every solve of the spectral pass — fixed k, the sweep, auto-k's
+// spectrum and embedding — and the footprint estimate take their settings
+// from here.
+func (o SpectralOptions) eigenOptions(kdim int) eigen.Options {
+	eo := o.Eigen
+	eo.K = kdim
+	if eo.Seed == 0 {
+		eo.Seed = o.Seed
+	}
+	if eo.Tol == 0 {
+		eo.Tol = 1e-5
+	}
+	if eo.MaxRestarts == 0 {
+		eo.MaxRestarts = 12
+	}
+	if eo.MaxBasis == 0 {
+		eo.MaxBasis = max(2*kdim+16, 48)
+	}
+	return eo
+}
+
+// kmeansOptions is the k-means configuration for k clusters: KMeans with
+// every unset field filled in. The seed does not depend on k, so every path
+// that clusters the same embedding at the same k gets the same answer.
+func (o SpectralOptions) kmeansOptions(k int) cluster.KMeansOptions {
+	ko := o.KMeans
+	ko.K = k
+	if ko.Seed == 0 {
+		ko.Seed = o.Seed + 1
+	}
+	if ko.MaxIters == 0 {
+		ko.MaxIters = 40
+	}
+	if ko.Restarts == 0 {
+		ko.Restarts = 2
+	}
+	return ko
 }
 
 // ErrBadK reports an invalid cluster count.
@@ -76,6 +115,10 @@ func (s Spectral) Reorder(a *sparse.CSR) (*SpectralResult, error) {
 // every phase: similarity construction (per chunk), Lanczos (per matvec) and
 // k-means (per restart and iteration). A context that is already done
 // returns ctx.Err() before any similarity storage is allocated.
+//
+// The pass is the shared spectral core: buildSimilarityOperator → embed(k)
+// → assign(k). Working with M = D^{-1/2}·S·D^{-1/2} (largest eigenpairs) is
+// equivalent to the smallest eigenpairs of the normalized Laplacian I − M.
 func (s Spectral) ReorderContext(ctx context.Context, a *sparse.CSR) (*SpectralResult, error) {
 	start := time.Now()
 	opts := s.Opts
@@ -89,76 +132,84 @@ func (s Spectral) ReorderContext(ctx context.Context, a *sparse.CSR) (*SpectralR
 	if n == 0 {
 		return &SpectralResult{Perm: sparse.Permutation{}}, nil
 	}
-	k := opts.K
-	if k > n {
-		k = n
-	}
+	k := min(opts.K, n)
 
-	// Step 1-2: similarity matrix and normalized-Laplacian operator.
-	// Working with M = D^{-1/2}·S·D^{-1/2} (largest eigenpairs) is
-	// equivalent to the smallest eigenpairs of L = I − M. The tier dispatch
-	// (exact merge / bitset / LSH-approximate / implicit) is shared with the
-	// sweep via buildSimilarityOperator. Stage spans close via defer too so a
-	// contained panic cannot leak an open span past the ladder's recovery.
-	degreeWork := int64(n) * 8 * 2 // degrees + inv-sqrt arrays
-	endSimilarity := obs.StartStage(ctx, obs.StageSimilarity)
-	defer endSimilarity()
 	op, simBytes, simMode, err := buildSimilarityOperator(ctx, a, opts)
 	if err != nil {
 		return nil, err
 	}
-	endSimilarity()
+	res, err := embed(ctx, op, opts, k)
+	if err != nil {
+		return nil, err
+	}
+	sr, err := assign(ctx, res.Vectors, n, k, opts, true)
+	if err != nil {
+		return nil, err
+	}
+	sr.Eigenvalues = res.Values
+	sr.MatVecs = res.MatVecs
+	sr.Similarity = simMode
+	sr.PreprocessTime = time.Since(start)
+	sr.FootprintBytes = spectralFootprint(n, k, simBytes, opts.eigenOptions(k))
+	return sr, nil
+}
 
-	// Step 3: top-k eigenvectors via Lanczos. Clustering only needs the
-	// invariant subspace approximately, so the defaults trade residual
-	// precision for speed (callers can override through Opts.Eigen).
-	eo := opts.Eigen
-	eo.K = k
-	if eo.Seed == 0 {
-		eo.Seed = opts.Seed
-	}
-	if eo.Tol == 0 {
-		eo.Tol = 1e-5
-	}
-	if eo.MaxRestarts == 0 {
-		eo.MaxRestarts = 12
-	}
-	if eo.MaxBasis == 0 {
-		eo.MaxBasis = 2*k + 16
-		if eo.MaxBasis < 48 {
-			eo.MaxBasis = 48
-		}
-	}
+// embed solves for the kdim leading eigenpairs of op (Algorithm 4, step 3)
+// under an eigensolve stage span. A cancelled solve returns ctx.Err().
+func embed(ctx context.Context, op eigen.Operator, opts SpectralOptions, kdim int) (*eigen.Result, error) {
 	endEigensolve := obs.StartStage(ctx, obs.StageEigensolve)
 	defer endEigensolve()
-	res, err := eigen.LargestContext(ctx, op, eo)
-	endEigensolve()
+	res, err := eigen.LargestContext(ctx, op, opts.eigenOptions(kdim))
 	if err != nil {
 		if ctx.Err() != nil {
 			return nil, ctx.Err()
 		}
 		return nil, fmt.Errorf("core: eigensolve failed: %w", err)
 	}
+	return res, nil
+}
 
-	// Step 4: k-means on the spectral embedding (rows = points, columns =
-	// eigenvector coordinates), with Ng–Jordan–Weiss row normalization so
-	// cluster membership is decided by embedding *direction* rather than
-	// the degree-dependent magnitude.
-	endKMeans := obs.StartStage(ctx, obs.StageKMeans)
+// assign clusters the n points spanned by the leading k of vectors
+// (Algorithm 4, steps 4-5). The vectors come in descending eigenvalue order,
+// so that prefix is exactly the k-dimensional spectral embedding. Rows get
+// Ng–Jordan–Weiss normalization (each point scaled to unit length, all-zero
+// rows left untouched), so cluster membership is decided by embedding
+// direction rather than the degree-dependent magnitude; then k-means and the
+// cluster-grouped layout. The result carries the clustering fields only.
+//
+// traced opens the kmeans and permute stage spans; they close via defer too,
+// so a contained panic cannot leak an open span past the ladder's recovery.
+// The sweep's parallel fan-out runs untraced: spans from concurrent workers
+// would interleave clock reads nondeterministically.
+func assign(ctx context.Context, vectors [][]float64, n, k int, opts SpectralOptions, traced bool) (*SpectralResult, error) {
+	stage := func(name string) func() {
+		if !traced {
+			return func() {}
+		}
+		return obs.StartStage(ctx, name)
+	}
+	endKMeans := stage(obs.StageKMeans)
 	defer endKMeans()
-	embedding := buildEmbedding(res.Vectors, n, k)
-	ko := opts.KMeans
-	ko.K = k
-	if ko.Seed == 0 {
-		ko.Seed = opts.Seed + 1
+	embedding := make([]float64, n*k)
+	for j, vec := range vectors[:k] {
+		for i := 0; i < n; i++ {
+			embedding[i*k+j] = vec[i]
+		}
 	}
-	if ko.MaxIters == 0 {
-		ko.MaxIters = 40
+	for i := 0; i < n; i++ {
+		row := embedding[i*k : (i+1)*k]
+		s := 0.0
+		for _, v := range row {
+			s += v * v
+		}
+		if s > 0 {
+			inv := 1 / math.Sqrt(s)
+			for d := range row {
+				row[d] *= inv
+			}
+		}
 	}
-	if ko.Restarts == 0 {
-		ko.Restarts = 2
-	}
-	km, err := cluster.KMeansContext(ctx, embedding, n, k, ko)
+	km, err := cluster.KMeansContext(ctx, embedding, n, k, opts.kmeansOptions(k))
 	endKMeans()
 	if err != nil {
 		if ctx.Err() != nil {
@@ -166,36 +217,29 @@ func (s Spectral) ReorderContext(ctx context.Context, a *sparse.CSR) (*SpectralR
 		}
 		return nil, fmt.Errorf("core: k-means failed: %w", err)
 	}
-	endPermute := obs.StartStage(ctx, obs.StagePermute)
+	endPermute := stage(obs.StagePermute)
 	defer endPermute()
-	perm := cluster.PermutationFromAssignment(km.Assign, k, embedding, k, opts.Order)
-	endPermute()
-
-	// Peak footprint model: the similarity matrix coexists with the degree
-	// arrays and the Lanczos vectors (basis plus retained Ritz block); per
-	// the paper S is freed before k-means, so the peak is max(eigend phase,
-	// k-means phase).
-	embedBytes := int64(len(embedding)) * 8
-	eigPhase := simBytes + degreeWork + eigen.ModeledBytes(eo, n)
-	kmPhase := embedBytes + int64(n)*4 + int64(k*k)*8
-	foot := eigPhase
-	if kmPhase > foot {
-		foot = kmPhase
-	}
-
 	return &SpectralResult{
-		Perm:           perm,
-		Assign:         km.Assign,
-		Embedding:      embedding,
-		K:              k,
-		Eigenvalues:    res.Values,
-		MatVecs:        res.MatVecs,
-		KMeansIters:    km.Iters,
-		Inertia:        km.Inertia,
-		Similarity:     simMode,
-		PreprocessTime: time.Since(start),
-		FootprintBytes: foot + int64(n)*4,
+		Perm:        cluster.PermutationFromAssignment(km.Assign, k, embedding, k, opts.Order),
+		Assign:      km.Assign,
+		Embedding:   embedding,
+		K:           k,
+		KMeansIters: km.Iters,
+		Inertia:     km.Inertia,
 	}, nil
+}
+
+// spectralFootprint is the peak-memory model of one spectral pass over n rows
+// clustered k ways: the eigensolve phase (simBytes of similarity storage, the
+// degree and inverse-square-root arrays, and the solver's vectors under eo)
+// or the k-means phase (the n×k embedding, the assignment and the
+// centroids), whichever is larger — per the paper S is freed before k-means
+// — plus the output permutation. The realized fixed-k and auto-k results and
+// the pre-allocation estimate all use it.
+func spectralFootprint(n, k int, simBytes int64, eo eigen.Options) int64 {
+	eigPhase := simBytes + int64(n)*8*2 + eigen.ModeledBytes(eo, n)
+	kmPhase := int64(n)*int64(k)*8 + int64(n)*4 + int64(k*k)*8
+	return max(eigPhase, kmPhase) + int64(n)*4
 }
 
 // resolveHub maps a SpectralOptions.HubThreshold to the effective cap and
@@ -211,32 +255,6 @@ func resolveHub(a *sparse.CSR, threshold int) (hub int, colCounts []int) {
 	default:
 		return threshold, nil
 	}
-}
-
-// buildEmbedding lays out eigenvectors as row-major point coordinates and
-// applies Ng–Jordan–Weiss row normalization (each point scaled to unit
-// length; all-zero rows left untouched).
-func buildEmbedding(vectors [][]float64, n, k int) []float64 {
-	embedding := make([]float64, n*k)
-	for j, vec := range vectors {
-		for i := 0; i < n; i++ {
-			embedding[i*k+j] = vec[i]
-		}
-	}
-	for i := 0; i < n; i++ {
-		row := embedding[i*k : (i+1)*k]
-		s := 0.0
-		for _, v := range row {
-			s += v * v
-		}
-		if s > 0 {
-			inv := 1 / sqrtf(s)
-			for d := range row {
-				row[d] *= inv
-			}
-		}
-	}
-	return embedding
 }
 
 // SpectralResult carries the permutation plus the intermediate artifacts the
@@ -256,5 +274,3 @@ type SpectralResult struct {
 	PreprocessTime time.Duration
 	FootprintBytes int64
 }
-
-func sqrtf(x float64) float64 { return math.Sqrt(x) }

@@ -3,10 +3,9 @@ package core
 import (
 	"context"
 	"errors"
+	"slices"
 	"time"
 
-	"bootes/internal/cluster"
-	"bootes/internal/eigen"
 	"bootes/internal/faultinject"
 	"bootes/internal/obs"
 	"bootes/internal/parallel"
@@ -22,10 +21,10 @@ type SweepEntry struct {
 }
 
 // SpectralSweep evaluates several cluster counts with a single eigensolve:
-// the embedding is computed once for max(ks) eigenvectors and each k reuses
-// its leading k columns (eigenvectors are ordered by eigenvalue, so the
-// prefix is exactly the k-dimensional spectral embedding). This is how the
-// decision-tree labeller and the Figure 3 sweep keep 5 k-values affordable.
+// the shared spectral core runs embed(max(ks)) once and assign(k) for each k
+// over the leading k eigenvectors. This is how the decision-tree labeller and
+// the Figure 3 sweep keep 5 k-values affordable. The entry for max(ks), and
+// every entry of a single-k sweep, is bit-identical to Spectral at that k.
 func SpectralSweep(a *sparse.CSR, ks []int, opts SpectralOptions) ([]SweepEntry, error) {
 	return SpectralSweepContext(context.Background(), a, ks, opts)
 }
@@ -41,58 +40,31 @@ func SpectralSweepContext(ctx context.Context, a *sparse.CSR, ks []int, opts Spe
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	n := a.Rows
-	kmax := 0
 	for _, k := range ks {
 		if k < 2 {
 			return nil, ErrBadK
 		}
-		if k > kmax {
-			kmax = k
-		}
 	}
-	if kmax > n {
-		kmax = n
-	}
+	n := a.Rows
+	kmax := min(slices.Max(ks), n)
 
 	// The sweep span covers the whole call; the sequential shared-embedding
 	// work additionally gets similarity and eigensolve spans. The per-k
-	// k-means fan-out is deliberately left uninstrumented: spans from
-	// concurrent workers would interleave clock reads nondeterministically,
-	// and the sweep span already accounts for that time.
+	// k-means fan-out is deliberately left uninstrumented (see assign), and
+	// the sweep span already accounts for that time.
 	endSweep := obs.StartStage(ctx, obs.StageSweep)
 	defer endSweep()
 
 	embedStart := time.Now()
-	endSimilarity := obs.StartStage(ctx, obs.StageSimilarity)
-	defer endSimilarity()
 	op, _, _, err := buildSimilarityOperator(ctx, a, opts)
 	if err != nil {
 		return nil, err
 	}
-	endSimilarity()
-	eo := opts.Eigen
-	eo.K = kmax
-	if eo.Seed == 0 {
-		eo.Seed = opts.Seed
-	}
-	endEigensolve := obs.StartStage(ctx, obs.StageEigensolve)
-	defer endEigensolve()
-	res, err := eigen.LargestContext(ctx, op, eo)
-	endEigensolve()
+	res, err := embed(ctx, op, opts, kmax)
 	if err != nil {
 		return nil, err
 	}
 	embedTime := time.Since(embedStart)
-
-	// Row-major full embedding (n × kmax). Each k-prefix is re-normalized
-	// below, so the full embedding is kept raw here.
-	full := make([]float64, n*kmax)
-	for j, vec := range res.Vectors {
-		for i := 0; i < n; i++ {
-			full[i*kmax+j] = vec[i]
-		}
-	}
 
 	// Once the shared embedding exists each k's k-means + permutation is
 	// independent, so the per-k work fans out across the worker pool. Each k
@@ -110,32 +82,16 @@ func SpectralSweepContext(ctx context.Context, a *sparse.CSR, ks []int, opts Spe
 			if ctx.Err() != nil {
 				return
 			}
-			k := ks[idx]
-			kk := k
-			if kk > n {
-				kk = n
-			}
 			kmStart := time.Now()
-			sub := make([]float64, n*kk)
-			for i := 0; i < n; i++ {
-				copy(sub[i*kk:(i+1)*kk], full[i*kmax:i*kmax+kk])
-			}
-			normalizeRows(sub, n, kk)
-			ko := opts.KMeans
-			ko.K = kk
-			if ko.Seed == 0 {
-				ko.Seed = opts.Seed + int64(kk)
-			}
-			km, err := cluster.KMeansContext(ctx, sub, n, kk, ko)
+			sr, err := assign(ctx, res.Vectors, n, min(ks[idx], n), opts, false)
 			if err != nil {
 				errs[idx] = err
 				continue
 			}
-			perm := cluster.PermutationFromAssignment(km.Assign, kk, sub, kk, opts.Order)
 			entries[idx] = SweepEntry{
-				K:              k,
-				Perm:           perm,
-				Inertia:        km.Inertia,
+				K:              ks[idx],
+				Perm:           sr.Perm,
+				Inertia:        sr.Inertia,
 				PreprocessTime: embedTime/time.Duration(len(ks)) + time.Since(kmStart),
 			}
 		}
@@ -160,21 +116,4 @@ func SpectralSweepContext(ctx context.Context, a *sparse.CSR, ks []int, opts Spe
 		}
 	}
 	return entries, nil
-}
-
-// normalizeRows applies Ng–Jordan–Weiss row normalization in place.
-func normalizeRows(embedding []float64, n, dim int) {
-	for i := 0; i < n; i++ {
-		row := embedding[i*dim : (i+1)*dim]
-		s := 0.0
-		for _, v := range row {
-			s += v * v
-		}
-		if s > 0 {
-			inv := 1 / sqrtf(s)
-			for d := range row {
-				row[d] *= inv
-			}
-		}
-	}
 }

@@ -6,11 +6,25 @@ import (
 	"bootes/internal/workloads"
 )
 
+// TestSpectralSweepMatchesFixedK: the sweep runs the fixed-k pass with one
+// shared eigensolve, so a single-k sweep, and the largest-k entry of a
+// multi-k sweep, reproduce Spectral at that k bit for bit.
 func TestSpectralSweepMatchesFixedK(t *testing.T) {
 	a := workloads.ScrambledBlock(workloads.Params{
 		Rows: 1024, Cols: 1024, Density: 0.01, Seed: 9, Groups: 8,
 	})
-	entries, err := SpectralSweep(a, []int{2, 4, 8}, SpectralOptions{Seed: 4})
+	opts := SpectralOptions{Seed: 4}
+	fixed := func(k int) []int32 {
+		t.Helper()
+		o := opts
+		o.K = k
+		res, err := Spectral{Opts: o}.Reorder(a)
+		if err != nil {
+			t.Fatalf("Spectral k=%d: %v", k, err)
+		}
+		return res.Perm
+	}
+	entries, err := SpectralSweep(a, []int{2, 4, 8}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,6 +52,19 @@ func TestSpectralSweepMatchesFixedK(t *testing.T) {
 	}
 	if same {
 		t.Error("k=2 and k=8 produced identical permutations")
+	}
+
+	if !sameInt32(entries[2].Perm, fixed(8)) {
+		t.Error("largest-k sweep entry (k=8) differs from Spectral at k=8")
+	}
+	for _, k := range []int{2, 4, 8} {
+		single, err := SpectralSweep(a, []int{k}, opts)
+		if err != nil {
+			t.Fatalf("single-k sweep k=%d: %v", k, err)
+		}
+		if !sameInt32(single[0].Perm, fixed(k)) {
+			t.Errorf("single-k sweep at k=%d differs from Spectral at k=%d", k, k)
+		}
 	}
 }
 
