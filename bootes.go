@@ -60,7 +60,8 @@ func NewMatrix(rows, cols int, rowPtr []int64, col []int32, val []float64) (*Mat
 	return sparse.NewCSR(rows, cols, rowPtr, col, val)
 }
 
-// FromCOO builds a matrix from coordinate triples; duplicates are summed.
+// FromCOO builds a matrix from coordinate triples; duplicates are summed in
+// input order.
 func FromCOO(rows, cols int, i, j []int32, v []float64) (*Matrix, error) {
 	if len(i) != len(j) || (v != nil && len(v) != len(i)) {
 		return nil, errors.New("bootes: mismatched COO slice lengths")
@@ -83,7 +84,7 @@ func ReadMatrixMarket(r io.Reader) (*Matrix, error) { return sparse.ReadMatrixMa
 func WriteMatrixMarket(w io.Writer, m *Matrix) error { return sparse.WriteMatrixMarket(w, m) }
 
 // ReadBinary parses a matrix in the library's compact binary (BCSR) format,
-// ~10× faster to load than Matrix Market for large matrices.
+// about 5× faster to load than Matrix Market text.
 func ReadBinary(r io.Reader) (*Matrix, error) { return sparse.ReadBinary(r) }
 
 // WriteBinary writes m in the compact binary (BCSR) format.

@@ -452,17 +452,19 @@ func (rt *Router) routePlan(w http.ResponseWriter, r *http.Request, next http.Ha
 			http.StatusRequestEntityTooLarge)
 		return
 	}
-	key, ok := keyOf(body)
+	r.Body = io.NopCloser(bytes.NewReader(body))
+	m, key, ok := keyOf(body)
 	if !ok {
 		// Not a matrix we can hash: let the local server produce its 400.
-		r.Body = io.NopCloser(bytes.NewReader(body))
 		next.ServeHTTP(w, r)
 		return
 	}
+	// Served here, the request carries the matrix and key just computed, so
+	// planserve neither parses nor hashes the body again.
+	local := planserve.WithRoutedMatrix(r, m, key, int64(len(body)))
 	replicas := rt.ring.Replicas(key, rt.cfg.Replicas)
 	if replicas[0] == rt.cfg.Self {
-		r.Body = io.NopCloser(bytes.NewReader(body))
-		next.ServeHTTP(w, r)
+		next.ServeHTTP(w, local)
 		return
 	}
 	if r.URL.Query().Get("route") == "redirect" {
@@ -494,26 +496,46 @@ func (rt *Router) routePlan(w http.ResponseWriter, r *http.Request, next http.Ha
 	}
 	if len(candidates) == 0 {
 		rt.localFallbacks.Inc()
-		r.Body = io.NopCloser(bytes.NewReader(body))
-		next.ServeHTTP(w, r)
+		next.ServeHTTP(w, local)
 		return
 	}
-	if resp, peer := rt.forwardHedged(r, body, candidates, probes); resp != nil {
+	fwd := forwardPayload(body, r.Header.Get("Content-Type"), m)
+	if resp, peer := rt.forwardHedged(r, fwd, candidates, probes); resp != nil {
 		defer resp.Body.Close()
 		copyResponse(w, resp, peer.url)
 		return
 	}
 	// Every remote candidate failed: availability beats placement.
 	rt.localFallbacks.Inc()
-	r.Body = io.NopCloser(bytes.NewReader(body))
-	next.ServeHTTP(w, r)
+	next.ServeHTTP(w, local)
+}
+
+// payload is the body a forward carries, and its content type.
+type payload struct {
+	body        []byte
+	contentType string
+}
+
+// forwardPayload chooses what a forward of body, parsed as m, carries: the
+// BCSR encoding of m when it is no larger than a text body, so the owner
+// skips a text parse and the hop moves fewer bytes, and otherwise the body
+// as the client sent it.
+func forwardPayload(body []byte, contentType string, m *sparse.CSR) payload {
+	size := sparse.BinarySize(m)
+	if bytes.HasPrefix(body, []byte("BCSR")) || size > int64(len(body)) {
+		return payload{body, contentType}
+	}
+	var buf bytes.Buffer
+	buf.Grow(int(size))
+	_ = sparse.WriteBinary(&buf, m) // writes to a bytes.Buffer do not fail
+	return payload{buf.Bytes(), "application/octet-stream"}
 }
 
 // forwardHedged forwards to candidates[0] and, if it has not answered within
 // HedgeAfter, fires one duplicate at candidates[1]. The first acceptable
 // response wins; the loser is cancelled. Returns (nil, nil) when every
 // attempt failed.
-func (rt *Router) forwardHedged(r *http.Request, body []byte, candidates []*peerState, probes map[*peerState]bool) (*http.Response, *peerState) {
+func (rt *Router) forwardHedged(r *http.Request, body payload, candidates []*peerState, probes map[*peerState]bool) (*http.Response, *peerState) {
 	type attempt struct {
 		resp *http.Response
 		peer *peerState
@@ -648,14 +670,17 @@ func (rt *Router) recordOutcome(p *peerState, probe, success bool, err error) {
 	}
 }
 
-// forwardOnce proxies one plan request to p, preserving method, path, query,
-// and routing-relevant headers.
-func (rt *Router) forwardOnce(ctx context.Context, r *http.Request, body []byte, p *peerState) (*http.Response, error) {
-	req, err := http.NewRequestWithContext(ctx, r.Method, p.url+r.URL.RequestURI(), bytes.NewReader(body))
+// forwardOnce proxies one plan request to p with body, preserving method,
+// path, query, and routing-relevant headers.
+func (rt *Router) forwardOnce(ctx context.Context, r *http.Request, body payload, p *peerState) (*http.Response, error) {
+	req, err := http.NewRequestWithContext(ctx, r.Method, p.url+r.URL.RequestURI(), bytes.NewReader(body.body))
 	if err != nil {
 		return nil, err
 	}
-	for _, h := range []string{"Content-Type", "X-Deadline", "X-Tenant", "Accept"} {
+	if body.contentType != "" {
+		req.Header.Set("Content-Type", body.contentType)
+	}
+	for _, h := range []string{"X-Deadline", "X-Tenant", "Accept"} {
 		if v := r.Header.Get(h); v != "" {
 			req.Header.Set(h, v)
 		}
@@ -752,8 +777,8 @@ func (rt *Router) fillOnce(ctx context.Context, p *peerState, key string) (*plan
 }
 
 // keyOf parses a matrix body (BCSR or Matrix Market, the same sniff the
-// server uses) and returns its content-hash MatrixKey.
-func keyOf(body []byte) (string, bool) {
+// server uses) and returns it with its content-hash MatrixKey.
+func keyOf(body []byte) (*sparse.CSR, string, bool) {
 	var (
 		m   *sparse.CSR
 		err error
@@ -764,7 +789,7 @@ func keyOf(body []byte) (string, bool) {
 		m, err = sparse.ReadMatrixMarket(bytes.NewReader(body))
 	}
 	if err != nil {
-		return "", false
+		return nil, "", false
 	}
-	return plancache.KeyCSR(m), true
+	return m, plancache.KeyCSR(m), true
 }

@@ -108,7 +108,7 @@ func TestClusterComputesOncePerKey(t *testing.T) {
 
 func keyMust(t testing.TB, body []byte) string {
 	t.Helper()
-	key, ok := keyOf(body)
+	_, key, ok := keyOf(body)
 	if !ok {
 		t.Fatal("test body did not parse as a matrix")
 	}
@@ -292,12 +292,19 @@ func newRouterHarness(t *testing.T, cfg Config, backends ...*httptest.Server) *r
 	return h
 }
 
-// bodyOwnedBy searches seeds for a matrix whose key has the wanted replica
-// preference order.
+// bodyOwnedBy searches seeds for a test matrix whose key has the wanted
+// replica preference order.
 func bodyOwnedBy(t *testing.T, rt *Router, n int, want ...string) []byte {
 	t.Helper()
+	return drawOwnedBy(t, rt, func(seed int64) *sparse.CSR { return testMatrix(t, seed) }, n, want...)
+}
+
+// drawOwnedBy searches seeds of draw for a matrix whose key has the wanted
+// replica preference order, and returns its Matrix Market body.
+func drawOwnedBy(t *testing.T, rt *Router, draw func(seed int64) *sparse.CSR, n int, want ...string) []byte {
+	t.Helper()
 	for seed := int64(1); seed < 10000; seed++ {
-		b := mmBody(t, testMatrix(t, seed))
+		b := mmBody(t, draw(seed))
 		reps := rt.Ring().Replicas(keyMust(t, b), n)
 		if len(reps) != len(want) {
 			continue
@@ -610,5 +617,221 @@ func TestConcurrentForwardsRace(t *testing.T) {
 	wg.Wait()
 	if n := computes.Load(); n != 3 {
 		t.Errorf("fleet computed %d plans for 3 distinct matrices, want 3", n)
+	}
+}
+
+// TestForwardCarriesBCSR: a Matrix Market request to a non-owner reaches the
+// owner, and the hedge target, as the same BCSR bytes, which decode to the
+// matrix the client sent.
+func TestForwardCarriesBCSR(t *testing.T) {
+	type arrival struct {
+		contentType string
+		body        []byte
+	}
+	var (
+		mu       sync.Mutex
+		arrivals []arrival
+	)
+	release := make(chan struct{})
+	peer := func(stall bool) *httptest.Server {
+		return httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/readyz" {
+				return
+			}
+			b, _ := io.ReadAll(r.Body)
+			mu.Lock()
+			arrivals = append(arrivals, arrival{r.Header.Get("Content-Type"), b})
+			mu.Unlock()
+			if stall {
+				select {
+				case <-release:
+				case <-r.Context().Done():
+					return
+				}
+			}
+			fmt.Fprint(w, `{}`)
+		}))
+	}
+	owner, hedge := peer(true), peer(false)
+	defer owner.Close()
+	defer hedge.Close()
+	defer close(release)
+
+	h := newRouterHarness(t, Config{Replicas: 3, HedgeAfter: 20 * time.Millisecond}, owner, hedge)
+	// Dense enough that BCSR is clearly the smaller encoding: at the test
+	// matrix's four entries a row, it can go either way.
+	dense := func(seed int64) *sparse.CSR {
+		return workloads.ScrambledBlock(workloads.Params{Rows: 48, Cols: 48, Density: 0.3, Seed: seed, Groups: 4})
+	}
+	body := drawOwnedBy(t, h.rt, dense, 2, owner.URL, hedge.URL)
+	client := &http.Client{Timeout: 10 * time.Second}
+	defer client.CloseIdleConnections()
+	resp, err := client.Post(h.front.URL+"/v1/plan", "text/plain", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _ = io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d", resp.StatusCode)
+	}
+	waitFor(t, 5*time.Second, func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(arrivals) == 2
+	}, "owner and hedge did not both receive the forward")
+
+	want, err := sparse.ReadMatrixMarket(bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for i, a := range arrivals {
+		if a.contentType != "application/octet-stream" {
+			t.Errorf("forward %d: Content-Type %q, want application/octet-stream", i, a.contentType)
+		}
+		got, err := sparse.ReadBinary(bytes.NewReader(a.body))
+		if err != nil {
+			t.Fatalf("forward %d is not BCSR: %v", i, err)
+		}
+		if !sparse.Equal(got, want) {
+			t.Errorf("forward %d decodes to a different matrix", i)
+		}
+		if len(a.body) >= len(body) {
+			t.Errorf("forward %d carries %d bytes for a %d-byte text body", i, len(a.body), len(body))
+		}
+	}
+	if !bytes.Equal(arrivals[0].body, arrivals[1].body) {
+		t.Error("the hedge carried different bytes than the primary forward")
+	}
+}
+
+// TestForwardKeepsTextWhenBCSRIsLarger: a body whose BCSR encoding would be
+// larger, here 2^20 rows with one entry, is forwarded as the client sent it.
+func TestForwardKeepsTextWhenBCSRIsLarger(t *testing.T) {
+	got := make(chan []byte, 1)
+	owner := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/readyz" {
+			return
+		}
+		b, _ := io.ReadAll(r.Body)
+		got <- b
+		fmt.Fprint(w, `{}`)
+	}))
+	defer owner.Close()
+	h := newRouterHarness(t, Config{Replicas: 1}, owner)
+
+	var body []byte
+	for i := 1; body == nil; i++ {
+		b := []byte(fmt.Sprintf("%%%%MatrixMarket matrix coordinate pattern general\n1048576 1048576 1\n%d %d\n", i, i))
+		if h.rt.Ring().Owner(keyMust(t, b)) == owner.URL {
+			body = b
+		}
+	}
+	client := &http.Client{Timeout: 10 * time.Second}
+	defer client.CloseIdleConnections()
+	resp, err := client.Post(h.front.URL+"/v1/plan", "text/plain", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _ = io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d", resp.StatusCode)
+	}
+	if b := <-got; !bytes.Equal(b, body) {
+		t.Errorf("owner received %d bytes %.40q, want the %d-byte text body verbatim", len(b), b, len(body))
+	}
+}
+
+// TestForwardedAnswerMatchesOwnerDirect: through a real cluster, a Matrix
+// Market request forwarded as BCSR gets the same bytes back (key, perm and
+// all) as the same request sent to the owner directly.
+func TestForwardedAnswerMatchesOwnerDirect(t *testing.T) {
+	var computes atomic.Int64
+	c, err := LaunchCluster(3, ClusterOptions{
+		Plan:          countingPlan(&computes),
+		Dir:           t.TempDir(),
+		ProbeInterval: 50 * time.Millisecond,
+		Logf:          t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	client := &http.Client{Timeout: 30 * time.Second}
+	defer client.CloseIdleConnections()
+
+	body := mmBody(t, testMatrix(t, 3))
+	owner := c.Nodes[0].Router().Ring().Owner(keyMust(t, body))
+	ask := func(url string) (string, []byte) {
+		t.Helper()
+		resp, err := client.Post(url+"/v1/plan?perm=1", "text/plain", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		data, _ := io.ReadAll(resp.Body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", url, resp.StatusCode, data)
+		}
+		return resp.Header.Get(ServedByHeader), data
+	}
+	ask(owner) // the miss that plans and caches
+	_, direct := ask(owner)
+	for _, nd := range c.Nodes {
+		if nd.URL == owner {
+			continue
+		}
+		servedBy, forwarded := ask(nd.URL)
+		if servedBy != owner {
+			t.Errorf("via %s: served by %q, want owner %q", nd.URL, servedBy, owner)
+		}
+		if !bytes.Equal(forwarded, direct) {
+			t.Errorf("via %s: forwarded answer differs from the owner's\n got %s\nwant %s", nd.URL, forwarded, direct)
+		}
+	}
+	if n := computes.Load(); n != 1 {
+		t.Errorf("fleet computed the plan %d times, want 1", n)
+	}
+}
+
+// TestRoutedBodyOverServerLimitIs413: the router buffers and parses bodies
+// up to its own MaxBodyBytes; when that exceeds the local server's upload
+// limit, a request served here is still refused with 413.
+func TestRoutedBodyOverServerLimitIs413(t *testing.T) {
+	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
+	defer stub.Close()
+	const self = "http://self.invalid"
+	rt, err := New(Config{Self: self, Peers: []string{self, stub.URL}, Replicas: 1, MaxBodyBytes: 1 << 20, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var computes atomic.Int64
+	srv, err := planserve.New(planserve.Config{Plan: countingPlan(&computes), MaxUploadBytes: 512, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	front := httptest.NewServer(rt.Handler(srv.Handler()))
+	defer front.Close()
+
+	body := bodyOwnedBy(t, rt, 1, self)
+	if len(body) <= 512 {
+		t.Fatalf("test body only %d bytes; raise the matrix size", len(body))
+	}
+	client := &http.Client{Timeout: 10 * time.Second}
+	defer client.CloseIdleConnections()
+	resp, err := client.Post(front.URL+"/v1/plan", "text/plain", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("status %d (%s), want 413", resp.StatusCode, data)
+	}
+	if n := computes.Load(); n != 0 {
+		t.Errorf("pipeline ran %d times on a rejected upload", n)
 	}
 }

@@ -1,6 +1,7 @@
 package plancache
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -58,6 +59,48 @@ func TestKeyCSRIsStructural(t *testing.T) {
 	}
 	if KeyCSR(withVal) != k1 {
 		t.Fatal("values changed the structural key")
+	}
+}
+
+// TestKeyCSRGolden pins KeyCSR for a fixed Matrix Market body. Persisted
+// caches and ring placement both depend on the key, so a change to the
+// reader or to COO assembly that moved it would orphan every stored plan
+// and reshuffle ownership. The body has comments, rows out of order,
+// duplicates and symmetric mirrors; the literal was recorded with the
+// Scanner-based reader. The BCSR re-encoding of the matrix, which the fleet
+// forwards, must hash the same.
+func TestKeyCSRGolden(t *testing.T) {
+	const body = `%%MatrixMarket matrix coordinate real symmetric
+% comments, unsorted rows, duplicates and mirrored entries
+5 5 8
+3 1 1.5
+% a comment between entries
+1 1 2.0
+5 2 -1.0
+3 1 0.5
+2 2 4.0
+   4 3 1e-3
+5 5 7
+4 3 2
+`
+	const want = "38de547794d167274a1063536a722cedbab324751dbcf3ba309a4d6022a20a53"
+	m, err := sparse.ReadMatrixMarket(strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := KeyCSR(m); got != want {
+		t.Errorf("KeyCSR(Matrix Market) = %s, want %s", got, want)
+	}
+	var buf bytes.Buffer
+	if err := sparse.WriteBinary(&buf, m); err != nil {
+		t.Fatal(err)
+	}
+	back, err := sparse.ReadBinary(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := KeyCSR(back); got != want {
+		t.Errorf("KeyCSR(BCSR) = %s, want %s", got, want)
 	}
 }
 

@@ -6,7 +6,8 @@
 //
 // Request lifecycle for POST /v1/plan:
 //
-//	parse matrix → content-hash key → cache lookup
+//	parse matrix → content-hash key (both handed over when a fleet router
+//	  already computed them) → cache lookup
 //	  → breaker check (open ⇒ immediate identity plan, marked, never cached)
 //	  → singleflight join (followers wait, consuming no slot)
 //	  → leader: admission (bounded in-flight + bounded queue; full ⇒ 429)
@@ -628,7 +629,7 @@ func (s *Server) servePlan(w http.ResponseWriter, r *http.Request) {
 		// to set the deadline must not fail the request.
 		_ = http.NewResponseController(w).SetReadDeadline(time.Now().Add(d))
 	}
-	m, err := s.readMatrix(r)
+	m, key, err := s.readMatrix(r)
 	if err != nil {
 		// An upload over MaxUploadBytes is the client's payload, not its
 		// syntax: 413 with the limit, cut off before the server buffers it.
@@ -656,7 +657,9 @@ func (s *Server) servePlan(w http.ResponseWriter, r *http.Request) {
 	// server's registry rather than the process default.
 	ctx = obs.WithRegistry(ctx, s.reg)
 
-	key := plancache.KeyCSR(m)
+	if key == "" {
+		key = plancache.KeyCSR(m)
+	}
 	if s.cfg.Cache != nil {
 		if e, ok := s.cfg.Cache.Get(key); ok {
 			// A cached plan is re-verified before it is served: disk contents
@@ -933,22 +936,54 @@ func requestDeadline(r *http.Request, def time.Duration) (time.Duration, error) 
 	return min(d, def), nil
 }
 
-// readMatrix extracts the request's matrix: a body upload (BCSR or Matrix
-// Market, sniffed by magic) or, when enabled, a server-local ?path=.
-func (s *Server) readMatrix(r *http.Request) (*sparse.CSR, error) {
+// routedKey is the context key under which WithRoutedMatrix hands over a
+// matrix.
+type routedKey struct{}
+
+// routedMatrix is a matrix a router parsed from a request body, with its
+// key and the body's length.
+type routedMatrix struct {
+	m         *sparse.CSR
+	key       string
+	bodyBytes int64
+}
+
+// WithRoutedMatrix returns r carrying m, parsed from a bodyBytes-long request
+// body, and its key plancache.KeyCSR(m). The server plans from m instead of
+// reading r.Body, so a router that parsed the body to place the request
+// spares the server a second parse and hash. The upload limit still applies
+// to the body's length.
+func WithRoutedMatrix(r *http.Request, m *sparse.CSR, key string, bodyBytes int64) *http.Request {
+	return r.WithContext(context.WithValue(r.Context(), routedKey{}, &routedMatrix{m, key, bodyBytes}))
+}
+
+// readMatrix extracts the request's matrix: one handed over by a router, a
+// body upload (BCSR or Matrix Market, sniffed by magic) or, when enabled, a
+// server-local ?path=. The key is returned when the router supplied it, and
+// is empty otherwise.
+func (s *Server) readMatrix(r *http.Request) (*sparse.CSR, string, error) {
+	if rm, ok := r.Context().Value(routedKey{}).(*routedMatrix); ok {
+		if rm.bodyBytes > s.cfg.MaxUploadBytes {
+			return nil, "", &http.MaxBytesError{Limit: s.cfg.MaxUploadBytes}
+		}
+		return rm.m, rm.key, nil
+	}
 	if path := r.URL.Query().Get("path"); path != "" {
 		if !s.cfg.AllowLocalPaths {
-			return nil, errors.New("path requests are disabled (start bootesd with -allow-path)")
+			return nil, "", errors.New("path requests are disabled (start bootesd with -allow-path)")
 		}
 		f, err := os.Open(path)
 		if err != nil {
-			return nil, err
+			return nil, "", err
 		}
 		defer f.Close()
+		var m *sparse.CSR
 		if filepath.Ext(path) == ".bcsr" {
-			return sparse.ReadBinary(f)
+			m, err = sparse.ReadBinary(f)
+		} else {
+			m, err = sparse.ReadMatrixMarket(f)
 		}
-		return sparse.ReadMatrixMarket(f)
+		return m, "", err
 	}
 	// The limit guard wraps stdlib MaxBytesReader but remembers the breach on
 	// the reader itself: a parser fed a truncated-at-limit body usually fails
@@ -967,9 +1002,9 @@ func (s *Server) readMatrix(r *http.Request) (*sparse.CSR, error) {
 		return sparse.ReadMatrixMarket(br)
 	}()
 	if err != nil && body.breached {
-		return nil, &http.MaxBytesError{Limit: s.cfg.MaxUploadBytes}
+		return nil, "", &http.MaxBytesError{Limit: s.cfg.MaxUploadBytes}
 	}
-	return m, err
+	return m, "", err
 }
 
 // breachTracker records whether the wrapped MaxBytesReader ever refused a

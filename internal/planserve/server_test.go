@@ -749,3 +749,47 @@ func TestAutoKResponseField(t *testing.T) {
 		t.Fatalf("fixed-k server leaked an autoK field: %s", body)
 	}
 }
+
+// TestRoutedMatrixReplacesBody: a request carrying a matrix handed over by a
+// router is planned from that matrix and its key, not from re-parsing
+// r.Body, and the upload limit still applies to the body it came from.
+func TestRoutedMatrixReplacesBody(t *testing.T) {
+	p := &countingPlanner{}
+	s, err := New(Config{Plan: p.fn(), MaxUploadBytes: 4096, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	routed, other := testMatrix(t, 1), testMatrix(t, 2)
+	key := plancache.KeyCSR(routed)
+	serve := func(body []byte, bodyBytes int64) *httptest.ResponseRecorder {
+		req := httptest.NewRequest(http.MethodPost, "/v1/plan", bytes.NewReader(body))
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, WithRoutedMatrix(req, routed, key, bodyBytes))
+		return rec
+	}
+
+	for _, body := range [][]byte{[]byte("not a matrix"), mmBody(t, other)} {
+		rec := serve(body, int64(len(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+		var pr PlanResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &pr); err != nil {
+			t.Fatal(err)
+		}
+		if pr.Key != key || pr.Rows != routed.Rows {
+			t.Fatalf("planned key %.12s (%d rows), want the routed matrix's %.12s", pr.Key, pr.Rows, key)
+		}
+	}
+	if n := p.runsFor(plancache.KeyCSR(other)); n != 0 {
+		t.Errorf("the body's own matrix was planned %d times", n)
+	}
+	if n := p.runsFor(key); n != 2 {
+		t.Errorf("routed matrix planned %d times, want once per request", n)
+	}
+
+	// A router whose body limit exceeds the server's still gets a 413.
+	if rec := serve(nil, 4097); rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("routed body over MaxUploadBytes = %d (%s), want 413", rec.Code, rec.Body)
+	}
+}

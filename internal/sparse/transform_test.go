@@ -2,6 +2,7 @@ package sparse
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"strings"
 	"testing"
@@ -226,11 +227,20 @@ func TestMatrixMarketErrors(t *testing.T) {
 		"%%MatrixMarket matrix coordinate real general\n2 2 1\n5 5 1.0\n",
 		"%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n",
 		"%%MatrixMarket matrix coordinate complex general\n1 1 1\n1 1 1 0\n",
+		// Symmetric but not square: (3,1) fits 3x2, its mirror (1,3) does not.
+		"%%MatrixMarket matrix coordinate real symmetric\n3 2 1\n3 1 1.0\n",
 	}
 	for i, in := range cases {
-		if _, err := ReadMatrixMarket(strings.NewReader(in)); err == nil {
+		_, err := ReadMatrixMarket(strings.NewReader(in))
+		if err == nil {
 			t.Errorf("case %d: expected error", i)
+		} else if !errors.Is(err, ErrMMFormat) {
+			t.Errorf("case %d: error %v does not wrap ErrMMFormat", i, err)
 		}
+	}
+	_, err := ReadMatrixMarket(strings.NewReader(cases[len(cases)-1]))
+	if err == nil || !strings.Contains(err.Error(), "(1,3)") {
+		t.Errorf("non-square symmetric error %v does not name the mirrored entry (1,3)", err)
 	}
 }
 
