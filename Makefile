@@ -2,7 +2,7 @@
 #
 #   make check   — vet + build + full test suite + fuzz seed corpus + the
 #                  short deterministic chaos run + the observability coverage
-#                  gate (tier-1 gate)
+#                  gate + vet and tests of the e2ebench module (tier-1 gate)
 #   make cover   — per-package statement coverage report; enforces a floor on
 #                  internal/obs (metrics must stay tested), report-only
 #                  everywhere else
@@ -50,9 +50,9 @@ SOAK_QPS ?= 100
 
 OBS_COVER_FLOOR ?= 60.0
 
-.PHONY: check vet build test cover race race-serve fuzz fuzz-seeds chaos chaos-short soak bench bench-matrix bench-queue report
+.PHONY: check vet build test e2ebench cover race race-serve fuzz fuzz-seeds chaos chaos-short soak bench bench-matrix bench-queue report
 
-check: vet build test fuzz-seeds chaos-short cover
+check: vet build test fuzz-seeds chaos-short cover e2ebench
 
 vet:
 	$(GO) vet ./...
@@ -62,6 +62,12 @@ build:
 
 test:
 	$(GO) test ./...
+
+# e2ebench is its own module, so the root ./... pattern skips it, yet it
+# imports internal packages: build, vet and test it here so an internal API
+# change cannot break the benchmark unnoticed.
+e2ebench:
+	cd e2ebench && $(GO) vet ./... && $(GO) test ./...
 
 # Statement coverage. internal/obs is gated: the observability layer is what
 # the rest of the system relies on for truth during incidents, so letting its

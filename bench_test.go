@@ -17,7 +17,6 @@ import (
 	"bootes/internal/core"
 	"bootes/internal/eigen"
 	"bootes/internal/experiments"
-	"bootes/internal/refine"
 	"bootes/internal/reorder"
 	"bootes/internal/sparse"
 	"bootes/internal/trafficmodel"
@@ -538,8 +537,7 @@ func BenchmarkAblationKSelection(b *testing.B) {
 	b.Run("autok", func(b *testing.B) {
 		ratio, k := 0.0, 0
 		for i := 0; i < b.N; i++ {
-			p := &core.Pipeline{ForceReorder: true, Spectral: core.SpectralOptions{Seed: 1},
-				AutoK: core.AutoKOptions{Enabled: true, Refine: refine.Default()}}
+			p := &core.Pipeline{ForceReorder: true, Spectral: core.SpectralOptions{Seed: 1}, AutoK: true}
 			res, err := p.Reorder(a)
 			if err != nil {
 				b.Fatal(err)

@@ -102,21 +102,14 @@ type Options struct {
 	ForceK int
 	// AutoK enables eigengap-based automatic cluster-count selection: when
 	// the gate approves reordering, the planner refines the explicit
-	// similarity matrix (see Refinement), solves its top spectrum, and picks
-	// k at the largest eigengap ratio within [2, 64] instead of the fixed
-	// candidate set. An ambiguous spectrum falls back to the gate's fixed k
-	// (recorded in ReorderPlan.AutoK, not a degradation); a failed attempt
-	// degrades to the fixed-k ladder. Ignored when ForceK is set. Auto-k
-	// plans cache under a distinct key.
+	// similarity matrix with refine.Default() (crop-diagonal, 95th-percentile
+	// thresholding, symmetrization, diffusion, row-max normalization), solves
+	// its top spectrum, and picks k at the largest eigengap ratio within
+	// [2, 64] instead of the fixed candidate set. An ambiguous spectrum falls
+	// back to the gate's fixed k (recorded in ReorderPlan.AutoK, not a
+	// degradation); a failed attempt degrades to the fixed-k ladder. Ignored
+	// when ForceK is set. Auto-k plans cache under a distinct key.
 	AutoK bool
-	// Refinement overrides the affinity-refinement pipeline auto-k runs over
-	// the similarity matrix. nil selects DefaultRefinement(). Ignored unless
-	// AutoK is set.
-	Refinement *RefinementOptions
-	// ImplicitSimilarity avoids materializing S = Ā·Āᵀ (lower peak memory,
-	// one extra matvec per Lanczos step). Legacy flag: equivalent to
-	// Similarity = SimImplicit; ignored when Similarity is set explicitly.
-	ImplicitSimilarity bool
 	// Similarity selects how the similarity matrix S = Ā·Āᵀ is built: the
 	// exact merge kernel, the packed-bitset exact kernel, the LSH-sparsified
 	// approximation, or the matrix-free implicit operator. The zero value
@@ -192,16 +185,6 @@ func EffectiveSimilarityMode(m *Matrix, o *Options) SimilarityMode {
 	return core.EffectiveSimilarityMode(m, opts.spectralOptions())
 }
 
-// RefinementOptions configures the affinity-refinement pipeline auto-k runs
-// over the similarity matrix before eigengap selection (see internal/refine):
-// crop-diagonal, per-row p-percentile thresholding, symmetrization, diffusion
-// S·Sᵀ, and row-max renormalization, applied in that fixed order.
-type RefinementOptions = refine.Options
-
-// DefaultRefinement returns the production refinement recipe: the full
-// pipeline with 95th-percentile thresholding.
-func DefaultRefinement() RefinementOptions { return refine.Default() }
-
 // VerifyMode toggles the always-on plan verifier.
 type VerifyMode int
 
@@ -267,33 +250,9 @@ type ReorderPlan struct {
 
 // spectralOptions maps the public options to the core spectral
 // configuration. planKey and PlanContext share it so the cache key and the
-// executed pipeline can never disagree about an option. The legacy
-// ImplicitSimilarity flag is spelled SimImplicit here, unless Similarity
-// names a tier explicitly.
+// executed pipeline can never disagree about an option.
 func (o *Options) spectralOptions() core.SpectralOptions {
-	sim := o.Similarity
-	if sim == SimAuto && o.ImplicitSimilarity {
-		sim = SimImplicit
-	}
-	return core.SpectralOptions{Seed: o.Seed, Similarity: sim}
-}
-
-// autoKOptions maps the public auto-k options to the core configuration.
-// planKey and PlanContext share it (via refinementOptions) so the cache key
-// and the executed pipeline can never disagree about the refinement recipe.
-func (o *Options) autoKOptions() core.AutoKOptions {
-	if !o.AutoK {
-		return core.AutoKOptions{}
-	}
-	return core.AutoKOptions{Enabled: true, Refine: o.refinementOptions()}
-}
-
-// refinementOptions resolves the effective refinement configuration.
-func (o *Options) refinementOptions() RefinementOptions {
-	if o.Refinement != nil {
-		return *o.Refinement
-	}
-	return DefaultRefinement()
+	return core.SpectralOptions{Seed: o.Seed, Similarity: o.Similarity}
 }
 
 // Plan runs the Bootes pipeline on m: extract features, consult the gate,
@@ -344,9 +303,9 @@ func PlanContext(ctx context.Context, m *Matrix, opts *Options) (*ReorderPlan, e
 				}
 				autoK := ""
 				if o.AutoK {
-					// The key covers the auto-k request and refinement recipe,
-					// so the entry was planned with auto-k; the per-attempt
-					// outcome string itself is not persisted.
+					// The key covers the auto-k request, so the entry was
+					// planned with auto-k; the per-attempt outcome string
+					// itself is not persisted.
 					autoK = "cached"
 				}
 				return &ReorderPlan{
@@ -368,7 +327,7 @@ func PlanContext(ctx context.Context, m *Matrix, opts *Options) (*ReorderPlan, e
 		Spectral:     o.spectralOptions(),
 		ForceReorder: o.ForceReorder,
 		ForceK:       o.ForceK,
-		AutoK:        o.autoKOptions(),
+		AutoK:        o.AutoK,
 		Budget: core.Budget{
 			MaxWallClock:      o.Budget.MaxWallClock,
 			MaxFootprintBytes: o.Budget.MaxFootprintBytes,
@@ -476,12 +435,12 @@ func planKey(m *Matrix, o *Options) string {
 	case core.SimClassApprox:
 		opt[18] = 1
 	}
-	// Auto-k keys separately from fixed-k planning, and each refinement
-	// recipe keys separately too: the selected k (and thus the permutation)
-	// depends on every op and on the threshold percentile.
+	// Auto-k keys separately from fixed-k planning. The refinement recipe
+	// is fixed, but its ops and threshold percentile stay in the key so
+	// auto-k keys are unchanged from releases where the recipe was an option.
 	if o.AutoK {
 		opt[19] = 1
-		r := o.refinementOptions()
+		r := refine.Default()
 		var flags byte
 		if r.CropDiagonal {
 			flags |= 1 << 0

@@ -10,6 +10,9 @@
 //	go run ./cmd/benchfast -rows 20000 -workers 1,2,4,0 -out BENCH_fastpath.json
 //
 // 0 in -workers means "the host default" (BOOTES_WORKERS or GOMAXPROCS).
+// Entries above the host's core count, and repeats (such as a 0 that resolves
+// to a count already listed), are dropped with a log line: a row timed with
+// more workers than cores only measures time-slicing.
 package main
 
 import (
@@ -21,6 +24,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -109,10 +113,8 @@ func main() {
 		Environment: map[string]any{
 			"go":            runtime.Version(),
 			"cores_visible": runtime.NumCPU(),
-			"note": "On a single-core host the workers>1 rows time-slice one CPU and match " +
-				"workers=1 within noise; rerun on a multi-core host to populate real " +
-				"multi-worker wall-clock numbers. Plans are bit-identical across worker " +
-				"counts in every tier (asserted by internal/core tests).",
+			"note": "Worker counts above cores_visible are not run. Plans are bit-identical " +
+				"across worker counts in every tier (asserted by internal/core tests).",
 		},
 		Workload: map[string]any{
 			"archetype": "scrambled-block", "rows": *rows, "nnz": m.NNZ(),
@@ -126,13 +128,9 @@ func main() {
 		Summary:  map[string]string{},
 	}
 
-	for _, ws := range strings.Split(*workers, ",") {
-		w, err := strconv.Atoi(strings.TrimSpace(ws))
-		if err != nil {
-			log.Fatalf("bad -workers entry %q: %v", ws, err)
-		}
+	for _, w := range workerCounts(*workers) {
 		prev := parallel.SetWorkers(w)
-		block := workerBlock{Workers: parallel.Workers()}
+		block := workerBlock{Workers: w}
 		var exactSec float64
 		for _, tier := range tiers {
 			r := runTier(m, tier, *seed, *k)
@@ -173,6 +171,30 @@ func main() {
 		log.Fatal(err)
 	}
 	log.Printf("wrote %s", *out)
+}
+
+// workerCounts resolves the -workers list to effective worker counts,
+// dropping (and logging) entries above the host's cores and repeats.
+func workerCounts(list string) []int {
+	var counts []int
+	for _, ws := range strings.Split(list, ",") {
+		w, err := strconv.Atoi(strings.TrimSpace(ws))
+		if err != nil {
+			log.Fatalf("bad -workers entry %q: %v", ws, err)
+		}
+		if w <= 0 {
+			w = parallel.Workers() // no override is set yet: the host default
+		}
+		switch {
+		case w > runtime.NumCPU():
+			log.Printf("dropping -workers entry %q: %d workers on %d cores", ws, w, runtime.NumCPU())
+		case slices.Contains(counts, w):
+			log.Printf("dropping -workers entry %q: repeats workers=%d", ws, w)
+		default:
+			counts = append(counts, w)
+		}
+	}
+	return counts
 }
 
 func runTier(m *bootes.Matrix, tier bootes.SimilarityMode, seed int64, k int) tierResult {

@@ -56,31 +56,6 @@ func TestPlanKeyDistinguishesSimilarityClass(t *testing.T) {
 	}
 }
 
-// TestLegacyImplicitFlagMapsToSimImplicit: Options.ImplicitSimilarity is the
-// legacy spelling of Similarity: SimImplicit. It applies when Similarity is
-// left on auto, and an explicit Similarity wins over it.
-func TestLegacyImplicitFlagMapsToSimImplicit(t *testing.T) {
-	m := smallMatrix(t, 7)
-	if got := EffectiveSimilarityMode(m, &Options{}); got == SimImplicit {
-		t.Fatal("auto tier of the small fixture is already implicit; the mapping would go unobserved")
-	}
-	for _, c := range []struct {
-		name string
-		o    Options
-		want SimilarityMode
-	}{
-		{"legacy flag", Options{ImplicitSimilarity: true}, SimImplicit},
-		{"explicit mode wins", Options{ImplicitSimilarity: true, Similarity: SimExact}, SimExact},
-	} {
-		if got := c.o.spectralOptions().Similarity; got != c.want {
-			t.Errorf("%s: core options carry %v, want %v", c.name, got, c.want)
-		}
-		if got := EffectiveSimilarityMode(m, &c.o); got != c.want {
-			t.Errorf("%s: resolved to %v, want %v", c.name, got, c.want)
-		}
-	}
-}
-
 // TestApproxPlansValidWithCloseTraffic: on the corpus archetypes the
 // LSH-sparsified tier must produce plans that pass the always-on verifier
 // (valid bijections) and whose predicted B traffic is within 5% of the

@@ -333,7 +333,7 @@ func (e *episode) budget() time.Duration {
 // checkPlanShape asserts the valid-or-marked-degraded invariant on a plan's
 // fields and tallies the outcome.
 func (e *episode) checkPlanShape(where string, rows int, perm sparse.Permutation, k int, reordered, degraded bool, reason string) {
-	vs := planverify.CheckPlan(rows, perm, k, reordered, degraded, reason, nil)
+	vs := planverify.CheckPlan(rows, perm, k, reordered, degraded, reason)
 	if len(vs) > 0 {
 		e.violatef("%s: invalid plan served: %v", where, vs)
 		return

@@ -362,7 +362,7 @@ func (h *fleetHarness) burst(client *http.Client, bodies [][]byte, rows []int, n
 // checkShape is checkPlanShape under the harness lock (bursts are concurrent
 // only with each other, but the report is shared episode state).
 func (h *fleetHarness) checkShape(rows int, pr *planserve.PlanResponse) {
-	vs := planverify.CheckPlan(rows, sparse.Permutation(pr.Perm), pr.K, pr.Reordered, pr.Degraded, pr.DegradedReason, nil)
+	vs := planverify.CheckPlan(rows, sparse.Permutation(pr.Perm), pr.K, pr.Reordered, pr.Degraded, pr.DegradedReason)
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if len(vs) > 0 {

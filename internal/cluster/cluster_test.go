@@ -131,13 +131,6 @@ func TestKMeansIdenticalPoints(t *testing.T) {
 	}
 }
 
-func TestClusterSizes(t *testing.T) {
-	sizes := ClusterSizes([]int32{0, 1, 1, 2, 1}, 3)
-	if sizes[0] != 1 || sizes[1] != 3 || sizes[2] != 1 {
-		t.Errorf("ClusterSizes = %v", sizes)
-	}
-}
-
 func TestPermutationFromAssignmentGroupsClusters(t *testing.T) {
 	assign := []int32{1, 0, 1, 0, 2}
 	perm := PermutationFromAssignment(assign, 3, nil, 0, OrderClusterID)
@@ -183,14 +176,6 @@ func TestPermutationFromAssignmentFiedler(t *testing.T) {
 		if perm[i] != want[i] {
 			t.Fatalf("perm = %v, want %v", perm, want)
 		}
-	}
-}
-
-func TestSortClustersBy(t *testing.T) {
-	keys := []float64{3, 1, 2}
-	order := SortClustersBy(3, func(c int) float64 { return keys[c] })
-	if order[0] != 1 || order[1] != 2 || order[2] != 0 {
-		t.Errorf("order = %v", order)
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"errors"
 	"math"
 	"math/rand"
-	"sort"
 
 	"bootes/internal/parallel"
 )
@@ -277,24 +276,4 @@ func sqDist(a, b []float64) float64 {
 		s += d * d
 	}
 	return s
-}
-
-// ClusterSizes returns the number of points per cluster.
-func ClusterSizes(assign []int32, k int) []int {
-	sizes := make([]int, k)
-	for _, c := range assign {
-		sizes[c]++
-	}
-	return sizes
-}
-
-// SortClustersBy returns cluster ids ordered by ascending key (e.g. the mean
-// Fiedler-vector value per cluster), used to lay clusters out coherently.
-func SortClustersBy(k int, key func(c int) float64) []int {
-	order := make([]int, k)
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool { return key(order[a]) < key(order[b]) })
-	return order
 }

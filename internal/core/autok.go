@@ -41,48 +41,28 @@ func AutoKOutcomeLabel(outcome string) string {
 	return outcome
 }
 
-// AutoKOptions configures eigengap-based automatic cluster-count selection.
-// When enabled (and no ForceK override is present), the planner attempts the
-// auto-k rung before the fixed-k degradation ladder: materialize the explicit
-// similarity matrix, refine it (internal/refine), solve the top-(KMax+1)
-// spectrum of the refined normalized similarity, and pick k at the largest
-// eigengap ratio θ_k/θ_{k+1} within [2, KMax]. An ambiguous spectrum falls
-// back to the decision tree's fixed k (not a degradation); a failed attempt
-// degrades to the fixed-k ladder with the reason recorded.
-type AutoKOptions struct {
-	// Enabled turns the auto-k rung on.
-	Enabled bool
-	// KMax bounds the selected cluster count (and sizes the eigensolve at
-	// KMax+1 eigenpairs). 0 selects 64.
-	KMax int
-	// MinGapRatio is the ambiguity threshold: the best ratio θ_k/θ_{k+1} must
-	// reach it or the selection falls back to the tree's k. 0 selects 1.25,
-	// calibrated so smooth uniform-random spectra (best observed in-range
+// Eigengap auto-k runs, when Pipeline.AutoK is set and no ForceK override
+// is present, before the fixed-k degradation ladder: materialize the explicit
+// similarity matrix, refine it with refine.Default(), solve the
+// top-(autoKMax+1) spectrum of the refined normalized similarity, and pick k
+// at the largest eigengap ratio θ_k/θ_{k+1} within [2, autoKMax]. An
+// ambiguous spectrum falls back to the decision tree's fixed k (not a
+// degradation); a failed attempt degrades to the fixed-k ladder with the
+// reason recorded.
+const (
+	// autoKMax bounds the selected cluster count and sizes the eigensolve at
+	// autoKMax+1 eigenpairs.
+	autoKMax = 64
+	// autoKMinGapRatio is the ambiguity threshold: the best ratio
+	// θ_k/θ_{k+1} must reach it or the selection falls back to the tree's k.
+	// Calibrated so smooth uniform-random spectra (best observed in-range
 	// ratio ≈1.11) fall back while planted block structure (≥1.4) selects.
-	MinGapRatio float64
-	// StopEigenvalue is the noise floor: eigenvalues below it terminate the
-	// gap scan (the spectrum is exhausted) and clamp the ratio denominator.
-	// 0 selects 1e-2 (the SpectralCluster stop_eigenvalue).
-	StopEigenvalue float64
-	// Refine configures the affinity-refinement pipeline run before the
-	// spectrum solve. The zero value applies no refinement (eigengap on the
-	// raw normalized similarity); callers wanting the production recipe pass
-	// refine.Default().
-	Refine refine.Options
-}
-
-func (o AutoKOptions) withDefaults() AutoKOptions {
-	if o.KMax <= 0 {
-		o.KMax = 64
-	}
-	if o.MinGapRatio <= 0 {
-		o.MinGapRatio = 1.25
-	}
-	if o.StopEigenvalue <= 0 {
-		o.StopEigenvalue = 1e-2
-	}
-	return o
-}
+	autoKMinGapRatio = 1.25
+	// autoKStopEigenvalue is the noise floor: eigenvalues below it terminate
+	// the gap scan (the spectrum is exhausted) and clamp the ratio
+	// denominator. It is the SpectralCluster stop_eigenvalue.
+	autoKStopEigenvalue = 1e-2
+)
 
 // selectEigengap scans k ∈ [kmin, kmax] for the largest eigengap ratio
 // θ_k/θ_{k+1} over the descending spectrum values. Eigenvalues below stop
@@ -110,13 +90,13 @@ func selectEigengap(values []float64, kmin, kmax int, stop, minRatio float64) (b
 }
 
 // estimateAutoKFootprint is the pre-allocation memory model for the auto-k
-// rung: the spectral footprint at K = KMax+1 plus the refined similarity,
+// rung: the spectral footprint at K = autoKMax+1 plus the refined similarity,
 // which coexists with S through both solves. Diffusion (S·Sᵀ) can fill the
 // refined matrix up to n×n, and nothing short of forming it tells how far,
 // so it is charged at that bound.
-func estimateAutoKFootprint(a *sparse.CSR, base SpectralOptions, ak AutoKOptions) int64 {
+func estimateAutoKFootprint(a *sparse.CSR, base SpectralOptions) int64 {
 	opts := base
-	opts.K = ak.withDefaults().KMax + 1
+	opts.K = autoKMax + 1
 	n := int64(a.Rows)
 	return estimateSpectralFootprint(a, opts) + (n+1)*8 + n*n*(4+8)
 }
@@ -137,14 +117,13 @@ func (p *Pipeline) attemptAutoK(ctx context.Context, a *sparse.CSR, base Spectra
 		}
 	}()
 	start := time.Now()
-	ak := p.AutoK.withDefaults()
 	n := a.Rows
-	kmax := min(ak.KMax, n-1)
+	kmax := min(autoKMax, n-1)
 	if kmax < 2 {
 		return nil, fmt.Sprintf("%s: matrix too small for eigengap selection (n=%d)", AutoKFallbackAmbiguous, n), nil
 	}
 
-	hub, colCounts := resolveHub(a, base.HubThreshold)
+	hub, colCounts := resolveHub(a)
 	eff := resolveSimilarityMode(a, base, hub, colCounts)
 	if eff == SimImplicit {
 		return nil, AutoKFallbackImplicit + ": refinement needs an explicit similarity matrix", nil
@@ -154,11 +133,11 @@ func (p *Pipeline) attemptAutoK(ctx context.Context, a *sparse.CSR, base Spectra
 	// (refinement needs the CSR itself, not just an operator) and refine it.
 	endSimilarity := obs.StartStage(ctx, obs.StageSimilarity)
 	defer endSimilarity()
-	sim, simBytes, err := explicitSimilarity(ctx, a, base, eff, hub, colCounts)
+	sim, simBytes, err := explicitSimilarity(ctx, a, eff, hub, colCounts)
 	if err != nil {
 		return nil, "", fmt.Errorf("core: auto-k similarity: %w", err)
 	}
-	refined, err := refine.Apply(ctx, sim, ak.Refine)
+	refined, err := refine.Apply(ctx, sim, refine.Default())
 	if err != nil {
 		if ctx.Err() != nil {
 			return nil, "", ctx.Err()
@@ -192,10 +171,10 @@ func (p *Pipeline) attemptAutoK(ctx context.Context, a *sparse.CSR, base Spectra
 		return nil, "", fmt.Errorf("core: auto-k spectrum solve: %w", err)
 	}
 
-	k, ratio, ok := selectEigengap(res.Values, 2, kmax, ak.StopEigenvalue, ak.MinGapRatio)
+	k, ratio, ok := selectEigengap(res.Values, 2, kmax, autoKStopEigenvalue, autoKMinGapRatio)
 	if !ok {
 		return nil, fmt.Sprintf("%s: max eigengap ratio %.3f at k=%d below %.3f",
-			AutoKFallbackAmbiguous, ratio, k, ak.MinGapRatio), nil
+			AutoKFallbackAmbiguous, ratio, k, autoKMinGapRatio), nil
 	}
 
 	// The refined operator's job ends at selecting k. Its eigenvectors make

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"bootes/internal/faultinject"
-	"bootes/internal/refine"
 	"bootes/internal/sparse"
 	"bootes/internal/workloads"
 )
@@ -91,7 +90,7 @@ func autoKPipeline(seed int64) *Pipeline {
 	return &Pipeline{
 		ForceReorder: true,
 		Spectral:     SpectralOptions{Seed: seed},
-		AutoK:        AutoKOptions{Enabled: true, Refine: refine.Default()},
+		AutoK:        true,
 	}
 }
 

@@ -46,7 +46,7 @@ func estimateSpectralFootprint(a *sparse.CSR, opts SpectralOptions) int64 {
 		return 0
 	}
 	k := min(opts.K, n)
-	hub, colCounts := resolveHub(a, opts.HubThreshold)
+	hub, colCounts := resolveHub(a)
 
 	var simBytes int64
 	switch resolveSimilarityMode(a, opts, hub, colCounts) {
@@ -57,7 +57,7 @@ func estimateSpectralFootprint(a *sparse.CSR, opts SpectralOptions) int64 {
 		// LSH index structures plus one bit pack plus the sparsified S,
 		// bounded by the collision-capped pair count or the exact bound,
 		// whichever is smaller.
-		p := lshParams(opts)
+		p := lsh.SparsifyParams()
 		bands := int64(1)
 		if p.BSize > 0 {
 			bands = int64(p.SigLen / p.BSize)

@@ -187,8 +187,8 @@ func (p *Pipeline) ReorderContext(ctx context.Context, a *sparse.CSR) (res *reor
 	// implicit tier) proceeds with the tree's k un-degraded; a failure
 	// degrades onto the fixed-k ladder with the reason recorded.
 	autoK := ""
-	if p.AutoK.Enabled && p.ForceK == 0 {
-		if est := estimateAutoKFootprint(a, base, p.AutoK); p.Budget.memoryExceeded(est) {
+	if p.AutoK && p.ForceK == 0 {
+		if est := estimateAutoKFootprint(a, base); p.Budget.memoryExceeded(est) {
 			obs.RungFailure(ctx, "autok")
 			obs.AutoKOutcome(ctx, AutoKDegraded)
 			reasons = append(reasons,

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"bootes/internal/faultinject"
-	"bootes/internal/refine"
 	"bootes/internal/sparse"
 	"bootes/internal/workloads"
 )
@@ -283,8 +282,7 @@ func TestFootprintEstimateBoundsRealizedModel(t *testing.T) {
 
 	// Auto-k reports the same formula over its raw plus refined similarity;
 	// the auto-k rung's budget estimate must bound that too.
-	p := &Pipeline{ForceReorder: true, Spectral: SpectralOptions{Seed: 3},
-		AutoK: AutoKOptions{Enabled: true, Refine: refine.Default()}}
+	p := &Pipeline{ForceReorder: true, Spectral: SpectralOptions{Seed: 3}, AutoK: true}
 	res, err := p.ReorderContext(context.Background(), a)
 	if err != nil {
 		t.Fatal(err)
@@ -292,7 +290,7 @@ func TestFootprintEstimateBoundsRealizedModel(t *testing.T) {
 	if !strings.HasPrefix(res.AutoK, AutoKSelected+":") {
 		t.Fatalf("auto-k outcome %q, want a selection to measure", res.AutoK)
 	}
-	if est := estimateAutoKFootprint(a, p.Spectral, p.AutoK); est < res.FootprintBytes {
+	if est := estimateAutoKFootprint(a, p.Spectral); est < res.FootprintBytes {
 		t.Errorf("auto-k: estimate %d below realized %d", est, res.FootprintBytes)
 	}
 }

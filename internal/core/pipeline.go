@@ -57,10 +57,10 @@ type Pipeline struct {
 	ForceReorder bool
 	// ForceK overrides the predicted cluster count when > 0.
 	ForceK int
-	// AutoK, when enabled, attempts eigengap-based cluster-count selection
-	// over the refined similarity before the fixed-k ladder (see
-	// AutoKOptions). Ignored when ForceK is set.
-	AutoK AutoKOptions
+	// AutoK attempts eigengap-based cluster-count selection over the refined
+	// similarity before the fixed-k ladder (see attemptAutoK). Ignored when
+	// ForceK is set.
+	AutoK bool
 	// Budget caps planning resources (wall clock, modeled peak memory). The
 	// zero value imposes no limits; exceeding a cap degrades the plan (see
 	// ReorderContext) rather than failing it.

@@ -156,19 +156,8 @@ func EffectiveSimilarityMode(a *sparse.CSR, opts SpectralOptions) SimilarityMode
 	if opts.Similarity != SimAuto {
 		return opts.Similarity
 	}
-	hub, colCounts := resolveHub(a, opts.HubThreshold)
+	hub, colCounts := resolveHub(a)
 	return resolveSimilarityMode(a, opts, hub, colCounts)
-}
-
-// lshParams resolves the LSH parameters for the approximate tier: the zero
-// value selects the sparsifier defaults — single-row bands for low-Jaccard
-// recall plus the per-row degree cap, with a fixed seed (determinism is part
-// of the contract).
-func lshParams(opts SpectralOptions) lsh.Params {
-	if opts.LSH == (lsh.Params{}) {
-		return lsh.SparsifyParams()
-	}
-	return opts.LSH
 }
 
 // buildSimilarityOperator constructs the normalized similarity operator for
@@ -179,14 +168,14 @@ func lshParams(opts SpectralOptions) lsh.Params {
 func buildSimilarityOperator(ctx context.Context, a *sparse.CSR, opts SpectralOptions) (eigen.Operator, int64, SimilarityMode, error) {
 	endSimilarity := obs.StartStage(ctx, obs.StageSimilarity)
 	defer endSimilarity()
-	hub, colCounts := resolveHub(a, opts.HubThreshold)
+	hub, colCounts := resolveHub(a)
 	mode := resolveSimilarityMode(a, opts, hub, colCounts)
 	if mode == SimImplicit {
 		impl := eigen.NewImplicitSimilarityCappedWithCounts(a, hub, colCounts)
 		obs.SimilarityModeUsed(ctx, mode.String())
 		return impl, impl.At.ModeledBytes() + int64(a.Rows)*8*2, mode, nil // Āᵀ + two matvec temps
 	}
-	sim, simBytes, err := explicitSimilarity(ctx, a, opts, mode, hub, colCounts)
+	sim, simBytes, err := explicitSimilarity(ctx, a, mode, hub, colCounts)
 	if err != nil {
 		return nil, 0, mode, err
 	}
@@ -197,7 +186,7 @@ func buildSimilarityOperator(ctx context.Context, a *sparse.CSR, opts SpectralOp
 // through that tier's kernel, given the resolved hub cap and column counts,
 // and returns it with the tier's modeled similarity-phase bytes. Auto-k
 // calls it directly because refinement needs S itself, not an operator.
-func explicitSimilarity(ctx context.Context, a *sparse.CSR, opts SpectralOptions, mode SimilarityMode, hub int, colCounts []int) (*sparse.CSR, int64, error) {
+func explicitSimilarity(ctx context.Context, a *sparse.CSR, mode SimilarityMode, hub int, colCounts []int) (*sparse.CSR, int64, error) {
 	var (
 		sim   *sparse.CSR
 		extra int64
@@ -205,7 +194,7 @@ func explicitSimilarity(ctx context.Context, a *sparse.CSR, opts SpectralOptions
 	)
 	switch mode {
 	case SimApprox:
-		p := lshParams(opts)
+		p := lsh.SparsifyParams()
 		sim, err = lsh.SparsifiedSimilarity(ctx, a, hub, colCounts, p)
 		extra = lsh.ModeledSparsifyBytes(a.Rows, p)
 	case SimBitset:

@@ -13,7 +13,6 @@ import (
 
 	"bootes/internal/cluster"
 	"bootes/internal/eigen"
-	"bootes/internal/lsh"
 	"bootes/internal/obs"
 	"bootes/internal/sparse"
 )
@@ -33,9 +32,6 @@ type SpectralOptions struct {
 	// an operator instead of forming it — the memory ablation discussed in
 	// DESIGN.md (the paper's Algorithm 4 forms S explicitly).
 	Similarity SimilarityMode
-	// LSH parameterizes the approximate tier's MinHash/banding sparsifier;
-	// the zero value selects lsh.DefaultParams (fixed seed).
-	LSH lsh.Params
 	// Seed drives Lanczos start vectors and k-means seeding.
 	Seed int64
 	// Eigen overrides eigensolver options (K is always forced to match).
@@ -44,11 +40,6 @@ type SpectralOptions struct {
 	KMeans cluster.KMeansOptions
 	// Order selects the cluster layout policy (default Fiedler-sorted).
 	Order cluster.PermutationOrder
-	// HubThreshold caps the column degree used when building the similarity
-	// matrix: columns denser than this are excluded (see
-	// sparse.SimilarityCapped). 0 selects sparse.HubDegreeThreshold(a);
-	// negative disables hub exclusion (the ablation baseline).
-	HubThreshold int
 }
 
 // eigenOptions is the eigensolver configuration for a kdim-vector solve:
@@ -242,19 +233,12 @@ func spectralFootprint(n, k int, simBytes int64, eo eigen.Options) int64 {
 	return max(eigPhase, kmPhase) + int64(n)*4
 }
 
-// resolveHub maps a SpectralOptions.HubThreshold to the effective cap and
-// the column counts backing it (nil when no counts were needed): 0 selects
-// the data-driven default, negative disables capping.
-func resolveHub(a *sparse.CSR, threshold int) (hub int, colCounts []int) {
-	switch {
-	case threshold == 0:
-		colCounts = sparse.ColCounts(a)
-		return sparse.HubDegreeThresholdFromCounts(colCounts), colCounts
-	case threshold < 0:
-		return 0, nil
-	default:
-		return threshold, nil
-	}
+// resolveHub returns the data-driven hub-column cap for a (columns denser
+// than it are excluded from the similarity, see sparse.SimilarityCapped) and
+// the column counts backing it.
+func resolveHub(a *sparse.CSR) (hub int, colCounts []int) {
+	colCounts = sparse.ColCounts(a)
+	return sparse.HubDegreeThresholdFromCounts(colCounts), colCounts
 }
 
 // SpectralResult carries the permutation plus the intermediate artifacts the

@@ -363,20 +363,6 @@ func ritzResult(theta []float64, ritz [][]float64, k, matvecs int, converged boo
 	return res
 }
 
-// SmallestLaplacian converts the K largest eigenpairs of the normalized
-// similarity M into the K smallest eigenpairs of the normalized Laplacian
-// L = I − M (eigenvectors are shared; eigenvalues map to 1−θ).
-func SmallestLaplacian(op Operator, opts Options) (*Result, error) {
-	r, err := Largest(op, opts)
-	if err != nil {
-		return nil, err
-	}
-	for i, v := range r.Values {
-		r.Values[i] = 1 - v
-	}
-	return r, nil
-}
-
 // ritzBlock is the number of Ritz vectors a thick restart retains: the K
 // wanted pairs plus up to eight more, which speed up convergence of the
 // trailing wanted ones.

@@ -10,21 +10,19 @@ import (
 	"bootes/internal/faultinject"
 )
 
-// BlockLargest computes the K algebraically largest eigenpairs of a symmetric
-// operator with randomized block subspace iteration (orthogonal iteration
-// with Rayleigh–Ritz acceleration). Unlike single-vector Lanczos, whose
-// Krylov space contains exactly one direction per *distinct* eigenvalue, a
-// block of b ≥ multiplicity random starts resolves degenerate and tightly
-// clustered eigenvalues — the spectrum shape of a k-block similarity matrix,
-// whose normalized operator carries the eigenvalue 1 with multiplicity k.
-// That makes this the right solver for eigengap cluster-count detection,
-// where the multiplicity IS the answer being sought.
-func BlockLargest(op Operator, opts Options) (*Result, error) {
-	return BlockLargestContext(context.Background(), op, opts)
-}
-
-// BlockLargestContext is BlockLargest with cooperative cancellation, checked
-// before every operator application. Options are interpreted as:
+// BlockLargestContext computes the K algebraically largest eigenpairs of a
+// symmetric operator with randomized block subspace iteration (orthogonal
+// iteration with Rayleigh–Ritz acceleration). Unlike single-vector Lanczos,
+// whose Krylov space contains exactly one direction per *distinct*
+// eigenvalue, a block of b ≥ multiplicity random starts resolves degenerate
+// and tightly clustered eigenvalues — the spectrum shape of a k-block
+// similarity matrix, whose normalized operator carries the eigenvalue 1 with
+// multiplicity k. That makes this the right solver for eigengap
+// cluster-count detection, where the multiplicity IS the answer being
+// sought.
+//
+// Cancellation is checked before every operator application. Options are
+// interpreted as:
 //
 //   - K: wanted eigenpairs.
 //   - MaxBasis: cap on the iteration block size (default block is K+8,

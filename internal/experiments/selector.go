@@ -6,7 +6,6 @@ import (
 
 	"bootes/internal/core"
 	"bootes/internal/parallel"
-	"bootes/internal/refine"
 	"bootes/internal/workloads"
 )
 
@@ -220,7 +219,7 @@ func (c Config) selectorRun(spec workloads.Spec) (SelectorRecord, error) {
 	p := &core.Pipeline{
 		ForceReorder: true,
 		Spectral:     c.spectral(spec.Seed),
-		AutoK:        core.AutoKOptions{Enabled: true, Refine: refine.Default()},
+		AutoK:        true,
 	}
 	res, err := p.ReorderContext(context.Background(), a)
 	if err != nil {

@@ -121,11 +121,6 @@ func ForWorkers(w, n, grain int, body func(lo, hi int)) {
 	forWorkersCtx(context.Background(), w, n, grain, body)
 }
 
-// ForWorkersContext is ForContext with an explicit worker bound.
-func ForWorkersContext(ctx context.Context, w, n, grain int, body func(lo, hi int)) error {
-	return forWorkersCtx(ctx, w, n, grain, body)
-}
-
 // forWorkersCtx is the shared engine behind every For variant. The
 // context-free callers pass context.Background(), whose Done channel is nil,
 // so the cancellation checks vanish and the chunk schedule is exactly the

@@ -11,6 +11,7 @@ import (
 	"io"
 	"math"
 
+	"bootes/internal/reorder"
 	"bootes/internal/sparse"
 )
 
@@ -67,6 +68,22 @@ type Entry struct {
 	PreprocessSeconds float64
 	// FootprintBytes is the modeled peak planning memory of the original run.
 	FootprintBytes int64
+}
+
+// EntryFromResult is the cache entry for a planning result stored under key.
+// Every serving path that caches a pipeline result builds its entry here, so
+// the fields a cached plan carries are decided in one place.
+func EntryFromResult(key string, res *reorder.Result) *Entry {
+	return &Entry{
+		Key:               key,
+		Perm:              res.Perm,
+		Reordered:         res.Reordered,
+		K:                 int(res.Extra["k"]),
+		Degraded:          res.Degraded,
+		DegradedReason:    res.DegradedReason,
+		PreprocessSeconds: res.PreprocessTime.Seconds(),
+		FootprintBytes:    res.FootprintBytes,
+	}
 }
 
 // KeyCSR returns the content hash of m's sparsity structure (shape, row

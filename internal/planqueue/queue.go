@@ -767,7 +767,7 @@ func (q *Queue) execute(jb *job) {
 		return
 	}
 	if q.cfg.Cache != nil && !res.Degraded {
-		if err := q.cfg.Cache.Put(entryFromResult(jb.Key, res)); err != nil {
+		if err := q.cfg.Cache.Put(plancache.EntryFromResult(jb.Key, res)); err != nil {
 			// Durability loss, not a planning failure: the plan is correct.
 			q.cfg.Logf("planqueue: cache write for %.12s failed: %v", jb.Key, err)
 		}
@@ -1039,18 +1039,3 @@ func (q *Queue) Kill() {
 // Registry exposes the queue's metrics registry (the configured one, or the
 // private default).
 func (q *Queue) Registry() *obs.Registry { return q.reg }
-
-// entryFromResult mirrors planserve's cache-entry construction for the async
-// completion path.
-func entryFromResult(key string, res *reorder.Result) *plancache.Entry {
-	return &plancache.Entry{
-		Key:               key,
-		Perm:              res.Perm,
-		Reordered:         res.Reordered,
-		K:                 int(res.Extra["k"]),
-		Degraded:          res.Degraded,
-		DegradedReason:    res.DegradedReason,
-		PreprocessSeconds: res.PreprocessTime.Seconds(),
-		FootprintBytes:    res.FootprintBytes,
-	}
-}

@@ -172,7 +172,7 @@ func TestCompletionFromCacheSkipsPipeline(t *testing.T) {
 	cfg.Cache = cache
 	m := testMatrix(t, 3)
 	key := plancache.KeyCSR(m)
-	if err := cache.Put(entryFromResult(key, healthyResult(m))); err != nil {
+	if err := cache.Put(plancache.EntryFromResult(key, healthyResult(m))); err != nil {
 		t.Fatal(err)
 	}
 	q, err := Open(cfg)

@@ -80,19 +80,6 @@ func resultFromEntry(e *plancache.Entry) *reorder.Result {
 	}
 }
 
-func entryFromResult(key string, res *reorder.Result) *plancache.Entry {
-	return &plancache.Entry{
-		Key:               key,
-		Perm:              res.Perm,
-		Reordered:         res.Reordered,
-		K:                 int(res.Extra["k"]),
-		Degraded:          res.Degraded,
-		DegradedReason:    res.DegradedReason,
-		PreprocessSeconds: res.PreprocessTime.Seconds(),
-		FootprintBytes:    res.FootprintBytes,
-	}
-}
-
 // sniffReader lets the matrix reader peek at the body's magic bytes without
 // consuming them, so one endpoint accepts both BCSR and Matrix Market.
 type sniffReader struct{ *bufio.Reader }

@@ -840,7 +840,7 @@ func (s *Server) runAdmitted(ctx context.Context, m *sparse.CSR, key string, pro
 	s.breaker.Record(success, probe)
 
 	if s.cfg.Cache != nil && !res.Degraded {
-		if err := s.cfg.Cache.Put(entryFromResult(key, res)); err != nil {
+		if err := s.cfg.Cache.Put(plancache.EntryFromResult(key, res)); err != nil {
 			// A failed cache write is a durability loss, not a serving
 			// failure: the plan is still correct.
 			s.cfg.Logf("planserve: cache write for %s failed: %v", key[:12], err)

@@ -29,6 +29,7 @@ package planverify
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -48,7 +49,7 @@ const (
 	// CodePermInvalid: the permutation is not a bijection on [0, rows).
 	CodePermInvalid = "perm-invalid"
 	// CodeBadK: K is neither 0 nor a feasible cluster count (outside
-	// [2, rows], or outside the configured AllowedKs set).
+	// [2, rows] and not a candidate count).
 	CodeBadK = "k-not-allowed"
 	// CodeReasonMismatch: Degraded and DegradedReason disagree (a degraded
 	// plan without a reason, or a reason on a healthy plan).
@@ -110,12 +111,6 @@ func (v Violation) String() string {
 // Config parameterizes the checks. The zero value (or nil) selects the
 // defaults; the planning site additionally enables the traffic check.
 type Config struct {
-	// AllowedKs, when non-empty, restricts the legal cluster counts besides
-	// 0 to exactly this set. Empty applies the default rule: k = 0, or
-	// 2 ≤ k ≤ rows (any eigengap auto-k selection), or k ∈ core.CandidateKs
-	// (fixed-k requests record the requested candidate count, which may
-	// exceed a tiny matrix's row count).
-	AllowedKs []int
 	// Traffic enables the never-regress traffic check on reordered plans.
 	Traffic bool
 	// CacheBytes / ElemBytes parameterize the row-LRU traffic model.
@@ -194,8 +189,7 @@ func ResetCounters() {
 // CheckPlan runs the structural invariants on a plan's fields and returns
 // every violation found (nil when the plan is sound). It is pure: no
 // counters, no fault injection.
-func CheckPlan(rows int, perm sparse.Permutation, k int, reordered, degraded bool, reason string, cfg *Config) []Violation {
-	c := cfg.withDefaults()
+func CheckPlan(rows int, perm sparse.Permutation, k int, reordered, degraded bool, reason string) []Violation {
 	var vs []Violation
 	permOK := false
 	if err := perm.Validate(rows); err != nil {
@@ -203,20 +197,12 @@ func CheckPlan(rows int, perm sparse.Permutation, k int, reordered, degraded boo
 	} else {
 		permOK = true
 	}
-	if k != 0 {
-		switch {
-		case len(c.AllowedKs) > 0:
-			if !kAllowed(k, c.AllowedKs) {
-				vs = append(vs, Violation{CodeBadK, fmt.Sprintf("k=%d not in %v", k, c.AllowedKs)})
-			}
-		case (k < 2 || k > rows) && !kAllowed(k, core.CandidateKs):
-			// Default rule: auto-k may select any k in [2, rows]; fixed-k
-			// requests record the *requested* candidate count, which may
-			// exceed a tiny matrix's row count, so the candidate set stays
-			// legal at any size.
-			vs = append(vs, Violation{CodeBadK,
-				fmt.Sprintf("k=%d outside [2, %d] and not a candidate count", k, rows)})
-		}
+	if k != 0 && (k < 2 || k > rows) && !slices.Contains(core.CandidateKs, k) {
+		// Auto-k may select any k in [2, rows]; fixed-k requests record the
+		// *requested* candidate count, which may exceed a tiny matrix's row
+		// count, so the candidate set stays legal at any size.
+		vs = append(vs, Violation{CodeBadK,
+			fmt.Sprintf("k=%d outside [2, %d] and not a candidate count", k, rows)})
 	}
 	if degraded && reason == "" {
 		vs = append(vs, Violation{CodeReasonMismatch, "degraded plan without a reason"})
@@ -234,15 +220,6 @@ func CheckPlan(rows int, perm sparse.Permutation, k int, reordered, degraded boo
 		}
 	}
 	return vs
-}
-
-func kAllowed(k int, allowed []int) bool {
-	for _, a := range allowed {
-		if k == a {
-			return true
-		}
-	}
-	return false
 }
 
 // CheckTraffic runs the never-regress check: the row-granular LRU traffic
@@ -286,7 +263,7 @@ func VerifyResult(site string, m *sparse.CSR, res *reorder.Result, cfg *Config) 
 		perm = CorruptedCopy(perm)
 	}
 	k := int(res.Extra["k"])
-	vs := CheckPlan(m.Rows, perm, k, res.Reordered, res.Degraded, res.DegradedReason, &c)
+	vs := CheckPlan(m.Rows, perm, k, res.Reordered, res.Degraded, res.DegradedReason)
 	if len(vs) == 0 && c.Traffic && res.Reordered {
 		if v := CheckTraffic(m, perm, &c); v != nil {
 			vs = append(vs, *v)
@@ -309,7 +286,7 @@ func CachePut(perm sparse.Permutation, k int, reordered, degraded bool, reason s
 	if faultinject.Fire(faultinject.PlanCorrupt) {
 		p = CorruptedCopy(p)
 	}
-	vs := CheckPlan(len(perm), p, k, reordered, degraded, reason, nil)
+	vs := CheckPlan(len(perm), p, k, reordered, degraded, reason)
 	if degraded {
 		vs = append(vs, Violation{CodeDegradedCached, "degraded plans must never be cached"})
 	}
@@ -324,7 +301,7 @@ func CachePut(perm sparse.Permutation, k int, reordered, degraded bool, reason s
 // served): structural checks plus degraded-never-cached. It is pure; callers
 // Record under their own site and treat any violation as a cache miss.
 func CheckEntryFields(perm sparse.Permutation, k int, reordered, degraded bool, reason string) []Violation {
-	vs := CheckPlan(len(perm), perm, k, reordered, degraded, reason, nil)
+	vs := CheckPlan(len(perm), perm, k, reordered, degraded, reason)
 	if degraded {
 		vs = append(vs, Violation{CodeDegradedCached, "degraded entry found in cache"})
 	}

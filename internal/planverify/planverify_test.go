@@ -46,11 +46,11 @@ func interleavePerm() sparse.Permutation {
 
 func TestCheckPlanSound(t *testing.T) {
 	perm := sparse.Permutation{1, 0, 2, 3}
-	if vs := CheckPlan(4, perm, 2, true, false, "", nil); len(vs) != 0 {
+	if vs := CheckPlan(4, perm, 2, true, false, ""); len(vs) != 0 {
 		t.Fatalf("sound plan flagged: %v", vs)
 	}
 	// A degraded identity plan with a reason is also sound.
-	if vs := CheckPlan(4, sparse.IdentityPerm(4), 0, false, true, "budget", nil); len(vs) != 0 {
+	if vs := CheckPlan(4, sparse.IdentityPerm(4), 0, false, true, "budget"); len(vs) != 0 {
 		t.Fatalf("sound degraded plan flagged: %v", vs)
 	}
 }
@@ -70,16 +70,15 @@ func TestCheckPlanViolations(t *testing.T) {
 		vs   []Violation
 		code string
 	}{
-		{"short perm", CheckPlan(4, sparse.Permutation{0, 1, 2}, 0, false, false, "", nil), CodePermInvalid},
-		{"duplicate value", CheckPlan(4, sparse.Permutation{0, 1, 1, 3}, 0, false, false, "", nil), CodePermInvalid},
-		{"out of range", CheckPlan(4, sparse.Permutation{0, 1, 2, 9}, 0, false, false, "", nil), CodePermInvalid},
-		{"k below 2", CheckPlan(4, sparse.Permutation{1, 0, 2, 3}, 1, true, false, "", nil), CodeBadK},
-		{"k above rows", CheckPlan(4, sparse.Permutation{1, 0, 2, 3}, 5, true, false, "", nil), CodeBadK},
-		{"k outside allowed set", CheckPlan(4, sparse.Permutation{1, 0, 2, 3}, 3, true, false, "", &Config{AllowedKs: []int{2, 4}}), CodeBadK},
-		{"degraded without reason", CheckPlan(4, sparse.IdentityPerm(4), 0, false, true, "", nil), CodeReasonMismatch},
-		{"reason without degraded", CheckPlan(4, sparse.IdentityPerm(4), 0, false, false, "oops", nil), CodeReasonMismatch},
-		{"reordered identity", CheckPlan(4, sparse.IdentityPerm(4), 2, true, false, "", nil), CodeReorderedMismatch},
-		{"unflagged reorder", CheckPlan(4, sparse.Permutation{1, 0, 2, 3}, 0, false, false, "", nil), CodeReorderedMismatch},
+		{"short perm", CheckPlan(4, sparse.Permutation{0, 1, 2}, 0, false, false, ""), CodePermInvalid},
+		{"duplicate value", CheckPlan(4, sparse.Permutation{0, 1, 1, 3}, 0, false, false, ""), CodePermInvalid},
+		{"out of range", CheckPlan(4, sparse.Permutation{0, 1, 2, 9}, 0, false, false, ""), CodePermInvalid},
+		{"k below 2", CheckPlan(4, sparse.Permutation{1, 0, 2, 3}, 1, true, false, ""), CodeBadK},
+		{"k above rows", CheckPlan(4, sparse.Permutation{1, 0, 2, 3}, 5, true, false, ""), CodeBadK},
+		{"degraded without reason", CheckPlan(4, sparse.IdentityPerm(4), 0, false, true, ""), CodeReasonMismatch},
+		{"reason without degraded", CheckPlan(4, sparse.IdentityPerm(4), 0, false, false, "oops"), CodeReasonMismatch},
+		{"reordered identity", CheckPlan(4, sparse.IdentityPerm(4), 2, true, false, ""), CodeReorderedMismatch},
+		{"unflagged reorder", CheckPlan(4, sparse.Permutation{1, 0, 2, 3}, 0, false, false, ""), CodeReorderedMismatch},
 	}
 	for _, c := range cases {
 		if !hasCode(c.vs, c.code) {

@@ -2,94 +2,10 @@ package sparse
 
 import (
 	"bytes"
-	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 )
-
-func TestCSCRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	m := randomValuedCSR(rng, 14, 9, 0.3)
-	c := ToCSC(m)
-	if err := c.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if c.NNZ() != m.NNZ() {
-		t.Errorf("nnz %d != %d", c.NNZ(), m.NNZ())
-	}
-	back := c.ToCSR()
-	if !Equal(m, back) {
-		t.Error("CSC round trip mismatch")
-	}
-	// Column access matches the dense view.
-	d := m.Dense()
-	for j := 0; j < m.Cols; j++ {
-		vals := c.ColumnVals(j)
-		for p, i := range c.Column(j) {
-			if d[i][j] != vals[p] {
-				t.Fatalf("column %d entry %d mismatch", j, p)
-			}
-		}
-		nz := 0
-		for i := 0; i < m.Rows; i++ {
-			if d[i][j] != 0 {
-				nz++
-			}
-		}
-		if nz != c.ColNNZ(j) {
-			t.Fatalf("column %d nnz %d, want %d", j, c.ColNNZ(j), nz)
-		}
-	}
-}
-
-func TestCSCPattern(t *testing.T) {
-	rng := rand.New(rand.NewSource(22))
-	m := randomCSR(rng, 10, 10, 0.3)
-	c := ToCSC(m)
-	if c.Val != nil || c.ColumnVals(0) != nil {
-		t.Error("pattern CSC should have nil values")
-	}
-	if !PatternEqual(m, c.ToCSR()) {
-		t.Error("pattern round trip mismatch")
-	}
-}
-
-func TestSpMMAgainstSpMV(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	a := randomValuedCSR(rng, 12, 8, 0.4)
-	const p = 3
-	x := make([]float64, a.Cols*p)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
-	y := make([]float64, a.Rows*p)
-	if err := SpMM(a, x, p, y); err != nil {
-		t.Fatal(err)
-	}
-	// Column t of Y must equal A · (column t of X).
-	for tcol := 0; tcol < p; tcol++ {
-		xc := make([]float64, a.Cols)
-		for i := range xc {
-			xc[i] = x[i*p+tcol]
-		}
-		yc := make([]float64, a.Rows)
-		if err := SpMV(a, xc, yc); err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < a.Rows; i++ {
-			if math.Abs(y[i*p+tcol]-yc[i]) > 1e-12 {
-				t.Fatalf("SpMM[%d][%d] = %v, SpMV = %v", i, tcol, y[i*p+tcol], yc[i])
-			}
-		}
-	}
-	if err := SpMM(a, x, 0, y); err == nil {
-		t.Error("p=0 accepted")
-	}
-	if err := SpMM(a, x[:1], p, y); err == nil {
-		t.Error("bad x length accepted")
-	}
-}
 
 func TestBinaryRoundTripProperty(t *testing.T) {
 	f := func(seed int64, pattern bool) bool {

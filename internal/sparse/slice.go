@@ -28,39 +28,6 @@ func ExtractRows(m *CSR, rows []int32) (*CSR, error) {
 	return out, nil
 }
 
-// ExtractColumns returns the submatrix keeping only the listed columns,
-// relabelled to 0..len(cols)-1 in the given order. Columns not listed are
-// dropped. cols must not contain duplicates.
-func ExtractColumns(m *CSR, cols []int32) (*CSR, error) {
-	remap := make([]int32, m.Cols)
-	for i := range remap {
-		remap[i] = -1
-	}
-	for newIdx, c := range cols {
-		if c < 0 || int(c) >= m.Cols {
-			return nil, fmt.Errorf("%w: column %d of %d", ErrColIndex, c, m.Cols)
-		}
-		if remap[c] != -1 {
-			return nil, fmt.Errorf("%w: duplicate column %d", ErrDuplicate, c)
-		}
-		remap[c] = int32(newIdx)
-	}
-	coo := NewCOO(m.Rows, len(cols), m.Val == nil)
-	for i := 0; i < m.Rows; i++ {
-		vals := m.RowVals(i)
-		for p, c := range m.Row(i) {
-			if nc := remap[c]; nc >= 0 {
-				v := 1.0
-				if vals != nil {
-					v = vals[p]
-				}
-				coo.Add(i, int(nc), v)
-			}
-		}
-	}
-	return coo.ToCSR()
-}
-
 // PermuteSymmetric returns P·m·Pᵀ for a square matrix: row i of the result
 // is row perm[i] of m with every column index c relabelled to
 // inverse(perm)[c]. This is the transformation that preserves A·Aᵀ-style

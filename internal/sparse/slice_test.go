@@ -31,27 +31,6 @@ func TestExtractRows(t *testing.T) {
 	}
 }
 
-func TestExtractColumns(t *testing.T) {
-	m := mustCSR(t, 2, 4, []int64{0, 3, 4}, []int32{0, 1, 3, 2}, []float64{1, 2, 3, 4})
-	sub, err := ExtractColumns(m, []int32{3, 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sub.Rows != 2 || sub.Cols != 2 {
-		t.Fatalf("shape %dx%d", sub.Rows, sub.Cols)
-	}
-	// Column 3 becomes column 0; column 0 becomes column 1.
-	if sub.At(0, 0) != 3 || sub.At(0, 1) != 1 || sub.At(1, 0) != 0 {
-		t.Errorf("values wrong: %v", sub.Dense())
-	}
-	if _, err := ExtractColumns(m, []int32{9}); err == nil {
-		t.Error("out-of-range column accepted")
-	}
-	if _, err := ExtractColumns(m, []int32{1, 1}); err == nil {
-		t.Error("duplicate column accepted")
-	}
-}
-
 func TestPermuteSymmetricPreservesPatternStructure(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	m := randomCSR(rng, 12, 12, 0.3)

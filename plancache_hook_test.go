@@ -90,7 +90,7 @@ func TestPlanKeyCoversOptions(t *testing.T) {
 	for name, o := range map[string]Options{
 		"seed":     {Seed: 2, ForceReorder: true, ForceK: 4, Cache: cache},
 		"forceK":   {Seed: 1, ForceReorder: true, ForceK: 8, Cache: cache},
-		"implicit": {Seed: 1, ForceReorder: true, ForceK: 4, ImplicitSimilarity: true, Cache: cache},
+		"implicit": {Seed: 1, ForceReorder: true, ForceK: 4, Similarity: SimImplicit, Cache: cache},
 	} {
 		p, err := Plan(m, &o)
 		if err != nil {
@@ -116,5 +116,42 @@ func TestPlanKeyCoversOptions(t *testing.T) {
 	}
 	if !p.FromCache {
 		t.Error("value-only change missed the cache")
+	}
+}
+
+// TestPlanKeyGolden pins the bytes planKey hashes for one fixed matrix under
+// each option set that selects a distinct key class. A persisted cache and
+// the fleet's plan placement both depend on these keys, so a refactor of the
+// option plumbing that moved one would orphan every stored plan of that
+// class. The literals were recorded before the refinement and similarity
+// settings became constants.
+func TestPlanKeyGolden(t *testing.T) {
+	var is, js []int32
+	for i := int32(0); i < 24; i++ {
+		for _, d := range []int32{0, 5, 11} {
+			is = append(is, i)
+			js = append(js, (i*7+d)%24)
+		}
+	}
+	m, err := FromCOO(24, 24, is, js, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		o    Options
+		want string
+	}{
+		{"default", Options{Seed: 1}, "8081878ed08d43dfc58dab83604a0c221ecc841c0f72a5bbb644ce7f773ac418"},
+		{"forceK", Options{Seed: 1, ForceReorder: true, ForceK: 4}, "72e852c9fc5faaff2ec377706c41ab42de5509ec062e223b2be4cab9ee5e9d51"},
+		{"exact", Options{Seed: 1, Similarity: SimExact}, "8081878ed08d43dfc58dab83604a0c221ecc841c0f72a5bbb644ce7f773ac418"},
+		{"implicit", Options{Seed: 1, Similarity: SimImplicit}, "fe439b9bdec9e3b565a655a6c9a13a7397df8fb8f8da7cfec9fb37b41f7fcbb4"},
+		{"approx", Options{Seed: 1, Similarity: SimApprox}, "838daf6b3f9d87f75b5fa8f1d8dea3ebf7ea68b4881bdfef34141f8fd879b036"},
+		{"autoK", Options{Seed: 1, AutoK: true}, "79b92543a49d6ed684e0656fcb91cd7e19f22061a88561ee6cccf8a337ccdf0b"},
+		{"autoK approx", Options{Seed: 1, AutoK: true, Similarity: SimApprox}, "534ddc634c4173d90ef6064d7f430e30090af1d33a535f39272f85d9ed3d5695"},
+	} {
+		if got := planKey(m, &tc.o); got != tc.want {
+			t.Errorf("%s: planKey = %s, want %s", tc.name, got, tc.want)
+		}
 	}
 }
