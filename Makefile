@@ -32,7 +32,8 @@
 #   make bench-queue — the durable-queue benchmark behind BENCH_queue.json
 #                  (enqueue/drain throughput, journal replay at 10k jobs)
 #   make bench   — the parallel-layer, eigensolver and matrix-reader
-#                  benchmarks behind BENCH_parallel.json
+#                  benchmarks behind BENCH_parallel.json, plus the exact vs
+#                  implicit similarity ablation (DESIGN.md §5)
 #   make bench-matrix — the similarity/eigen/k-means/sweep benchmarks across
 #                  BOOTES_WORKERS ∈ {1,2,4,max} plus the end-to-end
 #                  similarity-tier run that regenerates BENCH_fastpath.json
@@ -133,6 +134,7 @@ bench:
 	$(GO) test ./internal/cluster/ -run XXX -bench KMeans -benchtime 10x
 	$(GO) test ./internal/core/ -run XXX -bench 'Eigensolve|Sweep' -benchtime 5x
 	$(GO) test ./internal/eigen/ -run XXX -bench 'DenseSymEigen|LargestK32' -benchmem -benchtime 10x
+	$(GO) test . -run XXX -bench AblationImplicitSimilarity -benchtime 10x
 
 # Fast-path benchmark matrix: the similarity/eigensolver/k-means/sweep
 # micro-benchmarks at each worker count (empty BOOTES_WORKERS = host max),

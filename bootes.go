@@ -110,13 +110,16 @@ type Options struct {
 	// degradation); a failed attempt degrades to the fixed-k ladder. Ignored
 	// when ForceK is set. Auto-k plans cache under a distinct key.
 	AutoK bool
-	// Similarity selects how the similarity matrix S = Ā·Āᵀ is built: the
-	// exact merge kernel, the packed-bitset exact kernel, the LSH-sparsified
-	// approximation, or the matrix-free implicit operator. The zero value
-	// SimAuto picks a tier from the matrix size and modeled similarity bytes
-	// (see EffectiveSimilarityMode). Exact and bitset produce bit-identical
-	// plans; approximate plans are still valid bijections but may differ,
-	// so they cache under a distinct key.
+	// Similarity selects how the spectral pass applies the similarity
+	// S = Ā·Āᵀ: formed by the exact merge kernel, the packed-bitset exact
+	// kernel or the LSH-sparsified approximation, or applied matrix-free by
+	// the implicit operator. The zero value SimAuto runs the implicit
+	// operator, except from 8 192 to 65 535 rows, where it runs the
+	// approximation (see EffectiveSimilarityMode); auto-k still forms S for
+	// its refinement, with a kernel picked from size and density. Exact and
+	// bitset produce bit-identical plans; approximate and implicit plans are
+	// valid bijections that may differ from them, so each class caches under
+	// a distinct key.
 	Similarity SimilarityMode
 	// Seed makes the pipeline deterministic (Lanczos start vectors, k-means
 	// seeding, feature sampling).
@@ -150,8 +153,8 @@ type SimilarityMode = core.SimilarityMode
 
 // The similarity construction tiers, cheapest-guarantees last.
 const (
-	// SimAuto (the zero value) selects a tier automatically from the matrix
-	// size and the modeled similarity bytes.
+	// SimAuto (the zero value) runs SimImplicit, or SimApprox from 8 192 to
+	// 65 535 rows.
 	SimAuto = core.SimAuto
 	// SimExact materializes S with the merge-based SpGEMM kernel.
 	SimExact = core.SimExact
@@ -163,8 +166,12 @@ const (
 	// materializing: stored entries keep their exact intersection counts, but
 	// dissimilar row pairs are dropped, shrinking the eigensolve.
 	SimApprox = core.SimApprox
-	// SimImplicit applies S as a matrix-free operator (lowest memory, one
-	// extra matvec per Lanczos step).
+	// SimImplicit applies S as a matrix-free operator, y = Ā(Āᵀx): each
+	// matvec makes two pattern passes over Ā instead of one valued pass over
+	// an S of up to Σ_c d_c² entries (d_c the column degrees), and S is never
+	// built. On the benchmark's workloads, all below 8 192 rows, it is the
+	// fastest tier as well as the smallest, which is why SimAuto resolves to
+	// it there.
 	SimImplicit = core.SimImplicit
 )
 
@@ -418,8 +425,11 @@ func MatrixKey(m *Matrix) string { return plancache.KeyCSR(m) }
 // implicit), resolved against this matrix: exact and bitset produce
 // bit-identical plans and deliberately share a key, while an approximate or
 // implicit request — whether explicit or auto-selected by size — keys
-// separately because the permutation can legitimately differ. Keys for
-// exact-class plans are unchanged from earlier releases.
+// separately because the permutation can legitimately differ. Default
+// options key as the class they resolve to (implicit below 8 192 rows), so
+// a default plan and an explicit implicit request share an entry. Auto-k is
+// the exception: there a default request forms S and an implicit one does
+// not, so the two key apart.
 func planKey(m *Matrix, o *Options) string {
 	h := sha256.New()
 	h.Write([]byte(plancache.KeyCSR(m)))
@@ -429,7 +439,8 @@ func planKey(m *Matrix, o *Options) string {
 	if o.ForceReorder {
 		opt[16] = 1
 	}
-	switch core.EffectiveSimilarityMode(m, o.spectralOptions()).Class() {
+	so := o.spectralOptions()
+	switch core.EffectiveSimilarityMode(m, so).Class() {
 	case core.SimClassImplicit:
 		opt[17] = 1
 	case core.SimClassApprox:
@@ -440,6 +451,13 @@ func planKey(m *Matrix, o *Options) string {
 	// auto-k keys are unchanged from releases where the recipe was an option.
 	if o.AutoK {
 		opt[19] = 1
+		// A default auto-k plan below the approximate row band refines an
+		// exact S and may select its own k, while an explicit implicit
+		// request forms no S and keeps the tree's k: same class, different
+		// plans.
+		if core.AutoKKernelDiffers(m, so) {
+			opt[21] = 1
+		}
 		r := refine.Default()
 		var flags byte
 		if r.CropDiagonal {

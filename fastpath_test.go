@@ -1,6 +1,7 @@
 package bootes
 
 import (
+	"slices"
 	"testing"
 
 	"bootes/internal/trafficmodel"
@@ -16,7 +17,7 @@ func TestPlanKeyDistinguishesSimilarityClass(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := smallMatrix(t, 7)
-	base := Options{Seed: 1, ForceReorder: true, ForceK: 4, Cache: cache}
+	base := Options{Seed: 1, ForceReorder: true, ForceK: 4, Similarity: SimExact, Cache: cache}
 	if _, err := Plan(m, &base); err != nil {
 		t.Fatal(err)
 	}
@@ -53,6 +54,56 @@ func TestPlanKeyDistinguishesSimilarityClass(t *testing.T) {
 		if p.SimilarityMode != name {
 			t.Errorf("%s plan reports tier %q", name, p.SimilarityMode)
 		}
+	}
+}
+
+// TestDefaultPlanIsImplicit: below the approximate row band the default
+// options apply S matrix-free, so a default plan is bit for bit the plan an
+// explicit SimImplicit request computes, reports that tier, and is served
+// from the implicit request's cache entry.
+func TestDefaultPlanIsImplicit(t *testing.T) {
+	for name, m := range map[string]*Matrix{
+		"sparse": smallMatrix(t, 7),
+		"dense": workloads.ScrambledBlock(workloads.Params{
+			Rows: 768, Cols: 768, Density: 0.03, Seed: 5, Groups: 8,
+		}),
+	} {
+		t.Run(name, func(t *testing.T) {
+			implicit := Options{Seed: 1, ForceReorder: true, ForceK: 8, Similarity: SimImplicit}
+			def := Options{Seed: 1, ForceReorder: true, ForceK: 8}
+			if got := EffectiveSimilarityMode(m, &def); got != SimImplicit {
+				t.Fatalf("default options resolve to %v, want implicit", got)
+			}
+			want, err := Plan(m, &implicit)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := Plan(m, &def)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.SimilarityMode != "implicit" || got.K != want.K || !slices.Equal(got.Perm, want.Perm) {
+				t.Fatalf("default plan (tier %q, k=%d) differs from the implicit plan (k=%d)",
+					got.SimilarityMode, got.K, want.K)
+			}
+
+			cache, err := OpenPlanCache(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			implicit.Cache, def.Cache = cache, cache
+			if _, err := Plan(m, &implicit); err != nil {
+				t.Fatal(err)
+			}
+			hit, err := Plan(m, &def)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !hit.FromCache || hit.SimilarityMode != "implicit" || !slices.Equal(hit.Perm, want.Perm) {
+				t.Errorf("default plan after an implicit one: cached=%v tier=%q; want the implicit entry",
+					hit.FromCache, hit.SimilarityMode)
+			}
+		})
 	}
 }
 

@@ -23,8 +23,10 @@ const (
 	// random, single blob, too-small matrix); the tree's fixed k was used.
 	// Not a degradation — an ambiguous spectrum is a property of the matrix.
 	AutoKFallbackAmbiguous = "fallback-ambiguous"
-	// AutoKFallbackImplicit: the effective similarity tier is matrix-free, so
-	// there is no explicit S to refine; the tree's fixed k was used.
+	// AutoKFallbackImplicit: the S-kernel rule forms no S (an explicit
+	// implicit request, or an auto request at simImplicitMinRows rows or with
+	// S over the byte cap), so there is nothing to refine; the tree's fixed k
+	// was used.
 	AutoKFallbackImplicit = "fallback-implicit"
 	// AutoKDegraded: the auto-k attempt itself failed (eigensolve, refinement,
 	// contained panic, memory budget) and planning degraded to the fixed-k
@@ -90,15 +92,18 @@ func selectEigengap(values []float64, kmin, kmax int, stop, minRatio float64) (b
 }
 
 // estimateAutoKFootprint is the pre-allocation memory model for the auto-k
-// rung: the spectral footprint at K = autoKMax+1 plus the refined similarity,
-// which coexists with S through both solves. Diffusion (S·Sᵀ) can fill the
-// refined matrix up to n×n, and nothing short of forming it tells how far,
-// so it is charged at that bound.
+// rung: the spectral footprint at K = autoKMax+1 over the S that
+// similarityKernel materializes (not the operator a fixed-k pass applies),
+// plus the refined similarity, which coexists with S through the spectrum
+// solve. Diffusion (S·Sᵀ) can fill the refined matrix up to n×n, and nothing
+// short of forming it tells how far, so it is charged at that bound.
 func estimateAutoKFootprint(a *sparse.CSR, base SpectralOptions) int64 {
-	opts := base
-	opts.K = autoKMax + 1
-	n := int64(a.Rows)
-	return estimateSpectralFootprint(a, opts) + (n+1)*8 + n*n*(4+8)
+	n := a.Rows
+	k := min(autoKMax+1, n)
+	hub, colCounts := resolveHub(a)
+	simBytes := estimateSimilarityBytes(a, similarityKernel(a, base, hub, colCounts), hub, colCounts)
+	nn := int64(n)
+	return spectralFootprint(n, k, simBytes, base.eigenOptions(k)) + (nn+1)*8 + nn*nn*(4+8)
 }
 
 // attemptAutoK runs the auto-k rung with panic containment. Outcomes:
@@ -124,8 +129,8 @@ func (p *Pipeline) attemptAutoK(ctx context.Context, a *sparse.CSR, base Spectra
 	}
 
 	hub, colCounts := resolveHub(a)
-	eff := resolveSimilarityMode(a, base, hub, colCounts)
-	if eff == SimImplicit {
+	kernel := similarityKernel(a, base, hub, colCounts)
+	if kernel == SimImplicit {
 		return nil, AutoKFallbackImplicit + ": refinement needs an explicit similarity matrix", nil
 	}
 
@@ -133,7 +138,7 @@ func (p *Pipeline) attemptAutoK(ctx context.Context, a *sparse.CSR, base Spectra
 	// (refinement needs the CSR itself, not just an operator) and refine it.
 	endSimilarity := obs.StartStage(ctx, obs.StageSimilarity)
 	defer endSimilarity()
-	sim, simBytes, err := explicitSimilarity(ctx, a, eff, hub, colCounts)
+	sim, simBytes, err := explicitSimilarity(ctx, a, kernel, hub, colCounts)
 	if err != nil {
 		return nil, "", fmt.Errorf("core: auto-k similarity: %w", err)
 	}
@@ -180,11 +185,22 @@ func (p *Pipeline) attemptAutoK(ctx context.Context, a *sparse.CSR, base Spectra
 	// The refined operator's job ends at selecting k. Its eigenvectors make
 	// a poor ordering embedding — thresholding and diffusion erase the weak
 	// ties that guide within-cluster layout — so the ordering comes from the
-	// shared spectral core over the raw similarity: embed(k) → assign(k),
-	// exactly the pass a fixed-k plan at the selected k runs, so both give
-	// the same permutation. Auto-k therefore costs one block solve for the
+	// shared spectral core over the operator a fixed-k plan at the selected
+	// k applies: embed(k) → assign(k), exactly that plan's pass, so both
+	// give the same permutation. The two tiers differ only under SimAuto
+	// below simApproxMinRows, where that operator is matrix-free: S has
+	// served its purpose and the operator is built from a as that plan
+	// builds it. The similarity counter records the kernel that formed S,
+	// once per attempt. Auto-k therefore costs one block solve for the
 	// spectrum plus one Lanczos solve at the selected k.
-	raw, err := embed(ctx, eigen.NewNormalizedSimilarity(sim), base, k)
+	mode := EffectiveSimilarityMode(a, base)
+	var op eigen.Operator
+	if mode == kernel {
+		op = eigen.NewNormalizedSimilarity(sim)
+	} else {
+		op = eigen.NewImplicitSimilarityCappedWithCounts(a, hub, colCounts)
+	}
+	raw, err := embed(ctx, op, base, k)
 	if err != nil {
 		return nil, "", err
 	}
@@ -194,7 +210,7 @@ func (p *Pipeline) attemptAutoK(ctx context.Context, a *sparse.CSR, base Spectra
 	}
 	sr.Eigenvalues = res.Values
 	sr.MatVecs = res.MatVecs + raw.MatVecs
-	sr.Similarity = eff
+	sr.Similarity = mode
 	sr.PreprocessTime = time.Since(start)
 	sr.FootprintBytes = spectralFootprint(n, k, simBytes, eo)
 	return sr, fmt.Sprintf("%s: k=%d gap-ratio=%.2f", AutoKSelected, k, ratio), nil

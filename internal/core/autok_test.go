@@ -2,11 +2,13 @@ package core
 
 import (
 	"context"
+	"maps"
 	"math/rand"
 	"strings"
 	"testing"
 
 	"bootes/internal/faultinject"
+	"bootes/internal/obs"
 	"bootes/internal/sparse"
 	"bootes/internal/workloads"
 )
@@ -161,6 +163,33 @@ func TestAutoKMatchesForceK(t *testing.T) {
 		if !sameInt32(auto.Perm, fixed.Perm) {
 			t.Errorf("n=%d: auto-k plan at k=%d differs from the ForceK plan", c.n, k)
 		}
+	}
+}
+
+// TestAutoKCountsOneSimilarityTier: under default options below the
+// approximate row band, auto-k forms S with an exact kernel and orders rows
+// through the implicit operator. The plan reports the operator's tier, and
+// bootes_similarity_mode_total counts the attempt once, by the kernel.
+func TestAutoKCountsOneSimilarityTier(t *testing.T) {
+	reg := obs.NewRegistry()
+	m := plantedBlockMatrix(t, 96, 3, 3)
+	res, err := autoKPipeline(7).ReorderContext(obs.WithRegistry(context.Background(), reg), m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(res.AutoK, AutoKSelected+":") || res.SimilarityMode != "implicit" {
+		t.Fatalf("outcome %q tier %q, want a selection reporting implicit", res.AutoK, res.SimilarityMode)
+	}
+	got := map[string]int64{}
+	for _, f := range reg.Snapshot() {
+		if f.Name == obs.SimilarityModeName {
+			for _, s := range f.Series {
+				got[s.Labels] = s.Value
+			}
+		}
+	}
+	if want := map[string]int64{`mode="exact"`: 1}; !maps.Equal(got, want) {
+		t.Errorf("similarity counter = %v, want %v", got, want)
 	}
 }
 

@@ -47,12 +47,19 @@ func estimateSpectralFootprint(a *sparse.CSR, opts SpectralOptions) int64 {
 	}
 	k := min(opts.K, n)
 	hub, colCounts := resolveHub(a)
+	simBytes := estimateSimilarityBytes(a, EffectiveSimilarityMode(a, opts), hub, colCounts)
+	return spectralFootprint(n, k, simBytes, opts.eigenOptions(k))
+}
 
-	var simBytes int64
-	switch resolveSimilarityMode(a, opts, hub, colCounts) {
+// estimateSimilarityBytes upper-bounds the similarity-phase bytes of tier
+// mode over a: the operator's storage for SimImplicit, and for the explicit
+// tiers the S its kernel materializes plus the kernel's working structures.
+func estimateSimilarityBytes(a *sparse.CSR, mode SimilarityMode, hub int, colCounts []int) int64 {
+	n := a.Rows
+	switch mode {
 	case SimImplicit:
 		// Āᵀ (row pointers + indices + values) plus two matvec temporaries.
-		simBytes = int64(a.Cols+1)*8 + a.NNZ()*(4+8) + int64(n)*8*2
+		return int64(a.Cols+1)*8 + a.NNZ()*(4+8) + int64(n)*8*2
 	case SimApprox:
 		// LSH index structures plus one bit pack plus the sparsified S,
 		// bounded by the collision-capped pair count or the exact bound,
@@ -71,15 +78,13 @@ func estimateSpectralFootprint(a *sparse.CSR, opts SpectralOptions) int64 {
 		if exact := sparse.EstimateSimilarityNNZ(a, hub, colCounts); exact < sNNZ {
 			sNNZ = exact
 		}
-		simBytes = lsh.ModeledSparsifyBytes(n, p) + a.NNZ()*(4+8) + int64(n+1)*8 + sNNZ*(4+8)
+		return lsh.ModeledSparsifyBytes(n, p) + a.NNZ()*(4+8) + int64(n+1)*8 + sNNZ*(4+8)
 	case SimBitset:
 		// The exact S plus the two packed bitset structures.
 		nnz := sparse.EstimateSimilarityNNZ(a, hub, colCounts)
-		simBytes = int64(n+1)*8 + nnz*(4+8) + 2*a.NNZ()*(4+8)
+		return int64(n+1)*8 + nnz*(4+8) + 2*a.NNZ()*(4+8)
 	default: // SimExact
 		nnz := sparse.EstimateSimilarityNNZ(a, hub, colCounts)
-		simBytes = int64(n+1)*8 + nnz*(4+8)
+		return int64(n+1)*8 + nnz*(4+8)
 	}
-
-	return spectralFootprint(n, k, simBytes, opts.eigenOptions(k))
 }

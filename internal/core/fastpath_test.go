@@ -28,22 +28,34 @@ func selectorMatrix(rows int) *sparse.CSR {
 	})
 }
 
+// TestSimilaritySelectorThresholds pins the two SimAuto rules. The operator
+// rule gives the tier a fixed-k pass runs: matrix-free except in the approx
+// row band. The S-kernel rule gives the kernel auto-k materializes S with:
+// exact, bitset by rows and density, approx in the band, and no S at all
+// (implicit) from the implicit row threshold or over the byte cap.
 func TestSimilaritySelectorThresholds(t *testing.T) {
 	setSelectorThresholds(t, 64, 128, 256, 1<<28)
+	kernel := func(a *sparse.CSR) SimilarityMode {
+		hub, colCounts := resolveHub(a)
+		return similarityKernel(a, SpectralOptions{}, hub, colCounts)
+	}
 	for _, tc := range []struct {
-		rows int
-		want SimilarityMode
+		rows           int
+		operator, sKer SimilarityMode
 	}{
-		{32, SimExact},
-		{64, SimBitset},
-		{127, SimBitset},
-		{128, SimApprox},
-		{255, SimApprox},
-		{256, SimImplicit},
+		{32, SimImplicit, SimExact},
+		{64, SimImplicit, SimBitset},
+		{127, SimImplicit, SimBitset},
+		{128, SimApprox, SimApprox},
+		{255, SimApprox, SimApprox},
+		{256, SimImplicit, SimImplicit},
 	} {
-		got := EffectiveSimilarityMode(selectorMatrix(tc.rows), SpectralOptions{})
-		if got != tc.want {
-			t.Errorf("auto tier at %d rows = %v, want %v", tc.rows, got, tc.want)
+		m := selectorMatrix(tc.rows)
+		if got := EffectiveSimilarityMode(m, SpectralOptions{}); got != tc.operator {
+			t.Errorf("auto operator at %d rows = %v, want %v", tc.rows, got, tc.operator)
+		}
+		if got := kernel(m); got != tc.sKer {
+			t.Errorf("auto-k S kernel at %d rows = %v, want %v", tc.rows, got, tc.sKer)
 		}
 	}
 
@@ -52,24 +64,32 @@ func TestSimilaritySelectorThresholds(t *testing.T) {
 	sparse64 := workloads.ScrambledBlock(workloads.Params{
 		Rows: 64, Cols: 2048, Density: 0.002, Seed: 11, Groups: 4,
 	})
-	if got := EffectiveSimilarityMode(sparse64, SpectralOptions{}); got != SimExact {
-		t.Errorf("auto tier for sub-1/64-density matrix = %v, want SimExact", got)
+	if got := kernel(sparse64); got != SimExact {
+		t.Errorf("auto-k S kernel for sub-1/64-density matrix = %v, want SimExact", got)
 	}
 
-	// The byte cap overrides the exact tiers to implicit even below the
-	// approximate row threshold.
+	// The byte cap refuses to materialize S even below the approximate row
+	// threshold; the operator rule never consults it.
 	setSelectorThresholds(t, 64, 1<<30, 1<<30, 1)
+	if got := kernel(selectorMatrix(96)); got != SimImplicit {
+		t.Errorf("byte-capped auto-k S kernel = %v, want SimImplicit", got)
+	}
 	if got := EffectiveSimilarityMode(selectorMatrix(96), SpectralOptions{}); got != SimImplicit {
-		t.Errorf("byte-capped auto tier = %v, want SimImplicit", got)
+		t.Errorf("byte-capped auto operator = %v, want SimImplicit", got)
 	}
 }
 
 func TestSimilaritySelectorExplicitWins(t *testing.T) {
 	setSelectorThresholds(t, 64, 128, 256, 1<<28)
 	m := selectorMatrix(300) // auto would say implicit
+	hub, colCounts := resolveHub(m)
 	for _, mode := range []SimilarityMode{SimExact, SimBitset, SimApprox, SimImplicit} {
-		if got := EffectiveSimilarityMode(m, SpectralOptions{Similarity: mode}); got != mode {
+		opts := SpectralOptions{Similarity: mode}
+		if got := EffectiveSimilarityMode(m, opts); got != mode {
 			t.Errorf("explicit %v resolved to %v", mode, got)
+		}
+		if got := similarityKernel(m, opts, hub, colCounts); got != mode {
+			t.Errorf("explicit %v picked S kernel %v", mode, got)
 		}
 	}
 }

@@ -39,7 +39,7 @@ func TestInjectedNoConvergeDegradesToImplicit(t *testing.T) {
 	t.Cleanup(faultinject.Reset)
 	faultinject.Arm(faultinject.EigenNoConverge) // fires once: first rung only
 	a := blockMatrix(1, 8)
-	p := &Pipeline{ForceReorder: true, ForceK: 8, Spectral: SpectralOptions{Seed: 3}}
+	p := &Pipeline{ForceReorder: true, ForceK: 8, Spectral: SpectralOptions{Seed: 3, Similarity: SimExact}}
 	res, err := p.ReorderContext(context.Background(), a)
 	if err != nil {
 		t.Fatalf("plan errored instead of degrading: %v", err)
@@ -63,7 +63,7 @@ func TestInjectedFaultsFallToIdentity(t *testing.T) {
 	faultinject.Arm(faultinject.EigenNoConverge, faultinject.Always())
 	faultinject.Arm(faultinject.AllocCapBreach, faultinject.Always())
 	a := blockMatrix(2, 8)
-	p := &Pipeline{ForceReorder: true, ForceK: 8, Spectral: SpectralOptions{Seed: 3}}
+	p := &Pipeline{ForceReorder: true, ForceK: 8, Spectral: SpectralOptions{Seed: 3, Similarity: SimExact}}
 	res, err := p.ReorderContext(context.Background(), a)
 	if err != nil {
 		t.Fatalf("plan errored instead of degrading to identity: %v", err)
@@ -86,7 +86,7 @@ func TestAllocCapBreachSkipsOneRung(t *testing.T) {
 	t.Cleanup(faultinject.Reset)
 	faultinject.Arm(faultinject.AllocCapBreach) // fires once: skips the requested rung
 	a := blockMatrix(4, 8)
-	p := &Pipeline{ForceReorder: true, ForceK: 8, Spectral: SpectralOptions{Seed: 3}}
+	p := &Pipeline{ForceReorder: true, ForceK: 8, Spectral: SpectralOptions{Seed: 3, Similarity: SimExact}}
 	res, err := p.ReorderContext(context.Background(), a)
 	if err != nil {
 		t.Fatalf("plan errored: %v", err)
@@ -109,7 +109,7 @@ func TestTinyMemoryBudgetFallsToIdentity(t *testing.T) {
 	a := blockMatrix(5, 8)
 	p := &Pipeline{
 		ForceReorder: true, ForceK: 8,
-		Spectral: SpectralOptions{Seed: 3},
+		Spectral: SpectralOptions{Seed: 3, Similarity: SimExact},
 		Budget:   Budget{MaxFootprintBytes: 64},
 	}
 	res, err := p.ReorderContext(context.Background(), a)
@@ -152,7 +152,7 @@ func TestContainedPanicDescendsLadder(t *testing.T) {
 		panic("injected eigensolver panic")
 	}))
 	a := blockMatrix(7, 8)
-	p := &Pipeline{ForceReorder: true, ForceK: 8, Spectral: SpectralOptions{Seed: 3}}
+	p := &Pipeline{ForceReorder: true, ForceK: 8, Spectral: SpectralOptions{Seed: 3, Similarity: SimExact}}
 	res, err := p.ReorderContext(context.Background(), a)
 	if err != nil {
 		t.Fatalf("panic escaped or plan errored: %v", err)
@@ -268,29 +268,48 @@ func TestFootprintEstimateBoundsRealizedModel(t *testing.T) {
 	// through spectralFootprint, with the solver's term from
 	// eigen.ModeledBytes (basis plus Ritz block).
 	a := blockMatrix(6, 8)
-	for _, k := range []int{2, 8, 32} {
-		opts := SpectralOptions{K: k, Seed: 3}
-		res, err := Spectral{Opts: opts}.Reorder(a)
-		if err != nil {
-			t.Fatalf("k=%d: %v", k, err)
-		}
-		est := estimateSpectralFootprint(a, opts)
-		if est < res.FootprintBytes {
-			t.Errorf("k=%d: estimate %d below realized %d", k, est, res.FootprintBytes)
+	for _, mode := range []SimilarityMode{SimAuto, SimExact, SimBitset, SimApprox, SimImplicit} {
+		for _, k := range []int{2, 8, 32} {
+			opts := SpectralOptions{K: k, Seed: 3, Similarity: mode}
+			res, err := Spectral{Opts: opts}.Reorder(a)
+			if err != nil {
+				t.Fatalf("%v k=%d: %v", mode, k, err)
+			}
+			est := estimateSpectralFootprint(a, opts)
+			if est < res.FootprintBytes {
+				t.Errorf("%v k=%d: estimate %d below realized %d", mode, k, est, res.FootprintBytes)
+			}
 		}
 	}
 
 	// Auto-k reports the same formula over its raw plus refined similarity;
-	// the auto-k rung's budget estimate must bound that too.
-	p := &Pipeline{ForceReorder: true, Spectral: SpectralOptions{Seed: 3}, AutoK: true}
-	res, err := p.ReorderContext(context.Background(), a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(res.AutoK, AutoKSelected+":") {
-		t.Fatalf("auto-k outcome %q, want a selection to measure", res.AutoK)
-	}
-	if est := estimateAutoKFootprint(a, p.Spectral); est < res.FootprintBytes {
-		t.Errorf("auto-k: estimate %d below realized %d", est, res.FootprintBytes)
+	// the auto-k rung's budget estimate must bound that too. The second
+	// input is dense enough that S plus the refined matrix outweigh the
+	// n×n refined-matrix term, so an estimate charging the fixed-k pass's
+	// matrix-free operator instead of the S auto-k materializes undercounts.
+	dense := workloads.ScrambledBlock(workloads.Params{
+		Rows: 128, Cols: 128, Density: 0.1, Seed: 5, Groups: 3,
+	})
+	for name, m := range map[string]*sparse.CSR{"block": a, "dense": dense} {
+		p := &Pipeline{ForceReorder: true, Spectral: SpectralOptions{Seed: 3}, AutoK: true}
+		res, err := p.ReorderContext(context.Background(), m)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !strings.HasPrefix(res.AutoK, AutoKSelected+":") {
+			t.Fatalf("%s: auto-k outcome %q, want a selection to measure", name, res.AutoK)
+		}
+		if est := estimateAutoKFootprint(m, p.Spectral); est < res.FootprintBytes {
+			t.Errorf("%s: auto-k estimate %d below realized %d", name, est, res.FootprintBytes)
+		}
+		if name != "dense" {
+			continue
+		}
+		n := int64(m.Rows)
+		opOnly := estimateSpectralFootprint(m, SpectralOptions{K: autoKMax + 1, Seed: 3}) + (n+1)*8 + n*n*(4+8)
+		if opOnly >= res.FootprintBytes {
+			t.Errorf("dense: an operator-only estimate %d already bounds realized %d; the input no longer tells the two apart",
+				opOnly, res.FootprintBytes)
+		}
 	}
 }

@@ -11,8 +11,8 @@ import (
 )
 
 // SimilarityMode selects how the spectral pass obtains its normalized
-// similarity operator — the three-tier fast path plus the two explicit exact
-// kernels:
+// similarity operator — the matrix-free operator or one of three kernels
+// that form S:
 //
 //   - SimExact: merge-based S = Ā·Āᵀ (sparse.SimilarityContext), the paper's
 //     Algorithm 4 as written.
@@ -23,8 +23,10 @@ import (
 //   - SimImplicit: the matrix-free operator (eigen.ImplicitSimilarity); S is
 //     never formed.
 //
-// SimAuto (the zero value) lets the selector pick a tier from the matrix
-// size and the pre-allocation similarity-size bound.
+// SimAuto (the zero value) resolves to SimImplicit, or to SimApprox in the
+// band simApproxMinRows ≤ n < simImplicitMinRows (EffectiveSimilarityMode).
+// The exact and bitset kernels then serve explicit requests and auto-k,
+// which refines S itself (similarityKernel).
 type SimilarityMode int
 
 // The similarity tiers. SimAuto is the default and resolves to one of the
@@ -101,18 +103,23 @@ func (m SimilarityMode) Class() SimilarityClass {
 }
 
 // Selector thresholds for SimAuto, variables so tests can pin tiers on small
-// inputs. Row counts pick the tier; the byte cap guards the exact tiers
-// against similarity matrices whose degree-sum bound exceeds what the
-// planner should ever materialize, overriding to the implicit operator.
+// inputs. Two rules read them. The operator rule (EffectiveSimilarityMode)
+// picks the normalized operator a fixed-k spectral pass runs: matrix-free
+// except in the [simApproxMinRows, simImplicitMinRows) band. The S-kernel
+// rule (similarityKernel) picks how auto-k materializes S for refinement,
+// the one caller that needs S itself: rows and density pick a kernel, and
+// the byte cap refuses any S whose degree-sum bound exceeds what the planner
+// should ever materialize.
 var (
 	// simBitsetMinRows is where the bitset kernels overtake the merge kernel:
 	// below it the packing overhead dominates.
 	simBitsetMinRows = 512
-	// simApproxMinRows is where even the bitset-exact product is too much
-	// work per plan and LSH sparsification takes over.
+	// simApproxMinRows starts the band in which LSH sparsification forms S,
+	// for the fixed-k operator and auto-k's refinement alike: an exact S is
+	// too much work per plan there.
 	simApproxMinRows = 8192
-	// simImplicitMinRows is where forming any explicit S — even sparsified —
-	// is not worth it and the matrix-free operator becomes the default.
+	// simImplicitMinRows ends that band: from here not even a sparsified S
+	// is worth forming, so auto-k declines and the operator is matrix-free.
 	simImplicitMinRows = 65536
 	// simExplicitBytesCap bounds the modeled size of an explicit exact S
 	// (12 bytes per entry: int32 index + float64 count).
@@ -125,9 +132,41 @@ var (
 	simBitsetMinDensity = 1.0 / 64
 )
 
-// resolveSimilarityMode resolves opts against the selector given the already
-// computed hub threshold and column counts.
-func resolveSimilarityMode(a *sparse.CSR, opts SpectralOptions, hub int, colCounts []int) SimilarityMode {
+// EffectiveSimilarityMode is the operator rule: the tier whose normalized
+// operator a fixed-k spectral pass over a with opts runs. An explicit mode
+// wins. SimAuto applies S matrix-free (SimImplicit) at every size except
+// the [simApproxMinRows, simImplicitMinRows) band, which runs the
+// LSH-sparsified S: below it two pattern passes over Ā per matvec beat
+// forming S (up to Σ_c d_c² entries) and then one valued pass over it per
+// matvec. The result is never SimAuto. Plan caching keys on its Class, the
+// ladder starts from it, and a fixed-k plan reports it.
+func EffectiveSimilarityMode(a *sparse.CSR, opts SpectralOptions) SimilarityMode {
+	if opts.Similarity != SimAuto {
+		return opts.Similarity
+	}
+	if n := a.Rows; n >= simApproxMinRows && n < simImplicitMinRows {
+		return SimApprox
+	}
+	return SimImplicit
+}
+
+// AutoKKernelDiffers reports whether auto-k over a with opts may form S with
+// a kernel other than the tier EffectiveSimilarityMode names: SimAuto below
+// simApproxMinRows, where the operator is matrix-free but the S-kernel rule
+// forms an exact-class S (unless the byte cap declines). Such a plan refines
+// S and may select its own k, while an explicit SimImplicit auto-k request
+// forms no S and keeps the tree's k; both resolve to the implicit class, so
+// plan keys use this to set them apart.
+func AutoKKernelDiffers(a *sparse.CSR, opts SpectralOptions) bool {
+	return opts.Similarity == SimAuto && a.Rows < simApproxMinRows
+}
+
+// similarityKernel is the S-kernel rule: the tier auto-k materializes S
+// with, given the already computed hub threshold and column counts. An
+// explicit mode wins; SimAuto picks a kernel from size and density, and
+// returns SimImplicit (form no S) from simImplicitMinRows rows or when the
+// modeled bytes of an exact S exceed simExplicitBytesCap.
+func similarityKernel(a *sparse.CSR, opts SpectralOptions, hub int, colCounts []int) SimilarityMode {
 	if opts.Similarity != SimAuto {
 		return opts.Similarity
 	}
@@ -148,28 +187,16 @@ func resolveSimilarityMode(a *sparse.CSR, opts SpectralOptions, hub int, colCoun
 	return SimExact
 }
 
-// EffectiveSimilarityMode resolves the tier a spectral pass over a with opts
-// will run: an explicit mode wins, and SimAuto consults the size/density
-// selector. The result is never SimAuto. Plan caching keys on the result's
-// Class.
-func EffectiveSimilarityMode(a *sparse.CSR, opts SpectralOptions) SimilarityMode {
-	if opts.Similarity != SimAuto {
-		return opts.Similarity
-	}
-	hub, colCounts := resolveHub(a)
-	return resolveSimilarityMode(a, opts, hub, colCounts)
-}
-
 // buildSimilarityOperator constructs the normalized similarity operator for
-// the resolved tier under a similarity stage span, returning the operator,
-// its modeled similarity-phase bytes, and the tier that ran (recorded in
-// bootes_similarity_mode_total). Shared by the single-k spectral pass and the
-// sweep so the two cannot drift.
+// the tier EffectiveSimilarityMode resolves, under a similarity stage span,
+// returning the operator, its modeled similarity-phase bytes, and the tier
+// that ran (recorded in bootes_similarity_mode_total). Shared by the single-k
+// spectral pass and the sweep so the two cannot drift.
 func buildSimilarityOperator(ctx context.Context, a *sparse.CSR, opts SpectralOptions) (eigen.Operator, int64, SimilarityMode, error) {
 	endSimilarity := obs.StartStage(ctx, obs.StageSimilarity)
 	defer endSimilarity()
 	hub, colCounts := resolveHub(a)
-	mode := resolveSimilarityMode(a, opts, hub, colCounts)
+	mode := EffectiveSimilarityMode(a, opts)
 	if mode == SimImplicit {
 		impl := eigen.NewImplicitSimilarityCappedWithCounts(a, hub, colCounts)
 		obs.SimilarityModeUsed(ctx, mode.String())

@@ -26,11 +26,10 @@ type SpectralOptions struct {
 	// K is the number of eigenvectors and k-means clusters. It must be ≥ 2;
 	// the pipeline restricts it to CandidateKs.
 	K int
-	// Similarity selects the similarity construction tier (see
-	// SimilarityMode). The zero value SimAuto picks a tier from the matrix
-	// size and the modeled similarity bytes; SimImplicit applies S = Ā·Āᵀ as
-	// an operator instead of forming it — the memory ablation discussed in
-	// DESIGN.md (the paper's Algorithm 4 forms S explicitly).
+	// Similarity selects the similarity tier (see SimilarityMode). The zero
+	// value SimAuto resolves by EffectiveSimilarityMode: the matrix-free
+	// operator, which applies S = Ā·Āᵀ without forming it, except in the
+	// approximate row band. SimExact is the paper's Algorithm 4 as written.
 	Similarity SimilarityMode
 	// Seed drives Lanczos start vectors and k-means seeding.
 	Seed int64

@@ -121,8 +121,9 @@ func (o *NormalizedSimilarity) Dim() int { return o.S.Rows }
 
 // Apply computes y = D^{-1/2} S D^{-1/2} x. The scaling and the SpMV inside
 // are row-parallel. Planning the 40-matrix cold-sparse benchmark corpus on
-// 2 vCPUs, about a third of Lanczos wall time is spent here; the rest is
-// reorthogonalization, the Ritz rotation and the projected solve.
+// 2 vCPUs with S formed by the exact kernel, about a third of Lanczos wall
+// time was spent here; the rest is reorthogonalization, the Ritz rotation
+// and the projected solve.
 func (o *NormalizedSimilarity) Apply(x, y []float64) error {
 	if err := checkDims(o.S.Rows, x, y); err != nil {
 		return err
@@ -139,10 +140,13 @@ func (o *NormalizedSimilarity) Apply(x, y []float64) error {
 }
 
 // ImplicitSimilarity applies M = D^{-1/2}·(Ā·Āᵀ)·D^{-1/2} without forming
-// S = Ā·Āᵀ explicitly, using two pattern SpMVs (y = Ā(Āᵀ·x)). This is the
-// memory-footprint ablation Bootes' design motivates: S can be far denser
-// than A, so skipping it trades one extra matvec per Lanczos step for a
-// large reduction in peak memory.
+// S = Ā·Āᵀ explicitly, using two pattern SpMVs (y = Ā(Āᵀ·x)). Each matvec
+// thus makes two pattern passes over Ā, 2·nnz(Ā) entries in all, where the
+// explicit operator makes one valued pass over S, which holds up to
+// Σ_c d_c² entries (d_c the column degrees) and must be built first. S is usually
+// far denser than Ā, so the implicit form is cheaper in time as well as in
+// peak memory, and the planner applies it by default outside its
+// approximate row band.
 type ImplicitSimilarity struct {
 	A, At   *sparse.CSR
 	InvSqrt []float64

@@ -49,9 +49,10 @@ type Config struct {
 	// and outputs are merged in workload order.
 	Jobs int
 	// Similarity pins the similarity tier of every spectral pass the drivers
-	// run (the benchsuite -similarity flag). The zero value (auto) keeps the
-	// size/density selector; set core.SimExact to force the paper-literal
-	// kernel on every workload regardless of size.
+	// run (the benchsuite -similarity flag). The zero value (auto) resolves
+	// per matrix (core.EffectiveSimilarityMode: the implicit operator, or
+	// approx from 8 192 to 65 535 rows); set core.SimExact to force the
+	// paper-literal kernel on every workload regardless of size.
 	Similarity core.SimilarityMode
 }
 

@@ -197,7 +197,9 @@ const (
 
 // SimilarityModeName is the counter family recording which similarity tier
 // (exact, bitset, approx, implicit) each spectral pass actually ran with
-// (label: mode). Exported so serving processes can read it back out of their
+// (label: mode). An auto-k attempt counts once, by the kernel that formed
+// the S it refines, even where its ordering embedding runs on the implicit
+// operator. Exported so serving processes can read it back out of their
 // registries for /metrics assertions.
 const SimilarityModeName = "bootes_similarity_mode_total"
 

@@ -182,7 +182,7 @@ bootes_serve_verify_violations_total 0
 bootes_serve_warming 0
 # HELP bootes_similarity_mode_total Spectral passes by similarity construction tier.
 # TYPE bootes_similarity_mode_total counter
-bootes_similarity_mode_total{mode="exact"} 1
+bootes_similarity_mode_total{mode="implicit"} 1
 `
 
 // TestMetricsGolden pins the full exposition of a fixed fake-clock scenario:

@@ -1,6 +1,7 @@
 package bootes
 
 import (
+	"strings"
 	"testing"
 
 	"bootes/internal/workloads"
@@ -82,14 +83,14 @@ func TestPlanKeyCoversOptions(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := smallMatrix(t, 7)
-	base := Options{Seed: 1, ForceReorder: true, ForceK: 4, Cache: cache}
+	base := Options{Seed: 1, ForceReorder: true, ForceK: 4, Similarity: SimExact, Cache: cache}
 	if _, err := Plan(m, &base); err != nil {
 		t.Fatal(err)
 	}
 
 	for name, o := range map[string]Options{
-		"seed":     {Seed: 2, ForceReorder: true, ForceK: 4, Cache: cache},
-		"forceK":   {Seed: 1, ForceReorder: true, ForceK: 8, Cache: cache},
+		"seed":     {Seed: 2, ForceReorder: true, ForceK: 4, Similarity: SimExact, Cache: cache},
+		"forceK":   {Seed: 1, ForceReorder: true, ForceK: 8, Similarity: SimExact, Cache: cache},
 		"implicit": {Seed: 1, ForceReorder: true, ForceK: 4, Similarity: SimImplicit, Cache: cache},
 	} {
 		p, err := Plan(m, &o)
@@ -99,6 +100,25 @@ func TestPlanKeyCoversOptions(t *testing.T) {
 		if p.FromCache {
 			t.Errorf("option change %q wrongly hit the cache", name)
 		}
+	}
+
+	// Below the approximate row band a default auto-k request refines an
+	// exact S and may select its own k, while an explicit implicit one forms
+	// no S and keeps the tree's k. Both resolve to the implicit class, so
+	// the key must still tell them apart.
+	autoDefault := Options{Seed: 1, ForceReorder: true, AutoK: true, Cache: cache}
+	if _, err := Plan(m, &autoDefault); err != nil {
+		t.Fatal(err)
+	}
+	autoImplicit := autoDefault
+	autoImplicit.Similarity = SimImplicit
+	ap, err := Plan(m, &autoImplicit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ap.FromCache || !strings.HasPrefix(ap.AutoK, "fallback-implicit") {
+		t.Errorf("implicit auto-k request after a default one: cached=%v outcome %q; want a fresh fallback-implicit plan",
+			ap.FromCache, ap.AutoK)
 	}
 
 	// Same structure, different values: planning only consumes the pattern,
@@ -124,7 +144,10 @@ func TestPlanKeyCoversOptions(t *testing.T) {
 // the fleet's plan placement both depend on these keys, so a refactor of the
 // option plumbing that moved one would orphan every stored plan of that
 // class. The literals were recorded before the refinement and similarity
-// settings became constants.
+// settings became constants. The default row equals the implicit row: below
+// the approximate row band default options resolve to the implicit operator.
+// The autoK row does not equal the autoK implicit row: there a default
+// request refines an exact S and an implicit one forms none.
 func TestPlanKeyGolden(t *testing.T) {
 	var is, js []int32
 	for i := int32(0); i < 24; i++ {
@@ -142,12 +165,14 @@ func TestPlanKeyGolden(t *testing.T) {
 		o    Options
 		want string
 	}{
-		{"default", Options{Seed: 1}, "8081878ed08d43dfc58dab83604a0c221ecc841c0f72a5bbb644ce7f773ac418"},
-		{"forceK", Options{Seed: 1, ForceReorder: true, ForceK: 4}, "72e852c9fc5faaff2ec377706c41ab42de5509ec062e223b2be4cab9ee5e9d51"},
+		{"default", Options{Seed: 1}, "fe439b9bdec9e3b565a655a6c9a13a7397df8fb8f8da7cfec9fb37b41f7fcbb4"},
+		{"forceK", Options{Seed: 1, ForceReorder: true, ForceK: 4}, "fe8e8b6f14689545dc149e683bf2be28e88dcad65ca6ccf7794833cb3606748b"},
 		{"exact", Options{Seed: 1, Similarity: SimExact}, "8081878ed08d43dfc58dab83604a0c221ecc841c0f72a5bbb644ce7f773ac418"},
 		{"implicit", Options{Seed: 1, Similarity: SimImplicit}, "fe439b9bdec9e3b565a655a6c9a13a7397df8fb8f8da7cfec9fb37b41f7fcbb4"},
 		{"approx", Options{Seed: 1, Similarity: SimApprox}, "838daf6b3f9d87f75b5fa8f1d8dea3ebf7ea68b4881bdfef34141f8fd879b036"},
-		{"autoK", Options{Seed: 1, AutoK: true}, "79b92543a49d6ed684e0656fcb91cd7e19f22061a88561ee6cccf8a337ccdf0b"},
+		{"autoK", Options{Seed: 1, AutoK: true}, "7dcdd7bc541d431f3d9e7dd67c24d8ae4450f02830e9d7f6151fd65cb6234f7b"},
+		{"autoK exact", Options{Seed: 1, AutoK: true, Similarity: SimExact}, "79b92543a49d6ed684e0656fcb91cd7e19f22061a88561ee6cccf8a337ccdf0b"},
+		{"autoK implicit", Options{Seed: 1, AutoK: true, Similarity: SimImplicit}, "eed1422492b2b7aa38c441265a47ed683b64f74a9d998ce9f43c4a9f13c8c096"},
 		{"autoK approx", Options{Seed: 1, AutoK: true, Similarity: SimApprox}, "534ddc634c4173d90ef6064d7f430e30090af1d33a535f39272f85d9ed3d5695"},
 	} {
 		if got := planKey(m, &tc.o); got != tc.want {
