@@ -102,24 +102,22 @@ type Options struct {
 	ForceK int
 	// AutoK enables eigengap-based automatic cluster-count selection: when
 	// the gate approves reordering, the planner refines the explicit
-	// similarity matrix with refine.Default() (crop-diagonal, 95th-percentile
-	// thresholding, symmetrization, diffusion, row-max normalization), solves
-	// its top spectrum, and picks k at the largest eigengap ratio within
+	// similarity matrix (crop-diagonal, 95th-percentile thresholding,
+	// symmetrization, diffusion, row-max normalization), solves its top
+	// spectrum, and picks k at the largest eigengap ratio within
 	// [2, 64] instead of the fixed candidate set. An ambiguous spectrum falls
 	// back to the gate's fixed k (recorded in ReorderPlan.AutoK, not a
 	// degradation); a failed attempt degrades to the fixed-k ladder. Ignored
 	// when ForceK is set. Auto-k plans cache under a distinct key.
 	AutoK bool
 	// Similarity selects how the spectral pass applies the similarity
-	// S = Ā·Āᵀ: formed by the exact merge kernel, the packed-bitset exact
-	// kernel or the LSH-sparsified approximation, or applied matrix-free by
-	// the implicit operator. The zero value SimAuto runs the implicit
-	// operator, except from 8 192 to 65 535 rows, where it runs the
-	// approximation (see EffectiveSimilarityMode); auto-k still forms S for
-	// its refinement, with a kernel picked from size and density. Exact and
-	// bitset produce bit-identical plans; approximate and implicit plans are
-	// valid bijections that may differ from them, so each class caches under
-	// a distinct key.
+	// S = Ā·Āᵀ: formed by the exact merge kernel or the LSH-sparsified
+	// approximation, or applied matrix-free by the implicit operator. The
+	// zero value SimAuto runs the implicit operator, except from 8 192 to
+	// 65 535 rows, where it runs the approximation (see
+	// EffectiveSimilarityMode); auto-k still forms S for its refinement,
+	// exactly below 8 192 rows. The tiers' plans are valid bijections that
+	// may differ from one another, so each tier caches under a distinct key.
 	Similarity SimilarityMode
 	// Seed makes the pipeline deterministic (Lanczos start vectors, k-means
 	// seeding, feature sampling).
@@ -158,10 +156,6 @@ const (
 	SimAuto = core.SimAuto
 	// SimExact materializes S with the merge-based SpGEMM kernel.
 	SimExact = core.SimExact
-	// SimBitset materializes S with packed row-support bitsets and
-	// word-AND+popcount intersection — bit-identical to SimExact, faster on
-	// matrices with clustered supports.
-	SimBitset = core.SimBitset
 	// SimApprox sparsifies S to LSH candidate pairs (MinHash banding) before
 	// materializing: stored entries keep their exact intersection counts, but
 	// dissimilar row pairs are dropped, shrinking the eigensolve.
@@ -175,8 +169,8 @@ const (
 	SimImplicit = core.SimImplicit
 )
 
-// ParseSimilarityMode maps a flag string ("auto", "exact", "bitset",
-// "approx", "implicit"; "" means auto) to its SimilarityMode.
+// ParseSimilarityMode maps a flag string ("auto", "exact", "approx",
+// "implicit"; "" means auto) to its SimilarityMode.
 func ParseSimilarityMode(s string) (SimilarityMode, error) {
 	return core.ParseSimilarityMode(s)
 }
@@ -238,8 +232,8 @@ type ReorderPlan struct {
 	// DegradedReason is empty when Degraded is false.
 	DegradedReason string
 	// SimilarityMode names the similarity tier the spectral pass ran
-	// ("exact", "bitset", "approx", "implicit"). Empty when no spectral pass
-	// ran (gate decline, identity fallback).
+	// ("exact", "approx", "implicit"). Empty when no spectral pass ran
+	// (gate decline, identity fallback).
 	SimilarityMode string
 	// AutoK records the eigengap auto-k outcome when Options.AutoK was set:
 	// "selected: k=… gap-ratio=…" when the eigengap chose the cluster count,
@@ -290,12 +284,7 @@ func PlanContext(ctx context.Context, m *Matrix, opts *Options) (*ReorderPlan, e
 			// a miss and recomputed, never served.
 			hitSound := true
 			if o.Verify == VerifyOn {
-				vs := planverify.CheckEntryFields(e.Perm, e.K, e.Reordered, e.Degraded, e.DegradedReason)
-				if len(e.Perm) != m.Rows {
-					vs = append(vs, planverify.Violation{Code: planverify.CodePermInvalid,
-						Detail: fmt.Sprintf("entry for %d rows, matrix has %d", len(e.Perm), m.Rows)})
-				}
-				if len(vs) > 0 {
+				if vs := planverify.CheckEntryFields(m.Rows, e.Perm, e.K, e.Reordered, e.Degraded, e.DegradedReason); len(vs) > 0 {
 					planverify.Record(planverify.SitePlanHit, vs...)
 					hitSound = false
 				}
@@ -303,7 +292,7 @@ func PlanContext(ctx context.Context, m *Matrix, opts *Options) (*ReorderPlan, e
 			if hitSound {
 				// K > 0 ⇔ a spectral pass produced the entry, so the tier it
 				// ran is exactly what this call's options resolve to (the key
-				// covers every option that changes the tier class).
+				// covers every option that changes the tier).
 				simMode := ""
 				if e.K > 0 {
 					simMode = core.EffectiveSimilarityMode(m, o.spectralOptions()).String()
@@ -421,12 +410,10 @@ func MatrixKey(m *Matrix) string { return plancache.KeyCSR(m) }
 // are never cached. Verify is likewise excluded: verification never alters a
 // healthy plan, and only healthy plans are cached.
 //
-// The similarity tier is keyed by its *class* (exact / approximate /
-// implicit), resolved against this matrix: exact and bitset produce
-// bit-identical plans and deliberately share a key, while an approximate or
-// implicit request — whether explicit or auto-selected by size — keys
-// separately because the permutation can legitimately differ. Default
-// options key as the class they resolve to (implicit below 8 192 rows), so
+// The similarity tier is keyed as resolved against this matrix (exact,
+// approximate or implicit), whether explicit or auto-selected by size,
+// because the permutation can legitimately differ between tiers. Default
+// options key as the tier they resolve to (implicit below 8 192 rows), so
 // a default plan and an explicit implicit request share an entry. Auto-k is
 // the exception: there a default request forms S and an implicit one does
 // not, so the two key apart.
@@ -440,43 +427,27 @@ func planKey(m *Matrix, o *Options) string {
 		opt[16] = 1
 	}
 	so := o.spectralOptions()
-	switch core.EffectiveSimilarityMode(m, so).Class() {
-	case core.SimClassImplicit:
+	switch core.EffectiveSimilarityMode(m, so) {
+	case core.SimImplicit:
 		opt[17] = 1
-	case core.SimClassApprox:
+	case core.SimApprox:
 		opt[18] = 1
 	}
 	// Auto-k keys separately from fixed-k planning. The refinement recipe
-	// is fixed, but its ops and threshold percentile stay in the key so
-	// auto-k keys are unchanged from releases where the recipe was an option.
+	// is fixed, but its five op flags and threshold percentile stay in the
+	// key so auto-k keys are unchanged from releases where the recipe was an
+	// option.
 	if o.AutoK {
 		opt[19] = 1
 		// A default auto-k plan below the approximate row band refines an
 		// exact S and may select its own k, while an explicit implicit
-		// request forms no S and keeps the tree's k: same class, different
+		// request forms no S and keeps the tree's k: same tier, different
 		// plans.
 		if core.AutoKKernelDiffers(m, so) {
 			opt[21] = 1
 		}
-		r := refine.Default()
-		var flags byte
-		if r.CropDiagonal {
-			flags |= 1 << 0
-		}
-		if r.ThresholdP > 0 {
-			flags |= 1 << 1
-		}
-		if r.Symmetrize {
-			flags |= 1 << 2
-		}
-		if r.Diffuse {
-			flags |= 1 << 3
-		}
-		if r.RowMaxNorm {
-			flags |= 1 << 4
-		}
-		opt[20] = flags
-		binary.LittleEndian.PutUint64(opt[24:], math.Float64bits(r.ThresholdP))
+		opt[20] = 0x1f // crop, threshold, symmetrize, diffuse, row-max
+		binary.LittleEndian.PutUint64(opt[24:], math.Float64bits(refine.Percentile))
 	}
 	h.Write(opt[:])
 	if o.Model != nil {

@@ -1,7 +1,7 @@
 // Command benchfast measures the end-to-end planning wall clock of every
 // similarity tier on a large synthetic clustered workload — the before/after
 // record behind BENCH_fastpath.json. For each requested worker count it runs
-// PlanContext once per tier (exact, bitset, approx, implicit, plus what auto
+// PlanContext once per tier (exact, approx, implicit, plus what auto
 // resolves to) on the same matrix and reports total seconds, the per-stage
 // breakdown, and each tier's speedup over the exact merge path.
 //
@@ -73,7 +73,7 @@ func main() {
 	k := flag.Int("k", 8, "forced cluster count (keeps tiers comparable)")
 	out := flag.String("out", "", "write the JSON document here (empty = stdout)")
 	reps := flag.Int("reps", 1, "runs per tier; the minimum is recorded (denoises shared hosts)")
-	tiersFlag := flag.String("tiers", "exact,bitset,approx,implicit", "comma-separated tiers to run (speedups need exact first)")
+	tiersFlag := flag.String("tiers", "exact,approx,implicit", "comma-separated tiers to run (speedups need exact first)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the tier runs here")
 	flag.Parse()
 
@@ -100,7 +100,7 @@ func main() {
 	for _, ts := range strings.Split(*tiersFlag, ",") {
 		tier, err := bootes.ParseSimilarityMode(strings.TrimSpace(ts))
 		if err != nil || tier == bootes.SimAuto {
-			log.Fatalf("bad -tiers entry %q (want exact, bitset, approx, or implicit)", ts)
+			log.Fatalf("bad -tiers entry %q (want exact, approx, or implicit)", ts)
 		}
 		tiers = append(tiers, tier)
 	}

@@ -34,7 +34,7 @@ func main() {
 	skipTrain := flag.Bool("skip-train", false, "skip decision-tree training (F3 and DT are skipped; Bootes uses its heuristic gate)")
 	figDir := flag.String("figdir", "", "write PGM spy plots for Figures 1-2 into this directory")
 	jobs := flag.Int("jobs", 1, "workload-level parallelism for corpus labelling and Figure 4 (results are identical for any value; see also BOOTES_WORKERS)")
-	similarity := flag.String("similarity", "auto", "similarity tier for every spectral pass: auto, exact, bitset, approx, or implicit")
+	similarity := flag.String("similarity", "auto", "similarity tier for every spectral pass: auto, exact, approx, or implicit")
 	flag.Parse()
 
 	simMode, err := core.ParseSimilarityMode(*similarity)

@@ -13,7 +13,7 @@
 // Commands that run the planning pipeline (analyze, reorder, plan) accept
 // -timeout (a planning deadline, enforced through PlanContext), -strict
 // (exit non-zero when the plan is degraded), -similarity
-// (auto|exact|bitset|approx|implicit — the similarity construction tier;
+// (auto|exact|approx|implicit — the similarity construction tier;
 // auto picks from the matrix size), and -auto-k (pick the cluster count by
 // the largest eigengap of the refined similarity instead of the decision
 // tree's fixed candidate k; ambiguous spectra fall back to the fixed-k
@@ -494,7 +494,7 @@ func cmdPlan(args []string) {
 
 // similarityFlag registers the shared -similarity flag on a planning command.
 func similarityFlag(fs *flag.FlagSet) *string {
-	return fs.String("similarity", "auto", "similarity tier: auto, exact, bitset, approx, or implicit")
+	return fs.String("similarity", "auto", "similarity tier: auto, exact, approx, or implicit")
 }
 
 // autoKFlag registers the shared -auto-k flag on a planning command.

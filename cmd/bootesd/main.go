@@ -78,7 +78,7 @@ func main() {
 	readTimeout := flag.Duration("read-timeout", 2*time.Minute, "maximum time to read an entire request")
 	idleTimeout := flag.Duration("idle-timeout", 2*time.Minute, "keep-alive connection idle timeout")
 	pprofOn := flag.Bool("pprof", false, "serve runtime profiles on /debug/pprof/ (CPU, heap, goroutine, ...)")
-	similarity := flag.String("similarity", "auto", "similarity tier: auto, exact, bitset, approx, or implicit")
+	similarity := flag.String("similarity", "auto", "similarity tier: auto, exact, approx, or implicit")
 	autoK := flag.Bool("auto-k", false, "pick the cluster count by eigengap on the refined similarity (falls back to the fixed-k sweep when ambiguous)")
 	queueDir := flag.String("queue-dir", "", "durable async job queue directory (empty disables ?async=1; requires -cache)")
 	queueWorkers := flag.Int("queue-workers", 0, "async queue worker pool size (default max-inflight)")

@@ -8,9 +8,8 @@ import (
 	"bootes/internal/workloads"
 )
 
-// TestPlanKeyDistinguishesSimilarityClass: exact and bitset produce
-// bit-identical plans and must share a cache key; approximate and implicit
-// plans can differ and must key separately.
+// TestPlanKeyDistinguishesSimilarityClass: approximate and implicit plans
+// can differ from the exact plan and must key separately from it.
 func TestPlanKeyDistinguishesSimilarityClass(t *testing.T) {
 	cache, err := OpenPlanCache(t.TempDir())
 	if err != nil {
@@ -22,22 +21,7 @@ func TestPlanKeyDistinguishesSimilarityClass(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Same class (exact): the bitset kernel computes the same S, so the key
-	// must collide on purpose and hit.
-	bitset := base
-	bitset.Similarity = SimBitset
-	p, err := Plan(m, &bitset)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !p.FromCache {
-		t.Error("bitset (exact-class) plan missed the exact plan's cache entry")
-	}
-	if p.SimilarityMode != "bitset" {
-		t.Errorf("cache hit reports tier %q, want bitset", p.SimilarityMode)
-	}
-
-	// Different classes: must miss.
+	// Different tiers: must miss.
 	for name, mode := range map[string]SimilarityMode{
 		"approx":   SimApprox,
 		"implicit": SimImplicit,
@@ -49,7 +33,7 @@ func TestPlanKeyDistinguishesSimilarityClass(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if p.FromCache {
-			t.Errorf("%s-class plan wrongly hit the exact plan's cache entry", name)
+			t.Errorf("%s plan wrongly hit the exact plan's cache entry", name)
 		}
 		if p.SimilarityMode != name {
 			t.Errorf("%s plan reports tier %q", name, p.SimilarityMode)

@@ -627,7 +627,7 @@ func (h *Healer) fetchEntry(ctx context.Context, peer, key string) (*plancache.E
 	if e.Key != key {
 		return nil, fmt.Errorf("antientropy: entry %.12s from %s holds key %.12s", key, peer, e.Key)
 	}
-	if vs := planverify.CheckEntryFields(e.Perm, e.K, e.Reordered, e.Degraded, e.DegradedReason); len(vs) > 0 {
+	if vs := planverify.CheckEntryFields(len(e.Perm), e.Perm, e.K, e.Reordered, e.Degraded, e.DegradedReason); len(vs) > 0 {
 		return nil, fmt.Errorf("antientropy: entry %.12s from %s failed verification: %v", key, peer, vs)
 	}
 	if e.Degraded {

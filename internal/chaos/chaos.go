@@ -404,7 +404,7 @@ func (e *episode) sweepCache() {
 		if !ok {
 			continue
 		}
-		if vs := planverify.CheckEntryFields(entry.Perm, entry.K, entry.Reordered, entry.Degraded, entry.DegradedReason); len(vs) > 0 {
+		if vs := planverify.CheckEntryFields(len(entry.Perm), entry.Perm, entry.K, entry.Reordered, entry.Degraded, entry.DegradedReason); len(vs) > 0 {
 			e.violatef("cache sweep: entry %.12s violates invariants: %v", key, vs)
 		}
 	}

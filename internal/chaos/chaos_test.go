@@ -10,7 +10,7 @@ import (
 
 	"bootes/internal/faultinject"
 	"bootes/internal/leakcheck"
-	"bootes/internal/planverify"
+	"bootes/internal/obs"
 )
 
 var (
@@ -29,7 +29,7 @@ func TestChaosEpisodes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos episodes skipped in -short mode")
 	}
-	planverify.ResetCounters()
+	violationsBefore := verifyViolations()
 	rep, err := Run(Config{Seed: *seed, Episodes: *episodes, Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
@@ -60,7 +60,21 @@ func TestChaosEpisodes(t *testing.T) {
 	}
 	t.Logf("chaos: %d episodes, scenarios=%v faults=%v healthy=%d degraded=%d refused=%d quarantined=%d verify-violations=%d",
 		rep.Episodes, rep.Scenarios, rep.Faults, rep.Healthy, rep.DegradedPlans,
-		rep.Refused, rep.Quarantined, planverify.Total())
+		rep.Refused, rep.Quarantined, verifyViolations()-violationsBefore)
+}
+
+// verifyViolations sums bootes_verify_violations_total over every site and
+// code.
+func verifyViolations() int64 {
+	var n int64
+	for _, f := range obs.Default().Snapshot() {
+		if f.Name == obs.VerifyViolationsName {
+			for _, s := range f.Series {
+				n += s.Value
+			}
+		}
+	}
+	return n
 }
 
 // TestQueueCrashSoak hammers the queue-crash scenario alone: hundreds of

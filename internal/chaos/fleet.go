@@ -392,7 +392,7 @@ func (h *fleetHarness) sweepNodeCache(dir string) {
 		if !ok {
 			continue
 		}
-		if vs := planverify.CheckEntryFields(entry.Perm, entry.K, entry.Reordered, entry.Degraded, entry.DegradedReason); len(vs) > 0 {
+		if vs := planverify.CheckEntryFields(len(entry.Perm), entry.Perm, entry.K, entry.Reordered, entry.Degraded, entry.DegradedReason); len(vs) > 0 {
 			h.violatef("%s: cache entry %.12s invalid after crash cycle: %v", h.name, key, vs)
 		}
 	}

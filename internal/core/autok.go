@@ -45,7 +45,7 @@ func AutoKOutcomeLabel(outcome string) string {
 
 // Eigengap auto-k runs, when Pipeline.AutoK is set and no ForceK override
 // is present, before the fixed-k degradation ladder: materialize the explicit
-// similarity matrix, refine it with refine.Default(), solve the
+// similarity matrix, refine it with refine.Apply, solve the
 // top-(autoKMax+1) spectrum of the refined normalized similarity, and pick k
 // at the largest eigengap ratio θ_k/θ_{k+1} within [2, autoKMax]. An
 // ambiguous spectrum falls back to the decision tree's fixed k (not a
@@ -142,7 +142,7 @@ func (p *Pipeline) attemptAutoK(ctx context.Context, a *sparse.CSR, base Spectra
 	if err != nil {
 		return nil, "", fmt.Errorf("core: auto-k similarity: %w", err)
 	}
-	refined, err := refine.Apply(ctx, sim, refine.Default())
+	refined, err := refine.Apply(ctx, sim)
 	if err != nil {
 		if ctx.Err() != nil {
 			return nil, "", ctx.Err()

@@ -79,10 +79,6 @@ func estimateSimilarityBytes(a *sparse.CSR, mode SimilarityMode, hub int, colCou
 			sNNZ = exact
 		}
 		return lsh.ModeledSparsifyBytes(n, p) + a.NNZ()*(4+8) + int64(n+1)*8 + sNNZ*(4+8)
-	case SimBitset:
-		// The exact S plus the two packed bitset structures.
-		nnz := sparse.EstimateSimilarityNNZ(a, hub, colCounts)
-		return int64(n+1)*8 + nnz*(4+8) + 2*a.NNZ()*(4+8)
 	default: // SimExact
 		nnz := sparse.EstimateSimilarityNNZ(a, hub, colCounts)
 		return int64(n+1)*8 + nnz*(4+8)

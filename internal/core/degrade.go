@@ -44,8 +44,8 @@ type rung struct {
 //	          → fixed small k (k=2, implicit, loose, small basis) → identity
 //
 // The first rung is the caller's own configuration. The approx rung — the
-// LSH-sparsified similarity, cheaper in both time and memory than any exact
-// kernel — is inserted only when the request resolves to an exact tier, so
+// LSH-sparsified similarity, cheaper in both time and memory than the exact
+// kernel — is inserted only when the request resolves to the exact tier, so
 // budget pressure degrades exact → approx → implicit; when the request
 // already runs approximate or implicit similarity the ladder skips straight
 // past the corresponding rungs. The identity rung is not in the list — it is
@@ -55,7 +55,7 @@ func buildLadder(base SpectralOptions, eff SimilarityMode) []rung {
 	var ladder []rung
 	ladder = append(ladder, rung{name: "requested", opts: base})
 
-	if eff.Class() == SimClassExact {
+	if eff == SimExact {
 		approx := base
 		approx.Similarity = SimApprox
 		ladder = append(ladder, rung{name: "approx-similarity", opts: approx})

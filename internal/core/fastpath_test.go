@@ -13,13 +13,13 @@ import (
 
 // setSelectorThresholds pins the SimAuto selector to small-row boundaries so
 // the tier progression is testable without building huge matrices.
-func setSelectorThresholds(t *testing.T, bitset, approx, implicit int, bytesCap int64) {
+func setSelectorThresholds(t *testing.T, approx, implicit int, bytesCap int64) {
 	t.Helper()
-	ob, oa, oi, oc := simBitsetMinRows, simApproxMinRows, simImplicitMinRows, simExplicitBytesCap
+	oa, oi, oc := simApproxMinRows, simImplicitMinRows, simExplicitBytesCap
 	t.Cleanup(func() {
-		simBitsetMinRows, simApproxMinRows, simImplicitMinRows, simExplicitBytesCap = ob, oa, oi, oc
+		simApproxMinRows, simImplicitMinRows, simExplicitBytesCap = oa, oi, oc
 	})
-	simBitsetMinRows, simApproxMinRows, simImplicitMinRows, simExplicitBytesCap = bitset, approx, implicit, bytesCap
+	simApproxMinRows, simImplicitMinRows, simExplicitBytesCap = approx, implicit, bytesCap
 }
 
 func selectorMatrix(rows int) *sparse.CSR {
@@ -28,13 +28,37 @@ func selectorMatrix(rows int) *sparse.CSR {
 	})
 }
 
+// TestParseSimilarityMode: every accepted name round-trips through String,
+// the empty string means auto, and a retired tier name is rejected with an
+// error that lists the accepted ones.
+func TestParseSimilarityMode(t *testing.T) {
+	for _, mode := range []SimilarityMode{SimAuto, SimExact, SimApprox, SimImplicit} {
+		got, err := ParseSimilarityMode(mode.String())
+		if err != nil || got != mode {
+			t.Errorf("ParseSimilarityMode(%q) = %v, %v; want %v", mode.String(), got, err, mode)
+		}
+	}
+	if got, err := ParseSimilarityMode(""); err != nil || got != SimAuto {
+		t.Errorf(`ParseSimilarityMode("") = %v, %v; want SimAuto`, got, err)
+	}
+	_, err := ParseSimilarityMode("bitset")
+	if err == nil {
+		t.Fatal("ParseSimilarityMode accepted bitset")
+	}
+	for _, name := range []string{"auto", "exact", "approx", "implicit"} {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("error %q does not list %s", err, name)
+		}
+	}
+}
+
 // TestSimilaritySelectorThresholds pins the two SimAuto rules. The operator
 // rule gives the tier a fixed-k pass runs: matrix-free except in the approx
 // row band. The S-kernel rule gives the kernel auto-k materializes S with:
-// exact, bitset by rows and density, approx in the band, and no S at all
-// (implicit) from the implicit row threshold or over the byte cap.
+// exact below the band, approx in it, and no S at all (implicit) from the
+// implicit row threshold or over the byte cap.
 func TestSimilaritySelectorThresholds(t *testing.T) {
-	setSelectorThresholds(t, 64, 128, 256, 1<<28)
+	setSelectorThresholds(t, 128, 256, 1<<28)
 	kernel := func(a *sparse.CSR) SimilarityMode {
 		hub, colCounts := resolveHub(a)
 		return similarityKernel(a, SpectralOptions{}, hub, colCounts)
@@ -44,8 +68,8 @@ func TestSimilaritySelectorThresholds(t *testing.T) {
 		operator, sKer SimilarityMode
 	}{
 		{32, SimImplicit, SimExact},
-		{64, SimImplicit, SimBitset},
-		{127, SimImplicit, SimBitset},
+		{64, SimImplicit, SimExact},
+		{127, SimImplicit, SimExact},
 		{128, SimApprox, SimApprox},
 		{255, SimApprox, SimApprox},
 		{256, SimImplicit, SimImplicit},
@@ -59,18 +83,9 @@ func TestSimilaritySelectorThresholds(t *testing.T) {
 		}
 	}
 
-	// In the bitset row range, a matrix too sparse to fill the packed words
-	// (density below 1/64) stays on the merge kernel.
-	sparse64 := workloads.ScrambledBlock(workloads.Params{
-		Rows: 64, Cols: 2048, Density: 0.002, Seed: 11, Groups: 4,
-	})
-	if got := kernel(sparse64); got != SimExact {
-		t.Errorf("auto-k S kernel for sub-1/64-density matrix = %v, want SimExact", got)
-	}
-
 	// The byte cap refuses to materialize S even below the approximate row
 	// threshold; the operator rule never consults it.
-	setSelectorThresholds(t, 64, 1<<30, 1<<30, 1)
+	setSelectorThresholds(t, 1<<30, 1<<30, 1)
 	if got := kernel(selectorMatrix(96)); got != SimImplicit {
 		t.Errorf("byte-capped auto-k S kernel = %v, want SimImplicit", got)
 	}
@@ -80,10 +95,10 @@ func TestSimilaritySelectorThresholds(t *testing.T) {
 }
 
 func TestSimilaritySelectorExplicitWins(t *testing.T) {
-	setSelectorThresholds(t, 64, 128, 256, 1<<28)
+	setSelectorThresholds(t, 128, 256, 1<<28)
 	m := selectorMatrix(300) // auto would say implicit
 	hub, colCounts := resolveHub(m)
-	for _, mode := range []SimilarityMode{SimExact, SimBitset, SimApprox, SimImplicit} {
+	for _, mode := range []SimilarityMode{SimExact, SimApprox, SimImplicit} {
 		opts := SpectralOptions{Similarity: mode}
 		if got := EffectiveSimilarityMode(m, opts); got != mode {
 			t.Errorf("explicit %v resolved to %v", mode, got)
@@ -106,23 +121,6 @@ func modeFingerprint(t *testing.T, a *sparse.CSR, mode SimilarityMode, seed int6
 		t.Fatalf("result reports tier %v, want %v", res.Similarity, mode)
 	}
 	return spectralFingerprint{perm: res.Perm, assign: res.Assign, inertia: res.Inertia}
-}
-
-// TestBitsetPlanMatchesExactAcrossWorkers: the bitset kernel is an exact
-// drop-in — whole-pipeline results must be bit-identical to the merge kernel
-// at every worker count.
-func TestBitsetPlanMatchesExactAcrossWorkers(t *testing.T) {
-	for name, a := range equivWorkloads(5) {
-		ref := modeFingerprint(t, a, SimExact, 7)
-		for _, w := range []int{1, 2, 8} {
-			prev := parallel.SetWorkers(w)
-			got := modeFingerprint(t, a, SimBitset, 7)
-			parallel.SetWorkers(prev)
-			if !sameInt32(ref.perm, got.perm) || !sameInt32(ref.assign, got.assign) || ref.inertia != got.inertia {
-				t.Errorf("%s: bitset plan at %d workers diverges from exact", name, w)
-			}
-		}
-	}
 }
 
 // TestApproxPlanDeterministicAcrossWorkers: the approximate tier makes no
@@ -173,7 +171,7 @@ func TestApproxFaultDegradesToImplicit(t *testing.T) {
 	}
 }
 
-// TestLadderRungOrder: the approx rung exists only for exact-class requests,
+// TestLadderRungOrder: the approx rung exists only for exact requests,
 // and no rung repeats the tier the request already resolves to.
 func TestLadderRungOrder(t *testing.T) {
 	names := func(ladder []rung) []string {
@@ -200,7 +198,7 @@ func TestLadderRungOrder(t *testing.T) {
 	}
 
 	// The inserted approx rung must actually request the approximate tier.
-	ladder := buildLadder(SpectralOptions{K: 8}, SimBitset)
+	ladder := buildLadder(SpectralOptions{K: 8}, SimExact)
 	if ladder[1].opts.Similarity != SimApprox {
 		t.Errorf("approx rung requests tier %v", ladder[1].opts.Similarity)
 	}

@@ -268,7 +268,7 @@ func TestFootprintEstimateBoundsRealizedModel(t *testing.T) {
 	// through spectralFootprint, with the solver's term from
 	// eigen.ModeledBytes (basis plus Ritz block).
 	a := blockMatrix(6, 8)
-	for _, mode := range []SimilarityMode{SimAuto, SimExact, SimBitset, SimApprox, SimImplicit} {
+	for _, mode := range []SimilarityMode{SimAuto, SimExact, SimApprox, SimImplicit} {
 		for _, k := range []int{2, 8, 32} {
 			opts := SpectralOptions{K: k, Seed: 3, Similarity: mode}
 			res, err := Spectral{Opts: opts}.Reorder(a)

@@ -196,8 +196,8 @@ const (
 )
 
 // SimilarityModeName is the counter family recording which similarity tier
-// (exact, bitset, approx, implicit) each spectral pass actually ran with
-// (label: mode). An auto-k attempt counts once, by the kernel that formed
+// (exact, approx, implicit) each spectral pass actually ran with (label:
+// mode). An auto-k attempt counts once, by the kernel that formed
 // the S it refines, even where its ordering embedding runs on the implicit
 // operator. Exported so serving processes can read it back out of their
 // registries for /metrics assertions.
@@ -247,13 +247,13 @@ func RungFailure(ctx context.Context, rung string) {
 		"Degradation-ladder rungs that failed or were skipped.", "rung").With(rung).Inc()
 }
 
-// VerifyViolationsName is the plan-verification violation counter mirrored
-// from internal/planverify (labels: site, code). It lives on Default — the
-// verifier's counters are process-wide by design.
+// VerifyViolationsName is the plan-verification violation counter that
+// internal/planverify records (labels: site, code). It lives on Default —
+// the verifier's count is process-wide by design.
 const VerifyViolationsName = "bootes_verify_violations_total"
 
-// VerifyViolation mirrors n verification violations at site with the given
-// code into the Default registry.
+// VerifyViolation counts n verification violations at site with the given
+// code in the Default registry.
 func VerifyViolation(site, code string, n int64) {
 	Default().CounterVec(VerifyViolationsName,
 		"Plan verification violations by wiring site and violation code.",

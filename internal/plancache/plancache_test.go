@@ -12,6 +12,7 @@ import (
 
 	"bootes/internal/faultinject"
 	"bootes/internal/leakcheck"
+	"bootes/internal/obs"
 	"bootes/internal/plancache/atomicio"
 	"bootes/internal/planverify"
 	"bootes/internal/sparse"
@@ -497,7 +498,9 @@ func TestPutCatchesInjectedCorruption(t *testing.T) {
 	if err := faultinject.Arm(faultinject.PlanCorrupt, faultinject.Always()); err != nil {
 		t.Fatal(err)
 	}
-	before := planverify.BySite()[planverify.SiteCachePut]
+	putViolations := obs.Default().CounterVec(obs.VerifyViolationsName, "", "site", "code").
+		With(planverify.SiteCachePut, planverify.CodePermInvalid)
+	before := putViolations.Value()
 	c, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
@@ -506,7 +509,7 @@ func TestPutCatchesInjectedCorruption(t *testing.T) {
 	if err := c.Put(e); err == nil {
 		t.Fatal("injected corruption not caught at Put")
 	}
-	if got := planverify.BySite()[planverify.SiteCachePut]; got <= before {
+	if putViolations.Value() <= before {
 		t.Fatal("violation not recorded under the cache-put site")
 	}
 	faultinject.Reset()

@@ -384,8 +384,8 @@ type PlanResponse struct {
 	FootprintBytes    int64   `json:"footprintBytes"`
 	Rows              int     `json:"rows"`
 	// SimilarityMode names the similarity tier the spectral pass ran
-	// ("exact", "bitset", "approx", "implicit"); empty when no spectral pass
-	// ran this request (gate decline, identity fallback, cache hit).
+	// ("exact", "approx", "implicit"); empty when no spectral pass ran
+	// this request (gate decline, identity fallback, cache hit).
 	SimilarityMode string `json:"similarityMode,omitempty"`
 	// AutoK reports the eigengap auto-k outcome for this plan ("selected: …",
 	// "fallback-ambiguous: …", "fallback-implicit: …", "degraded", or
@@ -515,7 +515,7 @@ func (s *Server) handleCachePut(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "degraded plans do not replicate", http.StatusBadRequest)
 		return
 	}
-	if vs := planverify.CheckEntryFields(e.Perm, e.K, e.Reordered, e.Degraded, e.DegradedReason); len(vs) > 0 {
+	if vs := planverify.CheckEntryFields(len(e.Perm), e.Perm, e.K, e.Reordered, e.Degraded, e.DegradedReason); len(vs) > 0 {
 		planverify.Record(planverify.SiteCachePut, vs...)
 		s.verifyBad.Add(int64(len(vs)))
 		http.Error(w, fmt.Sprintf("entry failed verification: %v", vs), http.StatusBadRequest)
@@ -666,13 +666,7 @@ func (s *Server) servePlan(w http.ResponseWriter, r *http.Request) {
 			// survive process restarts, so a bad entry would otherwise replay
 			// forever. A violation demotes the hit to a miss — the pipeline
 			// recomputes and overwrites the entry.
-			vs := planverify.CheckEntryFields(e.Perm, e.K, e.Reordered, e.Degraded, e.DegradedReason)
-			if len(e.Perm) != m.Rows {
-				vs = append(vs, planverify.Violation{
-					Code:   planverify.CodePermInvalid,
-					Detail: fmt.Sprintf("entry permutation has %d rows, matrix has %d", len(e.Perm), m.Rows),
-				})
-			}
+			vs := planverify.CheckEntryFields(m.Rows, e.Perm, e.K, e.Reordered, e.Degraded, e.DegradedReason)
 			if len(vs) == 0 {
 				s.served.Inc()
 				s.respond(w, r, s.planResponseFromEntry(e), true, false, "")
@@ -691,13 +685,7 @@ func (s *Server) servePlan(w http.ResponseWriter, r *http.Request) {
 	// failure mode this hook exists to prevent.
 	if s.cfg.PeerFill != nil {
 		if e, ok := s.cfg.PeerFill(ctx, key); ok && e != nil {
-			vs := planverify.CheckEntryFields(e.Perm, e.K, e.Reordered, e.Degraded, e.DegradedReason)
-			if len(e.Perm) != m.Rows {
-				vs = append(vs, planverify.Violation{
-					Code:   planverify.CodePermInvalid,
-					Detail: fmt.Sprintf("peer entry permutation has %d rows, matrix has %d", len(e.Perm), m.Rows),
-				})
-			}
+			vs := planverify.CheckEntryFields(m.Rows, e.Perm, e.K, e.Reordered, e.Degraded, e.DegradedReason)
 			if len(vs) == 0 {
 				s.peerFills.Inc()
 				s.served.Inc()
@@ -793,8 +781,8 @@ func (s *Server) runAdmitted(ctx context.Context, m *sparse.CSR, key string, pro
 	// depends on this).
 	if s.cfg.Cache != nil {
 		if e, ok := s.cfg.Cache.Get(key); ok {
-			vs := planverify.CheckEntryFields(e.Perm, e.K, e.Reordered, e.Degraded, e.DegradedReason)
-			if len(vs) == 0 && len(e.Perm) == m.Rows {
+			vs := planverify.CheckEntryFields(m.Rows, e.Perm, e.K, e.Reordered, e.Degraded, e.DegradedReason)
+			if len(vs) == 0 {
 				if probe {
 					s.breaker.CancelProbe()
 				}

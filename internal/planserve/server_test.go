@@ -17,6 +17,7 @@ import (
 
 	"bootes/internal/faultinject"
 	"bootes/internal/leakcheck"
+	"bootes/internal/obs"
 	"bootes/internal/plancache"
 	"bootes/internal/planverify"
 	"bootes/internal/reorder"
@@ -636,6 +637,10 @@ func TestCorruptCacheEntryDemotedToMiss(t *testing.T) {
 	}
 	p := &countingPlanner{}
 	s, ts := newTestServer(t, Config{Plan: p.fn(), Cache: cache})
+	hitViolations := obs.Default().CounterVec(obs.VerifyViolationsName, "", "site", "code")
+	wrongRows := hitViolations.With(planverify.SiteServeHit, planverify.CodePermInvalid)
+	degraded := hitViolations.With(planverify.SiteServeHit, planverify.CodeDegradedCached)
+	wrongBefore, degradedBefore := wrongRows.Value(), degraded.Value()
 
 	for _, m := range []*sparse.CSR{mWrong, mDegraded} {
 		resp, body := postPlan(t, ts.URL, mmBody(t, m), "")
@@ -663,7 +668,7 @@ func TestCorruptCacheEntryDemotedToMiss(t *testing.T) {
 	if e, ok := cache.Get(plancache.KeyCSR(mWrong)); !ok || len(e.Perm) != mWrong.Rows {
 		t.Fatal("healthy recomputation did not replace the invalid entry")
 	}
-	if planverify.BySite()[planverify.SiteServeHit] == 0 {
+	if wrongRows.Value() == wrongBefore || degraded.Value() == degradedBefore {
 		t.Fatal("violations not recorded under the serve-hit site")
 	}
 }

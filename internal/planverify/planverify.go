@@ -6,8 +6,8 @@
 // returned to a caller (bootes.PlanContext), persisted (plancache.Put), or
 // served over HTTP (internal/planserve). A violation never fails the request:
 // the plan falls back to the identity permutation with the violation recorded
-// in DegradedReason, and a process-wide counter (surfaced on bootesd's
-// /statsz) ticks so operators can see corruption the moment it appears.
+// in DegradedReason, and bootes_verify_violations_total{site,code} on
+// /metrics ticks so operators can see corruption the moment it appears.
 //
 // The checks, in cost order:
 //
@@ -32,8 +32,6 @@ import (
 	"slices"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"bootes/internal/core"
 	"bootes/internal/faultinject"
@@ -134,56 +132,14 @@ func (c *Config) withDefaults() Config {
 	return out
 }
 
-// Violation counters: a process-wide total plus per-site tallies, cheap
-// enough to leave on forever and exported on bootesd's /statsz.
-var (
-	total     atomic.Int64
-	countersM sync.Mutex
-	bySite    map[string]int64
-)
-
-// Record tallies violations observed at site. Wiring sites call it
+// Record counts violations observed at site in the obs.Default registry by
+// site and code (bootes_verify_violations_total). Wiring sites call it
 // automatically; it is exported for sites (like plancache's re-encode check)
-// that detect violations with their own machinery. Each violation is also
-// mirrored into the obs.Default registry by site and code
-// (bootes_verify_violations_total), so /metrics carries the same signal as
-// /statsz; the mirror is monotonic and unaffected by ResetCounters.
+// that detect violations with their own machinery.
 func Record(site string, vs ...Violation) {
-	if len(vs) == 0 {
-		return
-	}
-	total.Add(int64(len(vs)))
-	countersM.Lock()
-	if bySite == nil {
-		bySite = make(map[string]int64)
-	}
-	bySite[site] += int64(len(vs))
-	countersM.Unlock()
 	for _, v := range vs {
 		obs.VerifyViolation(site, v.Code, 1)
 	}
-}
-
-// Total returns the process-wide violation count.
-func Total() int64 { return total.Load() }
-
-// BySite returns a copy of the per-site violation tallies.
-func BySite() map[string]int64 {
-	countersM.Lock()
-	defer countersM.Unlock()
-	out := make(map[string]int64, len(bySite))
-	for k, v := range bySite {
-		out[k] = v
-	}
-	return out
-}
-
-// ResetCounters zeroes the counters (tests).
-func ResetCounters() {
-	countersM.Lock()
-	bySite = nil
-	countersM.Unlock()
-	total.Store(0)
 }
 
 // CheckPlan runs the structural invariants on a plan's fields and returns
@@ -298,12 +254,18 @@ func CachePut(perm sparse.Permutation, k int, reordered, degraded bool, reason s
 }
 
 // CheckEntryFields verifies a plan loaded from a cache (a hit about to be
-// served): structural checks plus degraded-never-cached. It is pure; callers
-// Record under their own site and treat any violation as a cache miss.
-func CheckEntryFields(perm sparse.Permutation, k int, reordered, degraded bool, reason string) []Violation {
+// served) for a matrix of rows rows: structural checks, the permutation's
+// length against rows, and degraded-never-cached. A site with no matrix at
+// hand passes len(perm). It is pure; callers Record under their own site and
+// treat any violation as a cache miss.
+func CheckEntryFields(rows int, perm sparse.Permutation, k int, reordered, degraded bool, reason string) []Violation {
 	vs := CheckPlan(len(perm), perm, k, reordered, degraded, reason)
 	if degraded {
 		vs = append(vs, Violation{CodeDegradedCached, "degraded entry found in cache"})
+	}
+	if len(perm) != rows {
+		vs = append(vs, Violation{CodePermInvalid,
+			fmt.Sprintf("entry permutation has %d rows, matrix has %d", len(perm), rows)})
 	}
 	return vs
 }

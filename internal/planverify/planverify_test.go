@@ -5,9 +5,27 @@ import (
 	"testing"
 
 	"bootes/internal/faultinject"
+	"bootes/internal/obs"
 	"bootes/internal/reorder"
 	"bootes/internal/sparse"
 )
+
+// siteViolations sums bootes_verify_violations_total over every code
+// recorded at site.
+func siteViolations(site string) int64 {
+	var n int64
+	for _, f := range obs.Default().Snapshot() {
+		if f.Name != obs.VerifyViolationsName {
+			continue
+		}
+		for _, s := range f.Series {
+			if strings.HasPrefix(s.Labels, `site="`+site+`"`) {
+				n += s.Value
+			}
+		}
+	}
+	return n
+}
 
 // blockMatrix builds a 16×16 matrix of two dense 8-row column groups: rows
 // 0–7 reference columns 0–7, rows 8–15 reference columns 8–15. With a cache
@@ -103,7 +121,7 @@ func TestCheckTraffic(t *testing.T) {
 }
 
 func TestVerifyResultPassesSoundPlan(t *testing.T) {
-	ResetCounters()
+	before := siteViolations(SitePlan)
 	m := blockMatrix(t)
 	res := &reorder.Result{
 		Perm:      sparse.Permutation{1, 0, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15},
@@ -114,13 +132,13 @@ func TestVerifyResultPassesSoundPlan(t *testing.T) {
 	if len(vs) != 0 || got != res {
 		t.Fatalf("sound plan rewritten: %v (violations %v)", got, vs)
 	}
-	if Total() != 0 {
-		t.Fatalf("counter ticked on a sound plan: %d", Total())
+	if d := siteViolations(SitePlan) - before; d != 0 {
+		t.Fatalf("counter ticked on a sound plan: %d", d)
 	}
 }
 
 func TestVerifyResultTrafficFallback(t *testing.T) {
-	ResetCounters()
+	before := siteViolations(SitePlan)
 	m := blockMatrix(t)
 	res := &reorder.Result{
 		Perm:      interleavePerm(),
@@ -140,13 +158,12 @@ func TestVerifyResultTrafficFallback(t *testing.T) {
 	if got.Extra["matvecs"] != 7 {
 		t.Fatal("diagnostics lost in fallback")
 	}
-	if Total() != int64(len(vs)) || BySite()[SitePlan] != int64(len(vs)) {
-		t.Fatalf("counters: total=%d bySite=%v want %d", Total(), BySite(), len(vs))
+	if d := siteViolations(SitePlan) - before; d != int64(len(vs)) {
+		t.Fatalf("plan-site counter moved by %d, want %d", d, len(vs))
 	}
 }
 
 func TestVerifyResultCatchesInjectedCorruption(t *testing.T) {
-	ResetCounters()
 	t.Cleanup(faultinject.Reset)
 	m := blockMatrix(t)
 	orig := sparse.IdentityPerm(16)
@@ -180,7 +197,7 @@ func TestVerifyResultCatchesInjectedCorruption(t *testing.T) {
 }
 
 func TestCachePutRejectsDegradedAndCorrupt(t *testing.T) {
-	ResetCounters()
+	before := siteViolations(SiteCachePut)
 	perm := sparse.IdentityPerm(8)
 	if err := CachePut(perm, 0, false, true, "budget expired"); err == nil {
 		t.Fatal("degraded entry accepted for caching")
@@ -191,17 +208,21 @@ func TestCachePutRejectsDegradedAndCorrupt(t *testing.T) {
 	if err := CachePut(perm, 0, false, false, ""); err != nil {
 		t.Fatalf("sound entry rejected: %v", err)
 	}
-	if BySite()[SiteCachePut] == 0 {
+	if siteViolations(SiteCachePut) == before {
 		t.Fatal("cache-put violations not counted")
 	}
 }
 
 func TestCheckEntryFields(t *testing.T) {
-	if vs := CheckEntryFields(sparse.IdentityPerm(4), 0, false, true, "x"); !hasCode(vs, CodeDegradedCached) {
+	if vs := CheckEntryFields(4, sparse.IdentityPerm(4), 0, false, true, "x"); !hasCode(vs, CodeDegradedCached) {
 		t.Fatalf("degraded cache entry not flagged: %v", vs)
 	}
-	if vs := CheckEntryFields(sparse.Permutation{2, 0, 1, 3}, 8, true, false, ""); len(vs) != 0 {
+	if vs := CheckEntryFields(4, sparse.Permutation{2, 0, 1, 3}, 8, true, false, ""); len(vs) != 0 {
 		t.Fatalf("sound entry flagged: %v", vs)
+	}
+	// A sound permutation for another row count is not this matrix's plan.
+	if vs := CheckEntryFields(5, sparse.Permutation{2, 0, 1, 3}, 8, true, false, ""); !hasCode(vs, CodePermInvalid) {
+		t.Fatalf("entry for 4 rows accepted for a 5-row matrix: %v", vs)
 	}
 }
 

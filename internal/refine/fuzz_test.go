@@ -9,21 +9,21 @@ import (
 )
 
 // FuzzRefine drives the full pipeline with hostile hand-assembled CSR inputs
-// (never pre-validated — Apply owns the validation) and arbitrary op
-// combinations. Whatever Apply accepts must be a valid square CSR; whatever it
-// rejects must come back as an error, never a panic, OOM, or hang.
+// (never pre-validated — Apply owns the validation). Whatever Apply accepts
+// must be a valid square CSR; whatever it rejects must come back as an error,
+// never a panic, OOM, or hang.
 func FuzzRefine(f *testing.F) {
 	// Empty matrix.
-	f.Add(0, 0, []byte{0}, []byte{}, []byte{}, byte(0x1f), 0.95)
+	f.Add(0, 0, []byte{0}, []byte{}, []byte{})
 	// Single row.
-	f.Add(1, 1, []byte{0, 1}, []byte{0}, []byte{200}, byte(0x1f), 0.5)
+	f.Add(1, 1, []byte{0, 1}, []byte{0}, []byte{200})
 	// All-dense 3x3 (rowPtr 0,3,6,9; every column in every row).
 	f.Add(3, 3, []byte{0, 3, 6, 9}, []byte{0, 1, 2, 0, 1, 2, 0, 1, 2},
-		[]byte{10, 20, 30, 40, 50, 60, 70, 80, 90}, byte(0x1f), 0.95)
-	// Rectangular (must be rejected), bad percentile, negative dims.
-	f.Add(2, 3, []byte{0, 1, 2}, []byte{0, 1}, []byte{1, 2}, byte(0x02), 1.5)
-	f.Add(-1, -1, []byte{}, []byte{}, []byte{}, byte(0x00), 0.0)
-	f.Fuzz(func(t *testing.T, rows, cols int, rowPtrB, colB, valB []byte, ops byte, p float64) {
+		[]byte{10, 20, 30, 40, 50, 60, 70, 80, 90})
+	// Rectangular (must be rejected), negative dims.
+	f.Add(2, 3, []byte{0, 1, 2}, []byte{0, 1}, []byte{1, 2})
+	f.Add(-1, -1, []byte{}, []byte{}, []byte{})
+	f.Fuzz(func(t *testing.T, rows, cols int, rowPtrB, colB, valB []byte) {
 		rowPtr := make([]int64, len(rowPtrB))
 		for i, b := range rowPtrB {
 			rowPtr[i] = int64(b) - 8
@@ -48,17 +48,8 @@ func FuzzRefine(f *testing.F) {
 				val[i] = float64(b)/64 - 1
 			}
 		}
-		o := Options{
-			CropDiagonal: ops&1 != 0,
-			Symmetrize:   ops&4 != 0,
-			Diffuse:      ops&8 != 0,
-			RowMaxNorm:   ops&16 != 0,
-		}
-		if ops&2 != 0 {
-			o.ThresholdP = p
-		}
 		m := &sparse.CSR{Rows: rows, Cols: cols, RowPtr: rowPtr, Col: col, Val: val}
-		out, err := Apply(context.Background(), m, o)
+		out, err := Apply(context.Background(), m)
 		if err != nil {
 			return // rejecting bad input is fine; crashing is not
 		}
@@ -71,11 +62,9 @@ func FuzzRefine(f *testing.F) {
 		if out.Val == nil && out.NNZ() > 0 {
 			t.Fatal("refined output lost its values")
 		}
-		// Ops that promise symmetry must deliver it on any accepted input:
-		// Symmetrize always ends symmetric (a final pass restores it after
-		// RowMaxNorm), and Diffuse does unless RowMaxNorm rescales afterwards.
-		// NaN values never compare equal, so skip value comparison when the
-		// input smuggled NaNs through the arithmetic.
+		// The recipe ends with a symmetrize, so any accepted input comes out
+		// symmetric. NaN values never compare equal, so skip value comparison
+		// when the input smuggled NaNs through the arithmetic.
 		hasNaN := false
 		for _, v := range out.Val {
 			if v != v {
@@ -83,7 +72,7 @@ func FuzzRefine(f *testing.F) {
 				break
 			}
 		}
-		if !hasNaN && (o.Symmetrize || (o.Diffuse && !o.RowMaxNorm)) {
+		if !hasNaN {
 			tr := sparse.Transpose(out)
 			if !sparse.Equal(out, tr) {
 				t.Fatal("symmetrizing pipeline produced an asymmetric matrix")

@@ -1,11 +1,10 @@
 // Package refine implements the affinity-refinement pipeline the auto-k
 // selector runs over the CSR similarity matrix before eigengap analysis:
-// crop-diagonal, per-row p-percentile thresholding, symmetrization
+// crop-diagonal, per-row 95th-percentile thresholding, symmetrization
 // (elementwise max with the transpose), diffusion S·Sᵀ, and row-max
 // renormalization. The ops mirror the SpectralCluster production recipe
 // (minus the gaussian blur, which only makes sense for dense affinities) and
-// compose in a fixed order, so a refinement configuration is a value, not a
-// program.
+// Apply composes them in one fixed order.
 //
 // Every op is a pure function: inputs are never mutated, outputs are freshly
 // allocated valued CSR matrices. Per-row work runs through internal/parallel
@@ -39,83 +38,21 @@ var (
 // depend only on (rows, rowGrain), never on the worker count.
 const rowGrain = 256
 
-// Options selects which refinement ops run. Ops always apply in the fixed
-// order: CropDiagonal → Threshold → Symmetrize → Diffuse → RowMaxNorm; when
-// both RowMaxNorm and Symmetrize are enabled a final symmetrize pass restores
-// value symmetry after the per-row scaling (elementwise max keeps each row's
-// unit maximum, so the max-1 property survives).
-type Options struct {
-	// CropDiagonal removes self-similarity entries, which otherwise dominate
-	// every row and flatten the spectrum's gap structure.
-	CropDiagonal bool
-	// ThresholdP, when in (0, 1), applies per-row p-percentile thresholding:
-	// entries below the row's p-quantile value are dropped. Larger p drops
-	// more (monotone), and thresholding never increases nnz. 0 disables.
-	ThresholdP float64
-	// Symmetrize replaces S with max(S, Sᵀ) elementwise — the SpectralCluster
-	// recipe's symmetrization, idempotent by construction.
-	Symmetrize bool
-	// Diffuse replaces S with S·Sᵀ, sharpening block structure by two-hop
-	// similarity propagation. The output is symmetric regardless of input.
-	Diffuse bool
-	// RowMaxNorm scales each row by its maximum value so every non-empty row
-	// has maximum exactly 1 (SpectralCluster's row-wise renorm).
-	RowMaxNorm bool
-}
+// Percentile is the recipe's per-row thresholding percentile: entries below
+// a row's 95th-percentile value are dropped.
+const Percentile = 0.95
 
-// Default returns the production refinement configuration: the full
-// SpectralCluster-style pipeline with 95th-percentile thresholding.
-func Default() Options {
-	return Options{
-		CropDiagonal: true,
-		ThresholdP:   0.95,
-		Symmetrize:   true,
-		Diffuse:      true,
-		RowMaxNorm:   true,
-	}
-}
-
-// Enabled reports whether any op is turned on.
-func (o Options) Enabled() bool {
-	return o.CropDiagonal || o.ThresholdP > 0 || o.Symmetrize || o.Diffuse || o.RowMaxNorm
-}
-
-// String names the enabled ops in application order (for logs and reports).
-func (o Options) String() string {
-	if !o.Enabled() {
-		return "none"
-	}
-	s := ""
-	add := func(name string) {
-		if s != "" {
-			s += "+"
-		}
-		s += name
-	}
-	if o.CropDiagonal {
-		add("crop")
-	}
-	if o.ThresholdP > 0 {
-		add(fmt.Sprintf("thr%.2f", o.ThresholdP))
-	}
-	if o.Symmetrize {
-		add("sym")
-	}
-	if o.Diffuse {
-		add("diffuse")
-	}
-	if o.RowMaxNorm {
-		add("rownorm")
-	}
-	return s
-}
-
-// Apply runs the enabled ops over s in the fixed pipeline order and returns
-// the refined affinity matrix (always valued, never sharing storage with s).
-// s must be a valid square CSR; Apply validates rather than trusting the
-// caller, so hostile inputs surface as errors, never panics. The context is
-// checked between ops; mid-pipeline cancellation returns ctx.Err().
-func Apply(ctx context.Context, s *sparse.CSR, o Options) (*sparse.CSR, error) {
+// Apply runs the refinement recipe over s and returns the refined affinity
+// matrix (always valued, never sharing storage with s). The ops apply in a
+// fixed order: CropDiagonal → RowThreshold at Percentile → Symmetrize →
+// Diffuse → RowMaxNorm → Symmetrize. The final symmetrize restores value
+// symmetry after the per-row scaling: max(S, Sᵀ) keeps every value ≤ 1 and
+// each non-empty row's unit maximum, so the eigensolver sees a symmetric
+// operator and rows stay max-1. s must be a valid square CSR; Apply
+// validates rather than trusting the caller, so hostile inputs surface as
+// errors, never panics. The context is checked before each op;
+// mid-pipeline cancellation returns ctx.Err().
+func Apply(ctx context.Context, s *sparse.CSR) (*sparse.CSR, error) {
 	if s == nil {
 		return nil, errors.New("refine: nil matrix")
 	}
@@ -125,53 +62,23 @@ func Apply(ctx context.Context, s *sparse.CSR, o Options) (*sparse.CSR, error) {
 	if s.Rows != s.Cols {
 		return nil, fmt.Errorf("%w: %dx%d", ErrNotSquare, s.Rows, s.Cols)
 	}
-	if !(o.ThresholdP >= 0 && o.ThresholdP < 1) { // NaN-safe
-		return nil, fmt.Errorf("%w: %g", ErrBadPercentile, o.ThresholdP)
-	}
 	out := valued(s)
-	step := func(f func() (*sparse.CSR, error)) error {
+	for _, op := range []func(*sparse.CSR) (*sparse.CSR, error){
+		func(m *sparse.CSR) (*sparse.CSR, error) { return CropDiagonal(m), nil },
+		func(m *sparse.CSR) (*sparse.CSR, error) { return RowThreshold(m, Percentile) },
+		Symmetrize,
+		Diffuse,
+		func(m *sparse.CSR) (*sparse.CSR, error) { return RowMaxNorm(m), nil },
+		Symmetrize,
+	} {
 		if err := ctx.Err(); err != nil {
-			return err
+			return nil, err
 		}
-		next, err := f()
+		next, err := op(out)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		out = next
-		return nil
-	}
-	if o.CropDiagonal {
-		if err := step(func() (*sparse.CSR, error) { return CropDiagonal(out), nil }); err != nil {
-			return nil, err
-		}
-	}
-	if o.ThresholdP > 0 {
-		if err := step(func() (*sparse.CSR, error) { return RowThreshold(out, o.ThresholdP) }); err != nil {
-			return nil, err
-		}
-	}
-	if o.Symmetrize {
-		if err := step(func() (*sparse.CSR, error) { return Symmetrize(out) }); err != nil {
-			return nil, err
-		}
-	}
-	if o.Diffuse {
-		if err := step(func() (*sparse.CSR, error) { return Diffuse(out) }); err != nil {
-			return nil, err
-		}
-	}
-	if o.RowMaxNorm {
-		if err := step(func() (*sparse.CSR, error) { return RowMaxNorm(out), nil }); err != nil {
-			return nil, err
-		}
-		if o.Symmetrize {
-			// Restore value symmetry after the per-row scaling. max(S, Sᵀ)
-			// keeps every value ≤ 1 and each non-empty row's unit maximum, so
-			// the eigensolver sees a symmetric operator and rows stay max-1.
-			if err := step(func() (*sparse.CSR, error) { return Symmetrize(out) }); err != nil {
-				return nil, err
-			}
-		}
 	}
 	return out, nil
 }
@@ -190,7 +97,8 @@ func valued(s *sparse.CSR) *sparse.CSR {
 	return c
 }
 
-// CropDiagonal returns s with all diagonal entries removed.
+// CropDiagonal returns s with all diagonal entries removed: self-similarity
+// otherwise dominates every row and flattens the spectrum's gap structure.
 func CropDiagonal(s *sparse.CSR) *sparse.CSR {
 	s = valued(s)
 	n := s.Rows

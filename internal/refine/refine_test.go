@@ -164,9 +164,8 @@ func TestDiffusePreservesSymmetry(t *testing.T) {
 }
 
 func TestApplyFullPipelineInvariants(t *testing.T) {
-	o := Default()
 	for name, s := range similarityFixtures(t) {
-		out, err := Apply(context.Background(), s, o)
+		out, err := Apply(context.Background(), s)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -191,12 +190,11 @@ func TestApplyFullPipelineInvariants(t *testing.T) {
 // (the BOOTES_WORKERS knob), because plan keys assume the refined similarity
 // is a pure function of its input.
 func TestApplyBitIdenticalAcrossWorkerCounts(t *testing.T) {
-	o := Default()
 	for name, s := range similarityFixtures(t) {
 		var ref *sparse.CSR
 		for _, workers := range []int{1, 2, 8} {
 			prev := parallel.SetWorkers(workers)
-			out, err := Apply(context.Background(), s, o)
+			out, err := Apply(context.Background(), s)
 			parallel.SetWorkers(prev)
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", name, workers, err)
@@ -217,18 +215,17 @@ func TestApplyBitIdenticalAcrossWorkerCounts(t *testing.T) {
 // Patterns must match exactly; values within 1e-12 (Diffuse reassociates
 // floating-point sums under relabeling).
 func TestApplyPermutationEquivariant(t *testing.T) {
-	o := Default()
 	for name, s := range similarityFixtures(t) {
 		perm := testPerm(s.Rows)
 		ps, err := sparse.PermuteSymmetric(s, perm)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		refinedPerm, err := Apply(context.Background(), ps, o)
+		refinedPerm, err := Apply(context.Background(), ps)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		refined, err := Apply(context.Background(), s, o)
+		refined, err := Apply(context.Background(), s)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -268,37 +265,23 @@ func testPerm(n int) sparse.Permutation {
 }
 
 func TestApplyRejectsHostileInput(t *testing.T) {
-	if _, err := Apply(context.Background(), nil, Default()); err == nil {
+	if _, err := Apply(context.Background(), nil); err == nil {
 		t.Error("nil matrix accepted")
 	}
 	rect, err := sparse.NewCSR(2, 3, []int64{0, 1, 2}, []int32{0, 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Apply(context.Background(), rect, Default()); err == nil {
+	if _, err := Apply(context.Background(), rect); err == nil {
 		t.Error("rectangular matrix accepted")
 	}
 	sq, err := sparse.NewCSR(2, 2, []int64{0, 1, 2}, []int32{0, 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad := Default()
-	bad.ThresholdP = 1.5
-	if _, err := Apply(context.Background(), sq, bad); err == nil {
-		t.Error("out-of-range percentile accepted")
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := Apply(ctx, sq, Default()); err == nil {
+	if _, err := Apply(ctx, sq); err == nil {
 		t.Error("cancelled context not honored")
-	}
-}
-
-func TestOptionsString(t *testing.T) {
-	if got := (Options{}).String(); got != "none" {
-		t.Errorf("empty options = %q", got)
-	}
-	if got := Default().String(); got != "crop+thr0.95+sym+diffuse+rownorm" {
-		t.Errorf("default options = %q", got)
 	}
 }

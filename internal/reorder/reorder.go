@@ -39,8 +39,8 @@ type Result struct {
 	// empty when Degraded is false.
 	DegradedReason string
 	// SimilarityMode names the similarity tier the spectral pass ran
-	// ("exact", "bitset", "approx", "implicit"). Empty when no spectral pass
-	// ran (gate decline, identity fallback, baselines).
+	// ("exact", "approx", "implicit"). Empty when no spectral pass ran
+	// (gate decline, identity fallback, baselines).
 	SimilarityMode string
 	// AutoK records the eigengap auto-k outcome when auto-k was requested:
 	// "selected: ..." when the eigengap chose k, "fallback-...: ..." when

@@ -1,9 +1,7 @@
 package sparse
 
 import (
-	"context"
 	"math/bits"
-	"slices"
 
 	"bootes/internal/parallel"
 )
@@ -13,8 +11,7 @@ import (
 // kept, each tagged with its word index, in CSR-of-words layout. Two row
 // supports intersect by merging their word lists and popcounting the AND of
 // colliding words — 64 columns per instruction instead of one per merge step,
-// which is the SpArch-style condensing that makes the exact similarity path
-// competitive on correlated supports.
+// which is how the LSH sparsifier counts its candidate pairs exactly.
 type BitRows struct {
 	Rows int
 	// Words is the number of 64-bit words spanning the column range,
@@ -67,9 +64,6 @@ func PackBitRows(m *CSR) *BitRows {
 	return br
 }
 
-// RowWords returns the number of stored (nonzero) words of row i.
-func (br *BitRows) RowWords(i int) int { return int(br.Ptr[i+1] - br.Ptr[i]) }
-
 // IntersectCount returns |support(row i) ∩ support(row j)| by merging the two
 // word lists and popcounting the AND of each colliding word pair.
 func (br *BitRows) IntersectCount(i, j int) int {
@@ -91,147 +85,4 @@ func (br *BitRows) IntersectCount(i, j int) int {
 		}
 	}
 	return n
-}
-
-// ModeledBytes returns the deterministic in-memory size of the packed rows.
-func (br *BitRows) ModeledBytes() int64 {
-	return int64(len(br.Ptr))*8 + int64(len(br.WordIdx))*4 + int64(len(br.Bits))*8
-}
-
-// SimilarityBitsetContext computes the same S = Ā·Āᵀ as SimilarityContext —
-// bit-identical pattern and counts — but replaces the merge-based counting of
-// the second pass with bitset intersections: row supports are packed into
-// compressed 64-bit words once, row i's words are scattered into a dense word
-// accumulator, and each candidate row j is counted with word-AND + popcount
-// over only its nonzero words. Pass structure (count, prefix-sum, fill) and
-// chunking match spgemmCount, so cancellation and determinism behave
-// identically.
-func SimilarityBitsetContext(ctx context.Context, a *CSR, maxColDegree int, colCounts []int) (*CSR, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	ap := a.Pattern()
-	if maxColDegree > 0 {
-		if colCounts == nil {
-			colCounts = ColCounts(ap)
-		}
-		ap = DropHubColumnsWithCounts(ap, maxColDegree, colCounts)
-	}
-	at := Transpose(ap)
-	return spgemmCountBitset(ctx, ap, at)
-}
-
-// spgemmCountBitset is spgemmCount specialized to the symmetric similarity
-// product S = A·Aᵀ (at must be Transpose(a)). Instead of the element-wise
-// mark walk, each output row's candidate set is the bitwise OR of the
-// word-compressed column supports (the packed rows of Āᵀ) of the row's
-// columns — one word-OR covers up to 64 candidates, which is the condensing
-// win. Pass one popcounts the union words to size the output; pass two
-// extracts candidates from the union words in ascending order (no sort of
-// individual indices needed beyond the touched-word list) and computes each
-// count by word-AND + popcount of the two packed column supports. Candidate
-// sets and counts are definitionally equal to the merge path's, so the
-// output is bit-identical for any worker count.
-func spgemmCountBitset(ctx context.Context, a, at *CSR) (*CSR, error) {
-	if a.Cols != at.Rows {
-		return nil, ErrDimension
-	}
-	c := &CSR{Rows: a.Rows, Cols: at.Cols}
-	c.RowPtr = make([]int64, a.Rows+1)
-	c.Val = []float64{} // counts are values, even when empty
-
-	brCols := PackBitRows(a)  // row supports over column space: pair counts
-	brRows := PackBitRows(at) // column supports over row space: candidate unions
-
-	// Pass 1: union the column supports of row i's columns word-by-word and
-	// popcount. mark stamps word indices; wordAcc entries are reset lazily on
-	// first touch, so no clearing pass is needed.
-	rowNNZ := make([]int64, a.Rows)
-	err := parallel.ForContext(ctx, a.Rows, rowGrain, func(lo, hi int) {
-		s := getScratch(brRows.Words, 0, brRows.Words, 0)
-		defer putScratch(s)
-		for i := lo; i < hi; i++ {
-			stamp := s.next
-			s.next++
-			s.touched = s.touched[:0]
-			for _, k := range a.Row(i) {
-				for q := brRows.Ptr[k]; q < brRows.Ptr[k+1]; q++ {
-					w := brRows.WordIdx[q]
-					if s.mark[w] != stamp {
-						s.mark[w] = stamp
-						s.wordAcc[w] = 0
-						s.touched = append(s.touched, w)
-					}
-					s.wordAcc[w] |= brRows.Bits[q]
-				}
-			}
-			n := int64(0)
-			for _, w := range s.touched {
-				n += int64(bits.OnesCount64(s.wordAcc[w]))
-			}
-			rowNNZ[i] = n
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < a.Rows; i++ {
-		c.RowPtr[i+1] = c.RowPtr[i] + rowNNZ[i]
-	}
-	c.Col = make([]int32, c.RowPtr[a.Rows])
-	c.Val = make([]float64, c.RowPtr[a.Rows])
-
-	// Pass 2: rebuild the union words, walk them in ascending word order to
-	// emit candidates already sorted, and count each candidate j with
-	// popcount(AND) over j's nonzero column words against the dense
-	// accumulator holding row i's columns. colAcc is kept all-zero between
-	// rows by re-walking row i's words.
-	err = parallel.ForContext(ctx, a.Rows, rowGrain, func(lo, hi int) {
-		s := getScratch(brRows.Words, 0, brRows.Words, brCols.Words)
-		defer putScratch(s)
-		for i := lo; i < hi; i++ {
-			stamp := s.next
-			s.next++
-			s.touched = s.touched[:0]
-			for _, k := range a.Row(i) {
-				for q := brRows.Ptr[k]; q < brRows.Ptr[k+1]; q++ {
-					w := brRows.WordIdx[q]
-					if s.mark[w] != stamp {
-						s.mark[w] = stamp
-						s.wordAcc[w] = 0
-						s.touched = append(s.touched, w)
-					}
-					s.wordAcc[w] |= brRows.Bits[q]
-				}
-			}
-			slices.Sort(s.touched)
-			cLo, cHi := brCols.Ptr[i], brCols.Ptr[i+1]
-			for q := cLo; q < cHi; q++ {
-				s.colAcc[brCols.WordIdx[q]] = brCols.Bits[q]
-			}
-			p := c.RowPtr[i]
-			for _, w := range s.touched {
-				m := s.wordAcc[w]
-				base := int32(w) << 6
-				for m != 0 {
-					j := base + int32(bits.TrailingZeros64(m))
-					m &= m - 1
-					n := 0
-					for q := brCols.Ptr[j]; q < brCols.Ptr[j+1]; q++ {
-						n += bits.OnesCount64(s.colAcc[brCols.WordIdx[q]] & brCols.Bits[q])
-					}
-					c.Col[p] = j
-					c.Val[p] = float64(n)
-					p++
-				}
-			}
-			for q := cLo; q < cHi; q++ {
-				s.colAcc[brCols.WordIdx[q]] = 0
-			}
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	return c, nil
 }

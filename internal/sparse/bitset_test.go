@@ -1,12 +1,8 @@
 package sparse
 
 import (
-	"context"
-	"fmt"
 	"math/rand"
 	"testing"
-
-	"bootes/internal/parallel"
 )
 
 // hostileBitPatterns are row supports chosen to stress the packer's word
@@ -71,55 +67,6 @@ func TestPackBitRowsRandomMatchesMerge(t *testing.T) {
 	}
 }
 
-// TestSimilarityBitsetMatchesMerge is the kernel-level equivalence gate: the
-// bitset similarity must be bit-identical to the merge path across worker
-// counts {1,2,8} × seeds {1,2,3}, including hub exclusion.
-func TestSimilarityBitsetMatchesMerge(t *testing.T) {
-	for seed := int64(1); seed <= 3; seed++ {
-		a := benchMatrix(400, 12, seed)
-		hub := HubDegreeThreshold(a)
-		want, err := SimilarityContext(context.Background(), a, hub, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, w := range []int{1, 2, 8} {
-			prev := parallel.SetWorkers(w)
-			got, err := SimilarityBitsetContext(context.Background(), a, hub, nil)
-			parallel.SetWorkers(prev)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !Equal(want, got) {
-				t.Fatalf("seed=%d workers=%d: bitset similarity differs from merge path", seed, w)
-			}
-		}
-	}
-}
-
-func TestSimilarityBitsetCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := SimilarityBitsetContext(ctx, benchMatrix(64, 4, 1), 0, nil); err == nil {
-		t.Fatal("expected cancellation error")
-	}
-}
-
-func TestSimilarityBitsetEmptyAndTiny(t *testing.T) {
-	for _, m := range []*CSR{Zero(0, 0), Zero(5, 7), Identity(3, false)} {
-		want, err := SimilarityContext(context.Background(), m, 0, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := SimilarityBitsetContext(context.Background(), m, 0, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !Equal(want, got) {
-			t.Fatalf("bitset similarity differs for %v", m)
-		}
-	}
-}
-
 func maxInt(a, b int) int {
 	if a > b {
 		return a
@@ -128,8 +75,7 @@ func maxInt(a, b int) int {
 }
 
 // FuzzBitsetPack feeds hostile row patterns to the packer and checks the
-// packed intersection counts — and the full bitset similarity — against the
-// merge-based reference.
+// packed intersection counts against the merge-based reference.
 func FuzzBitsetPack(f *testing.F) {
 	f.Add(int64(1), 40, 90, 10)
 	f.Add(int64(2), 1, 1, 100)
@@ -148,17 +94,6 @@ func FuzzBitsetPack(f *testing.F) {
 				t.Fatalf("IntersectCount(%d,%d)=%d want %d", i, j, got, want)
 			}
 		}
-		want, err := SimilarityContext(context.Background(), m, 0, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := SimilarityBitsetContext(context.Background(), m, 0, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !Equal(want, got) {
-			t.Fatal("bitset similarity differs from merge path")
-		}
 	})
 }
 
@@ -167,24 +102,4 @@ func absInt(x int) int {
 		return -x
 	}
 	return x
-}
-
-func BenchmarkSimilarityBitset(b *testing.B) {
-	a := benchMatrix(2000, 24, 7)
-	hub := HubDegreeThreshold(a)
-	ap := DropHubColumns(a.Pattern(), hub)
-	at := Transpose(ap)
-	for _, w := range benchWorkerCounts() {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			prev := parallel.SetWorkers(w)
-			defer parallel.SetWorkers(prev)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				s, err := spgemmCountBitset(context.Background(), ap, at)
-				if err != nil || s.NNZ() == 0 {
-					b.Fatal("empty similarity matrix")
-				}
-			}
-		})
-	}
 }

@@ -149,23 +149,20 @@ const rowGrain = 64
 // monotonic per-scratch generation counter: every row processed draws a fresh
 // stamp, so stale marks — from earlier rows, earlier passes, or earlier
 // calls — can never equal the current stamp and the arrays never need
-// re-clearing. wordAcc (the bitset path's dense word accumulator) is instead
-// kept all-zero between uses by its sole consumer.
+// re-clearing.
 type spaScratch struct {
 	acc     []float64
 	mark    []int64
 	touched []int32
-	wordAcc []uint64
-	colAcc  []uint64
 	next    int64
 }
 
 var spaPool sync.Pool
 
-// getScratch returns a pooled scratch whose mark (and acc, wordAcc, colAcc
-// when requested non-zero) arrays hold at least the given lengths. Fresh mark
-// regions are initialized to -1, which no generation stamp ever equals.
-func getScratch(markLen, accLen, wordLen, colWordLen int) *spaScratch {
+// getScratch returns a pooled scratch whose mark (and acc, when requested
+// non-zero) arrays hold at least the given lengths. Fresh mark regions are
+// initialized to -1, which no generation stamp ever equals.
+func getScratch(markLen, accLen int) *spaScratch {
 	s, _ := spaPool.Get().(*spaScratch)
 	if s == nil {
 		s = &spaScratch{touched: make([]int32, 0, 256)}
@@ -178,12 +175,6 @@ func getScratch(markLen, accLen, wordLen, colWordLen int) *spaScratch {
 	}
 	if len(s.acc) < accLen {
 		s.acc = make([]float64, accLen)
-	}
-	if len(s.wordAcc) < wordLen {
-		s.wordAcc = make([]uint64, wordLen)
-	}
-	if len(s.colAcc) < colWordLen {
-		s.colAcc = make([]uint64, colWordLen)
 	}
 	return s
 }
@@ -213,7 +204,7 @@ func spgemmCount(ctx context.Context, a, b *CSR) (*CSR, error) {
 	// chunks) never strands a buffer outside the pool.
 	rowNNZ := make([]int64, a.Rows)
 	err := parallel.ForContext(ctx, a.Rows, rowGrain, func(lo, hi int) {
-		s := getScratch(b.Cols, 0, 0, 0)
+		s := getScratch(b.Cols, 0)
 		defer putScratch(s)
 		for i := lo; i < hi; i++ {
 			stamp := s.next
@@ -242,7 +233,7 @@ func spgemmCount(ctx context.Context, a, b *CSR) (*CSR, error) {
 	// Pass 2: fill each row's pre-sized slice region. Each row draws a fresh
 	// generation stamp, so pass-1 marks on a reused scratch can never collide.
 	err = parallel.ForContext(ctx, a.Rows, rowGrain, func(lo, hi int) {
-		s := getScratch(b.Cols, b.Cols, 0, 0)
+		s := getScratch(b.Cols, b.Cols)
 		defer putScratch(s)
 		for i := lo; i < hi; i++ {
 			stamp := s.next

@@ -5,9 +5,17 @@ import (
 	"testing"
 
 	"bootes/internal/faultinject"
+	"bootes/internal/obs"
 	"bootes/internal/planverify"
 	"bootes/internal/workloads"
 )
+
+// permInvalidAtPlan is the bootes_verify_violations_total series an injected
+// corruption ticks at the planning site.
+func permInvalidAtPlan() *obs.Counter {
+	return obs.Default().CounterVec(obs.VerifyViolationsName, "", "site", "code").
+		With(planverify.SitePlan, planverify.CodePermInvalid)
+}
 
 // verifyMatrix is small enough that arming faults per-subtest stays cheap but
 // structured enough that the gate reorders it.
@@ -25,7 +33,7 @@ func verifyMatrix(t *testing.T) *Matrix {
 func TestVerifyCatchesInjectedCorruptionAtPlan(t *testing.T) {
 	t.Cleanup(faultinject.Reset)
 	m := verifyMatrix(t)
-	before := planverify.BySite()[planverify.SitePlan]
+	before := permInvalidAtPlan().Value()
 	if err := faultinject.Arm(faultinject.PlanCorrupt, faultinject.Times(1)); err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +55,7 @@ func TestVerifyCatchesInjectedCorruptionAtPlan(t *testing.T) {
 			t.Fatalf("fallback perm not identity at %d", i)
 		}
 	}
-	if got := planverify.BySite()[planverify.SitePlan]; got <= before {
+	if permInvalidAtPlan().Value() <= before {
 		t.Fatal("violation not recorded under the planning site")
 	}
 
@@ -93,7 +101,7 @@ func TestVerifyCorruptPlanNeverCached(t *testing.T) {
 func TestVerifyOffSkipsChecks(t *testing.T) {
 	t.Cleanup(faultinject.Reset)
 	m := verifyMatrix(t)
-	planverify.ResetCounters()
+	before := permInvalidAtPlan().Value()
 	if err := faultinject.Arm(faultinject.PlanCorrupt, faultinject.Always()); err != nil {
 		t.Fatal(err)
 	}
@@ -104,8 +112,8 @@ func TestVerifyOffSkipsChecks(t *testing.T) {
 	if plan.Degraded {
 		t.Fatalf("VerifyOff plan degraded: %s", plan.DegradedReason)
 	}
-	if got := planverify.BySite()[planverify.SitePlan]; got != 0 {
-		t.Fatalf("VerifyOff still recorded %d plan-site violations", got)
+	if d := permInvalidAtPlan().Value() - before; d != 0 {
+		t.Fatalf("VerifyOff still recorded %d plan-site violations", d)
 	}
 }
 
