@@ -14,7 +14,8 @@
 #                  coalescing/admission/breaker storms, the durable async
 #                  queue's worker/crash paths, the metrics registry's
 #                  concurrent instrument updates, the consistent-hash ring,
-#                  and the fleet router's forward/hedge/probe paths
+#                  the fleet router's forward/hedge/probe paths and node
+#                  assembly, and the bootesd binary's plan/drain test
 #   make fuzz    — short fuzzing smoke over the sparse-format parsers, the
 #                  CSR constructor, and the plan-cache entry decoder (the
 #                  hostile-input hardening targets)
@@ -91,7 +92,8 @@ race:
 race-serve:
 	GOMAXPROCS=4 $(GO) test -race -count=2 -timeout 10m \
 		./internal/plancache/... ./internal/planserve/ ./internal/planqueue/ ./internal/obs/ \
-		./internal/ring/ ./internal/fleet/ ./internal/antientropy/ ./internal/refine/
+		./internal/ring/ ./internal/fleet/ ./internal/antientropy/ ./internal/refine/ \
+		./cmd/bootesd/
 
 # Seed-corpus-only pass: every fuzz target replays its checked-in corpus as
 # plain tests (no mutation engine), so check catches corpus regressions fast.

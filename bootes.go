@@ -119,8 +119,9 @@ type Options struct {
 	// exactly below 8 192 rows. The tiers' plans are valid bijections that
 	// may differ from one another, so each tier caches under a distinct key.
 	Similarity SimilarityMode
-	// Seed makes the pipeline deterministic (Lanczos start vectors, k-means
-	// seeding, feature sampling).
+	// Seed makes the spectral pass deterministic (Lanczos start vectors,
+	// k-means seeding). The gate's feature sampling always runs at seed 0,
+	// so the gate's decision does not depend on Seed.
 	Seed int64
 	// Budget caps planning resources. The zero value imposes no limits.
 	// Exceeding a cap never fails the plan: the pipeline degrades (cheaper
@@ -133,16 +134,6 @@ type Options struct {
 	// exactly the plan this call would have computed. Cache write failures
 	// never fail the plan.
 	Cache *PlanCache
-	// Verify selects whether every plan is machine-checked before it is
-	// returned or cached (internal/planverify): the permutation must be a
-	// bijection of the right length, K must be a feasible cluster count
-	// (a candidate count or an auto-k selection within [2, rows]),
-	// Degraded must carry a reason, and — unless ForceReorder/ForceK bypassed
-	// the gate — the traffic model must not predict the reordering moves more
-	// bytes than the original order. A violating plan never surfaces: it
-	// falls back to the identity permutation with the violation recorded in
-	// DegradedReason. The zero value is VerifyOn.
-	Verify VerifyMode
 }
 
 // SimilarityMode selects the similarity construction tier. See the constants
@@ -185,16 +176,6 @@ func EffectiveSimilarityMode(m *Matrix, o *Options) SimilarityMode {
 	}
 	return core.EffectiveSimilarityMode(m, opts.spectralOptions())
 }
-
-// VerifyMode toggles the always-on plan verifier.
-type VerifyMode int
-
-// Verifier modes. VerifyOn is the zero value: plans are checked unless the
-// caller explicitly opts out.
-const (
-	VerifyOn VerifyMode = iota
-	VerifyOff
-)
 
 // Budget caps the resources one Plan/PlanContext call may consume.
 type Budget struct {
@@ -270,6 +251,16 @@ func Plan(m *Matrix, opts *Options) (*ReorderPlan, error) {
 // returns before any similarity storage is allocated. Budgets and internal
 // faults never surface as errors — they degrade the plan instead (see
 // Options.Budget and ReorderPlan.Degraded).
+//
+// Every plan, computed or read from Options.Cache, is machine-checked before
+// it is returned (internal/planverify): the permutation must be a bijection
+// of the right length, K must be a feasible cluster count (a candidate count
+// or an auto-k selection within [2, rows]), Degraded must carry a reason,
+// and, unless ForceReorder/ForceK bypassed the gate, the traffic model must
+// not predict that the reordering moves more bytes than the original order.
+// A violating computed plan falls back to the identity permutation with the
+// violation recorded in DegradedReason; a violating cache entry is
+// recomputed.
 func PlanContext(ctx context.Context, m *Matrix, opts *Options) (*ReorderPlan, error) {
 	var o Options
 	if opts != nil {
@@ -282,14 +273,9 @@ func PlanContext(ctx context.Context, m *Matrix, opts *Options) (*ReorderPlan, e
 			// A hit is re-checked before it is trusted: a corrupt or degraded
 			// entry (disk rot beyond the CRC, a foreign writer) is treated as
 			// a miss and recomputed, never served.
-			hitSound := true
-			if o.Verify == VerifyOn {
-				if vs := planverify.CheckEntryFields(m.Rows, e.Perm, e.K, e.Reordered, e.Degraded, e.DegradedReason); len(vs) > 0 {
-					planverify.Record(planverify.SitePlanHit, vs...)
-					hitSound = false
-				}
-			}
-			if hitSound {
+			vs := planverify.CheckEntryFields(m.Rows, e.Perm, e.K, e.Reordered, e.Degraded, e.DegradedReason)
+			planverify.Record(planverify.SitePlanHit, vs...)
+			if len(vs) == 0 {
 				// K > 0 ⇔ a spectral pass produced the entry, so the tier it
 				// ran is exactly what this call's options resolve to (the key
 				// covers every option that changes the tier).
@@ -336,15 +322,13 @@ func PlanContext(ctx context.Context, m *Matrix, opts *Options) (*ReorderPlan, e
 	if err != nil {
 		return nil, err
 	}
-	if o.Verify == VerifyOn {
-		// Always-on verification: structural invariants on every plan, plus
-		// the never-regress traffic check on gate-approved reorderings. The
-		// Force* options are explicit caller overrides of the gate (ablation
-		// and labelling paths), so only the structural checks apply to them.
-		res, _ = planverify.VerifyResult(planverify.SitePlan, m, res, &planverify.Config{
-			Traffic: !o.ForceReorder && o.ForceK == 0,
-		})
-	}
+	// Always-on verification: structural invariants on every plan, plus the
+	// never-regress traffic check on gate-approved reorderings. The Force*
+	// options are explicit caller overrides of the gate (ablation and
+	// labelling paths), so only the structural checks apply to them.
+	res, _ = planverify.VerifyResult(planverify.SitePlan, m, res, &planverify.Config{
+		Traffic: !o.ForceReorder && o.ForceK == 0,
+	})
 	plan := &ReorderPlan{
 		Perm:              res.Perm,
 		Reordered:         res.Reordered,
@@ -407,8 +391,7 @@ func MatrixKey(m *Matrix) string { return plancache.KeyCSR(m) }
 // changes the planned permutation, so one cache directory can serve callers
 // with different seeds, forced configurations, or models without collisions.
 // Budget is deliberately excluded: it only influences degraded plans, which
-// are never cached. Verify is likewise excluded: verification never alters a
-// healthy plan, and only healthy plans are cached.
+// are never cached.
 //
 // The similarity tier is keyed as resolved against this matrix (exact,
 // approximate or implicit), whether explicit or auto-selected by size,

@@ -299,10 +299,7 @@ func cmdSimulate(args []string) {
 	}
 
 	a := readMatrix(*in)
-	b := a
-	if a.Rows != a.Cols {
-		b = sparse.Transpose(a)
-	}
+	b := trafficmodel.OperandB(a)
 	res, err := r.Reorder(a)
 	if err != nil {
 		log.Fatal(err)
@@ -357,10 +354,7 @@ func cmdCompare(args []string) {
 		log.Fatalf("unknown accelerator %q", *accelName)
 	}
 	a := readMatrix(*in)
-	b := a
-	if a.Rows != a.Cols {
-		b = sparse.Transpose(a)
-	}
+	b := trafficmodel.OperandB(a)
 	fmt.Printf("%s on %s\n", a, cfg)
 	fmt.Printf("%-10s %12s %12s %14s %12s\n", "method", "preproc(s)", "B traffic", "total traffic", "vs none")
 	var baseTotal int64

@@ -33,11 +33,9 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"log"
-	"net/http"
-	"net/http/pprof"
+	"net"
 	"os"
 	"os/signal"
 	"strings"
@@ -48,11 +46,8 @@ import (
 	"bootes/internal/antientropy"
 	"bootes/internal/fleet"
 	"bootes/internal/obs"
-	"bootes/internal/plancache"
 	"bootes/internal/planqueue"
 	"bootes/internal/planserve"
-	"bootes/internal/reorder"
-	"bootes/internal/sparse"
 )
 
 func main() {
@@ -116,188 +111,69 @@ func main() {
 		}
 	}
 
-	var cache *plancache.Cache
-	if *cacheDir != "" {
-		var err error
-		if cache, err = plancache.Open(*cacheDir); err != nil {
-			log.Fatalf("opening plan cache: %v", err)
-		}
-		st := cache.Stats()
-		log.Printf("plan cache %s: %d entries loaded, %d quarantined", *cacheDir, st.Entries, st.Quarantined)
-	}
-
-	// The async queue shares the sync path's pipeline and plan cache, and its
-	// worker pool defaults to the admission width: background planning can
-	// never out-parallelize what the operator allowed for foreground work.
-	var queue *planqueue.Queue
-	if *queueDir != "" {
-		if cache == nil {
-			log.Fatal("-queue-dir requires -cache: async jobs complete into the plan cache")
-		}
-		workers := *queueWorkers
-		if workers <= 0 {
-			workers = *maxInFlight
-		}
-		queue, err = planqueue.Open(planqueue.Config{
-			Dir:                *queueDir,
-			Run:                planqueue.RunFunc(planFunc(model, *seed, simMode, *autoK)),
-			Cache:              cache,
-			Workers:            workers,
-			MaxQueued:          *queueMax,
-			MaxQueuedPerTenant: *queueMaxTenant,
-			Metrics:            obs.Default(),
-			Seed:               *seed,
-			Logf:               log.Printf,
-		})
-		if err != nil {
-			log.Fatalf("opening async queue: %v", err)
-		}
-		qs := queue.Stats()
-		log.Printf("async queue %s: %d jobs recovered to queued, %d torn journal tails truncated",
-			*queueDir, qs.Recovered, qs.TornTails)
-		queue.Start()
-	}
-
-	// Fleet mode: the router owns the ring, the peer health view, and the
-	// peer cache-fill hook. It wraps the serving handler below.
-	var router *fleet.Router
+	var peers []string
 	if *peersFlag != "" {
 		if *selfURL == "" {
 			log.Fatal("-peers requires -self: this node must know its own URL on the ring")
 		}
-		router, err = fleet.New(fleet.Config{
+		peers = strings.Split(*peersFlag, ",")
+	}
+
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		log.Fatalf("listener failed: %v", err)
+	}
+	// The daemon owns the process, so its metrics live on the process-wide
+	// registry: /metrics then carries serving, pipeline, cache, and verifier
+	// families in one exposition.
+	node, err := fleet.StartNode(ln, fleet.NodeConfig{
+		Serve: planserve.Config{
+			Plan:            planserve.PipelinePlan(bootes.Options{Model: model, Seed: *seed, Similarity: simMode, AutoK: *autoK}),
+			Tenants:         planserve.TenantConfig{Rate: *tenantRate, Burst: *tenantBurst},
+			MaxInFlight:     *maxInFlight,
+			MaxQueue:        *maxQueue,
+			DefaultDeadline: *deadline,
+			MaxRetries:      *retries,
+			Breaker: planserve.BreakerConfig{
+				FailureThreshold: *breakerFails,
+				Cooldown:         *breakerCooldown,
+			},
+			MaxUploadBytes:    *maxUpload,
+			UploadReadTimeout: *uploadTimeout,
+			AllowLocalPaths:   *allowPath,
+			AutoK:             *autoK,
+			Seed:              *seed,
+		},
+		CacheDir: *cacheDir,
+		Queue: planqueue.Config{
+			Dir:                *queueDir,
+			Workers:            *queueWorkers,
+			MaxQueued:          *queueMax,
+			MaxQueuedPerTenant: *queueMaxTenant,
+			Seed:               *seed,
+		},
+		Fleet: fleet.Config{
 			Self:          *selfURL,
-			Peers:         strings.Split(*peersFlag, ","),
+			Peers:         peers,
 			Replicas:      *replicas,
 			Vnodes:        *vnodes,
 			HedgeAfter:    *hedgeAfter,
 			ProbeInterval: *probeInterval,
 			ProbeTimeout:  *probeTimeout,
 			DownAfter:     *downAfter,
-			MaxBodyBytes:  *maxUpload,
-			Metrics:       obs.Default(),
-			Logf:          log.Printf,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-	}
-
-	// Self-healing rides on fleet mode: the healer shares the router's ring
-	// and health view, replicates fresh plans across each key's replica set,
-	// parks hints for down replicas, and repairs divergence in the background.
-	var healer *antientropy.Healer
-	if *selfHeal {
-		if router == nil {
-			log.Fatal("-self-heal requires -peers: anti-entropy repairs replicas on the fleet ring")
-		}
-		if cache == nil {
-			log.Fatal("-self-heal requires -cache: there is nothing to repair without a persistent plan cache")
-		}
-		healer, err = antientropy.New(antientropy.Config{
-			Cache:          cache,
-			Ring:           router.Ring,
-			Self:           *selfURL,
-			Replicas:       *replicas,
-			PeerUp:         router.PeerUp,
-			RepairInterval: *repairInterval,
-			ScrubInterval:  *scrubInterval,
-			Metrics:        obs.Default(),
-			Logf:           log.Printf,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		router.SetOnPeerUp(healer.NotifyPeerUp)
-	}
-
-	cfg := planserve.Config{
-		Plan:            planFunc(model, *seed, simMode, *autoK),
-		Cache:           cache,
-		Queue:           queue,
-		Tenants:         planserve.TenantConfig{Rate: *tenantRate, Burst: *tenantBurst},
-		MaxInFlight:     *maxInFlight,
-		MaxQueue:        *maxQueue,
-		DefaultDeadline: *deadline,
-		MaxRetries:      *retries,
-		Breaker: planserve.BreakerConfig{
-			FailureThreshold: *breakerFails,
-			Cooldown:         *breakerCooldown,
 		},
-		MaxUploadBytes:    *maxUpload,
-		UploadReadTimeout: *uploadTimeout,
-		AllowLocalPaths:   *allowPath,
-		AutoK:             *autoK,
-		Seed:              *seed,
-		Metrics:           obs.Default(),
-	}
-	if router != nil {
-		cfg.PeerFill = router.Fill
-	}
-	if healer != nil {
-		cfg.Replicate = healer.Replicate
-		cfg.Heal = healer
-	}
-	srv, err := planserve.New(cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	// The daemon owns the process, so its serving metrics live on the
-	// process-wide registry: /metrics then carries serving, pipeline, cache,
-	// and verifier families in one exposition. Profiling handlers are
-	// registered explicitly (never via the http.DefaultServeMux side effect)
-	// and only when asked — pprof on a public address is an information leak.
-	handler := srv.Handler()
-	if router != nil {
-		handler = router.Handler(handler)
-		router.Start()
-		log.Printf("fleet: self=%s peers=%d replicas=%d hedge-after=%s", *selfURL, len(router.Ring().Nodes()), *replicas, *hedgeAfter)
-	}
-	if *pprofOn {
-		outer := http.NewServeMux()
-		outer.HandleFunc("/debug/pprof/", pprof.Index)
-		outer.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		outer.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		outer.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		outer.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		outer.Handle("/", handler)
-		handler = outer
-		log.Printf("pprof enabled on %s/debug/pprof/", *addr)
-	}
-
-	// Server-side timeouts close the slowloris hole: a client that trickles
-	// headers or holds idle keep-alives cannot pin a connection forever. The
-	// body-read budget is per-request (UploadReadTimeout above), so a legal
-	// large upload is bounded by its own clock, not the header one.
-	httpSrv := &http.Server{
-		Addr:              *addr,
-		Handler:           handler,
+		SelfHeal:          *selfHeal,
+		Heal:              antientropy.Config{RepairInterval: *repairInterval, ScrubInterval: *scrubInterval},
+		WarmupDeadline:    *warmupDeadline,
 		ReadHeaderTimeout: *readHeaderTimeout,
 		ReadTimeout:       *readTimeout,
 		IdleTimeout:       *idleTimeout,
-	}
-	// Warming is flagged before the listener serves its first request, so
-	// there is no window where /readyz answers 200 with the owned ranges
-	// still unfetched. The warm-up itself runs after the listener is up: the
-	// cache data plane (digests, entry reads, pushes) serves throughout.
-	if healer != nil {
-		srv.SetWarming(true)
-	}
-	errc := make(chan error, 1)
-	go func() { errc <- httpSrv.ListenAndServe() }()
-	log.Printf("serving on %s (inflight=%d queue auto, deadline=%s, cache=%q)",
-		*addr, *maxInFlight, *deadline, *cacheDir)
-	if healer != nil {
-		wctx, wcancel := context.WithTimeout(context.Background(), *warmupDeadline)
-		if n := healer.Warmup(wctx); n > 0 {
-			log.Printf("self-heal: warmed %d owned entries from replicas before ready", n)
-		}
-		wcancel()
-		srv.SetWarming(false)
-		healer.Start()
-		log.Printf("self-heal: repair every %s, scrub every %s, %d hints pending",
-			*repairInterval, *scrubInterval, healer.HintsPending())
+		Pprof:             *pprofOn,
+		Metrics:           obs.Default(),
+		Logf:              log.Printf,
+	}, true)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	sigc := make(chan os.Signal, 1)
@@ -305,70 +181,11 @@ func main() {
 	select {
 	case sig := <-sigc:
 		log.Printf("received %s: draining (deadline %s)", sig, *drain)
-	case err := <-errc:
+	case err := <-node.ServeErr():
 		log.Fatalf("listener failed: %v", err)
 	}
-
-	// Graceful shutdown: stop admitting (readyz flips to 503, new plan
-	// requests get 503), drain in-flight pipelines — whose cache writes are
-	// synchronous, so a clean drain implies a flushed cache — then close the
-	// listener.
 	ctx, cancel := context.WithTimeout(context.Background(), *drain)
 	defer cancel()
-	// The router stops probing first: a draining node must not keep marking
-	// peers up/down from a half-torn-down stack (forwarding keeps working on
-	// the last health view while in-flight requests drain).
-	if router != nil {
-		router.Stop()
-	}
-	if err := srv.Shutdown(ctx); err != nil {
-		log.Printf("drain incomplete: %v", err)
-	}
-	// Drain push after the plan pipelines settle: entries only this node
-	// holds are handed to the other replicas while the listener still
-	// answers their verification reads.
-	if healer != nil {
-		healer.DrainPush(ctx)
-		healer.Stop()
-	}
-	// The queue drains after the HTTP layer: no new submissions can arrive,
-	// workers finish their current job, and the shutdown checkpoint compacts
-	// the journal so the next start replays a minimal file. Jobs still queued
-	// stay journaled and resume on restart.
-	if queue != nil {
-		if err := queue.Stop(ctx); err != nil {
-			log.Printf("queue drain incomplete: %v", err)
-		}
-	}
-	if err := httpSrv.Shutdown(ctx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
-		log.Printf("http shutdown: %v", err)
-	}
+	_ = node.Close(ctx) // logs each incomplete step
 	log.Printf("stopped")
-}
-
-// planFunc adapts the core pipeline to the serving layer. Each retry attempt
-// mixes the attempt number into the seed so a transient eigensolver failure
-// is not deterministically replayed.
-func planFunc(model *bootes.Model, seed int64, sim bootes.SimilarityMode, autoK bool) planserve.PlanFunc {
-	return func(ctx context.Context, m *sparse.CSR, attempt int) (*reorder.Result, error) {
-		opts := &bootes.Options{Seed: seed + int64(attempt)*0x9E3779B9, Model: model, Similarity: sim, AutoK: autoK}
-		if dl, ok := ctx.Deadline(); ok {
-			opts.Budget.MaxWallClock = time.Until(dl)
-		}
-		plan, err := bootes.PlanContext(ctx, m, opts)
-		if err != nil {
-			return nil, err
-		}
-		return &reorder.Result{
-			Perm:           plan.Perm,
-			Reordered:      plan.Reordered,
-			Degraded:       plan.Degraded,
-			DegradedReason: plan.DegradedReason,
-			SimilarityMode: plan.SimilarityMode,
-			AutoK:          plan.AutoK,
-			PreprocessTime: time.Duration(plan.PreprocessSeconds * float64(time.Second)),
-			FootprintBytes: plan.FootprintBytes,
-			Extra:          map[string]float64{"k": float64(plan.K)},
-		}, nil
-	}
 }

@@ -46,6 +46,7 @@ import (
 	bootes "bootes"
 	"bootes/internal/fleet"
 	"bootes/internal/plancache"
+	"bootes/internal/planserve"
 	"bootes/internal/reorder"
 	"bootes/internal/ring"
 	"bootes/internal/sparse"
@@ -158,27 +159,31 @@ func resolveFleet(peers string, spawn, replicas int, seed int64, selfHeal bool, 
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		plan := realPlan(seed)
-		opts := fleet.ClusterOptions{
-			Plan: func(ctx context.Context, m *sparse.CSR, attempt int) (*reorder.Result, error) {
-				computes.Add(1)
-				return plan(ctx, m, attempt)
+		// The production pipeline (no learned model), matching what bootesd
+		// runs, so a spawned soak exercises real planning latency.
+		plan := planserve.PipelinePlan(bootes.Options{Seed: seed})
+		cfg := fleet.NodeConfig{
+			Serve: planserve.Config{
+				Plan: func(ctx context.Context, m *sparse.CSR, attempt int) (*reorder.Result, error) {
+					computes.Add(1)
+					return plan(ctx, m, attempt)
+				},
+				Seed: seed,
 			},
-			Dir:      dir,
-			Replicas: replicas,
-			Seed:     seed,
+			CacheDir: dir,
+			Fleet:    fleet.Config{Replicas: replicas},
 		}
 		if selfHeal {
 			// Churn mode needs the outage absorbed within the soak window:
 			// fast down-detection, anti-entropy replication/hints, and a
 			// bounded warm-up on the restart.
-			opts.SelfHeal = true
-			opts.ProbeInterval = 200 * time.Millisecond
-			opts.DownAfter = 2
-			opts.RepairInterval = 500 * time.Millisecond
-			opts.WarmupDeadline = 3 * time.Second
+			cfg.SelfHeal = true
+			cfg.Fleet.ProbeInterval = 200 * time.Millisecond
+			cfg.Fleet.DownAfter = 2
+			cfg.Heal.RepairInterval = 500 * time.Millisecond
+			cfg.WarmupDeadline = 3 * time.Second
 		}
-		c, err := fleet.LaunchCluster(spawn, opts)
+		c, err := fleet.LaunchCluster(spawn, cfg)
 		if err != nil {
 			os.RemoveAll(dir)
 			return nil, nil, nil, fmt.Errorf("spawning fleet: %w", err)
@@ -200,31 +205,6 @@ func resolveFleet(peers string, spawn, replicas int, seed int64, selfHeal bool, 
 		return nil, nil, nil, fmt.Errorf("-peers is empty")
 	}
 	return urls, nil, func() {}, nil
-}
-
-// realPlan is the production pipeline (no learned model), matching what
-// bootesd runs, so a spawned soak exercises real planning latency.
-func realPlan(seed int64) func(ctx context.Context, m *sparse.CSR, attempt int) (*reorder.Result, error) {
-	return func(ctx context.Context, m *sparse.CSR, attempt int) (*reorder.Result, error) {
-		opts := &bootes.Options{Seed: seed + int64(attempt)*0x9E3779B9}
-		if dl, ok := ctx.Deadline(); ok {
-			opts.Budget.MaxWallClock = time.Until(dl)
-		}
-		plan, err := bootes.PlanContext(ctx, m, opts)
-		if err != nil {
-			return nil, err
-		}
-		return &reorder.Result{
-			Perm:           plan.Perm,
-			Reordered:      plan.Reordered,
-			Degraded:       plan.Degraded,
-			DegradedReason: plan.DegradedReason,
-			SimilarityMode: plan.SimilarityMode,
-			PreprocessTime: time.Duration(plan.PreprocessSeconds * float64(time.Second)),
-			FootprintBytes: plan.FootprintBytes,
-			Extra:          map[string]float64{"k": float64(plan.K)},
-		}, nil
-	}
 }
 
 // workItem is one matrix of the working set: its serialized body, cache key,

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log"
@@ -243,10 +244,13 @@ func (h *Healer) Start() {
 	}()
 }
 
-// Stop halts the loops and joins the goroutine. Idempotent.
+// Stop halts the loops, joins the goroutine, and closes the client's idle
+// connections: a connection dialed for a push but never used would hold a
+// peer's graceful shutdown for seconds. Idempotent.
 func (h *Healer) Stop() {
 	h.stopOnce.Do(func() { close(h.stop) })
 	h.wg.Wait()
+	h.client.CloseIdleConnections()
 }
 
 // NotifyPeerUp tells the healer a peer transitioned down→up (the router's
@@ -596,36 +600,59 @@ func (h *Healer) fetchDigest(ctx context.Context, peer, prefix string) (Digest, 
 	return d, nil
 }
 
-// fetchEntry GETs one entry from a peer's cache and verifies it end to end:
-// container decode (CRC), key match, and plan-field invariants — the same
-// bar the fleet's peer-fill path applies. Degraded entries are rejected
-// outright; they must never replicate.
-func (h *Healer) fetchEntry(ctx context.Context, peer, key string) (*plancache.Entry, error) {
-	ctx, cancel := context.WithTimeout(ctx, h.cfg.FetchTimeout)
-	defer cancel()
+// MaxEntryBytes bounds one encoded cache entry on the wire: peer fills,
+// anti-entropy pulls and the PUT /v1/cache/{key} ingest all stop reading
+// there.
+const MaxEntryBytes = 64 << 20
+
+// ErrNotCached is FetchEntry's error for a 404: the peer answered, but does
+// not hold the key.
+var ErrNotCached = errors.New("not cached")
+
+// FetchEntry GETs key from peer's cache (GET /v1/cache/{key}), reads at most
+// MaxEntryBytes, decodes the entry (CRC and bijection checks) and checks
+// that it is filed under key. A 404 wraps ErrNotCached. The caller bounds
+// ctx.
+func FetchEntry(ctx context.Context, client *http.Client, peer, key string) (*plancache.Entry, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, peer+"/v1/cache/"+key, nil)
 	if err != nil {
 		return nil, err
 	}
-	resp, err := h.client.Do(req)
+	resp, err := client.Do(req)
 	if err != nil {
 		return nil, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-		return nil, fmt.Errorf("antientropy: entry %.12s from %s: status %d", key, peer, resp.StatusCode)
+		if resp.StatusCode == http.StatusNotFound {
+			return nil, fmt.Errorf("entry %.12s from %s: %w", key, peer, ErrNotCached)
+		}
+		return nil, fmt.Errorf("entry %.12s from %s: status %d", key, peer, resp.StatusCode)
 	}
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
+	data, err := io.ReadAll(io.LimitReader(resp.Body, MaxEntryBytes))
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("entry %.12s from %s: %w", key, peer, err)
 	}
 	e, err := plancache.DecodeEntry(data)
 	if err != nil {
-		return nil, fmt.Errorf("antientropy: entry %.12s from %s: %w", key, peer, err)
+		return nil, fmt.Errorf("entry %.12s from %s: %w", key, peer, err)
 	}
 	if e.Key != key {
-		return nil, fmt.Errorf("antientropy: entry %.12s from %s holds key %.12s", key, peer, e.Key)
+		return nil, fmt.Errorf("entry %.12s from %s holds key %.12s", key, peer, e.Key)
+	}
+	return e, nil
+}
+
+// fetchEntry pulls one entry through FetchEntry and holds it to the bar the
+// fleet's peer-fill path applies: plan-field invariants, and no degraded
+// entries — they must never replicate. A 404 is a failed fetch here.
+func (h *Healer) fetchEntry(ctx context.Context, peer, key string) (*plancache.Entry, error) {
+	ctx, cancel := context.WithTimeout(ctx, h.cfg.FetchTimeout)
+	defer cancel()
+	e, err := FetchEntry(ctx, h.client, peer, key)
+	if err != nil {
+		return nil, err
 	}
 	if vs := planverify.CheckEntryFields(len(e.Perm), e.Perm, e.K, e.Reordered, e.Degraded, e.DegradedReason); len(vs) > 0 {
 		return nil, fmt.Errorf("antientropy: entry %.12s from %s failed verification: %v", key, peer, vs)

@@ -51,7 +51,6 @@ import (
 	"bootes/internal/plancache"
 	"bootes/internal/planserve"
 	"bootes/internal/planverify"
-	"bootes/internal/reorder"
 	"bootes/internal/sparse"
 	"bootes/internal/workloads"
 )
@@ -601,25 +600,9 @@ func scenarioServeHTTP(e *episode) {
 		e.violatef("serve-http: open cache: %v", err)
 		return
 	}
-	baseSeed := e.rng.Int63()
-	plan := func(ctx context.Context, m *sparse.CSR, attempt int) (*reorder.Result, error) {
-		opts := &bootes.Options{Seed: baseSeed + int64(attempt)}
-		if dl, ok := ctx.Deadline(); ok {
-			opts.Budget.MaxWallClock = time.Until(dl)
-		}
-		p, err := bootes.PlanContext(ctx, m, opts)
-		if err != nil {
-			return nil, err
-		}
-		return &reorder.Result{
-			Perm: p.Perm, Reordered: p.Reordered,
-			Degraded: p.Degraded, DegradedReason: p.DegradedReason,
-			Extra: map[string]float64{"k": float64(p.K)},
-		}, nil
-	}
 	reg := obs.NewRegistry()
 	srv, err := planserve.New(planserve.Config{
-		Plan:            plan,
+		Plan:            planserve.PipelinePlan(bootes.Options{Seed: e.rng.Int63()}),
 		Cache:           cache,
 		MaxInFlight:     1 + e.rng.Intn(3),
 		MaxQueue:        1 + e.rng.Intn(3),

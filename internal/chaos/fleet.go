@@ -183,18 +183,19 @@ func (h *fleetHarness) peersSee(target string, wantUp bool) bool {
 // restart the owner and verify the fleet converges back to pure cache hits.
 func scenarioFleetPartition(e *episode) {
 	h := &fleetHarness{e: e, name: "fleet-partition", replicas: 2, up: make(map[string]bool), computes: make(map[string]int)}
-	c, err := fleet.LaunchCluster(fleetNodes, fleet.ClusterOptions{
-		Plan:     h.plan,
-		Dir:      filepath.Join(e.dir, "fleet"),
-		Replicas: h.replicas,
-		// Generous hedge delay: with a ~1ms pipeline, a hedge may only fire
-		// when the primary actually died, keeping compute counts readable.
-		HedgeAfter:    2 * time.Second,
-		ProbeInterval: 20 * time.Millisecond,
-		ProbeTimeout:  time.Second,
-		DownAfter:     2,
-		MaxInFlight:   4,
-		Seed:          e.rng.Int63(),
+	c, err := fleet.LaunchCluster(fleetNodes, fleet.NodeConfig{
+		Serve:    planserve.Config{Plan: h.plan, MaxInFlight: 4, Seed: e.rng.Int63()},
+		CacheDir: filepath.Join(e.dir, "fleet"),
+		Fleet: fleet.Config{
+			Replicas: h.replicas,
+			// Generous hedge delay: with a ~1ms pipeline, a hedge may only
+			// fire when the primary actually died, keeping compute counts
+			// readable.
+			HedgeAfter:    2 * time.Second,
+			ProbeInterval: 20 * time.Millisecond,
+			ProbeTimeout:  time.Second,
+			DownAfter:     2,
+		},
 	})
 	if err != nil {
 		e.violatef("fleet-partition: launch: %v", err)

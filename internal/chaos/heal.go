@@ -22,28 +22,31 @@ import (
 	"bootes/internal/fleet"
 	"bootes/internal/leakcheck"
 	"bootes/internal/plancache"
+	"bootes/internal/planserve"
 	"bootes/internal/ring"
 	"bootes/internal/sparse"
 )
 
 func scenarioFleetHeal(e *episode) {
 	h := &fleetHarness{e: e, name: "fleet-heal", replicas: 2, up: make(map[string]bool), computes: make(map[string]int)}
-	c, err := fleet.LaunchCluster(fleetNodes, fleet.ClusterOptions{
-		Plan:     h.plan,
-		Dir:      filepath.Join(e.dir, "fleet-heal"),
-		Replicas: h.replicas,
+	c, err := fleet.LaunchCluster(fleetNodes, fleet.NodeConfig{
+		Serve:    planserve.Config{Plan: h.plan, MaxInFlight: 4, Seed: e.rng.Int63()},
+		CacheDir: filepath.Join(e.dir, "fleet-heal"),
+		Fleet: fleet.Config{
+			Replicas:      h.replicas,
+			HedgeAfter:    2 * time.Second,
+			ProbeInterval: 20 * time.Millisecond,
+			ProbeTimeout:  time.Second,
+			DownAfter:     2,
+		},
 		SelfHeal: true,
-		// Jittered repair pacing: different episodes interleave repair
-		// rounds differently against the probe and traffic schedules.
-		RepairInterval: time.Duration(25+e.rng.Intn(50)) * time.Millisecond,
-		ScrubInterval:  5 * time.Millisecond,
+		Heal: antientropy.Config{
+			// Jittered repair pacing: different episodes interleave repair
+			// rounds differently against the probe and traffic schedules.
+			RepairInterval: time.Duration(25+e.rng.Intn(50)) * time.Millisecond,
+			ScrubInterval:  5 * time.Millisecond,
+		},
 		WarmupDeadline: 5 * time.Second,
-		HedgeAfter:     2 * time.Second,
-		ProbeInterval:  20 * time.Millisecond,
-		ProbeTimeout:   time.Second,
-		DownAfter:      2,
-		MaxInFlight:    4,
-		Seed:           e.rng.Int63(),
 	})
 	if err != nil {
 		e.violatef("fleet-heal: launch: %v", err)

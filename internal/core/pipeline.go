@@ -51,8 +51,6 @@ type Pipeline struct {
 	// Spectral carries the base spectral options; K is overridden by the
 	// model's prediction.
 	Spectral SpectralOptions
-	// Features controls fingerprint extraction.
-	Features FeatureOptions
 	// ForceReorder bypasses the gate (used by ablations and the labeller).
 	ForceReorder bool
 	// ForceK overrides the predicted cluster count when > 0.
@@ -72,7 +70,7 @@ func (p *Pipeline) Name() string { return "Bootes" }
 
 // Decide runs only the gating step: it returns the predicted class.
 func (p *Pipeline) Decide(a *sparse.CSR) (label int, feats Features, err error) {
-	feats = ExtractFeatures(a, p.Features)
+	feats = ExtractFeatures(a, FeatureOptions{})
 	if p.Model == nil {
 		return heuristicLabel(a, feats), feats, nil
 	}

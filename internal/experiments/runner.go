@@ -97,10 +97,7 @@ func (c Config) suite() []workloads.Spec {
 // operands applies the paper's methodology: B is identical to A (square), or
 // Aᵀ when A is rectangular, and is never reordered.
 func operands(a *sparse.CSR) (*sparse.CSR, *sparse.CSR) {
-	if a.Rows == a.Cols {
-		return a, a
-	}
-	return a, sparse.Transpose(a)
+	return a, trafficmodel.OperandB(a)
 }
 
 // reorderers builds the comparison set for matrix a: Bootes plus the three

@@ -30,6 +30,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log"
@@ -38,6 +39,7 @@ import (
 	"sync"
 	"time"
 
+	"bootes/internal/antientropy"
 	"bootes/internal/obs"
 	"bootes/internal/plancache"
 	"bootes/internal/planserve"
@@ -718,7 +720,9 @@ func (rt *Router) Fill(ctx context.Context, key string) (*plancache.Entry, bool)
 		if !run {
 			continue
 		}
-		e, err := rt.fillOnce(ctx, p, key)
+		fctx, cancel := context.WithTimeout(ctx, rt.cfg.ProbeTimeout)
+		e, err := antientropy.FetchEntry(fctx, rt.client, p.url, key)
+		cancel()
 		switch {
 		case err != nil && ctx.Err() != nil:
 			// The requester ran out of time, which says nothing about the
@@ -726,10 +730,11 @@ func (rt *Router) Fill(ctx context.Context, key string) (*plancache.Entry, bool)
 			if probe {
 				p.breaker.CancelProbe()
 			}
+		case errors.Is(err, antientropy.ErrNotCached):
+			// A clean 404: the peer is healthy, it just lacks the key.
+			rt.recordOutcome(p, probe, true, nil)
 		case err != nil:
 			rt.recordOutcome(p, probe, false, err)
-		case e == nil: // clean 404: the peer is healthy, it just lacks the key
-			rt.recordOutcome(p, probe, true, nil)
 		default:
 			rt.recordOutcome(p, probe, true, nil)
 			rt.fills.Inc()
@@ -741,39 +746,6 @@ func (rt *Router) Fill(ctx context.Context, key string) (*plancache.Entry, bool)
 	}
 	rt.fillMisses.Inc()
 	return nil, false
-}
-
-func (rt *Router) fillOnce(ctx context.Context, p *peerState, key string) (*plancache.Entry, error) {
-	ctx, cancel := context.WithTimeout(ctx, rt.cfg.ProbeTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, p.url+"/v1/cache/"+key, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := rt.client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	switch {
-	case resp.StatusCode == http.StatusNotFound:
-		_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-		return nil, nil
-	case resp.StatusCode != http.StatusOK:
-		return nil, fmt.Errorf("cache fill from %s: status %d", p.url, resp.StatusCode)
-	}
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
-	if err != nil {
-		return nil, fmt.Errorf("cache fill from %s: %w", p.url, err)
-	}
-	e, err := plancache.DecodeEntry(data)
-	if err != nil {
-		return nil, fmt.Errorf("cache fill from %s: %w", p.url, err)
-	}
-	if e.Key != key {
-		return nil, fmt.Errorf("cache fill from %s: entry key %.12s under requested key %.12s", p.url, e.Key, key)
-	}
-	return e, nil
 }
 
 // keyOf parses a matrix body (BCSR or Matrix Market, the same sniff the

@@ -74,11 +74,11 @@ func postPlan(t testing.TB, client *http.Client, url string, body []byte) (*http
 // to the owner, whose cache and coalescing absorb the repeats.
 func TestClusterComputesOncePerKey(t *testing.T) {
 	var computes atomic.Int64
-	c, err := LaunchCluster(3, ClusterOptions{
-		Plan:          countingPlan(&computes),
-		Dir:           t.TempDir(),
-		ProbeInterval: 50 * time.Millisecond,
-		Logf:          t.Logf,
+	c, err := LaunchCluster(3, NodeConfig{
+		Serve:    planserve.Config{Plan: countingPlan(&computes)},
+		CacheDir: t.TempDir(),
+		Fleet:    Config{ProbeInterval: 50 * time.Millisecond},
+		Logf:     t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -120,11 +120,11 @@ func keyMust(t testing.TB, body []byte) string {
 // running its own pipeline.
 func TestPeerFill(t *testing.T) {
 	var computes atomic.Int64
-	c, err := LaunchCluster(3, ClusterOptions{
-		Plan:          countingPlan(&computes),
-		Dir:           t.TempDir(),
-		ProbeInterval: 50 * time.Millisecond,
-		Logf:          t.Logf,
+	c, err := LaunchCluster(3, NodeConfig{
+		Serve:    planserve.Config{Plan: countingPlan(&computes)},
+		CacheDir: t.TempDir(),
+		Fleet:    Config{ProbeInterval: 50 * time.Millisecond},
+		Logf:     t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -186,13 +186,15 @@ func TestPeerFill(t *testing.T) {
 // and a restart brings it back up.
 func TestProbesMarkPeerDownAndRouteAround(t *testing.T) {
 	var computes atomic.Int64
-	c, err := LaunchCluster(3, ClusterOptions{
-		Plan:          countingPlan(&computes),
-		Dir:           t.TempDir(),
-		ProbeInterval: 25 * time.Millisecond,
-		ProbeTimeout:  250 * time.Millisecond,
-		DownAfter:     2,
-		Logf:          t.Logf,
+	c, err := LaunchCluster(3, NodeConfig{
+		Serve:    planserve.Config{Plan: countingPlan(&computes)},
+		CacheDir: t.TempDir(),
+		Fleet: Config{
+			ProbeInterval: 25 * time.Millisecond,
+			ProbeTimeout:  250 * time.Millisecond,
+			DownAfter:     2,
+		},
+		Logf: t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -574,11 +576,11 @@ func TestPeersEndpoint(t *testing.T) {
 // parallel traffic for the race detector.
 func TestConcurrentForwardsRace(t *testing.T) {
 	var computes atomic.Int64
-	c, err := LaunchCluster(3, ClusterOptions{
-		Plan:          countingPlan(&computes),
-		Dir:           t.TempDir(),
-		ProbeInterval: 20 * time.Millisecond,
-		Logf:          func(string, ...any) {},
+	c, err := LaunchCluster(3, NodeConfig{
+		Serve:    planserve.Config{Plan: countingPlan(&computes)},
+		CacheDir: t.TempDir(),
+		Fleet:    Config{ProbeInterval: 20 * time.Millisecond},
+		Logf:     func(string, ...any) {},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -750,11 +752,11 @@ func TestForwardKeepsTextWhenBCSRIsLarger(t *testing.T) {
 // all) as the same request sent to the owner directly.
 func TestForwardedAnswerMatchesOwnerDirect(t *testing.T) {
 	var computes atomic.Int64
-	c, err := LaunchCluster(3, ClusterOptions{
-		Plan:          countingPlan(&computes),
-		Dir:           t.TempDir(),
-		ProbeInterval: 50 * time.Millisecond,
-		Logf:          t.Logf,
+	c, err := LaunchCluster(3, NodeConfig{
+		Serve:    planserve.Config{Plan: countingPlan(&computes)},
+		CacheDir: t.TempDir(),
+		Fleet:    Config{ProbeInterval: 50 * time.Millisecond},
+		Logf:     t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)

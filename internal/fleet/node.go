@@ -1,6 +1,8 @@
-// In-process fleet harness: LaunchCluster stands up N full bootesd-shaped
-// nodes (plan cache + planserve + fleet router) on real loopback listeners,
-// with kill/restart — the substrate for the fleet-partition chaos scenario,
+// Node assembly: StartNode builds one bootesd node (plan cache, async queue,
+// fleet router, anti-entropy healer, planserve, HTTP server) on a listener
+// and starts serving; Node.Close drains it. cmd/bootesd runs exactly one
+// node through it. LaunchCluster runs N of them on real loopback listeners,
+// with kill/restart, as the substrate for the fleet chaos scenarios,
 // cmd/loadgen -spawn, and the fleet tests. Real TCP rather than
 // httptest.Server internals so forwarding, hedging, and cache fills exercise
 // the same client paths production does.
@@ -9,10 +11,12 @@ package fleet
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"log"
 	"net"
 	"net/http"
-	"os"
+	"net/http/pprof"
 	"path/filepath"
 	"sync"
 	"time"
@@ -20,248 +24,338 @@ import (
 	"bootes/internal/antientropy"
 	"bootes/internal/obs"
 	"bootes/internal/plancache"
+	"bootes/internal/planqueue"
 	"bootes/internal/planserve"
 )
 
-// ClusterOptions configures LaunchCluster.
-type ClusterOptions struct {
-	// Plan is the planning pipeline every node runs (required).
-	Plan planserve.PlanFunc
-	// Dir is the parent directory for per-node cache directories (required;
-	// node i caches under Dir/node<i>). Restarting a node reopens the same
-	// directory — the crash-safe cache is part of what the harness exercises.
-	Dir string
-	// Replicas, Vnodes, HedgeAfter, ProbeInterval, ProbeTimeout, DownAfter
-	// flow into each node's fleet.Config (zero values take fleet defaults).
-	Replicas      int
-	Vnodes        int
-	HedgeAfter    time.Duration
-	ProbeInterval time.Duration
-	ProbeTimeout  time.Duration
-	DownAfter     int
-	// MaxInFlight bounds each node's concurrent pipelines (default 4).
-	MaxInFlight int
-	// Breaker is each node's pipeline breaker (zero disables).
-	Breaker planserve.BreakerConfig
-	// Seed feeds each node's planserve jitter (node i gets Seed+i).
-	Seed int64
-	// SelfHeal enables the anti-entropy healer on every node: synchronous
-	// replication of fresh plans across the replica set, hinted handoff for
-	// down replicas, digest-exchange repair, warm-up on restart, drain push
-	// on Close, and the background scrubber.
+// NodeConfig assembles one node. Each component's config carries its own
+// settings; StartNode fills in the cross-wiring (the shared cache, queue,
+// registry and logger, the router's hooks into planserve and the healer).
+type NodeConfig struct {
+	// Serve configures planserve (Plan is required). StartNode sets Cache,
+	// Queue, PeerFill, Replicate, Heal, Metrics and Logf.
+	Serve planserve.Config
+	// CacheDir is the plan cache directory; empty disables persistence.
+	CacheDir string
+	// Queue configures the durable async queue behind ?async=1; an empty Dir
+	// disables it. It requires CacheDir: async jobs complete into the plan
+	// cache. StartNode sets Run to Serve.Plan and Cache, Metrics and Logf;
+	// Workers defaults to Serve.MaxInFlight, so background planning never
+	// out-parallelizes what admission allows foreground work.
+	Queue planqueue.Config
+	// Fleet configures the router; empty Peers runs a standalone node.
+	// StartNode sets MaxBodyBytes to Serve.MaxUploadBytes, Metrics and Logf.
+	Fleet Config
+	// SelfHeal runs the anti-entropy healer: replication of fresh plans,
+	// hinted handoff, digest repair, warm-up on start, drain push on Close,
+	// and scrubbing. It requires Fleet.Peers and CacheDir.
 	SelfHeal bool
-	// RepairInterval / ScrubInterval pace the healer's loops (zero takes the
-	// antientropy defaults; chaos runs them at millisecond scale).
-	RepairInterval time.Duration
-	ScrubInterval  time.Duration
-	// WarmupDeadline bounds the pre-ready warm-up on start/restart (only
-	// with SelfHeal; zero takes 5s).
+	// Heal paces the healer. StartNode sets Cache, Ring, Self, Replicas,
+	// PeerUp, Metrics and Logf from the node.
+	Heal antientropy.Config
+	// WarmupDeadline bounds the pre-ready warm-up (default 5s).
 	WarmupDeadline time.Duration
-	// Logf sinks node diagnostics; nil discards (cluster logs are noisy).
+	// ReadHeaderTimeout, ReadTimeout and IdleTimeout are the HTTP server's
+	// (zero means none).
+	ReadHeaderTimeout, ReadTimeout, IdleTimeout time.Duration
+	// Pprof serves runtime profiles under /debug/pprof/.
+	Pprof bool
+	// Metrics is the registry every component registers on; nil gives each
+	// start a private registry.
+	Metrics *obs.Registry
+	// Logf sinks every component's diagnostics; nil uses log.Printf.
 	Logf func(format string, args ...any)
 }
 
-// Node is one in-process fleet member.
+// Node is one running bootesd node.
 type Node struct {
-	// URL is the node's advertised address (http://127.0.0.1:port), fixed
+	// URL is the node's listen address as a URL (http://host:port), fixed
 	// across restarts.
 	URL string
 
-	opts  ClusterOptions
-	peers []string
-	dir   string
-	seed  int64
-	logf  func(string, ...any)
+	cfg NodeConfig
 
-	mu     sync.Mutex
-	srv    *planserve.Server
-	router *Router
-	cache  *plancache.Cache
-	healer *antientropy.Healer
-	http   *http.Server
-	reg    *obs.Registry
-	alive  bool
+	mu       sync.Mutex
+	srv      *planserve.Server
+	router   *Router
+	cache    *plancache.Cache
+	queue    *planqueue.Queue
+	healer   *antientropy.Healer
+	http     *http.Server
+	serveErr chan error
+	alive    bool
 }
 
-// Cluster is a set of in-process nodes on one ring.
-type Cluster struct {
-	Nodes []*Node
+// StartNode assembles a node on ln and starts serving it; on error ln is
+// closed. warm runs the self-healing warm-up before the node reports ready;
+// a fleet's first launch skips it, because every peer is empty and some are
+// not serving yet.
+func StartNode(ln net.Listener, cfg NodeConfig, warm bool) (*Node, error) {
+	if cfg.Logf == nil {
+		cfg.Logf = log.Printf
+	}
+	nd := &Node{URL: "http://" + ln.Addr().String(), cfg: cfg}
+	if err := nd.start(ln, warm); err != nil {
+		return nil, err
+	}
+	return nd, nil
 }
 
-// LaunchCluster builds and starts n nodes. Listeners are bound first so
-// every node knows the full peer list before any serves.
-func LaunchCluster(n int, opts ClusterOptions) (*Cluster, error) {
-	if opts.Plan == nil {
-		return nil, fmt.Errorf("fleet: ClusterOptions.Plan is required")
-	}
-	if opts.Dir == "" {
-		return nil, fmt.Errorf("fleet: ClusterOptions.Dir is required")
-	}
-	if opts.Logf == nil {
-		opts.Logf = func(string, ...any) {}
-	}
-	listeners := make([]net.Listener, n)
-	peers := make([]string, n)
-	for i := range listeners {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
+func (nd *Node) start(ln net.Listener, warm bool) (err error) {
+	defer func() {
 		if err != nil {
-			for _, l := range listeners[:i] {
-				l.Close()
+			ln.Close()
+		}
+	}()
+	cfg := nd.cfg
+	switch {
+	case cfg.Queue.Dir != "" && cfg.CacheDir == "":
+		return errors.New("fleet: an async queue requires a plan cache: async jobs complete into the plan cache")
+	case cfg.SelfHeal && len(cfg.Fleet.Peers) == 0:
+		return errors.New("fleet: self-healing requires fleet peers: anti-entropy repairs replicas on the fleet ring")
+	case cfg.SelfHeal && cfg.CacheDir == "":
+		return errors.New("fleet: self-healing requires a plan cache: there is nothing to repair without one")
+	}
+	reg, logf := cfg.Metrics, cfg.Logf
+	if reg == nil {
+		reg = obs.NewRegistry()
+	}
+
+	var cache *plancache.Cache
+	if cfg.CacheDir != "" {
+		if cache, err = plancache.Open(cfg.CacheDir); err != nil {
+			return fmt.Errorf("opening plan cache: %w", err)
+		}
+		st := cache.Stats()
+		logf("plan cache %s: %d entries loaded, %d quarantined", cfg.CacheDir, st.Entries, st.Quarantined)
+	}
+
+	var queue *planqueue.Queue
+	if cfg.Queue.Dir != "" {
+		qc := cfg.Queue
+		qc.Run = planqueue.RunFunc(cfg.Serve.Plan)
+		qc.Cache, qc.Metrics, qc.Logf = cache, reg, logf
+		if qc.Workers <= 0 {
+			qc.Workers = cfg.Serve.MaxInFlight
+		}
+		if queue, err = planqueue.Open(qc); err != nil {
+			return fmt.Errorf("opening async queue: %w", err)
+		}
+		defer func() {
+			if err != nil {
+				queue.Kill()
 			}
-			return nil, err
-		}
-		listeners[i] = ln
-		peers[i] = "http://" + ln.Addr().String()
+		}()
+		qs := queue.Stats()
+		logf("async queue %s: %d jobs recovered to queued, %d torn journal tails truncated",
+			qc.Dir, qs.Recovered, qs.TornTails)
 	}
-	c := &Cluster{}
-	for i, ln := range listeners {
-		node := &Node{
-			URL:   peers[i],
-			opts:  opts,
-			peers: peers,
-			dir:   filepath.Join(opts.Dir, fmt.Sprintf("node%d", i)),
-			seed:  opts.Seed + int64(i),
-			logf:  opts.Logf,
-		}
-		// First launch of the whole fleet: every peer is empty and later
-		// nodes are not yet serving, so the join warm-up is skipped.
-		// Restart is the warm-up path.
-		if err := node.start(ln, false); err != nil {
-			c.Close()
-			return nil, err
-		}
-		c.Nodes = append(c.Nodes, node)
-	}
-	return c, nil
-}
 
-// start assembles the node's stack on ln and begins serving. warm runs the
-// pre-ready warm-up (rejoin); the cluster's first launch skips it — every
-// peer is empty and some are not serving yet.
-func (nd *Node) start(ln net.Listener, warm bool) error {
-	if err := os.MkdirAll(nd.dir, 0o755); err != nil {
-		return err
+	var router *Router
+	if len(cfg.Fleet.Peers) > 0 {
+		fc := cfg.Fleet
+		fc.MaxBodyBytes, fc.Metrics, fc.Logf = cfg.Serve.MaxUploadBytes, reg, logf
+		if router, err = New(fc); err != nil {
+			return err
+		}
 	}
-	cache, err := plancache.Open(nd.dir)
-	if err != nil {
-		return err
-	}
-	reg := obs.NewRegistry()
-	router, err := New(Config{
-		Self:          nd.URL,
-		Peers:         nd.peers,
-		Replicas:      nd.opts.Replicas,
-		Vnodes:        nd.opts.Vnodes,
-		HedgeAfter:    nd.opts.HedgeAfter,
-		ProbeInterval: nd.opts.ProbeInterval,
-		ProbeTimeout:  nd.opts.ProbeTimeout,
-		DownAfter:     nd.opts.DownAfter,
-		Metrics:       reg,
-		Logf:          nd.logf,
-	})
-	if err != nil {
-		return err
-	}
+
+	// Self-healing rides on fleet mode: the healer shares the router's ring
+	// and health view, replicates fresh plans across each key's replica set,
+	// parks hints for down replicas, and repairs divergence in the background.
 	var healer *antientropy.Healer
-	if nd.opts.SelfHeal {
-		healer, err = antientropy.New(antientropy.Config{
-			Cache:          cache,
-			Ring:           router.Ring,
-			Self:           nd.URL,
-			Replicas:       nd.opts.Replicas,
-			PeerUp:         router.PeerUp,
-			RepairInterval: nd.opts.RepairInterval,
-			ScrubInterval:  nd.opts.ScrubInterval,
-			Metrics:        reg,
-			Logf:           nd.logf,
-		})
-		if err != nil {
+	if cfg.SelfHeal {
+		hc := cfg.Heal
+		hc.Cache, hc.Ring, hc.Self, hc.Replicas, hc.PeerUp = cache, router.Ring, cfg.Fleet.Self, cfg.Fleet.Replicas, router.PeerUp
+		hc.Metrics, hc.Logf = reg, logf
+		if healer, err = antientropy.New(hc); err != nil {
 			return err
 		}
 		router.SetOnPeerUp(healer.NotifyPeerUp)
 	}
-	cfg := planserve.Config{
-		Plan:        nd.opts.Plan,
-		Cache:       cache,
-		MaxInFlight: nd.opts.MaxInFlight,
-		Breaker:     nd.opts.Breaker,
-		PeerFill:    router.Fill,
-		Seed:        nd.seed,
-		Metrics:     reg,
-		Logf:        nd.logf,
+
+	sc := cfg.Serve
+	sc.Cache, sc.Queue, sc.Metrics, sc.Logf = cache, queue, reg, logf
+	if router != nil {
+		sc.PeerFill = router.Fill
 	}
 	if healer != nil {
-		cfg.Replicate = healer.Replicate
-		cfg.Heal = healer
+		sc.Replicate, sc.Heal = healer.Replicate, healer
 	}
-	srv, err := planserve.New(cfg)
+	srv, err := planserve.New(sc)
 	if err != nil {
 		return err
 	}
-	httpSrv := &http.Server{Handler: router.Handler(srv.Handler())}
+
+	handler := srv.Handler()
+	if router != nil {
+		handler = router.Handler(handler)
+	}
+	if cfg.Pprof {
+		// Registered explicitly, never via the http.DefaultServeMux side
+		// effect, and only when asked: pprof on a public address is an
+		// information leak.
+		outer := http.NewServeMux()
+		outer.HandleFunc("/debug/pprof/", pprof.Index)
+		outer.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+		outer.HandleFunc("/debug/pprof/profile", pprof.Profile)
+		outer.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+		outer.HandleFunc("/debug/pprof/trace", pprof.Trace)
+		outer.Handle("/", handler)
+		handler = outer
+	}
+	// Server-side timeouts close the slowloris hole: a client that trickles
+	// headers or holds idle keep-alives cannot pin a connection forever. The
+	// body-read budget is per-request (planserve's UploadReadTimeout), so a
+	// legal large upload is bounded by its own clock, not the header one.
+	httpSrv := &http.Server{
+		Handler:           handler,
+		ReadHeaderTimeout: cfg.ReadHeaderTimeout,
+		ReadTimeout:       cfg.ReadTimeout,
+		IdleTimeout:       cfg.IdleTimeout,
+	}
+	serveErr := make(chan error, 1)
 	nd.mu.Lock()
-	nd.srv, nd.router, nd.cache, nd.healer, nd.http, nd.reg = srv, router, cache, healer, httpSrv, reg
+	nd.srv, nd.router, nd.cache, nd.queue, nd.healer, nd.http, nd.serveErr = srv, router, cache, queue, healer, httpSrv, serveErr
 	nd.alive = true
 	nd.mu.Unlock()
+
+	// Nothing below fails: start the background work, then serve.
+	if queue != nil {
+		queue.Start()
+	}
+	if router != nil {
+		router.Start()
+		logf("fleet: self=%s peers=%d replicas=%d hedge-after=%s",
+			cfg.Fleet.Self, len(router.Ring().Nodes()), router.cfg.Replicas, router.cfg.HedgeAfter)
+	}
+	if cfg.Pprof {
+		logf("pprof enabled on %s/debug/pprof/", ln.Addr())
+	}
+	// Warming is flagged before the listener serves its first request, so
+	// there is no window where /readyz answers 200 with the owned ranges
+	// still unfetched. The warm-up itself runs after the listener is up: the
+	// cache data plane (digests, entry reads, pushes) serves throughout.
 	warmup := healer != nil && warm
 	if warmup {
-		// Flag warming before the listener serves its first request: there
-		// must be no window where /readyz answers 200 with the owned ranges
-		// still unfetched.
 		srv.SetWarming(true)
 	}
-	router.Start()
-	go func() { _ = httpSrv.Serve(ln) }()
+	go func() {
+		if err := httpSrv.Serve(ln); !errors.Is(err, http.ErrServerClosed) {
+			serveErr <- err
+		}
+	}()
+	logf("serving on %s (inflight=%d queue auto, deadline=%s, cache=%q)",
+		ln.Addr(), cfg.Serve.MaxInFlight, cfg.Serve.DefaultDeadline, cfg.CacheDir)
 	if healer != nil {
 		if warmup {
-			// Warm-up before readiness: stream this node's owned keys from
-			// its current replicas while /readyz answers 503, bounded by the
-			// warm-up deadline. Synchronous — when start returns, the node
-			// has converged as far as its replicas allow.
-			deadline := nd.opts.WarmupDeadline
+			// Synchronous: when start returns, the node has converged as far
+			// as its replicas allow.
+			deadline := cfg.WarmupDeadline
 			if deadline <= 0 {
 				deadline = 5 * time.Second
 			}
 			ctx, cancel := context.WithTimeout(context.Background(), deadline)
 			if n := healer.Warmup(ctx); n > 0 {
-				nd.logf("fleet: node %s warmed %d entries before ready", nd.URL, n)
+				logf("self-heal: warmed %d owned entries from replicas before ready", n)
 			}
 			cancel()
 			srv.SetWarming(false)
 		}
 		healer.Start()
+		logf("self-heal: repair every %s, scrub every %s, %d hints pending",
+			cfg.Heal.RepairInterval, cfg.Heal.ScrubInterval, healer.HintsPending())
 	}
 	return nil
 }
 
+// ServeErr delivers the error that stopped the listener, if anything but
+// Close or Kill stopped it.
+func (nd *Node) ServeErr() <-chan error {
+	nd.mu.Lock()
+	defer nd.mu.Unlock()
+	return nd.serveErr
+}
+
+// Close drains the node gracefully:
+//  1. the router stops probing, so a draining node does not mark peers up
+//     or down from a half-torn-down stack (forwarding keeps the last health
+//     view while in-flight requests drain);
+//  2. planserve stops admitting (/readyz and new plans answer 503) and
+//     waits for in-flight pipelines, whose cache writes are synchronous, so
+//     a clean drain implies a flushed cache;
+//  3. the healer pushes the entries only this node holds to the other
+//     replicas while the listener still answers their verification reads,
+//     then stops;
+//  4. the queue's workers finish their current job and the journal is
+//     compacted; jobs still queued resume on restart;
+//  5. the listener shuts down.
+//
+// Each incomplete step is logged; Close returns their errors joined.
+func (nd *Node) Close(ctx context.Context) error {
+	nd.mu.Lock()
+	alive := nd.alive
+	nd.alive = false
+	srv, router, queue, healer, httpSrv := nd.srv, nd.router, nd.queue, nd.healer, nd.http
+	nd.mu.Unlock()
+	if !alive {
+		return nil
+	}
+	logf := nd.cfg.Logf
+	if router != nil {
+		router.Stop()
+	}
+	drainErr := srv.Shutdown(ctx)
+	if drainErr != nil {
+		logf("drain incomplete: %v", drainErr)
+	}
+	if healer != nil {
+		healer.DrainPush(ctx)
+		healer.Stop()
+	}
+	var queueErr error
+	if queue != nil {
+		if queueErr = queue.Stop(ctx); queueErr != nil {
+			logf("queue drain incomplete: %v", queueErr)
+		}
+	}
+	httpErr := httpSrv.Shutdown(ctx)
+	if httpErr != nil && !errors.Is(httpErr, context.DeadlineExceeded) {
+		logf("http shutdown: %v", httpErr)
+	}
+	return errors.Join(drainErr, queueErr, httpErr)
+}
+
 // Kill abruptly stops the node (no drain): the listener and all connections
-// close mid-flight, as a crash would. The cache directory survives. Safe to
-// call on a dead node.
+// close mid-flight, as a crash would. The cache and queue directories
+// survive. Safe to call on a dead node.
 func (nd *Node) Kill() {
 	nd.mu.Lock()
 	alive := nd.alive
 	nd.alive = false
-	httpSrv, router, healer := nd.http, nd.router, nd.healer
+	httpSrv, router, queue, healer := nd.http, nd.router, nd.queue, nd.healer
 	nd.mu.Unlock()
 	if !alive {
 		return
 	}
-	router.Stop()
+	if router != nil {
+		router.Stop()
+	}
+	// The process dies; its goroutines must still join (leakcheck). Parked
+	// hints and journaled jobs survive on disk, which is their point.
 	if healer != nil {
-		// The process dies; its goroutines must still join (leakcheck). Parked
-		// hints survive on disk — that is the point of hints.
 		healer.Stop()
+	}
+	if queue != nil {
+		queue.Kill()
 	}
 	_ = httpSrv.Close()
 }
 
-// Restart brings a killed node back on its original address, reopening the
-// cache directory the way a restarted bootesd would.
+// Restart brings a killed node back on its original address, reopening its
+// directories and warming up the way a restarted bootesd would.
 func (nd *Node) Restart() error {
-	nd.mu.Lock()
-	alive := nd.alive
-	nd.mu.Unlock()
-	if alive {
+	if nd.Alive() {
 		return fmt.Errorf("fleet: node %s is already running", nd.URL)
 	}
 	addr := nd.URL[len("http://"):]
@@ -298,7 +392,8 @@ func (nd *Node) Server() *planserve.Server {
 	return nd.srv
 }
 
-// Router returns the node's current fleet router (nil while killed).
+// Router returns the node's current fleet router (nil while killed or
+// standalone).
 func (nd *Node) Router() *Router {
 	nd.mu.Lock()
 	defer nd.mu.Unlock()
@@ -330,32 +425,58 @@ func (nd *Node) Cache() *plancache.Cache {
 	return nd.cache
 }
 
-// Close gracefully shuts the node down: drain planserve, push solely-held
-// cache entries to the surviving replicas (self-healing drain), stop the
-// router and healer, close the listener. Used at cluster teardown (Kill is
-// the chaos path).
-func (nd *Node) Close(ctx context.Context) error {
-	nd.mu.Lock()
-	alive := nd.alive
-	nd.alive = false
-	srv, router, healer, httpSrv := nd.srv, nd.router, nd.healer, nd.http
-	nd.mu.Unlock()
-	if !alive {
-		return nil
+// Cluster is a set of in-process nodes on one ring.
+type Cluster struct {
+	Nodes []*Node
+}
+
+// LaunchCluster starts n nodes through StartNode, each on its own loopback
+// listener and all on one ring. cfg is every member's config, except that
+// node i gets Fleet.Self and Fleet.Peers from the bound listeners, its cache
+// under CacheDir/node<i>, and planserve jitter seed Serve.Seed+i. CacheDir
+// is required: restarts reopen it. Leave Metrics nil so each node start gets
+// a private registry, as separate processes would; a nil Logf discards node
+// diagnostics. On a failed launch every listener bound here is closed.
+func LaunchCluster(n int, cfg NodeConfig) (*Cluster, error) {
+	if cfg.CacheDir == "" {
+		return nil, errors.New("fleet: LaunchCluster requires a CacheDir")
 	}
-	err := srv.Shutdown(ctx)
-	if healer != nil {
-		// Push before the listener closes: the receiving replicas' PUTs ride
-		// connections that need this node only as a client, but peers may
-		// still be pulling digests from us mid-push.
-		healer.DrainPush(ctx)
-		healer.Stop()
+	if cfg.Logf == nil {
+		cfg.Logf = func(string, ...any) {}
 	}
-	router.Stop()
-	if herr := httpSrv.Shutdown(ctx); err == nil {
-		err = herr
+	// Listeners are bound first so every node knows the full peer list
+	// before any serves.
+	listeners := make([]net.Listener, 0, n)
+	peers := make([]string, 0, n)
+	closeFrom := func(i int) {
+		for _, ln := range listeners[i:] {
+			ln.Close()
+		}
 	}
-	return err
+	for i := 0; i < n; i++ {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			closeFrom(0)
+			return nil, err
+		}
+		listeners = append(listeners, ln)
+		peers = append(peers, "http://"+ln.Addr().String())
+	}
+	c := &Cluster{}
+	for i, ln := range listeners {
+		nc := cfg
+		nc.CacheDir = filepath.Join(cfg.CacheDir, fmt.Sprintf("node%d", i))
+		nc.Fleet.Self, nc.Fleet.Peers = peers[i], peers
+		nc.Serve.Seed = cfg.Serve.Seed + int64(i)
+		nd, err := StartNode(ln, nc, false)
+		if err != nil {
+			closeFrom(i + 1) // StartNode closed listeners[i]
+			c.Close()
+			return nil, err
+		}
+		c.Nodes = append(c.Nodes, nd)
+	}
+	return c, nil
 }
 
 // Close tears the whole cluster down, gracefully, concurrently.

@@ -1,0 +1,213 @@
+package fleet
+
+import (
+	"context"
+	"encoding/json"
+	"net"
+	"net/http"
+	"os"
+	"path/filepath"
+	"strings"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"bootes/internal/antientropy"
+	"bootes/internal/plancache"
+	"bootes/internal/planqueue"
+	"bootes/internal/planserve"
+	"bootes/internal/sparse"
+)
+
+func listen(t *testing.T) net.Listener {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ln
+}
+
+// TestStandaloneNodeServesDrainsAndRestartsFromCache: a node with a cache
+// and an async queue but no peers — bootesd's single-node shape — serves a
+// sync plan and an async job, drains on Close, and after a restart on the
+// same directories serves both plans from cache.
+func TestStandaloneNodeServesDrainsAndRestartsFromCache(t *testing.T) {
+	var computes atomic.Int64
+	dir := t.TempDir()
+	nd, err := StartNode(listen(t), NodeConfig{
+		Serve:    planserve.Config{Plan: countingPlan(&computes)},
+		CacheDir: filepath.Join(dir, "cache"),
+		Queue:    planqueue.Config{Dir: filepath.Join(dir, "queue")},
+		Logf:     t.Logf,
+	}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nd.Close(context.Background())
+	if nd.Router() != nil || nd.Healer() != nil {
+		t.Fatal("a node without peers built a router or healer")
+	}
+	client := &http.Client{Timeout: 30 * time.Second}
+	defer client.CloseIdleConnections()
+
+	syncBody, asyncBody := mmBody(t, testMatrix(t, 31)), mmBody(t, testMatrix(t, 32))
+	if resp, pr := postPlan(t, client, nd.URL, syncBody); resp.StatusCode != http.StatusOK || pr.Cached || !pr.Reordered {
+		t.Fatalf("sync plan: status %d cached=%v reordered=%v", resp.StatusCode, pr.Cached, pr.Reordered)
+	}
+
+	resp, err := client.Post(nd.URL+"/v1/plan?async=1", "text/plain", strings.NewReader(string(asyncBody)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var job planserve.JobResponse
+	err = json.NewDecoder(resp.Body).Decode(&job)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted || err != nil {
+		t.Fatalf("async submit: status %d, %v", resp.StatusCode, err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); job.State != string(planqueue.StateDone); {
+		if time.Now().After(deadline) {
+			t.Fatalf("job %s stuck in %q", job.JobID, job.State)
+		}
+		time.Sleep(5 * time.Millisecond)
+		resp, err := client.Get(nd.URL + "/v1/jobs/" + job.JobID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = json.NewDecoder(resp.Body).Decode(&job)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	if err := nd.Close(context.Background()); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	if nd.Alive() {
+		t.Fatal("node alive after Close")
+	}
+	if err := nd.Restart(); err != nil {
+		t.Fatal(err)
+	}
+	client.CloseIdleConnections() // pooled connections died with the old listener
+	for name, body := range map[string][]byte{"sync": syncBody, "async": asyncBody} {
+		if resp, pr := postPlan(t, client, nd.URL, body); resp.StatusCode != http.StatusOK || !pr.Cached {
+			t.Errorf("%s plan after restart: status %d cached=%v", name, resp.StatusCode, pr.Cached)
+		}
+	}
+	if n := computes.Load(); n != 2 {
+		t.Errorf("%d pipeline runs, want 2 (one per matrix)", n)
+	}
+}
+
+// TestStartNodeRejectsMissingPrerequisites: configurations that cannot work
+// fail with an error, before anything is opened, and the listener is closed.
+func TestStartNodeRejectsMissingPrerequisites(t *testing.T) {
+	dir := t.TempDir()
+	peers := Config{Self: "http://127.0.0.1:1", Peers: []string{"http://127.0.0.1:1"}}
+	for name, cfg := range map[string]NodeConfig{
+		"queue without cache":     {Queue: planqueue.Config{Dir: filepath.Join(dir, "queue")}},
+		"self-heal without peers": {CacheDir: filepath.Join(dir, "cache"), SelfHeal: true},
+		"self-heal without cache": {Fleet: peers, SelfHeal: true},
+	} {
+		cfg.Serve.Plan = countingPlan(new(atomic.Int64))
+		ln := listen(t)
+		nd, err := StartNode(ln, cfg, true)
+		if err == nil {
+			nd.Close(context.Background())
+			t.Errorf("%s: node started", name)
+			continue
+		}
+		if !strings.Contains(err.Error(), "requires") {
+			t.Errorf("%s: error %q does not name the missing prerequisite", name, err)
+		}
+		if ln.Close() == nil {
+			t.Errorf("%s: listener left open", name)
+		}
+	}
+	if ents, _ := os.ReadDir(dir); len(ents) != 0 {
+		t.Errorf("rejected configurations created %d directories", len(ents))
+	}
+}
+
+// TestLaunchClusterFailureClosesListeners: a launch that fails at its first
+// node closes every listener it bound, the failing node's and the later
+// ones'.
+func TestLaunchClusterFailureClosesListeners(t *testing.T) {
+	openFDs := func() int {
+		ents, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Skip("no /proc/self/fd on this platform")
+		}
+		return len(ents)
+	}
+	listen(t).Close() // the network poller's own descriptors exist from here on
+	before := openFDs()
+	if _, err := LaunchCluster(3, NodeConfig{CacheDir: t.TempDir()}); err == nil {
+		t.Fatal("a cluster without a Plan launched")
+	}
+	if after := openFDs(); after > before {
+		t.Errorf("%d descriptors left open by the failed launch", after-before)
+	}
+}
+
+// TestSelfHealCloseHandsOffSoleEntries: a self-healing member's graceful
+// Close pushes the entries only it holds to the key's other replicas before
+// its listener closes.
+func TestSelfHealCloseHandsOffSoleEntries(t *testing.T) {
+	var computes atomic.Int64
+	c, err := LaunchCluster(3, NodeConfig{
+		Serve:    planserve.Config{Plan: countingPlan(&computes)},
+		CacheDir: t.TempDir(),
+		SelfHeal: true,
+		// No repair round or scrub tick runs during the test: only the drain
+		// push can move the entry.
+		Heal: antientropy.Config{RepairInterval: time.Hour, ScrubInterval: time.Hour},
+		Logf: t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	leaving := c.Nodes[0]
+	const replicas = 2 // fleet default
+
+	// A key whose replica set includes the leaving node, held only there.
+	var key string
+	var others []string
+	for seed := int64(40); key == ""; seed++ {
+		k := plancache.KeyCSR(testMatrix(t, seed))
+		reps := leaving.Router().Ring().Replicas(k, replicas)
+		for i, u := range reps {
+			if u == leaving.URL {
+				key, others = k, append(append([]string(nil), reps[:i]...), reps[i+1:]...)
+			}
+		}
+	}
+	perm := make(sparse.Permutation, 48)
+	for i := range perm {
+		perm[i] = int32(len(perm) - 1 - i)
+	}
+	if err := leaving.Cache().Put(&plancache.Entry{Key: key, Perm: perm, Reordered: true, K: 8}); err != nil {
+		t.Fatal(err)
+	}
+	for _, u := range others {
+		if _, ok := nodeByURL(t, c, u).Cache().Peek(key); ok {
+			t.Fatalf("precondition: %s already holds the entry", u)
+		}
+	}
+
+	if err := leaving.Close(context.Background()); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	for _, u := range others {
+		if _, ok := nodeByURL(t, c, u).Cache().Peek(key); !ok {
+			t.Errorf("replica %s did not receive the leaving node's sole entry", u)
+		}
+	}
+	if n := computes.Load(); n != 0 {
+		t.Errorf("%d pipeline runs, want 0", n)
+	}
+}

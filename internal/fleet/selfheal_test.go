@@ -5,6 +5,9 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"bootes/internal/antientropy"
+	"bootes/internal/planserve"
 )
 
 // nodeByURL maps a ring member name back to its cluster node.
@@ -26,12 +29,12 @@ func nodeByURL(t testing.TB, c *Cluster, url string) *Node {
 // all without a single recompute.
 func TestSelfHealReplicationKillRecover(t *testing.T) {
 	var computes atomic.Int64
-	c, err := LaunchCluster(3, ClusterOptions{
-		Plan:           countingPlan(&computes),
-		Dir:            t.TempDir(),
+	c, err := LaunchCluster(3, NodeConfig{
+		Serve:          planserve.Config{Plan: countingPlan(&computes)},
+		CacheDir:       t.TempDir(),
+		Fleet:          Config{ProbeInterval: 25 * time.Millisecond},
 		SelfHeal:       true,
-		RepairInterval: 50 * time.Millisecond,
-		ProbeInterval:  25 * time.Millisecond,
+		Heal:           antientropy.Config{RepairInterval: 50 * time.Millisecond},
 		WarmupDeadline: 3 * time.Second,
 		Logf:           t.Logf,
 	})

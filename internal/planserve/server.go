@@ -32,6 +32,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"bootes"
 	"bootes/internal/antientropy"
 	"bootes/internal/faultinject"
 	"bootes/internal/obs"
@@ -47,6 +48,36 @@ import (
 // the seed so a retry is not a deterministic replay of the failure.
 type PlanFunc func(ctx context.Context, m *sparse.CSR, attempt int) (*reorder.Result, error)
 
+// PipelinePlan is the production PlanFunc: bootes.PlanContext under opts.
+// Attempt i plans at seed opts.Seed + i·0x9E3779B9, so a transient
+// eigensolver failure is not deterministically replayed, and the request
+// deadline becomes the wall-clock budget, so expiry degrades the plan
+// instead of failing it.
+func PipelinePlan(opts bootes.Options) PlanFunc {
+	return func(ctx context.Context, m *sparse.CSR, attempt int) (*reorder.Result, error) {
+		o := opts
+		o.Seed += int64(attempt) * 0x9E3779B9
+		if dl, ok := ctx.Deadline(); ok {
+			o.Budget.MaxWallClock = time.Until(dl)
+		}
+		plan, err := bootes.PlanContext(ctx, m, &o)
+		if err != nil {
+			return nil, err
+		}
+		return &reorder.Result{
+			Perm:           plan.Perm,
+			Reordered:      plan.Reordered,
+			Degraded:       plan.Degraded,
+			DegradedReason: plan.DegradedReason,
+			SimilarityMode: plan.SimilarityMode,
+			AutoK:          plan.AutoK,
+			PreprocessTime: time.Duration(plan.PreprocessSeconds * float64(time.Second)),
+			FootprintBytes: plan.FootprintBytes,
+			Extra:          map[string]float64{"k": float64(plan.K)},
+		}, nil
+	}
+}
+
 // Config assembles a Server.
 type Config struct {
 	// Plan is the planning pipeline (required).
@@ -55,8 +86,8 @@ type Config struct {
 	Cache *plancache.Cache
 	// Queue is the durable async plan queue behind POST /v1/plan?async=1 and
 	// GET /v1/jobs/{id}; nil answers async submissions with 501. The queue's
-	// lifecycle (Open/Start/Stop) belongs to the caller — cmd/bootesd drains
-	// it alongside the HTTP server.
+	// lifecycle (Open/Start/Stop) belongs to the caller — fleet.StartNode
+	// drains it alongside the HTTP server.
 	Queue *planqueue.Queue
 	// Tenants is the per-tenant traffic-shaping policy (token-bucket quotas,
 	// identified by X-Tenant or ?tenant=). A zero Rate with no Overrides
@@ -497,7 +528,7 @@ func (s *Server) handleCachePut(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	key := r.PathValue("key")
-	data, err := io.ReadAll(io.LimitReader(r.Body, 64<<20))
+	data, err := io.ReadAll(io.LimitReader(r.Body, antientropy.MaxEntryBytes))
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return

@@ -10,11 +10,13 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"bootes"
 	"bootes/internal/faultinject"
 	"bootes/internal/leakcheck"
 	"bootes/internal/obs"
@@ -796,5 +798,53 @@ func TestRoutedMatrixReplacesBody(t *testing.T) {
 	// A router whose body limit exceeds the server's still gets a 413.
 	if rec := serve(nil, 4097); rec.Code != http.StatusRequestEntityTooLarge {
 		t.Fatalf("routed body over MaxUploadBytes = %d (%s), want 413", rec.Code, rec.Body)
+	}
+}
+
+// TestPipelinePlanCarriesPlanContextFields: the production PlanFunc returns
+// what bootes.PlanContext returns, auto-k outcome included, and attempt 1
+// plans at seed+0x9E3779B9.
+func TestPipelinePlanCarriesPlanContextFields(t *testing.T) {
+	m := workloads.ScrambledBlock(workloads.Params{Rows: 256, Cols: 256, Density: 0.04, Seed: 17, Groups: 4})
+	ctx := context.Background()
+	const seed = 7
+	want, err := bootes.PlanContext(ctx, m, &bootes.Options{Seed: seed + 0x9E3779B9, AutoK: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := PipelinePlan(bootes.Options{Seed: seed, AutoK: true})(ctx, m, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !want.Reordered || want.AutoK == "" {
+		t.Fatalf("fixture: want a reordered auto-k plan, got reordered=%v autoK=%q", want.Reordered, want.AutoK)
+	}
+	if !slices.Equal(got.Perm, want.Perm) || got.Reordered != want.Reordered || got.Degraded != want.Degraded ||
+		int(got.Extra["k"]) != want.K || got.SimilarityMode != want.SimilarityMode || got.AutoK != want.AutoK ||
+		got.FootprintBytes != want.FootprintBytes || got.PreprocessTime <= 0 {
+		t.Fatalf("attempt 1 = {k=%v sim=%q autoK=%q footprint=%d preprocess=%v}, want PlanContext's {k=%d sim=%q autoK=%q footprint=%d} and a positive time",
+			got.Extra["k"], got.SimilarityMode, got.AutoK, got.FootprintBytes, got.PreprocessTime,
+			want.K, want.SimilarityMode, want.AutoK, want.FootprintBytes)
+	}
+
+	// Through a plan cache the recorded time comes back exactly: the entry
+	// attempt 1 stores is the one PlanContext at the mixed seed hits.
+	cache, err := bootes.OpenPlanCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	stored, err := PipelinePlan(bootes.Options{Seed: seed, AutoK: true, Cache: cache})(ctx, m, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hit, err := bootes.PlanContext(ctx, m, &bootes.Options{Seed: seed + 0x9E3779B9, AutoK: true, Cache: cache})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !hit.FromCache {
+		t.Fatal("PlanContext at seed+0x9E3779B9 missed the entry attempt 1 stored")
+	}
+	if d := stored.PreprocessTime.Seconds() - hit.PreprocessSeconds; d > 1e-9 || d < -1e-9 {
+		t.Errorf("preprocess time %v, PlanContext recorded %gs", stored.PreprocessTime, hit.PreprocessSeconds)
 	}
 }

@@ -184,10 +184,7 @@ func CheckPlan(rows int, perm sparse.Permutation, k int, reordered, degraded boo
 // otherwise). Returns nil when the plan does not regress.
 func CheckTraffic(m *sparse.CSR, perm sparse.Permutation, cfg *Config) *Violation {
 	c := cfg.withDefaults()
-	b := m
-	if m.Rows != m.Cols {
-		b = sparse.Transpose(m)
-	}
+	b := trafficmodel.OperandB(m)
 	base, err := trafficmodel.EstimateB(m, b, c.CacheBytes, c.ElemBytes)
 	if err != nil {
 		return &Violation{CodeTrafficRegression, "traffic model failed on original order: " + err.Error()}

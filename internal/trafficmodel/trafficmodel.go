@@ -33,60 +33,21 @@ func (e Estimate) Ratio() float64 {
 	return float64(e.BTraffic) / float64(e.BCompulsory)
 }
 
+// OperandB returns the B operand the paper pairs with A in C = A·B: A itself
+// when A is square, Aᵀ otherwise. B is never reordered.
+func OperandB(a *sparse.CSR) *sparse.CSR {
+	if a.Rows == a.Cols {
+		return a
+	}
+	return sparse.Transpose(a)
+}
+
 // EstimateB runs the row-granular LRU model: rows of A are processed in
 // order, and every nonzero A[i,k] touches B row k (all of its bytes) in an
 // LRU cache of capacityBytes. elemBytes is the storage cost per stored
 // nonzero (12 in the accelerator configs).
 func EstimateB(a, b *sparse.CSR, capacityBytes, elemBytes int64) (Estimate, error) {
-	if a.Cols != b.Rows {
-		return Estimate{}, sparse.ErrDimension
-	}
-	var est Estimate
-	rowBytes := make([]int64, b.Rows)
-	for k := 0; k < b.Rows; k++ {
-		rowBytes[k] = (b.RowPtr[k+1] - b.RowPtr[k]) * elemBytes
-	}
-	referenced := make([]bool, b.Rows)
-	for _, k := range a.Col {
-		if !referenced[k] {
-			referenced[k] = true
-			est.BCompulsory += rowBytes[k]
-		}
-	}
-
-	// Fully associative LRU over B rows.
-	lru := list.New()                     // front = most recent; values are row ids
-	elem := make([]*list.Element, b.Rows) // row id → list element (nil if absent)
-	var resident int64
-	touch := func(k int32) {
-		if e := elem[k]; e != nil {
-			lru.MoveToFront(e)
-			est.Hits++
-			return
-		}
-		est.Misses++
-		est.BTraffic += rowBytes[k]
-		if rowBytes[k] >= capacityBytes {
-			// Row larger than the cache: streams through, never resident.
-			return
-		}
-		resident += rowBytes[k]
-		elem[k] = lru.PushFront(k)
-		for resident > capacityBytes {
-			back := lru.Back()
-			victim := back.Value.(int32)
-			lru.Remove(back)
-			elem[victim] = nil
-			resident -= rowBytes[victim]
-		}
-	}
-
-	for i := 0; i < a.Rows; i++ {
-		for _, k := range a.Row(i) {
-			touch(k)
-		}
-	}
-	return est, nil
+	return EstimateBWithPerm(a, b, sparse.IdentityPerm(a.Rows), capacityBytes, elemBytes)
 }
 
 // EstimateBWithPerm is EstimateB after applying row permutation perm to A,
@@ -110,8 +71,10 @@ func EstimateBWithPerm(a, b *sparse.CSR, perm sparse.Permutation, capacityBytes,
 			est.BCompulsory += rowBytes[k]
 		}
 	}
-	lru := list.New()
-	elem := make([]*list.Element, b.Rows)
+
+	// Fully associative LRU over B rows.
+	lru := list.New()                     // front = most recent; values are row ids
+	elem := make([]*list.Element, b.Rows) // row id → list element (nil if absent)
 	var resident int64
 	for _, oldRow := range perm {
 		for _, k := range a.Row(int(oldRow)) {
@@ -123,6 +86,7 @@ func EstimateBWithPerm(a, b *sparse.CSR, perm sparse.Permutation, capacityBytes,
 			est.Misses++
 			est.BTraffic += rowBytes[k]
 			if rowBytes[k] >= capacityBytes {
+				// Row larger than the cache: streams through, never resident.
 				continue
 			}
 			resident += rowBytes[k]

@@ -94,29 +94,6 @@ func TestVerifyCorruptPlanNeverCached(t *testing.T) {
 	}
 }
 
-// TestVerifyOffSkipsChecks: the escape hatch. With VerifyOff the armed
-// corruption point is never consulted on the plan path, so the plan comes
-// back healthy and no violation is recorded — the knob genuinely gates the
-// verifier rather than merely suppressing its fallback.
-func TestVerifyOffSkipsChecks(t *testing.T) {
-	t.Cleanup(faultinject.Reset)
-	m := verifyMatrix(t)
-	before := permInvalidAtPlan().Value()
-	if err := faultinject.Arm(faultinject.PlanCorrupt, faultinject.Always()); err != nil {
-		t.Fatal(err)
-	}
-	plan, err := Plan(m, &Options{ForceReorder: true, ForceK: 8, Seed: 3, Verify: VerifyOff})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan.Degraded {
-		t.Fatalf("VerifyOff plan degraded: %s", plan.DegradedReason)
-	}
-	if d := permInvalidAtPlan().Value() - before; d != 0 {
-		t.Fatalf("VerifyOff still recorded %d plan-site violations", d)
-	}
-}
-
 // TestVerifyTrafficRegressionFallsBack: the never-regress invariant. A banded
 // matrix is already in its best order; forcing the traffic check against a
 // gate-approved-looking reordering must be impossible here (Force* disables
