@@ -15,7 +15,9 @@
 #                  queue's worker/crash paths, the metrics registry's
 #                  concurrent instrument updates, the consistent-hash ring,
 #                  the fleet router's forward/hedge/probe paths and node
-#                  assembly, and the bootesd binary's plan/drain test
+#                  assembly, the bootesd binary's plan/drain test, and the
+#                  queue-crash chaos soak, whose jobs run on planqueue's
+#                  workers through planserve's RunJob and shared state
 #   make fuzz    — short fuzzing smoke over the sparse-format parsers, the
 #                  CSR constructor, and the plan-cache entry decoder (the
 #                  hostile-input hardening targets)
@@ -94,6 +96,7 @@ race-serve:
 		./internal/plancache/... ./internal/planserve/ ./internal/planqueue/ ./internal/obs/ \
 		./internal/ring/ ./internal/fleet/ ./internal/antientropy/ ./internal/refine/ \
 		./cmd/bootesd/
+	GOMAXPROCS=4 $(GO) test -race -count=2 -timeout 10m ./internal/chaos/ -run TestQueueCrashSoak
 
 # Seed-corpus-only pass: every fuzz target replays its checked-in corpus as
 # plain tests (no mutation engine), so check catches corpus regressions fast.

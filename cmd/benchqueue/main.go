@@ -5,9 +5,9 @@
 //     (sustained submission throughput and journal growth);
 //  2. replay: close the queue cold and reopen it, timing the journal replay
 //     that rebuilds the full backlog (the crash-recovery path);
-//  3. drain: start the worker pool with an instant stub planner and wait for
-//     the backlog to finish (weighted-fair dequeue, terminal journaling,
-//     compaction), isolating queue machinery from pipeline cost.
+//  3. drain: start the worker pool with an instant stub RunFunc and wait for
+//     the backlog to finish (weighted-fair dequeue, spool load, terminal
+//     journaling, compaction), isolating queue machinery from planning cost.
 //
 // Rerun (from the repo root):
 //
@@ -74,15 +74,16 @@ func main() {
 		defer os.RemoveAll(qdir)
 	}
 
-	// The stub planner completes instantly with a structurally valid plan
-	// (row reversal), so the drain phase times dequeue + journal + verify
-	// machinery rather than eigensolves.
-	run := func(ctx context.Context, m *sparse.CSR, attempt int) (*reorder.Result, error) {
+	// The stub RunFunc completes instantly with a structurally valid plan
+	// (row reversal), so the drain phase times dequeue + spool + journal
+	// machinery rather than planning, which bootesd's RunFunc (planserve's
+	// RunJob: lookup, pipeline, verify, cache write) adds on top.
+	run := func(ctx context.Context, key string, m *sparse.CSR) (*reorder.Result, bool, error) {
 		p := make(sparse.Permutation, m.Rows)
 		for i := range p {
 			p[i] = int32(m.Rows - 1 - i)
 		}
-		return &reorder.Result{Perm: p, Reordered: true, Extra: map[string]float64{"k": 4}}, nil
+		return &reorder.Result{Perm: p, Reordered: true, Extra: map[string]float64{"k": 4}}, false, nil
 	}
 	weights := make(map[string]float64, *tenants)
 	names := make([]string, *tenants)
@@ -92,7 +93,6 @@ func main() {
 	}
 	cfg := planqueue.Config{
 		Dir:                qdir,
-		Run:                run,
 		Workers:            *workers,
 		MaxQueued:          *jobs + 1,
 		MaxQueuedPerTenant: *jobs + 1,
@@ -116,7 +116,7 @@ func main() {
 	res.EnqueueJobs = *jobs
 	start := time.Now()
 	for i, m := range matrices {
-		if _, dup, err := q.Enqueue(names[i%*tenants], m, ""); err != nil {
+		if _, dup, err := q.Enqueue(names[i%*tenants], m); err != nil {
 			log.Fatalf("enqueue %d: %v", i, err)
 		} else if dup {
 			log.Fatalf("enqueue %d: unexpected dedupe (matrix seeds must differ)", i)
@@ -140,7 +140,7 @@ func main() {
 	}
 	log.Printf("replayed %d jobs in %.3fs", res.ReplayJobs, res.ReplaySeconds)
 
-	q.Start()
+	q.Start(run)
 	start = time.Now()
 	if err := q.WaitIdle(context.Background()); err != nil {
 		log.Fatalf("drain: %v", err)

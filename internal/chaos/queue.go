@@ -41,15 +41,22 @@ func reversalResult(m *sparse.CSR) *reorder.Result {
 // scenarioQueueCrash enqueues a batch of jobs on the durable queue, arms one
 // journal crash point (half-written append or skipped fsync), lets the first
 // life run until it drains or wedges on the injected crash, then kills it and
-// restarts from the journal. Invariants:
+// restarts from the journal. Jobs run as bootesd runs them, through
+// planserve's RunJob over the episode's cache; in some episodes the stub
+// pipeline degrades some matrices, and degraded plans are never cached.
+// Invariants:
 //
 //   - every acked job (Enqueue returned success) survives the crash and
 //     reaches done in the second life — a torn tail may only eat records the
 //     client was never acked for;
-//   - crash-exactly-once: a job observed done before the crash never runs
-//     again (its completion is re-discovered through the plan cache on
-//     replay), and a job caught queued or mid-run by the crash runs at most
-//     once more — execution is at-least-once, completion exactly-once;
+//   - crash-exactly-once for healthy plans: a job observed done before the
+//     crash never runs again (its completion is re-discovered through the
+//     plan cache on replay), and a job caught queued or mid-run by the crash
+//     runs at most once more — execution is at-least-once, completion
+//     exactly-once;
+//   - a degraded job whose done record the crash lost has no cache entry to
+//     complete from, so it is planned again: it too runs at most once more
+//     after the restart, and never more than once per life;
 //   - a half-written append is detected as exactly one torn tail on reopen.
 func scenarioQueueCrash(e *episode) {
 	cache, err := plancache.Open(e.dir)
@@ -61,24 +68,49 @@ func scenarioQueueCrash(e *episode) {
 
 	var mu sync.Mutex
 	runs := map[string]int{}
-	run := func(ctx context.Context, m *sparse.CSR, attempt int) (*reorder.Result, error) {
+	// In degrading episodes, about half the keys (by content hash) degrade.
+	degradeSome := e.rng.Intn(2) == 0
+	degraded := func(key string) bool { return degradeSome && key[0] < '8' }
+	plan := func(ctx context.Context, m *sparse.CSR, attempt int) (*reorder.Result, error) {
+		key := plancache.KeyCSR(m)
 		mu.Lock()
-		runs[plancache.KeyCSR(m)]++
+		runs[key]++
 		mu.Unlock()
+		if degraded(key) {
+			return &reorder.Result{
+				Perm:           sparse.IdentityPerm(m.Rows),
+				Degraded:       true,
+				DegradedReason: "requested: memory estimate over budget; fell back to identity",
+			}, nil
+		}
 		return reversalResult(m), nil
 	}
+	// open starts one life, wired as fleet.StartNode wires a node: a queue
+	// whose jobs run through a planserve server over c, on one registry.
 	open := func(c *plancache.Cache) (*planqueue.Queue, *obs.Registry, error) {
 		reg := obs.NewRegistry()
 		q, err := planqueue.Open(planqueue.Config{
 			Dir:          qdir,
-			Run:          run,
-			Cache:        c,
 			Workers:      1 + e.rng.Intn(3),
 			RetryBackoff: time.Millisecond,
 			Metrics:      reg,
 			Seed:         e.rng.Int63(),
 		})
-		return q, reg, err
+		if err != nil {
+			return nil, nil, err
+		}
+		srv, err := planserve.New(planserve.Config{
+			Plan:    plan,
+			Cache:   c,
+			Metrics: reg,
+			Logf:    func(string, ...any) {},
+		})
+		if err != nil {
+			q.Kill()
+			return nil, nil, err
+		}
+		q.Start(srv.RunJob)
+		return q, reg, nil
 	}
 
 	q1, _, err := open(cache)
@@ -86,7 +118,6 @@ func scenarioQueueCrash(e *episode) {
 		e.violatef("queue-crash: open queue: %v", err)
 		return
 	}
-	q1.Start()
 
 	jobs := 2 + e.rng.Intn(4)
 	points := []string{faultinject.JournalAppendWrite, faultinject.JournalAppendFsync}
@@ -106,7 +137,7 @@ func scenarioQueueCrash(e *episode) {
 	type ack struct{ id, key string }
 	var acked []ack
 	for i := 0; i < jobs; i++ {
-		jb, _, err := q1.Enqueue(tenants[e.rng.Intn(len(tenants))], e.matrix(), "")
+		jb, _, err := q1.Enqueue(tenants[e.rng.Intn(len(tenants))], e.matrix())
 		if err != nil {
 			// The ack append crashed (or the queue wedged): the client never
 			// got a job id, so this job owes no durability.
@@ -170,7 +201,6 @@ func scenarioQueueCrash(e *episode) {
 			e.violatef("queue-crash: half-written append left %d torn tails, want 1", tt)
 		}
 	}
-	q2.Start()
 	wctx, wcancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer wcancel()
 	if err := q2.WaitIdle(wctx); err != nil {
@@ -184,6 +214,8 @@ func scenarioQueueCrash(e *episode) {
 		}
 		if jb.State != planqueue.StateDone {
 			e.violatef("queue-crash: acked job %s ended %s (%q), want done", a.id, jb.State, jb.Reason)
+		} else if jb.Degraded != degraded(a.key) {
+			e.violatef("queue-crash: job %s done with degraded=%v, want %v", a.id, jb.Degraded, degraded(a.key))
 		}
 	}
 	mu.Lock()
@@ -192,7 +224,7 @@ func scenarioQueueCrash(e *episode) {
 		switch {
 		case n == 0:
 			e.violatef("queue-crash: key %.12s reached done without ever running", a.key)
-		case doneBefore[a.key] && n != runsBefore[a.key]:
+		case doneBefore[a.key] && !degraded(a.key) && n != runsBefore[a.key]:
 			e.violatef("queue-crash: key %.12s completed before the crash yet re-ran after restart (%d → %d runs)",
 				a.key, runsBefore[a.key], n)
 		case n-runsBefore[a.key] > 1:

@@ -39,9 +39,9 @@ type NodeConfig struct {
 	CacheDir string
 	// Queue configures the durable async queue behind ?async=1; an empty Dir
 	// disables it. It requires CacheDir: async jobs complete into the plan
-	// cache. StartNode sets Run to Serve.Plan and Cache, Metrics and Logf;
-	// Workers defaults to Serve.MaxInFlight, so background planning never
-	// out-parallelizes what admission allows foreground work.
+	// cache. StartNode sets Metrics and Logf and starts the queue with the
+	// server's RunJob; Workers defaults to Serve.MaxInFlight, so background
+	// planning never out-parallelizes what admission allows foreground work.
 	Queue planqueue.Config
 	// Fleet configures the router; empty Peers runs a standalone node.
 	// StartNode sets MaxBodyBytes to Serve.MaxUploadBytes, Metrics and Logf.
@@ -133,8 +133,7 @@ func (nd *Node) start(ln net.Listener, warm bool) (err error) {
 	var queue *planqueue.Queue
 	if cfg.Queue.Dir != "" {
 		qc := cfg.Queue
-		qc.Run = planqueue.RunFunc(cfg.Serve.Plan)
-		qc.Cache, qc.Metrics, qc.Logf = cache, reg, logf
+		qc.Metrics, qc.Logf = reg, logf
 		if qc.Workers <= 0 {
 			qc.Workers = cfg.Serve.MaxInFlight
 		}
@@ -222,7 +221,7 @@ func (nd *Node) start(ln net.Listener, warm bool) (err error) {
 
 	// Nothing below fails: start the background work, then serve.
 	if queue != nil {
-		queue.Start()
+		queue.Start(srv.RunJob)
 	}
 	if router != nil {
 		router.Start()
@@ -433,8 +432,9 @@ type Cluster struct {
 // LaunchCluster starts n nodes through StartNode, each on its own loopback
 // listener and all on one ring. cfg is every member's config, except that
 // node i gets Fleet.Self and Fleet.Peers from the bound listeners, its cache
-// under CacheDir/node<i>, and planserve jitter seed Serve.Seed+i. CacheDir
-// is required: restarts reopen it. Leave Metrics nil so each node start gets
+// under CacheDir/node<i>, its queue (when Queue.Dir is set) under
+// Queue.Dir/node<i>, and planserve jitter seed Serve.Seed+i. CacheDir is
+// required: restarts reopen it. Leave Metrics nil so each node start gets
 // a private registry, as separate processes would; a nil Logf discards node
 // diagnostics. On a failed launch every listener bound here is closed.
 func LaunchCluster(n int, cfg NodeConfig) (*Cluster, error) {
@@ -466,6 +466,9 @@ func LaunchCluster(n int, cfg NodeConfig) (*Cluster, error) {
 	for i, ln := range listeners {
 		nc := cfg
 		nc.CacheDir = filepath.Join(cfg.CacheDir, fmt.Sprintf("node%d", i))
+		if cfg.Queue.Dir != "" {
+			nc.Queue.Dir = filepath.Join(cfg.Queue.Dir, fmt.Sprintf("node%d", i))
+		}
 		nc.Fleet.Self, nc.Fleet.Peers = peers[i], peers
 		nc.Serve.Seed = cfg.Serve.Seed + int64(i)
 		nd, err := StartNode(ln, nc, false)

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"net"
@@ -55,32 +56,7 @@ func TestStandaloneNodeServesDrainsAndRestartsFromCache(t *testing.T) {
 	if resp, pr := postPlan(t, client, nd.URL, syncBody); resp.StatusCode != http.StatusOK || pr.Cached || !pr.Reordered {
 		t.Fatalf("sync plan: status %d cached=%v reordered=%v", resp.StatusCode, pr.Cached, pr.Reordered)
 	}
-
-	resp, err := client.Post(nd.URL+"/v1/plan?async=1", "text/plain", strings.NewReader(string(asyncBody)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var job planserve.JobResponse
-	err = json.NewDecoder(resp.Body).Decode(&job)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted || err != nil {
-		t.Fatalf("async submit: status %d, %v", resp.StatusCode, err)
-	}
-	for deadline := time.Now().Add(10 * time.Second); job.State != string(planqueue.StateDone); {
-		if time.Now().After(deadline) {
-			t.Fatalf("job %s stuck in %q", job.JobID, job.State)
-		}
-		time.Sleep(5 * time.Millisecond)
-		resp, err := client.Get(nd.URL + "/v1/jobs/" + job.JobID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		err = json.NewDecoder(resp.Body).Decode(&job)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
+	runJob(t, client, nd.URL, asyncBody)
 
 	if err := nd.Close(context.Background()); err != nil {
 		t.Fatalf("drain: %v", err)
@@ -99,6 +75,118 @@ func TestStandaloneNodeServesDrainsAndRestartsFromCache(t *testing.T) {
 	}
 	if n := computes.Load(); n != 2 {
 		t.Errorf("%d pipeline runs, want 2 (one per matrix)", n)
+	}
+}
+
+// runJob submits body as an async job to the node at url and polls it until
+// it is done.
+func runJob(t testing.TB, client *http.Client, url string, body []byte) planserve.JobResponse {
+	t.Helper()
+	resp, err := client.Post(url+"/v1/plan?async=1", "text/plain", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var job planserve.JobResponse
+	err = json.NewDecoder(resp.Body).Decode(&job)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted || err != nil {
+		t.Fatalf("async submit: status %d, %v", resp.StatusCode, err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); job.State != string(planqueue.StateDone); {
+		if time.Now().After(deadline) {
+			t.Fatalf("job %s stuck in %q (%s)", job.JobID, job.State, job.Reason)
+		}
+		time.Sleep(5 * time.Millisecond)
+		resp, err := client.Get(url + "/v1/jobs/" + job.JobID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = json.NewDecoder(resp.Body).Decode(&job)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return job
+}
+
+// TestAsyncJobPeerFills: an async job on a node that does not own its matrix
+// completes from the owner's cache by peer fill, with no pipeline run —
+// async jobs keep the fleet's compute-once rule as sync requests do.
+func TestAsyncJobPeerFills(t *testing.T) {
+	var computes atomic.Int64
+	dir := t.TempDir()
+	c, err := LaunchCluster(3, NodeConfig{
+		Serve:    planserve.Config{Plan: countingPlan(&computes)},
+		CacheDir: filepath.Join(dir, "cache"),
+		Queue:    planqueue.Config{Dir: filepath.Join(dir, "queue")},
+		Logf:     t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	client := &http.Client{Timeout: 30 * time.Second}
+	defer client.CloseIdleConnections()
+
+	body := mmBody(t, testMatrix(t, 33))
+	key := keyMust(t, body)
+	owner := c.Nodes[0].Router().Ring().Owner(key)
+	if resp, _ := postPlan(t, client, owner, body); resp.StatusCode != http.StatusOK {
+		t.Fatalf("priming owner: status %d", resp.StatusCode)
+	}
+	var other *Node
+	for _, nd := range c.Nodes {
+		if nd.URL != owner {
+			other = nd
+		}
+	}
+	if job := runJob(t, client, other.URL, body); job.Plan == nil || !job.Plan.Cached {
+		t.Errorf("job plan %+v, want one found without computing", job.Plan)
+	}
+	if n := computes.Load(); n != 1 {
+		t.Errorf("fleet computed %d times, want 1 (fill, not recompute)", n)
+	}
+	if st := other.Server().Stats(); st.PeerFills != 1 {
+		t.Errorf("job node PeerFills = %d, want 1", st.PeerFills)
+	}
+	if _, ok := other.Cache().Peek(key); !ok {
+		t.Error("peer-filled entry was not copied into the job node's cache")
+	}
+}
+
+// TestSelfHealReplicatesAsyncJobPlan: with self-healing on, the plan an async
+// job computes is on the key's other replica by the time the job reads done —
+// the job persists and replicates exactly as a sync request does.
+func TestSelfHealReplicatesAsyncJobPlan(t *testing.T) {
+	var computes atomic.Int64
+	dir := t.TempDir()
+	c, err := LaunchCluster(3, NodeConfig{
+		Serve:    planserve.Config{Plan: countingPlan(&computes)},
+		CacheDir: filepath.Join(dir, "cache"),
+		Queue:    planqueue.Config{Dir: filepath.Join(dir, "queue")},
+		SelfHeal: true,
+		// No repair round or scrub tick runs during the test: only the
+		// job's replication can move the entry.
+		Heal: antientropy.Config{RepairInterval: time.Hour, ScrubInterval: time.Hour},
+		Logf: t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	client := &http.Client{Timeout: 30 * time.Second}
+	defer client.CloseIdleConnections()
+
+	body := mmBody(t, testMatrix(t, 34))
+	key := keyMust(t, body)
+	reps := c.Nodes[0].Router().Ring().Replicas(key, 2) // fleet default
+	runJob(t, client, reps[0], body)
+	if _, ok := nodeByURL(t, c, reps[1]).Cache().Peek(key); !ok {
+		t.Errorf("replica %s lacks the async job's plan when the job reads done", reps[1])
+	}
+	if n := computes.Load(); n != 1 {
+		t.Errorf("fleet computed %d times, want 1", n)
 	}
 }
 

@@ -7,7 +7,7 @@
 //	header   magic "BQWL" + version uint32
 //	records  recLen uint32 | crc32 uint32 (IEEE, over payload) | payload
 //
-// Each payload carries a full job image (seq, state, tenant, keys, attempts,
+// Each payload carries a full job image (seq, state, tenant, key, attempts,
 // outcome fields), so any record can be replayed standalone — compaction
 // rewrites the file as one snapshot record per job it keeps.
 //
@@ -61,6 +61,8 @@ const (
 )
 
 // rec is the wire image of a job. It mirrors Job but with fixed-width types.
+// Its third wire string, an options fingerprint no writer ever set, is
+// written empty and skipped on read, so older journals replay unchanged.
 type rec struct {
 	typ       uint8
 	seq       uint64
@@ -71,7 +73,6 @@ type rec struct {
 	enqueuedN int64 // unix nanos
 	tenant    string
 	key       string
-	optKey    string
 	reason    string
 }
 
@@ -82,7 +83,7 @@ const (
 )
 
 func encodeRec(r *rec) ([]byte, error) {
-	for _, s := range []string{r.tenant, r.key, r.optKey, r.reason} {
+	for _, s := range []string{r.tenant, r.key, r.reason} {
 		if len(s) > math.MaxUint16 {
 			return nil, fmt.Errorf("planqueue: record string field too long (%d bytes)", len(s))
 		}
@@ -96,7 +97,7 @@ func encodeRec(r *rec) ([]byte, error) {
 	_ = binary.Write(&p, binary.LittleEndian, r.k)
 	_ = binary.Write(&p, binary.LittleEndian, r.attempts)
 	_ = binary.Write(&p, binary.LittleEndian, r.enqueuedN)
-	for _, s := range []string{r.tenant, r.key, r.optKey, r.reason} {
+	for _, s := range []string{r.tenant, r.key, "", r.reason} {
 		_ = binary.Write(&p, binary.LittleEndian, uint16(len(s)))
 		p.WriteString(s)
 	}
@@ -138,7 +139,8 @@ func decodeRec(data []byte) (*rec, error) {
 			return nil, fmt.Errorf("%w: fixed fields: %v", errRecCorrupt, err)
 		}
 	}
-	for _, dst := range []*string{&out.tenant, &out.key, &out.optKey, &out.reason} {
+	var unused string
+	for _, dst := range []*string{&out.tenant, &out.key, &unused, &out.reason} {
 		var n uint16
 		if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
 			return nil, fmt.Errorf("%w: string length: %v", errRecCorrupt, err)
@@ -161,14 +163,14 @@ type journal struct {
 	path string
 	f    *os.File
 	size int64
-	// broken latches when a failed append could not be repaired: the file may
-	// hold torn bytes mid-stream, so further appends would write records that
-	// replay could never reach. Every append fails fast until restart.
+	// broken latches when an append left the tail torn (an injected crash,
+	// or a failed write that could not be repaired): later records would
+	// land where replay never reaches, so every append and rewrite fails
+	// fast until restart, as in a crashed process.
 	broken bool
 }
 
-// errJournalBroken reports appends against a journal whose tail could not be
-// restored after a failed write.
+// errJournalBroken reports appends against a journal whose tail is torn.
 var errJournalBroken = errors.New("planqueue: journal broken (unrepaired torn tail)")
 
 // openJournal opens (or creates) the journal at path, replays every intact
@@ -260,8 +262,9 @@ func openJournal(path string, replay func(*rec)) (j *journal, torn bool, err err
 // therefore repairs the tail (truncate back to the pre-append offset) before
 // returning; if even that fails the journal latches broken and refuses all
 // further appends. An injected crash (ErrJournalCrash) deliberately leaves
-// the file exactly as a real crash would — torn — and the caller must treat
-// the process as dead (the Queue wedges itself closed).
+// the file exactly as a real crash would — torn — and latches the journal
+// broken: a dead process appends nothing more, so no later record may be
+// reported durable (the Queue also wedges itself closed).
 func (j *journal) append(r *rec) error {
 	if j.broken {
 		return errJournalBroken
@@ -273,6 +276,7 @@ func (j *journal) append(r *rec) error {
 	if faultinject.Fire(faultinject.JournalAppendWrite) {
 		// Crash mid-write: half the record reaches the file, unsynced.
 		_, _ = j.f.Write(data[:len(data)/2])
+		j.broken = true
 		return ErrJournalCrash
 	}
 	pre := j.size
@@ -285,6 +289,7 @@ func (j *journal) append(r *rec) error {
 	if faultinject.Fire(faultinject.JournalAppendFsync) {
 		// Crash after write, before fsync: the record's durability is
 		// undecided — replay must be correct whether or not it survives.
+		j.broken = true
 		return ErrJournalCrash
 	}
 	if err := j.f.Sync(); err != nil {
@@ -314,6 +319,9 @@ func (j *journal) repair(pre int64) {
 // temp+fsync+rename protocol, then the append handle is reopened on the new
 // file. On any error the old journal (and the old handle) stay in service.
 func (j *journal) rewrite(recs []*rec) error {
+	if j.broken {
+		return errJournalBroken
+	}
 	var buf bytes.Buffer
 	buf.Write(journalMagic[:])
 	_ = binary.Write(&buf, binary.LittleEndian, uint32(journalVersion))

@@ -20,7 +20,6 @@ func sampleRec(seq uint64) *rec {
 		enqueuedN: time.Date(2026, 8, 7, 0, 0, 0, 0, time.UTC).UnixNano(),
 		tenant:    "acme",
 		key:       "deadbeefdeadbeef",
-		optKey:    "opts-v1",
 		reason:    "",
 	}
 }
@@ -166,6 +165,11 @@ func TestJournalCrashMidWrite(t *testing.T) {
 	}
 	if err := j.append(sampleRec(2)); err != ErrJournalCrash {
 		t.Fatalf("append under injected crash returned %v, want ErrJournalCrash", err)
+	}
+	// The crashed journal is dead: a later record would land past the torn
+	// bytes, where replay never reaches, so it must not be reported durable.
+	if err := j.append(sampleRec(3)); err != errJournalBroken {
+		t.Fatalf("append after injected crash returned %v, want errJournalBroken", err)
 	}
 	j.close()
 

@@ -1,19 +1,21 @@
 // Package planqueue is the durable asynchronous planning queue behind
-// POST /v1/plan?async=1: a crash-safe, disk-journaled job queue with
-// weighted-fair dequeue across tenants, bounded retries, a dead-letter park
-// for poisoned jobs, and exactly-once completion across crashes.
+// POST /v1/plan?async=1: a crash-safe, disk-journaled job lifecycle with
+// weighted-fair dequeue across tenants, dedupe of live jobs, bounded retries,
+// a dead-letter park for poisoned jobs, and exactly-once completion across
+// crashes. Planning is the RunFunc's (bootesd's is planserve's RunJob).
 //
 // Durability and exactly-once:
 //
 //   - A job is acknowledged (Enqueue returns) only after its enqueue record
 //     is fsynced into the journal; the matrix payload is spooled first,
 //     content-addressed, through atomicio's atomic-write protocol.
-//   - Completion order is: plan → cache.Put → journal "done" → spool delete.
-//     A crash between any two steps is safe: on replay the job returns to
-//     queued, and the worker's first step is a plan-cache lookup keyed by the
-//     same content hash — if the plan was already produced, the job completes
-//     from cache without a second pipeline run. The plan is therefore
-//     *produced* exactly once even though the job may be *attempted* twice.
+//   - Completion order is: Run (which caches a healthy plan) → journal
+//     "done" → spool delete, once "done" is durable. A crash between any two
+//     steps is safe: on replay the job returns to queued with its payload,
+//     and Run's first step is a plan-cache lookup keyed by the same content
+//     hash — if the plan was already produced, the job completes from cache
+//     without a second pipeline run. The plan is therefore *produced*
+//     exactly once even though the job may be *attempted* twice.
 //   - Terminal records are checkpointed and the journal compacted: once
 //     enough terminal records accumulate, the file is rewritten (atomically)
 //     as one snapshot per live job plus a bounded tail of recent terminal
@@ -43,16 +45,15 @@ import (
 	"bootes/internal/obs"
 	"bootes/internal/plancache"
 	"bootes/internal/plancache/atomicio"
-	"bootes/internal/planverify"
 	"bootes/internal/prio"
 	"bootes/internal/reorder"
 	"bootes/internal/sparse"
 )
 
-// RunFunc executes the planning pipeline for a job. attempt starts at 0 and
-// increments across the queue's bounded retries, letting implementations vary
-// the seed so a retry is not a deterministic replay of the failure.
-type RunFunc func(ctx context.Context, m *sparse.CSR, attempt int) (*reorder.Result, error)
+// RunFunc plans a job's matrix m, whose plan-cache key is key. cached
+// reports a plan that was looked up rather than computed. An error is
+// retried with backoff up to MaxAttempts; a degraded plan completes the job.
+type RunFunc func(ctx context.Context, key string, m *sparse.CSR) (res *reorder.Result, cached bool, err error)
 
 // State is a job's position in the lifecycle:
 //
@@ -112,13 +113,11 @@ type Job struct {
 	Seq uint64
 	// Tenant is the submitting tenant's identity.
 	Tenant string
-	// Key is the matrix content hash (the plan cache key).
+	// Key is the matrix content hash (the plan cache and dedupe key).
 	Key string
-	// OptKey fingerprints the plan options; Key+OptKey is the dedupe key.
-	OptKey string
 	// State is the current lifecycle position.
 	State State
-	// Attempts counts pipeline attempts so far.
+	// Attempts counts Run calls so far.
 	Attempts int
 	// EnqueuedAt is the acknowledgment time (journal fsync).
 	EnqueuedAt time.Time
@@ -129,7 +128,7 @@ type Job struct {
 	K              int
 	Degraded       bool
 	DegradedReason string
-	// Cached is true when the job completed via plan-cache dedupe without a
+	// Cached is true when Run found the plan already produced, without a
 	// pipeline run (the exactly-once replay path).
 	Cached bool
 }
@@ -146,21 +145,16 @@ type Config struct {
 	// Dir is the queue root: journal.wal plus a spool/ directory of matrix
 	// payloads (required).
 	Dir string
-	// Run executes the pipeline for a job (required).
-	Run RunFunc
-	// Cache is the plan cache completions write to and replays dedupe
-	// against; nil disables both (every attempt runs the pipeline).
-	Cache *plancache.Cache
 	// Workers sizes the worker pool (default 2; bootesd passes its admission
 	// MaxInFlight so async work can never out-parallelize the sync path).
 	Workers int
-	// MaxAttempts bounds pipeline attempts per job before it is parked dead
-	// (default 3).
+	// MaxAttempts bounds Run calls per job before a job whose runs keep
+	// failing is parked dead (default 3).
 	MaxAttempts int
 	// RetryBackoff is the first retry delay (default 100ms); attempt i waits
 	// RetryBackoff·2^i plus up to 50% jitter.
 	RetryBackoff time.Duration
-	// RunTimeout caps one pipeline attempt (default 60s).
+	// RunTimeout caps one Run call (default 60s).
 	RunTimeout time.Duration
 	// MaxQueued bounds jobs in non-terminal states (default 1024); beyond it
 	// Enqueue fails with ErrQueueFull.
@@ -193,7 +187,7 @@ type Stats struct {
 	// answered with an already-active job.
 	Enqueued, Deduped int64
 	// Done / Failed / Dead count lifecycle transitions; CachedDone is the
-	// subset of Done completed by plan-cache dedupe without a pipeline run.
+	// subset of Done whose Run found the plan already produced.
 	Done, CachedDone, Failed, Dead int64
 	// Recovered counts jobs replayed back to queued at Open (crash recovery);
 	// TornTails counts truncated torn journal tails (each at most one
@@ -236,13 +230,14 @@ type tenantState struct {
 type Queue struct {
 	cfg      Config
 	spoolDir string
+	run      RunFunc // set once by Start, before any worker runs
 
 	mu      sync.Mutex
 	cond    *sync.Cond
 	j       *journal
 	jobs    map[uint64]*job
 	byID    map[string]uint64
-	active  map[string]uint64 // dedupe key → seq of the non-terminal job
+	active  map[string]uint64 // matrix key → seq of the non-terminal job
 	tenants map[string]*tenantState
 	byIndex []*tenantState
 	ready   *prio.Queue // min-heap over tenant indices; pri = head finish tag
@@ -273,9 +268,6 @@ type Queue struct {
 func Open(cfg Config) (*Queue, error) {
 	if cfg.Dir == "" {
 		return nil, errors.New("planqueue: Config.Dir is required")
-	}
-	if cfg.Run == nil {
-		return nil, errors.New("planqueue: Config.Run is required")
 	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = 2
@@ -405,7 +397,6 @@ func (q *Queue) replay(r *rec) {
 		Seq:        r.seq,
 		Tenant:     r.tenant,
 		Key:        r.key,
-		OptKey:     r.optKey,
 		State:      stateFromCode(r.state),
 		Attempts:   int(r.attempts),
 		EnqueuedAt: time.Unix(0, r.enqueuedN),
@@ -446,7 +437,8 @@ func (q *Queue) recover() {
 			fallthrough
 		case StateQueued:
 			referenced[jb.Key] = true
-			q.active[jb.Key+"|"+jb.OptKey] = seq
+			q.active[jb.Key] = seq
+			q.tenant(jb.Tenant).active++
 			q.enqueueReady(jb)
 		case StateDead:
 			// Parked jobs keep their payload for postmortem resubmission.
@@ -477,14 +469,16 @@ func (q *Queue) recover() {
 
 func jobID(seq uint64) string { return fmt.Sprintf("j-%010d", seq) }
 
-// Start launches the worker pool. Idempotent.
-func (q *Queue) Start() {
+// Start launches the worker pool, which plans every job with run. Idempotent:
+// later calls keep the first run.
+func (q *Queue) Start(run RunFunc) {
 	q.mu.Lock()
 	if q.started || q.stopped {
 		q.mu.Unlock()
 		return
 	}
 	q.started = true
+	q.run = run
 	q.mu.Unlock()
 	for i := 0; i < q.cfg.Workers; i++ {
 		q.workers.Add(1)
@@ -494,19 +488,17 @@ func (q *Queue) Start() {
 
 // Enqueue submits a matrix for asynchronous planning under the given tenant.
 // The returned job is acknowledged durable: its enqueue record has been
-// fsynced. dup is true when an identical submission (same matrix content and
-// options) is already active, in which case the existing job is returned and
-// nothing is written.
-func (q *Queue) Enqueue(tenant string, m *sparse.CSR, optKey string) (Job, bool, error) {
+// fsynced. dup is true when a job for the same matrix content is already
+// active, in which case the existing job is returned and nothing is written.
+func (q *Queue) Enqueue(tenant string, m *sparse.CSR) (Job, bool, error) {
 	key := plancache.KeyCSR(m)
-	dk := key + "|" + optKey
 
 	q.mu.Lock()
 	if q.stopped {
 		q.mu.Unlock()
 		return Job{}, false, ErrClosed
 	}
-	if seq, ok := q.active[dk]; ok {
+	if seq, ok := q.active[key]; ok {
 		jb := q.jobs[seq]
 		q.stats.Deduped++
 		q.jobsTotal.With("deduped").Inc()
@@ -547,7 +539,7 @@ func (q *Queue) Enqueue(tenant string, m *sparse.CSR, optKey string) (Job, bool,
 	if q.stopped {
 		return Job{}, false, ErrClosed
 	}
-	if seq, ok := q.active[dk]; ok { // raced with an identical submission
+	if seq, ok := q.active[key]; ok { // raced with an identical submission
 		q.stats.Deduped++
 		q.jobsTotal.With("deduped").Inc()
 		return q.jobs[seq].Job, true, nil
@@ -558,7 +550,6 @@ func (q *Queue) Enqueue(tenant string, m *sparse.CSR, optKey string) (Job, bool,
 		Seq:        q.nextSeq,
 		Tenant:     tenant,
 		Key:        key,
-		OptKey:     optKey,
 		State:      StateQueued,
 		EnqueuedAt: q.cfg.Now(),
 	}}
@@ -571,9 +562,10 @@ func (q *Queue) Enqueue(tenant string, m *sparse.CSR, optKey string) (Job, bool,
 	}
 	q.jobs[jb.Seq] = jb
 	q.byID[jb.ID] = jb.Seq
-	q.active[dk] = jb.Seq
+	q.active[key] = jb.Seq
 	q.stats.Enqueued++
 	q.jobsTotal.With("queued").Inc()
+	q.tenant(jb.Tenant).active++
 	q.enqueueReady(jb)
 	q.cond.Signal()
 	return jb.Job, false, nil
@@ -626,16 +618,12 @@ func (q *Queue) tenant(name string) *tenantState {
 }
 
 // enqueueReady stamps the job's WFQ finish tag and inserts it into its
-// tenant's FIFO (locked).
+// tenant's FIFO (locked). Retries re-enter here too, so counting the job in
+// the tenant's backlog is the caller's business.
 func (q *Queue) enqueueReady(jb *job) {
 	t := q.tenant(jb.Tenant)
-	start := q.vtime
-	if t.lastFinish > start {
-		start = t.lastFinish
-	}
-	jb.finishTag = start + int64(wfqScale/t.weight)
+	jb.finishTag = max(q.vtime, t.lastFinish) + int64(wfqScale/t.weight)
 	t.lastFinish = jb.finishTag
-	t.active++
 	t.fifo = append(t.fifo, jb)
 	if len(t.fifo) == 1 {
 		q.ready.Insert(t.index, jb.finishTag)
@@ -676,19 +664,7 @@ func (q *Queue) promoteDue() {
 			continue
 		}
 		jb.State = StateQueued
-		// The tenant's active count was never decremented; re-stamp the tag
-		// only (enqueueReady would double-count the backlog).
-		t := q.tenant(jb.Tenant)
-		start := q.vtime
-		if t.lastFinish > start {
-			start = t.lastFinish
-		}
-		jb.finishTag = start + int64(wfqScale/t.weight)
-		t.lastFinish = jb.finishTag
-		t.fifo = append(t.fifo, jb)
-		if len(t.fifo) == 1 {
-			q.ready.Insert(t.index, jb.finishTag)
-		}
+		q.enqueueReady(jb) // the tenant's backlog still counts the job
 	}
 	q.delayed = kept
 }
@@ -723,26 +699,21 @@ func (q *Queue) worker() {
 	}
 }
 
-// execute runs one attempt of a job: plan-cache dedupe first (the
-// exactly-once replay path), then the pipeline, then the completion protocol
-// (cache.Put → journal → spool delete).
+// execute runs one attempt of a job — load the spooled matrix, Run it — and
+// then the completion protocol (journal → spool delete).
 func (q *Queue) execute(jb *job) {
-	if q.cfg.Cache != nil {
-		if e, ok := q.cfg.Cache.Get(jb.Key); ok {
-			q.completeFromEntry(jb, e)
-			return
-		}
-	}
 	m, err := q.loadSpool(jb.Key)
 	if err != nil {
 		// The payload is gone (crash between ack and spool durability cannot
-		// happen — spool precedes the ack — so this is disk damage). Nothing
-		// to retry against: park it.
-		q.finish(jb, StateDead, fmt.Sprintf("matrix payload unavailable: %v", err), nil)
+		// happen — spool precedes the ack, and the spool outlives the done
+		// record — so this is disk damage). Nothing to retry against: park it.
+		q.mu.Lock()
+		q.finishLocked(jb, StateDead, fmt.Sprintf("matrix payload unavailable: %v", err))
+		q.mu.Unlock()
 		return
 	}
 	ctx, cancel := context.WithTimeout(q.runCtx, q.cfg.RunTimeout)
-	res, err := q.cfg.Run(ctx, m, jb.Attempts)
+	res, cached, err := q.run(ctx, jb.Key, m)
 	cancel()
 	if q.runCtx.Err() != nil {
 		// Killed mid-run (crash simulation / hard stop): leave the job as
@@ -756,36 +727,22 @@ func (q *Queue) execute(jb *job) {
 		q.retryOrDead(jb, err.Error())
 		return
 	}
-	// The verifier gate: no job completes on an unverified plan. A corrupt
-	// plan becomes a degraded identity plan whose reason classifies as
-	// transient, so it retries like any transient degradation.
-	if vres, vs := planverify.VerifyResult(planverify.SiteQueue, m, res, nil); len(vs) > 0 {
-		res = vres
-	}
-	if res.Degraded && planverify.TransientReason(res.DegradedReason) && jb.Attempts+1 < q.cfg.MaxAttempts {
-		q.retryOrDead(jb, res.DegradedReason)
-		return
-	}
-	if q.cfg.Cache != nil && !res.Degraded {
-		if err := q.cfg.Cache.Put(plancache.EntryFromResult(jb.Key, res)); err != nil {
-			// Durability loss, not a planning failure: the plan is correct.
-			q.cfg.Logf("planqueue: cache write for %.12s failed: %v", jb.Key, err)
-		}
-	}
-	q.finish(jb, StateDone, "", res)
+	q.complete(jb, res, cached)
 }
 
-// completeFromEntry finishes a job from a cached plan without a pipeline run.
-func (q *Queue) completeFromEntry(jb *job, e *plancache.Entry) {
+// complete finishes a job with the plan its Run returned.
+func (q *Queue) complete(jb *job, res *reorder.Result, cached bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	jb.Attempts++ // the dedupe lookup was this attempt
-	jb.Cached = true
-	jb.Reordered = e.Reordered
-	jb.K = e.K
-	jb.Degraded = e.Degraded
-	jb.DegradedReason = e.DegradedReason
-	q.stats.CachedDone++
+	jb.Attempts++
+	jb.Cached = cached
+	jb.Reordered = res.Reordered
+	jb.K = int(res.Extra["k"])
+	jb.Degraded = res.Degraded
+	jb.DegradedReason = res.DegradedReason
+	if cached {
+		q.stats.CachedDone++
+	}
 	q.finishLocked(jb, StateDone, "")
 }
 
@@ -823,23 +780,9 @@ func (q *Queue) retryOrDead(jb *job, reason string) {
 	})
 }
 
-// finish completes a job (unlocked entry point).
-func (q *Queue) finish(jb *job, st State, reason string, res *reorder.Result) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if res != nil {
-		jb.Attempts++
-		jb.Reordered = res.Reordered
-		jb.K = int(res.Extra["k"])
-		jb.Degraded = res.Degraded
-		jb.DegradedReason = res.DegradedReason
-	}
-	q.finishLocked(jb, st, reason)
-}
-
 // finishLocked is the terminal transition: journal the outcome, release the
-// dedupe slot, retire the spool payload (done only), enforce terminal
-// retention, and maybe compact.
+// dedupe slot, retire the spool payload (durably done only), enforce
+// terminal retention, and maybe compact.
 func (q *Queue) finishLocked(jb *job, st State, reason string) {
 	jb.State = st
 	if reason != "" {
@@ -848,7 +791,7 @@ func (q *Queue) finishLocked(jb *job, st State, reason string) {
 	q.stats.Running--
 	t := q.tenant(jb.Tenant)
 	t.active--
-	delete(q.active, jb.Key+"|"+jb.OptKey)
+	delete(q.active, jb.Key)
 	typ := recDone
 	if st == StateDead {
 		typ = recDead
@@ -860,12 +803,13 @@ func (q *Queue) finishLocked(jb *job, st State, reason string) {
 	}
 	if err := q.j.append(q.recFor(jb, typ)); err != nil {
 		// Durability loss only: the in-memory state stays authoritative for
-		// this process; after a crash the job replays to queued and the
-		// plan-cache dedupe completes it again without a pipeline run.
+		// this process. After a crash the job replays to queued, so its
+		// payload stays spooled: Run's cache lookup then completes a healthy
+		// plan without a pipeline run, and a degraded one (never cached) is
+		// planned again.
 		q.cfg.Logf("planqueue: journaling completion of %s: %v", jb.ID, err)
 		q.wedgeOnCrash(err)
-	}
-	if st == StateDone && !q.spoolShared(jb) {
+	} else if st == StateDone && !q.spoolShared(jb) {
 		_ = os.Remove(filepath.Join(q.spoolDir, jb.Key+".bcsr"))
 	}
 	q.order = append(q.order, jb.Seq)
@@ -959,7 +903,6 @@ func (q *Queue) recFor(jb *job, typ uint8) *rec {
 		enqueuedN: jb.EnqueuedAt.UnixNano(),
 		tenant:    jb.Tenant,
 		key:       jb.Key,
-		optKey:    jb.OptKey,
 		reason:    reason,
 	}
 }

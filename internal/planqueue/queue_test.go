@@ -37,33 +37,33 @@ func healthyResult(m *sparse.CSR) *reorder.Result {
 	}
 }
 
-// runRecorder is a RunFunc that counts pipeline invocations per matrix key.
+// runRecorder is a RunFunc that counts Run calls per matrix key.
 type runRecorder struct {
 	mu    sync.Mutex
 	runs  map[string]int
 	order []string // keys in execution order
-	fn    func(key string, attempt int, m *sparse.CSR) (*reorder.Result, error)
+	fn    func(m *sparse.CSR) (*reorder.Result, error)
 }
 
-func newRunRecorder(fn func(key string, attempt int, m *sparse.CSR) (*reorder.Result, error)) *runRecorder {
+func newRunRecorder(fn func(m *sparse.CSR) (*reorder.Result, error)) *runRecorder {
 	if fn == nil {
-		fn = func(_ string, _ int, m *sparse.CSR) (*reorder.Result, error) {
+		fn = func(m *sparse.CSR) (*reorder.Result, error) {
 			return healthyResult(m), nil
 		}
 	}
 	return &runRecorder{runs: make(map[string]int), fn: fn}
 }
 
-func (rr *runRecorder) run(ctx context.Context, m *sparse.CSR, attempt int) (*reorder.Result, error) {
+func (rr *runRecorder) run(ctx context.Context, key string, m *sparse.CSR) (*reorder.Result, bool, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	key := plancache.KeyCSR(m)
 	rr.mu.Lock()
 	rr.runs[key]++
 	rr.order = append(rr.order, key)
 	rr.mu.Unlock()
-	return rr.fn(key, attempt, m)
+	res, err := rr.fn(m)
+	return res, false, err
 }
 
 func (rr *runRecorder) count(key string) int {
@@ -72,11 +72,10 @@ func (rr *runRecorder) count(key string) int {
 	return rr.runs[key]
 }
 
-func testConfig(t testing.TB, rr *runRecorder) Config {
+func testConfig(t testing.TB) Config {
 	t.Helper()
 	return Config{
 		Dir:          t.TempDir(),
-		Run:          rr.run,
 		Workers:      1,
 		RetryBackoff: time.Millisecond,
 		RunTimeout:   5 * time.Second,
@@ -94,12 +93,7 @@ func waitIdle(t testing.TB, q *Queue) {
 
 func TestEnqueueRunsToDone(t *testing.T) {
 	rr := newRunRecorder(nil)
-	cfg := testConfig(t, rr)
-	cache, err := plancache.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Cache = cache
+	cfg := testConfig(t)
 	q, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -107,25 +101,22 @@ func TestEnqueueRunsToDone(t *testing.T) {
 	defer q.Kill()
 
 	m := testMatrix(t, 1)
-	jb, dup, err := q.Enqueue("acme", m, "opts-v1")
+	jb, dup, err := q.Enqueue("acme", m)
 	if err != nil || dup {
 		t.Fatalf("Enqueue = (%+v, dup=%v, %v)", jb, dup, err)
 	}
-	if jb.State != StateQueued || jb.ID == "" {
-		t.Fatalf("fresh job = %+v, want queued with an ID", jb)
+	if jb.State != StateQueued || jb.ID == "" || jb.Key != plancache.KeyCSR(m) {
+		t.Fatalf("fresh job = %+v, want queued with an ID and the matrix key", jb)
 	}
-	q.Start()
+	q.Start(rr.run)
 	waitIdle(t, q)
 
 	got, ok := q.Get(jb.ID)
 	if !ok || got.State != StateDone {
 		t.Fatalf("job after drain = (%+v, %v), want done", got, ok)
 	}
-	if !got.Reordered || got.K != 8 || got.Attempts != 1 {
-		t.Fatalf("job summary = %+v, want reordered k=8 attempts=1", got)
-	}
-	if _, ok := cache.Get(jb.Key); !ok {
-		t.Fatal("completed plan missing from the plan cache")
+	if !got.Reordered || got.K != 8 || got.Attempts != 1 || got.Cached {
+		t.Fatalf("job summary = %+v, want reordered k=8 attempts=1, not cached", got)
 	}
 	if _, err := os.Stat(filepath.Join(cfg.Dir, "spool", jb.Key+".bcsr")); !os.IsNotExist(err) {
 		t.Fatalf("spool payload not retired after completion: %v", err)
@@ -137,83 +128,41 @@ func TestEnqueueRunsToDone(t *testing.T) {
 }
 
 func TestEnqueueDedupesActiveJob(t *testing.T) {
-	rr := newRunRecorder(nil)
-	q, err := Open(testConfig(t, rr))
+	q, err := Open(testConfig(t))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer q.Kill()
 	m := testMatrix(t, 2)
-	a, _, err := q.Enqueue("acme", m, "opts-v1")
+	a, _, err := q.Enqueue("acme", m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, dup, err := q.Enqueue("acme", m, "opts-v1")
+	b, dup, err := q.Enqueue("acme", m)
 	if err != nil || !dup || b.ID != a.ID {
 		t.Fatalf("identical submission = (%+v, dup=%v, %v), want dup of %s", b, dup, err, a.ID)
 	}
-	// Different options are a different plan: no dedupe.
-	c, dup, err := q.Enqueue("acme", m, "opts-v2")
-	if err != nil || dup || c.ID == a.ID {
-		t.Fatalf("different-options submission = (%+v, dup=%v, %v), want a fresh job", c, dup, err)
-	}
-	if s := q.Stats(); s.Deduped != 1 || s.Enqueued != 2 {
-		t.Fatalf("stats = %+v, want 2 enqueued 1 deduped", s)
-	}
-}
-
-func TestCompletionFromCacheSkipsPipeline(t *testing.T) {
-	rr := newRunRecorder(nil)
-	cfg := testConfig(t, rr)
-	cache, err := plancache.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Cache = cache
-	m := testMatrix(t, 3)
-	key := plancache.KeyCSR(m)
-	if err := cache.Put(plancache.EntryFromResult(key, healthyResult(m))); err != nil {
-		t.Fatal(err)
-	}
-	q, err := Open(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer q.Kill()
-	jb, _, err := q.Enqueue("acme", m, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	q.Start()
-	waitIdle(t, q)
-	got, _ := q.Get(jb.ID)
-	if got.State != StateDone || !got.Cached {
-		t.Fatalf("job = %+v, want done via cache", got)
-	}
-	if n := rr.count(key); n != 0 {
-		t.Fatalf("pipeline ran %d times for a cached plan, want 0", n)
-	}
-	if s := q.Stats(); s.CachedDone != 1 {
-		t.Fatalf("stats = %+v, want CachedDone=1", s)
+	if s := q.Stats(); s.Deduped != 1 || s.Enqueued != 1 {
+		t.Fatalf("stats = %+v, want 1 enqueued 1 deduped", s)
 	}
 }
 
 func TestRetriesThenDead(t *testing.T) {
-	rr := newRunRecorder(func(string, int, *sparse.CSR) (*reorder.Result, error) {
+	rr := newRunRecorder(func(*sparse.CSR) (*reorder.Result, error) {
 		return nil, errors.New("solver exploded")
 	})
-	cfg := testConfig(t, rr)
+	cfg := testConfig(t)
 	cfg.MaxAttempts = 3
 	q, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer q.Kill()
-	jb, _, err := q.Enqueue("acme", testMatrix(t, 4), "")
+	jb, _, err := q.Enqueue("acme", testMatrix(t, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	q.Start()
+	q.Start(rr.run)
 	waitIdle(t, q)
 	got, _ := q.Get(jb.ID)
 	if got.State != StateDead {
@@ -223,7 +172,7 @@ func TestRetriesThenDead(t *testing.T) {
 		t.Fatalf("dead job = %+v, want 3 attempts with the failure reason", got)
 	}
 	if n := rr.count(jb.Key); n != 3 {
-		t.Fatalf("pipeline ran %d times, want exactly MaxAttempts=3 (dead jobs are never retried hot)", n)
+		t.Fatalf("Run called %d times, want exactly MaxAttempts=3 (dead jobs are never retried hot)", n)
 	}
 	s := q.Stats()
 	if s.Dead != 1 || s.Failed != 2 {
@@ -235,71 +184,43 @@ func TestRetriesThenDead(t *testing.T) {
 	}
 }
 
-func TestTransientDegradationRetries(t *testing.T) {
-	m := testMatrix(t, 5)
-	rr := newRunRecorder(func(_ string, attempt int, m *sparse.CSR) (*reorder.Result, error) {
-		if attempt == 0 {
-			return &reorder.Result{
-				Perm:           sparse.IdentityPerm(m.Rows),
-				Degraded:       true,
-				DegradedReason: "eigensolve did not converge",
-			}, nil
-		}
-		return healthyResult(m), nil
-	})
-	cfg := testConfig(t, rr)
-	cfg.MaxAttempts = 3
-	q, err := Open(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer q.Kill()
-	jb, _, err := q.Enqueue("acme", m, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	q.Start()
-	waitIdle(t, q)
-	got, _ := q.Get(jb.ID)
-	if got.State != StateDone || got.Degraded {
-		t.Fatalf("job = %+v, want healthy done after a transient-degradation retry", got)
-	}
-	if got.Attempts != 2 {
-		t.Fatalf("attempts = %d, want 2", got.Attempts)
+func degradedResult(m *sparse.CSR) *reorder.Result {
+	return &reorder.Result{
+		Perm:           sparse.IdentityPerm(m.Rows),
+		Degraded:       true,
+		DegradedReason: "memory budget: traffic regression predicted",
 	}
 }
 
+// TestDeterministicDegradationCompletesDegraded: a degraded plan is a
+// result, not a failure — the queue completes the job with it and never
+// re-runs it (retrying transient degradations is Run's business).
 func TestDeterministicDegradationCompletesDegraded(t *testing.T) {
-	rr := newRunRecorder(func(_ string, _ int, m *sparse.CSR) (*reorder.Result, error) {
-		return &reorder.Result{
-			Perm:           sparse.IdentityPerm(m.Rows),
-			Degraded:       true,
-			DegradedReason: "memory budget: traffic regression predicted",
-		}, nil
+	rr := newRunRecorder(func(m *sparse.CSR) (*reorder.Result, error) {
+		return degradedResult(m), nil
 	})
-	q, err := Open(testConfig(t, rr))
+	q, err := Open(testConfig(t))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer q.Kill()
-	jb, _, err := q.Enqueue("acme", testMatrix(t, 6), "")
+	jb, _, err := q.Enqueue("acme", testMatrix(t, 6))
 	if err != nil {
 		t.Fatal(err)
 	}
-	q.Start()
+	q.Start(rr.run)
 	waitIdle(t, q)
 	got, _ := q.Get(jb.ID)
 	if got.State != StateDone || !got.Degraded {
-		t.Fatalf("job = %+v, want done degraded (input-inherent degradation is not retried)", got)
+		t.Fatalf("job = %+v, want done degraded", got)
 	}
 	if n := rr.count(jb.Key); n != 1 {
-		t.Fatalf("pipeline ran %d times for a deterministic degradation, want 1", n)
+		t.Fatalf("Run called %d times for a degraded plan, want 1", n)
 	}
 }
 
 func TestBacklogBounds(t *testing.T) {
-	rr := newRunRecorder(nil)
-	cfg := testConfig(t, rr)
+	cfg := testConfig(t)
 	cfg.MaxQueued = 3
 	cfg.MaxQueuedPerTenant = 2
 	q, err := Open(cfg)
@@ -307,19 +228,19 @@ func TestBacklogBounds(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer q.Kill()
-	if _, _, err := q.Enqueue("acme", testMatrix(t, 10), ""); err != nil {
+	if _, _, err := q.Enqueue("acme", testMatrix(t, 10)); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := q.Enqueue("acme", testMatrix(t, 11), ""); err != nil {
+	if _, _, err := q.Enqueue("acme", testMatrix(t, 11)); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := q.Enqueue("acme", testMatrix(t, 12), ""); !errors.Is(err, ErrTenantBacklog) {
+	if _, _, err := q.Enqueue("acme", testMatrix(t, 12)); !errors.Is(err, ErrTenantBacklog) {
 		t.Fatalf("third acme job error = %v, want ErrTenantBacklog", err)
 	}
-	if _, _, err := q.Enqueue("globex", testMatrix(t, 13), ""); err != nil {
+	if _, _, err := q.Enqueue("globex", testMatrix(t, 13)); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := q.Enqueue("initech", testMatrix(t, 14), ""); !errors.Is(err, ErrQueueFull) {
+	if _, _, err := q.Enqueue("initech", testMatrix(t, 14)); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("over-global-bound job error = %v, want ErrQueueFull", err)
 	}
 }
@@ -330,7 +251,7 @@ func TestBacklogBounds(t *testing.T) {
 // backlog cannot starve the light one, and the weights hold.
 func TestWeightedFairOrder(t *testing.T) {
 	rr := newRunRecorder(nil)
-	cfg := testConfig(t, rr)
+	cfg := testConfig(t)
 	cfg.Weights = map[string]float64{"heavy": 3, "light": 1}
 	q, err := Open(cfg)
 	if err != nil {
@@ -340,20 +261,20 @@ func TestWeightedFairOrder(t *testing.T) {
 
 	tenantOf := make(map[string]string)
 	for i := 0; i < 4; i++ {
-		jb, _, err := q.Enqueue("light", testMatrix(t, 100+int64(i)), "")
+		jb, _, err := q.Enqueue("light", testMatrix(t, 100+int64(i)))
 		if err != nil {
 			t.Fatal(err)
 		}
 		tenantOf[jb.Key] = "light"
 	}
 	for i := 0; i < 12; i++ {
-		jb, _, err := q.Enqueue("heavy", testMatrix(t, 200+int64(i)), "")
+		jb, _, err := q.Enqueue("heavy", testMatrix(t, 200+int64(i)))
 		if err != nil {
 			t.Fatal(err)
 		}
 		tenantOf[jb.Key] = "heavy"
 	}
-	q.Start()
+	q.Start(rr.run)
 	waitIdle(t, q)
 
 	rr.mu.Lock()
@@ -390,14 +311,14 @@ func tenantNames(keys []string, tenantOf map[string]string) []string {
 
 func TestStopDrainKeepsQueuedJobsDurable(t *testing.T) {
 	rr := newRunRecorder(nil)
-	cfg := testConfig(t, rr)
+	cfg := testConfig(t)
 	q, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var ids []string
 	for i := 0; i < 3; i++ {
-		jb, _, err := q.Enqueue("acme", testMatrix(t, 20+int64(i)), "")
+		jb, _, err := q.Enqueue("acme", testMatrix(t, 20+int64(i)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -409,7 +330,7 @@ func TestStopDrainKeepsQueuedJobsDurable(t *testing.T) {
 	if err := q.Stop(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := q.Enqueue("acme", testMatrix(t, 99), ""); !errors.Is(err, ErrClosed) {
+	if _, _, err := q.Enqueue("acme", testMatrix(t, 99)); !errors.Is(err, ErrClosed) {
 		t.Fatalf("enqueue after Stop = %v, want ErrClosed", err)
 	}
 
@@ -424,7 +345,7 @@ func TestStopDrainKeepsQueuedJobsDurable(t *testing.T) {
 			t.Fatalf("job %s after restart = (%+v, %v), want queued", id, jb, ok)
 		}
 	}
-	q2.Start()
+	q2.Start(rr.run)
 	waitIdle(t, q2)
 	for _, id := range ids {
 		if jb, _ := q2.Get(id); jb.State != StateDone {
@@ -433,85 +354,9 @@ func TestStopDrainKeepsQueuedJobsDurable(t *testing.T) {
 	}
 }
 
-// TestCrashRecoveryExactlyOnce is the package-level exactly-once argument in
-// miniature: kill the queue mid-stream, reopen over the same directory and
-// cache, and verify that every acked job completes, jobs that finished before
-// the crash never rerun the pipeline (plan-cache dedupe), and no job is lost.
-func TestCrashRecoveryExactlyOnce(t *testing.T) {
-	rr := newRunRecorder(nil)
-	cfg := testConfig(t, rr)
-	cacheDir := t.TempDir()
-	cache, err := plancache.Open(cacheDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Cache = cache
-	q, err := Open(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ids []string
-	var keys []string
-	for i := 0; i < 6; i++ {
-		jb, _, err := q.Enqueue("acme", testMatrix(t, 40+int64(i)), "")
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids = append(ids, jb.ID)
-		keys = append(keys, jb.Key)
-	}
-	q.Start()
-	// Let some (not necessarily all) jobs finish, then pull the plug.
-	deadline := time.Now().Add(5 * time.Second)
-	for q.Stats().Done < 2 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	doneBefore := make(map[string]bool)
-	for i, id := range ids {
-		if jb, ok := q.Get(id); ok && jb.State == StateDone {
-			doneBefore[keys[i]] = true
-		}
-	}
-	q.Kill()
-
-	cache2, err := plancache.Open(cacheDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Cache = cache2
-	q2, err := Open(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer q2.Kill()
-	q2.Start()
-	waitIdle(t, q2)
-
-	for i, id := range ids {
-		jb, ok := q2.Get(id)
-		if !ok {
-			t.Fatalf("job %s lost across the crash", id)
-		}
-		if jb.State != StateDone {
-			t.Fatalf("job %s = %+v after recovery drain, want done", id, jb)
-		}
-		if _, ok := cache2.Get(keys[i]); !ok {
-			t.Fatalf("plan for %s missing from cache after recovery", id)
-		}
-	}
-	for key, done := range doneBefore {
-		if !done {
-			continue
-		}
-		if n := rr.count(key); n != 1 {
-			t.Fatalf("job finished before the crash ran the pipeline %d times total, want exactly 1 (cache dedupe on replay)", n)
-		}
-	}
-}
-
 func TestCompactionBoundsJournal(t *testing.T) {
 	rr := newRunRecorder(nil)
-	cfg := testConfig(t, rr)
+	cfg := testConfig(t)
 	cfg.CompactEvery = 5
 	cfg.RetainTerminal = 4
 	q, err := Open(cfg)
@@ -519,10 +364,10 @@ func TestCompactionBoundsJournal(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer q.Kill()
-	q.Start()
+	q.Start(rr.run)
 	var ids []string
 	for i := 0; i < 20; i++ {
-		jb, _, err := q.Enqueue("acme", testMatrix(t, 300+int64(i)), "")
+		jb, _, err := q.Enqueue("acme", testMatrix(t, 300+int64(i)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -559,16 +404,15 @@ func TestCompactionBoundsJournal(t *testing.T) {
 
 func TestQueueMetricsRegistered(t *testing.T) {
 	rr := newRunRecorder(nil)
-	cfg := testConfig(t, rr)
-	q, err := Open(cfg)
+	q, err := Open(testConfig(t))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer q.Kill()
-	if _, _, err := q.Enqueue("acme", testMatrix(t, 60), ""); err != nil {
+	if _, _, err := q.Enqueue("acme", testMatrix(t, 60)); err != nil {
 		t.Fatal(err)
 	}
-	q.Start()
+	q.Start(rr.run)
 	waitIdle(t, q)
 	var b strings.Builder
 	if err := q.Registry().WritePrometheus(&b); err != nil {
@@ -595,23 +439,23 @@ func TestQueueMetricsRegistered(t *testing.T) {
 func TestRecoveryAfterInjectedAppendCrash(t *testing.T) {
 	t.Cleanup(faultinject.Reset)
 	rr := newRunRecorder(nil)
-	cfg := testConfig(t, rr)
+	cfg := testConfig(t)
 	q, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	acked, _, err := q.Enqueue("acme", testMatrix(t, 70), "")
+	acked, _, err := q.Enqueue("acme", testMatrix(t, 70))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := faultinject.Arm(faultinject.JournalAppendWrite); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := q.Enqueue("acme", testMatrix(t, 71), ""); !errors.Is(err, ErrJournalCrash) {
+	if _, _, err := q.Enqueue("acme", testMatrix(t, 71)); !errors.Is(err, ErrJournalCrash) {
 		t.Fatalf("enqueue under injected crash = %v, want ErrJournalCrash", err)
 	}
 	// The queue wedged itself: no further submissions on a torn journal.
-	if _, _, err := q.Enqueue("acme", testMatrix(t, 72), ""); !errors.Is(err, ErrClosed) {
+	if _, _, err := q.Enqueue("acme", testMatrix(t, 72)); !errors.Is(err, ErrClosed) {
 		t.Fatalf("enqueue after crash = %v, want ErrClosed (queue must wedge)", err)
 	}
 	q.Kill()
@@ -627,16 +471,66 @@ func TestRecoveryAfterInjectedAppendCrash(t *testing.T) {
 	if jb, ok := q2.Get(acked.ID); !ok || jb.State != StateQueued {
 		t.Fatalf("acked job after recovery = (%+v, %v), want queued", jb, ok)
 	}
-	q2.Start()
+	q2.Start(rr.run)
 	waitIdle(t, q2)
 	if jb, _ := q2.Get(acked.ID); jb.State != StateDone {
 		t.Fatalf("acked job = %+v, want done", jb)
 	}
 }
 
+// TestDegradedDoneSurvivesCrashedDoneAppend: a degraded plan is never
+// cached, so a degraded job's spooled matrix is the only way to plan it
+// again. A crash while appending its done record must therefore leave the
+// payload in place: after the restart the job replays to queued, runs once
+// more and reaches done — it must not be parked dead for a missing payload.
+func TestDegradedDoneSurvivesCrashedDoneAppend(t *testing.T) {
+	t.Cleanup(faultinject.Reset)
+	rr := newRunRecorder(func(m *sparse.CSR) (*reorder.Result, error) {
+		return degradedResult(m), nil
+	})
+	cfg := testConfig(t)
+	q, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	acked, _, err := q.Enqueue("acme", testMatrix(t, 75))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The next append is the job's done record.
+	fired := make(chan struct{})
+	if err := faultinject.Arm(faultinject.JournalAppendWrite, faultinject.OnFire(func() { close(fired) })); err != nil {
+		t.Fatal(err)
+	}
+	q.Start(rr.run)
+	select {
+	case <-fired:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the done append never ran")
+	}
+	q.Kill()
+	faultinject.Reset()
+
+	q2, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer q2.Kill()
+	if jb, ok := q2.Get(acked.ID); !ok || jb.State != StateQueued {
+		t.Fatalf("job whose done record tore = (%+v, %v), want queued", jb, ok)
+	}
+	q2.Start(rr.run)
+	waitIdle(t, q2)
+	if jb, _ := q2.Get(acked.ID); jb.State != StateDone || !jb.Degraded {
+		t.Fatalf("job after restart = %+v, want done degraded", jb)
+	}
+	if n := rr.count(acked.Key); n != 2 {
+		t.Fatalf("Run called %d times, want 2 (once per life)", n)
+	}
+}
+
 func TestOrphanSpoolSweptOnOpen(t *testing.T) {
-	rr := newRunRecorder(nil)
-	cfg := testConfig(t, rr)
+	cfg := testConfig(t)
 	spool := filepath.Join(cfg.Dir, "spool")
 	if err := os.MkdirAll(spool, 0o755); err != nil {
 		t.Fatal(err)

@@ -39,7 +39,7 @@ func (s *Server) handleAsyncSubmit(w http.ResponseWriter, r *http.Request, m *sp
 		http.Error(w, "async planning is not enabled (start bootesd with -queue-dir)", http.StatusNotImplemented)
 		return
 	}
-	jb, dup, err := s.cfg.Queue.Enqueue(tenant, m, s.optKey)
+	jb, dup, err := s.cfg.Queue.Enqueue(tenant, m)
 	if err != nil {
 		switch {
 		case errors.Is(err, planqueue.ErrQueueFull), errors.Is(err, planqueue.ErrTenantBacklog):
@@ -97,11 +97,13 @@ func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
 }
 
 // asyncPlanBody assembles the done job's plan payload. Healthy plans come
-// from the plan cache (full fidelity, permutation on request); degraded
-// plans — never cached by policy — are summarized from the job record.
+// from the plan cache (full fidelity, permutation on request), re-verified
+// against the entry's own row count, which the job does not record; degraded
+// plans — never cached by policy — and entries that fail verification are
+// summarized from the job record.
 func (s *Server) asyncPlanBody(r *http.Request, jb planqueue.Job) *PlanResponse {
 	if s.cfg.Cache != nil && !jb.Degraded {
-		if e, ok := s.cfg.Cache.Get(jb.Key); ok {
+		if e, ok := s.cfg.Cache.Get(jb.Key); ok && s.verified(e, len(e.Perm), "cached") {
 			plan := s.planResponseFromEntry(e)
 			plan.Cached = jb.Cached
 			if r.URL.Query().Get("perm") != "1" {

@@ -7,6 +7,10 @@ import (
 	"errors"
 	"io"
 	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -18,29 +22,60 @@ import (
 	"bootes/internal/sparse"
 )
 
-// newTestQueue builds a started planqueue over a stub pipeline for server
-// tests. The queue is killed at cleanup.
-func newTestQueue(t testing.TB, cache *plancache.Cache, run planqueue.RunFunc) *planqueue.Queue {
+// newAsyncServer builds a test server over cfg with a durable queue from
+// qcfg (a temp Dir and one worker unless set) whose jobs run through the
+// server's RunJob, as fleet.StartNode wires them. The queue is killed at
+// cleanup.
+func newAsyncServer(t testing.TB, cfg Config, qcfg planqueue.Config) (*Server, *httptest.Server) {
 	t.Helper()
-	if run == nil {
-		run = func(_ context.Context, m *sparse.CSR, _ int) (*reorder.Result, error) {
-			return healthyResult(m), nil
-		}
+	if qcfg.Dir == "" {
+		qcfg.Dir = t.TempDir()
 	}
-	q, err := planqueue.Open(planqueue.Config{
-		Dir:          t.TempDir(),
-		Run:          run,
-		Cache:        cache,
-		Workers:      1,
-		RetryBackoff: time.Millisecond,
-		Logf:         t.Logf,
-	})
+	if qcfg.Workers == 0 {
+		qcfg.Workers = 1
+	}
+	qcfg.RetryBackoff, qcfg.Logf = time.Millisecond, t.Logf
+	q, err := planqueue.Open(qcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(q.Kill)
-	q.Start()
-	return q
+	cfg.Queue = q
+	s, ts := newTestServer(t, cfg)
+	q.Start(s.RunJob)
+	return s, ts
+}
+
+// submitJob posts m as an async job and returns its id.
+func submitJob(t testing.TB, url string, m *sparse.CSR) string {
+	t.Helper()
+	resp, body := doPlan(t, url, "?async=1", mmBody(t, m), nil)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("async submit status %d: %s", resp.StatusCode, body)
+	}
+	var sub JobResponse
+	if err := json.Unmarshal([]byte(body), &sub); err != nil {
+		t.Fatal(err)
+	}
+	return sub.JobID
+}
+
+// awaitJob polls GET /v1/jobs/{id}?perm=1 until the job is terminal.
+func awaitJob(t testing.TB, url, id string) JobResponse {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); ; {
+		r, jr := getJob(t, url, id+"?perm=1")
+		if r.StatusCode != http.StatusOK {
+			t.Fatalf("job poll status %d", r.StatusCode)
+		}
+		if jr.State == "done" || jr.State == "dead" {
+			return jr
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("job stuck in state %q", jr.State)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
 }
 
 func doPlan(t testing.TB, url, query string, body []byte, hdr map[string]string) (*http.Response, string) {
@@ -83,9 +118,8 @@ func TestAsyncSubmitAndPoll(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := newTestQueue(t, cache, nil)
 	p := &countingPlanner{}
-	_, ts := newTestServer(t, Config{Plan: p.fn(), Cache: cache, Queue: q})
+	_, ts := newAsyncServer(t, Config{Plan: p.fn(), Cache: cache}, planqueue.Config{})
 
 	resp, body := doPlan(t, ts.URL, "?async=1", mmBody(t, testMatrix(t, 1)), map[string]string{"X-Tenant": "acme"})
 	if resp.StatusCode != http.StatusAccepted {
@@ -148,9 +182,8 @@ func TestAsyncWithoutQueueIs501(t *testing.T) {
 }
 
 func TestJobNotFound(t *testing.T) {
-	q := newTestQueue(t, nil, nil)
 	p := &countingPlanner{}
-	_, ts := newTestServer(t, Config{Plan: p.fn(), Queue: q})
+	_, ts := newAsyncServer(t, Config{Plan: p.fn()}, planqueue.Config{})
 	if r, _ := getJob(t, ts.URL, "j-9999999999"); r.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown job poll = %d, want 404", r.StatusCode)
 	}
@@ -161,26 +194,8 @@ func TestJobNotFound(t *testing.T) {
 func TestAsyncBacklogRejection(t *testing.T) {
 	block := make(chan struct{})
 	defer close(block)
-	q, err := planqueue.Open(planqueue.Config{
-		Dir: t.TempDir(),
-		Run: func(ctx context.Context, m *sparse.CSR, _ int) (*reorder.Result, error) {
-			select {
-			case <-block:
-			case <-ctx.Done():
-			}
-			return healthyResult(m), nil
-		},
-		Workers:            1,
-		MaxQueued:          2,
-		MaxQueuedPerTenant: 2,
-		Logf:               t.Logf,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(q.Kill)
-	p := &countingPlanner{}
-	_, ts := newTestServer(t, Config{Plan: p.fn(), Queue: q})
+	p := &countingPlanner{gate: block}
+	_, ts := newAsyncServer(t, Config{Plan: p.fn()}, planqueue.Config{MaxQueued: 2, MaxQueuedPerTenant: 2})
 
 	for i := 0; i < 2; i++ {
 		resp, body := doPlan(t, ts.URL, "?async=1", mmBody(t, testMatrix(t, 10+int64(i))), nil)
@@ -197,6 +212,199 @@ func TestAsyncBacklogRejection(t *testing.T) {
 	}
 	if !strings.Contains(body, "queue full") {
 		t.Fatalf("rejection body %q", body)
+	}
+}
+
+// TestSyncAndAsyncPlanAlike: a sync request and an async job for the same
+// matrix, each on a fresh server, take one plan path. The stub's first
+// attempt degrades transiently; both paths retry it at attempt 1 under
+// MaxRetries and serve the same permutation and k. The async retry happens
+// inside one Run call, so the job records one attempt and no failure.
+func TestSyncAndAsyncPlanAlike(t *testing.T) {
+	m := testMatrix(t, 40)
+	newServer := func(async bool) (*Server, *httptest.Server, *[]int) {
+		var mu sync.Mutex
+		var attempts []int
+		p := &countingPlanner{make: func(m *sparse.CSR, attempt int) (*reorder.Result, error) {
+			mu.Lock()
+			attempts = append(attempts, attempt)
+			mu.Unlock()
+			if attempt == 0 {
+				return degradedResult(m, "requested: eigensolver did not converge"), nil
+			}
+			perm := make(sparse.Permutation, m.Rows)
+			for i := range perm {
+				perm[i] = int32((i + 7*attempt) % m.Rows)
+			}
+			return &reorder.Result{Perm: perm, Reordered: true, Extra: map[string]float64{"k": 8}}, nil
+		}}
+		cache, err := plancache.Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := Config{Plan: p.fn(), Cache: cache, MaxRetries: 2, RetryBackoff: time.Millisecond}
+		if !async {
+			s, ts := newTestServer(t, cfg)
+			return s, ts, &attempts
+		}
+		s, ts := newAsyncServer(t, cfg, planqueue.Config{})
+		return s, ts, &attempts
+	}
+
+	syncSrv, syncTS, syncAttempts := newServer(false)
+	resp, body := doPlan(t, syncTS.URL, "?perm=1", mmBody(t, m), nil)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("sync status %d: %s", resp.StatusCode, body)
+	}
+	var syncPlan PlanResponse
+	if err := json.Unmarshal([]byte(body), &syncPlan); err != nil {
+		t.Fatal(err)
+	}
+
+	asyncSrv, asyncTS, asyncAttempts := newServer(true)
+	jr := awaitJob(t, asyncTS.URL, submitJob(t, asyncTS.URL, m))
+	if jr.State != "done" || jr.Plan == nil {
+		t.Fatalf("job = %+v, want done with a plan", jr)
+	}
+	if jr.Attempts != 1 {
+		t.Fatalf("job attempts = %d, want 1 (the retry is inside one Run call)", jr.Attempts)
+	}
+
+	if syncPlan.Degraded || jr.Plan.Degraded {
+		t.Fatalf("a path served the transiently degraded attempt: sync %+v, async %+v", syncPlan, jr.Plan)
+	}
+	if !slices.Equal(syncPlan.Perm, jr.Plan.Perm) || syncPlan.K != jr.Plan.K {
+		t.Fatalf("paths disagree: sync k=%d perm=%v, async k=%d perm=%v",
+			syncPlan.K, syncPlan.Perm, jr.Plan.K, jr.Plan.Perm)
+	}
+	for name, got := range map[string][]int{"sync": *syncAttempts, "async": *asyncAttempts} {
+		if !slices.Equal(got, []int{0, 1}) {
+			t.Errorf("%s path ran attempts %v, want [0 1]", name, got)
+		}
+	}
+	for name, srv := range map[string]*Server{"sync": syncSrv, "async": asyncSrv} {
+		if st := srv.Stats(); st.Retries != 1 {
+			t.Errorf("%s server Retries = %d, want 1", name, st.Retries)
+		}
+	}
+	if st := asyncSrv.Stats(); st.Queue.Failed != 0 {
+		t.Errorf("queue Failed = %d, want 0 (a degradation is not a failed run)", st.Queue.Failed)
+	}
+}
+
+// plantEntry writes e into a cache directory directly, bypassing Put's
+// verification, as a damaged or foreign disk would hold it.
+func plantEntry(t testing.TB, dir string, e *plancache.Entry) {
+	t.Helper()
+	data, err := plancache.EncodeEntry(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, e.Key+plancache.Ext), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestAsyncCorruptCacheEntryRecomputed: an async job whose cached entry fails
+// verification (a 10-row plan for a 48-row matrix) is recomputed, as a sync
+// request would be, and GET /v1/jobs serves the recomputed plan.
+func TestAsyncCorruptCacheEntryRecomputed(t *testing.T) {
+	dir := t.TempDir()
+	m := testMatrix(t, 41)
+	key := plancache.KeyCSR(m)
+	plantEntry(t, dir, &plancache.Entry{Key: key, Perm: sparse.IdentityPerm(10)})
+	cache, err := plancache.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := &countingPlanner{}
+	s, ts := newAsyncServer(t, Config{Plan: p.fn(), Cache: cache}, planqueue.Config{})
+
+	jr := awaitJob(t, ts.URL, submitJob(t, ts.URL, m))
+	if jr.State != "done" || jr.Plan == nil {
+		t.Fatalf("job = %+v, want done with a plan", jr)
+	}
+	if jr.Plan.Cached {
+		t.Fatal("job completed from the invalid cache entry")
+	}
+	if n := p.runsFor(key); n != 1 {
+		t.Fatalf("pipeline ran %d times, want 1 (the bad entry is a miss)", n)
+	}
+	if jr.Plan.Rows != m.Rows || len(jr.Plan.Perm) != m.Rows || jr.Plan.K != 8 {
+		t.Fatalf("served plan rows=%d perm=%d k=%d, want the recomputed %d-row plan",
+			jr.Plan.Rows, len(jr.Plan.Perm), jr.Plan.K, m.Rows)
+	}
+	if e, ok := cache.Get(key); !ok || len(e.Perm) != m.Rows {
+		t.Fatal("the recomputed plan did not replace the invalid entry")
+	}
+	if st := s.Stats(); st.VerifyViolations == 0 {
+		t.Fatal("VerifyViolations did not move")
+	}
+}
+
+// TestAsyncCacheHitSkipsPipeline: an async job whose plan is cached completes
+// from the cache without a pipeline run, and says so.
+func TestAsyncCacheHitSkipsPipeline(t *testing.T) {
+	m := testMatrix(t, 42)
+	cache, err := plancache.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cache.Put(plancache.EntryFromResult(plancache.KeyCSR(m), healthyResult(m))); err != nil {
+		t.Fatal(err)
+	}
+	p := &countingPlanner{}
+	s, ts := newAsyncServer(t, Config{Plan: p.fn(), Cache: cache}, planqueue.Config{})
+
+	jr := awaitJob(t, ts.URL, submitJob(t, ts.URL, m))
+	if jr.State != "done" || jr.Plan == nil || !jr.Plan.Cached {
+		t.Fatalf("job = %+v, want done from the cache", jr)
+	}
+	if n := p.totalRuns(); n != 0 {
+		t.Fatalf("pipeline ran %d times for a cached plan, want 0", n)
+	}
+	if st := s.Stats(); st.Queue.CachedDone != 1 {
+		t.Fatalf("queue CachedDone = %d, want 1", st.Queue.CachedDone)
+	}
+}
+
+// TestJobPlanReverified: GET /v1/jobs re-verifies the cached plan it
+// returns. After a restart over a cache whose entry for a done job's matrix
+// was replaced by a degraded one, the poll answers the job's own summary,
+// never the unverified entry.
+func TestJobPlanReverified(t *testing.T) {
+	cacheDir, queueDir := t.TempDir(), t.TempDir()
+	m := testMatrix(t, 43)
+	key := plancache.KeyCSR(m)
+	cache, err := plancache.Open(cacheDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := &countingPlanner{}
+	s, ts := newAsyncServer(t, Config{Plan: p.fn(), Cache: cache}, planqueue.Config{Dir: queueDir})
+	id := submitJob(t, ts.URL, m)
+	if jr := awaitJob(t, ts.URL, id); jr.State != "done" {
+		t.Fatalf("job = %+v, want done", jr)
+	}
+	s.cfg.Queue.Kill()
+
+	plantEntry(t, cacheDir, &plancache.Entry{
+		Key:            key,
+		Perm:           sparse.IdentityPerm(m.Rows),
+		Degraded:       true,
+		DegradedReason: "requested: eigensolver did not converge; fell back to identity",
+	})
+	cache2, err := plancache.Open(cacheDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s2, ts2 := newAsyncServer(t, Config{Plan: p.fn(), Cache: cache2}, planqueue.Config{Dir: queueDir})
+	jr := awaitJob(t, ts2.URL, id)
+	if jr.Plan == nil || jr.Plan.Degraded || !jr.Plan.Reordered || jr.Plan.K != 8 || jr.Plan.Perm != nil {
+		t.Fatalf("poll plan = %+v, want the job's healthy summary without the entry's permutation", jr.Plan)
+	}
+	if st := s2.Stats(); st.VerifyViolations == 0 {
+		t.Fatal("VerifyViolations did not move")
 	}
 }
 

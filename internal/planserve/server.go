@@ -7,13 +7,15 @@
 // Request lifecycle for POST /v1/plan:
 //
 //	parse matrix → content-hash key (both handed over when a fleet router
-//	  already computed them) → cache lookup
+//	  already computed them) → lookup (verified cache hit or peer fill)
 //	  → breaker check (open ⇒ immediate identity plan, marked, never cached)
 //	  → singleflight join (followers wait, consuming no slot)
 //	  → leader: admission (bounded in-flight + bounded queue; full ⇒ 429)
 //	  → pipeline with per-request deadline, retrying transient degradations
 //	    with exponential backoff + jitter
-//	  → durable cache write (healthy plans only) → respond
+//	  → persist (cache write of healthy plans, then replication) → respond
+//
+// Async jobs take the same lookup, pipeline and persist through RunJob.
 package planserve
 
 import (
@@ -28,6 +30,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -86,8 +89,8 @@ type Config struct {
 	Cache *plancache.Cache
 	// Queue is the durable async plan queue behind POST /v1/plan?async=1 and
 	// GET /v1/jobs/{id}; nil answers async submissions with 501. The queue's
-	// lifecycle (Open/Start/Stop) belongs to the caller — fleet.StartNode
-	// drains it alongside the HTTP server.
+	// lifecycle belongs to the caller, who starts it with the server's RunJob
+	// (fleet.StartNode does, and drains it alongside the HTTP server).
 	Queue *planqueue.Queue
 	// Tenants is the per-tenant traffic-shaping policy (token-bucket quotas,
 	// identified by X-Tenant or ?tenant=). A zero Rate with no Overrides
@@ -103,7 +106,7 @@ type Config struct {
 	DefaultDeadline time.Duration
 	// MaxRetries re-runs a pipeline whose plan came back transiently
 	// degraded (eigensolver non-convergence, contained panic) with
-	// exponential backoff + jitter (default 2; 0 disables).
+	// exponential backoff + jitter (default 2; negative disables).
 	MaxRetries int
 	// RetryBackoff is the first backoff step (default 50ms); step i sleeps
 	// RetryBackoff·2^i plus up to 50% jitter.
@@ -127,15 +130,15 @@ type Config struct {
 	// PeerFill, when set, is consulted on a local cache miss before the
 	// pipeline runs: it asks the key's replica set (internal/fleet) whether a
 	// sibling already holds the plan. A hit is verified, replicated into the
-	// local cache, and served without computing — the fleet-wide
+	// local cache, and used without computing — the fleet-wide
 	// compute-once-per-replica-set property rests on this hook.
 	PeerFill func(ctx context.Context, key string) (*plancache.Entry, bool)
 	// Replicate, when set, is called after the pipeline's successful cache
 	// write with the entry's key (internal/antientropy pushes the fresh plan
 	// to the key's other replicas, parking hints for down ones). Called
-	// synchronously on the admitted request's goroutine — implementations
-	// bound their own network time. Peer-filled entries are not re-announced:
-	// they came from the replica set already.
+	// synchronously on the admitted request's or the job's goroutine —
+	// implementations bound their own network time. Peer-filled entries are
+	// not re-announced: they came from the replica set already.
 	Replicate func(key string)
 	// Heal, when set, contributes the anti-entropy healer's counters to
 	// /statsz (the healer's lifecycle belongs to the caller, like Queue's).
@@ -164,7 +167,7 @@ type Config struct {
 type Stats struct {
 	// Served counts completed /v1/plan responses, by outcome.
 	Served, Shed, Coalesced, Degraded, BreakerShortCircuits int64
-	// Retries counts serve-level pipeline re-runs.
+	// Retries counts serve-level pipeline re-runs (sync and async).
 	Retries int64
 	// VerifyViolations counts plan-verification violations observed by this
 	// server (corrupt cached entries treated as misses, pipeline plans
@@ -203,9 +206,6 @@ type Server struct {
 	flights flightGroup
 	mux     *http.ServeMux
 	limiter *tenantLimiter
-	// optKey fingerprints this server's plan options for the queue's dedupe
-	// key; one bootesd runs one pipeline configuration, so it is constant.
-	optKey string
 
 	jitterMu sync.Mutex
 	jitter   *rand.Rand
@@ -691,49 +691,12 @@ func (s *Server) servePlan(w http.ResponseWriter, r *http.Request) {
 	if key == "" {
 		key = plancache.KeyCSR(m)
 	}
-	if s.cfg.Cache != nil {
-		if e, ok := s.cfg.Cache.Get(key); ok {
-			// A cached plan is re-verified before it is served: disk contents
-			// survive process restarts, so a bad entry would otherwise replay
-			// forever. A violation demotes the hit to a miss — the pipeline
-			// recomputes and overwrites the entry.
-			vs := planverify.CheckEntryFields(m.Rows, e.Perm, e.K, e.Reordered, e.Degraded, e.DegradedReason)
-			if len(vs) == 0 {
-				s.served.Inc()
-				s.respond(w, r, s.planResponseFromEntry(e), true, false, "")
-				return
-			}
-			planverify.Record(planverify.SiteServeHit, vs...)
-			s.verifyBad.Add(int64(len(vs)))
-			s.cfg.Logf("planserve: cached plan %.12s failed verification, recomputing: %v", key, vs)
-		}
-	}
-
-	// Local miss: before burning a pipeline slot, ask the key's replica set
-	// whether a sibling already computed this plan (fleet peer-fill). A hit
-	// is verified exactly like a local cache hit, replicated into the local
-	// cache, and served — recomputing a plan any up replica holds is the
-	// failure mode this hook exists to prevent.
-	if s.cfg.PeerFill != nil {
-		if e, ok := s.cfg.PeerFill(ctx, key); ok && e != nil {
-			vs := planverify.CheckEntryFields(m.Rows, e.Perm, e.K, e.Reordered, e.Degraded, e.DegradedReason)
-			if len(vs) == 0 {
-				s.peerFills.Inc()
-				s.served.Inc()
-				if s.cfg.Cache != nil {
-					if err := s.cfg.Cache.Put(e); err != nil {
-						s.cfg.Logf("planserve: replicating peer-filled plan %.12s failed: %v", key, err)
-					}
-				}
-				resp := s.planResponseFromEntry(e)
-				resp.PeerFilled = true
-				s.respond(w, r, resp, true, false, "")
-				return
-			}
-			planverify.Record(planverify.SiteServeHit, vs...)
-			s.verifyBad.Add(int64(len(vs)))
-			s.cfg.Logf("planserve: peer-filled plan %.12s failed verification, recomputing: %v", key, vs)
-		}
+	if e, peerFilled := s.lookup(ctx, key, m.Rows); e != nil {
+		s.served.Inc()
+		resp := s.planResponseFromEntry(e)
+		resp.PeerFilled = peerFilled
+		s.respond(w, r, resp, true, false, "")
+		return
 	}
 
 	runPipeline, probe := s.breaker.Allow()
@@ -799,6 +762,86 @@ func (s *Server) servePlan(w http.ResponseWriter, r *http.Request) {
 // errShed marks a request rejected by admission control.
 var errShed = errors.New("planserve: load shed")
 
+// RunJob is the planqueue.RunFunc for async jobs: the sync path's lookup,
+// else its pipeline with retries and then persist. Jobs take no admission
+// slot, join no flight and skip the breaker: the queue's workers are their
+// admission.
+func (s *Server) RunJob(ctx context.Context, key string, m *sparse.CSR) (res *reorder.Result, cached bool, err error) {
+	ctx = obs.WithRegistry(ctx, s.reg)
+	if e, _ := s.lookup(ctx, key, m.Rows); e != nil {
+		return resultFromEntry(e), true, nil
+	}
+	if res, err = s.planWithRetry(ctx, m); err != nil {
+		return nil, false, err
+	}
+	s.persist(key, res)
+	return res, false, nil
+}
+
+// lookup finds a plan for key without computing one: a verified local cache
+// hit, else a verified entry from the key's replica set (fleet peer fill),
+// which is copied into the local cache and marked peerFilled.
+func (s *Server) lookup(ctx context.Context, key string, rows int) (e *plancache.Entry, peerFilled bool) {
+	if e, ok := s.cached(key, rows); ok {
+		return e, false
+	}
+	if s.cfg.PeerFill == nil {
+		return nil, false
+	}
+	e, ok := s.cfg.PeerFill(ctx, key)
+	if !ok || e == nil || !s.verified(e, rows, "peer-filled") {
+		return nil, false
+	}
+	s.peerFills.Inc()
+	if s.cfg.Cache != nil {
+		if err := s.cfg.Cache.Put(e); err != nil {
+			s.cfg.Logf("planserve: replicating peer-filled plan %.12s failed: %v", key, err)
+		}
+	}
+	return e, true
+}
+
+// cached returns key's local cache entry if it verifies for rows rows.
+func (s *Server) cached(key string, rows int) (*plancache.Entry, bool) {
+	if s.cfg.Cache == nil {
+		return nil, false
+	}
+	e, ok := s.cfg.Cache.Get(key)
+	return e, ok && s.verified(e, rows, "cached")
+}
+
+// verified re-checks a cache or peer entry before it is used as the plan for
+// a rows-row matrix; on a violation, counted and logged, the caller treats
+// the entry as a miss, and a recomputation overwrites it.
+func (s *Server) verified(e *plancache.Entry, rows int, source string) bool {
+	vs := planverify.CheckEntryFields(rows, e.Perm, e.K, e.Reordered, e.Degraded, e.DegradedReason)
+	if len(vs) == 0 {
+		return true
+	}
+	planverify.Record(planverify.SiteServeHit, vs...)
+	s.verifyBad.Add(int64(len(vs)))
+	s.cfg.Logf("planserve: %s plan %.12s failed verification, treated as a miss: %v", source, e.Key, vs)
+	return false
+}
+
+// persist writes a computed plan to the cache, healthy plans only, and
+// announces it to the rest of the replica set.
+func (s *Server) persist(key string, res *reorder.Result) {
+	if s.cfg.Cache == nil || res.Degraded {
+		return
+	}
+	if err := s.cfg.Cache.Put(plancache.EntryFromResult(key, res)); err != nil {
+		// A durability loss, not a serving failure: the plan is still correct.
+		s.cfg.Logf("planserve: cache write for %.12s failed: %v", key, err)
+		return
+	}
+	if s.cfg.Replicate != nil {
+		// Until it replicates, a fresh plan lives on one node: announce it
+		// before returning, so a crash right after cannot orphan it.
+		s.cfg.Replicate(key)
+	}
+}
+
 // runAdmitted is the singleflight leader's path: acquire an execution slot
 // (bounded queue, immediate shed beyond it), run the pipeline with retries,
 // record the breaker outcome, and persist a healthy plan.
@@ -810,16 +853,11 @@ func (s *Server) runAdmitted(ctx context.Context, m *sparse.CSR, key string, pro
 	// miss and the flight. A verified hit here is served without burning an
 	// admission slot or recomputing (the fleet's compute-once property
 	// depends on this).
-	if s.cfg.Cache != nil {
-		if e, ok := s.cfg.Cache.Get(key); ok {
-			vs := planverify.CheckEntryFields(m.Rows, e.Perm, e.K, e.Reordered, e.Degraded, e.DegradedReason)
-			if len(vs) == 0 {
-				if probe {
-					s.breaker.CancelProbe()
-				}
-				return resultFromEntry(e), nil
-			}
+	if e, ok := s.cached(key, m.Rows); ok {
+		if probe {
+			s.breaker.CancelProbe()
 		}
+		return resultFromEntry(e), nil
 	}
 	// Admission: try for a slot without waiting; if the wait queue has
 	// room, wait for a slot or the deadline; otherwise shed immediately —
@@ -857,20 +895,7 @@ func (s *Server) runAdmitted(ctx context.Context, m *sparse.CSR, key string, pro
 		success = false
 	}
 	s.breaker.Record(success, probe)
-
-	if s.cfg.Cache != nil && !res.Degraded {
-		if err := s.cfg.Cache.Put(plancache.EntryFromResult(key, res)); err != nil {
-			// A failed cache write is a durability loss, not a serving
-			// failure: the plan is still correct.
-			s.cfg.Logf("planserve: cache write for %s failed: %v", key[:12], err)
-		} else if s.cfg.Replicate != nil {
-			// A fresh plan exists on exactly one node until it replicates;
-			// announce it to the rest of the replica set (down replicas get a
-			// durable hint) before the request returns, so a crash right after
-			// the response cannot orphan the only copy.
-			s.cfg.Replicate(key)
-		}
-	}
+	s.persist(key, res)
 	return res, nil
 }
 
@@ -915,12 +940,16 @@ func (s *Server) planWithRetry(ctx context.Context, m *sparse.CSR) (*reorder.Res
 	}
 }
 
-// transientDegradation classifies a DegradedReason trail as retryable. The
-// classification itself lives in planverify (TransientReason) so the async
-// plan queue's bounded retries agree with the sync path about which
-// degradations are worth a re-run.
+// transientDegradation classifies a DegradedReason trail (the strings
+// core/degrade.go and planverify emit) as retryable: eigensolver
+// non-convergence, contained panics, stalled workers and verifier-caught
+// corruption may come back clean on a reseeded re-run; budget, memory and
+// traffic-regression degradations are deterministic for the same request.
 func transientDegradation(reason string) bool {
-	return planverify.TransientReason(reason)
+	return strings.Contains(reason, "did not converge") ||
+		strings.Contains(reason, "contained panic") ||
+		strings.Contains(reason, "worker") ||
+		strings.Contains(reason, "plan verification failed")
 }
 
 // hardDegraded reports a plan the breaker should count as a failure: it

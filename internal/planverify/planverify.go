@@ -71,27 +71,8 @@ const (
 	SitePlanHit  = "plan-cache-hit" // bootes.PlanContext, cached entry
 	SiteCachePut = "plancache-put"  // plancache.Put, before the durable write
 	SiteServe    = "planserve"      // planserve, before a 200 response
-	SiteServeHit = "planserve-hit"  // planserve, cached entry
-	SiteQueue    = "planqueue"      // planqueue worker, before a job completes
+	SiteServeHit = "planserve-hit"  // planserve, cache or peer entry
 )
-
-// TransientReason classifies a DegradedReason trail as retryable: the
-// ladder's transient rung failures (eigensolver non-convergence, contained
-// panics, stalled workers) may succeed on a re-run with a different seed,
-// whereas budget and memory degradations are deterministic for the same
-// request. The substrings match the reason strings core/degrade.go emits.
-// Both the serving layer's retry loop and the async plan queue's bounded
-// retries share this classification, so a reason string never means
-// "retry" on one path and "final" on the other.
-func TransientReason(reason string) bool {
-	return strings.Contains(reason, "did not converge") ||
-		strings.Contains(reason, "contained panic") ||
-		strings.Contains(reason, "worker") ||
-		// Verifier replacements: corruption is transient (a recomputation
-		// may come back clean); "traffic regression predicted" deliberately
-		// does NOT match — the model is deterministic for the same matrix.
-		strings.Contains(reason, "plan verification failed")
-}
 
 // Violation is one failed invariant.
 type Violation struct {
