@@ -34,9 +34,9 @@
 #                  asserted from the fleet's own /metrics
 #   make bench-queue — the durable-queue benchmark behind BENCH_queue.json
 #                  (enqueue/drain throughput, journal replay at 10k jobs)
-#   make bench   — the parallel-layer, eigensolver and matrix-reader
-#                  benchmarks behind BENCH_parallel.json, plus the exact vs
-#                  implicit similarity ablation (DESIGN.md §5)
+#   make bench   — the parallel-layer, eigensolver, matrix-reader, plan-key
+#                  and hot-hit benchmarks behind BENCH_parallel.json, plus the
+#                  exact vs implicit similarity ablation (DESIGN.md §5)
 #   make bench-matrix — the similarity/eigen/k-means/sweep benchmarks across
 #                  BOOTES_WORKERS ∈ {1,2,4,max} plus the end-to-end
 #                  similarity-tier run that regenerates BENCH_fastpath.json
@@ -136,6 +136,8 @@ fuzz:
 bench:
 	$(GO) test ./internal/sparse/ -run XXX -bench 'Similarity|SpMV' -benchtime 10x
 	$(GO) test ./internal/sparse/ -run XXX -bench 'ReadMatrixMarket|ReadBinary' -benchmem
+	$(GO) test ./internal/plancache/ -run XXX -bench KeyCSR -benchmem
+	$(GO) test ./internal/planserve/ -run XXX -bench HotHit -benchmem
 	$(GO) test ./internal/cluster/ -run XXX -bench KMeans -benchtime 10x
 	$(GO) test ./internal/core/ -run XXX -bench 'Eigensolve|Sweep' -benchtime 5x
 	$(GO) test ./internal/eigen/ -run XXX -bench 'DenseSymEigen|LargestK32' -benchmem -benchtime 10x

@@ -687,13 +687,7 @@ func planRemote(server, in string, timeout, maxWait time.Duration, strict, async
 		// Hash the matrix locally and reorder the server list to the key's
 		// ring preference: the first try lands on the owner, so a fleet-wide
 		// cache hit costs one hop and no forward.
-		var m *sparse.CSR
-		if bytes.HasPrefix(payload, []byte("BCSR")) {
-			m, err = sparse.ReadBinary(bytes.NewReader(payload))
-		} else {
-			m, err = sparse.ReadMatrixMarket(bytes.NewReader(payload))
-		}
-		if err == nil {
+		if m, err := sparse.ReadBody(payload); err == nil {
 			if r, rerr := ring.New(bases, 0); rerr == nil {
 				bases = r.Replicas(bootes.MatrixKey(m), len(bases))
 			}

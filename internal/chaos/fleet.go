@@ -16,6 +16,7 @@ import (
 	"io"
 	"net/http"
 	"path/filepath"
+	"slices"
 	"sync"
 	"time"
 
@@ -45,6 +46,10 @@ type fleetHarness struct {
 	mu       sync.Mutex
 	up       map[string]bool
 	computes map[string]int
+	// perms is the first healthy permutation served for each key; every
+	// later healthy answer for the key, from any node, phase, forward or
+	// memo hit, must carry the same one.
+	perms map[string][]int32
 }
 
 // markDown removes url from the harness up-set. Called BEFORE the node is
@@ -99,9 +104,12 @@ func (h *fleetHarness) plan(_ context.Context, m *sparse.CSR, _ int) (*reorder.R
 	h.computes[key]++
 	h.mu.Unlock()
 	time.Sleep(time.Millisecond) // widen the coalescing window a little
+	// A rotation by a key-derived offset: matrices of one size get different
+	// plans, so an answer carrying another matrix's plan shows.
+	shift := 1 + int(key[0])%max(m.Rows-1, 1)
 	perm := make(sparse.Permutation, m.Rows)
 	for i := range perm {
-		perm[i] = int32(m.Rows - 1 - i)
+		perm[i] = int32((i + shift) % m.Rows)
 	}
 	return &reorder.Result{Perm: perm, Reordered: true, Extra: map[string]float64{"k": 8}}, nil
 }
@@ -182,7 +190,7 @@ func (h *fleetHarness) peersSee(target string, wantUp bool) bool {
 // while requests are still flowing, keep serving through the survivors, then
 // restart the owner and verify the fleet converges back to pure cache hits.
 func scenarioFleetPartition(e *episode) {
-	h := &fleetHarness{e: e, name: "fleet-partition", replicas: 2, up: make(map[string]bool), computes: make(map[string]int)}
+	h := &fleetHarness{e: e, name: "fleet-partition", replicas: 2, up: make(map[string]bool), computes: make(map[string]int), perms: make(map[string][]int32)}
 	c, err := fleet.LaunchCluster(fleetNodes, fleet.NodeConfig{
 		Serve:    planserve.Config{Plan: h.plan, MaxInFlight: 4, Seed: e.rng.Int63()},
 		CacheDir: filepath.Join(e.dir, "fleet"),
@@ -234,7 +242,7 @@ func scenarioFleetPartition(e *episode) {
 
 	// Phase 1: warm traffic — every body through every node, concurrently.
 	// Forwarding must collapse all of it onto each key's owner.
-	h.burst(client, bodies, rows, h.upNodes())
+	h.burst(client, bodies, keys, rows, h.upNodes())
 	for i, k := range keys {
 		if n := h.computeCount(k); n != 1 {
 			e.violatef("fleet-partition: warm phase computed key %d %d times, want 1", i, n)
@@ -248,12 +256,12 @@ func scenarioFleetPartition(e *episode) {
 	h.markDown(victim.URL)
 	victim.Kill()
 	for r := 0; r < 2; r++ {
-		h.burst(client, bodies, rows, h.upNodes())
+		h.burst(client, bodies, keys, rows, h.upNodes())
 	}
 	h.waitUntil("survivors to mark the victim down", func() bool {
 		return h.peersSee(victim.URL, false)
 	})
-	h.burst(client, bodies, rows, h.upNodes())
+	h.burst(client, bodies, keys, rows, h.upNodes())
 
 	// Each key is computed at most once more by the surviving members of
 	// its replica set; keys whose owner survived never recompute at all.
@@ -284,7 +292,7 @@ func scenarioFleetPartition(e *episode) {
 	for _, k := range keys {
 		before[k] = h.computeCount(k)
 	}
-	h.burst(client, bodies, rows, h.upNodes())
+	h.burst(client, bodies, keys, rows, h.upNodes())
 	for i, k := range keys {
 		if n := h.computeCount(k); n != before[k] {
 			e.violatef("fleet-partition: key %d recomputed after recovery (%d -> %d): caches did not converge", i, before[k], n)
@@ -311,31 +319,33 @@ func scenarioFleetPartition(e *episode) {
 }
 
 // burst posts every body once through every given node concurrently and
-// validates the responses: a parseable valid-or-marked-degraded plan on 200,
-// an honest refusal otherwise. Transport errors count as refusals — the
-// harness races its own kills, so a connection can die mid-request.
-func (h *fleetHarness) burst(client *http.Client, bodies [][]byte, rows []int, nodes []*fleet.Node) {
+// validates the responses: on 200 a parseable valid-or-marked-degraded plan
+// for the body's own key, whose permutation, when healthy, is the one every
+// healthy answer for that key has carried; an honest refusal otherwise.
+// Transport errors count as refusals — the harness races its own kills, so a
+// connection can die mid-request.
+func (h *fleetHarness) burst(client *http.Client, bodies [][]byte, keys []string, rows []int, nodes []*fleet.Node) {
 	type result struct {
 		code int
 		body []byte
-		rows int
+		idx  int
 	}
 	var wg sync.WaitGroup
 	results := make(chan result, len(bodies)*len(nodes))
 	for _, nd := range nodes {
 		for i := range bodies {
 			wg.Add(1)
-			go func(url string, body []byte, rows int) {
+			go func(url string, i int) {
 				defer wg.Done()
-				resp, err := client.Post(url+"/v1/plan?perm=1", "application/octet-stream", bytes.NewReader(body))
+				resp, err := client.Post(url+"/v1/plan?perm=1", "application/octet-stream", bytes.NewReader(bodies[i]))
 				if err != nil {
 					results <- result{code: -1}
 					return
 				}
 				defer resp.Body.Close()
 				data, _ := io.ReadAll(resp.Body)
-				results <- result{code: resp.StatusCode, body: data, rows: rows}
-			}(nd.URL, bodies[i], rows[i])
+				results <- result{code: resp.StatusCode, body: data, idx: i}
+			}(nd.URL, i)
 		}
 	}
 	wg.Wait()
@@ -348,7 +358,11 @@ func (h *fleetHarness) burst(client *http.Client, bodies [][]byte, rows []int, n
 				h.violatef("%s: unparseable 200 body: %v", h.name, err)
 				continue
 			}
-			h.checkShape(out.rows, &pr)
+			if pr.Key != keys[out.idx] {
+				h.violatef("%s: body %d answered with key %.12s, want its own %.12s", h.name, out.idx, pr.Key, keys[out.idx])
+				continue
+			}
+			h.checkShape(rows[out.idx], &pr)
 		case http.StatusTooManyRequests, http.StatusServiceUnavailable,
 			http.StatusGatewayTimeout, http.StatusBadGateway, -1:
 			h.mu.Lock()
@@ -372,8 +386,13 @@ func (h *fleetHarness) checkShape(rows int, pr *planserve.PlanResponse) {
 	}
 	if pr.Degraded {
 		h.e.rep.DegradedPlans++
-	} else {
-		h.e.rep.Healthy++
+		return
+	}
+	h.e.rep.Healthy++
+	if first, ok := h.perms[pr.Key]; !ok {
+		h.perms[pr.Key] = pr.Perm
+	} else if !slices.Equal(pr.Perm, first) {
+		h.e.violatef("%s: key %.12s served two different healthy plans (cached=%v)", h.name, pr.Key, pr.Cached)
 	}
 }
 

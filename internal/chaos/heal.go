@@ -28,7 +28,7 @@ import (
 )
 
 func scenarioFleetHeal(e *episode) {
-	h := &fleetHarness{e: e, name: "fleet-heal", replicas: 2, up: make(map[string]bool), computes: make(map[string]int)}
+	h := &fleetHarness{e: e, name: "fleet-heal", replicas: 2, up: make(map[string]bool), computes: make(map[string]int), perms: make(map[string][]int32)}
 	c, err := fleet.LaunchCluster(fleetNodes, fleet.NodeConfig{
 		Serve:    planserve.Config{Plan: h.plan, MaxInFlight: 4, Seed: e.rng.Int63()},
 		CacheDir: filepath.Join(e.dir, "fleet-heal"),
@@ -99,7 +99,7 @@ func scenarioFleetHeal(e *episode) {
 	if bodies1 == nil {
 		return
 	}
-	h.burst(client, bodies1, rows1, h.upNodes())
+	h.burst(client, bodies1, keys1, rows1, h.upNodes())
 	for i, k := range keys1 {
 		if n := h.computeCount(k); n != 1 {
 			e.violatef("fleet-heal: warm phase computed key %d %d times, want 1", i, n)
@@ -137,14 +137,14 @@ func scenarioFleetHeal(e *episode) {
 	if bodies2 == nil {
 		return
 	}
-	h.burst(client, bodies2, rows2, h.upNodes())
+	h.burst(client, bodies2, keys2, rows2, h.upNodes())
 	for i, k := range keys2 {
 		if n := h.computeCount(k); n != 1 {
 			e.violatef("fleet-heal: outage phase computed key %d %d times, want 1", i, n)
 		}
 	}
 	// Replaying the warm set through the survivors must stay pure cache.
-	h.burst(client, bodies1, rows1, h.upNodes())
+	h.burst(client, bodies1, keys1, rows1, h.upNodes())
 	for i, k := range keys1 {
 		if n := h.computeCount(k); n != 1 {
 			e.violatef("fleet-heal: warm key %d recomputed during outage (%d computes)", i, n)
@@ -261,7 +261,7 @@ func scenarioFleetHeal(e *episode) {
 			e.violatef("fleet-heal: key %d recomputed during convergence (%d -> %d)", i, before[k], n)
 		}
 	}
-	h.burst(client, append(append([][]byte(nil), bodies1...), bodies2...),
+	h.burst(client, append(append([][]byte(nil), bodies1...), bodies2...), allKeys,
 		append(append([]int(nil), rows1...), rows2...), h.upNodes())
 	for i, k := range allKeys {
 		if n := h.computeCount(k); n != before[k] {

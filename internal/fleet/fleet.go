@@ -154,6 +154,11 @@ type Router struct {
 	stop chan struct{}
 	wg   sync.WaitGroup
 
+	// memo resolves client bodies this router has parsed before to their
+	// key without a parse; forwarded requests meet the receiver's planserve
+	// memo instead.
+	memo *planserve.BodyMemo
+
 	// onPeerUp, when set, is called with a peer's URL each time this node's
 	// health view of it transitions down→up (probe or live traffic). The
 	// anti-entropy healer hooks it to deliver parked hints the moment a
@@ -259,6 +264,9 @@ func (rt *Router) registerMetrics(reg *obs.Registry) {
 	rt.probeLatency = reg.Histogram("bootes_fleet_probe_latency_seconds",
 		"Round-trip time of peer /readyz health probes.", probeLatencyBuckets)
 	rt.peerUp = reg.GaugeVec("bootes_fleet_peer_up", "Peer health as seen by this node: 1 up, 0 down.", "peer")
+	rt.memo = planserve.NewBodyMemo(
+		reg.Counter("bootes_fleet_body_memo_hits_total", "Client plan bodies resolved from the router's body memo, without a parse."),
+		reg.Counter("bootes_fleet_body_memo_misses_total", "Client plan bodies the router's body memo did not know, parsed instead."))
 	reg.GaugeFunc("bootes_fleet_ring_nodes", "Nodes on the consistent-hash ring.", func() int64 {
 		return int64(rt.ring.Len())
 	})
@@ -444,26 +452,27 @@ func (rt *Router) routePlan(w http.ResponseWriter, r *http.Request, next http.Ha
 		next.ServeHTTP(w, r)
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, rt.cfg.MaxBodyBytes+1))
+	body, err := planserve.ReadRequestBody(r, rt.cfg.MaxBodyBytes)
 	if err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			http.Error(w, fmt.Sprintf("matrix body exceeds the %d-byte routing limit", rt.cfg.MaxBodyBytes),
+				http.StatusRequestEntityTooLarge)
+			return
+		}
 		http.Error(w, fmt.Sprintf("reading request body: %v", err), http.StatusBadRequest)
 		return
 	}
-	if int64(len(body)) > rt.cfg.MaxBodyBytes {
-		http.Error(w, fmt.Sprintf("matrix body exceeds the %d-byte routing limit", rt.cfg.MaxBodyBytes),
-			http.StatusRequestEntityTooLarge)
-		return
-	}
-	r.Body = io.NopCloser(bytes.NewReader(body))
-	m, key, ok := keyOf(body)
-	if !ok {
+	key, rows, m, err := rt.memo.Resolve(body)
+	if err != nil {
 		// Not a matrix we can hash: let the local server produce its 400.
+		r.Body = io.NopCloser(bytes.NewReader(body))
 		next.ServeHTTP(w, r)
 		return
 	}
-	// Served here, the request carries the matrix and key just computed, so
-	// planserve neither parses nor hashes the body again.
-	local := planserve.WithRoutedMatrix(r, m, key, int64(len(body)))
+	// Served here, the request carries what its body resolved to, so
+	// planserve neither reads nor hashes the body again.
+	local := planserve.WithRoutedMatrix(r, key, rows, body, m)
 	replicas := rt.ring.Replicas(key, rt.cfg.Replicas)
 	if replicas[0] == rt.cfg.Self {
 		next.ServeHTTP(w, local)
@@ -518,13 +527,18 @@ type payload struct {
 	contentType string
 }
 
-// forwardPayload chooses what a forward of body, parsed as m, carries: the
-// BCSR encoding of m when it is no larger than a text body, so the owner
-// skips a text parse and the hop moves fewer bytes, and otherwise the body
-// as the client sent it.
+// forwardPayload chooses what a forward of body carries. A body this router
+// parsed, as m, travels as m's BCSR encoding when that is smaller, so the
+// owner skips a text parse and the hop moves fewer bytes. Otherwise the body
+// travels as the client sent it, and always when the router's memo answered
+// (m nil): repeats of those bytes then resolve from the owner's own memo,
+// without a parse.
 func forwardPayload(body []byte, contentType string, m *sparse.CSR) payload {
+	if m == nil {
+		return payload{body, contentType}
+	}
 	size := sparse.BinarySize(m)
-	if bytes.HasPrefix(body, []byte("BCSR")) || size > int64(len(body)) {
+	if size >= int64(len(body)) {
 		return payload{body, contentType}
 	}
 	var buf bytes.Buffer
@@ -746,22 +760,4 @@ func (rt *Router) Fill(ctx context.Context, key string) (*plancache.Entry, bool)
 	}
 	rt.fillMisses.Inc()
 	return nil, false
-}
-
-// keyOf parses a matrix body (BCSR or Matrix Market, the same sniff the
-// server uses) and returns it with its content-hash MatrixKey.
-func keyOf(body []byte) (*sparse.CSR, string, bool) {
-	var (
-		m   *sparse.CSR
-		err error
-	)
-	if bytes.HasPrefix(body, []byte("BCSR")) {
-		m, err = sparse.ReadBinary(bytes.NewReader(body))
-	} else {
-		m, err = sparse.ReadMatrixMarket(bytes.NewReader(body))
-	}
-	if err != nil {
-		return nil, "", false
-	}
-	return m, plancache.KeyCSR(m), true
 }

@@ -8,6 +8,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -108,11 +110,11 @@ func TestClusterComputesOncePerKey(t *testing.T) {
 
 func keyMust(t testing.TB, body []byte) string {
 	t.Helper()
-	_, key, ok := keyOf(body)
-	if !ok {
-		t.Fatal("test body did not parse as a matrix")
+	m, err := sparse.ReadBody(body)
+	if err != nil {
+		t.Fatalf("test body did not parse as a matrix: %v", err)
 	}
-	return key
+	return plancache.KeyCSR(m)
 }
 
 // TestPeerFill: a node that receives a pre-forwarded request (router
@@ -835,5 +837,179 @@ func TestRoutedBodyOverServerLimitIs413(t *testing.T) {
 	}
 	if n := computes.Load(); n != 0 {
 		t.Errorf("pipeline ran %d times on a rejected upload", n)
+	}
+}
+
+// TestForwardAfterMemoHitCarriesClientBytes: a router forwards a body it
+// parsed as BCSR, but once its memo knows the body it forwards the client's
+// bytes verbatim, to the owner and to the hedge alike.
+func TestForwardAfterMemoHitCarriesClientBytes(t *testing.T) {
+	type arrival struct {
+		contentType string
+		body        []byte
+	}
+	var (
+		mu       sync.Mutex
+		arrivals []arrival
+	)
+	peer := func(stall bool) *httptest.Server {
+		return httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/readyz" {
+				return
+			}
+			b, _ := io.ReadAll(r.Body)
+			mu.Lock()
+			arrivals = append(arrivals, arrival{r.Header.Get("Content-Type"), b})
+			mu.Unlock()
+			if stall {
+				<-r.Context().Done() // lose every race to the hedge
+				return
+			}
+			fmt.Fprint(w, `{}`)
+		}))
+	}
+	owner, hedge := peer(true), peer(false)
+	defer owner.Close()
+	defer hedge.Close()
+	h := newRouterHarness(t, Config{Replicas: 3, HedgeAfter: 20 * time.Millisecond}, owner, hedge)
+	dense := func(seed int64) *sparse.CSR {
+		return workloads.ScrambledBlock(workloads.Params{Rows: 48, Cols: 48, Density: 0.3, Seed: seed, Groups: 4})
+	}
+	body := drawOwnedBy(t, h.rt, dense, 2, owner.URL, hedge.URL)
+	client := &http.Client{Timeout: 10 * time.Second}
+	defer client.CloseIdleConnections()
+	for i := 0; i < 2; i++ {
+		resp, err := client.Post(h.front.URL+"/v1/plan", "text/plain", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _ = io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("request %d: status %d", i, resp.StatusCode)
+		}
+		waitFor(t, 5*time.Second, func() bool {
+			mu.Lock()
+			defer mu.Unlock()
+			return len(arrivals) == 2*(i+1)
+		}, "owner and hedge did not both receive the forward")
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for i, a := range arrivals {
+		verbatim := a.contentType == "text/plain" && bytes.Equal(a.body, body)
+		if first := i < 2; first == verbatim || (first && !bytes.HasPrefix(a.body, []byte("BCSR"))) {
+			t.Errorf("forward %d (request %d): Content-Type %q, %d bytes; want BCSR on the first sighting and the client's bytes after",
+				i, i/2+1, a.contentType, len(a.body))
+		}
+	}
+}
+
+// TestOwnerAnswersForwardFromItsMemo: through a real cluster, the same text
+// body sent three times via a non-owner is parsed once by that router and
+// twice by the owner (the BCSR forward, then the first verbatim one), and the
+// third forward is answered from the owner's memo with the same plan.
+func TestOwnerAnswersForwardFromItsMemo(t *testing.T) {
+	var computes atomic.Int64
+	c, err := LaunchCluster(3, NodeConfig{
+		Serve:    planserve.Config{Plan: countingPlan(&computes)},
+		CacheDir: t.TempDir(),
+		Fleet:    Config{ProbeInterval: 50 * time.Millisecond},
+		Logf:     t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	client := &http.Client{Timeout: 30 * time.Second}
+	defer client.CloseIdleConnections()
+
+	body := mmBody(t, workloads.ScrambledBlock(workloads.Params{Rows: 48, Cols: 48, Density: 0.3, Seed: 2, Groups: 4}))
+	owner := c.Nodes[0].Router().Ring().Owner(keyMust(t, body))
+	via := c.Nodes[0].URL
+	if via == owner {
+		via = c.Nodes[1].URL
+	}
+	var answers [][]byte
+	for i := 0; i < 3; i++ {
+		resp, err := client.Post(via+"/v1/plan?perm=1", "text/plain", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || resp.Header.Get(ServedByHeader) != owner {
+			t.Fatalf("request %d: status %d served by %q, want 200 from owner %s", i, resp.StatusCode, resp.Header.Get(ServedByHeader), owner)
+		}
+		answers = append(answers, bytes.Replace(data, []byte(`,"cached":true`), nil, 1))
+	}
+	for at, want := range map[string]int64{
+		via + " bootes_fleet_body_memo_misses_total":   1,
+		via + " bootes_fleet_body_memo_hits_total":     2,
+		owner + " bootes_serve_body_memo_misses_total": 2,
+		owner + " bootes_serve_body_memo_hits_total":   1,
+	} {
+		url, name, _ := strings.Cut(at, " ")
+		if got := scrapeCounter(t, client, url, name); got != want {
+			t.Errorf("%s on %s = %d, want %d", name, url, got, want)
+		}
+	}
+	if !bytes.Equal(answers[1], answers[0]) || !bytes.Equal(answers[2], answers[0]) {
+		t.Errorf("answers differ beyond the cached flag:\n%s\n%s\n%s", answers[0], answers[1], answers[2])
+	}
+	if n := computes.Load(); n != 1 {
+		t.Errorf("fleet computed the plan %d times, want 1", n)
+	}
+}
+
+// scrapeCounter reads one unlabelled counter from a node's /metrics.
+func scrapeCounter(t *testing.T, client *http.Client, url, name string) int64 {
+	t.Helper()
+	resp, err := client.Get(url + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	data, _ := io.ReadAll(resp.Body)
+	for _, line := range strings.Split(string(data), "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			n, err := strconv.ParseInt(v, 10, 64)
+			if err != nil {
+				t.Fatalf("%s: %v", line, err)
+			}
+			return n
+		}
+	}
+	t.Fatalf("%s/metrics has no %s", url, name)
+	return 0
+}
+
+// TestBodyOverRoutingLimitIs413: a body over the router's own limit is
+// refused with its 413, declared or not, before anything is parsed or served.
+func TestBodyOverRoutingLimitIs413(t *testing.T) {
+	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
+	defer stub.Close()
+	h := newRouterHarness(t, Config{MaxBodyBytes: 512}, stub)
+	body := mmBody(t, testMatrix(t, 1))
+	if len(body) <= 512 {
+		t.Fatalf("test body only %d bytes; raise the matrix size", len(body))
+	}
+	for _, declared := range []bool{true, false} {
+		var rd io.Reader = bytes.NewReader(body)
+		if !declared {
+			rd = io.MultiReader(rd) // hides the length: sent chunked
+		}
+		resp, err := http.Post(h.front.URL+"/v1/plan", "text/plain", rd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge || !strings.Contains(string(data), "512-byte routing limit") {
+			t.Errorf("declared length %v: status %d (%s), want 413 naming the routing limit", declared, resp.StatusCode, data)
+		}
+	}
+	if n := h.localHi.Load(); n != 0 {
+		t.Errorf("local handler served %d over-limit requests", n)
 	}
 }

@@ -89,16 +89,35 @@ func EntryFromResult(key string, res *reorder.Result) *Entry {
 // KeyCSR returns the content hash of m's sparsity structure (shape, row
 // pointers, column indices) as a hex string. Values are deliberately
 // excluded: planning consumes only the pattern.
+//
+// The arrays are streamed little-endian through a fixed buffer: the hashed
+// bytes are those binary.Write would produce, without a copy of the matrix.
 func KeyCSR(m *sparse.CSR) string {
 	h := sha256.New()
-	var hdr [24]byte
-	binary.LittleEndian.PutUint64(hdr[0:], uint64(m.Rows))
-	binary.LittleEndian.PutUint64(hdr[8:], uint64(m.Cols))
-	binary.LittleEndian.PutUint64(hdr[16:], uint64(m.NNZ()))
-	h.Write(hdr[:])
-	_ = binary.Write(h, binary.LittleEndian, m.RowPtr)
-	_ = binary.Write(h, binary.LittleEndian, m.Col)
-	return hex.EncodeToString(h.Sum(nil))
+	var buf [4096]byte
+	binary.LittleEndian.PutUint64(buf[0:], uint64(m.Rows))
+	binary.LittleEndian.PutUint64(buf[8:], uint64(m.Cols))
+	binary.LittleEndian.PutUint64(buf[16:], uint64(m.NNZ()))
+	n := 24
+	for _, v := range m.RowPtr {
+		if n+8 > len(buf) {
+			h.Write(buf[:n])
+			n = 0
+		}
+		binary.LittleEndian.PutUint64(buf[n:], uint64(v))
+		n += 8
+	}
+	for _, v := range m.Col {
+		if n+4 > len(buf) {
+			h.Write(buf[:n])
+			n = 0
+		}
+		binary.LittleEndian.PutUint32(buf[n:], uint32(v))
+		n += 4
+	}
+	h.Write(buf[:n])
+	var sum [sha256.Size]byte
+	return hex.EncodeToString(h.Sum(sum[:0]))
 }
 
 // EncodeEntry serializes e into the container format.

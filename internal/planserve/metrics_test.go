@@ -120,6 +120,12 @@ bootes_plans_total{outcome="healthy"} 1
 # HELP bootes_serve_async_rejected_total Async submissions rejected by queue backlog bounds (429).
 # TYPE bootes_serve_async_rejected_total counter
 bootes_serve_async_rejected_total 0
+# HELP bootes_serve_body_memo_hits_total Plan request bodies resolved from the body memo, without a parse.
+# TYPE bootes_serve_body_memo_hits_total counter
+bootes_serve_body_memo_hits_total 0
+# HELP bootes_serve_body_memo_misses_total Plan request bodies the body memo did not know, parsed instead.
+# TYPE bootes_serve_body_memo_misses_total counter
+bootes_serve_body_memo_misses_total 1
 # HELP bootes_serve_breaker_short_circuits_total Requests answered by the breaker's identity fast-path.
 # TYPE bootes_serve_breaker_short_circuits_total counter
 bootes_serve_breaker_short_circuits_total 0

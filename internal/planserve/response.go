@@ -1,9 +1,7 @@
 package planserve
 
 import (
-	"bufio"
 	"encoding/json"
-	"io"
 	"net/http"
 
 	"bootes/internal/plancache"
@@ -78,23 +76,4 @@ func resultFromEntry(e *plancache.Entry) *reorder.Result {
 		FootprintBytes: e.FootprintBytes,
 		Extra:          map[string]float64{"k": float64(e.K)},
 	}
-}
-
-// sniffReader lets the matrix reader peek at the body's magic bytes without
-// consuming them, so one endpoint accepts both BCSR and Matrix Market.
-type sniffReader struct{ *bufio.Reader }
-
-func newSniffReader(r io.Reader) *sniffReader { return &sniffReader{bufio.NewReader(r)} }
-
-// hasPrefix reports whether the stream starts with p. A stream too short to
-// tell is not an error here — the format parser produces the real diagnosis.
-func (s *sniffReader) hasPrefix(p string) (bool, error) {
-	b, err := s.Peek(len(p))
-	if len(b) < len(p) {
-		if len(b) == 0 && err != nil && err != io.EOF {
-			return false, err
-		}
-		return false, nil
-	}
-	return string(b) == p, nil
 }

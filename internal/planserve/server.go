@@ -6,8 +6,10 @@
 //
 // Request lifecycle for POST /v1/plan:
 //
-//	parse matrix → content-hash key (both handed over when a fleet router
-//	  already computed them) → lookup (verified cache hit or peer fill)
+//	read body → key and row count (from the body memo when these exact
+//	  bytes were parsed before, handed over when a fleet router resolved
+//	  them, parsed otherwise) → lookup (verified cache hit or peer fill)
+//	  → parse, if not yet parsed
 //	  → breaker check (open ⇒ immediate identity plan, marked, never cached)
 //	  → singleflight join (followers wait, consuming no slot)
 //	  → leader: admission (bounded in-flight + bounded queue; full ⇒ 429)
@@ -206,6 +208,7 @@ type Server struct {
 	flights flightGroup
 	mux     *http.ServeMux
 	limiter *tenantLimiter
+	memo    *BodyMemo
 
 	jitterMu sync.Mutex
 	jitter   *rand.Rand
@@ -297,6 +300,9 @@ func (s *Server) registerMetrics(reg *obs.Registry) {
 	s.verifyBad = reg.Counter("bootes_serve_verify_violations_total", "Plan-verification violations observed by this server.")
 	s.asyncRejected = reg.Counter("bootes_serve_async_rejected_total", "Async submissions rejected by queue backlog bounds (429).")
 	s.peerFills = reg.Counter("bootes_serve_peer_fills_total", "Local cache misses answered by a fleet sibling's cache.")
+	s.memo = NewBodyMemo(
+		reg.Counter("bootes_serve_body_memo_hits_total", "Plan request bodies resolved from the body memo, without a parse."),
+		reg.Counter("bootes_serve_body_memo_misses_total", "Plan request bodies the body memo did not know, parsed instead."))
 	s.running = reg.Gauge("bootes_serve_inflight", "Pipelines currently executing.")
 	s.queued = reg.Gauge("bootes_serve_queued", "Requests waiting for an in-flight slot.")
 	s.latency = reg.HistogramVec("bootes_serve_latency_seconds",
@@ -660,7 +666,7 @@ func (s *Server) servePlan(w http.ResponseWriter, r *http.Request) {
 		// to set the deadline must not fail the request.
 		_ = http.NewResponseController(w).SetReadDeadline(time.Now().Add(d))
 	}
-	m, key, err := s.readMatrix(r)
+	in, err := s.readInput(r)
 	if err != nil {
 		// An upload over MaxUploadBytes is the client's payload, not its
 		// syntax: 413 with the limit, cut off before the server buffers it.
@@ -674,6 +680,11 @@ func (s *Server) servePlan(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if isAsync(r) {
+		m, err := in.matrix()
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
 		s.handleAsyncSubmit(w, r, m, tenant)
 		return
 	}
@@ -688,14 +699,18 @@ func (s *Server) servePlan(w http.ResponseWriter, r *http.Request) {
 	// server's registry rather than the process default.
 	ctx = obs.WithRegistry(ctx, s.reg)
 
-	if key == "" {
-		key = plancache.KeyCSR(m)
-	}
-	if e, peerFilled := s.lookup(ctx, key, m.Rows); e != nil {
+	key := in.key
+	if e, peerFilled := s.lookup(ctx, key, in.rows); e != nil {
 		s.served.Inc()
 		resp := s.planResponseFromEntry(e)
 		resp.PeerFilled = peerFilled
 		s.respond(w, r, resp, true, false, "")
+		return
+	}
+	// No plan to hand back: from here on the request needs its matrix.
+	m, err := in.matrix()
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
 
@@ -985,44 +1000,61 @@ func requestDeadline(r *http.Request, def time.Duration) (time.Duration, error) 
 }
 
 // routedKey is the context key under which WithRoutedMatrix hands over a
-// matrix.
+// resolved request.
 type routedKey struct{}
 
-// routedMatrix is a matrix a router parsed from a request body, with its
-// key and the body's length.
-type routedMatrix struct {
-	m         *sparse.CSR
-	key       string
-	bodyBytes int64
+// planInput is what a plan request resolved to before any cache lookup: the
+// plan key and row count, and the matrix once parsed. body is the upload,
+// held only until it is parsed.
+type planInput struct {
+	key  string
+	rows int
+	m    *sparse.CSR
+	body []byte
 }
 
-// WithRoutedMatrix returns r carrying m, parsed from a bodyBytes-long request
-// body, and its key plancache.KeyCSR(m). The server plans from m instead of
-// reading r.Body, so a router that parsed the body to place the request
-// spares the server a second parse and hash. The upload limit still applies
-// to the body's length.
-func WithRoutedMatrix(r *http.Request, m *sparse.CSR, key string, bodyBytes int64) *http.Request {
-	return r.WithContext(context.WithValue(r.Context(), routedKey{}, &routedMatrix{m, key, bodyBytes}))
-}
-
-// readMatrix extracts the request's matrix: one handed over by a router, a
-// body upload (BCSR or Matrix Market, sniffed by magic) or, when enabled, a
-// server-local ?path=. The key is returned when the router supplied it, and
-// is empty otherwise.
-func (s *Server) readMatrix(r *http.Request) (*sparse.CSR, string, error) {
-	if rm, ok := r.Context().Value(routedKey{}).(*routedMatrix); ok {
-		if rm.bodyBytes > s.cfg.MaxUploadBytes {
-			return nil, "", &http.MaxBytesError{Limit: s.cfg.MaxUploadBytes}
+// matrix returns the request's matrix, parsing the body if no one has yet,
+// and lets go of the body: a pipeline run does not pin the upload.
+func (in *planInput) matrix() (*sparse.CSR, error) {
+	if in.m == nil {
+		m, err := sparse.ReadBody(in.body)
+		if err != nil {
+			return nil, err
 		}
-		return rm.m, rm.key, nil
+		in.m = m
+	}
+	in.body = nil
+	return in.m, nil
+}
+
+// WithRoutedMatrix returns r carrying what a router resolved its body to: the
+// plan key plancache.KeyCSR gives the body's matrix, its row count, the body
+// itself, and the matrix when the router parsed it (nil when its memo
+// answered). The server then neither reads nor hashes r.Body, and parses body
+// only when it must plan. The upload limit still applies to the body.
+func WithRoutedMatrix(r *http.Request, key string, rows int, body []byte, m *sparse.CSR) *http.Request {
+	in := &planInput{key: key, rows: rows, m: m, body: body}
+	return r.WithContext(context.WithValue(r.Context(), routedKey{}, in))
+}
+
+// readInput resolves the request to its plan key and row count: one handed
+// over by a router, a server-local ?path= when enabled (parsed every time,
+// since the file can change between two identical requests), or the body,
+// through the memo.
+func (s *Server) readInput(r *http.Request) (*planInput, error) {
+	if in, ok := r.Context().Value(routedKey{}).(*planInput); ok {
+		if int64(len(in.body)) > s.cfg.MaxUploadBytes {
+			return nil, &http.MaxBytesError{Limit: s.cfg.MaxUploadBytes}
+		}
+		return in, nil
 	}
 	if path := r.URL.Query().Get("path"); path != "" {
 		if !s.cfg.AllowLocalPaths {
-			return nil, "", errors.New("path requests are disabled (start bootesd with -allow-path)")
+			return nil, errors.New("path requests are disabled (start bootesd with -allow-path)")
 		}
 		f, err := os.Open(path)
 		if err != nil {
-			return nil, "", err
+			return nil, err
 		}
 		defer f.Close()
 		var m *sparse.CSR
@@ -1031,44 +1063,18 @@ func (s *Server) readMatrix(r *http.Request) (*sparse.CSR, string, error) {
 		} else {
 			m, err = sparse.ReadMatrixMarket(f)
 		}
-		return m, "", err
-	}
-	// The limit guard wraps stdlib MaxBytesReader but remembers the breach on
-	// the reader itself: a parser fed a truncated-at-limit body usually fails
-	// on its own syntax error first (the cut looks like bad input), which
-	// would mask the MaxBytesError and misreport an oversized upload as 400.
-	body := &breachTracker{r: http.MaxBytesReader(nil, r.Body, s.cfg.MaxUploadBytes)}
-	br := newSniffReader(body)
-	m, err := func() (*sparse.CSR, error) {
-		isBinary, err := br.hasPrefix("BCSR")
 		if err != nil {
-			return nil, fmt.Errorf("reading matrix body: %w", err)
+			return nil, err
 		}
-		if isBinary {
-			return sparse.ReadBinary(br)
-		}
-		return sparse.ReadMatrixMarket(br)
-	}()
-	if err != nil && body.breached {
-		return nil, "", &http.MaxBytesError{Limit: s.cfg.MaxUploadBytes}
+		return &planInput{key: plancache.KeyCSR(m), rows: m.Rows, m: m}, nil
 	}
-	return m, "", err
-}
-
-// breachTracker records whether the wrapped MaxBytesReader ever refused a
-// read, surviving parsers that swallow the error's type.
-type breachTracker struct {
-	r        io.Reader
-	breached bool
-}
-
-func (b *breachTracker) Read(p []byte) (int, error) {
-	n, err := b.r.Read(p)
+	body, err := ReadRequestBody(r, s.cfg.MaxUploadBytes)
 	if err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			b.breached = true
-		}
+		return nil, fmt.Errorf("reading matrix body: %w", err)
 	}
-	return n, err
+	key, rows, m, err := s.memo.Resolve(body)
+	if err != nil {
+		return nil, err
+	}
+	return &planInput{key: key, rows: rows, m: m, body: body}, nil
 }

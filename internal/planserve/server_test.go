@@ -757,8 +757,9 @@ func TestAutoKResponseField(t *testing.T) {
 	}
 }
 
-// TestRoutedMatrixReplacesBody: a request carrying a matrix handed over by a
-// router is planned from that matrix and its key, not from re-parsing
+// TestRoutedMatrixReplacesBody: a request carrying what a router resolved is
+// planned from the handed-over key and matrix, or from the handed-over body
+// when the router's memo answered without a parse, never from re-reading
 // r.Body, and the upload limit still applies to the body it came from.
 func TestRoutedMatrixReplacesBody(t *testing.T) {
 	p := &countingPlanner{}
@@ -767,36 +768,39 @@ func TestRoutedMatrixReplacesBody(t *testing.T) {
 		t.Fatal(err)
 	}
 	routed, other := testMatrix(t, 1), testMatrix(t, 2)
-	key := plancache.KeyCSR(routed)
-	serve := func(body []byte, bodyBytes int64) *httptest.ResponseRecorder {
-		req := httptest.NewRequest(http.MethodPost, "/v1/plan", bytes.NewReader(body))
+	key, routedBody := plancache.KeyCSR(routed), mmBody(t, routed)
+	serve := func(reqBody, body []byte, m *sparse.CSR) *httptest.ResponseRecorder {
+		req := httptest.NewRequest(http.MethodPost, "/v1/plan", bytes.NewReader(reqBody))
 		rec := httptest.NewRecorder()
-		s.Handler().ServeHTTP(rec, WithRoutedMatrix(req, routed, key, bodyBytes))
+		s.Handler().ServeHTTP(rec, WithRoutedMatrix(req, key, routed.Rows, body, m))
 		return rec
 	}
 
-	for _, body := range [][]byte{[]byte("not a matrix"), mmBody(t, other)} {
-		rec := serve(body, int64(len(body)))
-		if rec.Code != http.StatusOK {
-			t.Fatalf("status %d: %s", rec.Code, rec.Body)
-		}
-		var pr PlanResponse
-		if err := json.Unmarshal(rec.Body.Bytes(), &pr); err != nil {
-			t.Fatal(err)
-		}
-		if pr.Key != key || pr.Rows != routed.Rows {
-			t.Fatalf("planned key %.12s (%d rows), want the routed matrix's %.12s", pr.Key, pr.Rows, key)
+	for _, reqBody := range [][]byte{[]byte("not a matrix"), mmBody(t, other)} {
+		// Parsed by the router, and answered from its memo (no matrix).
+		for _, m := range []*sparse.CSR{routed, nil} {
+			rec := serve(reqBody, routedBody, m)
+			if rec.Code != http.StatusOK {
+				t.Fatalf("status %d: %s", rec.Code, rec.Body)
+			}
+			var pr PlanResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &pr); err != nil {
+				t.Fatal(err)
+			}
+			if pr.Key != key || pr.Rows != routed.Rows {
+				t.Fatalf("planned key %.12s (%d rows), want the routed matrix's %.12s", pr.Key, pr.Rows, key)
+			}
 		}
 	}
 	if n := p.runsFor(plancache.KeyCSR(other)); n != 0 {
-		t.Errorf("the body's own matrix was planned %d times", n)
+		t.Errorf("the request's own body was planned %d times", n)
 	}
-	if n := p.runsFor(key); n != 2 {
+	if n := p.runsFor(key); n != 4 {
 		t.Errorf("routed matrix planned %d times, want once per request", n)
 	}
 
 	// A router whose body limit exceeds the server's still gets a 413.
-	if rec := serve(nil, 4097); rec.Code != http.StatusRequestEntityTooLarge {
+	if rec := serve(nil, make([]byte, 4097), nil); rec.Code != http.StatusRequestEntityTooLarge {
 		t.Fatalf("routed body over MaxUploadBytes = %d (%s), want 413", rec.Code, rec.Body)
 	}
 }

@@ -2,6 +2,7 @@ package sparse
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -123,6 +124,15 @@ func ReadBinary(r io.Reader) (*CSR, error) {
 		return nil, fmt.Errorf("%w: %v", ErrBinFormat, err)
 	}
 	return m, nil
+}
+
+// ReadBody parses a whole plan-request body: BCSR when it starts with the
+// BCSR magic, Matrix Market otherwise.
+func ReadBody(body []byte) (*CSR, error) {
+	if bytes.HasPrefix(body, binMagic[:]) {
+		return ReadBinary(bytes.NewReader(body))
+	}
+	return ReadMatrixMarket(bytes.NewReader(body))
 }
 
 // binReadChunk is the element count per incremental read of readChunked.

@@ -81,3 +81,31 @@ func TestBinaryEmptyMatrix(t *testing.T) {
 		t.Errorf("empty round trip wrong: %v", got)
 	}
 }
+
+// TestReadBodyDecodesBothFormats: one body decoder accepts the BCSR and the
+// Matrix Market encoding of a matrix and returns the same matrix for both;
+// a body in neither format is an error.
+func TestReadBodyDecodesBothFormats(t *testing.T) {
+	m := randomCSR(rand.New(rand.NewSource(5)), 12, 9, 0.3)
+	var bin, text bytes.Buffer
+	if err := WriteBinary(&bin, m); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteMatrixMarket(&text, m); err != nil {
+		t.Fatal(err)
+	}
+	for name, body := range map[string][]byte{"BCSR": bin.Bytes(), "Matrix Market": text.Bytes()} {
+		got, err := ReadBody(body)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !Equal(got, m) {
+			t.Errorf("%s body decodes to a different matrix", name)
+		}
+	}
+	for _, body := range []string{"", "BCSR", "not a matrix"} {
+		if _, err := ReadBody([]byte(body)); err == nil {
+			t.Errorf("ReadBody(%q) succeeded", body)
+		}
+	}
+}
