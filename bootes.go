@@ -344,14 +344,7 @@ func PlanContext(ctx context.Context, m *Matrix, opts *Options) (*ReorderPlan, e
 		// Degraded plans reflect the moment's faults, not the matrix; only
 		// healthy plans are worth replaying. A failed write is a lost
 		// amortization opportunity, never a planning failure.
-		_ = o.Cache.c.Put(&plancache.Entry{
-			Key:               key,
-			Perm:              plan.Perm,
-			Reordered:         plan.Reordered,
-			K:                 plan.K,
-			PreprocessSeconds: plan.PreprocessSeconds,
-			FootprintBytes:    plan.FootprintBytes,
-		})
+		_ = o.Cache.c.Put(plancache.EntryFromResult(key, res))
 	}
 	return plan, nil
 }

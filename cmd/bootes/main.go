@@ -1,5 +1,6 @@
 // Command bootes analyzes, reorders, and simulates sparse matrices with the
-// Bootes pipeline. Matrices are read and written in Matrix Market format.
+// Bootes pipeline. Matrices are read in Matrix Market or BCSR format and
+// written in Matrix Market.
 //
 // Usage:
 //
@@ -114,13 +115,14 @@ func writeFileAtomic(path string, write func(io.Writer) error) {
 	}
 }
 
+// readMatrix reads a Matrix Market or BCSR file, whatever its extension,
+// through the decoder bootesd reads plan requests with.
 func readMatrix(path string) *sparse.CSR {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer f.Close()
-	m, err := sparse.ReadMatrixMarket(f)
+	m, err := sparse.ReadBody(data)
 	if err != nil {
 		log.Fatalf("%s: %v", path, err)
 	}
@@ -144,7 +146,7 @@ func loadModel(path string) *bootes.Model {
 
 func cmdAnalyze(args []string) {
 	fs := flag.NewFlagSet("analyze", flag.ExitOnError)
-	in := fs.String("in", "", "input matrix (Matrix Market)")
+	in := fs.String("in", "", "input matrix (Matrix Market or BCSR)")
 	model := fs.String("model", "", "trained decision-tree model (JSON)")
 	seed := fs.Int64("seed", 1, "random seed")
 	timeout := fs.Duration("timeout", 0, "planning deadline (0 = none)")
@@ -200,7 +202,7 @@ func cmdAnalyze(args []string) {
 
 func cmdReorder(args []string) {
 	fs := flag.NewFlagSet("reorder", flag.ExitOnError)
-	in := fs.String("in", "", "input matrix (Matrix Market)")
+	in := fs.String("in", "", "input matrix (Matrix Market or BCSR)")
 	out := fs.String("out", "", "output path for the reordered matrix")
 	permOut := fs.String("perm", "", "optional path to write the permutation (one old-row index per line)")
 	k := fs.Int("k", 0, "force cluster count (2,4,8,16,32); 0 = let the gate choose")
@@ -340,7 +342,7 @@ func reorderWithTimeout(r reorder.Reorderer, a *sparse.CSR, timeout time.Duratio
 
 func cmdCompare(args []string) {
 	fs := flag.NewFlagSet("compare", flag.ExitOnError)
-	in := fs.String("in", "", "input matrix (Matrix Market)")
+	in := fs.String("in", "", "input matrix (Matrix Market or BCSR)")
 	accelName := fs.String("accel", "GAMMA", "accelerator: Flexagon, GAMMA, Trapezoid")
 	seed := fs.Int64("seed", 1, "random seed")
 	timeout := fs.Duration("timeout", 0, "per-method planning deadline (0 = none; only Bootes honors it)")
@@ -403,7 +405,7 @@ func cmdCompare(args []string) {
 
 func cmdSpy(args []string) {
 	fs := flag.NewFlagSet("spy", flag.ExitOnError)
-	in := fs.String("in", "", "input matrix (Matrix Market)")
+	in := fs.String("in", "", "input matrix (Matrix Market or BCSR)")
 	pgm := fs.String("pgm", "", "also write a PGM image to this path")
 	width := fs.Int("width", 64, "ASCII plot width")
 	height := fs.Int("height", 32, "ASCII plot height")
@@ -427,7 +429,7 @@ func cmdSpy(args []string) {
 // local persistent plan cache, the same format the daemon uses).
 func cmdPlan(args []string) {
 	fs := flag.NewFlagSet("plan", flag.ExitOnError)
-	in := fs.String("in", "", "input matrix (Matrix Market or .bcsr)")
+	in := fs.String("in", "", "input matrix (Matrix Market or BCSR)")
 	server := fs.String("server", "", "bootesd base URL(s), comma-separated for a fleet (e.g. http://a:8080,http://b:8080); empty plans in-process")
 	cacheDir := fs.String("cache", "", "local plan cache directory (in-process mode only)")
 	model := fs.String("model", "", "trained decision-tree model (JSON; in-process mode only)")

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"io"
 	"math/rand"
@@ -12,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"bootes"
 	"bootes/internal/faultinject"
 	"bootes/internal/sparse"
 	"bootes/internal/workloads"
@@ -73,6 +75,39 @@ func testMatrixFile(t *testing.T) string {
 		t.Fatal(err)
 	}
 	return path
+}
+
+// TestPlanReadsBCSRInProcess: without -server, plan reads a .bcsr file
+// through the same decoder the daemon uses and plans it in-process.
+func TestPlanReadsBCSRInProcess(t *testing.T) {
+	text, err := os.ReadFile(testMatrixFile(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := sparse.ReadMatrixMarket(bytes.NewReader(text))
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := filepath.Join(t.TempDir(), "a.bcsr")
+	f, err := os.Create(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sparse.WriteBinary(f, m); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	out, code, exited := runCLI(t, func() {
+		cmdPlan([]string{"-in", in, "-timeout", "30s"})
+	})
+	if exited {
+		t.Fatalf("plan exited with code %d\n%s", code, out)
+	}
+	if !strings.Contains(out, "key:       "+bootes.MatrixKey(m)) || !strings.Contains(out, "(computed,") {
+		t.Fatalf("plan of a .bcsr file printed:\n%s", out)
+	}
 }
 
 func TestUsageExitsTwo(t *testing.T) {

@@ -67,7 +67,6 @@ func main() {
 	breakerCooldown := flag.Duration("breaker-cooldown", 15*time.Second, "breaker open duration before a half-open probe")
 	allowPath := flag.Bool("allow-path", false, "allow ?path= requests reading matrices from this host's filesystem")
 	maxUpload := flag.Int64("max-upload-bytes", 256<<20, "maximum matrix upload size in bytes; oversized uploads get 413 before buffering")
-	flag.Int64Var(maxUpload, "max-upload", 256<<20, "alias of -max-upload-bytes")
 	uploadTimeout := flag.Duration("upload-timeout", 30*time.Second, "maximum time for a request to deliver its matrix body (negative disables)")
 	readHeaderTimeout := flag.Duration("read-header-timeout", 5*time.Second, "maximum time to read a request's headers")
 	readTimeout := flag.Duration("read-timeout", 2*time.Minute, "maximum time to read an entire request")
@@ -138,11 +137,10 @@ func main() {
 				FailureThreshold: *breakerFails,
 				Cooldown:         *breakerCooldown,
 			},
-			MaxUploadBytes:    *maxUpload,
-			UploadReadTimeout: *uploadTimeout,
-			AllowLocalPaths:   *allowPath,
-			AutoK:             *autoK,
-			Seed:              *seed,
+			MaxUploadBytes:  *maxUpload,
+			AllowLocalPaths: *allowPath,
+			AutoK:           *autoK,
+			Seed:            *seed,
 		},
 		CacheDir: *cacheDir,
 		Queue: planqueue.Config{
@@ -168,6 +166,7 @@ func main() {
 		ReadHeaderTimeout: *readHeaderTimeout,
 		ReadTimeout:       *readTimeout,
 		IdleTimeout:       *idleTimeout,
+		UploadReadTimeout: *uploadTimeout,
 		Pprof:             *pprofOn,
 		Metrics:           obs.Default(),
 		Logf:              log.Printf,

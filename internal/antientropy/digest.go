@@ -33,7 +33,6 @@ package antientropy
 
 import (
 	"sort"
-	"strings"
 
 	"bootes/internal/plancache"
 )
@@ -52,16 +51,11 @@ type Digest struct {
 	Entries []DigestEntry `json:"entries"`
 }
 
-// DigestOf summarizes a cache, optionally restricted to keys with the given
-// prefix (range partitioning for large caches: hex keys split evenly by
-// first byte). Entries are in ascending key order.
-func DigestOf(c *plancache.Cache, prefix string) Digest {
+// DigestOf summarizes a cache, in ascending key order.
+func DigestOf(c *plancache.Cache) Digest {
 	keys := c.Keys()
 	d := Digest{Entries: make([]DigestEntry, 0, len(keys))}
 	for _, k := range keys {
-		if prefix != "" && !strings.HasPrefix(k, prefix) {
-			continue
-		}
 		if st, ok := c.Stat(k); ok {
 			d.Entries = append(d.Entries, DigestEntry{Key: k, Size: st.Size, CRC: st.CRC})
 		}
@@ -84,9 +78,10 @@ type Diff struct {
 }
 
 // ComputeDiff compares the local cache against a peer digest. owns reports
-// whether the ring assigns a key to this node. The same function backs both
-// the repair loop and the ring-churn agreement test, so what the tests prove
-// about ring movement is exactly what the healer will do.
+// whether the ring assigns a key to this node. The same function decides
+// what the repair loop pulls and what it drops, and backs the ring-churn
+// agreement test, so what the tests prove about ring movement is exactly
+// what the healer will do.
 func ComputeDiff(c *plancache.Cache, peer Digest, owns func(key string) bool) Diff {
 	var d Diff
 	for _, pe := range peer.Entries {

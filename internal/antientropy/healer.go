@@ -9,6 +9,7 @@ import (
 	"io"
 	"log"
 	"net/http"
+	"path/filepath"
 	"sync"
 	"time"
 
@@ -20,19 +21,17 @@ import (
 
 // Config assembles a Healer.
 type Config struct {
-	// Cache is the local plan cache the healer repairs (required).
+	// Cache is the local plan cache the healer repairs (required). Hints are
+	// spooled under <cache dir>/hints: plancache.Open skips subdirectories,
+	// so the spool nests safely.
 	Cache *plancache.Cache
-	// Ring returns the current consistent-hash ring (required). A func so
-	// the healer always sees the router's live view; today the ring is fixed
-	// per process, but repair recomputes ownership every round regardless.
-	Ring func() *ring.Ring
+	// Ring is the fleet's consistent-hash ring (required), fixed per
+	// process; repair recomputes ownership against it every round.
+	Ring *ring.Ring
 	// Self is this node's ring name / advertised URL (required).
 	Self string
 	// Replicas is the replica-set size per key (default 2).
 	Replicas int
-	// Client is the HTTP client for digest, fill, and push requests; nil
-	// builds one with a sane timeout.
-	Client *http.Client
 	// PeerUp reports the router's health view of a peer; nil assumes every
 	// peer is up. A down peer is skipped by repair and its writes are parked
 	// as hints.
@@ -44,22 +43,15 @@ type Config struct {
 	// cache of N entries takes N·ScrubInterval — a deliberate trickle that
 	// never competes with serving for disk bandwidth.
 	ScrubInterval time.Duration
-	// FetchTimeout bounds one digest fetch, entry pull, or entry push
-	// (default 2s).
-	FetchTimeout time.Duration
-	// MaxHintsPerPeer bounds the hint spool per down peer (default 1024);
-	// beyond it hints are dropped and counted — anti-entropy repair is the
-	// backstop for what the spool will not hold.
-	MaxHintsPerPeer int
-	// HintDir is the hint spool directory (default <cache dir>/hints —
-	// plancache.Open skips subdirectories, so the spool nests safely).
-	HintDir string
 	// Metrics is the registry the bootes_antientropy_* / bootes_scrub_*
 	// families register on; nil uses a private registry.
 	Metrics *obs.Registry
 	// Logf sinks healing diagnostics; nil uses log.Printf.
 	Logf func(format string, args ...any)
 }
+
+// fetchTimeout bounds one digest fetch, entry pull, or entry push.
+const fetchTimeout = 2 * time.Second
 
 // Stats is the healer's counter snapshot, embedded in /statsz.
 type Stats struct {
@@ -133,25 +125,13 @@ func New(cfg Config) (*Healer, error) {
 	if cfg.ScrubInterval <= 0 {
 		cfg.ScrubInterval = 5 * time.Second
 	}
-	if cfg.FetchTimeout <= 0 {
-		cfg.FetchTimeout = 2 * time.Second
-	}
-	if cfg.MaxHintsPerPeer <= 0 {
-		cfg.MaxHintsPerPeer = 1024
-	}
-	if cfg.HintDir == "" {
-		cfg.HintDir = cfg.Cache.Dir() + "/hints"
-	}
 	if cfg.Logf == nil {
 		cfg.Logf = log.Printf
 	}
-	if cfg.Client == nil {
-		cfg.Client = &http.Client{Timeout: 30 * time.Second}
-	}
 	h := &Healer{
 		cfg:      cfg,
-		client:   cfg.Client,
-		hints:    &hintStore{dir: cfg.HintDir, maxPerPeer: cfg.MaxHintsPerPeer},
+		client:   &http.Client{Timeout: 30 * time.Second},
+		hints:    &hintStore{dir: filepath.Join(cfg.Cache.Dir(), "hints")},
 		logf:     cfg.Logf,
 		stop:     make(chan struct{}),
 		peerUpCh: make(chan string, 32),
@@ -203,7 +183,7 @@ func (h *Healer) Stats() Stats {
 
 // owns reports whether the ring assigns key's replica set to this node.
 func (h *Healer) owns(key string) bool {
-	return h.cfg.Ring().OwnedBy(key, h.cfg.Self, h.cfg.Replicas)
+	return h.cfg.Ring.OwnedBy(key, h.cfg.Self, h.cfg.Replicas)
 }
 
 // peerUp consults the router's health view; with no view every peer is
@@ -266,14 +246,14 @@ func (h *Healer) NotifyPeerUp(peer string) {
 
 // opCtx bounds one network operation.
 func (h *Healer) opCtx() (context.Context, context.CancelFunc) {
-	return context.WithTimeout(context.Background(), h.cfg.FetchTimeout)
+	return context.WithTimeout(context.Background(), fetchTimeout)
 }
 
 // Replicate synchronously pushes key's freshly written entry to the other
 // members of its replica set, parking a durable hint for any replica that is
 // down or fails the push. planserve calls it after the pipeline's cache
 // write, on the request goroutine — replication cost is bounded by
-// FetchTimeout per replica and plans are minutes of compute, so the
+// fetchTimeout per replica and plans are minutes of compute, so the
 // milliseconds of synchronous push are noise against losing the plan with
 // the node.
 func (h *Healer) Replicate(key string) {
@@ -281,7 +261,7 @@ func (h *Healer) Replicate(key string) {
 	if !ok {
 		return
 	}
-	for _, rep := range h.cfg.Ring().Replicas(key, h.cfg.Replicas) {
+	for _, rep := range h.cfg.Ring.Replicas(key, h.cfg.Replicas) {
 		if rep == h.cfg.Self {
 			continue
 		}
@@ -351,21 +331,23 @@ func (h *Healer) deliverHints(ctx context.Context, peer string) {
 // RepairOnce runs one digest-exchange round against every up peer: deliver
 // any parked hints, pull entries the peer holds for keys this node owns but
 // lacks, resolve divergent copies toward the canonical bytes, and finally
-// hand off + drop entries the ring no longer assigns here.
+// hand off + drop the entries the digest diff found the ring no longer
+// assigns here.
 func (h *Healer) RepairOnce(ctx context.Context) {
 	h.repairRounds.Inc()
-	r := h.cfg.Ring()
-	for _, peer := range r.Nodes() {
+	var notOwned []string
+	for _, peer := range h.cfg.Ring.Nodes() {
 		if peer == h.cfg.Self || !h.peerUp(peer) {
 			continue
 		}
 		h.deliverHints(ctx, peer)
-		dg, err := h.fetchDigest(ctx, peer, "")
+		dg, err := h.fetchDigest(ctx, peer)
 		if err != nil {
 			h.fetchFails.Inc()
 			continue
 		}
 		d := ComputeDiff(h.cfg.Cache, dg, h.owns)
+		notOwned = d.NotOwned
 		for _, key := range d.Missing {
 			if h.pullEntry(ctx, peer, key) {
 				h.repaired.With("missing").Inc()
@@ -378,7 +360,7 @@ func (h *Healer) RepairOnce(ctx context.Context) {
 			return
 		}
 	}
-	h.dropNotOwned(ctx)
+	h.dropNotOwned(ctx, notOwned)
 }
 
 // pullEntry fetches key from peer through the verified fill path and stores
@@ -397,50 +379,38 @@ func (h *Healer) pullEntry(ctx context.Context, peer, key string) bool {
 }
 
 // resolveDivergent converges one key two replicas hold with different
-// bytes: fetch the peer's copy and adopt it iff it is the canonical
-// (lexicographically smaller) encoded byte string. The rule is symmetric —
-// the peer's own repair round compares the same two byte strings and keeps
-// the same winner — so the replica set converges no matter who repairs
-// first.
+// bytes: fetch the peer's copy and adopt it iff it is canonical
+// (plancache.Cache.PutCanonical). The peer's own repair round applies the
+// same rule to the same two copies, so the replica set converges no matter
+// who repairs first.
 func (h *Healer) resolveDivergent(ctx context.Context, peer, key string) {
-	local, ok := h.encodeLocal(key)
-	if !ok {
-		return
-	}
 	e, err := h.fetchEntry(ctx, peer, key)
 	if err != nil {
 		h.fetchFails.Inc()
 		return
 	}
-	remote, err := plancache.EncodeEntry(e)
+	adopted, err := h.cfg.Cache.PutCanonical(e)
 	if err != nil {
-		return
-	}
-	if bytes.Compare(remote, local) >= 0 {
-		return // local copy is canonical; the peer will adopt ours
-	}
-	if err := h.cfg.Cache.Put(e); err != nil {
 		h.logf("antientropy: adopting canonical entry %.12s from %s: %v", key, peer, err)
 		return
 	}
-	h.repaired.With("divergent").Inc()
+	if adopted {
+		h.repaired.With("divergent").Inc()
+	}
 }
 
-// dropNotOwned hands entries the ring no longer assigns here to their
-// current replicas, then deletes them locally. An entry is only dropped
-// after at least one replica acknowledged holding it — never destroy the
-// last copy.
-func (h *Healer) dropNotOwned(ctx context.Context) {
-	for _, key := range h.cfg.Cache.Keys() {
-		if h.owns(key) {
-			continue
-		}
+// dropNotOwned hands the entries a digest diff found the ring no longer
+// assigns here (Diff.NotOwned) to their current replicas, then deletes them
+// locally. An entry is only dropped after at least one replica acknowledged
+// holding it — never destroy the last copy.
+func (h *Healer) dropNotOwned(ctx context.Context, keys []string) {
+	for _, key := range keys {
 		data, ok := h.encodeLocal(key)
 		if !ok {
 			continue
 		}
 		handed := false
-		for _, rep := range h.cfg.Ring().Replicas(key, h.cfg.Replicas) {
+		for _, rep := range h.cfg.Ring.Replicas(key, h.cfg.Replicas) {
 			if rep == h.cfg.Self || !h.peerUp(rep) {
 				continue
 			}
@@ -487,7 +457,7 @@ func (h *Healer) scrubOnce() {
 	h.scrubErrs.Inc()
 	ctx, cancel := h.opCtx()
 	defer cancel()
-	for _, rep := range h.cfg.Ring().Replicas(key, h.cfg.Replicas) {
+	for _, rep := range h.cfg.Ring.Replicas(key, h.cfg.Replicas) {
 		if rep == h.cfg.Self || !h.peerUp(rep) {
 			continue
 		}
@@ -505,11 +475,11 @@ func (h *Healer) scrubOnce() {
 // background. Returns the number of entries fetched.
 func (h *Healer) Warmup(ctx context.Context) int {
 	fetched := 0
-	for _, peer := range h.cfg.Ring().Nodes() {
+	for _, peer := range h.cfg.Ring.Nodes() {
 		if peer == h.cfg.Self || !h.peerUp(peer) {
 			continue
 		}
-		dg, err := h.fetchDigest(ctx, peer, "")
+		dg, err := h.fetchDigest(ctx, peer)
 		if err != nil {
 			if ctx.Err() != nil {
 				return fetched
@@ -545,13 +515,13 @@ func (h *Healer) DrainPush(ctx context.Context) {
 		if !ok {
 			continue
 		}
-		for _, rep := range h.cfg.Ring().Replicas(key, h.cfg.Replicas) {
+		for _, rep := range h.cfg.Ring.Replicas(key, h.cfg.Replicas) {
 			if rep == h.cfg.Self || !h.peerUp(rep) {
 				continue
 			}
 			if _, polled := has[rep]; !polled {
 				keys := map[string]bool{}
-				if dg, err := h.fetchDigest(ctx, rep, ""); err == nil {
+				if dg, err := h.fetchDigest(ctx, rep); err == nil {
 					for _, de := range dg.Entries {
 						keys[de.Key] = true
 					}
@@ -573,14 +543,10 @@ func (h *Healer) DrainPush(ctx context.Context) {
 func (h *Healer) HintsPending() int64 { return h.hints.pending() }
 
 // fetchDigest GETs one peer's cache digest.
-func (h *Healer) fetchDigest(ctx context.Context, peer, prefix string) (Digest, error) {
-	url := peer + "/v1/cache/digest"
-	if prefix != "" {
-		url += "?prefix=" + prefix
-	}
-	ctx, cancel := context.WithTimeout(ctx, h.cfg.FetchTimeout)
+func (h *Healer) fetchDigest(ctx context.Context, peer string) (Digest, error) {
+	ctx, cancel := context.WithTimeout(ctx, fetchTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, peer+"/v1/cache/digest", nil)
 	if err != nil {
 		return Digest{}, err
 	}
@@ -648,7 +614,7 @@ func FetchEntry(ctx context.Context, client *http.Client, peer, key string) (*pl
 // fleet's peer-fill path applies: plan-field invariants, and no degraded
 // entries — they must never replicate. A 404 is a failed fetch here.
 func (h *Healer) fetchEntry(ctx context.Context, peer, key string) (*plancache.Entry, error) {
-	ctx, cancel := context.WithTimeout(ctx, h.cfg.FetchTimeout)
+	ctx, cancel := context.WithTimeout(ctx, fetchTimeout)
 	defer cancel()
 	e, err := FetchEntry(ctx, h.client, peer, key)
 	if err != nil {
@@ -664,11 +630,11 @@ func (h *Healer) fetchEntry(ctx context.Context, peer, key string) (*plancache.E
 }
 
 // pushEntry PUTs one encoded entry to a peer's cache. The receiver verifies
-// and applies the same canonical-bytes conflict rule resolveDivergent uses,
+// it and stores it through the same PutCanonical rule resolveDivergent uses,
 // so pushing is always safe: it can only add a missing entry or lose to a
 // canonical one.
 func (h *Healer) pushEntry(ctx context.Context, peer, key string, data []byte) error {
-	ctx, cancel := context.WithTimeout(ctx, h.cfg.FetchTimeout)
+	ctx, cancel := context.WithTimeout(ctx, fetchTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPut, peer+"/v1/cache/"+key, bytes.NewReader(data))
 	if err != nil {

@@ -74,7 +74,7 @@ func newHealer(t *testing.T, self *peer, cfg antientropy.Config, peers ...*peer)
 		t.Fatal(err)
 	}
 	cfg.Cache = self.cache
-	cfg.Ring = func() *ring.Ring { return r }
+	cfg.Ring = r
 	cfg.Self = self.ts.URL
 	if cfg.Replicas == 0 {
 		cfg.Replicas = len(urls)
@@ -95,8 +95,7 @@ func newHealer(t *testing.T, self *peer, cfg antientropy.Config, peers ...*peer)
 func TestReplicateAndHintedHandoff(t *testing.T) {
 	a, b := newPeer(t), newPeer(t)
 	up := true
-	hintDir := filepath.Join(a.cache.Dir(), "hints")
-	cfg := antientropy.Config{PeerUp: func(string) bool { return up }, HintDir: hintDir}
+	cfg := antientropy.Config{PeerUp: func(string) bool { return up }}
 	h := newHealer(t, a, cfg, b)
 
 	e1 := mkEntry(t, "key-live", 4)
@@ -125,9 +124,9 @@ func TestReplicateAndHintedHandoff(t *testing.T) {
 		t.Fatalf("stats after parked replicate: %+v", st)
 	}
 
-	// The hint survives a healer restart (same spool dir), like a process
-	// crash between park and delivery.
-	h2 := newHealer(t, a, antientropy.Config{PeerUp: func(string) bool { return up }, HintDir: hintDir}, b)
+	// The hint survives a healer restart (same cache, so the same spool), like
+	// a process crash between park and delivery.
+	h2 := newHealer(t, a, cfg, b)
 	if h2.HintsPending() != 1 {
 		t.Fatal("hint lost across healer restart")
 	}

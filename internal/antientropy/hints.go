@@ -23,11 +23,12 @@ const hintExt = ".hint"
 // crashes with parked hints delivers them after it comes back.
 type hintStore struct {
 	dir string
-	// maxPerPeer bounds parked hints per peer; beyond it new hints are
-	// dropped (counted by the healer) — anti-entropy repair is the backstop
-	// for what the spool will not hold.
-	maxPerPeer int
 }
+
+// maxHintsPerPeer bounds parked hints per peer; beyond it new hints are
+// dropped (counted by the healer) — anti-entropy repair is the backstop for
+// what the spool will not hold. A variable only so a test can shrink it.
+var maxHintsPerPeer = 1024
 
 // peerDir maps a peer URL to its spool directory. Base64url because peer
 // URLs contain characters ("/", ":") that must not introduce path structure.
@@ -42,14 +43,12 @@ func (h *hintStore) put(peer, key string, data []byte) (bool, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return false, err
 	}
-	if h.maxPerPeer > 0 {
-		n, err := h.count(peer)
-		if err != nil {
-			return false, err
-		}
-		if n >= h.maxPerPeer {
-			return false, nil
-		}
+	n, err := h.count(peer)
+	if err != nil {
+		return false, err
+	}
+	if n >= maxHintsPerPeer {
+		return false, nil
 	}
 	return true, atomicio.WriteFileBytes(filepath.Join(dir, key+hintExt), data)
 }

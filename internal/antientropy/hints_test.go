@@ -25,7 +25,9 @@ func spoolEntry(t *testing.T, key string, rows int) []byte {
 }
 
 func TestHintStoreRoundTrip(t *testing.T) {
-	h := &hintStore{dir: t.TempDir(), maxPerPeer: 2}
+	defer func(n int) { maxHintsPerPeer = n }(maxHintsPerPeer)
+	maxHintsPerPeer = 2
+	h := &hintStore{dir: t.TempDir()}
 	peer := "http://127.0.0.1:9999"
 
 	if ks, err := h.keys(peer); err != nil || len(ks) != 0 {

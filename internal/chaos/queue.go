@@ -5,7 +5,7 @@ package chaos
 // recovery; scenarioTenantStorm floods one tenant through the serving stack's
 // quota layer and asserts the other tenants' admission SLO holds. Both are
 // timing-free: the queue scenario gates on the fault actually firing (not on
-// sleeps), and the storm uses pure-burst buckets (no refill clock).
+// sleeps), and the storm's quota runs on a stopped clock (no refill).
 
 import (
 	"context"
@@ -244,16 +244,18 @@ func scenarioQueueCrash(e *episode) {
 	e.checkObs("queue-crash registry", reg2)
 }
 
-// scenarioTenantStorm gives one tenant a tiny pure-burst quota and floods it
-// past that budget while two bystander tenants keep submitting. The SLO under
-// test: a flooding tenant is shed with 429 + Retry-After once its own budget
-// is gone, and bystanders are never shed — quota damage does not spread.
-// Rate is zero everywhere (no refill), so the outcome is exact and
-// clock-independent: the flooder gets precisely its burst of admissions.
+// scenarioTenantStorm floods one tenant past the burst of the quota every
+// tenant gets while two bystander tenants, each within that burst, keep
+// submitting. The SLO under test: a flooding tenant is shed with 429 +
+// Retry-After once its own budget is gone, and bystanders are never shed —
+// quota damage does not spread. The server's clock is stopped, so no bucket
+// refills and the outcome is exact: the flooder gets precisely its burst of
+// admissions.
 func scenarioTenantStorm(e *episode) {
 	reg := obs.NewRegistry()
-	burst := 1 + e.rng.Intn(3)
+	burst := 3 + e.rng.Intn(3)
 	flood := burst + 3 + e.rng.Intn(5)
+	stopped := time.Unix(1_700_000_000, 0)
 	plan := func(ctx context.Context, m *sparse.CSR, attempt int) (*reorder.Result, error) {
 		return reversalResult(m), nil
 	}
@@ -262,14 +264,11 @@ func scenarioTenantStorm(e *episode) {
 		MaxInFlight:     2,
 		MaxQueue:        4,
 		DefaultDeadline: 5 * time.Second,
-		Tenants: planserve.TenantConfig{Overrides: map[string]planserve.TenantLimit{
-			"flooder":  {Burst: burst},
-			"victim-a": {Burst: 100},
-			"victim-b": {Burst: 100},
-		}},
-		Seed:    e.rng.Int63(),
-		Metrics: reg,
-		Logf:    func(string, ...any) {},
+		Tenants:         planserve.TenantConfig{Rate: 1, Burst: burst},
+		Seed:            e.rng.Int63(),
+		Metrics:         reg,
+		Now:             func() time.Time { return stopped },
+		Logf:            func(string, ...any) {},
 	})
 	if err != nil {
 		e.violatef("tenant-storm: %v", err)
@@ -305,7 +304,7 @@ func scenarioTenantStorm(e *episode) {
 
 	// Interleave the flood with bystander traffic in a seeded random order;
 	// requests are sequential, so a 429 can only come from the quota layer,
-	// never from admission racing.
+	// never from admission racing. A bystander's requests fit the burst.
 	perVictim := 2 + e.rng.Intn(2)
 	victims := []string{"victim-a", "victim-b"}
 	var specs []string

@@ -6,9 +6,12 @@
 //   - Forward-to-owner: a POST /v1/plan whose key this node does not own is
 //     proxied to the key's owner, so every key's plan is computed and cached
 //     on a deterministic replica set instead of wherever a client happened to
-//     connect. Forwarded requests carry an X-Bootes-Forwarded header; the
-//     receiving node serves them locally (no forwarding loops by
-//     construction).
+//     connect. The router reads the body once, resolves its key through its
+//     body memo (parsing only bytes it has not seen), and forwards the bytes
+//     and Content-Type the client sent, so the owner's own memo answers every
+//     repeat of them without a parse. Forwarded requests carry an
+//     X-Bootes-Forwarded header; the receiving node serves them locally (no
+//     forwarding loops by construction).
 //   - Failure awareness: a background prober walks every peer's /readyz; a
 //     peer that fails DownAfter consecutive probes (or live forwards) is
 //     routed around until it probes healthy again. Each peer also gets its
@@ -44,7 +47,6 @@ import (
 	"bootes/internal/plancache"
 	"bootes/internal/planserve"
 	"bootes/internal/ring"
-	"bootes/internal/sparse"
 )
 
 // ForwardedHeader marks a request already routed by a peer; the receiver
@@ -76,16 +78,9 @@ type Config struct {
 	// DownAfter is the consecutive-failure count (probes or live traffic)
 	// that marks a peer down (default 2).
 	DownAfter int
-	// Breaker is the per-peer circuit breaker config; a zero
-	// FailureThreshold defaults to 3 failures / 5s cooldown. It reuses the
-	// planserve breaker machinery.
-	Breaker planserve.BreakerConfig
 	// MaxBodyBytes bounds how much request body the router buffers for
 	// routing (default 256 MB, matching planserve's upload cap).
 	MaxBodyBytes int64
-	// Client is the HTTP client for forwards, fills, and probes; nil builds
-	// one with sane timeouts.
-	Client *http.Client
 	// Metrics is the registry fleet counters register on; nil uses a private
 	// registry.
 	Metrics *obs.Registry
@@ -94,6 +89,11 @@ type Config struct {
 	// Logf sinks routing diagnostics; nil uses log.Printf.
 	Logf func(format string, args ...any)
 }
+
+// peerBreaker configures each remote peer's circuit breaker, the planserve
+// breaker machinery: after 3 consecutive failed forwards or fills the peer
+// is skipped for 5s, then probed by one request.
+var peerBreaker = planserve.BreakerConfig{FailureThreshold: 3, Cooldown: 5 * time.Second}
 
 // peerState is one remote peer's health view.
 type peerState struct {
@@ -201,17 +201,11 @@ func New(cfg Config) (*Router, error) {
 	if cfg.DownAfter <= 0 {
 		cfg.DownAfter = 2
 	}
-	if cfg.Breaker.FailureThreshold <= 0 {
-		cfg.Breaker = planserve.BreakerConfig{FailureThreshold: 3, Cooldown: 5 * time.Second}
-	}
 	if cfg.MaxBodyBytes <= 0 {
 		cfg.MaxBodyBytes = 256 << 20
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = log.Printf
-	}
-	if cfg.Client == nil {
-		cfg.Client = &http.Client{Timeout: 2 * time.Minute}
 	}
 	r, err := ring.New(cfg.Peers, cfg.Vnodes)
 	if err != nil {
@@ -224,7 +218,7 @@ func New(cfg Config) (*Router, error) {
 		cfg:    cfg,
 		ring:   r,
 		peers:  make(map[string]*peerState),
-		client: cfg.Client,
+		client: &http.Client{Timeout: 2 * time.Minute},
 		stop:   make(chan struct{}),
 	}
 	rt.registerMetrics(cfg.Metrics)
@@ -234,7 +228,7 @@ func New(cfg Config) (*Router, error) {
 		}
 		p := &peerState{
 			url:     peer,
-			breaker: planserve.NewBreaker(cfg.Breaker, cfg.Now),
+			breaker: planserve.NewBreaker(peerBreaker, cfg.Now),
 			up:      rt.peerUp.With(peer),
 			isUp:    true,
 		}
@@ -510,8 +504,7 @@ func (rt *Router) routePlan(w http.ResponseWriter, r *http.Request, next http.Ha
 		next.ServeHTTP(w, local)
 		return
 	}
-	fwd := forwardPayload(body, r.Header.Get("Content-Type"), m)
-	if resp, peer := rt.forwardHedged(r, fwd, candidates, probes); resp != nil {
+	if resp, peer := rt.forwardHedged(r, body, candidates, probes); resp != nil {
 		defer resp.Body.Close()
 		copyResponse(w, resp, peer.url)
 		return
@@ -521,37 +514,11 @@ func (rt *Router) routePlan(w http.ResponseWriter, r *http.Request, next http.Ha
 	next.ServeHTTP(w, local)
 }
 
-// payload is the body a forward carries, and its content type.
-type payload struct {
-	body        []byte
-	contentType string
-}
-
-// forwardPayload chooses what a forward of body carries. A body this router
-// parsed, as m, travels as m's BCSR encoding when that is smaller, so the
-// owner skips a text parse and the hop moves fewer bytes. Otherwise the body
-// travels as the client sent it, and always when the router's memo answered
-// (m nil): repeats of those bytes then resolve from the owner's own memo,
-// without a parse.
-func forwardPayload(body []byte, contentType string, m *sparse.CSR) payload {
-	if m == nil {
-		return payload{body, contentType}
-	}
-	size := sparse.BinarySize(m)
-	if size >= int64(len(body)) {
-		return payload{body, contentType}
-	}
-	var buf bytes.Buffer
-	buf.Grow(int(size))
-	_ = sparse.WriteBinary(&buf, m) // writes to a bytes.Buffer do not fail
-	return payload{buf.Bytes(), "application/octet-stream"}
-}
-
-// forwardHedged forwards to candidates[0] and, if it has not answered within
-// HedgeAfter, fires one duplicate at candidates[1]. The first acceptable
-// response wins; the loser is cancelled. Returns (nil, nil) when every
-// attempt failed.
-func (rt *Router) forwardHedged(r *http.Request, body payload, candidates []*peerState, probes map[*peerState]bool) (*http.Response, *peerState) {
+// forwardHedged forwards body to candidates[0] and, if it has not answered
+// within HedgeAfter, fires one duplicate at candidates[1]. The first
+// acceptable response wins; the loser is cancelled. Returns (nil, nil) when
+// every attempt failed.
+func (rt *Router) forwardHedged(r *http.Request, body []byte, candidates []*peerState, probes map[*peerState]bool) (*http.Response, *peerState) {
 	type attempt struct {
 		resp *http.Response
 		peer *peerState
@@ -686,17 +653,14 @@ func (rt *Router) recordOutcome(p *peerState, probe, success bool, err error) {
 	}
 }
 
-// forwardOnce proxies one plan request to p with body, preserving method,
-// path, query, and routing-relevant headers.
-func (rt *Router) forwardOnce(ctx context.Context, r *http.Request, body payload, p *peerState) (*http.Response, error) {
-	req, err := http.NewRequestWithContext(ctx, r.Method, p.url+r.URL.RequestURI(), bytes.NewReader(body.body))
+// forwardOnce proxies one plan request to p with body, the bytes the client
+// sent, preserving method, path, query, and the content and routing headers.
+func (rt *Router) forwardOnce(ctx context.Context, r *http.Request, body []byte, p *peerState) (*http.Response, error) {
+	req, err := http.NewRequestWithContext(ctx, r.Method, p.url+r.URL.RequestURI(), bytes.NewReader(body))
 	if err != nil {
 		return nil, err
 	}
-	if body.contentType != "" {
-		req.Header.Set("Content-Type", body.contentType)
-	}
-	for _, h := range []string{"X-Deadline", "X-Tenant", "Accept"} {
+	for _, h := range []string{"Content-Type", "X-Deadline", "X-Tenant", "Accept"} {
 		if v := r.Header.Get(h); v != "" {
 			req.Header.Set(h, v)
 		}

@@ -297,18 +297,11 @@ func newRouterHarness(t *testing.T, cfg Config, backends ...*httptest.Server) *r
 }
 
 // bodyOwnedBy searches seeds for a test matrix whose key has the wanted
-// replica preference order.
+// replica preference order, and returns its Matrix Market body.
 func bodyOwnedBy(t *testing.T, rt *Router, n int, want ...string) []byte {
 	t.Helper()
-	return drawOwnedBy(t, rt, func(seed int64) *sparse.CSR { return testMatrix(t, seed) }, n, want...)
-}
-
-// drawOwnedBy searches seeds of draw for a matrix whose key has the wanted
-// replica preference order, and returns its Matrix Market body.
-func drawOwnedBy(t *testing.T, rt *Router, draw func(seed int64) *sparse.CSR, n int, want ...string) []byte {
-	t.Helper()
 	for seed := int64(1); seed < 10000; seed++ {
-		b := mmBody(t, draw(seed))
+		b := mmBody(t, testMatrix(t, seed))
 		reps := rt.Ring().Replicas(keyMust(t, b), n)
 		if len(reps) != len(want) {
 			continue
@@ -431,7 +424,6 @@ func TestPerPeerBreakerStopsHammering(t *testing.T) {
 		Replicas:   2,
 		HedgeAfter: -1,
 		DownAfter:  100, // keep health out of the way; the breaker is under test
-		Breaker:    planserve.BreakerConfig{FailureThreshold: 3, Cooldown: time.Hour},
 	}, dead)
 	body := bodyOwnedBy(t, h.rt, 1, dead.URL)
 
@@ -449,7 +441,7 @@ func TestPerPeerBreakerStopsHammering(t *testing.T) {
 		}
 	}
 	if n := hits.Load(); n != 3 {
-		t.Errorf("failing peer was hit %d times, want exactly FailureThreshold=3 before the breaker opened", n)
+		t.Errorf("failing peer was hit %d times, want exactly the breaker's 3 failures before it opened", n)
 	}
 	if n := h.localHi.Load(); n != 6 {
 		t.Errorf("local handler hits = %d, want 6", n)
@@ -624,53 +616,59 @@ func TestConcurrentForwardsRace(t *testing.T) {
 	}
 }
 
-// TestForwardCarriesBCSR: a Matrix Market request to a non-owner reaches the
-// owner, and the hedge target, as the same BCSR bytes, which decode to the
-// matrix the client sent.
-func TestForwardCarriesBCSR(t *testing.T) {
-	type arrival struct {
-		contentType string
-		body        []byte
-	}
-	var (
-		mu       sync.Mutex
-		arrivals []arrival
-	)
-	release := make(chan struct{})
+// arrival is one forward a stub peer received.
+type arrival struct {
+	contentType string
+	body        []byte
+}
+
+// forwardRig is a router over two stub peers that record every forward they
+// receive: the key's owner, which stalls until the forward is cancelled and
+// so loses every race to the hedge, and the hedge target, which answers.
+type forwardRig struct {
+	*routerHarness
+	owner, hedge *httptest.Server
+	client       *http.Client
+
+	mu       sync.Mutex
+	arrivals []arrival
+}
+
+func newForwardRig(t *testing.T) *forwardRig {
+	t.Helper()
+	fr := &forwardRig{client: &http.Client{Timeout: 10 * time.Second}}
 	peer := func(stall bool) *httptest.Server {
-		return httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			if r.URL.Path == "/readyz" {
 				return
 			}
 			b, _ := io.ReadAll(r.Body)
-			mu.Lock()
-			arrivals = append(arrivals, arrival{r.Header.Get("Content-Type"), b})
-			mu.Unlock()
+			fr.mu.Lock()
+			fr.arrivals = append(fr.arrivals, arrival{r.Header.Get("Content-Type"), b})
+			fr.mu.Unlock()
 			if stall {
-				select {
-				case <-release:
-				case <-r.Context().Done():
-					return
-				}
+				<-r.Context().Done()
+				return
 			}
 			fmt.Fprint(w, `{}`)
 		}))
+		t.Cleanup(ts.Close)
+		return ts
 	}
-	owner, hedge := peer(true), peer(false)
-	defer owner.Close()
-	defer hedge.Close()
-	defer close(release)
+	fr.owner, fr.hedge = peer(true), peer(false)
+	fr.routerHarness = newRouterHarness(t, Config{Replicas: 3, HedgeAfter: 20 * time.Millisecond}, fr.owner, fr.hedge)
+	t.Cleanup(fr.client.CloseIdleConnections)
+	return fr
+}
 
-	h := newRouterHarness(t, Config{Replicas: 3, HedgeAfter: 20 * time.Millisecond}, owner, hedge)
-	// Dense enough that BCSR is clearly the smaller encoding: at the test
-	// matrix's four entries a row, it can go either way.
-	dense := func(seed int64) *sparse.CSR {
-		return workloads.ScrambledBlock(workloads.Params{Rows: 48, Cols: 48, Density: 0.3, Seed: seed, Groups: 4})
-	}
-	body := drawOwnedBy(t, h.rt, dense, 2, owner.URL, hedge.URL)
-	client := &http.Client{Timeout: 10 * time.Second}
-	defer client.CloseIdleConnections()
-	resp, err := client.Post(h.front.URL+"/v1/plan", "text/plain", bytes.NewReader(body))
+// post sends body to the router and returns the two forwards of it, the
+// owner's and the hedge's.
+func (fr *forwardRig) post(t *testing.T, contentType string, body []byte) []arrival {
+	t.Helper()
+	fr.mu.Lock()
+	n := len(fr.arrivals)
+	fr.mu.Unlock()
+	resp, err := fr.client.Post(fr.front.URL+"/v1/plan", contentType, bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -680,78 +678,42 @@ func TestForwardCarriesBCSR(t *testing.T) {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
 	waitFor(t, 5*time.Second, func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return len(arrivals) == 2
+		fr.mu.Lock()
+		defer fr.mu.Unlock()
+		return len(fr.arrivals) == n+2
 	}, "owner and hedge did not both receive the forward")
-
-	want, err := sparse.ReadMatrixMarket(bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	for i, a := range arrivals {
-		if a.contentType != "application/octet-stream" {
-			t.Errorf("forward %d: Content-Type %q, want application/octet-stream", i, a.contentType)
-		}
-		got, err := sparse.ReadBinary(bytes.NewReader(a.body))
-		if err != nil {
-			t.Fatalf("forward %d is not BCSR: %v", i, err)
-		}
-		if !sparse.Equal(got, want) {
-			t.Errorf("forward %d decodes to a different matrix", i)
-		}
-		if len(a.body) >= len(body) {
-			t.Errorf("forward %d carries %d bytes for a %d-byte text body", i, len(a.body), len(body))
-		}
-	}
-	if !bytes.Equal(arrivals[0].body, arrivals[1].body) {
-		t.Error("the hedge carried different bytes than the primary forward")
-	}
+	fr.mu.Lock()
+	defer fr.mu.Unlock()
+	return append([]arrival(nil), fr.arrivals[n:]...)
 }
 
-// TestForwardKeepsTextWhenBCSRIsLarger: a body whose BCSR encoding would be
-// larger, here 2^20 rows with one entry, is forwarded as the client sent it.
-func TestForwardKeepsTextWhenBCSRIsLarger(t *testing.T) {
-	got := make(chan []byte, 1)
-	owner := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/readyz" {
-			return
-		}
-		b, _ := io.ReadAll(r.Body)
-		got <- b
-		fmt.Fprint(w, `{}`)
-	}))
-	defer owner.Close()
-	h := newRouterHarness(t, Config{Replicas: 1}, owner)
-
-	var body []byte
-	for i := 1; body == nil; i++ {
-		b := []byte(fmt.Sprintf("%%%%MatrixMarket matrix coordinate pattern general\n1048576 1048576 1\n%d %d\n", i, i))
-		if h.rt.Ring().Owner(keyMust(t, b)) == owner.URL {
-			body = b
-		}
-	}
-	client := &http.Client{Timeout: 10 * time.Second}
-	defer client.CloseIdleConnections()
-	resp, err := client.Post(h.front.URL+"/v1/plan", "text/plain", bytes.NewReader(body))
+// TestForwardCarriesClientBytes: a request to a non-owner reaches the owner,
+// and the hedge target, as the bytes and Content-Type the client sent,
+// whichever matrix format the client chose.
+func TestForwardCarriesClientBytes(t *testing.T) {
+	fr := newForwardRig(t)
+	text := bodyOwnedBy(t, fr.rt, 2, fr.owner.URL, fr.hedge.URL)
+	m, err := sparse.ReadMatrixMarket(bytes.NewReader(text))
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _ = io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d", resp.StatusCode)
+	var bin bytes.Buffer
+	if err := sparse.WriteBinary(&bin, m); err != nil {
+		t.Fatal(err)
 	}
-	if b := <-got; !bytes.Equal(b, body) {
-		t.Errorf("owner received %d bytes %.40q, want the %d-byte text body verbatim", len(b), b, len(body))
+	for _, sent := range []arrival{{"text/plain", text}, {"application/octet-stream", bin.Bytes()}} {
+		for i, a := range fr.post(t, sent.contentType, sent.body) {
+			if a.contentType != sent.contentType || !bytes.Equal(a.body, sent.body) {
+				t.Errorf("%s body, forward %d: Content-Type %q, %d bytes; want the client's %d bytes",
+					sent.contentType, i, a.contentType, len(a.body), len(sent.body))
+			}
+		}
 	}
 }
 
 // TestForwardedAnswerMatchesOwnerDirect: through a real cluster, a Matrix
-// Market request forwarded as BCSR gets the same bytes back (key, perm and
-// all) as the same request sent to the owner directly.
+// Market request forwarded by a non-owner gets the same bytes back (key,
+// perm and all) as the same request sent to the owner directly.
 func TestForwardedAnswerMatchesOwnerDirect(t *testing.T) {
 	var computes atomic.Int64
 	c, err := LaunchCluster(3, NodeConfig{
@@ -840,75 +802,35 @@ func TestRoutedBodyOverServerLimitIs413(t *testing.T) {
 	}
 }
 
-// TestForwardAfterMemoHitCarriesClientBytes: a router forwards a body it
-// parsed as BCSR, but once its memo knows the body it forwards the client's
-// bytes verbatim, to the owner and to the hedge alike.
+// TestForwardAfterMemoHitCarriesClientBytes: a router forwards the client's
+// bytes verbatim, to the owner and to the hedge alike, both the first time
+// it sees a body (it parses it) and once its memo knows the body.
 func TestForwardAfterMemoHitCarriesClientBytes(t *testing.T) {
-	type arrival struct {
-		contentType string
-		body        []byte
-	}
-	var (
-		mu       sync.Mutex
-		arrivals []arrival
-	)
-	peer := func(stall bool) *httptest.Server {
-		return httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if r.URL.Path == "/readyz" {
-				return
+	fr := newForwardRig(t)
+	body := bodyOwnedBy(t, fr.rt, 2, fr.owner.URL, fr.hedge.URL)
+	for req := 1; req <= 2; req++ {
+		for i, a := range fr.post(t, "text/plain", body) {
+			if a.contentType != "text/plain" || !bytes.Equal(a.body, body) {
+				t.Errorf("request %d, forward %d: Content-Type %q, %d bytes; want the client's bytes",
+					req, i, a.contentType, len(a.body))
 			}
-			b, _ := io.ReadAll(r.Body)
-			mu.Lock()
-			arrivals = append(arrivals, arrival{r.Header.Get("Content-Type"), b})
-			mu.Unlock()
-			if stall {
-				<-r.Context().Done() // lose every race to the hedge
-				return
-			}
-			fmt.Fprint(w, `{}`)
-		}))
-	}
-	owner, hedge := peer(true), peer(false)
-	defer owner.Close()
-	defer hedge.Close()
-	h := newRouterHarness(t, Config{Replicas: 3, HedgeAfter: 20 * time.Millisecond}, owner, hedge)
-	dense := func(seed int64) *sparse.CSR {
-		return workloads.ScrambledBlock(workloads.Params{Rows: 48, Cols: 48, Density: 0.3, Seed: seed, Groups: 4})
-	}
-	body := drawOwnedBy(t, h.rt, dense, 2, owner.URL, hedge.URL)
-	client := &http.Client{Timeout: 10 * time.Second}
-	defer client.CloseIdleConnections()
-	for i := 0; i < 2; i++ {
-		resp, err := client.Post(h.front.URL+"/v1/plan", "text/plain", bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
 		}
-		_, _ = io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("request %d: status %d", i, resp.StatusCode)
-		}
-		waitFor(t, 5*time.Second, func() bool {
-			mu.Lock()
-			defer mu.Unlock()
-			return len(arrivals) == 2*(i+1)
-		}, "owner and hedge did not both receive the forward")
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	for i, a := range arrivals {
-		verbatim := a.contentType == "text/plain" && bytes.Equal(a.body, body)
-		if first := i < 2; first == verbatim || (first && !bytes.HasPrefix(a.body, []byte("BCSR"))) {
-			t.Errorf("forward %d (request %d): Content-Type %q, %d bytes; want BCSR on the first sighting and the client's bytes after",
-				i, i/2+1, a.contentType, len(a.body))
+	var exp strings.Builder
+	if err := fr.rt.reg.WritePrometheus(&exp); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"bootes_fleet_body_memo_misses_total 1\n", "bootes_fleet_body_memo_hits_total 1\n"} {
+		if !strings.Contains(exp.String(), want) {
+			t.Errorf("router metrics lack %q: the second request must be answered from the memo", want)
 		}
 	}
 }
 
 // TestOwnerAnswersForwardFromItsMemo: through a real cluster, the same text
 // body sent three times via a non-owner is parsed once by that router and
-// twice by the owner (the BCSR forward, then the first verbatim one), and the
-// third forward is answered from the owner's memo with the same plan.
+// once by the owner, which answers the later forwards from its memo with the
+// same plan.
 func TestOwnerAnswersForwardFromItsMemo(t *testing.T) {
 	var computes atomic.Int64
 	c, err := LaunchCluster(3, NodeConfig{
@@ -946,8 +868,8 @@ func TestOwnerAnswersForwardFromItsMemo(t *testing.T) {
 	for at, want := range map[string]int64{
 		via + " bootes_fleet_body_memo_misses_total":   1,
 		via + " bootes_fleet_body_memo_hits_total":     2,
-		owner + " bootes_serve_body_memo_misses_total": 2,
-		owner + " bootes_serve_body_memo_hits_total":   1,
+		owner + " bootes_serve_body_memo_misses_total": 1,
+		owner + " bootes_serve_body_memo_hits_total":   2,
 	} {
 		url, name, _ := strings.Cut(at, " ")
 		if got := scrapeCounter(t, client, url, name); got != want {

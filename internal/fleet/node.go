@@ -58,6 +58,10 @@ type NodeConfig struct {
 	// ReadHeaderTimeout, ReadTimeout and IdleTimeout are the HTTP server's
 	// (zero means none).
 	ReadHeaderTimeout, ReadTimeout, IdleTimeout time.Duration
+	// UploadReadTimeout bounds how long a POST /v1/plan may take to deliver
+	// its matrix body (default 30s; negative disables), whichever component
+	// reads it.
+	UploadReadTimeout time.Duration
 	// Pprof serves runtime profiles under /debug/pprof/.
 	Pprof bool
 	// Metrics is the registry every component registers on; nil gives each
@@ -165,7 +169,7 @@ func (nd *Node) start(ln net.Listener, warm bool) (err error) {
 	var healer *antientropy.Healer
 	if cfg.SelfHeal {
 		hc := cfg.Heal
-		hc.Cache, hc.Ring, hc.Self, hc.Replicas, hc.PeerUp = cache, router.Ring, cfg.Fleet.Self, cfg.Fleet.Replicas, router.PeerUp
+		hc.Cache, hc.Ring, hc.Self, hc.Replicas, hc.PeerUp = cache, router.Ring(), cfg.Fleet.Self, cfg.Fleet.Replicas, router.PeerUp
 		hc.Metrics, hc.Logf = reg, logf
 		if healer, err = antientropy.New(hc); err != nil {
 			return err
@@ -190,6 +194,13 @@ func (nd *Node) start(ln net.Listener, warm bool) (err error) {
 	if router != nil {
 		handler = router.Handler(handler)
 	}
+	uploadTimeout := cfg.UploadReadTimeout
+	if uploadTimeout == 0 {
+		uploadTimeout = 30 * time.Second
+	}
+	if uploadTimeout > 0 {
+		handler = uploadDeadline(handler, uploadTimeout)
+	}
 	if cfg.Pprof {
 		// Registered explicitly, never via the http.DefaultServeMux side
 		// effect, and only when asked: pprof on a public address is an
@@ -205,8 +216,8 @@ func (nd *Node) start(ln net.Listener, warm bool) (err error) {
 	}
 	// Server-side timeouts close the slowloris hole: a client that trickles
 	// headers or holds idle keep-alives cannot pin a connection forever. The
-	// body-read budget is per-request (planserve's UploadReadTimeout), so a
-	// legal large upload is bounded by its own clock, not the header one.
+	// body-read budget is per-request (uploadDeadline), so a legal large
+	// upload is bounded by its own clock, not the header one.
 	httpSrv := &http.Server{
 		Handler:           handler,
 		ReadHeaderTimeout: cfg.ReadHeaderTimeout,
@@ -266,6 +277,23 @@ func (nd *Node) start(ln net.Listener, warm bool) (err error) {
 			cfg.Heal.RepairInterval, cfg.Heal.ScrubInterval, healer.HintsPending())
 	}
 	return nil
+}
+
+// uploadDeadline sets the connection's read deadline on every POST /v1/plan
+// before next reads a byte of its body, so the whole body must arrive within
+// d whether the fleet router reads it (a client's request) or planserve does
+// (a standalone node's, or a forwarded one). MaxUploadBytes caps how much a
+// client may send; this caps how slowly: a slowloris client trickling one
+// byte a second holds a connection, not a pipeline slot, and is cut off.
+func uploadDeadline(next http.Handler, d time.Duration) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost && r.URL.Path == "/v1/plan" {
+			// Best-effort: a failure to set the deadline must not fail the
+			// request.
+			_ = http.NewResponseController(w).SetReadDeadline(time.Now().Add(d))
+		}
+		next.ServeHTTP(w, r)
+	})
 }
 
 // ServeErr delivers the error that stopped the listener, if anything but

@@ -1,9 +1,11 @@
 package fleet
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net"
 	"net/http"
 	"os"
@@ -298,4 +300,78 @@ func TestSelfHealCloseHandsOffSoleEntries(t *testing.T) {
 	if n := computes.Load(); n != 0 {
 		t.Errorf("%d pipeline runs, want 0", n)
 	}
+}
+
+// TestUploadDeadlineCutsOffSlowBodies: a plan request whose body trickles in
+// is cut off near UploadReadTimeout, whichever component reads the body:
+// planserve on a standalone node, the router on a fleet node a client
+// reaches, and planserve on a fleet node a forward reaches.
+func TestUploadDeadlineCutsOffSlowBodies(t *testing.T) {
+	const timeout = 300 * time.Millisecond
+	cfg := NodeConfig{
+		Serve:             planserve.Config{Plan: countingPlan(new(atomic.Int64))},
+		UploadReadTimeout: timeout,
+		Logf:              t.Logf,
+	}
+	single, err := StartNode(listen(t), cfg, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer single.Close(context.Background())
+	cfg.CacheDir = t.TempDir()
+	c, err := LaunchCluster(2, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	for _, tc := range []struct {
+		name, url string
+		header    string
+	}{
+		{"single node", single.URL, ""},
+		{"fleet client", c.Nodes[0].URL, ""},
+		{"fleet forward", c.Nodes[0].URL, ForwardedHeader + ": 1\r\n"},
+	} {
+		if took := trickleBody(t, tc.url, tc.header); took < timeout || took > timeout+time.Second {
+			t.Errorf("%s: a body trickling one byte per 50ms was cut off after %s, want about %s", tc.name, took, timeout)
+		}
+	}
+}
+
+// trickleBody POSTs a plan request to url that declares a megabyte body and
+// sends one byte of it every 50ms for up to 3s, and returns how long the
+// server took to answer or close the connection.
+func trickleBody(t *testing.T, url, header string) time.Duration {
+	t.Helper()
+	conn, err := net.Dial("tcp", strings.TrimPrefix(url, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	start := time.Now()
+	if _, err := fmt.Fprintf(conn, "POST /v1/plan HTTP/1.1\r\nHost: bootes\r\nContent-Type: text/plain\r\nContent-Length: 1048576\r\n%s\r\n", header); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	defer close(done)
+	go func() {
+		tick := time.NewTicker(50 * time.Millisecond)
+		defer tick.Stop()
+		for i := 0; i < 60; i++ {
+			select {
+			case <-done:
+				return
+			case <-tick.C:
+			}
+			if _, err := conn.Write([]byte{'%'}); err != nil {
+				return
+			}
+		}
+	}()
+	_ = conn.SetReadDeadline(start.Add(5 * time.Second))
+	if resp, err := http.ReadResponse(bufio.NewReader(conn), nil); err == nil {
+		resp.Body.Close()
+	}
+	return time.Since(start)
 }

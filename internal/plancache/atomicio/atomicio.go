@@ -82,7 +82,7 @@ func WriteFile(path string, write func(io.Writer) error) (err error) {
 	if err = os.Rename(tmpName, path); err != nil {
 		return err
 	}
-	return syncDir(dir)
+	return SyncDir(dir)
 }
 
 // WriteFileBytes is WriteFile for a pre-encoded payload.
@@ -93,10 +93,11 @@ func WriteFileBytes(path string, data []byte) error {
 	})
 }
 
-// syncDir fsyncs a directory so a completed rename survives power loss.
-// Filesystems that reject directory fsync (some network/overlay mounts) are
-// tolerated: the rename is still atomic, only its durability window widens.
-func syncDir(dir string) error {
+// SyncDir fsyncs a directory so a completed rename or file creation in it
+// survives power loss. Filesystems that reject directory fsync (some
+// network/overlay mounts) are tolerated: the rename is still atomic, only its
+// durability window widens.
+func SyncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
 		return err

@@ -223,6 +223,30 @@ func (c *Cache) Put(e *Entry) error {
 	return nil
 }
 
+// PutCanonical is Put for a copy of an entry received from another replica:
+// it stores e unless the cache already holds an entry for e.Key whose
+// encoding is canonical against e's. Of two encodings of one key's entry the
+// lexicographically smaller byte string is canonical. Every replica applies
+// this one rule to every copy it receives, whether pushed or pulled, so a
+// replica set converges on one entry whichever side repairs first. It
+// reports whether e was stored.
+func (c *Cache) PutCanonical(e *Entry) (bool, error) {
+	if local, ok := c.Peek(e.Key); ok {
+		localData, err := EncodeEntry(local)
+		if err != nil {
+			return false, err
+		}
+		data, err := EncodeEntry(e)
+		if err != nil {
+			return false, err
+		}
+		if bytes.Compare(localData, data) <= 0 {
+			return false, nil
+		}
+	}
+	return true, c.Put(e)
+}
+
 // checkReencode holds the codec to the bit-identity invariant: the encoded
 // entry must decode and encode back to exactly the same bytes. A mismatch
 // means the codec would persist something it cannot faithfully reproduce —

@@ -201,7 +201,7 @@ func openJournal(path string, replay func(*rec)) (j *journal, torn bool, err err
 			f.Close()
 			return nil, false, err
 		}
-		if err := syncDir(filepath.Dir(path)); err != nil {
+		if err := atomicio.SyncDir(filepath.Dir(path)); err != nil {
 			f.Close()
 			return nil, false, err
 		}
@@ -347,17 +347,3 @@ func (j *journal) rewrite(recs []*rec) error {
 }
 
 func (j *journal) close() error { return j.f.Close() }
-
-// syncDir mirrors atomicio's directory fsync tolerance: filesystems that
-// reject directory fsync only widen the durability window.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	if err := d.Sync(); err != nil && !errors.Is(err, os.ErrInvalid) {
-		return err
-	}
-	return nil
-}

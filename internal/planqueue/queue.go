@@ -52,7 +52,8 @@ import (
 
 // RunFunc plans a job's matrix m, whose plan-cache key is key. cached
 // reports a plan that was looked up rather than computed. An error is
-// retried with backoff up to MaxAttempts; a degraded plan completes the job.
+// retried with backoff up to maxAttempts runs; a degraded plan completes the
+// job.
 type RunFunc func(ctx context.Context, key string, m *sparse.CSR) (res *reorder.Result, cached bool, err error)
 
 // State is a job's position in the lifecycle:
@@ -140,6 +141,22 @@ type job struct {
 	notBefore time.Time // retry backoff gate while failed
 }
 
+const (
+	// maxAttempts bounds Run calls per job before a job whose runs keep
+	// failing is parked dead.
+	maxAttempts = 3
+	// runTimeout caps one Run call.
+	runTimeout = 60 * time.Second
+)
+
+// compactEvery triggers journal compaction after this many terminal records,
+// and retainTerminal bounds how many finished jobs stay queryable (and
+// journaled) after completion. Variables only so a test can shrink them.
+var (
+	compactEvery   = 256
+	retainTerminal = 1024
+)
+
 // Config assembles a Queue.
 type Config struct {
 	// Dir is the queue root: journal.wal plus a spool/ directory of matrix
@@ -148,14 +165,9 @@ type Config struct {
 	// Workers sizes the worker pool (default 2; bootesd passes its admission
 	// MaxInFlight so async work can never out-parallelize the sync path).
 	Workers int
-	// MaxAttempts bounds Run calls per job before a job whose runs keep
-	// failing is parked dead (default 3).
-	MaxAttempts int
 	// RetryBackoff is the first retry delay (default 100ms); attempt i waits
 	// RetryBackoff·2^i plus up to 50% jitter.
 	RetryBackoff time.Duration
-	// RunTimeout caps one Run call (default 60s).
-	RunTimeout time.Duration
 	// MaxQueued bounds jobs in non-terminal states (default 1024); beyond it
 	// Enqueue fails with ErrQueueFull.
 	MaxQueued int
@@ -164,12 +176,6 @@ type Config struct {
 	MaxQueuedPerTenant int
 	// Weights sets per-tenant WFQ weights; absent tenants weigh 1.
 	Weights map[string]float64
-	// CompactEvery triggers journal compaction after this many terminal
-	// records (default 256).
-	CompactEvery int
-	// RetainTerminal bounds how many finished jobs stay queryable (and
-	// journaled) after completion (default 1024).
-	RetainTerminal int
 	// Metrics is the registry the queue's instruments register on; nil uses
 	// a private registry.
 	Metrics *obs.Registry
@@ -272,26 +278,14 @@ func Open(cfg Config) (*Queue, error) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 2
 	}
-	if cfg.MaxAttempts <= 0 {
-		cfg.MaxAttempts = 3
-	}
 	if cfg.RetryBackoff <= 0 {
 		cfg.RetryBackoff = 100 * time.Millisecond
-	}
-	if cfg.RunTimeout <= 0 {
-		cfg.RunTimeout = 60 * time.Second
 	}
 	if cfg.MaxQueued <= 0 {
 		cfg.MaxQueued = 1024
 	}
 	if cfg.MaxQueuedPerTenant <= 0 {
 		cfg.MaxQueuedPerTenant = (cfg.MaxQueued + 3) / 4
-	}
-	if cfg.CompactEvery <= 0 {
-		cfg.CompactEvery = 256
-	}
-	if cfg.RetainTerminal <= 0 {
-		cfg.RetainTerminal = 1024
 	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
@@ -712,7 +706,7 @@ func (q *Queue) execute(jb *job) {
 		q.mu.Unlock()
 		return
 	}
-	ctx, cancel := context.WithTimeout(q.runCtx, q.cfg.RunTimeout)
+	ctx, cancel := context.WithTimeout(q.runCtx, runTimeout)
 	res, cached, err := q.run(ctx, jb.Key, m)
 	cancel()
 	if q.runCtx.Err() != nil {
@@ -753,7 +747,7 @@ func (q *Queue) retryOrDead(jb *job, reason string) {
 	defer q.mu.Unlock()
 	jb.Attempts++
 	jb.Reason = reason
-	if jb.Attempts >= q.cfg.MaxAttempts {
+	if jb.Attempts >= maxAttempts {
 		q.finishLocked(jb, StateDead, reason)
 		return
 	}
@@ -813,7 +807,7 @@ func (q *Queue) finishLocked(jb *job, st State, reason string) {
 		_ = os.Remove(filepath.Join(q.spoolDir, jb.Key+".bcsr"))
 	}
 	q.order = append(q.order, jb.Seq)
-	for len(q.order) > q.cfg.RetainTerminal {
+	for len(q.order) > retainTerminal {
 		old := q.order[0]
 		q.order = q.order[1:]
 		if oj, ok := q.jobs[old]; ok && oj.State.Terminal() {
@@ -822,7 +816,7 @@ func (q *Queue) finishLocked(jb *job, st State, reason string) {
 		}
 	}
 	q.termSinceCompact++
-	if q.termSinceCompact >= q.cfg.CompactEvery {
+	if q.termSinceCompact >= compactEvery {
 		q.compactLocked()
 	}
 }

@@ -78,7 +78,6 @@ func testConfig(t testing.TB) Config {
 		Dir:          t.TempDir(),
 		Workers:      1,
 		RetryBackoff: time.Millisecond,
-		RunTimeout:   5 * time.Second,
 	}
 }
 
@@ -152,7 +151,6 @@ func TestRetriesThenDead(t *testing.T) {
 		return nil, errors.New("solver exploded")
 	})
 	cfg := testConfig(t)
-	cfg.MaxAttempts = 3
 	q, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -172,7 +170,7 @@ func TestRetriesThenDead(t *testing.T) {
 		t.Fatalf("dead job = %+v, want 3 attempts with the failure reason", got)
 	}
 	if n := rr.count(jb.Key); n != 3 {
-		t.Fatalf("Run called %d times, want exactly MaxAttempts=3 (dead jobs are never retried hot)", n)
+		t.Fatalf("Run called %d times, want exactly maxAttempts=3 (dead jobs are never retried hot)", n)
 	}
 	s := q.Stats()
 	if s.Dead != 1 || s.Failed != 2 {
@@ -356,9 +354,9 @@ func TestStopDrainKeepsQueuedJobsDurable(t *testing.T) {
 
 func TestCompactionBoundsJournal(t *testing.T) {
 	rr := newRunRecorder(nil)
+	defer func(every, retain int) { compactEvery, retainTerminal = every, retain }(compactEvery, retainTerminal)
+	compactEvery, retainTerminal = 5, 4
 	cfg := testConfig(t)
-	cfg.CompactEvery = 5
-	cfg.RetainTerminal = 4
 	q, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -376,14 +374,14 @@ func TestCompactionBoundsJournal(t *testing.T) {
 	waitIdle(t, q)
 	s := q.Stats()
 	if s.Compactions == 0 {
-		t.Fatalf("no compactions after 20 terminal jobs with CompactEvery=5: %+v", s)
+		t.Fatalf("no compactions after 20 terminal jobs with compactEvery=5: %+v", s)
 	}
 	// Retention: the newest terminal jobs stay queryable, the oldest age out.
 	if _, ok := q.Get(ids[len(ids)-1]); !ok {
 		t.Fatal("newest terminal job evicted")
 	}
 	if _, ok := q.Get(ids[0]); ok {
-		t.Fatal("oldest terminal job still resident beyond RetainTerminal")
+		t.Fatal("oldest terminal job still resident beyond retainTerminal")
 	}
 
 	// A restart over the compacted journal sees the same retained set.

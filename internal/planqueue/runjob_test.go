@@ -76,7 +76,6 @@ func startQueue(t testing.TB, dir string, cache *plancache.Cache, pc *planCounte
 		Dir:          dir,
 		Workers:      1,
 		RetryBackoff: time.Millisecond,
-		RunTimeout:   5 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -428,7 +428,8 @@ func TestTenantQuotaShedsWithRetryAfter(t *testing.T) {
 			t.Fatalf("in-quota request %d = %d: %s", i, resp.StatusCode, b)
 		}
 	}
-	resp, b := doPlan(t, ts.URL, "", body, flood)
+	// ?tenant= names the tenant when the header is absent: the same bucket.
+	resp, b := doPlan(t, ts.URL, "?tenant=flooder", body, nil)
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("over-quota request = %d: %s", resp.StatusCode, b)
 	}
@@ -458,30 +459,6 @@ func TestTenantQuotaShedsWithRetryAfter(t *testing.T) {
 	}
 	if !strings.Contains(sb.String(), `bootes_tenant_shed_total{tenant="flooder"} 1`) {
 		t.Fatalf("per-tenant shed metric missing:\n%s", sb.String())
-	}
-}
-
-func TestTenantQuotaOverrides(t *testing.T) {
-	p := &countingPlanner{}
-	_, ts := newTestServer(t, Config{
-		Plan: p.fn(),
-		Tenants: TenantConfig{
-			Rate: 0.01, Burst: 1,
-			Overrides: map[string]TenantLimit{"vip": {Rate: 1000, Burst: 100}},
-		},
-	})
-	body := mmBody(t, testMatrix(t, 21))
-	// ?tenant= works as the identity fallback when the header is absent.
-	for i := 0; i < 5; i++ {
-		if resp, b := doPlan(t, ts.URL, "?tenant=vip", body, nil); resp.StatusCode != http.StatusOK {
-			t.Fatalf("vip request %d = %d: %s", i, resp.StatusCode, b)
-		}
-	}
-	if resp, _ := doPlan(t, ts.URL, "?tenant=bulk", body, nil); resp.StatusCode != http.StatusOK {
-		t.Fatal("first bulk request should pass on its burst token")
-	}
-	if resp, _ := doPlan(t, ts.URL, "?tenant=bulk", body, nil); resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatal("second bulk request should exhaust the burst of 1")
 	}
 }
 
@@ -517,7 +494,7 @@ func TestOversizedUploadIs413(t *testing.T) {
 // is cancelled must return promptly with the context error, without
 // cancelling the leader's flight and without leaking an admission slot.
 func TestSingleflightFollowerCancelDetaches(t *testing.T) {
-	var g flightGroup
+	var g flightGroup[*reorder.Result]
 	leaderGate := make(chan struct{})
 	leaderStarted := make(chan struct{})
 	res := &reorder.Result{Reordered: true}

@@ -180,6 +180,31 @@ func TestPathRequestsBypassMemo(t *testing.T) {
 	}
 }
 
+// TestPathReadsEitherFormatWhateverItsName: a ?path= file is decoded by its
+// content, BCSR or Matrix Market, not by its extension.
+func TestPathReadsEitherFormatWhateverItsName(t *testing.T) {
+	p := &countingPlanner{make: keyedResult}
+	_, ts := newTestServer(t, Config{Plan: p.fn(), AllowLocalPaths: true})
+	m := testMatrix(t, 3)
+	var bin bytes.Buffer
+	if err := sparse.WriteBinary(&bin, m); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	for name, data := range map[string][]byte{
+		"bin.bcsr": bin.Bytes(), "bin.mtx": bin.Bytes(), "bin": bin.Bytes(),
+		"text.mtx": mmBody(t, m), "text.bcsr": mmBody(t, m),
+	} {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if pr := planOf(t, ts.URL, "&path="+path, nil); pr.Key != plancache.KeyCSR(m) {
+			t.Errorf("%s: key %.12s, want %.12s", name, pr.Key, plancache.KeyCSR(m))
+		}
+	}
+}
+
 // TestBodyMemoBounded: more distinct bodies than the memo holds leave it at
 // its cap, and every body still resolves to its own key.
 func TestBodyMemoBounded(t *testing.T) {

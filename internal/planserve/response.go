@@ -66,7 +66,7 @@ func (s *Server) planResponseFromEntry(e *plancache.Entry) *PlanResponse {
 }
 
 // resultFromEntry rebuilds a pipeline-shaped result from a cached entry, for
-// the singleflight leader's double-check path.
+// an async job the cache completes.
 func resultFromEntry(e *plancache.Entry) *reorder.Result {
 	return &reorder.Result{
 		Perm:           e.Perm,

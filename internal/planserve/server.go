@@ -21,7 +21,6 @@
 package planserve
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -31,7 +30,6 @@ import (
 	"math/rand"
 	"net/http"
 	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -95,8 +93,8 @@ type Config struct {
 	// (fleet.StartNode does, and drains it alongside the HTTP server).
 	Queue *planqueue.Queue
 	// Tenants is the per-tenant traffic-shaping policy (token-bucket quotas,
-	// identified by X-Tenant or ?tenant=). A zero Rate with no Overrides
-	// disables quota enforcement.
+	// identified by X-Tenant or ?tenant=). A zero Rate disables quota
+	// enforcement.
 	Tenants TenantConfig
 	// MaxInFlight bounds concurrently executing pipelines (default 4).
 	MaxInFlight int
@@ -116,15 +114,10 @@ type Config struct {
 	// Breaker configures the degradation circuit breaker; a zero
 	// FailureThreshold disables it.
 	Breaker BreakerConfig
-	// MaxUploadBytes bounds the request body (default 256 MB).
+	// MaxUploadBytes bounds the request body (default 256 MB). How slowly a
+	// body may arrive is the HTTP server's business (fleet.NodeConfig's
+	// UploadReadTimeout).
 	MaxUploadBytes int64
-	// UploadReadTimeout bounds how long a request may take to deliver its
-	// matrix body (default 30s). MaxBytesReader caps how *much* a client may
-	// send; this caps how *slowly* — a slowloris client trickling one byte a
-	// second holds a connection, not a pipeline slot, and is cut off here.
-	// Negative disables; ignored on transports without read-deadline
-	// support (tests).
-	UploadReadTimeout time.Duration
 	// AllowLocalPaths permits `{"path": ...}` / ?path= requests that read a
 	// matrix from the server's filesystem. Off by default: enable only for
 	// trusted local clients (the bootesd -allow-path flag).
@@ -205,7 +198,7 @@ type Server struct {
 	cfg     Config
 	sem     chan struct{}
 	breaker *Breaker
-	flights flightGroup
+	flights flightGroup[admitted]
 	mux     *http.ServeMux
 	limiter *tenantLimiter
 	memo    *BodyMemo
@@ -250,9 +243,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.MaxUploadBytes <= 0 {
 		cfg.MaxUploadBytes = 256 << 20
-	}
-	if cfg.UploadReadTimeout == 0 {
-		cfg.UploadReadTimeout = 30 * time.Second
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = log.Printf
@@ -525,9 +515,9 @@ func (s *Server) handleCacheGet(w http.ResponseWriter, r *http.Request) {
 // encoded entry; it is decoded (CRC-checked), key-matched, and field-verified
 // before it can touch the cache, and degraded entries are refused outright —
 // the same bar every other ingest path applies. When the local cache already
-// holds different bytes for the key, the canonical (lexicographically
-// smaller) encoded byte string wins; the rule is symmetric with the repair
-// loop's pull side, so replicas converge no matter which direction repairs.
+// holds different bytes for the key, plancache.Cache.PutCanonical keeps the
+// canonical copy, the rule the repair loop's pull side applies too, so
+// replicas converge no matter which direction repairs.
 func (s *Server) handleCachePut(w http.ResponseWriter, r *http.Request) {
 	if s.cfg.Cache == nil {
 		http.Error(w, "no plan cache on this node", http.StatusNotFound)
@@ -558,16 +548,9 @@ func (s *Server) handleCachePut(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("entry failed verification: %v", vs), http.StatusBadRequest)
 		return
 	}
-	if local, ok := s.cfg.Cache.Peek(key); ok {
-		if localData, err := plancache.EncodeEntry(local); err == nil &&
-			bytes.Compare(localData, data) <= 0 {
-			// The local copy is canonical (or identical): keep it. 204 — the
-			// push achieved its goal, the replica set holds the key.
-			w.WriteHeader(http.StatusNoContent)
-			return
-		}
-	}
-	if err := s.cfg.Cache.Put(e); err != nil {
+	// 204 whether e was stored or the local copy is canonical: either way the
+	// push achieved its goal, the replica set holds the key.
+	if _, err := s.cfg.Cache.PutCanonical(e); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
@@ -575,17 +558,16 @@ func (s *Server) handleCachePut(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleCacheDigest serves the anti-entropy digest: every cached key's
-// (size, CRC32) summary in ascending key order. ?prefix= restricts the range
-// (hex keys partition evenly by leading nibbles). Like cache reads, digests
+// (size, CRC32) summary in ascending key order. Like cache reads, digests
 // stay available during drain and warm-up — peers repairing from this node
 // is exactly what those phases want.
-func (s *Server) handleCacheDigest(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleCacheDigest(w http.ResponseWriter, _ *http.Request) {
 	if s.cfg.Cache == nil {
 		http.Error(w, "no plan cache on this node", http.StatusNotFound)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(antientropy.DigestOf(s.cfg.Cache, r.URL.Query().Get("prefix")))
+	_ = json.NewEncoder(w).Encode(antientropy.DigestOf(s.cfg.Cache))
 }
 
 func (s *Server) handleStatsz(w http.ResponseWriter, _ *http.Request) {
@@ -609,8 +591,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 var latencyBuckets = []float64{0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30, 60}
 
 // statusWriter records the response code so the latency histogram can label
-// by outcome. Unwrap keeps http.NewResponseController (the upload read
-// deadline) working through the wrapper.
+// by outcome.
 type statusWriter struct {
 	http.ResponseWriter
 	code int
@@ -620,8 +601,6 @@ func (w *statusWriter) WriteHeader(code int) {
 	w.code = code
 	w.ResponseWriter.WriteHeader(code)
 }
-
-func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 
 // latencyOutcome buckets a status code for the latency histogram's label.
 func latencyOutcome(code int) string {
@@ -659,12 +638,6 @@ func (s *Server) servePlan(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, fmt.Sprintf("tenant %q over request quota", tenant), http.StatusTooManyRequests)
 			return
 		}
-	}
-	if d := s.cfg.UploadReadTimeout; d > 0 {
-		// Slowloris guard: the whole body must arrive within d. Best-effort —
-		// recorders and exotic transports lack deadline support, and a failure
-		// to set the deadline must not fail the request.
-		_ = http.NewResponseController(w).SetReadDeadline(time.Now().Add(d))
 	}
 	in, err := s.readInput(r)
 	if err != nil {
@@ -734,7 +707,7 @@ func (s *Server) servePlan(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	res, shared, err := s.flights.do(ctx, key, func() (*reorder.Result, error) {
+	out, shared, err := s.flights.do(ctx, key, func() (admitted, error) {
 		return s.runAdmitted(ctx, m, key, probe)
 	})
 	if shared {
@@ -767,11 +740,22 @@ func (s *Server) servePlan(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	if res.Degraded {
+	s.served.Inc()
+	if out.hit != nil {
+		s.respond(w, r, s.planResponseFromEntry(out.hit), true, shared, "")
+		return
+	}
+	if out.res.Degraded {
 		s.degraded.Inc()
 	}
-	s.served.Inc()
-	s.respond(w, r, planResponseFromResult(key, m, res), false, shared, "")
+	s.respond(w, r, planResponseFromResult(key, m, out.res), false, shared, "")
+}
+
+// admitted is what a singleflight leader's runAdmitted produced: the
+// pipeline's result, or the cache entry its double-check found instead.
+type admitted struct {
+	res *reorder.Result
+	hit *plancache.Entry
 }
 
 // errShed marks a request rejected by admission control.
@@ -860,19 +844,19 @@ func (s *Server) persist(key string, res *reorder.Result) {
 // runAdmitted is the singleflight leader's path: acquire an execution slot
 // (bounded queue, immediate shed beyond it), run the pipeline with retries,
 // record the breaker outcome, and persist a healthy plan.
-func (s *Server) runAdmitted(ctx context.Context, m *sparse.CSR, key string, probe bool) (*reorder.Result, error) {
+func (s *Server) runAdmitted(ctx context.Context, m *sparse.CSR, key string, probe bool) (admitted, error) {
 	// Leader double-check: between this request's cache miss and its turn as
 	// singleflight leader, a concurrent request for the same key may have
 	// computed and cached the plan without overlapping this flight — the
 	// window is wide when a peer fill's HTTP round-trip sits between the
-	// miss and the flight. A verified hit here is served without burning an
-	// admission slot or recomputing (the fleet's compute-once property
-	// depends on this).
+	// miss and the flight. A verified hit here is served, as a cache hit,
+	// without burning an admission slot or recomputing (the fleet's
+	// compute-once property depends on this).
 	if e, ok := s.cached(key, m.Rows); ok {
 		if probe {
 			s.breaker.CancelProbe()
 		}
-		return resultFromEntry(e), nil
+		return admitted{hit: e}, nil
 	}
 	// Admission: try for a slot without waiting; if the wait queue has
 	// room, wait for a slot or the deadline; otherwise shed immediately —
@@ -883,14 +867,14 @@ func (s *Server) runAdmitted(ctx context.Context, m *sparse.CSR, key string, pro
 	default:
 		if s.queued.Add(1) > int64(s.cfg.MaxQueue) {
 			s.queued.Add(-1)
-			return nil, errShed
+			return admitted{}, errShed
 		}
 		select {
 		case s.sem <- struct{}{}:
 			s.queued.Add(-1)
 		case <-ctx.Done():
 			s.queued.Add(-1)
-			return nil, ctx.Err()
+			return admitted{}, ctx.Err()
 		}
 	}
 	s.inflight.Add(1)
@@ -903,7 +887,7 @@ func (s *Server) runAdmitted(ctx context.Context, m *sparse.CSR, key string, pro
 
 	res, err := s.planWithRetry(ctx, m)
 	if err != nil {
-		return nil, err
+		return admitted{}, err
 	}
 	success := !hardDegraded(res)
 	if probe && faultinject.Fire(faultinject.BreakerProbeFail) {
@@ -911,7 +895,7 @@ func (s *Server) runAdmitted(ctx context.Context, m *sparse.CSR, key string, pro
 	}
 	s.breaker.Record(success, probe)
 	s.persist(key, res)
-	return res, nil
+	return admitted{res: res}, nil
 }
 
 // planWithRetry runs the pipeline, re-running transiently degraded plans
@@ -1052,17 +1036,11 @@ func (s *Server) readInput(r *http.Request) (*planInput, error) {
 		if !s.cfg.AllowLocalPaths {
 			return nil, errors.New("path requests are disabled (start bootesd with -allow-path)")
 		}
-		f, err := os.Open(path)
+		data, err := os.ReadFile(path)
 		if err != nil {
 			return nil, err
 		}
-		defer f.Close()
-		var m *sparse.CSR
-		if filepath.Ext(path) == ".bcsr" {
-			m, err = sparse.ReadBinary(f)
-		} else {
-			m, err = sparse.ReadMatrixMarket(f)
-		}
+		m, err := sparse.ReadBody(data)
 		if err != nil {
 			return nil, err
 		}

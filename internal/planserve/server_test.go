@@ -210,6 +210,91 @@ func TestBadBodyRejected(t *testing.T) {
 	}
 }
 
+// TestMalformedBodyErrorIsBounded: the 400 for a malformed megabyte body
+// quotes a bounded part of it, not the body several times over.
+func TestMalformedBodyErrorIsBounded(t *testing.T) {
+	p := &countingPlanner{}
+	_, ts := newTestServer(t, Config{Plan: p.fn()})
+	resp, body := postPlan(t, ts.URL, bytes.Repeat([]byte{0x01}, 1<<20), "")
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status = %d, want 400", resp.StatusCode)
+	}
+	if len(body) >= 1<<10 {
+		t.Fatalf("400 body is %d bytes for a 1 MiB upload: %.120s…", len(body), body)
+	}
+}
+
+// TestLeaderDoubleCheckAnswersAsCacheHit: a request that missed the cache,
+// and found the plan cached by the time it led a flight, is answered as a
+// cache hit is: cached, with the time the plan took when it was computed.
+func TestLeaderDoubleCheckAnswersAsCacheHit(t *testing.T) {
+	cache, err := plancache.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	planGate := make(chan struct{})
+	p := &countingPlanner{gate: planGate, make: func(m *sparse.CSR, _ int) (*reorder.Result, error) {
+		res := healthyResult(m)
+		res.PreprocessTime = 1500 * time.Millisecond
+		return res, nil
+	}}
+	// The first lookup (request A's) misses at once; the second (request
+	// B's) holds B between its cache miss and its flight until A is done.
+	var fills sync.Mutex
+	nFills := 0
+	fillEntered, fillGate := make(chan struct{}), make(chan struct{})
+	peerFill := func(ctx context.Context, key string) (*plancache.Entry, bool) {
+		fills.Lock()
+		nFills++
+		n := nFills
+		fills.Unlock()
+		if n == 2 {
+			close(fillEntered)
+			<-fillGate
+		}
+		return nil, false
+	}
+	_, ts := newTestServer(t, Config{Plan: p.fn(), Cache: cache, PeerFill: peerFill})
+	body := mmBody(t, testMatrix(t, 1))
+
+	answers := make(chan string, 2)
+	post := func() {
+		resp, b := postPlan(t, ts.URL, body, "")
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("status %d: %s", resp.StatusCode, b)
+		}
+		answers <- b
+	}
+	go post() // A: misses, leads, plans once planGate opens
+	waitUntil(t, func() bool { return p.totalRuns() == 1 })
+	go post() // B: misses, then waits in its peer fill
+	<-fillEntered
+	close(planGate)
+	a := <-answers
+	close(fillGate)
+	b := <-answers
+
+	var ra, rb PlanResponse
+	if err := json.Unmarshal([]byte(a), &ra); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal([]byte(b), &rb); err != nil {
+		t.Fatal(err)
+	}
+	if ra.Cached || ra.PreprocessSeconds != 1.5 {
+		t.Errorf("A = %s, want a computed plan that took 1.5s", a)
+	}
+	if !rb.Cached || rb.Coalesced || rb.PreprocessSeconds != 1.5 || rb.Key != ra.Key {
+		t.Errorf("B = %s, want A's plan answered as a cache hit, with its 1.5s", b)
+	}
+	if n := p.totalRuns(); n != 1 {
+		t.Errorf("pipeline ran %d times, want 1", n)
+	}
+	if st := cache.Stats(); st.Hits != 1 {
+		t.Errorf("cache counted %d hits, want 1 (B's double-check)", st.Hits)
+	}
+}
+
 func TestBadDeadlineRejected(t *testing.T) {
 	p := &countingPlanner{}
 	_, ts := newTestServer(t, Config{Plan: p.fn()})

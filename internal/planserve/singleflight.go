@@ -3,8 +3,6 @@ package planserve
 import (
 	"context"
 	"sync"
-
-	"bootes/internal/reorder"
 )
 
 // flightGroup coalesces concurrent work by key: the first caller for a key
@@ -13,23 +11,23 @@ import (
 // (not vendored — the module is stdlib-only), followers wait with their own
 // context, so a follower whose deadline expires abandons the flight without
 // affecting the leader.
-type flightGroup struct {
+type flightGroup[T any] struct {
 	mu sync.Mutex
-	m  map[string]*flight
+	m  map[string]*flight[T]
 }
 
-type flight struct {
+type flight[T any] struct {
 	done chan struct{}
-	res  *reorder.Result
+	res  T
 	err  error
 }
 
 // do runs fn once per key among concurrent callers. shared reports whether
 // this caller was a follower (the result came from another request's run).
-func (g *flightGroup) do(ctx context.Context, key string, fn func() (*reorder.Result, error)) (res *reorder.Result, shared bool, err error) {
+func (g *flightGroup[T]) do(ctx context.Context, key string, fn func() (T, error)) (res T, shared bool, err error) {
 	g.mu.Lock()
 	if g.m == nil {
-		g.m = make(map[string]*flight)
+		g.m = make(map[string]*flight[T])
 	}
 	if f, ok := g.m[key]; ok {
 		g.mu.Unlock()
@@ -37,10 +35,10 @@ func (g *flightGroup) do(ctx context.Context, key string, fn func() (*reorder.Re
 		case <-f.done:
 			return f.res, true, f.err
 		case <-ctx.Done():
-			return nil, true, ctx.Err()
+			return res, true, ctx.Err()
 		}
 	}
-	f := &flight{done: make(chan struct{})}
+	f := &flight[T]{done: make(chan struct{})}
 	g.m[key] = f
 	g.mu.Unlock()
 

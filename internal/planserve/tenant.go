@@ -10,24 +10,15 @@ import (
 	"bootes/internal/obs"
 )
 
-// TenantLimit is one tenant's token-bucket quota.
-type TenantLimit struct {
+// TenantConfig is the per-tenant traffic-shaping policy: one token-bucket
+// quota every tenant gets a bucket of. A zero Rate disables quota
+// enforcement entirely (every tenant is admitted); the queue's weighted-fair
+// dequeue and backlog bounds still apply to async jobs.
+type TenantConfig struct {
 	// Rate is the sustained request rate in tokens per second.
 	Rate float64
-	// Burst is the bucket capacity (default max(1, ceil(Rate))).
+	// Burst is the bucket capacity (default ceil(Rate)).
 	Burst int
-}
-
-// TenantConfig is the per-tenant traffic-shaping policy. A zero Rate disables
-// quota enforcement entirely (every tenant is admitted); the queue's
-// weighted-fair dequeue and backlog bounds still apply to async jobs.
-type TenantConfig struct {
-	// Rate/Burst are the default quota applied to every tenant without an
-	// override.
-	Rate  float64
-	Burst int
-	// Overrides replaces the default quota for specific tenants.
-	Overrides map[string]TenantLimit
 }
 
 // tenantShedLabelCap bounds the label cardinality of
@@ -45,7 +36,6 @@ const maxTenantBuckets = 4096
 type tenantBucket struct {
 	tokens float64
 	last   time.Time
-	limit  TenantLimit
 }
 
 // tenantLimiter enforces TenantConfig over all tenants. All methods are
@@ -64,8 +54,11 @@ type tenantLimiter struct {
 
 // newTenantLimiter builds a limiter; returns nil when quotas are disabled.
 func newTenantLimiter(cfg TenantConfig, now func() time.Time, reg *obs.Registry) *tenantLimiter {
-	if cfg.Rate <= 0 && len(cfg.Overrides) == 0 {
+	if cfg.Rate <= 0 {
 		return nil
+	}
+	if cfg.Burst <= 0 {
+		cfg.Burst = int(math.Ceil(cfg.Rate))
 	}
 	if now == nil {
 		now = time.Now
@@ -80,18 +73,6 @@ func newTenantLimiter(cfg TenantConfig, now func() time.Time, reg *obs.Registry)
 	}
 }
 
-// limitFor resolves the quota applied to tenant.
-func (l *tenantLimiter) limitFor(tenant string) TenantLimit {
-	lim, ok := l.cfg.Overrides[tenant]
-	if !ok {
-		lim = TenantLimit{Rate: l.cfg.Rate, Burst: l.cfg.Burst}
-	}
-	if lim.Burst <= 0 {
-		lim.Burst = int(math.Max(1, math.Ceil(lim.Rate)))
-	}
-	return lim
-}
-
 // allow takes one token from tenant's bucket. When the bucket is empty it
 // reports the wait until the next token accrues — the value the handler
 // returns as Retry-After (whole seconds, rounded up, at least 1).
@@ -101,27 +82,19 @@ func (l *tenantLimiter) allow(tenant string) (ok bool, retryAfter time.Duration)
 	defer l.mu.Unlock()
 	b, exists := l.buckets[tenant]
 	if !exists {
-		lim := l.limitFor(tenant)
-		b = &tenantBucket{tokens: float64(lim.Burst), last: now, limit: lim}
+		b = &tenantBucket{tokens: float64(l.cfg.Burst), last: now}
 		if len(l.buckets) >= maxTenantBuckets {
 			l.evictFullBucketLocked()
 		}
 		l.buckets[tenant] = b
 	}
-	if b.limit.Rate > 0 {
-		b.tokens = math.Min(float64(b.limit.Burst), b.tokens+now.Sub(b.last).Seconds()*b.limit.Rate)
-	}
+	b.tokens = math.Min(float64(l.cfg.Burst), b.tokens+now.Sub(b.last).Seconds()*l.cfg.Rate)
 	b.last = now
 	if b.tokens >= 1 {
 		b.tokens--
 		return true, 0
 	}
-	if b.limit.Rate <= 0 {
-		// No refill: a pure burst budget (tests, hard-capped tenants). The
-		// client can only retry after operator action; answer a long hold.
-		return false, time.Minute
-	}
-	return false, time.Duration((1 - b.tokens) / b.limit.Rate * float64(time.Second))
+	return false, time.Duration((1 - b.tokens) / l.cfg.Rate * float64(time.Second))
 }
 
 // recordShed counts a quota rejection for tenant on both the per-tenant
@@ -147,7 +120,7 @@ func (l *tenantLimiter) recordShed(tenant string) {
 func (l *tenantLimiter) evictFullBucketLocked() {
 	var fallback string
 	for name, b := range l.buckets {
-		if b.tokens >= float64(b.limit.Burst) {
+		if b.tokens >= float64(l.cfg.Burst) {
 			delete(l.buckets, name)
 			return
 		}

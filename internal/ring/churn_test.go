@@ -102,7 +102,7 @@ func TestRingChurnAgreement(t *testing.T) {
 			}
 		}
 	}
-	universe := antientropy.DigestOf(full, "")
+	universe := antientropy.DigestOf(full)
 
 	// churn runs one membership change for one node: the cache holds the
 	// old-ring ownership, the diff runs against the new ring, and the

@@ -26,20 +26,6 @@ import (
 
 var binMagic = [4]byte{'B', 'C', 'S', 'R'}
 
-// binHeaderBytes is the length of the fixed header: magic, version, rows,
-// cols, nnz and hasVal.
-const binHeaderBytes = 4 + 4 + 8 + 8 + 8 + 1
-
-// BinarySize returns the length of m's BCSR encoding, which WriteBinary
-// writes.
-func BinarySize(m *CSR) int64 {
-	n := binHeaderBytes + 8*int64(m.Rows+1) + 4*m.NNZ()
-	if m.Val != nil {
-		n += 8 * m.NNZ()
-	}
-	return n
-}
-
 // ErrBinFormat reports a malformed binary matrix stream.
 var ErrBinFormat = errors.New("sparse: invalid binary matrix data")
 
@@ -126,8 +112,10 @@ func ReadBinary(r io.Reader) (*CSR, error) {
 	return m, nil
 }
 
-// ReadBody parses a whole plan-request body: BCSR when it starts with the
-// BCSR magic, Matrix Market otherwise.
+// ReadBody parses a whole matrix held in memory: BCSR when it starts with the
+// BCSR magic, Matrix Market otherwise. It is the one format sniffer: plan
+// request bodies, bootesd's ?path= files and the bootes CLI's -in files all
+// decode through it, whatever a file's extension.
 func ReadBody(body []byte) (*CSR, error) {
 	if bytes.HasPrefix(body, binMagic[:]) {
 		return ReadBinary(bytes.NewReader(body))

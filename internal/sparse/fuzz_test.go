@@ -184,9 +184,6 @@ func FuzzReadBinary(f *testing.F) {
 		if err := WriteBinary(&buf, m); err != nil {
 			t.Fatalf("cannot re-serialize: %v", err)
 		}
-		if n := BinarySize(m); n != int64(buf.Len()) {
-			t.Fatalf("BinarySize = %d, WriteBinary wrote %d bytes", n, buf.Len())
-		}
 		back, err := ReadBinary(&buf)
 		if err != nil || !Equal(m, back) {
 			t.Fatal("round trip failed")

@@ -3,6 +3,7 @@ package sparse
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -249,6 +250,34 @@ func TestReadMatrixMarketAllocs(t *testing.T) {
 		})
 		if allocs > 32 {
 			t.Errorf("ReadMatrixMarket made %.0f allocations on a %d-byte body, want at most 32", allocs, len(body))
+		}
+	}
+}
+
+// TestMatrixMarketErrorsQuoteBoundedInput: whatever part of a 1 MiB body is
+// malformed, the error quotes a bounded prefix of it, never the whole line
+// or token (a server returns the error as its 400 body).
+func TestMatrixMarketErrorsQuoteBoundedInput(t *testing.T) {
+	long := strings.Repeat("9", 1<<20)
+	const header = "%%MatrixMarket matrix coordinate pattern general\n"
+	for name, body := range map[string]string{
+		"binary":       strings.Repeat("\x01", 1<<20),
+		"header":       "%%MatrixMarket" + long + "\n",
+		"field":        "%%MatrixMarket matrix coordinate " + long + " general\n",
+		"symmetry":     "%%MatrixMarket matrix coordinate pattern " + long + "\n",
+		"size line":    header + "3 3 " + long + "\n",
+		"short entry":  header + "3 3 1\n" + long + "\n",
+		"row index":    header + "3 3 1\n" + long + " 1\n",
+		"column index": header + "3 3 1\n1 x" + long + "\n",
+		"value":        "%%MatrixMarket matrix coordinate real general\n3 3 1\n1 1 x" + long + "\n",
+	} {
+		_, err := ReadMatrixMarket(strings.NewReader(body))
+		if !errors.Is(err, ErrMMFormat) {
+			t.Errorf("%s: err = %v, want ErrMMFormat", name, err)
+			continue
+		}
+		if n := len(err.Error()); n >= 1<<10 {
+			t.Errorf("%s: %d-byte error for a %d-byte body: %.120s…", name, n, len(body), err)
 		}
 	}
 }
