@@ -536,8 +536,7 @@ type remoteJob struct {
 // within the retryBudget wall-clock cap), sleeping for the server's
 // Retry-After hint (jittered so a shed burst does not re-synchronize); a
 // transport error or 5xx fails over to the next server in ring-preference
-// order; 307/308 redirects (a fleet node pointing at the key's owner) are
-// followed, re-sending the payload.
+// order. net/http follows 307/308 redirects itself, re-sending the payload.
 type remoteClient struct {
 	bases      []string // ring-preference order; bases[0] is primary
 	client     *http.Client
@@ -584,36 +583,23 @@ func (c *remoteClient) do(method, path string, payload []byte, deadline time.Dur
 	}
 }
 
-// doOnce walks the server list once in preference order, following up to 3
-// owner redirects, until some server produces a non-5xx response.
+// doOnce walks the server list once in preference order until some server
+// produces a non-5xx response.
 func (c *remoteClient) doOnce(method, path string, payload []byte, deadline time.Duration) (*http.Response, []byte) {
 	var lastErr error
 	for i, base := range c.bases {
-		url := base + path
-		for redirect := 0; redirect <= 3; redirect++ {
-			resp, reply, err := c.roundTrip(method, url, payload, deadline)
-			if err != nil {
-				lastErr = err
-				if i < len(c.bases)-1 {
-					log.Printf("server %s unreachable (%v), failing over", base, err)
-				}
-				break
+		resp, reply, err := c.roundTrip(method, base+path, payload, deadline)
+		switch {
+		case err != nil:
+			lastErr = err
+			if i < len(c.bases)-1 {
+				log.Printf("server %s unreachable (%v), failing over", base, err)
 			}
-			switch {
-			case resp.StatusCode == http.StatusTemporaryRedirect || resp.StatusCode == http.StatusPermanentRedirect:
-				loc := resp.Header.Get("Location")
-				if loc == "" || redirect == 3 {
-					return resp, reply
-				}
-				url = loc
-				continue
-			case resp.StatusCode >= http.StatusInternalServerError && i < len(c.bases)-1:
-				log.Printf("server %s answered %s, failing over", base, resp.Status)
-				lastErr = fmt.Errorf("%s: %s", base, resp.Status)
-			default:
-				return resp, reply
-			}
-			break
+		case resp.StatusCode >= http.StatusInternalServerError && i < len(c.bases)-1:
+			log.Printf("server %s answered %s, failing over", base, resp.Status)
+			lastErr = fmt.Errorf("%s: %s", base, resp.Status)
+		default:
+			return resp, reply
 		}
 	}
 	log.Fatalf("no server answered: %v", lastErr)
@@ -695,11 +681,7 @@ func planRemote(server, in string, timeout, maxWait time.Duration, strict, async
 			}
 		}
 	}
-	client := &http.Client{
-		// Redirects are followed manually (doOnce) so the hop cap and the
-		// failover logic see them.
-		CheckRedirect: func(*http.Request, []*http.Request) error { return http.ErrUseLastResponse },
-	}
+	client := &http.Client{}
 	if timeout > 0 {
 		// Leave headroom over the planning deadline for transfer time.
 		client.Timeout = timeout + 30*time.Second

@@ -195,10 +195,8 @@ func TestCompareHealthyRunsClean(t *testing.T) {
 // the given base URLs.
 func newRemoteTestClient(bases []string, maxWait time.Duration) *remoteClient {
 	return &remoteClient{
-		bases: bases,
-		client: &http.Client{
-			CheckRedirect: func(*http.Request, []*http.Request) error { return http.ErrUseLastResponse },
-		},
+		bases:      bases,
+		client:     &http.Client{},
 		maxRetries: 5,
 		rng:        rand.New(rand.NewSource(1)),
 		ctx:        context.Background(),

@@ -96,6 +96,22 @@ func attemptSpectral(ctx context.Context, opts SpectralOptions, a *sparse.CSR) (
 	return Spectral{Opts: opts}.ReorderContext(ctx, a)
 }
 
+// rungReason phrases why a planning rung produced no plan: its memory
+// estimate est was over budget when err is nil, otherwise its attempt failed
+// with err. planserve's retry classifier matches on these phrases.
+func rungReason(rung string, est int64, err error) string {
+	switch {
+	case err == nil:
+		return fmt.Sprintf("%s: memory estimate %d B over budget", rung, est)
+	case errors.Is(err, eigen.ErrNoConverge):
+		return rung + ": eigensolver did not converge"
+	case errors.Is(err, ErrInternalPanic):
+		return fmt.Sprintf("%s: contained panic (%v)", rung, err)
+	default:
+		return fmt.Sprintf("%s: %v", rung, err)
+	}
+}
+
 // ReorderContext is the fault-tolerant planning entry point: Reorder with
 // cooperative cancellation, resource budgets, and the graceful-degradation
 // ladder. Outcomes:
@@ -191,8 +207,7 @@ func (p *Pipeline) ReorderContext(ctx context.Context, a *sparse.CSR) (res *reor
 		if est := estimateAutoKFootprint(a, base); p.Budget.memoryExceeded(est) {
 			obs.RungFailure(ctx, "autok")
 			obs.AutoKOutcome(ctx, AutoKDegraded)
-			reasons = append(reasons,
-				fmt.Sprintf("autok: memory estimate %d B over budget", est))
+			reasons = append(reasons, rungReason("autok", est, nil))
 			autoK = AutoKDegraded
 		} else {
 			obs.RungAttempt(ctx, "autok")
@@ -228,14 +243,7 @@ func (p *Pipeline) ReorderContext(ctx context.Context, a *sparse.CSR) (res *reor
 				if runCtx.Err() != nil {
 					reasons = append(reasons, "autok: wall-clock budget exhausted")
 				} else {
-					switch {
-					case errors.Is(err, eigen.ErrNoConverge):
-						reasons = append(reasons, "autok: eigensolver did not converge")
-					case errors.Is(err, ErrInternalPanic):
-						reasons = append(reasons, fmt.Sprintf("autok: contained panic (%v)", err))
-					default:
-						reasons = append(reasons, fmt.Sprintf("autok: %v", err))
-					}
+					reasons = append(reasons, rungReason("autok", 0, err))
 				}
 			}
 		}
@@ -251,8 +259,7 @@ func (p *Pipeline) ReorderContext(ctx context.Context, a *sparse.CSR) (res *reor
 		}
 		if est := estimateSpectralFootprint(a, r.opts); p.Budget.memoryExceeded(est) {
 			obs.RungFailure(ctx, r.name)
-			reasons = append(reasons,
-				fmt.Sprintf("%s: memory estimate %d B over budget", r.name, est))
+			reasons = append(reasons, rungReason(r.name, est, nil))
 			continue
 		}
 		obs.RungAttempt(ctx, r.name)
@@ -266,14 +273,7 @@ func (p *Pipeline) ReorderContext(ctx context.Context, a *sparse.CSR) (res *reor
 				reasons = append(reasons, "wall-clock budget exhausted")
 				break
 			}
-			switch {
-			case errors.Is(err, eigen.ErrNoConverge):
-				reasons = append(reasons, fmt.Sprintf("%s: eigensolver did not converge", r.name))
-			case errors.Is(err, ErrInternalPanic):
-				reasons = append(reasons, fmt.Sprintf("%s: contained panic (%v)", r.name, err))
-			default:
-				reasons = append(reasons, fmt.Sprintf("%s: %v", r.name, err))
-			}
+			reasons = append(reasons, rungReason(r.name, 0, err))
 			continue
 		}
 		return &reorder.Result{

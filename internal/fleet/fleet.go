@@ -1,16 +1,16 @@
 // Package fleet shards plan serving across a set of bootesd peers with a
 // consistent-hash ring (internal/ring) over the content-addressed MatrixKey.
 //
-// The Router wraps a node's planserve handler with three fleet behaviors:
+// The Router gives a node's planserve three fleet behaviors:
 //
-//   - Forward-to-owner: a POST /v1/plan whose key this node does not own is
-//     proxied to the key's owner, so every key's plan is computed and cached
-//     on a deterministic replica set instead of wherever a client happened to
-//     connect. The router reads the body once, resolves its key through its
-//     body memo (parsing only bytes it has not seen), and forwards the bytes
-//     and Content-Type the client sent, so the owner's own memo answers every
-//     repeat of them without a parse. Forwarded requests carry an
-//     X-Bootes-Forwarded header; the receiving node serves them locally (no
+//   - Forward-to-owner: planserve reads and keys each client POST /v1/plan,
+//     through its body memo, and offers it to Route, which proxies a request
+//     whose key this node does not own to the key's owner, so every key's
+//     plan is computed and cached on a deterministic replica set instead of
+//     wherever a client happened to connect. The forward carries the bytes
+//     and Content-Type the client sent, so the owner's memo answers every
+//     repeat of them without a parse. Forwarded requests carry
+//     planserve.ForwardedHeader; the receiving node serves them locally (no
 //     forwarding loops by construction).
 //   - Failure awareness: a background prober walks every peer's /readyz; a
 //     peer that fails DownAfter consecutive probes (or live forwards) is
@@ -49,10 +49,6 @@ import (
 	"bootes/internal/ring"
 )
 
-// ForwardedHeader marks a request already routed by a peer; the receiver
-// serves it locally. One hop maximum, by construction.
-const ForwardedHeader = "X-Bootes-Forwarded"
-
 // ServedByHeader names the node that produced a proxied response.
 const ServedByHeader = "X-Bootes-Served-By"
 
@@ -78,9 +74,6 @@ type Config struct {
 	// DownAfter is the consecutive-failure count (probes or live traffic)
 	// that marks a peer down (default 2).
 	DownAfter int
-	// MaxBodyBytes bounds how much request body the router buffers for
-	// routing (default 256 MB, matching planserve's upload cap).
-	MaxBodyBytes int64
 	// Metrics is the registry fleet counters register on; nil uses a private
 	// registry.
 	Metrics *obs.Registry
@@ -142,7 +135,7 @@ func (p *peerState) upNow() bool {
 }
 
 // Router implements fleet routing for one node. Build with New, start the
-// prober with Start, wrap the node's handler with Handler, and hand Fill to
+// prober with Start, and hand Route to planserve.Config.Route and Fill to
 // planserve.Config.PeerFill.
 type Router struct {
 	cfg    Config
@@ -153,11 +146,6 @@ type Router struct {
 
 	stop chan struct{}
 	wg   sync.WaitGroup
-
-	// memo resolves client bodies this router has parsed before to their
-	// key without a parse; forwarded requests meet the receiver's planserve
-	// memo instead.
-	memo *planserve.BodyMemo
 
 	// onPeerUp, when set, is called with a peer's URL each time this node's
 	// health view of it transitions down→up (probe or live traffic). The
@@ -173,7 +161,6 @@ type Router struct {
 	hedges, hedgeWins      *obs.Counter
 	fills, fillMisses      *obs.Counter
 	localFallbacks         *obs.Counter
-	redirects              *obs.Counter
 	transitions            *obs.CounterVec
 	probeLatency           *obs.Histogram
 	peerUp                 *obs.GaugeVec
@@ -200,9 +187,6 @@ func New(cfg Config) (*Router, error) {
 	}
 	if cfg.DownAfter <= 0 {
 		cfg.DownAfter = 2
-	}
-	if cfg.MaxBodyBytes <= 0 {
-		cfg.MaxBodyBytes = 256 << 20
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = log.Printf
@@ -252,15 +236,11 @@ func (rt *Router) registerMetrics(reg *obs.Registry) {
 	rt.fills = reg.Counter("bootes_fleet_peer_fills_total", "Cache entries fetched from a sibling's cache.")
 	rt.fillMisses = reg.Counter("bootes_fleet_peer_fill_misses_total", "Peer cache-fill rounds that found no sibling copy.")
 	rt.localFallbacks = reg.Counter("bootes_fleet_local_fallbacks_total", "Requests served locally after every remote replica failed.")
-	rt.redirects = reg.Counter("bootes_fleet_redirects_total", "Clients redirected to the owning node (route=redirect).")
 	rt.transitions = reg.CounterVec("bootes_fleet_peer_transitions_total",
 		"Peer health-state transitions as seen by this node; a flapping peer shows both directions climbing.", "to")
 	rt.probeLatency = reg.Histogram("bootes_fleet_probe_latency_seconds",
 		"Round-trip time of peer /readyz health probes.", probeLatencyBuckets)
 	rt.peerUp = reg.GaugeVec("bootes_fleet_peer_up", "Peer health as seen by this node: 1 up, 0 down.", "peer")
-	rt.memo = planserve.NewBodyMemo(
-		reg.Counter("bootes_fleet_body_memo_hits_total", "Client plan bodies resolved from the router's body memo, without a parse."),
-		reg.Counter("bootes_fleet_body_memo_misses_total", "Client plan bodies the router's body memo did not know, parsed instead."))
 	reg.GaugeFunc("bootes_fleet_ring_nodes", "Nodes on the consistent-hash ring.", func() int64 {
 		return int64(rt.ring.Len())
 	})
@@ -414,70 +394,27 @@ func (rt *Router) Peers() []PeerView {
 	return out
 }
 
-// Handler wraps next (the local planserve handler) with fleet routing and
-// serves the GET /v1/peers view.
-func (rt *Router) Handler(next http.Handler) http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /v1/peers", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(struct {
-			Self  string     `json:"self"`
-			Peers []PeerView `json:"peers"`
-		}{rt.cfg.Self, rt.Peers()})
-	})
-	mux.HandleFunc("POST /v1/plan", func(w http.ResponseWriter, r *http.Request) {
-		rt.routePlan(w, r, next)
-	})
-	mux.Handle("/", next)
-	return mux
+// servePeers serves GET /v1/peers, this node's fleet health view.
+func (rt *Router) servePeers(w http.ResponseWriter, _ *http.Request) {
+	w.Header().Set("Content-Type", "application/json")
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	_ = enc.Encode(struct {
+		Self  string     `json:"self"`
+		Peers []PeerView `json:"peers"`
+	}{rt.cfg.Self, rt.Peers()})
 }
 
-// routePlan decides where a plan request runs. Requests the router cannot or
-// should not move — already forwarded, async (job ids are node-local),
-// ?path= (the path names this host's filesystem), unparseable bodies (the
-// local server owns the error response) — go straight to next.
-func (rt *Router) routePlan(w http.ResponseWriter, r *http.Request, next http.Handler) {
-	if r.Header.Get(ForwardedHeader) != "" ||
-		r.URL.Query().Get("async") != "" ||
-		r.URL.Query().Get("path") != "" ||
-		rt.ring.Len() == 1 {
-		next.ServeHTTP(w, r)
-		return
-	}
-	body, err := planserve.ReadRequestBody(r, rt.cfg.MaxBodyBytes)
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			http.Error(w, fmt.Sprintf("matrix body exceeds the %d-byte routing limit", rt.cfg.MaxBodyBytes),
-				http.StatusRequestEntityTooLarge)
-			return
-		}
-		http.Error(w, fmt.Sprintf("reading request body: %v", err), http.StatusBadRequest)
-		return
-	}
-	key, rows, m, err := rt.memo.Resolve(body)
-	if err != nil {
-		// Not a matrix we can hash: let the local server produce its 400.
-		r.Body = io.NopCloser(bytes.NewReader(body))
-		next.ServeHTTP(w, r)
-		return
-	}
-	// Served here, the request carries what its body resolved to, so
-	// planserve neither reads nor hashes the body again.
-	local := planserve.WithRoutedMatrix(r, key, rows, body, m)
+// Route is the planserve.Config.Route hook: it forwards a client's plan
+// request, which planserve has read and keyed, to the key's owner and relays
+// the answer, or returns false for planserve to serve it here. It serves
+// here what this node owns, and falls back to serving here when no remote
+// replica is up with its breaker closed, or every forward failed:
+// availability beats placement.
+func (rt *Router) Route(w http.ResponseWriter, r *http.Request, key string, body []byte) bool {
 	replicas := rt.ring.Replicas(key, rt.cfg.Replicas)
 	if replicas[0] == rt.cfg.Self {
-		next.ServeHTTP(w, local)
-		return
-	}
-	if r.URL.Query().Get("route") == "redirect" {
-		// The client asked to be told, not proxied: 307 preserves method+body.
-		rt.redirects.Inc()
-		w.Header().Set("Location", replicas[0]+r.URL.RequestURI())
-		w.WriteHeader(http.StatusTemporaryRedirect)
-		return
+		return false
 	}
 	// Remote candidates in ring preference order, filtered by health and
 	// per-peer breaker. Self, if it appears in the replica set, terminates
@@ -501,17 +438,16 @@ func (rt *Router) routePlan(w http.ResponseWriter, r *http.Request, next http.Ha
 	}
 	if len(candidates) == 0 {
 		rt.localFallbacks.Inc()
-		next.ServeHTTP(w, local)
-		return
+		return false
 	}
-	if resp, peer := rt.forwardHedged(r, body, candidates, probes); resp != nil {
-		defer resp.Body.Close()
-		copyResponse(w, resp, peer.url)
-		return
+	resp, peer := rt.forwardHedged(r, body, candidates, probes)
+	if resp == nil {
+		rt.localFallbacks.Inc()
+		return false
 	}
-	// Every remote candidate failed: availability beats placement.
-	rt.localFallbacks.Inc()
-	next.ServeHTTP(w, local)
+	defer resp.Body.Close()
+	copyResponse(w, resp, peer.url)
+	return true
 }
 
 // forwardHedged forwards body to candidates[0] and, if it has not answered
@@ -665,7 +601,7 @@ func (rt *Router) forwardOnce(ctx context.Context, r *http.Request, body []byte,
 			req.Header.Set(h, v)
 		}
 	}
-	req.Header.Set(ForwardedHeader, "1")
+	req.Header.Set(planserve.ForwardedHeader, "1")
 	return rt.client.Do(req)
 }
 

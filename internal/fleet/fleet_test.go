@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"bootes/internal/obs"
 	"bootes/internal/plancache"
 	"bootes/internal/planserve"
 	"bootes/internal/reorder"
@@ -117,8 +118,8 @@ func keyMust(t testing.TB, body []byte) string {
 	return plancache.KeyCSR(m)
 }
 
-// TestPeerFill: a node that receives a pre-forwarded request (router
-// bypassed) for a key a sibling has cached serves it by peer fill, without
+// TestPeerFill: a node that receives a pre-forwarded request (never routed
+// again) for a key a sibling has cached serves it by peer fill, without
 // running its own pipeline.
 func TestPeerFill(t *testing.T) {
 	var computes atomic.Int64
@@ -155,10 +156,10 @@ func TestPeerFill(t *testing.T) {
 		t.Fatal("owner did not cache the plan")
 	}
 
-	// Hit a non-owner directly, marked as already forwarded so its router
-	// serves locally; the local miss must fill from the owner's cache.
+	// Hit a non-owner directly, marked as already forwarded so it serves the
+	// request itself; the local miss must fill from the owner's cache.
 	req, _ := http.NewRequest(http.MethodPost, otherNode.URL+"/v1/plan", bytes.NewReader(body))
-	req.Header.Set(ForwardedHeader, "1")
+	req.Header.Set(planserve.ForwardedHeader, "1")
 	resp, err := client.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -260,24 +261,25 @@ func waitFor(t testing.TB, timeout time.Duration, cond func() bool, msg string) 
 	t.Fatal(msg)
 }
 
-// routerHarness builds a Router whose "remote peers" are stub HTTP servers,
-// plus a local stub handler — the unit bench for hedging and breaker tests.
+// routerHarness serves plan requests through a planserve whose Route is a
+// Router over stub "remote peers" (HTTP servers) and whose pipeline is a
+// counting stub — the unit bench for hedging and breaker tests.
 type routerHarness struct {
 	rt      *Router
+	reg     *obs.Registry // the router's and the server's metrics
 	front   *httptest.Server
-	localHi atomic.Int64
+	localHi atomic.Int64 // pipeline runs: requests served here
 }
 
 func newRouterHarness(t *testing.T, cfg Config, backends ...*httptest.Server) *routerHarness {
 	t.Helper()
-	h := &routerHarness{}
+	h := &routerHarness{reg: obs.NewRegistry()}
 	self := "http://self.invalid"
 	peers := []string{self}
 	for _, b := range backends {
 		peers = append(peers, b.URL)
 	}
-	cfg.Self = self
-	cfg.Peers = peers
+	cfg.Self, cfg.Peers, cfg.Metrics = self, peers, h.reg
 	if cfg.Logf == nil {
 		cfg.Logf = t.Logf
 	}
@@ -286,12 +288,11 @@ func newRouterHarness(t *testing.T, cfg Config, backends ...*httptest.Server) *r
 		t.Fatal(err)
 	}
 	h.rt = rt
-	local := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		h.localHi.Add(1)
-		_, _ = io.Copy(io.Discard, r.Body)
-		fmt.Fprint(w, `{"servedBy":"local"}`)
-	})
-	h.front = httptest.NewServer(rt.Handler(local))
+	srv, err := planserve.New(planserve.Config{Plan: countingPlan(&h.localHi), Route: rt.Route, Metrics: h.reg, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.front = httptest.NewServer(srv.Handler())
 	t.Cleanup(h.front.Close)
 	return h
 }
@@ -396,14 +397,14 @@ func TestForwardFailureFallsBackLocal(t *testing.T) {
 	}
 	data, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || !bytes.Contains(data, []byte("local")) {
-		t.Fatalf("status %d body %q, want a local response", resp.StatusCode, data)
+	if resp.StatusCode != http.StatusOK || resp.Header.Get(ServedByHeader) != "" || !bytes.Contains(data, []byte(`"reordered":true`)) {
+		t.Fatalf("status %d served by %q body %q, want a plan served here", resp.StatusCode, resp.Header.Get(ServedByHeader), data)
 	}
 	if n := h.rt.localFallbacks.Value(); n != 1 {
 		t.Errorf("local fallbacks = %d, want 1", n)
 	}
 	if n := h.localHi.Load(); n != 1 {
-		t.Errorf("local handler hits = %d, want 1", n)
+		t.Errorf("local pipeline runs = %d, want 1", n)
 	}
 }
 
@@ -444,35 +445,7 @@ func TestPerPeerBreakerStopsHammering(t *testing.T) {
 		t.Errorf("failing peer was hit %d times, want exactly the breaker's 3 failures before it opened", n)
 	}
 	if n := h.localHi.Load(); n != 6 {
-		t.Errorf("local handler hits = %d, want 6", n)
-	}
-}
-
-// TestRedirectMode: route=redirect answers 307 with the owner's URL instead
-// of proxying, preserving the request URI.
-func TestRedirectMode(t *testing.T) {
-	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
-	defer backend.Close()
-	h := newRouterHarness(t, Config{Replicas: 1}, backend)
-	body := bodyOwnedBy(t, h.rt, 1, backend.URL)
-
-	client := &http.Client{
-		Timeout:       10 * time.Second,
-		CheckRedirect: func(*http.Request, []*http.Request) error { return http.ErrUseLastResponse },
-	}
-	defer client.CloseIdleConnections()
-	resp, err := client.Post(h.front.URL+"/v1/plan?route=redirect&perm=1", "application/octet-stream", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, _ = io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusTemporaryRedirect {
-		t.Fatalf("status %d, want 307", resp.StatusCode)
-	}
-	want := backend.URL + "/v1/plan?route=redirect&perm=1"
-	if got := resp.Header.Get("Location"); got != want {
-		t.Errorf("Location = %q, want %q", got, want)
+		t.Errorf("local pipeline runs = %d, want 6", n)
 	}
 }
 
@@ -522,14 +495,21 @@ func TestFillSkipsDownPeersAndVerifiesKey(t *testing.T) {
 	}
 }
 
-// TestPeersEndpoint: the /v1/peers view lists every fleet member with self
-// marked and health visible.
+// TestPeersEndpoint: a fleet node's /v1/peers view lists every fleet member
+// with self marked and health visible.
 func TestPeersEndpoint(t *testing.T) {
-	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
-	defer backend.Close()
-	h := newRouterHarness(t, Config{Replicas: 2}, backend)
+	c, err := LaunchCluster(2, NodeConfig{
+		Serve:    planserve.Config{Plan: countingPlan(new(atomic.Int64))},
+		CacheDir: t.TempDir(),
+		Logf:     t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	self, other := c.Nodes[0].URL, c.Nodes[1].URL
 
-	resp, err := http.Get(h.front.URL + "/v1/peers")
+	resp, err := http.Get(self + "/v1/peers")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -541,8 +521,8 @@ func TestPeersEndpoint(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&view); err != nil {
 		t.Fatal(err)
 	}
-	if view.Self != "http://self.invalid" {
-		t.Errorf("self = %q", view.Self)
+	if view.Self != self {
+		t.Errorf("self = %q, want %q", view.Self, self)
 	}
 	if len(view.Peers) != 2 {
 		t.Fatalf("%d peers listed, want 2", len(view.Peers))
@@ -556,8 +536,8 @@ func TestPeersEndpoint(t *testing.T) {
 			}
 		} else {
 			peerSeen = true
-			if pv.URL != backend.URL {
-				t.Errorf("peer URL %q, want %q", pv.URL, backend.URL)
+			if pv.URL != other {
+				t.Errorf("peer URL %q, want %q", pv.URL, other)
 			}
 		}
 	}
@@ -763,46 +743,7 @@ func TestForwardedAnswerMatchesOwnerDirect(t *testing.T) {
 	}
 }
 
-// TestRoutedBodyOverServerLimitIs413: the router buffers and parses bodies
-// up to its own MaxBodyBytes; when that exceeds the local server's upload
-// limit, a request served here is still refused with 413.
-func TestRoutedBodyOverServerLimitIs413(t *testing.T) {
-	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
-	defer stub.Close()
-	const self = "http://self.invalid"
-	rt, err := New(Config{Self: self, Peers: []string{self, stub.URL}, Replicas: 1, MaxBodyBytes: 1 << 20, Logf: t.Logf})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var computes atomic.Int64
-	srv, err := planserve.New(planserve.Config{Plan: countingPlan(&computes), MaxUploadBytes: 512, Logf: t.Logf})
-	if err != nil {
-		t.Fatal(err)
-	}
-	front := httptest.NewServer(rt.Handler(srv.Handler()))
-	defer front.Close()
-
-	body := bodyOwnedBy(t, rt, 1, self)
-	if len(body) <= 512 {
-		t.Fatalf("test body only %d bytes; raise the matrix size", len(body))
-	}
-	client := &http.Client{Timeout: 10 * time.Second}
-	defer client.CloseIdleConnections()
-	resp, err := client.Post(front.URL+"/v1/plan", "text/plain", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Fatalf("status %d (%s), want 413", resp.StatusCode, data)
-	}
-	if n := computes.Load(); n != 0 {
-		t.Errorf("pipeline ran %d times on a rejected upload", n)
-	}
-}
-
-// TestForwardAfterMemoHitCarriesClientBytes: a router forwards the client's
+// TestForwardAfterMemoHitCarriesClientBytes: a node forwards the client's
 // bytes verbatim, to the owner and to the hedge alike, both the first time
 // it sees a body (it parses it) and once its memo knows the body.
 func TestForwardAfterMemoHitCarriesClientBytes(t *testing.T) {
@@ -817,20 +758,20 @@ func TestForwardAfterMemoHitCarriesClientBytes(t *testing.T) {
 		}
 	}
 	var exp strings.Builder
-	if err := fr.rt.reg.WritePrometheus(&exp); err != nil {
+	if err := fr.reg.WritePrometheus(&exp); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"bootes_fleet_body_memo_misses_total 1\n", "bootes_fleet_body_memo_hits_total 1\n"} {
+	for _, want := range []string{"bootes_serve_body_memo_misses_total 1\n", "bootes_serve_body_memo_hits_total 1\n"} {
 		if !strings.Contains(exp.String(), want) {
-			t.Errorf("router metrics lack %q: the second request must be answered from the memo", want)
+			t.Errorf("node metrics lack %q: the second request must be answered from the memo", want)
 		}
 	}
 }
 
 // TestOwnerAnswersForwardFromItsMemo: through a real cluster, the same text
-// body sent three times via a non-owner is parsed once by that router and
-// once by the owner, which answers the later forwards from its memo with the
-// same plan.
+// body sent three times via a non-owner is parsed once by that node and once
+// by the owner, which answers the later forwards from its memo with the same
+// plan.
 func TestOwnerAnswersForwardFromItsMemo(t *testing.T) {
 	var computes atomic.Int64
 	c, err := LaunchCluster(3, NodeConfig{
@@ -866,8 +807,8 @@ func TestOwnerAnswersForwardFromItsMemo(t *testing.T) {
 		answers = append(answers, bytes.Replace(data, []byte(`,"cached":true`), nil, 1))
 	}
 	for at, want := range map[string]int64{
-		via + " bootes_fleet_body_memo_misses_total":   1,
-		via + " bootes_fleet_body_memo_hits_total":     2,
+		via + " bootes_serve_body_memo_misses_total":   1,
+		via + " bootes_serve_body_memo_hits_total":     2,
 		owner + " bootes_serve_body_memo_misses_total": 1,
 		owner + " bootes_serve_body_memo_hits_total":   2,
 	} {
@@ -906,13 +847,25 @@ func scrapeCounter(t *testing.T, client *http.Client, url, name string) int64 {
 	return 0
 }
 
-// TestBodyOverRoutingLimitIs413: a body over the router's own limit is
-// refused with its 413, declared or not, before anything is parsed or served.
-func TestBodyOverRoutingLimitIs413(t *testing.T) {
-	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
-	defer stub.Close()
-	h := newRouterHarness(t, Config{MaxBodyBytes: 512}, stub)
-	body := mmBody(t, testMatrix(t, 1))
+// TestBodyOverUploadLimitIs413: a fleet node refuses a client's body over
+// its upload limit with a 413 naming the limit, declared or not, before
+// anything is parsed or forwarded.
+func TestBodyOverUploadLimitIs413(t *testing.T) {
+	var computes atomic.Int64
+	c, err := LaunchCluster(2, NodeConfig{
+		Serve:    planserve.Config{Plan: countingPlan(&computes), MaxUploadBytes: 512},
+		CacheDir: t.TempDir(),
+		Logf:     t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	client := &http.Client{Timeout: 30 * time.Second}
+	defer client.CloseIdleConnections()
+
+	a, b := c.Nodes[0], c.Nodes[1]
+	body := bodyOwnedBy(t, a.Router(), 1, b.URL)
 	if len(body) <= 512 {
 		t.Fatalf("test body only %d bytes; raise the matrix size", len(body))
 	}
@@ -921,17 +874,195 @@ func TestBodyOverRoutingLimitIs413(t *testing.T) {
 		if !declared {
 			rd = io.MultiReader(rd) // hides the length: sent chunked
 		}
-		resp, err := http.Post(h.front.URL+"/v1/plan", "text/plain", rd)
+		resp, err := client.Post(a.URL+"/v1/plan", "text/plain", rd)
 		if err != nil {
 			t.Fatal(err)
 		}
 		data, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusRequestEntityTooLarge || !strings.Contains(string(data), "512-byte routing limit") {
-			t.Errorf("declared length %v: status %d (%s), want 413 naming the routing limit", declared, resp.StatusCode, data)
+		if resp.StatusCode != http.StatusRequestEntityTooLarge || !strings.Contains(string(data), "512-byte upload limit") {
+			t.Errorf("declared length %v: status %d (%s), want 413 naming the upload limit", declared, resp.StatusCode, data)
 		}
 	}
-	if n := h.localHi.Load(); n != 0 {
-		t.Errorf("local handler served %d over-limit requests", n)
+	if n := scrapeCounter(t, client, a.URL, "bootes_serve_body_memo_misses_total"); n != 0 {
+		t.Errorf("over-limit bodies were parsed %d times", n)
 	}
+	if n := scrapeCounter(t, client, a.URL, "bootes_fleet_forwards_total"); n != 0 {
+		t.Errorf("over-limit bodies were forwarded %d times", n)
+	}
+	if n := computes.Load(); n != 0 {
+		t.Errorf("pipeline ran %d times on rejected uploads", n)
+	}
+}
+
+// TestTenantQuotaChargedWhereServed: a node forwards a tenant's requests for
+// a key it does not own without taking the tenant's tokens; the owner takes
+// them, and its 429 reaches the client. The forwarding node still admits the
+// tenant for a key it owns.
+func TestTenantQuotaChargedWhereServed(t *testing.T) {
+	c, err := LaunchCluster(2, NodeConfig{
+		Serve: planserve.Config{
+			Plan:    countingPlan(new(atomic.Int64)),
+			Tenants: planserve.TenantConfig{Rate: 0.001, Burst: 2},
+		},
+		CacheDir: t.TempDir(),
+		Logf:     t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	client := &http.Client{Timeout: 30 * time.Second}
+	defer client.CloseIdleConnections()
+
+	a, b := c.Nodes[0], c.Nodes[1]
+	theirs, ours := bodyOwnedBy(t, a.Router(), 1, b.URL), bodyOwnedBy(t, a.Router(), 1, a.URL)
+	post := func(body []byte) *http.Response {
+		t.Helper()
+		req, err := http.NewRequest(http.MethodPost, a.URL+"/v1/plan", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("X-Tenant", "t")
+		resp, err := client.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _ = io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp
+	}
+	for i := 0; i < 2; i++ {
+		if resp := post(theirs); resp.StatusCode != http.StatusOK || resp.Header.Get(ServedByHeader) != b.URL {
+			t.Fatalf("request %d: status %d served by %q, want 200 from the owner %s",
+				i, resp.StatusCode, resp.Header.Get(ServedByHeader), b.URL)
+		}
+	}
+	resp := post(theirs)
+	if resp.StatusCode != http.StatusTooManyRequests || resp.Header.Get("Retry-After") == "" || resp.Header.Get(ServedByHeader) != b.URL {
+		t.Fatalf("third request: status %d, Retry-After %q, served by %q; want the owner's 429",
+			resp.StatusCode, resp.Header.Get("Retry-After"), resp.Header.Get(ServedByHeader))
+	}
+	if resp := post(ours); resp.StatusCode != http.StatusOK {
+		t.Errorf("request for the forwarding node's own key: status %d, want 200 (forwards took none of its tokens)", resp.StatusCode)
+	}
+}
+
+// TestDrainingNodeStillForwards: a draining node refuses to serve a client
+// request itself, but still forwards one whose key another node owns.
+func TestDrainingNodeStillForwards(t *testing.T) {
+	c, err := LaunchCluster(2, NodeConfig{
+		Serve:    planserve.Config{Plan: countingPlan(new(atomic.Int64))},
+		CacheDir: t.TempDir(),
+		Logf:     t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	client := &http.Client{Timeout: 30 * time.Second}
+	defer client.CloseIdleConnections()
+
+	a, b := c.Nodes[0], c.Nodes[1]
+	theirs, ours := bodyOwnedBy(t, a.Router(), 1, b.URL), bodyOwnedBy(t, a.Router(), 1, a.URL)
+	if err := a.Server().Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if resp, _ := postPlan(t, client, a.URL, theirs); resp.StatusCode != http.StatusOK || resp.Header.Get(ServedByHeader) != b.URL {
+		t.Errorf("draining node, owner's key: status %d served by %q, want 200 from %s",
+			resp.StatusCode, resp.Header.Get(ServedByHeader), b.URL)
+	}
+	if resp, _ := postPlan(t, client, a.URL, ours); resp.StatusCode != http.StatusServiceUnavailable {
+		t.Errorf("draining node, its own key: status %d, want 503", resp.StatusCode)
+	}
+}
+
+// TestBodyParsedOncePerNode: a text body sent to its owner once and then
+// twice via a non-owner is parsed once on each node; every later arrival of
+// the same bytes, the forwards on the owner included, is a memo hit.
+func TestBodyParsedOncePerNode(t *testing.T) {
+	var computes atomic.Int64
+	c, err := LaunchCluster(2, NodeConfig{
+		Serve:    planserve.Config{Plan: countingPlan(&computes)},
+		CacheDir: t.TempDir(),
+		Logf:     t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	client := &http.Client{Timeout: 30 * time.Second}
+	defer client.CloseIdleConnections()
+
+	a, b := c.Nodes[0], c.Nodes[1]
+	body := bodyOwnedBy(t, a.Router(), 1, b.URL)
+	for i, url := range []string{b.URL, a.URL, a.URL} {
+		if resp, _ := postPlan(t, client, url, body); resp.StatusCode != http.StatusOK {
+			t.Fatalf("request %d via %s: status %d", i, url, resp.StatusCode)
+		}
+	}
+	for _, tc := range []struct {
+		url          string
+		misses, hits int64
+	}{{b.URL, 1, 2}, {a.URL, 1, 1}} {
+		if got := scrapeCounter(t, client, tc.url, "bootes_serve_body_memo_misses_total"); got != tc.misses {
+			t.Errorf("%s parsed the body %d times, want %d", tc.url, got, tc.misses)
+		}
+		if got := scrapeCounter(t, client, tc.url, "bootes_serve_body_memo_hits_total"); got != tc.hits {
+			t.Errorf("bootes_serve_body_memo_hits_total on %s = %d, want %d", tc.url, got, tc.hits)
+		}
+	}
+	if n := computes.Load(); n != 1 {
+		t.Errorf("fleet computed the plan %d times, want 1", n)
+	}
+}
+
+// TestUnparseableBodyParsedOnce: a fleet node answers a body that is not a
+// matrix with a 400 after one parse attempt. Every parse on a node is a body
+// memo miss, so the node's misses of any memo count its parses.
+func TestUnparseableBodyParsedOnce(t *testing.T) {
+	c, err := LaunchCluster(2, NodeConfig{
+		Serve:    planserve.Config{Plan: countingPlan(new(atomic.Int64))},
+		CacheDir: t.TempDir(),
+		Logf:     t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	client := &http.Client{Timeout: 30 * time.Second}
+	defer client.CloseIdleConnections()
+
+	url := c.Nodes[0].URL
+	if resp, _ := postPlan(t, client, url, []byte("not a matrix")); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400", resp.StatusCode)
+	}
+	if got := scrapeSuffix(t, client, url, "_body_memo_misses_total"); got != 1 {
+		t.Errorf("the node parsed the body %d times, want 1", got)
+	}
+}
+
+// scrapeSuffix sums the unlabelled series of a node's /metrics whose name
+// ends in suffix.
+func scrapeSuffix(t *testing.T, client *http.Client, url, suffix string) int64 {
+	t.Helper()
+	resp, err := client.Get(url + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	data, _ := io.ReadAll(resp.Body)
+	var sum int64
+	for _, line := range strings.Split(string(data), "\n") {
+		name, v, ok := strings.Cut(line, " ")
+		if !ok || strings.HasPrefix(line, "#") || !strings.HasSuffix(name, suffix) {
+			continue
+		}
+		n, err := strconv.ParseInt(v, 10, 64)
+		if err != nil {
+			t.Fatalf("%s: %v", line, err)
+		}
+		sum += n
+	}
+	return sum
 }

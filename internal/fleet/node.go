@@ -33,7 +33,7 @@ import (
 // registry and logger, the router's hooks into planserve and the healer).
 type NodeConfig struct {
 	// Serve configures planserve (Plan is required). StartNode sets Cache,
-	// Queue, PeerFill, Replicate, Heal, Metrics and Logf.
+	// Queue, Route, PeerFill, Replicate, Heal, Metrics and Logf.
 	Serve planserve.Config
 	// CacheDir is the plan cache directory; empty disables persistence.
 	CacheDir string
@@ -44,7 +44,10 @@ type NodeConfig struct {
 	// planning never out-parallelizes what admission allows foreground work.
 	Queue planqueue.Config
 	// Fleet configures the router; empty Peers runs a standalone node.
-	// StartNode sets MaxBodyBytes to Serve.MaxUploadBytes, Metrics and Logf.
+	// StartNode sets Metrics and Logf, hands the router's Route and Fill to
+	// planserve, and serves its GET /v1/peers view. planserve reads every
+	// plan body, under Serve.MaxUploadBytes, whether the router forwards the
+	// request or not.
 	Fleet Config
 	// SelfHeal runs the anti-entropy healer: replication of fresh plans,
 	// hinted handoff, digest repair, warm-up on start, drain push on Close,
@@ -59,8 +62,7 @@ type NodeConfig struct {
 	// (zero means none).
 	ReadHeaderTimeout, ReadTimeout, IdleTimeout time.Duration
 	// UploadReadTimeout bounds how long a POST /v1/plan may take to deliver
-	// its matrix body (default 30s; negative disables), whichever component
-	// reads it.
+	// its matrix body (default 30s; negative disables).
 	UploadReadTimeout time.Duration
 	// Pprof serves runtime profiles under /debug/pprof/.
 	Pprof bool
@@ -157,7 +159,7 @@ func (nd *Node) start(ln net.Listener, warm bool) (err error) {
 	var router *Router
 	if len(cfg.Fleet.Peers) > 0 {
 		fc := cfg.Fleet
-		fc.MaxBodyBytes, fc.Metrics, fc.Logf = cfg.Serve.MaxUploadBytes, reg, logf
+		fc.Metrics, fc.Logf = reg, logf
 		if router, err = New(fc); err != nil {
 			return err
 		}
@@ -180,7 +182,7 @@ func (nd *Node) start(ln net.Listener, warm bool) (err error) {
 	sc := cfg.Serve
 	sc.Cache, sc.Queue, sc.Metrics, sc.Logf = cache, queue, reg, logf
 	if router != nil {
-		sc.PeerFill = router.Fill
+		sc.Route, sc.PeerFill = router.Route, router.Fill
 	}
 	if healer != nil {
 		sc.Replicate, sc.Heal = healer.Replicate, healer
@@ -191,9 +193,6 @@ func (nd *Node) start(ln net.Listener, warm bool) (err error) {
 	}
 
 	handler := srv.Handler()
-	if router != nil {
-		handler = router.Handler(handler)
-	}
 	uploadTimeout := cfg.UploadReadTimeout
 	if uploadTimeout == 0 {
 		uploadTimeout = 30 * time.Second
@@ -201,25 +200,27 @@ func (nd *Node) start(ln net.Listener, warm bool) (err error) {
 	if uploadTimeout > 0 {
 		handler = uploadDeadline(handler, uploadTimeout)
 	}
+	outer := http.NewServeMux()
+	outer.Handle("/", handler)
+	if router != nil {
+		outer.HandleFunc("GET /v1/peers", router.servePeers)
+	}
 	if cfg.Pprof {
 		// Registered explicitly, never via the http.DefaultServeMux side
 		// effect, and only when asked: pprof on a public address is an
 		// information leak.
-		outer := http.NewServeMux()
 		outer.HandleFunc("/debug/pprof/", pprof.Index)
 		outer.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 		outer.HandleFunc("/debug/pprof/profile", pprof.Profile)
 		outer.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		outer.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		outer.Handle("/", handler)
-		handler = outer
 	}
 	// Server-side timeouts close the slowloris hole: a client that trickles
 	// headers or holds idle keep-alives cannot pin a connection forever. The
 	// body-read budget is per-request (uploadDeadline), so a legal large
 	// upload is bounded by its own clock, not the header one.
 	httpSrv := &http.Server{
-		Handler:           handler,
+		Handler:           outer,
 		ReadHeaderTimeout: cfg.ReadHeaderTimeout,
 		ReadTimeout:       cfg.ReadTimeout,
 		IdleTimeout:       cfg.IdleTimeout,
@@ -255,8 +256,9 @@ func (nd *Node) start(ln net.Listener, warm bool) (err error) {
 			serveErr <- err
 		}
 	}()
-	logf("serving on %s (inflight=%d queue auto, deadline=%s, cache=%q)",
-		ln.Addr(), cfg.Serve.MaxInFlight, cfg.Serve.DefaultDeadline, cfg.CacheDir)
+	sc = srv.Config()
+	logf("serving on %s (inflight=%d queue=%d, deadline=%s, cache=%q)",
+		ln.Addr(), sc.MaxInFlight, sc.MaxQueue, sc.DefaultDeadline, cfg.CacheDir)
 	if healer != nil {
 		if warmup {
 			// Synchronous: when start returns, the node has converged as far
@@ -280,9 +282,8 @@ func (nd *Node) start(ln net.Listener, warm bool) (err error) {
 }
 
 // uploadDeadline sets the connection's read deadline on every POST /v1/plan
-// before next reads a byte of its body, so the whole body must arrive within
-// d whether the fleet router reads it (a client's request) or planserve does
-// (a standalone node's, or a forwarded one). MaxUploadBytes caps how much a
+// before planserve reads a byte of its body, so the whole body must arrive
+// within d, a client's or a forwarded one. MaxUploadBytes caps how much a
 // client may send; this caps how slowly: a slowloris client trickling one
 // byte a second holds a connection, not a pipeline slot, and is cut off.
 func uploadDeadline(next http.Handler, d time.Duration) http.Handler {

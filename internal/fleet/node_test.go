@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -302,10 +303,33 @@ func TestSelfHealCloseHandsOffSoleEntries(t *testing.T) {
 	}
 }
 
+// TestStartupLogNamesServingSettings: the "serving on" line reports the
+// settings the node serves with, planserve's defaults applied.
+func TestStartupLogNamesServingSettings(t *testing.T) {
+	var mu sync.Mutex
+	var logs strings.Builder
+	nd, err := StartNode(listen(t), NodeConfig{
+		Serve: planserve.Config{Plan: countingPlan(new(atomic.Int64))},
+		Logf: func(format string, args ...any) {
+			mu.Lock()
+			defer mu.Unlock()
+			fmt.Fprintf(&logs, format+"\n", args...)
+		},
+	}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nd.Close(context.Background())
+	mu.Lock()
+	defer mu.Unlock()
+	if want := "(inflight=4 queue=8, deadline=1m0s,"; !strings.Contains(logs.String(), want) {
+		t.Errorf("start-up log lacks %q:\n%s", want, logs.String())
+	}
+}
+
 // TestUploadDeadlineCutsOffSlowBodies: a plan request whose body trickles in
-// is cut off near UploadReadTimeout, whichever component reads the body:
-// planserve on a standalone node, the router on a fleet node a client
-// reaches, and planserve on a fleet node a forward reaches.
+// is cut off near UploadReadTimeout on a standalone node, and on a fleet node
+// whether a client or a forward sends it.
 func TestUploadDeadlineCutsOffSlowBodies(t *testing.T) {
 	const timeout = 300 * time.Millisecond
 	cfg := NodeConfig{
@@ -331,7 +355,7 @@ func TestUploadDeadlineCutsOffSlowBodies(t *testing.T) {
 	}{
 		{"single node", single.URL, ""},
 		{"fleet client", c.Nodes[0].URL, ""},
-		{"fleet forward", c.Nodes[0].URL, ForwardedHeader + ": 1\r\n"},
+		{"fleet forward", c.Nodes[0].URL, planserve.ForwardedHeader + ": 1\r\n"},
 	} {
 		if took := trickleBody(t, tc.url, tc.header); took < timeout || took > timeout+time.Second {
 			t.Errorf("%s: a body trickling one byte per 50ms was cut off after %s, want about %s", tc.name, took, timeout)

@@ -11,16 +11,16 @@ import (
 	"bootes/internal/sparse"
 )
 
-// maxPresize caps the buffer ReadRequestBody allocates from a declared
+// maxPresize caps the buffer readRequestBody allocates from a declared
 // Content-Length before the bytes arrive: a header claiming 256 MB costs at
 // most this much until the body actually delivers more.
 const maxPresize = 1 << 20
 
-// ReadRequestBody reads r's body whole into one buffer presized from its
+// readRequestBody reads r's body whole into one buffer presized from its
 // Content-Length, capped at maxPresize; past the cap, or without a declared
 // length, the buffer grows as bytes arrive. A body declared or received
 // longer than limit bytes is an *http.MaxBytesError.
-func ReadRequestBody(r *http.Request, limit int64) ([]byte, error) {
+func readRequestBody(r *http.Request, limit int64) ([]byte, error) {
 	if r.ContentLength > limit {
 		return nil, &http.MaxBytesError{Limit: limit}
 	}
@@ -50,11 +50,11 @@ func ReadRequestBody(r *http.Request, limit int64) ([]byte, error) {
 	}
 }
 
-// memoEntries bounds a BodyMemo. An entry is a 32-byte digest, a 64-byte hex
+// memoEntries bounds a bodyMemo. An entry is a 32-byte digest, a 64-byte hex
 // key and a row count: a full memo holds about 0.8 MB of heap.
 const memoEntries = 4096
 
-// BodyMemo maps the SHA-256 of a plan-request body to the plan key and row
+// bodyMemo maps the SHA-256 of a plan-request body to the plan key and row
 // count that parsing it produced, so a byte-identical resubmission resolves
 // without a parse or a KeyCSR. The digest is cryptographic because the first
 // body to claim one decides the key every later sender of it gets: a crafted
@@ -62,7 +62,7 @@ const memoEntries = 4096
 // bodies that parsed are recorded, and the memo lives in memory, so a restart
 // or a parser change starts it empty. When full, recording drops an arbitrary
 // entry; eviction can only turn a later hit into a parse.
-type BodyMemo struct {
+type bodyMemo struct {
 	hits, misses *obs.Counter
 
 	mu      sync.Mutex
@@ -74,16 +74,16 @@ type memoEntry struct {
 	rows int
 }
 
-// NewBodyMemo returns an empty memo that counts its hits and misses on the
+// newBodyMemo returns an empty memo that counts its hits and misses on the
 // given counters.
-func NewBodyMemo(hits, misses *obs.Counter) *BodyMemo {
-	return &BodyMemo{hits: hits, misses: misses, entries: make(map[[sha256.Size]byte]memoEntry)}
+func newBodyMemo(hits, misses *obs.Counter) *bodyMemo {
+	return &bodyMemo{hits: hits, misses: misses, entries: make(map[[sha256.Size]byte]memoEntry)}
 }
 
-// Resolve returns the plan key and row count of the matrix body encodes.
+// resolve returns the plan key and row count of the matrix body encodes.
 // Bytes the memo has seen are answered from it, with a nil m; any other body
 // is parsed with sparse.ReadBody, recorded if it parses, and returned as m.
-func (mm *BodyMemo) Resolve(body []byte) (key string, rows int, m *sparse.CSR, err error) {
+func (mm *bodyMemo) resolve(body []byte) (key string, rows int, m *sparse.CSR, err error) {
 	digest := sha256.Sum256(body)
 	mm.mu.Lock()
 	e, ok := mm.entries[digest]

@@ -51,12 +51,12 @@ func memoCounts(s *Server) (hits, misses int64) {
 	return s.memo.hits.Value(), s.memo.misses.Value()
 }
 
-func newTestMemo() *BodyMemo {
+func newTestMemo() *bodyMemo {
 	reg := obs.NewRegistry()
-	return NewBodyMemo(reg.Counter("bootes_test_memo_hits_total", "Hits."), reg.Counter("bootes_test_memo_misses_total", "Misses."))
+	return newBodyMemo(reg.Counter("bootes_test_memo_hits_total", "Hits."), reg.Counter("bootes_test_memo_misses_total", "Misses."))
 }
 
-func memoLen(mm *BodyMemo) int {
+func memoLen(mm *bodyMemo) int {
 	mm.mu.Lock()
 	defer mm.mu.Unlock()
 	return len(mm.entries)
@@ -212,7 +212,7 @@ func TestBodyMemoBounded(t *testing.T) {
 	for i := 0; i < memoEntries+64; i++ {
 		n := 1 + i%7
 		body := []byte(fmt.Sprintf("%%%%MatrixMarket matrix coordinate pattern general\n%% body %d\n%d %d 1\n1 %d\n", i, n, n, n))
-		key, rows, m, err := mm.Resolve(body)
+		key, rows, m, err := mm.resolve(body)
 		if err != nil || m == nil || rows != n || key != plancache.KeyCSR(m) {
 			t.Fatalf("body %d: resolved (%.12s, %d, parsed %v, %v)", i, key, rows, m != nil, err)
 		}
@@ -241,7 +241,7 @@ func TestBodyMemoConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
 				j := g * (i % 2) // alternate the shared body and this goroutine's own
-				key, rows, _, err := mm.Resolve(bodies[j])
+				key, rows, _, err := mm.resolve(bodies[j])
 				if err != nil || key != plancache.KeyCSR(mats[j]) || rows != mats[j].Rows {
 					t.Errorf("goroutine %d: body %d resolved to (%.12s, %d, %v)", g, j, key, rows, err)
 					return
@@ -275,7 +275,7 @@ func TestReadRequestBody(t *testing.T) {
 		{"0123456789a", -1, true},
 		{"0", 1 << 30, true}, // refused on the header alone
 	} {
-		b, err := ReadRequestBody(req(tc.body, tc.declared), 10)
+		b, err := readRequestBody(req(tc.body, tc.declared), 10)
 		var mbe *http.MaxBytesError
 		if got := errors.As(err, &mbe); got != tc.tooBig || (!tc.tooBig && (err != nil || string(b) != tc.body)) {
 			t.Errorf("%d bytes declared %d: got %q, %v; want too-big %v", len(tc.body), tc.declared, b, err, tc.tooBig)
@@ -285,7 +285,7 @@ func TestReadRequestBody(t *testing.T) {
 		}
 	}
 
-	b, err := ReadRequestBody(req("0123456789", 64<<20), 256<<20)
+	b, err := readRequestBody(req("0123456789", 64<<20), 256<<20)
 	if err != nil || string(b) != "0123456789" {
 		t.Fatalf("short body under a 64 MiB header: %q, %v", b, err)
 	}
@@ -293,7 +293,7 @@ func TestReadRequestBody(t *testing.T) {
 		t.Errorf("a 64 MiB header reserved %d bytes for a 10-byte body, cap %d", cap(b), maxPresize)
 	}
 	body := strings.Repeat("x", 3*maxPresize)
-	if b, err := ReadRequestBody(req(body, int64(len(body))), 256<<20); err != nil || string(b) != body {
+	if b, err := readRequestBody(req(body, int64(len(body))), 256<<20); err != nil || string(b) != body {
 		t.Fatalf("a body past the presize cap read back %d bytes, %v", len(b), err)
 	}
 }

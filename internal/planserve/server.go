@@ -6,9 +6,10 @@
 //
 // Request lifecycle for POST /v1/plan:
 //
-//	read body → key and row count (from the body memo when these exact
-//	  bytes were parsed before, handed over when a fleet router resolved
-//	  them, parsed otherwise) → lookup (verified cache hit or peer fill)
+//	admission (draining ⇒ 503, tenant over quota ⇒ 429) → read body
+//	  → key and row count (from the body memo when these exact bytes were
+//	    parsed before, parsed otherwise) → lookup (verified cache hit or
+//	    peer fill)
 //	  → parse, if not yet parsed
 //	  → breaker check (open ⇒ immediate identity plan, marked, never cached)
 //	  → singleflight join (followers wait, consuming no slot)
@@ -16,6 +17,10 @@
 //	  → pipeline with per-request deadline, retrying transient degradations
 //	    with exponential backoff + jitter
 //	  → persist (cache write of healthy plans, then replication) → respond
+//
+// On a fleet node a client's request is read and keyed first, then offered
+// to Config.Route, which forwards it to the key's owner or hands it back to
+// be admitted and served here.
 //
 // Async jobs take the same lookup, pipeline and persist through RunJob.
 package planserve
@@ -135,6 +140,12 @@ type Config struct {
 	// implementations bound their own network time. Peer-filled entries are
 	// not re-announced: they came from the replica set already.
 	Replicate func(key string)
+	// Route, when set, is offered each client plan request (not a peer's
+	// forward, ?async=1 or ?path=) once its body is read and keyed. It
+	// returns true when it answered the request by forwarding it, false to
+	// have it admitted and served here. fleet.StartNode sets it to the
+	// fleet router's Route.
+	Route func(w http.ResponseWriter, r *http.Request, key string, body []byte) bool
 	// Heal, when set, contributes the anti-entropy healer's counters to
 	// /statsz (the healer's lifecycle belongs to the caller, like Queue's).
 	Heal *antientropy.Healer
@@ -157,6 +168,11 @@ type Config struct {
 	// transitions); nil uses log.Printf.
 	Logf func(format string, args ...any)
 }
+
+// ForwardedHeader marks a plan request a fleet peer already routed: it is
+// served where it arrives, never offered to Config.Route again, so a request
+// is forwarded at most once.
+const ForwardedHeader = "X-Bootes-Forwarded"
 
 // Stats is the /statsz payload.
 type Stats struct {
@@ -201,7 +217,7 @@ type Server struct {
 	flights flightGroup[admitted]
 	mux     *http.ServeMux
 	limiter *tenantLimiter
-	memo    *BodyMemo
+	memo    *bodyMemo
 
 	jitterMu sync.Mutex
 	jitter   *rand.Rand
@@ -290,7 +306,7 @@ func (s *Server) registerMetrics(reg *obs.Registry) {
 	s.verifyBad = reg.Counter("bootes_serve_verify_violations_total", "Plan-verification violations observed by this server.")
 	s.asyncRejected = reg.Counter("bootes_serve_async_rejected_total", "Async submissions rejected by queue backlog bounds (429).")
 	s.peerFills = reg.Counter("bootes_serve_peer_fills_total", "Local cache misses answered by a fleet sibling's cache.")
-	s.memo = NewBodyMemo(
+	s.memo = newBodyMemo(
 		reg.Counter("bootes_serve_body_memo_hits_total", "Plan request bodies resolved from the body memo, without a parse."),
 		reg.Counter("bootes_serve_body_memo_misses_total", "Plan request bodies the body memo did not know, parsed instead."))
 	s.running = reg.Gauge("bootes_serve_inflight", "Pipelines currently executing.")
@@ -330,6 +346,9 @@ func (s *Server) registerMetrics(reg *obs.Registry) {
 
 // Handler returns the HTTP handler for the server's endpoints.
 func (s *Server) Handler() http.Handler { return s.mux }
+
+// Config returns the configuration the server runs with, defaults applied.
+func (s *Server) Config() Config { return s.cfg }
 
 // SlotsInUse returns the number of admission (in-flight) semaphore slots
 // currently held. At rest it must be 0 — the invariant leakcheck and the
@@ -614,30 +633,27 @@ func latencyOutcome(code int) string {
 	}
 }
 
-// handlePlan wraps the real handler with the end-to-end latency measurement,
-// on the registry clock so the metrics golden stays deterministic.
+// handlePlan wraps receivePlan with the end-to-end latency measurement, on
+// the registry clock so the metrics golden stays deterministic. A request
+// Config.Route forwarded is measured by the node that served it.
 func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	start := s.reg.Now()
 	sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
-	s.servePlan(sw, r)
-	s.latency.With(latencyOutcome(sw.code)).Observe(s.reg.Now().Sub(start).Seconds())
+	if forwarded := s.receivePlan(sw, r); !forwarded {
+		s.latency.With(latencyOutcome(sw.code)).Observe(s.reg.Now().Sub(start).Seconds())
+	}
 }
 
-func (s *Server) servePlan(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
-		http.Error(w, "shutting down", http.StatusServiceUnavailable)
-		return
-	}
-	// Tenant quota: identity lives in the envelope (X-Tenant / ?tenant=), so
-	// an over-quota request is shed before a single body byte is buffered.
-	tenant := tenantOf(r)
-	if s.limiter != nil {
-		if ok, wait := s.limiter.allow(tenant); !ok {
-			s.limiter.recordShed(tenant)
-			w.Header().Set("Retry-After", retryAfterHeader(wait))
-			http.Error(w, fmt.Sprintf("tenant %q over request quota", tenant), http.StatusTooManyRequests)
-			return
-		}
+// receivePlan admits, reads and keys a plan request and serves it, unless
+// Config.Route forwards it, which it reports. A request the router may move
+// is read and keyed first and admitted only if it stays, so a node spends no
+// tenant tokens on a request it forwards, nor refuses one while draining.
+// Every other request is admitted before a byte of its body is buffered.
+func (s *Server) receivePlan(w *statusWriter, r *http.Request) (forwarded bool) {
+	routable := s.cfg.Route != nil && r.Header.Get(ForwardedHeader) == "" &&
+		!isAsync(r) && r.URL.Query().Get("path") == ""
+	if !routable && !s.admit(w, r) {
+		return false
 	}
 	in, err := s.readInput(r)
 	if err != nil {
@@ -647,18 +663,55 @@ func (s *Server) servePlan(w http.ResponseWriter, r *http.Request) {
 		if errors.As(err, &tooBig) {
 			http.Error(w, fmt.Sprintf("matrix body exceeds the %d-byte upload limit", tooBig.Limit),
 				http.StatusRequestEntityTooLarge)
-			return
+			return false
 		}
 		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
+		return false
 	}
+	if routable {
+		// A forward's answer is relayed on the connection's own writer: it is
+		// the serving node's outcome, not this one's.
+		if s.cfg.Route(w.ResponseWriter, r, in.key, in.body) {
+			return true
+		}
+		if !s.admit(w, r) {
+			return false
+		}
+	}
+	s.servePlan(w, r, in)
+	return false
+}
+
+// admit refuses a request while the server drains (503) and sheds one over
+// its tenant's quota (429). Tenant identity lives in the envelope (X-Tenant /
+// ?tenant=), so no body byte is needed to decide.
+func (s *Server) admit(w http.ResponseWriter, r *http.Request) bool {
+	if s.draining.Load() {
+		http.Error(w, "shutting down", http.StatusServiceUnavailable)
+		return false
+	}
+	if s.limiter != nil {
+		tenant := tenantOf(r)
+		if ok, wait := s.limiter.allow(tenant); !ok {
+			s.limiter.recordShed(tenant)
+			w.Header().Set("Retry-After", retryAfterHeader(wait))
+			http.Error(w, fmt.Sprintf("tenant %q over request quota", tenant), http.StatusTooManyRequests)
+			return false
+		}
+	}
+	return true
+}
+
+// servePlan serves an admitted request here: an async submission, or the
+// sync path from cache lookup to response.
+func (s *Server) servePlan(w http.ResponseWriter, r *http.Request, in *planInput) {
 	if isAsync(r) {
 		m, err := in.matrix()
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		s.handleAsyncSubmit(w, r, m, tenant)
+		s.handleAsyncSubmit(w, r, m, tenantOf(r))
 		return
 	}
 	deadline, err := requestDeadline(r, s.cfg.DefaultDeadline)
@@ -983,10 +1036,6 @@ func requestDeadline(r *http.Request, def time.Duration) (time.Duration, error) 
 	return min(d, def), nil
 }
 
-// routedKey is the context key under which WithRoutedMatrix hands over a
-// resolved request.
-type routedKey struct{}
-
 // planInput is what a plan request resolved to before any cache lookup: the
 // plan key and row count, and the matrix once parsed. body is the upload,
 // held only until it is parsed.
@@ -1011,27 +1060,10 @@ func (in *planInput) matrix() (*sparse.CSR, error) {
 	return in.m, nil
 }
 
-// WithRoutedMatrix returns r carrying what a router resolved its body to: the
-// plan key plancache.KeyCSR gives the body's matrix, its row count, the body
-// itself, and the matrix when the router parsed it (nil when its memo
-// answered). The server then neither reads nor hashes r.Body, and parses body
-// only when it must plan. The upload limit still applies to the body.
-func WithRoutedMatrix(r *http.Request, key string, rows int, body []byte, m *sparse.CSR) *http.Request {
-	in := &planInput{key: key, rows: rows, m: m, body: body}
-	return r.WithContext(context.WithValue(r.Context(), routedKey{}, in))
-}
-
-// readInput resolves the request to its plan key and row count: one handed
-// over by a router, a server-local ?path= when enabled (parsed every time,
-// since the file can change between two identical requests), or the body,
-// through the memo.
+// readInput resolves the request to its plan key and row count: a
+// server-local ?path= when enabled (parsed every time, since the file can
+// change between two identical requests), or the body, through the memo.
 func (s *Server) readInput(r *http.Request) (*planInput, error) {
-	if in, ok := r.Context().Value(routedKey{}).(*planInput); ok {
-		if int64(len(in.body)) > s.cfg.MaxUploadBytes {
-			return nil, &http.MaxBytesError{Limit: s.cfg.MaxUploadBytes}
-		}
-		return in, nil
-	}
 	if path := r.URL.Query().Get("path"); path != "" {
 		if !s.cfg.AllowLocalPaths {
 			return nil, errors.New("path requests are disabled (start bootesd with -allow-path)")
@@ -1046,11 +1078,11 @@ func (s *Server) readInput(r *http.Request) (*planInput, error) {
 		}
 		return &planInput{key: plancache.KeyCSR(m), rows: m.Rows, m: m}, nil
 	}
-	body, err := ReadRequestBody(r, s.cfg.MaxUploadBytes)
+	body, err := readRequestBody(r, s.cfg.MaxUploadBytes)
 	if err != nil {
 		return nil, fmt.Errorf("reading matrix body: %w", err)
 	}
-	key, rows, m, err := s.memo.Resolve(body)
+	key, rows, m, err := s.memo.resolve(body)
 	if err != nil {
 		return nil, err
 	}
