@@ -264,10 +264,13 @@ func accelByName(name string) (accel.Config, bool) {
 	return accel.Config{}, false
 }
 
-func reordererByName(name string, seed int64) (reorder.Reorderer, bool) {
+// reordererByName names the reorderings simulate and compare run. timeout
+// (0 = none) is the Bootes planning deadline; the baselines run to
+// completion regardless.
+func reordererByName(name string, seed int64, timeout time.Duration) (reorder.Reorderer, bool) {
 	switch name {
 	case "bootes":
-		return &core.Pipeline{Spectral: core.SpectralOptions{Seed: seed}}, true
+		return planner{seed: seed, timeout: timeout}, true
 	case "gamma":
 		return reorder.Gamma{Seed: seed}, true
 	case "graph":
@@ -279,6 +282,34 @@ func reordererByName(name string, seed int64) (reorder.Reorderer, bool) {
 	default:
 		return nil, false
 	}
+}
+
+// planner plans the way analyze, reorder and plan do: through PlanContext, so
+// the plan is verified, with timeout (0 = none) as its wall-clock budget.
+type planner struct {
+	seed    int64
+	timeout time.Duration
+}
+
+func (planner) Name() string { return "Bootes" }
+
+func (p planner) Reorder(a *sparse.CSR) (*reorder.Result, error) {
+	ctx, cancel := planCtx(p.timeout)
+	defer cancel()
+	opts := &bootes.Options{Seed: p.seed}
+	opts.Budget.MaxWallClock = p.timeout
+	plan, err := bootes.PlanContext(ctx, a, opts)
+	if err != nil {
+		return nil, err
+	}
+	return &reorder.Result{
+		Perm:           plan.Perm,
+		PreprocessTime: time.Duration(plan.PreprocessSeconds * float64(time.Second)),
+		FootprintBytes: plan.FootprintBytes,
+		Reordered:      plan.Reordered,
+		Degraded:       plan.Degraded,
+		DegradedReason: plan.DegradedReason,
+	}, nil
 }
 
 func cmdSimulate(args []string) {
@@ -295,7 +326,7 @@ func cmdSimulate(args []string) {
 	if !ok {
 		log.Fatalf("unknown accelerator %q", *accelName)
 	}
-	r, ok := reordererByName(*method, *seed)
+	r, ok := reordererByName(*method, *seed, 0)
 	if !ok {
 		log.Fatalf("unknown reordering method %q", *method)
 	}
@@ -324,20 +355,7 @@ func cmdSimulate(args []string) {
 		sim.Traffic.Total(), sim.Compulsory.Total())
 	fmt.Printf("compute:     %d MACs, nnz(C)=%d, %d cycles (%.6fs at %.1f GHz)\n",
 		sim.Flops, sim.OutputNNZ, sim.Cycles, sim.Seconds(), 1.0)
-}
-
-// reorderWithTimeout runs r with a deadline when it supports one (the
-// Bootes pipeline does; the baselines run to completion regardless). The
-// deadline is applied as the pipeline's wall-clock budget so expiry degrades
-// the plan instead of erroring; the context is a backstop with slack.
-func reorderWithTimeout(r reorder.Reorderer, a *sparse.CSR, timeout time.Duration) (*reorder.Result, error) {
-	if p, ok := r.(*core.Pipeline); ok && timeout > 0 {
-		p.Budget.MaxWallClock = timeout
-		ctx, cancel := context.WithTimeout(context.Background(), timeout+30*time.Second)
-		defer cancel()
-		return p.ReorderContext(ctx, a)
-	}
-	return r.Reorder(a)
+	warnDegraded(res.Degraded, res.DegradedReason, false)
 }
 
 func cmdCompare(args []string) {
@@ -362,8 +380,8 @@ func cmdCompare(args []string) {
 	var baseTotal int64
 	degradedReasons := map[string]string{}
 	for _, name := range []string{"none", "gamma", "graph", "hier", "bootes"} {
-		r, _ := reordererByName(name, *seed)
-		res, err := reorderWithTimeout(r, a, *timeout)
+		r, _ := reordererByName(name, *seed, *timeout)
+		res, err := r.Reorder(a)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -547,9 +565,6 @@ type remoteClient struct {
 	retryStop  time.Time       // wall-clock cap across all retry sleeps
 }
 
-// base is the primary endpoint, for messages.
-func (c *remoteClient) base() string { return c.bases[0] }
-
 // sleep waits d or until the client is interrupted, whichever is first.
 func (c *remoteClient) sleep(d time.Duration) {
 	t := time.NewTimer(d)
@@ -561,21 +576,22 @@ func (c *remoteClient) sleep(d time.Duration) {
 	}
 }
 
-// do issues one request and returns the final response metadata plus its
-// size-capped body. Retried-429 sleeps never push past retryStop: a server
-// that keeps answering "Retry-After: 30" cannot hold the CLI hostage beyond
-// -max-wait. Only 429s are retried in place; transport errors and 5xx move
-// on to the next server; other failures are the caller's to interpret.
-func (c *remoteClient) do(method, path string, payload []byte, deadline time.Duration) (*http.Response, []byte) {
+// do issues one request and returns the final response metadata, its
+// size-capped body, and the server that answered. Retried-429 sleeps never
+// push past retryStop: a server that keeps answering "Retry-After: 30"
+// cannot hold the CLI hostage beyond -max-wait. Only 429s are retried in
+// place; transport errors and 5xx move on to the next server; other
+// failures are the caller's to interpret.
+func (c *remoteClient) do(method, path string, payload []byte, deadline time.Duration) (*http.Response, []byte, string) {
 	for attempt := 0; ; attempt++ {
-		resp, reply := c.doOnce(method, path, payload, deadline)
+		resp, reply, base := c.doOnce(method, path, payload, deadline)
 		if resp.StatusCode != http.StatusTooManyRequests || attempt >= c.maxRetries {
-			return resp, reply
+			return resp, reply, base
 		}
 		wait := c.backoff(resp.Header.Get("Retry-After"), attempt)
 		if budget := time.Until(c.retryStop); wait > budget {
 			log.Printf("daemon shedding (429) and the %s retry budget is exhausted; giving up", wait.Round(time.Millisecond))
-			return resp, reply
+			return resp, reply, base
 		}
 		log.Printf("daemon shedding (429): %s — retrying in %s (%d/%d)",
 			strings.TrimSpace(string(reply)), wait.Round(time.Millisecond), attempt+1, c.maxRetries)
@@ -584,8 +600,8 @@ func (c *remoteClient) do(method, path string, payload []byte, deadline time.Dur
 }
 
 // doOnce walks the server list once in preference order until some server
-// produces a non-5xx response.
-func (c *remoteClient) doOnce(method, path string, payload []byte, deadline time.Duration) (*http.Response, []byte) {
+// produces a non-5xx response, and returns it with that server.
+func (c *remoteClient) doOnce(method, path string, payload []byte, deadline time.Duration) (*http.Response, []byte, string) {
 	var lastErr error
 	for i, base := range c.bases {
 		resp, reply, err := c.roundTrip(method, base+path, payload, deadline)
@@ -599,11 +615,11 @@ func (c *remoteClient) doOnce(method, path string, payload []byte, deadline time
 			log.Printf("server %s answered %s, failing over", base, resp.Status)
 			lastErr = fmt.Errorf("%s: %s", base, resp.Status)
 		default:
-			return resp, reply
+			return resp, reply, base
 		}
 	}
 	log.Fatalf("no server answered: %v", lastErr)
-	return nil, nil
+	return nil, nil, ""
 }
 
 // roundTrip is one HTTP exchange against one URL.
@@ -707,9 +723,9 @@ func planRemote(server, in string, timeout, maxWait time.Duration, strict, async
 		planRemoteAsync(c, payload, timeout, strict)
 		return
 	}
-	resp, body := c.do(http.MethodPost, "/v1/plan", payload, timeout)
+	resp, body, base := c.do(http.MethodPost, "/v1/plan", payload, timeout)
 	if resp.StatusCode != http.StatusOK {
-		log.Fatalf("%s: %s: %s", server, resp.Status, strings.TrimSpace(string(body)))
+		log.Fatalf("%s: %s: %s", base, resp.Status, strings.TrimSpace(string(body)))
 	}
 	var pr remotePlan
 	if err := json.Unmarshal(body, &pr); err != nil {
@@ -731,12 +747,15 @@ func planRemote(server, in string, timeout, maxWait time.Duration, strict, async
 // planRemoteAsync enqueues the matrix on the daemon's durable queue and polls
 // the job until it reaches a terminal state. A job observed as failed is not
 // fatal — the queue retries it with backoff — only dead (retries exhausted)
-// ends the wait early.
+// ends the wait early. Job ids are per-node sequences, so every poll goes to
+// the server that accepted the job: another may hold a different job under
+// the same id.
 func planRemoteAsync(c *remoteClient, payload []byte, timeout time.Duration, strict bool) {
-	resp, body := c.do(http.MethodPost, "/v1/plan?async=1", payload, timeout)
+	resp, body, base := c.do(http.MethodPost, "/v1/plan?async=1", payload, timeout)
 	if resp.StatusCode != http.StatusAccepted {
-		log.Fatalf("%s: %s: %s", c.base(), resp.Status, strings.TrimSpace(string(body)))
+		log.Fatalf("%s: %s: %s", base, resp.Status, strings.TrimSpace(string(body)))
 	}
+	c.bases = []string{base}
 	var jb remoteJob
 	if err := json.Unmarshal(body, &jb); err != nil {
 		log.Fatalf("decoding job handle: %v", err)
@@ -758,7 +777,7 @@ func planRemoteAsync(c *remoteClient, payload []byte, timeout time.Duration, str
 	interval := 200 * time.Millisecond
 	lastState := jb.State
 	for {
-		resp, body = c.do(http.MethodGet, "/v1/jobs/"+jb.JobID, nil, 0)
+		resp, body, _ = c.do(http.MethodGet, "/v1/jobs/"+jb.JobID, nil, 0)
 		if resp.StatusCode != http.StatusOK {
 			log.Fatalf("polling job %s: %s: %s", jb.JobID, resp.Status, strings.TrimSpace(string(body)))
 		}
@@ -786,7 +805,7 @@ func planRemoteAsync(c *remoteClient, payload []byte, timeout time.Duration, str
 		}
 		if time.Now().After(deadline) {
 			log.Fatalf("job %s still %s after %s; it keeps running server-side — poll %s/v1/jobs/%s",
-				jb.JobID, jb.State, budget, c.base(), jb.JobID)
+				jb.JobID, jb.State, budget, base, jb.JobID)
 		}
 		c.sleep(interval)
 		if interval < 2*time.Second {

@@ -178,6 +178,25 @@ func TestCompareStrictExitsOnDegradedPlan(t *testing.T) {
 	}
 }
 
+// TestCompareStrictExitsOnCorruptPlan: compare plans its Bootes row through
+// the verifier, as reorder does, so a plan the verifier rejects falls back to
+// a degraded identity plan and -strict exits 1.
+func TestCompareStrictExitsOnCorruptPlan(t *testing.T) {
+	in := testMatrixFile(t)
+	if err := faultinject.Arm(faultinject.PlanCorrupt, faultinject.Always()); err != nil {
+		t.Fatal(err)
+	}
+	defer faultinject.Reset()
+
+	out, code, exited := runCLI(t, func() {
+		cmdCompare([]string{"-in", in, "-strict"})
+	})
+	if !exited || code != 1 {
+		t.Fatalf("strict compare with a corrupt bootes plan: exited=%v code=%d, want exit 1\n%s",
+			exited, code, out)
+	}
+}
+
 func TestCompareHealthyRunsClean(t *testing.T) {
 	in := testMatrixFile(t)
 	out, code, exited := runCLI(t, func() {
@@ -217,7 +236,7 @@ func TestRemoteClientFailsOverOn5xx(t *testing.T) {
 	defer good.Close()
 
 	c := newRemoteTestClient([]string{bad.URL, good.URL}, time.Minute)
-	resp, body := c.do(http.MethodPost, "/v1/plan", []byte("payload"), 0)
+	resp, body, _ := c.do(http.MethodPost, "/v1/plan", []byte("payload"), 0)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d, want 200 from the failover target", resp.StatusCode)
 	}
@@ -244,7 +263,7 @@ func TestRemoteClientFollowsOwnerRedirect(t *testing.T) {
 	defer front.Close()
 
 	c := newRemoteTestClient([]string{front.URL}, time.Minute)
-	resp, body := c.do(http.MethodPost, "/v1/plan", []byte("payload"), 0)
+	resp, body, _ := c.do(http.MethodPost, "/v1/plan", []byte("payload"), 0)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d, want 200 after following the redirect", resp.StatusCode)
 	}
@@ -264,12 +283,47 @@ func TestRemoteClientRetryWallClockCap(t *testing.T) {
 
 	c := newRemoteTestClient([]string{shedder.URL}, 100*time.Millisecond)
 	start := time.Now()
-	resp, _ := c.do(http.MethodPost, "/v1/plan", []byte("payload"), 0)
+	resp, _, _ := c.do(http.MethodPost, "/v1/plan", []byte("payload"), 0)
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("status %d, want the final 429 surfaced", resp.StatusCode)
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("retry loop ran %s; the 100ms wall-clock budget did not cap it", elapsed)
+	}
+}
+
+// TestPlanAsyncPollsAcceptingServer: an async job is polled on the server
+// that accepted it. Job ids are per-node sequences, so the server that
+// refused the submission may hold another job under the same id.
+func TestPlanAsyncPollsAcceptingServer(t *testing.T) {
+	const id = "j-0000000001"
+	refusing := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost {
+			http.Error(w, "draining", http.StatusServiceUnavailable)
+			return
+		}
+		io.WriteString(w, `{"job_id":"`+id+`","state":"done","plan":{"key":"someone-else","reordered":true,"k":8}}`)
+	}))
+	defer refusing.Close()
+	accepting := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost {
+			w.WriteHeader(http.StatusAccepted)
+			io.WriteString(w, `{"job_id":"`+id+`","state":"queued"}`)
+			return
+		}
+		io.WriteString(w, `{"job_id":"`+id+`","state":"done","plan":{"key":"mine","reordered":true,"k":8}}`)
+	}))
+	defer accepting.Close()
+
+	c := newRemoteTestClient([]string{refusing.URL, accepting.URL}, time.Minute)
+	out, code, exited := runCLI(t, func() {
+		planRemoteAsync(c, []byte("payload"), 5*time.Second, false)
+	})
+	if exited {
+		t.Fatalf("async plan exited with code %d\n%s", code, out)
+	}
+	if !strings.Contains(out, "key:       mine") {
+		t.Fatalf("async plan printed another server's job:\n%s", out)
 	}
 }
 

@@ -83,7 +83,6 @@ func main() {
 	peersFlag := flag.String("peers", "", "comma-separated fleet member URLs, including this node's (enables fleet routing)")
 	selfURL := flag.String("self", "", "this node's advertised URL, as it appears in -peers")
 	replicas := flag.Int("replicas", 2, "fleet replica-set size per plan key")
-	vnodes := flag.Int("vnodes", 0, "consistent-hash virtual nodes per peer (default 128)")
 	hedgeAfter := flag.Duration("hedge-after", 250*time.Millisecond, "fire one hedged duplicate at the next replica after this wait (negative disables)")
 	probeInterval := flag.Duration("probe-interval", 2*time.Second, "fleet peer health-probe period")
 	probeTimeout := flag.Duration("probe-timeout", time.Second, "per-probe (and per-cache-fill) timeout")
@@ -154,7 +153,6 @@ func main() {
 			Self:          *selfURL,
 			Peers:         peers,
 			Replicas:      *replicas,
-			Vnodes:        *vnodes,
 			HedgeAfter:    *hedgeAfter,
 			ProbeInterval: *probeInterval,
 			ProbeTimeout:  *probeTimeout,

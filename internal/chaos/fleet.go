@@ -62,8 +62,8 @@ func (h *fleetHarness) markDown(url string) {
 }
 
 // markUp re-admits url. Called only after every surviving router has probed
-// the node back up (breaker cleared), so "harness up" implies "fleet-visible
-// up" — the order that makes the compute-once invariant sound.
+// the node back up, so "harness up" implies "fleet-visible up" — the order
+// that makes the compute-once invariant sound.
 func (h *fleetHarness) markUp(url string) {
 	h.mu.Lock()
 	h.up[url] = true
@@ -141,7 +141,7 @@ func (h *fleetHarness) violatef(format string, args ...any) {
 }
 
 // waitUntil polls cond until it holds or the deadline passes; a timeout is
-// an invariant violation (probes/breakers failed to converge).
+// an invariant violation (probes failed to converge).
 func (h *fleetHarness) waitUntil(what string, cond func() bool) bool {
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
@@ -155,7 +155,8 @@ func (h *fleetHarness) waitUntil(what string, cond func() bool) bool {
 }
 
 // peersSee reports whether every live node's router view of target matches
-// wantUp, with the per-peer breaker not left open when wantUp is true.
+// wantUp. Up is the whole routing predicate: a peer seen up is forwarded to
+// and filled from.
 func (h *fleetHarness) peersSee(target string, wantUp bool) bool {
 	for _, nd := range h.cluster.Nodes {
 		if nd.URL == target || !nd.Alive() {
@@ -172,9 +173,6 @@ func (h *fleetHarness) peersSee(target string, wantUp bool) bool {
 			}
 			found = true
 			if pv.Up != wantUp {
-				return false
-			}
-			if wantUp && pv.Breaker == "open" {
 				return false
 			}
 		}
@@ -278,7 +276,7 @@ func scenarioFleetPartition(e *episode) {
 
 	// Phase 3: recovery. Restart the victim on its old address and cache
 	// dir; re-admit it to the harness view only once every survivor has
-	// probed it up and cleared its breaker.
+	// probed it up.
 	if err := victim.Restart(); err != nil {
 		e.violatef("fleet-partition: restart: %v", err)
 		return

@@ -462,7 +462,10 @@ func TestLargestAllocationsIndependentOfMatvecs(t *testing.T) {
 	run := func(restarts int) (allocs float64, matvecs int) {
 		// A tolerance this tight outlasts the shorter restart budget.
 		opts := Options{K: 32, MaxBasis: 80, Tol: 1e-14, MaxRestarts: restarts, Seed: 1}
-		allocs = testing.AllocsPerRun(1, func() {
+		// AllocsPerRun counts every malloc in the process and divides by the
+		// run count in integers: over 5 runs, up to 4 stray runtime
+		// allocations drop out, while one more allocation per solve shows.
+		allocs = testing.AllocsPerRun(5, func() {
 			res, err := Largest(sop, opts)
 			if err != nil {
 				t.Fatal(err)

@@ -13,10 +13,10 @@
 //     planserve.ForwardedHeader; the receiving node serves them locally (no
 //     forwarding loops by construction).
 //   - Failure awareness: a background prober walks every peer's /readyz; a
-//     peer that fails DownAfter consecutive probes (or live forwards) is
-//     routed around until it probes healthy again. Each peer also gets its
-//     own planserve circuit breaker, so a flapping peer is skipped for a
-//     cooldown rather than hammered.
+//     peer that fails DownAfter consecutive probes or live requests (forwards
+//     and cache fills) is routed around until one of them succeeds again. A
+//     passing probe does not clear failed live requests, so a peer that
+//     answers /readyz but fails plan requests is routed around too.
 //   - Hedged retries: when the owner has not answered within HedgeAfter, one
 //     duplicate request is fired at the next up replica and the first
 //     acceptable response wins (bounded at one hedge — tail-latency
@@ -62,8 +62,6 @@ type Config struct {
 	// Replicas is the replica-set size per key (default 2, clamped to the
 	// fleet size). The owner is replica 0.
 	Replicas int
-	// Vnodes is the ring's virtual-node count (default ring.DefaultVnodes).
-	Vnodes int
 	// HedgeAfter is how long to wait on the owner before firing one hedged
 	// duplicate at the next up replica (default 250ms; <0 disables hedging).
 	HedgeAfter time.Duration
@@ -72,38 +70,43 @@ type Config struct {
 	// ProbeTimeout bounds one /readyz probe (default 1s).
 	ProbeTimeout time.Duration
 	// DownAfter is the consecutive-failure count (probes or live traffic)
-	// that marks a peer down (default 2).
+	// that marks a peer down (default 2). A passing probe clears only the
+	// failed probes; a successful forward or fill clears both kinds.
 	DownAfter int
 	// Metrics is the registry fleet counters register on; nil uses a private
 	// registry.
 	Metrics *obs.Registry
-	// Now overrides the clock (tests); nil uses time.Now.
-	Now func() time.Time
 	// Logf sinks routing diagnostics; nil uses log.Printf.
 	Logf func(format string, args ...any)
 }
 
-// peerBreaker configures each remote peer's circuit breaker, the planserve
-// breaker machinery: after 3 consecutive failed forwards or fills the peer
-// is skipped for 5s, then probed by one request.
-var peerBreaker = planserve.BreakerConfig{FailureThreshold: 3, Cooldown: 5 * time.Second}
-
 // peerState is one remote peer's health view.
 type peerState struct {
-	url     string
-	breaker *planserve.Breaker
-	up      *obs.Gauge // 1 up, 0 down; the exposition view
+	url string
+	up  *obs.Gauge // 1 up, 0 down; the exposition view
 
-	mu          sync.Mutex
-	isUp        bool
-	consecFails int
-	lastErr     string
+	mu   sync.Mutex
+	isUp bool
+	// probeFails and liveFails count consecutive failed probes and failed
+	// forwards or fills; the peer is marked down when their sum reaches
+	// DownAfter. A passing probe clears only probeFails, because a peer can
+	// answer /readyz and still fail every plan request; a successful forward
+	// or fill clears both, and so does the peer coming back up.
+	probeFails, liveFails int
+	lastErr               string
 }
 
-func (p *peerState) noteSuccess() (wentUp bool) {
+// noteSuccess records a passing probe (live false) or a forward or fill
+// that succeeded (live true).
+func (p *peerState) noteSuccess(live bool) (wentUp bool) {
 	p.mu.Lock()
-	p.consecFails = 0
-	p.lastErr = ""
+	p.probeFails = 0
+	if live || !p.isUp {
+		p.liveFails = 0
+	}
+	if p.liveFails == 0 {
+		p.lastErr = ""
+	}
 	if !p.isUp {
 		p.isUp = true
 		wentUp = true
@@ -113,11 +116,17 @@ func (p *peerState) noteSuccess() (wentUp bool) {
 	return wentUp
 }
 
-func (p *peerState) noteFailure(downAfter int, reason string) (wentDown bool) {
+// noteFailure records a failed probe (live false) or a forward or fill that
+// failed (live true).
+func (p *peerState) noteFailure(live bool, downAfter int, reason string) (wentDown bool) {
 	p.mu.Lock()
-	p.consecFails++
+	if live {
+		p.liveFails++
+	} else {
+		p.probeFails++
+	}
 	p.lastErr = reason
-	if p.isUp && p.consecFails >= downAfter {
+	if p.isUp && p.probeFails+p.liveFails >= downAfter {
 		p.isUp = false
 		wentDown = true
 	}
@@ -191,7 +200,7 @@ func New(cfg Config) (*Router, error) {
 	if cfg.Logf == nil {
 		cfg.Logf = log.Printf
 	}
-	r, err := ring.New(cfg.Peers, cfg.Vnodes)
+	r, err := ring.New(cfg.Peers, 0)
 	if err != nil {
 		return nil, fmt.Errorf("fleet: %w", err)
 	}
@@ -210,12 +219,7 @@ func New(cfg Config) (*Router, error) {
 		if peer == cfg.Self {
 			continue
 		}
-		p := &peerState{
-			url:     peer,
-			breaker: planserve.NewBreaker(peerBreaker, cfg.Now),
-			up:      rt.peerUp.With(peer),
-			isUp:    true,
-		}
+		p := &peerState{url: peer, up: rt.peerUp.With(peer), isUp: true}
 		p.up.Set(1)
 		rt.peers[peer] = p
 	}
@@ -324,21 +328,13 @@ func (rt *Router) probeAll() {
 		rt.probeLatency.Observe(time.Since(start).Seconds())
 		if err != nil {
 			rt.probeFails.Inc()
-			if p.noteFailure(rt.cfg.DownAfter, err.Error()) {
+			if p.noteFailure(false, rt.cfg.DownAfter, err.Error()) {
 				rt.transitions.With("down").Inc()
 				rt.cfg.Logf("fleet: peer %s marked down: %v", peer, err)
 			}
-		} else {
-			if !p.upNow() {
-				// The peer just came back. Clear stale breaker memory: a
-				// passed probe is direct evidence of recovery, better than
-				// waiting out a cooldown earned before the restart.
-				p.breaker.Reset()
-				rt.cfg.Logf("fleet: peer %s recovered", peer)
-			}
-			if p.noteSuccess() {
-				rt.notePeerUp(peer)
-			}
+		} else if p.noteSuccess(false) {
+			rt.cfg.Logf("fleet: peer %s recovered", peer)
+			rt.notePeerUp(peer)
 		}
 	}
 }
@@ -364,13 +360,11 @@ func (rt *Router) probeOne(p *peerState) error {
 
 // PeerView is one row of the /v1/peers fleet view.
 type PeerView struct {
-	URL          string `json:"url"`
-	Self         bool   `json:"self,omitempty"`
-	Up           bool   `json:"up"`
-	ConsecFails  int    `json:"consecFails,omitempty"`
-	LastError    string `json:"lastError,omitempty"`
-	Breaker      string `json:"breaker,omitempty"`
-	BreakerTrips int64  `json:"breakerTrips,omitempty"`
+	URL         string `json:"url"`
+	Self        bool   `json:"self,omitempty"`
+	Up          bool   `json:"up"`
+	ConsecFails int    `json:"consecFails,omitempty"`
+	LastError   string `json:"lastError,omitempty"`
 }
 
 // Peers snapshots the fleet health view, sorted by URL (self included,
@@ -384,10 +378,8 @@ func (rt *Router) Peers() []PeerView {
 		}
 		p := rt.peers[peer]
 		p.mu.Lock()
-		v := PeerView{URL: peer, Up: p.isUp, ConsecFails: p.consecFails, LastError: p.lastErr}
+		v := PeerView{URL: peer, Up: p.isUp, ConsecFails: p.probeFails + p.liveFails, LastError: p.lastErr}
 		p.mu.Unlock()
-		state, trips := p.breaker.Snapshot()
-		v.Breaker, v.BreakerTrips = state.String(), trips
 		out = append(out, v)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].URL < out[j].URL })
@@ -409,38 +401,29 @@ func (rt *Router) servePeers(w http.ResponseWriter, _ *http.Request) {
 // request, which planserve has read and keyed, to the key's owner and relays
 // the answer, or returns false for planserve to serve it here. It serves
 // here what this node owns, and falls back to serving here when no remote
-// replica is up with its breaker closed, or every forward failed:
-// availability beats placement.
+// replica is up, or every forward failed: availability beats placement.
 func (rt *Router) Route(w http.ResponseWriter, r *http.Request, key string, body []byte) bool {
 	replicas := rt.ring.Replicas(key, rt.cfg.Replicas)
 	if replicas[0] == rt.cfg.Self {
 		return false
 	}
-	// Remote candidates in ring preference order, filtered by health and
-	// per-peer breaker. Self, if it appears in the replica set, terminates
-	// the list — beyond it local serving beats longer forwarding chains.
+	// Remote candidates in ring preference order, filtered by health. Self,
+	// if it appears in the replica set, terminates the list — beyond it local
+	// serving beats longer forwarding chains.
 	var candidates []*peerState
-	probes := map[*peerState]bool{}
 	for _, rep := range replicas {
 		if rep == rt.cfg.Self {
 			break
 		}
-		p := rt.peers[rep]
-		if !p.upNow() {
-			continue
+		if p := rt.peers[rep]; p.upNow() {
+			candidates = append(candidates, p)
 		}
-		run, probe := p.breaker.Allow()
-		if !run {
-			continue
-		}
-		probes[p] = probe
-		candidates = append(candidates, p)
 	}
 	if len(candidates) == 0 {
 		rt.localFallbacks.Inc()
 		return false
 	}
-	resp, peer := rt.forwardHedged(r, body, candidates, probes)
+	resp, peer := rt.forwardHedged(r, body, candidates)
 	if resp == nil {
 		rt.localFallbacks.Inc()
 		return false
@@ -454,7 +437,7 @@ func (rt *Router) Route(w http.ResponseWriter, r *http.Request, key string, body
 // within HedgeAfter, fires one duplicate at candidates[1]. The first
 // acceptable response wins; the loser is cancelled. Returns (nil, nil) when
 // every attempt failed.
-func (rt *Router) forwardHedged(r *http.Request, body []byte, candidates []*peerState, probes map[*peerState]bool) (*http.Response, *peerState) {
+func (rt *Router) forwardHedged(r *http.Request, body []byte, candidates []*peerState) (*http.Response, *peerState) {
 	type attempt struct {
 		resp *http.Response
 		peer *peerState
@@ -470,14 +453,11 @@ func (rt *Router) forwardHedged(r *http.Request, body []byte, candidates []*peer
 		if err != nil && ctx.Err() != nil {
 			// Cancelled because the race was decided, not because the peer is
 			// sick: no verdict either way.
-			if probes[p] {
-				p.breaker.CancelProbe()
-			}
 			results <- attempt{nil, p, err}
 			return
 		}
 		success := err == nil && resp.StatusCode < http.StatusInternalServerError
-		rt.recordOutcome(p, probes[p], success, err)
+		rt.recordOutcome(p, success, err)
 		if err == nil && !success {
 			// A 5xx is a failed attempt; drain it so the connection is reusable.
 			_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20))
@@ -527,13 +507,6 @@ func (rt *Router) forwardHedged(r *http.Request, body []byte, candidates []*peer
 			}
 		}
 	}
-	// Candidates that claimed a half-open probe slot but never launched must
-	// release it, or the peer's breaker would wait on a probe that never ran.
-	for i := launched; i < len(candidates); i++ {
-		if probes[candidates[i]] {
-			candidates[i].breaker.CancelProbe()
-		}
-	}
 	if remaining := launched - finished; remaining > 0 {
 		// A loser is still in flight; reap its result so its body (if any)
 		// is closed and the connection returns to the pool.
@@ -569,12 +542,10 @@ func (c *cancelOnClose) Close() error {
 	return err
 }
 
-// recordOutcome feeds one forward/fill outcome into a peer's breaker and
-// health view.
-func (rt *Router) recordOutcome(p *peerState, probe, success bool, err error) {
-	p.breaker.Record(success, probe)
+// recordOutcome feeds one forward/fill outcome into a peer's health view.
+func (rt *Router) recordOutcome(p *peerState, success bool, err error) {
 	if success {
-		if p.noteSuccess() {
+		if p.noteSuccess(true) {
 			rt.notePeerUp(p.url)
 		}
 		return
@@ -583,7 +554,7 @@ func (rt *Router) recordOutcome(p *peerState, probe, success bool, err error) {
 	if err != nil {
 		reason = err.Error()
 	}
-	if p.noteFailure(rt.cfg.DownAfter, reason) {
+	if p.noteFailure(true, rt.cfg.DownAfter, reason) {
 		rt.transitions.With("down").Inc()
 		rt.cfg.Logf("fleet: peer %s marked down after forward failure: %s", p.url, reason)
 	}
@@ -620,7 +591,7 @@ func copyResponse(w http.ResponseWriter, resp *http.Response, servedBy string) {
 // Fill is the planserve.Config.PeerFill hook: on a local cache miss, ask the
 // key's other up replicas for their cached entry (GET /v1/cache/{key}). A
 // 404 is a clean miss, not a peer failure; transport errors and 5xx count
-// against the peer's breaker and health. First decodable entry wins.
+// against the peer's health. First decodable entry wins.
 func (rt *Router) Fill(ctx context.Context, key string) (*plancache.Entry, bool) {
 	for _, rep := range rt.ring.Replicas(key, rt.cfg.Replicas) {
 		if rep == rt.cfg.Self {
@@ -630,27 +601,20 @@ func (rt *Router) Fill(ctx context.Context, key string) (*plancache.Entry, bool)
 		if !p.upNow() {
 			continue
 		}
-		run, probe := p.breaker.Allow()
-		if !run {
-			continue
-		}
 		fctx, cancel := context.WithTimeout(ctx, rt.cfg.ProbeTimeout)
 		e, err := antientropy.FetchEntry(fctx, rt.client, p.url, key)
 		cancel()
 		switch {
 		case err != nil && ctx.Err() != nil:
 			// The requester ran out of time, which says nothing about the
-			// peer's health: release any probe claim and stop.
-			if probe {
-				p.breaker.CancelProbe()
-			}
+			// peer's health: record nothing and stop.
 		case errors.Is(err, antientropy.ErrNotCached):
 			// A clean 404: the peer is healthy, it just lacks the key.
-			rt.recordOutcome(p, probe, true, nil)
+			rt.recordOutcome(p, true, nil)
 		case err != nil:
-			rt.recordOutcome(p, probe, false, err)
+			rt.recordOutcome(p, false, err)
 		default:
-			rt.recordOutcome(p, probe, true, nil)
+			rt.recordOutcome(p, true, nil)
 			rt.fills.Inc()
 			return e, true
 		}

@@ -263,7 +263,7 @@ func waitFor(t testing.TB, timeout time.Duration, cond func() bool, msg string) 
 
 // routerHarness serves plan requests through a planserve whose Route is a
 // Router over stub "remote peers" (HTTP servers) and whose pipeline is a
-// counting stub — the unit bench for hedging and breaker tests.
+// counting stub — the unit bench for hedging and health tests.
 type routerHarness struct {
 	rt      *Router
 	reg     *obs.Registry // the router's and the server's metrics
@@ -383,7 +383,6 @@ func TestForwardFailureFallsBackLocal(t *testing.T) {
 	h := newRouterHarness(t, Config{
 		Replicas:   2,
 		HedgeAfter: -1, // no hedging: isolate the fallback path
-		DownAfter:  100,
 	}, dead)
 	// With 2 nodes and Replicas=2 every key's replica set is {dead, self} or
 	// {self, ...}; find one owned by the dead backend.
@@ -408,9 +407,10 @@ func TestForwardFailureFallsBackLocal(t *testing.T) {
 	}
 }
 
-// TestPerPeerBreakerStopsHammering: a persistently failing peer trips its
-// breaker; subsequent requests stop reaching it until the cooldown.
-func TestPerPeerBreakerStopsHammering(t *testing.T) {
+// TestForwardFailuresMarkPeerDown: a peer that answers /readyz but fails
+// every forward is marked down by its DownAfter-th consecutive failure, and
+// later requests stop reaching it and are served here.
+func TestForwardFailuresMarkPeerDown(t *testing.T) {
 	var hits atomic.Int64
 	dead := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == "/readyz" {
@@ -424,7 +424,10 @@ func TestPerPeerBreakerStopsHammering(t *testing.T) {
 	h := newRouterHarness(t, Config{
 		Replicas:   2,
 		HedgeAfter: -1,
-		DownAfter:  100, // keep health out of the way; the breaker is under test
+		DownAfter:  3,
+		// The harness starts no prober, so only forwards move the peer's
+		// health; TestForwardFailuresOutlastPassingProbes runs one.
+		ProbeInterval: time.Hour,
 	}, dead)
 	body := bodyOwnedBy(t, h.rt, 1, dead.URL)
 
@@ -442,10 +445,68 @@ func TestPerPeerBreakerStopsHammering(t *testing.T) {
 		}
 	}
 	if n := hits.Load(); n != 3 {
-		t.Errorf("failing peer was hit %d times, want exactly the breaker's 3 failures before it opened", n)
+		t.Errorf("failing peer was hit %d times, want exactly DownAfter's 3 failures before it was marked down", n)
+	}
+	if h.rt.PeerUp(dead.URL) {
+		t.Error("failing peer still up after DownAfter failed forwards")
 	}
 	if n := h.localHi.Load(); n != 6 {
 		t.Errorf("local pipeline runs = %d, want 6", n)
+	}
+}
+
+// TestForwardFailuresOutlastPassingProbes: a passing /readyz probe does not
+// clear failed forwards, so a peer that answers probes but fails every
+// forward is marked down by its DownAfter-th failed forward even when the
+// prober passes it between every two of them.
+func TestForwardFailuresOutlastPassingProbes(t *testing.T) {
+	var probes, hits atomic.Int64
+	dead := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/readyz" {
+			probes.Add(1)
+			return
+		}
+		hits.Add(1)
+		http.Error(w, "boom", http.StatusInternalServerError)
+	}))
+	defer dead.Close()
+
+	h := newRouterHarness(t, Config{
+		Replicas:      2,
+		HedgeAfter:    -1,
+		DownAfter:     3,
+		ProbeInterval: 5 * time.Millisecond,
+	}, dead)
+	h.rt.Start()
+	defer h.rt.Stop()
+	body := bodyOwnedBy(t, h.rt, 1, dead.URL)
+	down := h.rt.transitions.With("down")
+
+	client := &http.Client{Timeout: 10 * time.Second}
+	defer client.CloseIdleConnections()
+	for i := 1; i <= 3; i++ {
+		// Probes run one at a time, so once two more have reached the peer,
+		// the first of them passed and was recorded after the last forward.
+		seen := probes.Load()
+		waitFor(t, 5*time.Second, func() bool { return probes.Load() >= seen+2 }, "two probes between forwards")
+		resp, err := client.Post(h.front.URL+"/v1/plan", "application/octet-stream", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _ = io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("request %d: status %d (local fallback must absorb peer failure)", i, resp.StatusCode)
+		}
+		if got, want := down.Value(), int64(i/3); got != want {
+			t.Fatalf("after %d failed forwards with passing probes between them: %d down transitions, want %d", i, got, want)
+		}
+	}
+	if n := hits.Load(); n != 3 {
+		t.Errorf("failing peer was hit %d times, want 3", n)
+	}
+	if n := h.localHi.Load(); n != 3 {
+		t.Errorf("local pipeline runs = %d, want 3", n)
 	}
 }
 

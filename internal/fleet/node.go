@@ -40,8 +40,9 @@ type NodeConfig struct {
 	// Queue configures the durable async queue behind ?async=1; an empty Dir
 	// disables it. It requires CacheDir: async jobs complete into the plan
 	// cache. StartNode sets Metrics and Logf and starts the queue with the
-	// server's RunJob; Workers defaults to Serve.MaxInFlight, so background
-	// planning never out-parallelizes what admission allows foreground work.
+	// server's RunJob; Workers defaults to the MaxInFlight planserve serves
+	// with, so background planning never out-parallelizes what admission
+	// allows foreground work.
 	Queue planqueue.Config
 	// Fleet configures the router; empty Peers runs a standalone node.
 	// StartNode sets Metrics and Logf, hands the router's Route and Fill to
@@ -126,6 +127,7 @@ func (nd *Node) start(ln net.Listener, warm bool) (err error) {
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
+	sc := cfg.Serve.WithDefaults()
 
 	var cache *plancache.Cache
 	if cfg.CacheDir != "" {
@@ -141,7 +143,7 @@ func (nd *Node) start(ln net.Listener, warm bool) (err error) {
 		qc := cfg.Queue
 		qc.Metrics, qc.Logf = reg, logf
 		if qc.Workers <= 0 {
-			qc.Workers = cfg.Serve.MaxInFlight
+			qc.Workers = sc.MaxInFlight
 		}
 		if queue, err = planqueue.Open(qc); err != nil {
 			return fmt.Errorf("opening async queue: %w", err)
@@ -179,7 +181,6 @@ func (nd *Node) start(ln net.Listener, warm bool) (err error) {
 		router.SetOnPeerUp(healer.NotifyPeerUp)
 	}
 
-	sc := cfg.Serve
 	sc.Cache, sc.Queue, sc.Metrics, sc.Logf = cache, queue, reg, logf
 	if router != nil {
 		sc.Route, sc.PeerFill = router.Route, router.Fill
@@ -256,7 +257,6 @@ func (nd *Node) start(ln net.Listener, warm bool) (err error) {
 			serveErr <- err
 		}
 	}()
-	sc = srv.Config()
 	logf("serving on %s (inflight=%d queue=%d, deadline=%s, cache=%q)",
 		ln.Addr(), sc.MaxInFlight, sc.MaxQueue, sc.DefaultDeadline, cfg.CacheDir)
 	if healer != nil {

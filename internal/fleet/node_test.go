@@ -20,6 +20,7 @@ import (
 	"bootes/internal/plancache"
 	"bootes/internal/planqueue"
 	"bootes/internal/planserve"
+	"bootes/internal/reorder"
 	"bootes/internal/sparse"
 )
 
@@ -85,6 +86,12 @@ func TestStandaloneNodeServesDrainsAndRestartsFromCache(t *testing.T) {
 // it is done.
 func runJob(t testing.TB, client *http.Client, url string, body []byte) planserve.JobResponse {
 	t.Helper()
+	return waitJob(t, client, url, submitJob(t, client, url, body))
+}
+
+// submitJob submits body as an async job to the node at url.
+func submitJob(t testing.TB, client *http.Client, url string, body []byte) planserve.JobResponse {
+	t.Helper()
 	resp, err := client.Post(url+"/v1/plan?async=1", "text/plain", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -95,6 +102,12 @@ func runJob(t testing.TB, client *http.Client, url string, body []byte) planserv
 	if resp.StatusCode != http.StatusAccepted || err != nil {
 		t.Fatalf("async submit: status %d, %v", resp.StatusCode, err)
 	}
+	return job
+}
+
+// waitJob polls job on the node at url until it is done.
+func waitJob(t testing.TB, client *http.Client, url string, job planserve.JobResponse) planserve.JobResponse {
+	t.Helper()
 	for deadline := time.Now().Add(10 * time.Second); job.State != string(planqueue.StateDone); {
 		if time.Now().After(deadline) {
 			t.Fatalf("job %s stuck in %q (%s)", job.JobID, job.State, job.Reason)
@@ -111,6 +124,66 @@ func runJob(t testing.TB, client *http.Client, url string, body []byte) planserv
 		}
 	}
 	return job
+}
+
+// TestAsyncWorkersDefaultToServingInFlight: a node whose Serve and Queue set
+// no sizes runs as many async jobs at once as planserve's default MaxInFlight
+// (4), the queue's documented default, not the queue package's own.
+func TestAsyncWorkersDefaultToServingInFlight(t *testing.T) {
+	const want = 4
+	var mu sync.Mutex
+	var running, peak int
+	overlapped := make(chan struct{})
+	stub := countingPlan(new(atomic.Int64))
+	plan := func(ctx context.Context, m *sparse.CSR, attempt int) (*reorder.Result, error) {
+		mu.Lock()
+		running++
+		if running > peak {
+			if peak = running; peak == want {
+				close(overlapped)
+			}
+		}
+		mu.Unlock()
+		defer func() {
+			mu.Lock()
+			running--
+			mu.Unlock()
+		}()
+		// Hold the run until enough runs overlap; a node with fewer workers
+		// gets there only by the timeout.
+		select {
+		case <-overlapped:
+		case <-time.After(3 * time.Second):
+		case <-ctx.Done():
+		}
+		return stub(ctx, m, attempt)
+	}
+	dir := t.TempDir()
+	nd, err := StartNode(listen(t), NodeConfig{
+		Serve:    planserve.Config{Plan: plan},
+		CacheDir: filepath.Join(dir, "cache"),
+		Queue:    planqueue.Config{Dir: filepath.Join(dir, "queue")},
+		Logf:     t.Logf,
+	}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nd.Close(context.Background())
+	client := &http.Client{Timeout: 30 * time.Second}
+	defer client.CloseIdleConnections()
+
+	var jobs []planserve.JobResponse
+	for seed := int64(50); seed < 56; seed++ {
+		jobs = append(jobs, submitJob(t, client, nd.URL, mmBody(t, testMatrix(t, seed))))
+	}
+	for _, job := range jobs {
+		waitJob(t, client, nd.URL, job)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if peak != want {
+		t.Errorf("at most %d async jobs ran at once, want %d", peak, want)
+	}
 }
 
 // TestAsyncJobPeerFills: an async job on a node that does not own its matrix
@@ -324,6 +397,39 @@ func TestStartupLogNamesServingSettings(t *testing.T) {
 	defer mu.Unlock()
 	if want := "(inflight=4 queue=8, deadline=1m0s,"; !strings.Contains(logs.String(), want) {
 		t.Errorf("start-up log lacks %q:\n%s", want, logs.String())
+	}
+}
+
+// TestNegativeMaxRetriesDisablesRetriesOnNode: a node started with
+// Serve.MaxRetries -1 serves a transiently degraded plan from its one
+// pipeline run, as planserve.New alone does, however often the serving
+// defaults are applied on the way.
+func TestNegativeMaxRetriesDisablesRetriesOnNode(t *testing.T) {
+	var runs atomic.Int64
+	plan := func(_ context.Context, m *sparse.CSR, _ int) (*reorder.Result, error) {
+		runs.Add(1)
+		return &reorder.Result{
+			Perm:           sparse.IdentityPerm(m.Rows),
+			Degraded:       true,
+			DegradedReason: "requested: eigensolver did not converge; fell back to identity",
+		}, nil
+	}
+	nd, err := StartNode(listen(t), NodeConfig{
+		Serve: planserve.Config{Plan: plan, MaxRetries: -1, RetryBackoff: time.Millisecond},
+		Logf:  t.Logf,
+	}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nd.Close(context.Background())
+	client := &http.Client{Timeout: 30 * time.Second}
+	defer client.CloseIdleConnections()
+	resp, pr := postPlan(t, client, nd.URL, mmBody(t, testMatrix(t, 1)))
+	if resp.StatusCode != http.StatusOK || !pr.Degraded {
+		t.Fatalf("status %d, degraded %v; want the degraded plan served", resp.StatusCode, pr.Degraded)
+	}
+	if n := runs.Load(); n != 1 {
+		t.Errorf("pipeline ran %d times, want 1: MaxRetries -1 disables retries", n)
 	}
 }
 

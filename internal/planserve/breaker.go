@@ -42,16 +42,13 @@ type BreakerConfig struct {
 	Cooldown time.Duration
 }
 
-// Breaker implements the trip / cooldown / half-open-probe state machine.
-// It is exported so internal/fleet can reuse the same machinery as a
-// per-peer circuit breaker (a peer that keeps failing forwards or cache
-// fills is skipped for Cooldown, then probed with one request).
+// breaker implements the trip / cooldown / half-open-probe state machine.
 // It protects the planning pipeline from repeated pointless work: when the
 // pipeline is persistently falling down the degradation ladder (e.g. the
 // eigensolver cannot converge on anything), clients get an immediate,
 // clearly-marked identity plan instead of burning a pipeline slot to compute
 // the same identity plan slowly.
-type Breaker struct {
+type breaker struct {
 	cfg BreakerConfig
 	now func() time.Time
 
@@ -63,21 +60,21 @@ type Breaker struct {
 	trips         int64
 }
 
-// NewBreaker builds a breaker; nil now uses the real clock, and a zero
+// newBreaker builds a breaker; nil now uses the real clock, and a zero
 // cfg.FailureThreshold disables it (Allow always permits).
-func NewBreaker(cfg BreakerConfig, now func() time.Time) *Breaker {
+func newBreaker(cfg BreakerConfig, now func() time.Time) *breaker {
 	if cfg.Cooldown <= 0 {
 		cfg.Cooldown = 15 * time.Second
 	}
 	if now == nil {
 		now = time.Now
 	}
-	return &Breaker{cfg: cfg, now: now}
+	return &breaker{cfg: cfg, now: now}
 }
 
 // Allow decides how a request may proceed: run the real pipeline (possibly
 // as the half-open probe) or take the identity fast-path.
-func (b *Breaker) Allow() (runPipeline, probe bool) {
+func (b *breaker) Allow() (runPipeline, probe bool) {
 	if b.cfg.FailureThreshold <= 0 {
 		return true, false
 	}
@@ -105,7 +102,7 @@ func (b *Breaker) Allow() (runPipeline, probe bool) {
 // CancelProbe releases a claimed half-open probe slot without an outcome
 // (the probing request was coalesced away or died before the pipeline ran),
 // so the next request can probe instead of the slot leaking.
-func (b *Breaker) CancelProbe() {
+func (b *breaker) CancelProbe() {
 	if b.cfg.FailureThreshold <= 0 {
 		return
 	}
@@ -118,7 +115,7 @@ func (b *Breaker) CancelProbe() {
 
 // Record feeds one pipeline outcome back. probe marks the half-open probe's
 // own result; success means the plan did not hard-degrade.
-func (b *Breaker) Record(success, probe bool) {
+func (b *breaker) Record(success, probe bool) {
 	if b.cfg.FailureThreshold <= 0 {
 		return
 	}
@@ -152,23 +149,8 @@ func (b *Breaker) Record(success, probe bool) {
 	}
 }
 
-// Reset closes the breaker and clears its failure memory, preserving the
-// trip count. The fleet prober calls it when a peer transitions back to
-// healthy: a passed readyz probe is direct evidence of recovery, better
-// than waiting out a cooldown earned by failures from before the restart.
-func (b *Breaker) Reset() {
-	if b.cfg.FailureThreshold <= 0 {
-		return
-	}
-	b.mu.Lock()
-	b.state = BreakerClosed
-	b.consecutive = 0
-	b.probeInFlight = false
-	b.mu.Unlock()
-}
-
-// Snapshot returns the state and trip count for /statsz and /v1/peers.
-func (b *Breaker) Snapshot() (BreakerState, int64) {
+// Snapshot returns the state and trip count for /statsz.
+func (b *breaker) Snapshot() (BreakerState, int64) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.state, b.trips

@@ -40,7 +40,7 @@ func (c *fakeClock) advance(d time.Duration) {
 // closed → open → half-open → closed and the probe-failure re-open.
 func TestBreakerUnitStateMachine(t *testing.T) {
 	clock := newFakeClock()
-	b := NewBreaker(BreakerConfig{FailureThreshold: 2, Cooldown: 10 * time.Second}, clock.now)
+	b := newBreaker(BreakerConfig{FailureThreshold: 2, Cooldown: 10 * time.Second}, clock.now)
 
 	if run, probe := b.Allow(); !run || probe {
 		t.Fatal("closed breaker must admit normally")
@@ -99,7 +99,7 @@ func TestBreakerUnitStateMachine(t *testing.T) {
 }
 
 func TestBreakerDisabledByDefault(t *testing.T) {
-	b := NewBreaker(BreakerConfig{}, nil)
+	b := newBreaker(BreakerConfig{}, nil)
 	for i := 0; i < 10; i++ {
 		b.Record(false, false)
 	}
@@ -275,35 +275,4 @@ func TestBreakerEndToEndRealPipeline(t *testing.T) {
 	if st := s.Stats(); st.Breaker != "closed" {
 		t.Fatalf("breaker = %s after healthy probe, want closed", st.Breaker)
 	}
-}
-
-func TestBreakerReset(t *testing.T) {
-	clock := newFakeClock()
-	b := NewBreaker(BreakerConfig{FailureThreshold: 2, Cooldown: time.Hour}, clock.now)
-	b.Record(false, false)
-	b.Record(false, false)
-	if st, _ := b.Snapshot(); st != BreakerOpen {
-		t.Fatal("breaker did not trip")
-	}
-	// Reset mid-cooldown: the breaker closes immediately and serves normally.
-	b.Reset()
-	if st, trips := b.Snapshot(); st != BreakerClosed || trips != 1 {
-		t.Fatalf("state=%v trips=%d after reset, want closed with trips preserved", st, trips)
-	}
-	if run, probe := b.Allow(); !run || probe {
-		t.Fatal("reset breaker must admit normally, not as a probe")
-	}
-	// Reset also releases a claimed half-open probe slot.
-	b.Record(false, false)
-	b.Record(false, false)
-	clock.advance(2 * time.Hour)
-	if run, probe := b.Allow(); !run || !probe {
-		t.Fatal("expected a half-open probe claim")
-	}
-	b.Reset()
-	if run, probe := b.Allow(); !run || probe {
-		t.Fatal("reset did not clear the in-flight probe claim")
-	}
-	// Reset on a disabled breaker is a no-op.
-	NewBreaker(BreakerConfig{}, nil).Reset()
 }

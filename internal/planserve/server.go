@@ -213,7 +213,7 @@ type Stats struct {
 type Server struct {
 	cfg     Config
 	sem     chan struct{}
-	breaker *Breaker
+	breaker *breaker
 	flights flightGroup[admitted]
 	mux     *http.ServeMux
 	limiter *tenantLimiter
@@ -235,11 +235,10 @@ type Server struct {
 	latency                                                  *obs.HistogramVec
 }
 
-// New validates cfg, applies defaults, and builds the server.
-func New(cfg Config) (*Server, error) {
-	if cfg.Plan == nil {
-		return nil, errors.New("planserve: Config.Plan is required")
-	}
+// WithDefaults returns cfg with every unset setting at its default, the
+// value New builds the server with. It is idempotent: a negative MaxRetries
+// stays negative, since planWithRetry already reads it as no retries.
+func (cfg Config) WithDefaults() Config {
 	if cfg.MaxInFlight <= 0 {
 		cfg.MaxInFlight = 4
 	}
@@ -249,9 +248,7 @@ func New(cfg Config) (*Server, error) {
 	if cfg.DefaultDeadline <= 0 {
 		cfg.DefaultDeadline = 60 * time.Second
 	}
-	if cfg.MaxRetries < 0 {
-		cfg.MaxRetries = 0
-	} else if cfg.MaxRetries == 0 {
+	if cfg.MaxRetries == 0 {
 		cfg.MaxRetries = 2
 	}
 	if cfg.RetryBackoff <= 0 {
@@ -263,6 +260,15 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Logf == nil {
 		cfg.Logf = log.Printf
 	}
+	return cfg
+}
+
+// New validates cfg, applies its defaults, and builds the server.
+func New(cfg Config) (*Server, error) {
+	if cfg.Plan == nil {
+		return nil, errors.New("planserve: Config.Plan is required")
+	}
+	cfg = cfg.WithDefaults()
 	seed := cfg.Seed
 	if seed == 0 {
 		seed = 1
@@ -270,7 +276,7 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:     cfg,
 		sem:     make(chan struct{}, cfg.MaxInFlight),
-		breaker: NewBreaker(cfg.Breaker, cfg.Now),
+		breaker: newBreaker(cfg.Breaker, cfg.Now),
 		jitter:  rand.New(rand.NewSource(seed)),
 	}
 	s.registerMetrics(cfg.Metrics)
@@ -346,9 +352,6 @@ func (s *Server) registerMetrics(reg *obs.Registry) {
 
 // Handler returns the HTTP handler for the server's endpoints.
 func (s *Server) Handler() http.Handler { return s.mux }
-
-// Config returns the configuration the server runs with, defaults applied.
-func (s *Server) Config() Config { return s.cfg }
 
 // SlotsInUse returns the number of admission (in-flight) semaphore slots
 // currently held. At rest it must be 0 — the invariant leakcheck and the
