@@ -123,10 +123,9 @@ type Options struct {
 	// k-means seeding). The gate's feature sampling always runs at seed 0,
 	// so the gate's decision does not depend on Seed.
 	Seed int64
-	// Budget caps planning resources. The zero value imposes no limits.
-	// Exceeding a cap never fails the plan: the pipeline degrades (cheaper
-	// operator, smaller k, ultimately the identity permutation) and records
-	// the trail in ReorderPlan.Degraded / DegradedReason.
+	// Budget caps planning wall time. The zero value imposes no limit.
+	// Expiry never fails the plan: it degrades to the identity permutation
+	// and records why in ReorderPlan.Degraded / DegradedReason.
 	Budget Budget
 	// Cache, when non-nil, is consulted before planning and durably stores
 	// healthy (non-degraded) plans afterwards. The key covers the matrix's
@@ -177,16 +176,12 @@ func EffectiveSimilarityMode(m *Matrix, o *Options) SimilarityMode {
 	return core.EffectiveSimilarityMode(m, opts.spectralOptions())
 }
 
-// Budget caps the resources one Plan/PlanContext call may consume.
+// Budget caps the wall time one Plan/PlanContext call may take.
 type Budget struct {
 	// MaxWallClock bounds planning wall time. On expiry the pipeline returns
 	// an identity plan marked Degraded rather than an error; cancelling the
 	// PlanContext context is still reported as ctx.Err().
 	MaxWallClock time.Duration
-	// MaxFootprintBytes bounds the modeled peak planning memory. Candidate
-	// configurations whose upper-bound estimate exceeds it are skipped
-	// before any similarity storage is allocated.
-	MaxFootprintBytes int64
 }
 
 // CandidateKs are the cluster counts the pipeline chooses between.
@@ -248,8 +243,8 @@ func Plan(m *Matrix, opts *Options) (*ReorderPlan, error) {
 // through every phase (similarity construction, each Lanczos iteration, each
 // k-means restart and iteration, every parallel chunk launch), so cancelling
 // it makes planning return ctx.Err() promptly. A context that is already done
-// returns before any similarity storage is allocated. Budgets and internal
-// faults never surface as errors — they degrade the plan instead (see
+// returns before any similarity storage is allocated. Budget expiry and
+// internal faults never surface as errors — they degrade the plan instead (see
 // Options.Budget and ReorderPlan.Degraded).
 //
 // Every plan, computed or read from Options.Cache, is machine-checked before
@@ -310,10 +305,7 @@ func PlanContext(ctx context.Context, m *Matrix, opts *Options) (*ReorderPlan, e
 		ForceReorder: o.ForceReorder,
 		ForceK:       o.ForceK,
 		AutoK:        o.AutoK,
-		Budget: core.Budget{
-			MaxWallClock:      o.Budget.MaxWallClock,
-			MaxFootprintBytes: o.Budget.MaxFootprintBytes,
-		},
+		Budget:       core.Budget{MaxWallClock: o.Budget.MaxWallClock},
 	}
 	if o.Model != nil {
 		p.Model = o.Model.tree

@@ -1,8 +1,9 @@
 // Command bootesd is the Bootes plan-serving daemon: a long-running HTTP
 // service that fronts the fault-tolerant planning pipeline with a crash-safe
 // persistent plan cache, admission control with load shedding, request
-// coalescing, transient-degradation retries, a degradation circuit breaker,
-// and graceful drain on SIGTERM.
+// coalescing, immediate reseeded re-planning of transiently degraded plans
+// (-retries times), a degradation circuit breaker, and graceful drain on
+// SIGTERM.
 //
 // Endpoints:
 //
@@ -62,7 +63,7 @@ func main() {
 	maxQueue := flag.Int("max-queue", 0, "requests waiting for a slot before shedding (default 2x max-inflight)")
 	deadline := flag.Duration("deadline", 60*time.Second, "per-request planning deadline cap")
 	drain := flag.Duration("drain", 30*time.Second, "graceful shutdown drain deadline")
-	retries := flag.Int("retries", 2, "serve-level retries of transiently degraded plans")
+	retries := flag.Int("retries", 2, "serve-level retries of transiently degraded plans, each at once on a fresh seed (0 disables)")
 	breakerFails := flag.Int("breaker-failures", 5, "consecutive hard-degraded plans that trip the breaker (0 disables)")
 	breakerCooldown := flag.Duration("breaker-cooldown", 15*time.Second, "breaker open duration before a half-open probe")
 	allowPath := flag.Bool("allow-path", false, "allow ?path= requests reading matrices from this host's filesystem")
@@ -139,7 +140,6 @@ func main() {
 			MaxUploadBytes:  *maxUpload,
 			AllowLocalPaths: *allowPath,
 			AutoK:           *autoK,
-			Seed:            *seed,
 		},
 		CacheDir: *cacheDir,
 		Queue: planqueue.Config{

@@ -159,8 +159,9 @@ func resolveFleet(peers string, spawn, replicas int, seed int64, selfHeal bool, 
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		// The production pipeline (no learned model), matching what bootesd
-		// runs, so a spawned soak exercises real planning latency.
+		// The production pipeline (no learned model) and bootesd's default
+		// -retries, matching what bootesd runs, so a spawned soak exercises
+		// real planning latency.
 		plan := planserve.PipelinePlan(bootes.Options{Seed: seed})
 		cfg := fleet.NodeConfig{
 			Serve: planserve.Config{
@@ -168,7 +169,7 @@ func resolveFleet(peers string, spawn, replicas int, seed int64, selfHeal bool, 
 					computes.Add(1)
 					return plan(ctx, m, attempt)
 				},
-				Seed: seed,
+				MaxRetries: 2,
 			},
 			CacheDir: dir,
 			Fleet:    fleet.Config{Replicas: replicas},

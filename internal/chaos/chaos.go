@@ -215,7 +215,6 @@ func (e *episode) violatef(format string, args ...any) {
 // scenario, which also verifies recovery.
 var pipelineFaults = []string{
 	faultinject.EigenNoConverge,
-	faultinject.AllocCapBreach,
 	faultinject.WorkerStall,
 	faultinject.SweepCancel,
 	faultinject.BreakerProbeFail,
@@ -608,9 +607,7 @@ func scenarioServeHTTP(e *episode) {
 		MaxQueue:        1 + e.rng.Intn(3),
 		DefaultDeadline: e.budget(),
 		MaxRetries:      1,
-		RetryBackoff:    time.Millisecond,
 		Breaker:         planserve.BreakerConfig{FailureThreshold: 2, Cooldown: 10 * time.Millisecond},
-		Seed:            e.rng.Int63(),
 		Metrics:         reg,
 		Logf:            func(string, ...any) {},
 	})

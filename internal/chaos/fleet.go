@@ -190,7 +190,7 @@ func (h *fleetHarness) peersSee(target string, wantUp bool) bool {
 func scenarioFleetPartition(e *episode) {
 	h := &fleetHarness{e: e, name: "fleet-partition", replicas: 2, up: make(map[string]bool), computes: make(map[string]int), perms: make(map[string][]int32)}
 	c, err := fleet.LaunchCluster(fleetNodes, fleet.NodeConfig{
-		Serve:    planserve.Config{Plan: h.plan, MaxInFlight: 4, Seed: e.rng.Int63()},
+		Serve:    planserve.Config{Plan: h.plan, MaxInFlight: 4},
 		CacheDir: filepath.Join(e.dir, "fleet"),
 		Fleet: fleet.Config{
 			Replicas: h.replicas,

@@ -30,7 +30,7 @@ import (
 func scenarioFleetHeal(e *episode) {
 	h := &fleetHarness{e: e, name: "fleet-heal", replicas: 2, up: make(map[string]bool), computes: make(map[string]int), perms: make(map[string][]int32)}
 	c, err := fleet.LaunchCluster(fleetNodes, fleet.NodeConfig{
-		Serve:    planserve.Config{Plan: h.plan, MaxInFlight: 4, Seed: e.rng.Int63()},
+		Serve:    planserve.Config{Plan: h.plan, MaxInFlight: 4},
 		CacheDir: filepath.Join(e.dir, "fleet-heal"),
 		Fleet: fleet.Config{
 			Replicas:      h.replicas,

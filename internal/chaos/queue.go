@@ -80,7 +80,7 @@ func scenarioQueueCrash(e *episode) {
 			return &reorder.Result{
 				Perm:           sparse.IdentityPerm(m.Rows),
 				Degraded:       true,
-				DegradedReason: "requested: memory estimate over budget; fell back to identity",
+				DegradedReason: "wall-clock budget exhausted; fell back to identity",
 			}, nil
 		}
 		return reversalResult(m), nil
@@ -265,7 +265,6 @@ func scenarioTenantStorm(e *episode) {
 		MaxQueue:        4,
 		DefaultDeadline: 5 * time.Second,
 		Tenants:         planserve.TenantConfig{Rate: 1, Burst: burst},
-		Seed:            e.rng.Int63(),
 		Metrics:         reg,
 		Now:             func() time.Time { return stopped },
 		Logf:            func(string, ...any) {},

@@ -29,7 +29,7 @@ const (
 	// was used.
 	AutoKFallbackImplicit = "fallback-implicit"
 	// AutoKDegraded: the auto-k attempt itself failed (eigensolve, refinement,
-	// contained panic, memory budget) and planning degraded to the fixed-k
+	// contained panic, wall-clock budget) and planning degraded to the fixed-k
 	// ladder. Recorded in Degraded/DegradedReason as well.
 	AutoKDegraded = "degraded"
 )
@@ -89,21 +89,6 @@ func selectEigengap(values []float64, kmin, kmax int, stop, minRatio float64) (b
 		}
 	}
 	return bestK, bestRatio, bestK >= kmin && bestRatio >= minRatio
-}
-
-// estimateAutoKFootprint is the pre-allocation memory model for the auto-k
-// rung: the spectral footprint at K = autoKMax+1 over the S that
-// similarityKernel materializes (not the operator a fixed-k pass applies),
-// plus the refined similarity, which coexists with S through the spectrum
-// solve. Diffusion (S·Sᵀ) can fill the refined matrix up to n×n, and nothing
-// short of forming it tells how far, so it is charged at that bound.
-func estimateAutoKFootprint(a *sparse.CSR, base SpectralOptions) int64 {
-	n := a.Rows
-	k := min(autoKMax+1, n)
-	hub, colCounts := resolveHub(a)
-	simBytes := estimateSimilarityBytes(a, similarityKernel(a, base, hub, colCounts), hub, colCounts)
-	nn := int64(n)
-	return spectralFootprint(n, k, simBytes, base.eigenOptions(k)) + (nn+1)*8 + nn*nn*(4+8)
 }
 
 // attemptAutoK runs the auto-k rung with panic containment. Outcomes:

@@ -285,22 +285,6 @@ func TestAutoKRespectsForceK(t *testing.T) {
 	}
 }
 
-func TestAutoKMemoryBudgetDegrades(t *testing.T) {
-	m := plantedBlockMatrix(t, 96, 3, 3)
-	p := autoKPipeline(7)
-	p.Budget.MaxFootprintBytes = 1 // below any estimate: every rung skips
-	res, err := p.ReorderContext(context.Background(), m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.AutoK != AutoKDegraded {
-		t.Errorf("outcome %q, want %s", res.AutoK, AutoKDegraded)
-	}
-	if !res.Degraded || !strings.Contains(res.DegradedReason, "autok: memory estimate") {
-		t.Errorf("budget skip not recorded: %q", res.DegradedReason)
-	}
-}
-
 func TestSelectEigengap(t *testing.T) {
 	// Planted 4-cluster spectrum: gap between values[3] and values[4].
 	vals := []float64{1.0, 0.98, 0.97, 0.95, 0.21, 0.18, 0.1}

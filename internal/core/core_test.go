@@ -260,7 +260,7 @@ func TestNamesAndModelPredictPath(t *testing.T) {
 	}
 	p := &Pipeline{Model: model, Spectral: SpectralOptions{Seed: 1}}
 	a := blockMatrix(9, 8)
-	label, _, err := p.Decide(a)
+	label, err := p.Decide(a)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,11 +46,11 @@ type rung struct {
 // The first rung is the caller's own configuration. The approx rung — the
 // LSH-sparsified similarity, cheaper in both time and memory than the exact
 // kernel — is inserted only when the request resolves to the exact tier, so
-// budget pressure degrades exact → approx → implicit; when the request
+// a failing request degrades exact → approx → implicit; when the request
 // already runs approximate or implicit similarity the ladder skips straight
 // past the corresponding rungs. The identity rung is not in the list — it is
-// the unconditional floor the caller falls to when every listed rung is
-// skipped or fails.
+// the unconditional floor the caller falls to when every listed rung fails
+// or the wall-clock budget runs out.
 func buildLadder(base SpectralOptions, eff SimilarityMode) []rung {
 	var ladder []rung
 	ladder = append(ladder, rung{name: "requested", opts: base})
@@ -96,13 +96,10 @@ func attemptSpectral(ctx context.Context, opts SpectralOptions, a *sparse.CSR) (
 	return Spectral{Opts: opts}.ReorderContext(ctx, a)
 }
 
-// rungReason phrases why a planning rung produced no plan: its memory
-// estimate est was over budget when err is nil, otherwise its attempt failed
-// with err. planserve's retry classifier matches on these phrases.
-func rungReason(rung string, est int64, err error) string {
+// rungReason phrases why a planning rung's attempt failed with err.
+// planserve's retry classifier matches on these phrases.
+func rungReason(rung string, err error) string {
 	switch {
-	case err == nil:
-		return fmt.Sprintf("%s: memory estimate %d B over budget", rung, est)
 	case errors.Is(err, eigen.ErrNoConverge):
 		return rung + ": eigensolver did not converge"
 	case errors.Is(err, ErrInternalPanic):
@@ -120,8 +117,6 @@ func rungReason(rung string, est int64, err error) string {
 //     before any similarity storage is allocated when pre-cancelled.
 //   - Budget.MaxWallClock expires (ctx itself still live) → identity plan
 //     with Degraded=true, never an error.
-//   - A rung's memory estimate exceeds Budget.MaxFootprintBytes → that rung
-//     is skipped before allocation and the ladder descends.
 //   - Eigensolver non-convergence, operator errors, or contained panics →
 //     the ladder descends; the identity rung cannot fail.
 //
@@ -151,7 +146,7 @@ func (p *Pipeline) ReorderContext(ctx context.Context, a *sparse.CSR) (res *reor
 	}
 	endFeatures := obs.StartStage(ctx, obs.StageFeatures)
 	defer endFeatures()
-	label, feats, err := p.Decide(a)
+	label, err := p.Decide(a)
 	endFeatures()
 	if err != nil {
 		return nil, err
@@ -174,11 +169,7 @@ func (p *Pipeline) ReorderContext(ctx context.Context, a *sparse.CSR) (res *reor
 			PreprocessTime: time.Since(start),
 			FootprintBytes: int64(a.Rows)*4 + modelBytes(p.Model),
 			Reordered:      false,
-			Extra: map[string]float64{
-				"k":        0,
-				"decision": float64(label),
-				"interAvg": feats.InterAvg,
-			},
+			Extra:          map[string]float64{"k": 0},
 		}, nil
 	}
 
@@ -204,47 +195,38 @@ func (p *Pipeline) ReorderContext(ctx context.Context, a *sparse.CSR) (res *reor
 	// degrades onto the fixed-k ladder with the reason recorded.
 	autoK := ""
 	if p.AutoK && p.ForceK == 0 {
-		if est := estimateAutoKFootprint(a, base); p.Budget.memoryExceeded(est) {
+		obs.RungAttempt(ctx, "autok")
+		sr, outcome, err := p.attemptAutoK(runCtx, a, base)
+		switch {
+		case err == nil && sr != nil:
+			obs.AutoKOutcome(ctx, AutoKOutcomeLabel(outcome))
+			return &reorder.Result{
+				Perm:           sr.Perm,
+				PreprocessTime: time.Since(start),
+				FootprintBytes: sr.FootprintBytes + modelBytes(p.Model),
+				Reordered:      !sr.Perm.IsIdentity(),
+				SimilarityMode: sr.Similarity.String(),
+				AutoK:          outcome,
+				Extra: map[string]float64{
+					"k":           float64(sr.K),
+					"matvecs":     float64(sr.MatVecs),
+					"kmeansIters": float64(sr.KMeansIters),
+				},
+			}, nil
+		case err == nil:
+			obs.AutoKOutcome(ctx, AutoKOutcomeLabel(outcome))
+			autoK = outcome
+		default:
 			obs.RungFailure(ctx, "autok")
+			if ctxErr := ctx.Err(); ctxErr != nil {
+				return nil, ctxErr
+			}
 			obs.AutoKOutcome(ctx, AutoKDegraded)
-			reasons = append(reasons, rungReason("autok", est, nil))
 			autoK = AutoKDegraded
-		} else {
-			obs.RungAttempt(ctx, "autok")
-			sr, outcome, err := p.attemptAutoK(runCtx, a, base)
-			switch {
-			case err == nil && sr != nil:
-				obs.AutoKOutcome(ctx, AutoKOutcomeLabel(outcome))
-				return &reorder.Result{
-					Perm:           sr.Perm,
-					PreprocessTime: time.Since(start),
-					FootprintBytes: sr.FootprintBytes + modelBytes(p.Model),
-					Reordered:      !sr.Perm.IsIdentity(),
-					SimilarityMode: sr.Similarity.String(),
-					AutoK:          outcome,
-					Extra: map[string]float64{
-						"k":           float64(sr.K),
-						"decision":    float64(label),
-						"matvecs":     float64(sr.MatVecs),
-						"kmeansIters": float64(sr.KMeansIters),
-						"interAvg":    feats.InterAvg,
-					},
-				}, nil
-			case err == nil:
-				obs.AutoKOutcome(ctx, AutoKOutcomeLabel(outcome))
-				autoK = outcome
-			default:
-				obs.RungFailure(ctx, "autok")
-				if ctxErr := ctx.Err(); ctxErr != nil {
-					return nil, ctxErr
-				}
-				obs.AutoKOutcome(ctx, AutoKDegraded)
-				autoK = AutoKDegraded
-				if runCtx.Err() != nil {
-					reasons = append(reasons, "autok: wall-clock budget exhausted")
-				} else {
-					reasons = append(reasons, rungReason("autok", 0, err))
-				}
+			if runCtx.Err() != nil {
+				reasons = append(reasons, "autok: wall-clock budget exhausted")
+			} else {
+				reasons = append(reasons, rungReason("autok", err))
 			}
 		}
 	}
@@ -257,11 +239,6 @@ func (p *Pipeline) ReorderContext(ctx context.Context, a *sparse.CSR) (res *reor
 			reasons = append(reasons, "wall-clock budget exhausted")
 			break
 		}
-		if est := estimateSpectralFootprint(a, r.opts); p.Budget.memoryExceeded(est) {
-			obs.RungFailure(ctx, r.name)
-			reasons = append(reasons, rungReason(r.name, est, nil))
-			continue
-		}
 		obs.RungAttempt(ctx, r.name)
 		sr, err := attemptSpectral(runCtx, r.opts, a)
 		if err != nil {
@@ -273,7 +250,7 @@ func (p *Pipeline) ReorderContext(ctx context.Context, a *sparse.CSR) (res *reor
 				reasons = append(reasons, "wall-clock budget exhausted")
 				break
 			}
-			reasons = append(reasons, rungReason(r.name, 0, err))
+			reasons = append(reasons, rungReason(r.name, err))
 			continue
 		}
 		return &reorder.Result{
@@ -287,16 +264,14 @@ func (p *Pipeline) ReorderContext(ctx context.Context, a *sparse.CSR) (res *reor
 			AutoK:          autoK,
 			Extra: map[string]float64{
 				"k":           float64(r.opts.K),
-				"decision":    float64(label),
 				"matvecs":     float64(sr.MatVecs),
 				"kmeansIters": float64(sr.KMeansIters),
-				"interAvg":    feats.InterAvg,
 			},
 		}, nil
 	}
 
-	// Identity floor: every rung was skipped or failed (or the budget clock
-	// ran out). Still a valid plan — the matrix is simply left as-is.
+	// Identity floor: every rung failed (or the budget clock ran out). Still
+	// a valid plan — the matrix is simply left as-is.
 	if len(reasons) == 0 {
 		reasons = append(reasons, "no ladder rung attempted")
 	}
@@ -308,10 +283,6 @@ func (p *Pipeline) ReorderContext(ctx context.Context, a *sparse.CSR) (res *reor
 		Degraded:       true,
 		DegradedReason: strings.Join(reasons, "; ") + "; fell back to identity",
 		AutoK:          autoK,
-		Extra: map[string]float64{
-			"k":        0,
-			"decision": float64(label),
-			"interAvg": feats.InterAvg,
-		},
+		Extra:          map[string]float64{"k": 0},
 	}, nil
 }

@@ -61,7 +61,6 @@ func TestInjectedNoConvergeDegradesToImplicit(t *testing.T) {
 func TestInjectedFaultsFallToIdentity(t *testing.T) {
 	t.Cleanup(faultinject.Reset)
 	faultinject.Arm(faultinject.EigenNoConverge, faultinject.Always())
-	faultinject.Arm(faultinject.AllocCapBreach, faultinject.Always())
 	a := blockMatrix(2, 8)
 	p := &Pipeline{ForceReorder: true, ForceK: 8, Spectral: SpectralOptions{Seed: 3, Similarity: SimExact}}
 	res, err := p.ReorderContext(context.Background(), a)
@@ -79,49 +78,6 @@ func TestInjectedFaultsFallToIdentity(t *testing.T) {
 	}
 	if res.Reordered {
 		t.Error("identity fallback must report Reordered=false")
-	}
-}
-
-func TestAllocCapBreachSkipsOneRung(t *testing.T) {
-	t.Cleanup(faultinject.Reset)
-	faultinject.Arm(faultinject.AllocCapBreach) // fires once: skips the requested rung
-	a := blockMatrix(4, 8)
-	p := &Pipeline{ForceReorder: true, ForceK: 8, Spectral: SpectralOptions{Seed: 3, Similarity: SimExact}}
-	res, err := p.ReorderContext(context.Background(), a)
-	if err != nil {
-		t.Fatalf("plan errored: %v", err)
-	}
-	if !res.Degraded {
-		t.Fatal("memory-cap breach on the first rung must mark the plan Degraded")
-	}
-	if !strings.Contains(res.DegradedReason, "memory estimate") {
-		t.Errorf("DegradedReason %q does not mention the memory estimate", res.DegradedReason)
-	}
-	if err := res.Perm.Validate(a.Rows); err != nil {
-		t.Fatalf("degraded plan invalid: %v", err)
-	}
-	if !res.Reordered {
-		t.Error("the implicit rung should still reorder after one skipped rung")
-	}
-}
-
-func TestTinyMemoryBudgetFallsToIdentity(t *testing.T) {
-	a := blockMatrix(5, 8)
-	p := &Pipeline{
-		ForceReorder: true, ForceK: 8,
-		Spectral: SpectralOptions{Seed: 3, Similarity: SimExact},
-		Budget:   Budget{MaxFootprintBytes: 64},
-	}
-	res, err := p.ReorderContext(context.Background(), a)
-	if err != nil {
-		t.Fatalf("plan errored: %v", err)
-	}
-	if !res.Degraded || !res.Perm.IsIdentity() {
-		t.Fatalf("64-byte budget must yield a degraded identity plan, got Degraded=%v identity=%v",
-			res.Degraded, res.Perm.IsIdentity())
-	}
-	if !strings.Contains(res.DegradedReason, "over budget") {
-		t.Errorf("DegradedReason %q does not mention the budget", res.DegradedReason)
 	}
 }
 
@@ -260,56 +216,4 @@ func TestConcurrentCancelledPlans(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-}
-
-func TestFootprintEstimateBoundsRealizedModel(t *testing.T) {
-	// The budget check runs before anything is allocated, so its estimate
-	// must never undercount the model the finished pass reports. Both go
-	// through spectralFootprint, with the solver's term from
-	// eigen.ModeledBytes (basis plus Ritz block).
-	a := blockMatrix(6, 8)
-	for _, mode := range []SimilarityMode{SimAuto, SimExact, SimApprox, SimImplicit} {
-		for _, k := range []int{2, 8, 32} {
-			opts := SpectralOptions{K: k, Seed: 3, Similarity: mode}
-			res, err := Spectral{Opts: opts}.Reorder(a)
-			if err != nil {
-				t.Fatalf("%v k=%d: %v", mode, k, err)
-			}
-			est := estimateSpectralFootprint(a, opts)
-			if est < res.FootprintBytes {
-				t.Errorf("%v k=%d: estimate %d below realized %d", mode, k, est, res.FootprintBytes)
-			}
-		}
-	}
-
-	// Auto-k reports the same formula over its raw plus refined similarity;
-	// the auto-k rung's budget estimate must bound that too. The second
-	// input is dense enough that S plus the refined matrix outweigh the
-	// n×n refined-matrix term, so an estimate charging the fixed-k pass's
-	// matrix-free operator instead of the S auto-k materializes undercounts.
-	dense := workloads.ScrambledBlock(workloads.Params{
-		Rows: 128, Cols: 128, Density: 0.1, Seed: 5, Groups: 3,
-	})
-	for name, m := range map[string]*sparse.CSR{"block": a, "dense": dense} {
-		p := &Pipeline{ForceReorder: true, Spectral: SpectralOptions{Seed: 3}, AutoK: true}
-		res, err := p.ReorderContext(context.Background(), m)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if !strings.HasPrefix(res.AutoK, AutoKSelected+":") {
-			t.Fatalf("%s: auto-k outcome %q, want a selection to measure", name, res.AutoK)
-		}
-		if est := estimateAutoKFootprint(m, p.Spectral); est < res.FootprintBytes {
-			t.Errorf("%s: auto-k estimate %d below realized %d", name, est, res.FootprintBytes)
-		}
-		if name != "dense" {
-			continue
-		}
-		n := int64(m.Rows)
-		opOnly := estimateSpectralFootprint(m, SpectralOptions{K: autoKMax + 1, Seed: 3}) + (n+1)*8 + n*n*(4+8)
-		if opOnly >= res.FootprintBytes {
-			t.Errorf("dense: an operator-only estimate %d already bounds realized %d; the input no longer tells the two apart",
-				opOnly, res.FootprintBytes)
-		}
-	}
 }

@@ -59,9 +59,9 @@ type Pipeline struct {
 	// similarity before the fixed-k ladder (see attemptAutoK). Ignored when
 	// ForceK is set.
 	AutoK bool
-	// Budget caps planning resources (wall clock, modeled peak memory). The
-	// zero value imposes no limits; exceeding a cap degrades the plan (see
-	// ReorderContext) rather than failing it.
+	// Budget caps planning wall time. The zero value imposes no limit;
+	// expiry degrades the plan to the identity (see ReorderContext) rather
+	// than failing it.
 	Budget Budget
 }
 
@@ -69,13 +69,12 @@ type Pipeline struct {
 func (p *Pipeline) Name() string { return "Bootes" }
 
 // Decide runs only the gating step: it returns the predicted class.
-func (p *Pipeline) Decide(a *sparse.CSR) (label int, feats Features, err error) {
-	feats = ExtractFeatures(a, FeatureOptions{})
+func (p *Pipeline) Decide(a *sparse.CSR) (label int, err error) {
+	feats := ExtractFeatures(a, FeatureOptions{})
 	if p.Model == nil {
-		return heuristicLabel(a, feats), feats, nil
+		return heuristicLabel(a, feats), nil
 	}
-	label, err = p.Model.Predict(feats.Vector())
-	return label, feats, err
+	return p.Model.Predict(feats.Vector())
 }
 
 // heuristicLabel is the untrained fallback policy: reorder only when coupled

@@ -66,7 +66,7 @@ func (r Recursive) ReorderContext(ctx context.Context, a *sparse.CSR) (*reorder.
 		PreprocessTime: time.Since(start),
 		FootprintBytes: foot,
 		Reordered:      !perm.IsIdentity(),
-		Extra:          map[string]float64{"k": float64(r.K), "maxClusterRows": float64(r.MaxClusterRows)},
+		Extra:          map[string]float64{"k": float64(r.K)},
 	}, nil
 }
 

@@ -22,9 +22,6 @@ import (
 const (
 	// EigenNoConverge makes eigen.LargestContext fail with ErrNoConverge.
 	EigenNoConverge = "eigen/no-converge"
-	// AllocCapBreach makes the planner's pre-allocation footprint check
-	// report a memory-budget breach.
-	AllocCapBreach = "core/alloc-cap-breach"
 	// WorkerStall makes a parallel worker block on its context instead of
 	// executing a claimed chunk (only in context-aware calls).
 	WorkerStall = "parallel/worker-stall"
@@ -79,7 +76,6 @@ const (
 // discovery surface for the chaos scheduler.
 var points = []string{
 	EigenNoConverge,
-	AllocCapBreach,
 	WorkerStall,
 	SweepCancel,
 	AutoKNoConverge,

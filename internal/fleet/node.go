@@ -461,11 +461,10 @@ type Cluster struct {
 // LaunchCluster starts n nodes through StartNode, each on its own loopback
 // listener and all on one ring. cfg is every member's config, except that
 // node i gets Fleet.Self and Fleet.Peers from the bound listeners, its cache
-// under CacheDir/node<i>, its queue (when Queue.Dir is set) under
-// Queue.Dir/node<i>, and planserve jitter seed Serve.Seed+i. CacheDir is
-// required: restarts reopen it. Leave Metrics nil so each node start gets
-// a private registry, as separate processes would; a nil Logf discards node
-// diagnostics. On a failed launch every listener bound here is closed.
+// under CacheDir/node<i>, and its queue (when Queue.Dir is set) under
+// Queue.Dir/node<i>. CacheDir is required: restarts reopen it. Leave Metrics
+// nil so each node start gets a private registry, as separate processes
+// would; a nil Logf discards node diagnostics. On a failed launch every listener bound here is closed.
 func LaunchCluster(n int, cfg NodeConfig) (*Cluster, error) {
 	if cfg.CacheDir == "" {
 		return nil, errors.New("fleet: LaunchCluster requires a CacheDir")
@@ -499,7 +498,6 @@ func LaunchCluster(n int, cfg NodeConfig) (*Cluster, error) {
 			nc.Queue.Dir = filepath.Join(cfg.Queue.Dir, fmt.Sprintf("node%d", i))
 		}
 		nc.Fleet.Self, nc.Fleet.Peers = peers[i], peers
-		nc.Serve.Seed = cfg.Serve.Seed + int64(i)
 		nd, err := StartNode(ln, nc, false)
 		if err != nil {
 			closeFrom(i + 1) // StartNode closed listeners[i]

@@ -400,36 +400,40 @@ func TestStartupLogNamesServingSettings(t *testing.T) {
 	}
 }
 
-// TestNegativeMaxRetriesDisablesRetriesOnNode: a node started with
-// Serve.MaxRetries -1 serves a transiently degraded plan from its one
-// pipeline run, as planserve.New alone does, however often the serving
-// defaults are applied on the way.
+// TestNegativeMaxRetriesDisablesRetriesOnNode: a node started with a
+// Serve.MaxRetries of 0 or below serves a transiently degraded plan from its
+// one pipeline run, however often the serving defaults are applied on the
+// way: MaxRetries is a count, and no default replaces a zero.
 func TestNegativeMaxRetriesDisablesRetriesOnNode(t *testing.T) {
-	var runs atomic.Int64
-	plan := func(_ context.Context, m *sparse.CSR, _ int) (*reorder.Result, error) {
-		runs.Add(1)
-		return &reorder.Result{
-			Perm:           sparse.IdentityPerm(m.Rows),
-			Degraded:       true,
-			DegradedReason: "requested: eigensolver did not converge; fell back to identity",
-		}, nil
-	}
-	nd, err := StartNode(listen(t), NodeConfig{
-		Serve: planserve.Config{Plan: plan, MaxRetries: -1, RetryBackoff: time.Millisecond},
-		Logf:  t.Logf,
-	}, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nd.Close(context.Background())
-	client := &http.Client{Timeout: 30 * time.Second}
-	defer client.CloseIdleConnections()
-	resp, pr := postPlan(t, client, nd.URL, mmBody(t, testMatrix(t, 1)))
-	if resp.StatusCode != http.StatusOK || !pr.Degraded {
-		t.Fatalf("status %d, degraded %v; want the degraded plan served", resp.StatusCode, pr.Degraded)
-	}
-	if n := runs.Load(); n != 1 {
-		t.Errorf("pipeline ran %d times, want 1: MaxRetries -1 disables retries", n)
+	for _, retries := range []int{-1, 0} {
+		t.Run(fmt.Sprint(retries), func(t *testing.T) {
+			var runs atomic.Int64
+			plan := func(_ context.Context, m *sparse.CSR, _ int) (*reorder.Result, error) {
+				runs.Add(1)
+				return &reorder.Result{
+					Perm:           sparse.IdentityPerm(m.Rows),
+					Degraded:       true,
+					DegradedReason: "requested: eigensolver did not converge; fell back to identity",
+				}, nil
+			}
+			nd, err := StartNode(listen(t), NodeConfig{
+				Serve: planserve.Config{Plan: plan, MaxRetries: retries},
+				Logf:  t.Logf,
+			}, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer nd.Close(context.Background())
+			client := &http.Client{Timeout: 30 * time.Second}
+			defer client.CloseIdleConnections()
+			resp, pr := postPlan(t, client, nd.URL, mmBody(t, testMatrix(t, 1)))
+			if resp.StatusCode != http.StatusOK || !pr.Degraded {
+				t.Fatalf("status %d, degraded %v; want the degraded plan served", resp.StatusCode, pr.Degraded)
+			}
+			if n := runs.Load(); n != 1 {
+				t.Errorf("pipeline ran %d times, want 1: MaxRetries %d disables retries", n, retries)
+			}
+		})
 	}
 }
 

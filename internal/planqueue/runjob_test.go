@@ -81,10 +81,10 @@ func startQueue(t testing.TB, dir string, cache *plancache.Cache, pc *planCounte
 		t.Fatal(err)
 	}
 	srv, err := planserve.New(planserve.Config{
-		Plan:         pc.fn,
-		Cache:        cache,
-		RetryBackoff: time.Millisecond,
-		Logf:         t.Logf,
+		Plan:       pc.fn,
+		Cache:      cache,
+		MaxRetries: 2,
+		Logf:       t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)

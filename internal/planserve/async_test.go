@@ -242,7 +242,7 @@ func TestSyncAndAsyncPlanAlike(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg := Config{Plan: p.fn(), Cache: cache, MaxRetries: 2, RetryBackoff: time.Millisecond}
+		cfg := Config{Plan: p.fn(), Cache: cache, MaxRetries: 2}
 		if !async {
 			s, ts := newTestServer(t, cfg)
 			return s, ts, &attempts

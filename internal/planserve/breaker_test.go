@@ -129,11 +129,10 @@ func TestBreakerTripHalfOpenRecover(t *testing.T) {
 		t.Fatal(err)
 	}
 	s, ts := newTestServer(t, Config{
-		Plan:       p.fn(),
-		Cache:      cache,
-		MaxRetries: -1, // isolate the breaker from the retry ladder
-		Breaker:    BreakerConfig{FailureThreshold: 2, Cooldown: 10 * time.Second},
-		Now:        clock.now,
+		Plan:    p.fn(),
+		Cache:   cache,
+		Breaker: BreakerConfig{FailureThreshold: 2, Cooldown: 10 * time.Second},
+		Now:     clock.now,
 	})
 
 	post := func(seed int64) (int, string) {
@@ -237,10 +236,9 @@ func TestBreakerEndToEndRealPipeline(t *testing.T) {
 		}, nil
 	}
 	s, ts := newTestServer(t, Config{
-		Plan:       plan,
-		MaxRetries: -1,
-		Breaker:    BreakerConfig{FailureThreshold: 2, Cooldown: 5 * time.Second},
-		Now:        clock.now,
+		Plan:    plan,
+		Breaker: BreakerConfig{FailureThreshold: 2, Cooldown: 5 * time.Second},
+		Now:     clock.now,
 	})
 
 	faultinject.Arm(faultinject.EigenNoConverge, faultinject.Always())

@@ -1,8 +1,8 @@
 // Package planserve is the resilient plan-serving layer behind cmd/bootesd:
 // it fronts the fault-tolerant planning pipeline with a crash-safe plan
-// cache, admission control with load shedding, request coalescing, retry
-// with backoff for transient degradations, a degradation circuit breaker,
-// and graceful drain.
+// cache, admission control with load shedding, request coalescing, reseeded
+// retry of transient degradations, a degradation circuit breaker, and
+// graceful drain.
 //
 // Request lifecycle for POST /v1/plan:
 //
@@ -14,8 +14,8 @@
 //	  → breaker check (open ⇒ immediate identity plan, marked, never cached)
 //	  → singleflight join (followers wait, consuming no slot)
 //	  → leader: admission (bounded in-flight + bounded queue; full ⇒ 429)
-//	  → pipeline with per-request deadline, retrying transient degradations
-//	    with exponential backoff + jitter
+//	  → pipeline with per-request deadline, re-planning transient
+//	    degradations at once on a reseeded attempt
 //	  → persist (cache write of healthy plans, then replication) → respond
 //
 // On a fleet node a client's request is read and keyed first, then offered
@@ -32,7 +32,6 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"math/rand"
 	"net/http"
 	"os"
 	"strings"
@@ -109,13 +108,11 @@ type Config struct {
 	// DefaultDeadline caps a request that sends no X-Deadline (default 60s).
 	// A request's deadline also becomes the pipeline's wall-clock budget.
 	DefaultDeadline time.Duration
-	// MaxRetries re-runs a pipeline whose plan came back transiently
-	// degraded (eigensolver non-convergence, contained panic) with
-	// exponential backoff + jitter (default 2; negative disables).
+	// MaxRetries is how many times a pipeline whose plan came back
+	// transiently degraded (eigensolver non-convergence, contained panic,
+	// verifier-caught corruption) is re-run at once on the next attempt's
+	// seed; 0 never re-runs a plan.
 	MaxRetries int
-	// RetryBackoff is the first backoff step (default 50ms); step i sleeps
-	// RetryBackoff·2^i plus up to 50% jitter.
-	RetryBackoff time.Duration
 	// Breaker configures the degradation circuit breaker; a zero
 	// FailureThreshold disables it.
 	Breaker BreakerConfig
@@ -154,8 +151,6 @@ type Config struct {
 	// outcome string is not persisted in cache entries). Purely cosmetic for
 	// the response body — the PlanFunc decides whether auto-k actually runs.
 	AutoK bool
-	// Seed seeds the retry jitter (deterministic tests); 0 uses a fixed seed.
-	Seed int64
 	// Metrics is the registry the server's serving counters register on and
 	// the pipeline's stage spans record into; GET /metrics exposes it merged
 	// with obs.Default(). nil scopes the server to a private registry, so
@@ -219,9 +214,6 @@ type Server struct {
 	limiter *tenantLimiter
 	memo    *bodyMemo
 
-	jitterMu sync.Mutex
-	jitter   *rand.Rand
-
 	draining atomic.Bool
 	warming  atomic.Bool
 	inflight sync.WaitGroup // tracks admitted pipeline executions
@@ -236,8 +228,7 @@ type Server struct {
 }
 
 // WithDefaults returns cfg with every unset setting at its default, the
-// value New builds the server with. It is idempotent: a negative MaxRetries
-// stays negative, since planWithRetry already reads it as no retries.
+// value New builds the server with. It is idempotent.
 func (cfg Config) WithDefaults() Config {
 	if cfg.MaxInFlight <= 0 {
 		cfg.MaxInFlight = 4
@@ -247,12 +238,6 @@ func (cfg Config) WithDefaults() Config {
 	}
 	if cfg.DefaultDeadline <= 0 {
 		cfg.DefaultDeadline = 60 * time.Second
-	}
-	if cfg.MaxRetries == 0 {
-		cfg.MaxRetries = 2
-	}
-	if cfg.RetryBackoff <= 0 {
-		cfg.RetryBackoff = 50 * time.Millisecond
 	}
 	if cfg.MaxUploadBytes <= 0 {
 		cfg.MaxUploadBytes = 256 << 20
@@ -269,15 +254,10 @@ func New(cfg Config) (*Server, error) {
 		return nil, errors.New("planserve: Config.Plan is required")
 	}
 	cfg = cfg.WithDefaults()
-	seed := cfg.Seed
-	if seed == 0 {
-		seed = 1
-	}
 	s := &Server{
 		cfg:     cfg,
 		sem:     make(chan struct{}, cfg.MaxInFlight),
 		breaker: newBreaker(cfg.Breaker, cfg.Now),
-		jitter:  rand.New(rand.NewSource(seed)),
 	}
 	s.registerMetrics(cfg.Metrics)
 	s.limiter = newTenantLimiter(cfg.Tenants, cfg.Now, s.reg)
@@ -954,15 +934,14 @@ func (s *Server) runAdmitted(ctx context.Context, m *sparse.CSR, key string, pro
 	return admitted{res: res}, nil
 }
 
-// planWithRetry runs the pipeline, re-running transiently degraded plans
-// with exponential backoff + jitter. Deterministic degradations (budget,
-// memory) and healthy plans return immediately; the last attempt's plan is
-// returned even if still degraded.
+// planWithRetry runs the pipeline, re-running a transiently degraded plan
+// at once on the next attempt's seed: no retried cause is fixed by waiting.
+// Deterministic degradations (wall-clock budget, traffic regression) and
+// healthy plans return immediately; the last attempt's plan is returned even
+// if still degraded, and so is the plan in hand once ctx is done.
 func (s *Server) planWithRetry(ctx context.Context, m *sparse.CSR) (*reorder.Result, error) {
-	var res *reorder.Result
-	var err error
 	for attempt := 0; ; attempt++ {
-		res, err = s.cfg.Plan(ctx, m, attempt)
+		res, err := s.cfg.Plan(ctx, m, attempt)
 		if err != nil {
 			return nil, err
 		}
@@ -975,35 +954,24 @@ func (s *Server) planWithRetry(ctx context.Context, m *sparse.CSR) (*reorder.Res
 			s.verifyBad.Add(int64(len(vs)))
 			res = vres
 		}
-		if !res.Degraded || !transientDegradation(res.DegradedReason) || attempt >= s.cfg.MaxRetries {
+		// Once ctx is done, the degraded plan in hand is still valid and
+		// better than an error.
+		if !res.Degraded || !transientDegradation(res.DegradedReason) ||
+			attempt >= s.cfg.MaxRetries || ctx.Err() != nil {
 			return res, nil
 		}
 		s.retries.Inc()
-		backoff := s.cfg.RetryBackoff << attempt
-		s.jitterMu.Lock()
-		backoff += time.Duration(s.jitter.Int63n(int64(backoff)/2 + 1))
-		s.jitterMu.Unlock()
-		t := time.NewTimer(backoff)
-		select {
-		case <-t.C:
-		case <-ctx.Done():
-			t.Stop()
-			// Out of time mid-backoff: the degraded plan in hand is still
-			// valid and better than an error.
-			return res, nil
-		}
 	}
 }
 
 // transientDegradation classifies a DegradedReason trail (the strings
 // core/degrade.go and planverify emit) as retryable: eigensolver
-// non-convergence, contained panics, stalled workers and verifier-caught
-// corruption may come back clean on a reseeded re-run; budget, memory and
-// traffic-regression degradations are deterministic for the same request.
+// non-convergence, contained panics and verifier-caught corruption may come
+// back clean on a reseeded re-run; wall-clock budget and traffic-regression
+// degradations are deterministic for the same request.
 func transientDegradation(reason string) bool {
 	return strings.Contains(reason, "did not converge") ||
 		strings.Contains(reason, "contained panic") ||
-		strings.Contains(reason, "worker") ||
 		strings.Contains(reason, "plan verification failed")
 }
 

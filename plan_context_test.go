@@ -45,7 +45,6 @@ func TestPlanContextMatchesPlan(t *testing.T) {
 func TestPlanDegradesUnderInjectedFaults(t *testing.T) {
 	t.Cleanup(faultinject.Reset)
 	faultinject.Arm(faultinject.EigenNoConverge, faultinject.Always())
-	faultinject.Arm(faultinject.AllocCapBreach, faultinject.Always())
 	m := demoMatrix(t)
 	plan, err := Plan(m, &Options{ForceReorder: true, ForceK: 8, Seed: 5})
 	if err != nil {
@@ -65,21 +64,6 @@ func TestPlanDegradesUnderInjectedFaults(t *testing.T) {
 	}
 	if pm.Rows != m.Rows {
 		t.Fatal("applied plan changed the matrix shape")
-	}
-}
-
-func TestPlanBudgetDegradesToIdentity(t *testing.T) {
-	m := demoMatrix(t)
-	plan, err := Plan(m, &Options{
-		ForceReorder: true, ForceK: 8, Seed: 5,
-		Budget: Budget{MaxFootprintBytes: 128},
-	})
-	if err != nil {
-		t.Fatalf("budget breach must degrade, not error: %v", err)
-	}
-	if !plan.Degraded || plan.Reordered {
-		t.Fatalf("tiny memory budget: want degraded identity, got Degraded=%v Reordered=%v",
-			plan.Degraded, plan.Reordered)
 	}
 }
 
