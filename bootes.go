@@ -35,7 +35,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"time"
 
 	"bootes/internal/accel"
 	"bootes/internal/core"
@@ -123,10 +122,6 @@ type Options struct {
 	// k-means seeding). The gate's feature sampling always runs at seed 0,
 	// so the gate's decision does not depend on Seed.
 	Seed int64
-	// Budget caps planning wall time. The zero value imposes no limit.
-	// Expiry never fails the plan: it degrades to the identity permutation
-	// and records why in ReorderPlan.Degraded / DegradedReason.
-	Budget Budget
 	// Cache, when non-nil, is consulted before planning and durably stores
 	// healthy (non-degraded) plans afterwards. The key covers the matrix's
 	// sparsity structure and every option that shapes the plan, so a hit is
@@ -174,14 +169,6 @@ func EffectiveSimilarityMode(m *Matrix, o *Options) SimilarityMode {
 		opts = *o
 	}
 	return core.EffectiveSimilarityMode(m, opts.spectralOptions())
-}
-
-// Budget caps the wall time one Plan/PlanContext call may take.
-type Budget struct {
-	// MaxWallClock bounds planning wall time. On expiry the pipeline returns
-	// an identity plan marked Degraded rather than an error; cancelling the
-	// PlanContext context is still reported as ctx.Err().
-	MaxWallClock time.Duration
 }
 
 // CandidateKs are the cluster counts the pipeline chooses between.
@@ -239,13 +226,15 @@ func Plan(m *Matrix, opts *Options) (*ReorderPlan, error) {
 	return PlanContext(context.Background(), m, opts)
 }
 
-// PlanContext is Plan with cooperative cancellation: the context is threaded
-// through every phase (similarity construction, each Lanczos iteration, each
-// k-means restart and iteration, every parallel chunk launch), so cancelling
-// it makes planning return ctx.Err() promptly. A context that is already done
-// returns before any similarity storage is allocated. Budget expiry and
-// internal faults never surface as errors — they degrade the plan instead (see
-// Options.Budget and ReorderPlan.Degraded).
+// PlanContext is Plan with cooperative cancellation and a deadline: the
+// context is threaded through every phase (similarity construction, each
+// Lanczos iteration, each k-means restart and iteration, every parallel chunk
+// launch), so cancelling it makes planning return ctx.Err() promptly, and a
+// context that is already cancelled returns before any similarity storage is
+// allocated. The context's deadline is the plan's only time limit: reaching
+// it, like an internal fault, never surfaces as an error — it degrades the
+// plan to the identity permutation instead (see ReorderPlan.Degraded), so
+// bound planning time with context.WithTimeout.
 //
 // Every plan, computed or read from Options.Cache, is machine-checked before
 // it is returned (internal/planverify): the permutation must be a bijection
@@ -305,7 +294,6 @@ func PlanContext(ctx context.Context, m *Matrix, opts *Options) (*ReorderPlan, e
 		ForceReorder: o.ForceReorder,
 		ForceK:       o.ForceK,
 		AutoK:        o.AutoK,
-		Budget:       core.Budget{MaxWallClock: o.Budget.MaxWallClock},
 	}
 	if o.Model != nil {
 		p.Model = o.Model.tree
@@ -375,8 +363,8 @@ func MatrixKey(m *Matrix) string { return plancache.KeyCSR(m) }
 // planKey extends the matrix's structural hash with every option that
 // changes the planned permutation, so one cache directory can serve callers
 // with different seeds, forced configurations, or models without collisions.
-// Budget is deliberately excluded: it only influences degraded plans, which
-// are never cached.
+// The context's deadline is deliberately excluded: it only influences
+// degraded plans, which are never cached.
 //
 // The similarity tier is keyed as resolved against this matrix (exact,
 // approximate or implicit), whether explicit or auto-selected by size,

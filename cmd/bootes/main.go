@@ -84,13 +84,12 @@ func usage() {
 	osExit(2)
 }
 
-// planCtx derives the planning context from a -timeout flag value. The
-// deadline itself is enforced by Options.Budget.MaxWallClock, which degrades
-// the plan gracefully; the context gets slack beyond it and acts only as a
-// hard backstop should the budget path ever wedge.
+// planCtx derives the planning context from a -timeout flag value (0 =
+// none). Reaching the deadline degrades the plan to the identity order
+// rather than failing it.
 func planCtx(timeout time.Duration) (context.Context, context.CancelFunc) {
 	if timeout > 0 {
-		return context.WithTimeout(context.Background(), timeout+30*time.Second)
+		return context.WithTimeout(context.Background(), timeout)
 	}
 	return context.Background(), func() {}
 }
@@ -175,17 +174,17 @@ func cmdAnalyze(args []string) {
 		ctx = obs.WithTrace(ctx, trace)
 	}
 	opts := &bootes.Options{Seed: *seed, Model: loadModel(*model), Similarity: parseSimilarity(*similarity), AutoK: *autoK}
-	if *timeout > 0 {
-		opts.Budget.MaxWallClock = *timeout
-	}
 	plan, err := bootes.PlanContext(ctx, m, opts)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if plan.Reordered {
+	switch {
+	case plan.Reordered:
 		fmt.Printf("decision: reorder with k=%d (planning took %.3fs, footprint %d KB)\n",
 			plan.K, plan.PreprocessSeconds, plan.FootprintBytes>>10)
-	} else {
+	case plan.Degraded:
+		fmt.Println("decision: keep the original order (planning fell back to the identity order)")
+	default:
 		fmt.Println("decision: do not reorder (predicted benefit below threshold)")
 	}
 	if plan.SimilarityMode != "" {
@@ -223,9 +222,6 @@ func cmdReorder(args []string) {
 	opts := &bootes.Options{
 		Seed: *seed, ForceK: *k, ForceReorder: *force, Model: loadModel(*model),
 		Similarity: parseSimilarity(*similarity), AutoK: *autoK,
-	}
-	if *timeout > 0 {
-		opts.Budget.MaxWallClock = *timeout
 	}
 	plan, err := bootes.PlanContext(ctx, m, opts)
 	if err != nil {
@@ -285,7 +281,7 @@ func reordererByName(name string, seed int64, timeout time.Duration) (reorder.Re
 }
 
 // planner plans the way analyze, reorder and plan do: through PlanContext, so
-// the plan is verified, with timeout (0 = none) as its wall-clock budget.
+// the plan is verified, with timeout (0 = none) as its deadline.
 type planner struct {
 	seed    int64
 	timeout time.Duration
@@ -296,9 +292,7 @@ func (planner) Name() string { return "Bootes" }
 func (p planner) Reorder(a *sparse.CSR) (*reorder.Result, error) {
 	ctx, cancel := planCtx(p.timeout)
 	defer cancel()
-	opts := &bootes.Options{Seed: p.seed}
-	opts.Budget.MaxWallClock = p.timeout
-	plan, err := bootes.PlanContext(ctx, a, opts)
+	plan, err := bootes.PlanContext(ctx, a, &bootes.Options{Seed: p.seed})
 	if err != nil {
 		return nil, err
 	}
@@ -476,9 +470,6 @@ func cmdPlan(args []string) {
 	ctx, cancel := planCtx(*timeout)
 	defer cancel()
 	opts := &bootes.Options{Seed: *seed, Model: loadModel(*model), Similarity: parseSimilarity(*similarity), AutoK: *autoK}
-	if *timeout > 0 {
-		opts.Budget.MaxWallClock = *timeout
-	}
 	if *cacheDir != "" {
 		cache, err := bootes.OpenPlanCache(*cacheDir)
 		if err != nil {

@@ -146,6 +146,10 @@ func TestAnalyzeStrictExitsOnDegradedPlan(t *testing.T) {
 		t.Fatalf("strict analyze of degraded plan: exited=%v code=%d, want exit 1\n%s",
 			exited, code, out)
 	}
+	// The identity plan is a fallback, not the gate's decision to decline.
+	if !strings.Contains(out, "planning fell back to the identity order") || strings.Contains(out, "predicted benefit") {
+		t.Errorf("analyze reported a degraded plan as a gate decline:\n%s", out)
+	}
 
 	// Without -strict the same degraded plan only warns.
 	out, code, exited = runCLI(t, func() {

@@ -3,7 +3,9 @@
 // persistent plan cache, admission control with load shedding, request
 // coalescing, immediate reseeded re-planning of transiently degraded plans
 // (-retries times), a degradation circuit breaker, and graceful drain on
-// SIGTERM.
+// SIGTERM. Each plan request runs under a deadline, its X-Deadline header
+// capped by -deadline: a plan still running when it passes is answered with
+// the identity plan, marked degraded, rather than an error.
 //
 // Endpoints:
 //

@@ -281,7 +281,7 @@ func drive(ctx context.Context, client *http.Client, work []workItem, workers in
 	if interval <= 0 {
 		interval = time.Microsecond
 	}
-	runCtx, cancel := context.WithTimeout(ctx, duration)
+	loadCtx, cancel := context.WithTimeout(ctx, duration)
 	defer cancel()
 
 	ticks := make(chan struct{})
@@ -291,12 +291,12 @@ func drive(ctx context.Context, client *http.Client, work []workItem, workers in
 		defer t.Stop()
 		for {
 			select {
-			case <-runCtx.Done():
+			case <-loadCtx.Done():
 				return
 			case <-t.C:
 				select {
 				case ticks <- struct{}{}:
-				case <-runCtx.Done():
+				case <-loadCtx.Done():
 					return
 				}
 			}
@@ -312,7 +312,7 @@ func drive(ctx context.Context, client *http.Client, work []workItem, workers in
 			rng := rand.New(rand.NewSource(int64(w) + 0x5eed))
 			for range ticks {
 				item := work[rng.Intn(len(work))]
-				fire(runCtx, client, item, agg)
+				fire(loadCtx, client, item, agg)
 			}
 		}(w)
 	}

@@ -21,7 +21,7 @@
 // (Config.Seed, episode index), and the full schedule is folded into
 // Report.ScheduleDigest — two Runs with the same seed and episode count make
 // identical choices, which the test suite asserts. Wall-clock outcomes
-// (whether a budget expired before or after a phase) may vary, but the
+// (whether a deadline passed before or after a phase) may vary, but the
 // invariants above must hold on every schedule, so a red Run is always a real
 // bug, reproducible from its seed.
 package chaos
@@ -31,6 +31,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -187,8 +188,8 @@ type episode struct {
 	// mid-plan cancellation corruption point.
 	cancel context.CancelFunc
 	// stallBudget is non-zero when WorkerStall is armed: a stalled worker
-	// only exits via cancellation, so every pipeline run must carry a
-	// wall-clock budget.
+	// only exits when its context is done, so every pipeline run must carry
+	// a deadline.
 	stallBudget time.Duration
 	// seenKeys dedupes matrix() draws within the episode. Some archetype
 	// patterns are seed-independent (a banded matrix is fully determined by
@@ -318,9 +319,9 @@ func (e *episode) randomPerm(n int) sparse.Permutation {
 	return p
 }
 
-// budget is the pipeline wall-clock budget for this episode: tight when a
-// worker stall is armed (a stalled worker only exits via cancellation),
-// generous otherwise.
+// budget is the deadline of each of this episode's pipeline runs: tight
+// when a worker stall is armed (a stalled worker only exits when its context
+// is done), generous otherwise.
 func (e *episode) budget() time.Duration {
 	if e.stallBudget > 0 {
 		return e.stallBudget
@@ -454,25 +455,34 @@ func scenarioPlanDirect(e *episode) {
 	defer cancel()
 	e.cancel = cancel
 	e.armAll()
-	opts := &bootes.Options{
-		Seed:   e.rng.Int63(),
-		Cache:  cache,
-		Budget: bootes.Budget{MaxWallClock: e.budget()},
-	}
+	opts := &bootes.Options{Seed: e.rng.Int63(), Cache: cache}
 	for call := 0; call < 2; call++ {
-		plan, err := bootes.PlanContext(ctx, m, opts)
-		if err != nil {
-			// Only genuine cancellation may surface as an error; budgets and
-			// injected faults must degrade instead.
-			if ctx.Err() == nil {
-				e.violatef("plan-direct: error without cancellation: %v", err)
-			} else {
-				e.rep.Refused++
-			}
+		plan, ok := e.plan(ctx, "plan-direct", m, opts)
+		if !ok {
 			return
 		}
 		e.checkPlanShape("plan-direct", m.Rows, plan.Perm, plan.K, plan.Reordered, plan.Degraded, plan.DegradedReason)
 	}
+}
+
+// plan runs one PlanContext call under its own deadline of e.budget(), so
+// each call has the full time to plan. Only a cancellation of ctx may surface
+// as an error, counted as a refusal; any other error — a passed deadline
+// included, which must degrade the plan instead — is a violation. ok is
+// false when the call errored.
+func (e *episode) plan(ctx context.Context, where string, m *sparse.CSR, opts *bootes.Options) (plan *bootes.ReorderPlan, ok bool) {
+	callCtx, cancel := context.WithTimeout(ctx, e.budget())
+	defer cancel()
+	plan, err := bootes.PlanContext(callCtx, m, opts)
+	switch {
+	case err == nil:
+		return plan, true
+	case errors.Is(ctx.Err(), context.Canceled):
+		e.rep.Refused++
+	default:
+		e.violatef("%s: error without cancellation: %v", where, err)
+	}
+	return nil, false
 }
 
 // scenarioPlanAutoK drives an auto-k plan request (eigengap selection over
@@ -514,17 +524,11 @@ func scenarioPlanAutoK(e *episode) {
 		AutoK:        true,
 		ForceReorder: true,
 		Cache:        cache,
-		Budget:       bootes.Budget{MaxWallClock: e.budget()},
 	}
 	var selected *bootes.ReorderPlan
 	for call := 0; call < 2; call++ {
-		plan, err := bootes.PlanContext(ctx, m, opts)
-		if err != nil {
-			if ctx.Err() == nil {
-				e.violatef("plan-autok: error without cancellation: %v", err)
-			} else {
-				e.rep.Refused++
-			}
+		plan, ok := e.plan(ctx, "plan-autok", m, opts)
+		if !ok {
 			return
 		}
 		e.checkPlanShape("plan-autok", m.Rows, plan.Perm, plan.K, plan.Reordered, plan.Degraded, plan.DegradedReason)

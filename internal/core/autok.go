@@ -29,7 +29,7 @@ const (
 	// was used.
 	AutoKFallbackImplicit = "fallback-implicit"
 	// AutoKDegraded: the auto-k attempt itself failed (eigensolve, refinement,
-	// contained panic, wall-clock budget) and planning degraded to the fixed-k
+	// contained panic, a passed deadline) and planning degraded to the fixed-k
 	// ladder. Recorded in Degraded/DegradedReason as well.
 	AutoKDegraded = "degraded"
 )

@@ -50,7 +50,7 @@ type rung struct {
 // already runs approximate or implicit similarity the ladder skips straight
 // past the corresponding rungs. The identity rung is not in the list — it is
 // the unconditional floor the caller falls to when every listed rung fails
-// or the wall-clock budget runs out.
+// or the context reaches its deadline.
 func buildLadder(base SpectralOptions, eff SimilarityMode) []rung {
 	var ladder []rung
 	ladder = append(ladder, rung{name: "requested", opts: base})
@@ -110,18 +110,18 @@ func rungReason(rung string, err error) string {
 }
 
 // ReorderContext is the fault-tolerant planning entry point: Reorder with
-// cooperative cancellation, resource budgets, and the graceful-degradation
-// ladder. Outcomes:
+// cooperative cancellation, a deadline, and the graceful-degradation ladder.
+// Outcomes:
 //
-//   - ctx already done or cancelled mid-flight → (nil, ctx.Err()) promptly,
+//   - ctx cancelled, on entry or mid-flight → (nil, ctx.Err()) promptly,
 //     before any similarity storage is allocated when pre-cancelled.
-//   - Budget.MaxWallClock expires (ctx itself still live) → identity plan
-//     with Degraded=true, never an error.
+//   - ctx reaches its deadline, on entry or mid-flight → identity plan with
+//     Degraded=true, never an error (a gate decline stays a decline).
 //   - Eigensolver non-convergence, operator errors, or contained panics →
 //     the ladder descends; the identity rung cannot fail.
 //
 // Every degradation is recorded in Result.Degraded / Result.DegradedReason;
-// with no faults and a zero Budget the result is bit-identical to Reorder's.
+// with no faults and time to spare the result is bit-identical to Reorder's.
 func (p *Pipeline) ReorderContext(ctx context.Context, a *sparse.CSR) (res *reorder.Result, err error) {
 	// Registered before the recover defer so it observes the converted error:
 	// every exit from planning lands in bootes_plans_total exactly once.
@@ -141,7 +141,7 @@ func (p *Pipeline) ReorderContext(ctx context.Context, a *sparse.CSR) (res *reor
 		}
 	}()
 	start := time.Now()
-	if err := ctx.Err(); err != nil {
+	if err := cancelled(ctx); err != nil {
 		return nil, err
 	}
 	endFeatures := obs.StartStage(ctx, obs.StageFeatures)
@@ -173,17 +173,6 @@ func (p *Pipeline) ReorderContext(ctx context.Context, a *sparse.CSR) (res *reor
 		}, nil
 	}
 
-	// The wall-clock budget is enforced through a derived context so every
-	// phase's existing cancellation checks double as budget checks. The
-	// caller's ctx stays authoritative: its cancellation is an error, budget
-	// expiry is a degradation.
-	runCtx := ctx
-	if p.Budget.MaxWallClock > 0 {
-		var cancel context.CancelFunc
-		runCtx, cancel = context.WithTimeout(ctx, p.Budget.MaxWallClock)
-		defer cancel()
-	}
-
 	base := p.Spectral
 	base.K = k
 	eff := EffectiveSimilarityMode(a, base)
@@ -196,7 +185,7 @@ func (p *Pipeline) ReorderContext(ctx context.Context, a *sparse.CSR) (res *reor
 	autoK := ""
 	if p.AutoK && p.ForceK == 0 {
 		obs.RungAttempt(ctx, "autok")
-		sr, outcome, err := p.attemptAutoK(runCtx, a, base)
+		sr, outcome, err := p.attemptAutoK(ctx, a, base)
 		switch {
 		case err == nil && sr != nil:
 			obs.AutoKOutcome(ctx, AutoKOutcomeLabel(outcome))
@@ -218,12 +207,12 @@ func (p *Pipeline) ReorderContext(ctx context.Context, a *sparse.CSR) (res *reor
 			autoK = outcome
 		default:
 			obs.RungFailure(ctx, "autok")
-			if ctxErr := ctx.Err(); ctxErr != nil {
-				return nil, ctxErr
+			if err := cancelled(ctx); err != nil {
+				return nil, err
 			}
 			obs.AutoKOutcome(ctx, AutoKDegraded)
 			autoK = AutoKDegraded
-			if runCtx.Err() != nil {
+			if ctx.Err() != nil {
 				reasons = append(reasons, "autok: wall-clock budget exhausted")
 			} else {
 				reasons = append(reasons, rungReason("autok", err))
@@ -232,25 +221,16 @@ func (p *Pipeline) ReorderContext(ctx context.Context, a *sparse.CSR) (res *reor
 	}
 
 	for _, r := range buildLadder(base, eff) {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if runCtx.Err() != nil {
-			reasons = append(reasons, "wall-clock budget exhausted")
+		if ctx.Err() != nil {
 			break
 		}
 		obs.RungAttempt(ctx, r.name)
-		sr, err := attemptSpectral(runCtx, r.opts, a)
+		sr, err := attemptSpectral(ctx, r.opts, a)
 		if err != nil {
 			obs.RungFailure(ctx, r.name)
-			if ctxErr := ctx.Err(); ctxErr != nil {
-				return nil, ctxErr
+			if ctx.Err() == nil {
+				reasons = append(reasons, rungReason(r.name, err))
 			}
-			if runCtx.Err() != nil {
-				reasons = append(reasons, "wall-clock budget exhausted")
-				break
-			}
-			reasons = append(reasons, rungReason(r.name, err))
 			continue
 		}
 		return &reorder.Result{
@@ -270,10 +250,14 @@ func (p *Pipeline) ReorderContext(ctx context.Context, a *sparse.CSR) (res *reor
 		}, nil
 	}
 
-	// Identity floor: every rung failed (or the budget clock ran out). Still
-	// a valid plan — the matrix is simply left as-is.
-	if len(reasons) == 0 {
-		reasons = append(reasons, "no ladder rung attempted")
+	// Identity floor: every rung failed, or ctx is done. A cancellation is
+	// the caller's error; at its deadline the plan is still valid — the
+	// matrix is simply left as-is.
+	if err := cancelled(ctx); err != nil {
+		return nil, err
+	}
+	if ctx.Err() != nil {
+		reasons = append(reasons, "wall-clock budget exhausted")
 	}
 	return &reorder.Result{
 		Perm:           sparse.IdentityPerm(a.Rows),
@@ -285,4 +269,14 @@ func (p *Pipeline) ReorderContext(ctx context.Context, a *sparse.CSR) (res *reor
 		AutoK:          autoK,
 		Extra:          map[string]float64{"k": 0},
 	}, nil
+}
+
+// cancelled returns ctx's error when ctx was cancelled, and nil when it is
+// live or has only reached its deadline: a cancellation fails the plan, a
+// deadline degrades it to the identity.
+func cancelled(ctx context.Context) error {
+	if err := ctx.Err(); errors.Is(err, context.Canceled) {
+		return err
+	}
+	return nil
 }

@@ -82,21 +82,31 @@ func TestInjectedFaultsFallToIdentity(t *testing.T) {
 }
 
 func TestWallClockBudgetDegradesNotErrors(t *testing.T) {
+	t.Cleanup(faultinject.Reset)
+	// A stalled worker parks until its context is done, so every spectral
+	// pass outlives a deadline still ahead of it: it passes mid-plan.
+	faultinject.Arm(faultinject.WorkerStall, faultinject.Always())
 	a := blockMatrix(6, 8)
-	p := &Pipeline{
-		ForceReorder: true, ForceK: 8,
-		Spectral: SpectralOptions{Seed: 3},
-		Budget:   Budget{MaxWallClock: time.Nanosecond},
-	}
-	res, err := p.ReorderContext(context.Background(), a)
-	if err != nil {
-		t.Fatalf("an expired wall-clock budget must degrade, not error: %v", err)
-	}
-	if !res.Degraded || !strings.Contains(res.DegradedReason, "wall-clock") {
-		t.Fatalf("want wall-clock degradation, got Degraded=%v reason=%q", res.Degraded, res.DegradedReason)
-	}
-	if err := res.Perm.Validate(a.Rows); err != nil {
-		t.Fatalf("degraded plan invalid: %v", err)
+	p := &Pipeline{ForceReorder: true, ForceK: 8, Spectral: SpectralOptions{Seed: 3}}
+	for _, tc := range []struct {
+		when    string
+		timeout time.Duration
+	}{{"mid-plan", 20 * time.Millisecond}, {"on entry", -time.Second}} {
+		ctx, cancel := context.WithTimeout(context.Background(), tc.timeout)
+		res, err := p.ReorderContext(ctx, a)
+		cancel()
+		if err != nil {
+			t.Fatalf("%s: a passed deadline must degrade, not error: %v", tc.when, err)
+		}
+		if !res.Degraded || !strings.Contains(res.DegradedReason, "wall-clock") {
+			t.Fatalf("%s: want wall-clock degradation, got Degraded=%v reason=%q", tc.when, res.Degraded, res.DegradedReason)
+		}
+		if err := res.Perm.Validate(a.Rows); err != nil {
+			t.Fatalf("%s: degraded plan invalid: %v", tc.when, err)
+		}
+		if !res.Perm.IsIdentity() {
+			t.Errorf("%s: a plan that ran out of time must be the identity", tc.when)
+		}
 	}
 }
 

@@ -59,10 +59,6 @@ type Pipeline struct {
 	// similarity before the fixed-k ladder (see attemptAutoK). Ignored when
 	// ForceK is set.
 	AutoK bool
-	// Budget caps planning wall time. The zero value imposes no limit;
-	// expiry degrades the plan to the identity (see ReorderContext) rather
-	// than failing it.
-	Budget Budget
 }
 
 // Name implements reorder.Reorderer.
@@ -107,8 +103,8 @@ func heuristicLabel(a *sparse.CSR, f Features) int {
 
 // Reorder implements reorder.Reorderer: gate, then spectrally reorder. It is
 // ReorderContext (degrade.go) with a background context — the same ladder and
-// panic containment apply, and with no faults and a zero Budget the result is
-// bit-identical to the pre-ladder pipeline.
+// panic containment apply, and with no faults the result is bit-identical to
+// the pre-ladder pipeline.
 func (p *Pipeline) Reorder(a *sparse.CSR) (*reorder.Result, error) {
 	return p.ReorderContext(context.Background(), a)
 }

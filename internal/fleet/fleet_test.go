@@ -15,6 +15,8 @@ import (
 	"testing"
 	"time"
 
+	"bootes"
+	"bootes/internal/faultinject"
 	"bootes/internal/obs"
 	"bootes/internal/plancache"
 	"bootes/internal/planserve"
@@ -883,6 +885,71 @@ func TestOwnerAnswersForwardFromItsMemo(t *testing.T) {
 	}
 	if n := computes.Load(); n != 1 {
 		t.Errorf("fleet computed the plan %d times, want 1", n)
+	}
+}
+
+// TestForwardOutOfTimeServedDegradedByOwner: a non-owner forwards a request
+// whose X-Deadline passes while the owner plans it under the production
+// pipeline. The owner answers 200 with the degraded identity plan, so the
+// forward is a success: no forward failure is counted against a healthy
+// owner, and the entry node runs no pipeline of its own.
+func TestForwardOutOfTimeServedDegradedByOwner(t *testing.T) {
+	var computes atomic.Int64
+	pipeline := planserve.PipelinePlan(bootes.Options{Seed: 1})
+	c, err := LaunchCluster(3, NodeConfig{
+		Serve: planserve.Config{Plan: func(ctx context.Context, m *sparse.CSR, attempt int) (*reorder.Result, error) {
+			computes.Add(1)
+			return pipeline(ctx, m, attempt)
+		}},
+		CacheDir: t.TempDir(),
+		Fleet:    Config{ProbeInterval: 50 * time.Millisecond, HedgeAfter: -1},
+		Logf:     t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	client := &http.Client{Timeout: 30 * time.Second}
+	defer client.CloseIdleConnections()
+
+	body := mmBody(t, testMatrix(t, 1))
+	owner := c.Nodes[0].Router().Ring().Owner(keyMust(t, body))
+	via := c.Nodes[0].URL
+	if via == owner {
+		via = c.Nodes[1].URL
+	}
+	// A stalled worker parks until its context is done, so the owner's plan
+	// outlives the request's deadline on any machine.
+	t.Cleanup(faultinject.Reset)
+	if err := faultinject.Arm(faultinject.WorkerStall, faultinject.Always()); err != nil {
+		t.Fatal(err)
+	}
+	req, _ := http.NewRequest(http.MethodPost, via+"/v1/plan?perm=1", bytes.NewReader(body))
+	req.Header.Set("X-Deadline", "50ms")
+	resp, err := client.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || resp.Header.Get(ServedByHeader) != owner {
+		t.Fatalf("status %d served by %q: %s; want 200 from owner %s", resp.StatusCode, resp.Header.Get(ServedByHeader), data, owner)
+	}
+	var pr planserve.PlanResponse
+	if err := json.Unmarshal(data, &pr); err != nil {
+		t.Fatal(err)
+	}
+	if !pr.Degraded || pr.Reordered || !sparse.Permutation(pr.Perm).IsIdentity() ||
+		!strings.Contains(pr.DegradedReason, "wall-clock budget exhausted") {
+		t.Fatalf("got %s; want the identity plan degraded by the deadline", data)
+	}
+	if n := scrapeCounter(t, client, via, "bootes_fleet_forward_failures_total"); n != 0 {
+		t.Errorf("entry node counted %d forward failures against a healthy owner", n)
+	}
+	// The owner served a computed plan, so a single compute fleet-wide is
+	// the owner's: the entry node did not plan again.
+	if n := computes.Load(); n != 1 {
+		t.Errorf("fleet ran the pipeline %d times, want 1 (the owner's)", n)
 	}
 }
 

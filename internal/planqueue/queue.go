@@ -145,7 +145,8 @@ const (
 	// maxAttempts bounds Run calls per job before a job whose runs keep
 	// failing is parked dead.
 	maxAttempts = 3
-	// runTimeout caps one Run call.
+	// runTimeout is the deadline of one Run call; bootesd's RunFunc degrades
+	// a plan still running at it to the identity, completing the job.
 	runTimeout = 60 * time.Second
 )
 
@@ -256,10 +257,10 @@ type Queue struct {
 
 	termSinceCompact int
 
-	runCtx  context.Context // cancelled by Kill: aborts in-flight pipeline runs
-	runStop context.CancelFunc
-	workers sync.WaitGroup
-	started bool
+	killCtx  context.Context // cancelled by Kill: aborts in-flight pipeline runs
+	killRuns context.CancelFunc
+	workers  sync.WaitGroup
+	started  bool
 
 	jitterMu sync.Mutex
 	jitter   *rand.Rand
@@ -311,7 +312,7 @@ func Open(cfg Config) (*Queue, error) {
 		jitter:   rand.New(rand.NewSource(seed)),
 	}
 	q.cond = sync.NewCond(&q.mu)
-	q.runCtx, q.runStop = context.WithCancel(context.Background())
+	q.killCtx, q.killRuns = context.WithCancel(context.Background())
 	q.registerMetrics(cfg.Metrics)
 
 	j, torn, err := openJournal(filepath.Join(cfg.Dir, "journal.wal"), q.replay)
@@ -706,10 +707,10 @@ func (q *Queue) execute(jb *job) {
 		q.mu.Unlock()
 		return
 	}
-	ctx, cancel := context.WithTimeout(q.runCtx, runTimeout)
+	ctx, cancel := context.WithTimeout(q.killCtx, runTimeout)
 	res, cached, err := q.run(ctx, jb.Key, m)
 	cancel()
-	if q.runCtx.Err() != nil {
+	if q.killCtx.Err() != nil {
 		// Killed mid-run (crash simulation / hard stop): leave the job as
 		// the journal knows it; replay will recover it to queued.
 		q.mu.Lock()
@@ -967,7 +968,7 @@ func (q *Queue) Kill() {
 	q.stopped = true
 	q.cond.Broadcast()
 	q.mu.Unlock()
-	q.runStop()
+	q.killRuns()
 	q.workers.Wait()
 	// Double-close (after Stop, or after a self-wedge) is harmless.
 	_ = q.j.close()

@@ -57,16 +57,13 @@ type PlanFunc func(ctx context.Context, m *sparse.CSR, attempt int) (*reorder.Re
 
 // PipelinePlan is the production PlanFunc: bootes.PlanContext under opts.
 // Attempt i plans at seed opts.Seed + i·0x9E3779B9, so a transient
-// eigensolver failure is not deterministically replayed, and the request
-// deadline becomes the wall-clock budget, so expiry degrades the plan
-// instead of failing it.
+// eigensolver failure is not deterministically replayed. The request's
+// deadline bounds the plan: reaching it mid-plan degrades the plan to the
+// identity instead of failing it.
 func PipelinePlan(opts bootes.Options) PlanFunc {
 	return func(ctx context.Context, m *sparse.CSR, attempt int) (*reorder.Result, error) {
 		o := opts
 		o.Seed += int64(attempt) * 0x9E3779B9
-		if dl, ok := ctx.Deadline(); ok {
-			o.Budget.MaxWallClock = time.Until(dl)
-		}
 		plan, err := bootes.PlanContext(ctx, m, &o)
 		if err != nil {
 			return nil, err
@@ -106,7 +103,8 @@ type Config struct {
 	// requests are shed with 429 (default 2×MaxInFlight).
 	MaxQueue int
 	// DefaultDeadline caps a request that sends no X-Deadline (default 60s).
-	// A request's deadline also becomes the pipeline's wall-clock budget.
+	// A pipeline still running at a request's deadline degrades its plan to
+	// the identity rather than failing the request.
 	DefaultDeadline time.Duration
 	// MaxRetries is how many times a pipeline whose plan came back
 	// transiently degraded (eigensolver non-convergence, contained panic,
@@ -936,7 +934,7 @@ func (s *Server) runAdmitted(ctx context.Context, m *sparse.CSR, key string, pro
 
 // planWithRetry runs the pipeline, re-running a transiently degraded plan
 // at once on the next attempt's seed: no retried cause is fixed by waiting.
-// Deterministic degradations (wall-clock budget, traffic regression) and
+// Deterministic degradations (deadline, traffic regression) and
 // healthy plans return immediately; the last attempt's plan is returned even
 // if still degraded, and so is the plan in hand once ctx is done.
 func (s *Server) planWithRetry(ctx context.Context, m *sparse.CSR) (*reorder.Result, error) {
@@ -967,7 +965,7 @@ func (s *Server) planWithRetry(ctx context.Context, m *sparse.CSR) (*reorder.Res
 // transientDegradation classifies a DegradedReason trail (the strings
 // core/degrade.go and planverify emit) as retryable: eigensolver
 // non-convergence, contained panics and verifier-caught corruption may come
-// back clean on a reseeded re-run; wall-clock budget and traffic-regression
+// back clean on a reseeded re-run; deadline and traffic-regression
 // degradations are deterministic for the same request.
 func transientDegradation(reason string) bool {
 	return strings.Contains(reason, "did not converge") ||
@@ -977,8 +975,8 @@ func transientDegradation(reason string) bool {
 
 // hardDegraded reports a plan the breaker should count as a failure: it
 // remained transiently degraded after every retry — the pipeline's health,
-// not the request's shape, is the problem. (Budget-degraded plans are the
-// service working as designed and never trip the breaker.)
+// not the request's shape, is the problem. (Plans degraded by the request's
+// deadline are the service working as designed and never trip the breaker.)
 func hardDegraded(res *reorder.Result) bool {
 	return res.Degraded && transientDegradation(res.DegradedReason)
 }

@@ -562,6 +562,78 @@ func TestSlowPipelineHitsGatewayTimeout(t *testing.T) {
 	}
 }
 
+// armStall makes every spectral pass outlive its deadline: a stalled worker
+// parks until its context is done, so the deadline passes mid-plan on any
+// machine.
+func armStall(t *testing.T) {
+	t.Helper()
+	t.Cleanup(faultinject.Reset)
+	if err := faultinject.Arm(faultinject.WorkerStall, faultinject.Always()); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDeadlineMidPlanServesIdentity: under the production pipeline a request
+// whose X-Deadline passes mid-plan gets 200 with the identity plan, marked
+// degraded and not cached: running out of time degrades a plan, it does not
+// fail the request.
+func TestDeadlineMidPlanServesIdentity(t *testing.T) {
+	cache, err := plancache.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newTestServer(t, Config{Plan: PipelinePlan(bootes.Options{Seed: 1}), Cache: cache})
+	armStall(t)
+	req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/plan?perm=1", bytes.NewReader(mmBody(t, testMatrix(t, 1))))
+	req.Header.Set("X-Deadline", "50ms")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, _ := io.ReadAll(resp.Body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d %s; want 200 with the degraded identity plan", resp.StatusCode, body)
+	}
+	var pr PlanResponse
+	if err := json.Unmarshal(body, &pr); err != nil {
+		t.Fatal(err)
+	}
+	if !pr.Degraded || pr.Reordered || !sparse.Permutation(pr.Perm).IsIdentity() ||
+		!strings.Contains(pr.DegradedReason, "wall-clock budget exhausted; fell back to identity") {
+		t.Fatalf("got %s; want the identity plan degraded by the deadline", body)
+	}
+	if cache.Len() != 0 {
+		t.Error("a plan degraded by the deadline was cached")
+	}
+}
+
+// TestRunJobDeadlineMidPlanDegrades: a job whose context deadline passes
+// mid-plan completes with the degraded identity plan and no error, and
+// writes no cache entry.
+func TestRunJobDeadlineMidPlanDegrades(t *testing.T) {
+	cache, err := plancache.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, _ := newTestServer(t, Config{Plan: PipelinePlan(bootes.Options{Seed: 1}), Cache: cache})
+	armStall(t)
+	m := testMatrix(t, 2)
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	res, cached, err := s.RunJob(ctx, plancache.KeyCSR(m), m)
+	if err != nil || cached {
+		t.Fatalf("RunJob = cached %v, err %v; want a computed plan and no error", cached, err)
+	}
+	if !res.Degraded || !res.Perm.IsIdentity() || !strings.Contains(res.DegradedReason, "wall-clock budget exhausted") {
+		t.Fatalf("got degraded=%v identity=%v reason=%q; want the identity plan degraded by the deadline",
+			res.Degraded, res.Perm.IsIdentity(), res.DegradedReason)
+	}
+	if cache.Len() != 0 {
+		t.Error("a plan degraded by the deadline was cached")
+	}
+}
+
 // TestGracefulShutdown: draining flips readyz and new plans to 503, waits
 // for the in-flight request, and returns once it completes.
 func TestGracefulShutdown(t *testing.T) {

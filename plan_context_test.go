@@ -3,6 +3,7 @@ package bootes
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -68,16 +69,19 @@ func TestPlanDegradesUnderInjectedFaults(t *testing.T) {
 }
 
 func TestPlanWallClockBudget(t *testing.T) {
+	t.Cleanup(faultinject.Reset)
+	// A stalled worker parks until its context is done: the deadline passes
+	// mid-plan.
+	faultinject.Arm(faultinject.WorkerStall, faultinject.Always())
 	m := demoMatrix(t)
-	plan, err := Plan(m, &Options{
-		ForceReorder: true, ForceK: 8, Seed: 5,
-		Budget: Budget{MaxWallClock: time.Nanosecond},
-	})
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	plan, err := PlanContext(ctx, m, &Options{ForceReorder: true, ForceK: 8, Seed: 5})
 	if err != nil {
-		t.Fatalf("wall-clock expiry must degrade, not error: %v", err)
+		t.Fatalf("a passed deadline must degrade, not error: %v", err)
 	}
-	if !plan.Degraded {
-		t.Fatal("want Degraded=true after wall-clock budget expiry")
+	if !plan.Degraded || !strings.Contains(plan.DegradedReason, "wall-clock budget exhausted") {
+		t.Fatalf("want a wall-clock degradation, got Degraded=%v reason=%q", plan.Degraded, plan.DegradedReason)
 	}
 	if err := plan.Perm.Validate(m.Rows); err != nil {
 		t.Fatalf("degraded plan invalid: %v", err)
