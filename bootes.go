@@ -109,17 +109,8 @@ type Options struct {
 	// degradation); a failed attempt degrades to the fixed-k ladder. Ignored
 	// when ForceK is set. Auto-k plans cache under a distinct key.
 	AutoK bool
-	// Similarity selects how the spectral pass applies the similarity
-	// S = Ā·Āᵀ: formed by the exact merge kernel or the LSH-sparsified
-	// approximation, or applied matrix-free by the implicit operator. The
-	// zero value SimAuto runs the implicit operator, except from 8 192 to
-	// 65 535 rows, where it runs the approximation (see
-	// EffectiveSimilarityMode); auto-k still forms S for its refinement,
-	// exactly below 8 192 rows. The tiers' plans are valid bijections that
-	// may differ from one another, so each tier caches under a distinct key.
-	Similarity SimilarityMode
 	// Seed makes the spectral pass deterministic (Lanczos start vectors,
-	// k-means seeding). The gate's feature sampling always runs at seed 0,
+	// k-means seeding). The gate's feature sampling runs at one fixed seed,
 	// so the gate's decision does not depend on Seed.
 	Seed int64
 	// Cache, when non-nil, is consulted before planning and durably stores
@@ -128,47 +119,6 @@ type Options struct {
 	// exactly the plan this call would have computed. Cache write failures
 	// never fail the plan.
 	Cache *PlanCache
-}
-
-// SimilarityMode selects the similarity construction tier. See the constants
-// below and Options.Similarity.
-type SimilarityMode = core.SimilarityMode
-
-// The similarity construction tiers, cheapest-guarantees last.
-const (
-	// SimAuto (the zero value) runs SimImplicit, or SimApprox from 8 192 to
-	// 65 535 rows.
-	SimAuto = core.SimAuto
-	// SimExact materializes S with the merge-based SpGEMM kernel.
-	SimExact = core.SimExact
-	// SimApprox sparsifies S to LSH candidate pairs (MinHash banding) before
-	// materializing: stored entries keep their exact intersection counts, but
-	// dissimilar row pairs are dropped, shrinking the eigensolve.
-	SimApprox = core.SimApprox
-	// SimImplicit applies S as a matrix-free operator, y = Ā(Āᵀx): each
-	// matvec makes two pattern passes over Ā instead of one valued pass over
-	// an S of up to Σ_c d_c² entries (d_c the column degrees), and S is never
-	// built. On the benchmark's workloads, all below 8 192 rows, it is the
-	// fastest tier as well as the smallest, which is why SimAuto resolves to
-	// it there.
-	SimImplicit = core.SimImplicit
-)
-
-// ParseSimilarityMode maps a flag string ("auto", "exact", "approx",
-// "implicit"; "" means auto) to its SimilarityMode.
-func ParseSimilarityMode(s string) (SimilarityMode, error) {
-	return core.ParseSimilarityMode(s)
-}
-
-// EffectiveSimilarityMode reports the tier PlanContext would actually run
-// for m under o (never SimAuto) — useful for tooling that wants to display
-// or log the decision without planning.
-func EffectiveSimilarityMode(m *Matrix, o *Options) SimilarityMode {
-	var opts Options
-	if o != nil {
-		opts = *o
-	}
-	return core.EffectiveSimilarityMode(m, opts.spectralOptions())
 }
 
 // CandidateKs are the cluster counts the pipeline chooses between.
@@ -188,9 +138,9 @@ type ReorderPlan struct {
 	// FootprintBytes is the modeled peak preprocessing memory.
 	FootprintBytes int64
 	// Degraded reports that planning could not run its preferred
-	// configuration and fell down the degradation ladder (lower-memory
-	// operator, retried eigensolve, fixed small k, or identity). The plan is
-	// still valid. DegradedReason records the trail.
+	// configuration and fell down the degradation ladder (retried
+	// eigensolve, fixed small k, or identity). The plan is still valid.
+	// DegradedReason records the trail.
 	Degraded bool
 	// DegradedReason is empty when Degraded is false.
 	DegradedReason string
@@ -216,7 +166,7 @@ type ReorderPlan struct {
 // configuration. planKey and PlanContext share it so the cache key and the
 // executed pipeline can never disagree about an option.
 func (o *Options) spectralOptions() core.SpectralOptions {
-	return core.SpectralOptions{Seed: o.Seed, Similarity: o.Similarity}
+	return core.SpectralOptions{Seed: o.Seed}
 }
 
 // Plan runs the Bootes pipeline on m: extract features, consult the gate,
@@ -261,8 +211,7 @@ func PlanContext(ctx context.Context, m *Matrix, opts *Options) (*ReorderPlan, e
 			planverify.Record(planverify.SitePlanHit, vs...)
 			if len(vs) == 0 {
 				// K > 0 ⇔ a spectral pass produced the entry, so the tier it
-				// ran is exactly what this call's options resolve to (the key
-				// covers every option that changes the tier).
+				// ran is the one the row count picks.
 				simMode := ""
 				if e.K > 0 {
 					simMode = core.EffectiveSimilarityMode(m, o.spectralOptions()).String()
@@ -366,13 +315,9 @@ func MatrixKey(m *Matrix) string { return plancache.KeyCSR(m) }
 // The context's deadline is deliberately excluded: it only influences
 // degraded plans, which are never cached.
 //
-// The similarity tier is keyed as resolved against this matrix (exact,
-// approximate or implicit), whether explicit or auto-selected by size,
-// because the permutation can legitimately differ between tiers. Default
-// options key as the tier they resolve to (implicit below 8 192 rows), so
-// a default plan and an explicit implicit request share an entry. Auto-k is
-// the exception: there a default request forms S and an implicit one does
-// not, so the two key apart.
+// Key bytes 17, 18 and 21 record the similarity tier and auto-k's S kernel
+// that the row count picks; KeyCSR already covers the row count, and the
+// bytes stay so that persisted keys do not move.
 func planKey(m *Matrix, o *Options) string {
 	h := sha256.New()
 	h.Write([]byte(plancache.KeyCSR(m)))
@@ -382,8 +327,7 @@ func planKey(m *Matrix, o *Options) string {
 	if o.ForceReorder {
 		opt[16] = 1
 	}
-	so := o.spectralOptions()
-	switch core.EffectiveSimilarityMode(m, so) {
+	switch core.EffectiveSimilarityMode(m, o.spectralOptions()) {
 	case core.SimImplicit:
 		opt[17] = 1
 	case core.SimApprox:
@@ -395,11 +339,7 @@ func planKey(m *Matrix, o *Options) string {
 	// option.
 	if o.AutoK {
 		opt[19] = 1
-		// A default auto-k plan below the approximate row band refines an
-		// exact S and may select its own k, while an explicit implicit
-		// request forms no S and keeps the tree's k: same tier, different
-		// plans.
-		if core.AutoKKernelDiffers(m, so) {
+		if core.AutoKKernelDiffers(m) {
 			opt[21] = 1
 		}
 		opt[20] = 0x1f // crop, threshold, symmetrize, diffuse, row-max

@@ -1,9 +1,11 @@
 // Command benchfast measures the end-to-end planning wall clock of every
 // similarity tier on a large synthetic clustered workload — the before/after
-// record behind BENCH_fastpath.json. For each requested worker count it runs
-// PlanContext once per tier (exact, approx, implicit, plus what auto
-// resolves to) on the same matrix and reports total seconds, the per-stage
-// breakdown, and each tier's speedup over the exact merge path.
+// record behind BENCH_fastpath.json. For each requested worker count it plans
+// the same matrix once per tier (exact, approx, implicit, plus what auto
+// resolves to) and reports total seconds, the per-stage breakdown, and each
+// tier's speedup over the exact merge path. The public API picks the tier
+// from the row count, so each run pins its tier through core.Pipeline and
+// then verifies the plan as PlanContext verifies a ForceK plan.
 //
 // Rerun (from the repo root):
 //
@@ -29,9 +31,11 @@ import (
 	"strings"
 	"time"
 
-	"bootes"
+	"bootes/internal/core"
 	"bootes/internal/obs"
 	"bootes/internal/parallel"
+	"bootes/internal/planverify"
+	"bootes/internal/sparse"
 	"bootes/internal/workloads"
 )
 
@@ -95,11 +99,11 @@ func main() {
 	})
 	log.Printf("workload: %d×%d, nnz=%d, %d groups", m.Rows, m.Cols, m.NNZ(), *groups)
 
-	auto := bootes.EffectiveSimilarityMode(m, &bootes.Options{Seed: *seed})
-	var tiers []bootes.SimilarityMode
+	auto := core.EffectiveSimilarityMode(m, core.SpectralOptions{Seed: *seed})
+	var tiers []core.SimilarityMode
 	for _, ts := range strings.Split(*tiersFlag, ",") {
-		tier, err := bootes.ParseSimilarityMode(strings.TrimSpace(ts))
-		if err != nil || tier == bootes.SimAuto {
+		tier, err := core.ParseSimilarityMode(strings.TrimSpace(ts))
+		if err != nil || tier == core.SimAuto {
 			log.Fatalf("bad -tiers entry %q (want exact, approx, or implicit)", ts)
 		}
 		tiers = append(tiers, tier)
@@ -139,7 +143,7 @@ func main() {
 					r = again
 				}
 			}
-			if tier == bootes.SimExact {
+			if tier == core.SimExact {
 				exactSec = r.Seconds
 			} else if exactSec > 0 {
 				r.SpeedupVsExact = round2(exactSec / r.Seconds)
@@ -197,22 +201,26 @@ func workerCounts(list string) []int {
 	return counts
 }
 
-func runTier(m *bootes.Matrix, tier bootes.SimilarityMode, seed int64, k int) tierResult {
+func runTier(m *sparse.CSR, tier core.SimilarityMode, seed int64, k int) tierResult {
 	trace := obs.Default().NewTrace()
 	ctx := obs.WithTrace(context.Background(), trace)
 	start := time.Now()
-	plan, err := bootes.PlanContext(ctx, m, &bootes.Options{
-		Seed: seed, ForceReorder: true, ForceK: k, Similarity: tier,
-	})
+	p := &core.Pipeline{
+		Spectral:     core.SpectralOptions{Seed: seed, Similarity: tier},
+		ForceReorder: true,
+		ForceK:       k,
+	}
+	res, err := p.ReorderContext(ctx, m)
 	if err != nil {
 		log.Fatalf("%s: %v", tier, err)
 	}
+	res, _ = planverify.VerifyResult(planverify.SitePlan, m, res, nil)
 	elapsed := time.Since(start).Seconds()
-	if plan.Degraded {
-		log.Fatalf("%s: degraded plan taints the benchmark: %s", tier, plan.DegradedReason)
+	if res.Degraded {
+		log.Fatalf("%s: degraded plan taints the benchmark: %s", tier, res.DegradedReason)
 	}
-	if plan.SimilarityMode != tier.String() {
-		log.Fatalf("%s: ran tier %q", tier, plan.SimilarityMode)
+	if res.SimilarityMode != tier.String() {
+		log.Fatalf("%s: ran tier %q", tier, res.SimilarityMode)
 	}
 	stages := stageSeconds{}
 	for _, s := range trace.Report() {
@@ -221,9 +229,9 @@ func runTier(m *bootes.Matrix, tier bootes.SimilarityMode, seed int64, k int) ti
 	return tierResult{
 		Tier:           tier.String(),
 		Seconds:        round4(elapsed),
-		K:              plan.K,
-		Reordered:      plan.Reordered,
-		FootprintBytes: plan.FootprintBytes,
+		K:              int(res.Extra["k"]),
+		Reordered:      res.Reordered,
+		FootprintBytes: res.FootprintBytes,
 		Stages:         stages,
 	}
 }

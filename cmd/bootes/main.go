@@ -13,12 +13,12 @@
 //
 // Commands that run the planning pipeline (analyze, reorder, plan) accept
 // -timeout (a planning deadline, enforced through PlanContext), -strict
-// (exit non-zero when the plan is degraded), -similarity
-// (auto|exact|approx|implicit — the similarity construction tier;
-// auto picks from the matrix size), and -auto-k (pick the cluster count by
-// the largest eigengap of the refined similarity instead of the decision
-// tree's fixed candidate k; ambiguous spectra fall back to the fixed-k
-// sweep). Degraded plans always print a warning to stderr.
+// (exit non-zero when the plan is degraded), and -auto-k (pick the cluster
+// count by the largest eigengap of the refined similarity instead of the
+// decision tree's fixed candidate k; ambiguous spectra fall back to the
+// fixed-k sweep). The matrix's row count picks the similarity tier; the
+// plan reports the one that ran. Degraded plans always print a warning to
+// stderr.
 package main
 
 import (
@@ -151,7 +151,6 @@ func cmdAnalyze(args []string) {
 	timeout := fs.Duration("timeout", 0, "planning deadline (0 = none)")
 	strict := fs.Bool("strict", false, "exit non-zero if the plan is degraded")
 	stats := fs.Bool("stats", false, "print a per-stage planning time table")
-	similarity := similarityFlag(fs)
 	autoK := autoKFlag(fs)
 	fs.Parse(args)
 	if *in == "" {
@@ -160,7 +159,7 @@ func cmdAnalyze(args []string) {
 	m := readMatrix(*in)
 	fmt.Printf("matrix: %s\n", m)
 
-	feats := core.ExtractFeatures(m, core.FeatureOptions{Seed: *seed})
+	feats := core.ExtractFeatures(m)
 	vec := feats.Vector()
 	for i, name := range core.FeatureNames {
 		fmt.Printf("  %-12s %.6g\n", name, vec[i])
@@ -173,7 +172,7 @@ func cmdAnalyze(args []string) {
 		trace = obs.Default().NewTrace()
 		ctx = obs.WithTrace(ctx, trace)
 	}
-	opts := &bootes.Options{Seed: *seed, Model: loadModel(*model), Similarity: parseSimilarity(*similarity), AutoK: *autoK}
+	opts := &bootes.Options{Seed: *seed, Model: loadModel(*model), AutoK: *autoK}
 	plan, err := bootes.PlanContext(ctx, m, opts)
 	if err != nil {
 		log.Fatal(err)
@@ -210,7 +209,6 @@ func cmdReorder(args []string) {
 	seed := fs.Int64("seed", 1, "random seed")
 	timeout := fs.Duration("timeout", 0, "planning deadline (0 = none)")
 	strict := fs.Bool("strict", false, "exit non-zero if the plan is degraded")
-	similarity := similarityFlag(fs)
 	autoK := autoKFlag(fs)
 	fs.Parse(args)
 	if *in == "" || *out == "" {
@@ -220,8 +218,7 @@ func cmdReorder(args []string) {
 	ctx, cancel := planCtx(*timeout)
 	defer cancel()
 	opts := &bootes.Options{
-		Seed: *seed, ForceK: *k, ForceReorder: *force, Model: loadModel(*model),
-		Similarity: parseSimilarity(*similarity), AutoK: *autoK,
+		Seed: *seed, ForceK: *k, ForceReorder: *force, Model: loadModel(*model), AutoK: *autoK,
 	}
 	plan, err := bootes.PlanContext(ctx, m, opts)
 	if err != nil {
@@ -452,7 +449,6 @@ func cmdPlan(args []string) {
 	async := fs.Bool("async", false, "submit to the daemon's async queue and poll the job until it finishes (needs -server)")
 	tenant := fs.String("tenant", "", "tenant identity sent as X-Tenant (quota accounting on the daemon)")
 	retries := fs.Int("retries", 5, "max retries when the daemon sheds with 429 (Retry-After is honored)")
-	similarity := similarityFlag(fs)
 	autoK := autoKFlag(fs)
 	fs.Parse(args)
 	if *in == "" {
@@ -469,7 +465,7 @@ func cmdPlan(args []string) {
 	m := readMatrix(*in)
 	ctx, cancel := planCtx(*timeout)
 	defer cancel()
-	opts := &bootes.Options{Seed: *seed, Model: loadModel(*model), Similarity: parseSimilarity(*similarity), AutoK: *autoK}
+	opts := &bootes.Options{Seed: *seed, Model: loadModel(*model), AutoK: *autoK}
 	if *cacheDir != "" {
 		cache, err := bootes.OpenPlanCache(*cacheDir)
 		if err != nil {
@@ -497,23 +493,9 @@ func cmdPlan(args []string) {
 	warnDegraded(plan.Degraded, plan.DegradedReason, *strict)
 }
 
-// similarityFlag registers the shared -similarity flag on a planning command.
-func similarityFlag(fs *flag.FlagSet) *string {
-	return fs.String("similarity", "auto", "similarity tier: auto, exact, approx, or implicit")
-}
-
 // autoKFlag registers the shared -auto-k flag on a planning command.
 func autoKFlag(fs *flag.FlagSet) *bool {
 	return fs.Bool("auto-k", false, "pick the cluster count by eigengap on the refined similarity (falls back to the fixed-k sweep when ambiguous)")
-}
-
-// parseSimilarity maps the flag value to a mode, exiting on bad input.
-func parseSimilarity(s string) bootes.SimilarityMode {
-	mode, err := bootes.ParseSimilarityMode(s)
-	if err != nil {
-		log.Fatal(err)
-	}
-	return mode
 }
 
 // remotePlan mirrors the daemon's PlanResponse fields the CLI reports on.

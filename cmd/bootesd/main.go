@@ -75,7 +75,6 @@ func main() {
 	readTimeout := flag.Duration("read-timeout", 2*time.Minute, "maximum time to read an entire request")
 	idleTimeout := flag.Duration("idle-timeout", 2*time.Minute, "keep-alive connection idle timeout")
 	pprofOn := flag.Bool("pprof", false, "serve runtime profiles on /debug/pprof/ (CPU, heap, goroutine, ...)")
-	similarity := flag.String("similarity", "auto", "similarity tier: auto, exact, approx, or implicit")
 	autoK := flag.Bool("auto-k", false, "pick the cluster count by eigengap on the refined similarity (falls back to the fixed-k sweep when ambiguous)")
 	queueDir := flag.String("queue-dir", "", "durable async job queue directory (empty disables ?async=1; requires -cache)")
 	queueWorkers := flag.Int("queue-workers", 0, "async queue worker pool size (default max-inflight)")
@@ -95,11 +94,6 @@ func main() {
 	scrubInterval := flag.Duration("scrub-interval", 5*time.Second, "background scrub pacing, one cache entry per tick")
 	warmupDeadline := flag.Duration("warmup-deadline", 5*time.Second, "bound on the pre-ready warm-up that streams owned keys from replicas")
 	flag.Parse()
-
-	simMode, err := bootes.ParseSimilarityMode(*similarity)
-	if err != nil {
-		log.Fatal(err)
-	}
 
 	var model *bootes.Model
 	if *modelPath != "" {
@@ -129,7 +123,7 @@ func main() {
 	// families in one exposition.
 	node, err := fleet.StartNode(ln, fleet.NodeConfig{
 		Serve: planserve.Config{
-			Plan:            planserve.PipelinePlan(bootes.Options{Model: model, Seed: *seed, Similarity: simMode, AutoK: *autoK}),
+			Plan:            planserve.PipelinePlan(bootes.Options{Model: model, Seed: *seed, AutoK: *autoK}),
 			Tenants:         planserve.TenantConfig{Rate: *tenantRate, Burst: *tenantBurst},
 			MaxInFlight:     *maxInFlight,
 			MaxQueue:        *maxQueue,

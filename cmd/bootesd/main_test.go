@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"syscall"
 	"testing"
@@ -19,11 +20,9 @@ import (
 	"bootes/internal/workloads"
 )
 
-// TestDaemonPlansAndDrainsOnSIGTERM builds the bootesd binary, starts it on
-// a free port with a plan cache and an async queue, plans one matrix
-// synchronously and one through ?async=1, and expects SIGTERM to drain it to
-// exit status 0.
-func TestDaemonPlansAndDrainsOnSIGTERM(t *testing.T) {
+// buildDaemon builds the bootesd binary into dir and returns its path.
+func buildDaemon(t *testing.T, dir string) string {
+	t.Helper()
 	if testing.Short() {
 		t.Skip("builds and runs the daemon binary")
 	}
@@ -31,11 +30,51 @@ func TestDaemonPlansAndDrainsOnSIGTERM(t *testing.T) {
 	if err != nil {
 		t.Skip("no go toolchain on PATH")
 	}
-	dir := t.TempDir()
 	bin := filepath.Join(dir, "bootesd")
 	if out, err := exec.Command(goBin, "build", "-o", bin, ".").CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
+	return bin
+}
+
+// TestFlagSet pins the daemon's flags: adding or removing a knob must show
+// up as an edit to this list.
+func TestFlagSet(t *testing.T) {
+	bin := buildDaemon(t, t.TempDir())
+	out, err := exec.Command(bin, "-h").CombinedOutput()
+	if err != nil {
+		t.Fatalf("bootesd -h: %v\n%s", err, out)
+	}
+	var got []string
+	for _, line := range strings.Split(string(out), "\n") {
+		if name, ok := strings.CutPrefix(line, "  -"); ok {
+			name, _, _ = strings.Cut(name, " ")
+			got = append(got, name)
+		}
+	}
+	slices.Sort(got)
+	want := []string{
+		"addr", "allow-path", "auto-k", "breaker-cooldown", "breaker-failures",
+		"cache", "deadline", "down-after", "drain", "hedge-after",
+		"idle-timeout", "max-inflight", "max-queue", "max-upload-bytes", "model",
+		"peers", "pprof", "probe-interval", "probe-timeout", "queue-dir",
+		"queue-max", "queue-max-tenant", "queue-workers", "read-header-timeout", "read-timeout",
+		"repair-interval", "replicas", "retries", "scrub-interval", "seed",
+		"self", "self-heal", "tenant-burst", "tenant-rate", "upload-timeout",
+		"warmup-deadline",
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("bootesd -h lists %d flags %v,\nwant %d %v", len(got), got, len(want), want)
+	}
+}
+
+// TestDaemonPlansAndDrainsOnSIGTERM builds the bootesd binary, starts it on
+// a free port with a plan cache and an async queue, plans one matrix
+// synchronously and one through ?async=1, and expects SIGTERM to drain it to
+// exit status 0.
+func TestDaemonPlansAndDrainsOnSIGTERM(t *testing.T) {
+	dir := t.TempDir()
+	bin := buildDaemon(t, dir)
 
 	// Port 0 picks a free port; the "serving on" log line names it.
 	cmd := exec.Command(bin, "-addr", "127.0.0.1:0",

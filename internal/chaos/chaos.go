@@ -45,6 +45,7 @@ import (
 	"time"
 
 	"bootes"
+	"bootes/internal/core"
 	"bootes/internal/faultinject"
 	"bootes/internal/leakcheck"
 	"bootes/internal/obs"
@@ -558,39 +559,42 @@ func scenarioPlanAutoK(e *episode) {
 	}
 }
 
-// scenarioPlanApprox permanently arms the sparsifier fault point and forces
-// the approximate similarity tier: the pipeline must walk the degradation
-// ladder to the implicit rung — a real reordering naming the sparsifier
-// failure, never the identity floor. It manages its own fault (the shared
-// schedule could arm points that push degradation past the implicit rung,
-// which would turn this scenario's sharpest assertion into a coin flip).
+// scenarioPlanApprox permanently arms the sparsifier fault point and pins
+// the approximate similarity tier, which no public option selects, through
+// core.Pipeline and the verifier PlanContext runs on a ForceK plan: the
+// pipeline must descend the degradation ladder to its retry-loose rung on
+// the implicit operator — a real reordering naming the sparsifier failure,
+// never the identity floor. It manages its own fault (the shared schedule
+// could arm points that push degradation past that rung, which would turn
+// this scenario's sharpest assertion into a coin flip).
 func scenarioPlanApprox(e *episode) {
 	m := e.matrix()
 	faultinject.Arm(faultinject.LSHSparsifyFail, faultinject.Always())
 	e.rep.Faults[faultinject.LSHSparsifyFail]++
-	plan, err := bootes.PlanContext(context.Background(), m, &bootes.Options{
-		Seed:         e.rng.Int63(),
+	p := &core.Pipeline{
+		Spectral:     core.SpectralOptions{Seed: e.rng.Int63(), Similarity: core.SimApprox},
 		ForceReorder: true,
 		ForceK:       4,
-		Similarity:   bootes.SimApprox,
-	})
+	}
+	res, err := p.ReorderContext(context.Background(), m)
 	if err != nil {
 		e.violatef("plan-approx: error instead of degradation: %v", err)
 		return
 	}
-	if !plan.Degraded {
+	res, _ = planverify.VerifyResult(planverify.SitePlan, m, res, nil)
+	if !res.Degraded {
 		e.violatef("plan-approx: failing sparsifier did not mark the plan Degraded")
 	}
-	if !strings.Contains(plan.DegradedReason, "sparsify") {
-		e.violatef("plan-approx: reason %q does not name the sparsifier fault", plan.DegradedReason)
+	if !strings.Contains(res.DegradedReason, "sparsify") {
+		e.violatef("plan-approx: reason %q does not name the sparsifier fault", res.DegradedReason)
 	}
-	if strings.Contains(plan.DegradedReason, "fell back to identity") {
-		e.violatef("plan-approx: fell to the identity floor: %q", plan.DegradedReason)
+	if strings.Contains(res.DegradedReason, "fell back to identity") {
+		e.violatef("plan-approx: fell to the identity floor: %q", res.DegradedReason)
 	}
-	if plan.SimilarityMode != "implicit" {
-		e.violatef("plan-approx: degraded to tier %q, want implicit", plan.SimilarityMode)
+	if res.SimilarityMode != "implicit" {
+		e.violatef("plan-approx: degraded to tier %q, want implicit", res.SimilarityMode)
 	}
-	e.checkPlanShape("plan-approx", m.Rows, plan.Perm, plan.K, plan.Reordered, plan.Degraded, plan.DegradedReason)
+	e.checkPlanShape("plan-approx", m.Rows, res.Perm, int(res.Extra["k"]), res.Reordered, res.Degraded, res.DegradedReason)
 }
 
 // scenarioServeHTTP stands up the full serving stack (admission, retries,

@@ -116,7 +116,7 @@ func TestSpectralErrors(t *testing.T) {
 
 func TestExtractFeaturesRanges(t *testing.T) {
 	a := blockMatrix(5, 8)
-	f := ExtractFeatures(a, FeatureOptions{Seed: 1})
+	f := ExtractFeatures(a)
 	if f.Density <= 0 || f.Density > 1 {
 		t.Errorf("density %v out of range", f.Density)
 	}
@@ -131,7 +131,7 @@ func TestExtractFeaturesRanges(t *testing.T) {
 	}
 	// Banded matrix: almost no inter-row overlap at distance, low variance.
 	banded := workloads.Banded(workloads.Params{Rows: 1024, Cols: 1024, Density: 0.003, Seed: 1})
-	fb := ExtractFeatures(banded, FeatureOptions{Seed: 1})
+	fb := ExtractFeatures(banded)
 	if fb.InterAvg >= f.InterAvg {
 		t.Errorf("banded interAvg %v should be below block matrix %v", fb.InterAvg, f.InterAvg)
 	}
@@ -139,8 +139,8 @@ func TestExtractFeaturesRanges(t *testing.T) {
 
 func TestFeatureDeterminism(t *testing.T) {
 	a := blockMatrix(6, 4)
-	f1 := ExtractFeatures(a, FeatureOptions{Seed: 7})
-	f2 := ExtractFeatures(a, FeatureOptions{Seed: 7})
+	f1 := ExtractFeatures(a)
+	f2 := ExtractFeatures(a)
 	if f1 != f2 {
 		t.Error("feature extraction not deterministic")
 	}

@@ -36,51 +36,35 @@ type rung struct {
 	opts SpectralOptions
 }
 
-// buildLadder lays out the degradation ladder for a requested configuration
-// whose effective similarity tier is eff:
+// buildLadder lays out the degradation ladder for a requested
+// configuration, the same rungs whatever tier the request resolves to:
 //
-//	requested → approx-similarity → implicit-similarity
-//	          → retry (fresh seed, loose tol)
+//	requested → retry (fresh seed, loose tol, implicit)
 //	          → fixed small k (k=2, implicit, loose, small basis) → identity
 //
-// The first rung is the caller's own configuration. The approx rung — the
-// LSH-sparsified similarity, cheaper in both time and memory than the exact
-// kernel — is inserted only when the request resolves to the exact tier, so
-// a failing request degrades exact → approx → implicit; when the request
-// already runs approximate or implicit similarity the ladder skips straight
-// past the corresponding rungs. The identity rung is not in the list — it is
-// the unconditional floor the caller falls to when every listed rung fails
-// or the context reaches its deadline.
-func buildLadder(base SpectralOptions, eff SimilarityMode) []rung {
-	var ladder []rung
-	ladder = append(ladder, rung{name: "requested", opts: base})
-
-	if eff == SimExact {
-		approx := base
-		approx.Similarity = SimApprox
-		ladder = append(ladder, rung{name: "approx-similarity", opts: approx})
-	}
-
-	impl := base
-	impl.Similarity = SimImplicit
-	if eff != SimImplicit {
-		ladder = append(ladder, rung{name: "implicit-similarity", opts: impl})
-	}
-
-	retry := impl
-	retry.Seed = impl.Seed ^ retrySeedMix
+// The first rung is the caller's own configuration. The retry rung runs the
+// matrix-free operator, which forms no S and so shares no kernel with a
+// failed exact or approximate request. The identity rung is not in the
+// list — it is the unconditional floor the caller falls to when every
+// listed rung fails or the context reaches its deadline.
+func buildLadder(base SpectralOptions) []rung {
+	retry := base
+	retry.Similarity = SimImplicit
+	retry.Seed = base.Seed ^ retrySeedMix
 	retry.Eigen.Seed = 0 // re-derive from the mixed Seed
 	if retry.Eigen.Tol == 0 || retry.Eigen.Tol < looseTol {
 		retry.Eigen.Tol = looseTol
 	}
-	ladder = append(ladder, rung{name: "retry-loose", opts: retry})
 
 	small := retry
 	small.K = 2
 	small.Eigen.MaxBasis = 20
-	ladder = append(ladder, rung{name: "fixed-k2", opts: small})
 
-	return ladder
+	return []rung{
+		{name: "requested", opts: base},
+		{name: "retry-loose", opts: retry},
+		{name: "fixed-k2", opts: small},
+	}
 }
 
 // attemptSpectral runs one ladder rung with panic containment: a panic
@@ -175,7 +159,6 @@ func (p *Pipeline) ReorderContext(ctx context.Context, a *sparse.CSR) (res *reor
 
 	base := p.Spectral
 	base.K = k
-	eff := EffectiveSimilarityMode(a, base)
 	var reasons []string
 
 	// Auto-k rung: attempted once, before the fixed-k ladder. A successful
@@ -220,7 +203,7 @@ func (p *Pipeline) ReorderContext(ctx context.Context, a *sparse.CSR) (res *reor
 		}
 	}
 
-	for _, r := range buildLadder(base, eff) {
+	for _, r := range buildLadder(base) {
 		if ctx.Err() != nil {
 			break
 		}

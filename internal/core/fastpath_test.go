@@ -171,35 +171,27 @@ func TestApproxFaultDegradesToImplicit(t *testing.T) {
 	}
 }
 
-// TestLadderRungOrder: the approx rung exists only for exact requests,
-// and no rung repeats the tier the request already resolves to.
+// TestLadderRungOrder: every request descends the same rungs whatever tier
+// it runs, and the rungs after the first run the implicit operator.
 func TestLadderRungOrder(t *testing.T) {
-	names := func(ladder []rung) []string {
-		var out []string
+	want := []string{"requested", "retry-loose", "fixed-k2"}
+	for _, mode := range []SimilarityMode{SimAuto, SimExact, SimApprox, SimImplicit} {
+		ladder := buildLadder(SpectralOptions{K: 8, Similarity: mode})
+		var names []string
 		for _, r := range ladder {
-			out = append(out, r.name)
+			names = append(names, r.name)
 		}
-		return out
-	}
-	exact := names(buildLadder(SpectralOptions{K: 8}, SimExact))
-	wantExact := []string{"requested", "approx-similarity", "implicit-similarity", "retry-loose", "fixed-k2"}
-	if strings.Join(exact, ",") != strings.Join(wantExact, ",") {
-		t.Errorf("exact ladder = %v, want %v", exact, wantExact)
-	}
-	approx := names(buildLadder(SpectralOptions{K: 8, Similarity: SimApprox}, SimApprox))
-	wantApprox := []string{"requested", "implicit-similarity", "retry-loose", "fixed-k2"}
-	if strings.Join(approx, ",") != strings.Join(wantApprox, ",") {
-		t.Errorf("approx ladder = %v, want %v", approx, wantApprox)
-	}
-	impl := names(buildLadder(SpectralOptions{K: 8, Similarity: SimImplicit}, SimImplicit))
-	wantImpl := []string{"requested", "retry-loose", "fixed-k2"}
-	if strings.Join(impl, ",") != strings.Join(wantImpl, ",") {
-		t.Errorf("implicit ladder = %v, want %v", impl, wantImpl)
-	}
-
-	// The inserted approx rung must actually request the approximate tier.
-	ladder := buildLadder(SpectralOptions{K: 8}, SimExact)
-	if ladder[1].opts.Similarity != SimApprox {
-		t.Errorf("approx rung requests tier %v", ladder[1].opts.Similarity)
+		if strings.Join(names, ",") != strings.Join(want, ",") {
+			t.Errorf("%v ladder = %v, want %v", mode, names, want)
+			continue
+		}
+		if ladder[0].opts.Similarity != mode {
+			t.Errorf("%v ladder: requested rung runs tier %v", mode, ladder[0].opts.Similarity)
+		}
+		for _, r := range ladder[1:] {
+			if r.opts.Similarity != SimImplicit {
+				t.Errorf("%v ladder: %s rung runs tier %v, want implicit", mode, r.name, r.opts.Similarity)
+			}
+		}
 	}
 }

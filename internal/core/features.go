@@ -67,20 +67,14 @@ func (f Features) Vector() []float64 {
 	}
 }
 
-// FeatureOptions controls extraction sampling.
-type FeatureOptions struct {
-	// SamplePairs is the number of random row pairs used for the
-	// intersection metrics. 0 selects 512.
-	SamplePairs int
-	// Seed makes sampling deterministic.
-	Seed int64
-}
+// featurePairs is the number of random row pairs each sampled intersection
+// metric draws.
+const featurePairs = 512
 
-// ExtractFeatures computes the structural fingerprint of a.
-func ExtractFeatures(a *sparse.CSR, opts FeatureOptions) Features {
-	if opts.SamplePairs == 0 {
-		opts.SamplePairs = 512
-	}
+// ExtractFeatures computes the structural fingerprint of a. Its pair
+// sampling has one fixed seed, so the gate, the labeller that trains it and
+// `bootes analyze` all see the same features for the same matrix.
+func ExtractFeatures(a *sparse.CSR) Features {
 	n := a.Rows
 	var f Features
 	f.Density = a.Density()
@@ -105,12 +99,12 @@ func ExtractFeatures(a *sparse.CSR, opts FeatureOptions) Features {
 	f.NNZ = log2(float64(a.NNZ()) + 1)
 
 	if n >= 2 {
-		rng := rand.New(rand.NewSource(opts.Seed ^ 0xfea7))
+		rng := rand.New(rand.NewSource(0xfea7))
 
 		// Uniform-pair overlap: global similarity level. Empty-row pairs
 		// contribute zero, correctly signalling "nothing to align".
-		overlaps := make([]float64, 0, opts.SamplePairs)
-		for s := 0; s < opts.SamplePairs; s++ {
+		overlaps := make([]float64, 0, featurePairs)
+		for s := 0; s < featurePairs; s++ {
 			i := rng.Intn(n)
 			j := rng.Intn(n)
 			if i == j {
@@ -125,10 +119,10 @@ func ExtractFeatures(a *sparse.CSR, opts FeatureOptions) Features {
 		// Aᵀ, and pick another row touching the same column. These are the
 		// pairs reordering could bring together.
 		at := sparse.Transpose(a.Pattern())
-		coupled := make([]float64, 0, opts.SamplePairs)
+		coupled := make([]float64, 0, featurePairs)
 		nnz := a.NNZ()
 		if nnz > 0 {
-			for s := 0; s < opts.SamplePairs; s++ {
+			for s := 0; s < featurePairs; s++ {
 				i := rng.Intn(n)
 				row := a.Row(i)
 				if len(row) == 0 {
@@ -149,8 +143,8 @@ func ExtractFeatures(a *sparse.CSR, opts FeatureOptions) Features {
 		}
 
 		// Adjacent-row overlap in the current order.
-		adj := make([]float64, 0, opts.SamplePairs)
-		for s := 0; s < opts.SamplePairs; s++ {
+		adj := make([]float64, 0, featurePairs)
+		for s := 0; s < featurePairs; s++ {
 			i := rng.Intn(n - 1)
 			adj = append(adj, sparse.Jaccard(a, i, i+1))
 		}

@@ -66,7 +66,7 @@ func (p *Pipeline) Name() string { return "Bootes" }
 
 // Decide runs only the gating step: it returns the predicted class.
 func (p *Pipeline) Decide(a *sparse.CSR) (label int, err error) {
-	feats := ExtractFeatures(a, FeatureOptions{})
+	feats := ExtractFeatures(a)
 	if p.Model == nil {
 		return heuristicLabel(a, feats), nil
 	}

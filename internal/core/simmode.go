@@ -23,8 +23,9 @@ import (
 //
 // SimAuto (the zero value) resolves to SimImplicit, or to SimApprox in the
 // band simApproxMinRows ≤ n < simImplicitMinRows (EffectiveSimilarityMode).
-// The exact kernel then serves explicit requests and auto-k, which refines
-// S itself (similarityKernel).
+// Every plan the public API serves runs SimAuto, so the row count alone
+// picks its tier. The exact kernel then serves auto-k, which refines S
+// itself (similarityKernel), and the experiments, which pin a tier.
 type SimilarityMode int
 
 // The similarity tiers. SimAuto is the default and resolves to one of the
@@ -52,7 +53,8 @@ func (m SimilarityMode) String() string {
 	}
 }
 
-// ParseSimilarityMode parses a mode name (the -similarity flag values).
+// ParseSimilarityMode parses a mode name: the values of benchsuite's
+// -similarity flag, which pins the tier of every experiment's spectral pass.
 func ParseSimilarityMode(s string) (SimilarityMode, error) {
 	switch s {
 	case "", "auto":
@@ -107,15 +109,12 @@ func EffectiveSimilarityMode(a *sparse.CSR, opts SpectralOptions) SimilarityMode
 	return SimImplicit
 }
 
-// AutoKKernelDiffers reports whether auto-k over a with opts may form S with
-// a kernel other than the tier EffectiveSimilarityMode names: SimAuto below
-// simApproxMinRows, where the operator is matrix-free but the S-kernel rule
-// forms an exact S (unless the byte cap declines). Such a plan refines S and
-// may select its own k, while an explicit SimImplicit auto-k request forms
-// no S and keeps the tree's k; both resolve to SimImplicit, so plan keys use
-// this to set them apart.
-func AutoKKernelDiffers(a *sparse.CSR, opts SpectralOptions) bool {
-	return opts.Similarity == SimAuto && a.Rows < simApproxMinRows
+// AutoKKernelDiffers reports whether auto-k over a forms S with a kernel
+// other than the tier the operator rule names: below simApproxMinRows the
+// operator is matrix-free but the S-kernel rule forms an exact S (unless
+// the byte cap declines). Plan keys record it.
+func AutoKKernelDiffers(a *sparse.CSR) bool {
+	return a.Rows < simApproxMinRows
 }
 
 // similarityKernel is the S-kernel rule: the tier auto-k materializes S

@@ -53,7 +53,7 @@ func (c Config) labelCaches() []int64 {
 func (c Config) LabelMatrix(spec workloads.Spec, a *sparse.CSR) (LabeledMatrix, error) {
 	c = c.WithDefaults()
 	lm := LabeledMatrix{Spec: spec, TrafficByK: map[int]float64{}}
-	lm.Features = core.ExtractFeatures(a, core.FeatureOptions{Seed: c.Seed})
+	lm.Features = core.ExtractFeatures(a)
 
 	aOp, bOp := operands(a)
 	const elem = 12

@@ -56,8 +56,9 @@ const (
 	PlanCorrupt = "planverify/corrupt-plan"
 
 	// LSHSparsifyFail makes the approximate similarity sparsifier
-	// (lsh.SparsifiedSimilarity) fail, driving the degradation ladder from
-	// the approximate rung down to the implicit-similarity rung.
+	// (lsh.SparsifiedSimilarity) fail, so a plan on the approximate tier
+	// descends the degradation ladder to its retry-loose rung, which runs
+	// the implicit operator.
 	LSHSparsifyFail = "lsh/sparsify-fail"
 
 	// JournalAppendWrite simulates a crash mid-append in the planqueue

@@ -721,8 +721,8 @@ func (s *Server) servePlan(w http.ResponseWriter, r *http.Request, in *planInput
 		return
 	}
 
-	runPipeline, probe := s.breaker.Allow()
-	if !runPipeline {
+	out, shared, open, err := s.fly(ctx, m, key)
+	if open {
 		// Identity fast-path: the pipeline is persistently unhealthy, so an
 		// immediate, clearly-marked identity plan beats queueing for work
 		// that would degrade to the same answer slowly. Never cached.
@@ -740,25 +740,10 @@ func (s *Server) servePlan(w http.ResponseWriter, r *http.Request, in *planInput
 		s.respond(w, r, planResponseFromResult(key, m, res), false, false, "open")
 		return
 	}
-
-	out, shared, err := s.flights.do(ctx, key, func() (admitted, error) {
-		return s.runAdmitted(ctx, m, key, probe)
-	})
 	if shared {
 		s.coalesced.Inc()
-		if probe {
-			// We claimed the half-open probe but rode an existing flight
-			// instead of running the pipeline; free the slot for the next
-			// request.
-			s.breaker.CancelProbe()
-		}
 	}
 	if err != nil {
-		if probe && !shared {
-			// The probe died before producing a pipeline outcome (shed or
-			// out of time): no verdict either way, release the slot.
-			s.breaker.CancelProbe()
-		}
 		switch {
 		case errors.Is(err, errShed):
 			w.Header().Set("Retry-After", "1")
@@ -783,6 +768,45 @@ func (s *Server) servePlan(w http.ResponseWriter, r *http.Request, in *planInput
 		s.degraded.Inc()
 	}
 	s.respond(w, r, planResponseFromResult(key, m, out.res), false, shared, "")
+}
+
+// fly leads key's singleflight, or joins the flight already planning it,
+// unless the breaker is open (open reports that no flight ran). A follower
+// never inherits its leader's clock: when the leader's deadline or
+// cancellation decided the shared outcome and this request's own context is
+// still live, it goes round again, leading or joining the next flight. A
+// shed, a fault or a plan stays shared.
+func (s *Server) fly(ctx context.Context, m *sparse.CSR, key string) (out admitted, shared, open bool, err error) {
+	for {
+		runPipeline, probe := s.breaker.Allow()
+		if !runPipeline {
+			return admitted{}, false, true, nil
+		}
+		out, shared, err = s.flights.do(ctx, key, func() (admitted, error) {
+			return s.runAdmitted(ctx, m, key, probe)
+		})
+		if probe && (shared || err != nil) {
+			// The claimed half-open probe rode another request's flight, or
+			// died before producing a pipeline outcome (shed or out of
+			// time): no verdict either way, so free the slot for the next
+			// request or pass.
+			s.breaker.CancelProbe()
+		}
+		if !shared || ctx.Err() != nil || !leaderClocked(out, err) {
+			return out, shared, false, err
+		}
+	}
+}
+
+// leaderClocked reports whether a flight's outcome came from its leader's
+// context rather than from planning: the leader's deadline or cancellation
+// as the error, or a plan degraded to the identity at the leader's deadline.
+func leaderClocked(out admitted, err error) bool {
+	if err != nil {
+		return errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled)
+	}
+	return out.res != nil && out.res.Degraded &&
+		strings.Contains(out.res.DegradedReason, "wall-clock budget exhausted")
 }
 
 // admitted is what a singleflight leader's runAdmitted produced: the

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -562,6 +563,129 @@ func TestSlowPipelineHitsGatewayTimeout(t *testing.T) {
 	}
 }
 
+// TestFollowerOutlivesLeaderClock: a follower with time left that joined a
+// flight is not answered with what its leader's clock decided. When the
+// leader's deadline degrades its plan to the identity, or the leader's
+// client hangs up, the follower goes round again, plans as the next
+// flight's leader and gets a healthy plan of its own.
+func TestFollowerOutlivesLeaderClock(t *testing.T) {
+	for _, tc := range []struct {
+		name, leaderDeadline string
+		hangUp               bool
+	}{
+		{"leader deadline degrades", "300ms", false},
+		{"leader client hangs up", "", true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var runs atomic.Int64
+			started := make(chan struct{})
+			// The first run behaves like PipelinePlan when its context ends:
+			// a deadline degrades to the identity, a cancellation errors.
+			// Later runs plan at once.
+			plan := func(ctx context.Context, m *sparse.CSR, _ int) (*reorder.Result, error) {
+				if runs.Add(1) > 1 {
+					return healthyResult(m), nil
+				}
+				close(started)
+				<-ctx.Done()
+				if errors.Is(ctx.Err(), context.Canceled) {
+					return nil, ctx.Err()
+				}
+				return degradedResult(m, "wall-clock budget exhausted; fell back to identity"), nil
+			}
+			s, ts := newTestServer(t, Config{Plan: plan})
+			body := mmBody(t, testMatrix(t, 1))
+
+			leaderCtx, hangUp := context.WithCancel(context.Background())
+			defer hangUp()
+			leaderDone := make(chan struct{})
+			go func() {
+				defer close(leaderDone)
+				req, _ := http.NewRequestWithContext(leaderCtx, http.MethodPost, ts.URL+"/v1/plan", bytes.NewReader(body))
+				if tc.leaderDeadline != "" {
+					req.Header.Set("X-Deadline", tc.leaderDeadline)
+				}
+				if resp, err := http.DefaultClient.Do(req); err == nil {
+					io.Copy(io.Discard, resp.Body)
+					resp.Body.Close()
+				}
+			}()
+			<-started
+
+			type answer struct {
+				code int
+				body string
+			}
+			follower := make(chan answer, 1)
+			go func() {
+				resp, rbody := postPlan(t, ts.URL, body, "10s")
+				follower <- answer{resp.StatusCode, rbody}
+			}()
+			if tc.hangUp {
+				time.Sleep(100 * time.Millisecond) // let the follower join
+				hangUp()
+			}
+			got := <-follower
+			<-leaderDone
+
+			var pr PlanResponse
+			if err := json.Unmarshal([]byte(got.body), &pr); got.code != http.StatusOK || err != nil {
+				t.Fatalf("follower: status %d %s; want 200 with a plan", got.code, got.body)
+			}
+			if pr.Degraded || pr.Coalesced || !pr.Reordered {
+				t.Fatalf("follower got %s; want its own healthy plan", got.body)
+			}
+			if n := runs.Load(); n != 2 {
+				t.Errorf("pipeline ran %d times, want 2: the leader's and the follower's", n)
+			}
+			if st := s.Stats(); st.Coalesced != 0 {
+				t.Errorf("Coalesced = %d, want 0: the follower was not answered from the leader's flight", st.Coalesced)
+			}
+		})
+	}
+}
+
+// TestFollowerOutlivesLeaderSlotWait: a leader whose deadline passes while
+// it waits for an admission slot answers 504, but a follower with time left
+// goes round again, waits for a slot of its own and gets its plan.
+func TestFollowerOutlivesLeaderSlotWait(t *testing.T) {
+	gate := make(chan struct{})
+	p := &countingPlanner{gate: gate}
+	s, ts := newTestServer(t, Config{Plan: p.fn(), MaxInFlight: 1, MaxQueue: 4})
+
+	// A request for another matrix holds the only slot until the gate opens.
+	blocker := make(chan int, 1)
+	go func() {
+		resp, _ := postPlan(t, ts.URL, mmBody(t, testMatrix(t, 2)), "10s")
+		blocker <- resp.StatusCode
+	}()
+	waitUntil(t, func() bool { return p.totalRuns() == 1 })
+
+	body := mmBody(t, testMatrix(t, 1))
+	leader := make(chan int, 1)
+	go func() {
+		resp, _ := postPlan(t, ts.URL, body, "300ms")
+		leader <- resp.StatusCode
+	}()
+	waitUntil(t, func() bool { return s.queued.Value() == 1 })
+	follower := make(chan string, 1)
+	go func() {
+		resp, rbody := postPlan(t, ts.URL, body, "10s")
+		follower <- fmt.Sprintf("%d %s", resp.StatusCode, rbody)
+	}()
+	if code := <-leader; code != http.StatusGatewayTimeout {
+		t.Fatalf("leader: status %d, want 504", code)
+	}
+	close(gate)
+	got := <-follower
+	if !strings.HasPrefix(got, "200 ") || strings.Contains(got, `"degraded":true`) || strings.Contains(got, `"coalesced":true`) {
+		t.Fatalf("follower got %s; want 200 with its own healthy plan", got)
+	}
+	if code := <-blocker; code != http.StatusOK {
+		t.Fatalf("blocker: status %d", code)
+	}
+}
+
 // armStall makes every spectral pass outlive its deadline: a stalled worker
 // parks until its context is done, so the deadline passes mid-plan on any
 // machine.
@@ -726,7 +850,7 @@ func TestLocalPathsDisabledByDefault(t *testing.T) {
 func TestTransientClassification(t *testing.T) {
 	for reason, want := range map[string]bool{
 		"requested: eigensolver did not converge":                                 true,
-		"implicit-similarity: contained panic (core: internal panic)":             true,
+		"retry-loose: contained panic (core: internal panic)":                     true,
 		"wall-clock budget exhausted; fell back to identity":                      false,
 		"plan verification failed: perm-invalid; fell back to identity":           true,
 		"traffic regression predicted: traffic-regression; fell back to identity": false,

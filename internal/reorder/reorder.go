@@ -30,10 +30,9 @@ type Result struct {
 	// with a cost gate (Bootes) set this false when they decline to reorder.
 	Reordered bool
 	// Degraded reports that the reorderer could not run its preferred
-	// configuration and fell down its degradation ladder (lower-memory
-	// operator, retried eigensolve, fixed small k, or identity). The plan is
-	// still valid; DegradedReason records the rung and why. Baselines never
-	// set it.
+	// configuration and fell down its degradation ladder (retried
+	// eigensolve, fixed small k, or identity). The plan is still valid;
+	// DegradedReason records the rung and why. Baselines never set it.
 	Degraded bool
 	// DegradedReason is the human-readable trail of degradation decisions,
 	// empty when Degraded is false.

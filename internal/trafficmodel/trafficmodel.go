@@ -8,11 +8,7 @@
 // detailed simulator because both are driven by the same reuse distances.
 package trafficmodel
 
-import (
-	"container/list"
-
-	"bootes/internal/sparse"
-)
+import "bootes/internal/sparse"
 
 // Estimate is the outcome of one traffic estimation.
 type Estimate struct {
@@ -73,13 +69,13 @@ func EstimateBWithPerm(a, b *sparse.CSR, perm sparse.Permutation, capacityBytes,
 	}
 
 	// Fully associative LRU over B rows.
-	lru := list.New()                     // front = most recent; values are row ids
-	elem := make([]*list.Element, b.Rows) // row id → list element (nil if absent)
+	lru := newRowLRU(b.Rows)
 	var resident int64
 	for _, oldRow := range perm {
 		for _, k := range a.Row(int(oldRow)) {
-			if e := elem[k]; e != nil {
-				lru.MoveToFront(e)
+			if lru.in[k] {
+				lru.unlink(k)
+				lru.pushFront(k)
 				est.Hits++
 				continue
 			}
@@ -90,15 +86,57 @@ func EstimateBWithPerm(a, b *sparse.CSR, perm sparse.Permutation, capacityBytes,
 				continue
 			}
 			resident += rowBytes[k]
-			elem[k] = lru.PushFront(k)
+			lru.pushFront(k)
 			for resident > capacityBytes {
-				back := lru.Back()
-				victim := back.Value.(int32)
-				lru.Remove(back)
-				elem[victim] = nil
+				victim := lru.tail
+				lru.unlink(victim)
 				resident -= rowBytes[victim]
 			}
 		}
 	}
 	return est, nil
+}
+
+// rowLRU is a recency list of resident B rows threaded through index
+// arrays, so a miss allocates nothing: prev and next link the rows from the
+// most recent (head) to the least recent (tail), and -1 ends the list.
+type rowLRU struct {
+	prev, next []int32
+	in         []bool // row is resident
+	head, tail int32
+}
+
+func newRowLRU(rows int) *rowLRU {
+	return &rowLRU{
+		prev: make([]int32, rows), next: make([]int32, rows), in: make([]bool, rows),
+		head: -1, tail: -1,
+	}
+}
+
+// pushFront makes row k resident as the most recent row.
+func (l *rowLRU) pushFront(k int32) {
+	l.in[k] = true
+	l.prev[k], l.next[k] = -1, l.head
+	if l.head >= 0 {
+		l.prev[l.head] = k
+	} else {
+		l.tail = k
+	}
+	l.head = k
+}
+
+// unlink removes resident row k from the list.
+func (l *rowLRU) unlink(k int32) {
+	l.in[k] = false
+	p, n := l.prev[k], l.next[k]
+	if p >= 0 {
+		l.next[p] = n
+	} else {
+		l.head = n
+	}
+	if n >= 0 {
+		l.prev[n] = p
+	} else {
+		l.tail = p
+	}
 }

@@ -1,6 +1,8 @@
 package trafficmodel
 
 import (
+	"container/list"
+	"math/rand"
 	"testing"
 
 	"bootes/internal/sparse"
@@ -127,5 +129,79 @@ func TestEmptyInputs(t *testing.T) {
 	}
 	if est.BTraffic != 0 || est.Ratio() != 0 {
 		t.Error("empty input produced traffic")
+	}
+}
+
+// listEstimate is the reference model: the same row-granular LRU kept in a
+// container/list, which allocates an element on every miss.
+func listEstimate(a, b *sparse.CSR, perm sparse.Permutation, capacityBytes, elemBytes int64) Estimate {
+	var est Estimate
+	rowBytes := make([]int64, b.Rows)
+	for k := 0; k < b.Rows; k++ {
+		rowBytes[k] = (b.RowPtr[k+1] - b.RowPtr[k]) * elemBytes
+	}
+	referenced := make([]bool, b.Rows)
+	for _, k := range a.Col {
+		if !referenced[k] {
+			referenced[k] = true
+			est.BCompulsory += rowBytes[k]
+		}
+	}
+	lru := list.New()
+	elem := make([]*list.Element, b.Rows)
+	var resident int64
+	for _, oldRow := range perm {
+		for _, k := range a.Row(int(oldRow)) {
+			if e := elem[k]; e != nil {
+				lru.MoveToFront(e)
+				est.Hits++
+				continue
+			}
+			est.Misses++
+			est.BTraffic += rowBytes[k]
+			if rowBytes[k] >= capacityBytes {
+				continue
+			}
+			resident += rowBytes[k]
+			elem[k] = lru.PushFront(k)
+			for resident > capacityBytes {
+				back := lru.Back()
+				victim := back.Value.(int32)
+				lru.Remove(back)
+				elem[victim] = nil
+				resident -= rowBytes[victim]
+			}
+		}
+	}
+	return est
+}
+
+// TestMatchesListReference: the index-linked LRU gives the list model's
+// estimate, all four fields, on every archetype at three cache sizes, in
+// the identity order and in a random one.
+func TestMatchesListReference(t *testing.T) {
+	for arch := workloads.ArchScrambledBlock; arch <= workloads.ArchHubPowerLaw; arch++ {
+		a := workloads.Generate(arch, workloads.Params{
+			Rows: 1024, Cols: 1024, Density: 0.01, Seed: 5, Groups: 8,
+		})
+		b := OperandB(a)
+		random := sparse.IdentityPerm(a.Rows)
+		rand.New(rand.NewSource(int64(arch))).Shuffle(len(random), func(i, j int) {
+			random[i], random[j] = random[j], random[i]
+		})
+		for _, capacity := range []int64{16 << 10, 64 << 10, 1 << 20} {
+			for name, perm := range map[string]sparse.Permutation{
+				"identity": sparse.IdentityPerm(a.Rows),
+				"random":   random,
+			} {
+				got, err := EstimateBWithPerm(a, b, perm, capacity, 12)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := listEstimate(a, b, perm, capacity, 12); got != want {
+					t.Errorf("%v, %d B cache, %s order: got %+v, want %+v", arch, capacity, name, got, want)
+				}
+			}
+		}
 	}
 }
