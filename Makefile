@@ -15,9 +15,11 @@
 #                  queue's worker/crash paths, the metrics registry's
 #                  concurrent instrument updates, the consistent-hash ring,
 #                  the fleet router's forward/hedge/probe paths and node
-#                  assembly, the bootesd binary's plan/drain test, and the
+#                  assembly, the bootesd binary's plan/drain test, the
 #                  queue-crash chaos soak, whose jobs run on planqueue's
-#                  workers through planserve's RunJob and shared state
+#                  workers through planserve's RunJob and shared state, and
+#                  the fleet-heal chaos soak, whose healers replicate,
+#                  repair, warm up and scrub against a live prober
 #   make fuzz    — short fuzzing smoke over the sparse-format parsers, the
 #                  CSR constructor, and the plan-cache entry decoder (the
 #                  hostile-input hardening targets)
@@ -96,7 +98,7 @@ race-serve:
 		./internal/plancache/... ./internal/planserve/ ./internal/planqueue/ ./internal/obs/ \
 		./internal/ring/ ./internal/fleet/ ./internal/antientropy/ ./internal/refine/ \
 		./cmd/bootesd/
-	GOMAXPROCS=4 $(GO) test -race -count=2 -timeout 10m ./internal/chaos/ -run TestQueueCrashSoak
+	GOMAXPROCS=4 $(GO) test -race -count=2 -timeout 10m ./internal/chaos/ -run 'TestQueueCrashSoak|TestFleetHealSoak'
 
 # Seed-corpus-only pass: every fuzz target replays its checked-in corpus as
 # plain tests (no mutation engine), so check catches corpus regressions fast.

@@ -89,7 +89,7 @@ func main() {
 	probeInterval := flag.Duration("probe-interval", 2*time.Second, "fleet peer health-probe period")
 	probeTimeout := flag.Duration("probe-timeout", time.Second, "per-probe (and per-cache-fill) timeout")
 	downAfter := flag.Int("down-after", 2, "consecutive probe/forward failures before a peer is routed around")
-	selfHeal := flag.Bool("self-heal", false, "enable anti-entropy self-healing: plan replication, hinted handoff, digest repair, warm-up, scrubbing (requires -peers and -cache)")
+	selfHeal := flag.Bool("self-heal", false, "enable anti-entropy self-healing: plan replication, digest repair, warm-up, scrubbing, and the PUT /v1/cache/{key} replica ingest (requires -peers and -cache)")
 	repairInterval := flag.Duration("repair-interval", 30*time.Second, "anti-entropy digest-exchange repair period")
 	scrubInterval := flag.Duration("scrub-interval", 5*time.Second, "background scrub pacing, one cache entry per tick")
 	warmupDeadline := flag.Duration("warmup-deadline", 5*time.Second, "bound on the pre-ready warm-up that streams owned keys from replicas")

@@ -112,9 +112,10 @@ func main() {
 
 	breached := report(os.Stdout, agg, scraped, scrapeErr, *sloP99, *maxShed, *misroute)
 	if *killOne {
-		// The self-healing bar: a crash is absorbed by replicas and hinted
-		// handoff, so at most one extra pipeline run per crash is tolerated
-		// fleet-wide (a write racing the kill can lose its only copy).
+		// The self-healing bar: a crash is absorbed by replicas and the
+		// restarted node's pulls, so at most one extra pipeline run per
+		// crash is tolerated fleet-wide (a write racing the kill can lose
+		// its only copy).
 		total := computes.Load()
 		budget := int64(*matrices + crashes)
 		fmt.Printf("churn      %d crash(es), %d pipeline computes (budget %d = matrices + crashes)\n",
@@ -176,8 +177,8 @@ func resolveFleet(peers string, spawn, replicas int, seed int64, selfHeal bool, 
 		}
 		if selfHeal {
 			// Churn mode needs the outage absorbed within the soak window:
-			// fast down-detection, anti-entropy replication/hints, and a
-			// bounded warm-up on the restart.
+			// fast down-detection, anti-entropy replication and repair, and
+			// a bounded warm-up on the restart.
 			cfg.SelfHeal = true
 			cfg.Fleet.ProbeInterval = 200 * time.Millisecond
 			cfg.Fleet.DownAfter = 2

@@ -3,20 +3,20 @@
 // action, so a crashed, restarted, or bit-rotted node returns to its exact
 // owned key set instead of waiting for traffic to repopulate it.
 //
-// Four mechanisms, all background, all bounded:
+// A fresh plan is pushed synchronously to the up members of its replica set
+// (Healer.Replicate). A replica that misses the push, because it was down
+// or the push failed, gets nothing parked for it: it pulls the entry
+// itself. Three mechanisms, all bounded, converge what replication missed:
 //
 //   - Digest exchange + repair: every node serves GET /v1/cache/digest — a
 //     sorted key → (size, CRC32) summary of its cache — and a repair loop
 //     diffs the local index against each peer's digest, pulling missing
 //     entries through the verified /v1/cache/{key} fill path and dropping
 //     entries the ring no longer assigns to this node.
-//   - Hinted handoff: when replication finds a replica down, the write is
-//     parked as a durable hint file (the atomicio spool pattern) and
-//     delivered when the prober observes recovery.
-//   - Warm-up on join / push on drain: a starting node streams its owned
-//     keys from current replicas before readiness flips; a draining node
-//     pushes its entries to the surviving replicas before the listener
-//     closes.
+//   - Warm-up on join / push on drain: a starting node runs the same
+//     missing-key pull against its current replicas before readiness flips;
+//     a draining node pushes its entries to the surviving replicas before
+//     the listener closes.
 //   - Scrubbing: a low-rate pass re-reads local entries from disk, routes
 //     CRC/decode failures through quarantine, and repairs from peers.
 //

@@ -9,7 +9,6 @@ import (
 	"io"
 	"log"
 	"net/http"
-	"path/filepath"
 	"sync"
 	"time"
 
@@ -21,9 +20,7 @@ import (
 
 // Config assembles a Healer.
 type Config struct {
-	// Cache is the local plan cache the healer repairs (required). Hints are
-	// spooled under <cache dir>/hints: plancache.Open skips subdirectories,
-	// so the spool nests safely.
+	// Cache is the local plan cache the healer repairs (required).
 	Cache *plancache.Cache
 	// Ring is the fleet's consistent-hash ring (required), fixed per
 	// process; repair recomputes ownership against it every round.
@@ -33,8 +30,8 @@ type Config struct {
 	// Replicas is the replica-set size per key (default 2).
 	Replicas int
 	// PeerUp reports the router's health view of a peer; nil assumes every
-	// peer is up. A down peer is skipped by repair and its writes are parked
-	// as hints.
+	// peer is up. Replication, repair, warm-up, drain and scrub all skip a
+	// down peer; the writes it missed reach it by its own pulls.
 	PeerUp func(peer string) bool
 	// RepairInterval is the digest-exchange period (default 30s).
 	RepairInterval time.Duration
@@ -66,9 +63,6 @@ type Stats struct {
 	Pushes, PushFailures int64
 	// FetchFailures counts failed digest or entry pulls.
 	FetchFailures int64
-	// HintsWritten / HintsDelivered / HintsDropped / HintsPending track the
-	// hinted-handoff spool.
-	HintsWritten, HintsDelivered, HintsDropped, HintsPending int64
 	// WarmupFetched counts entries streamed from replicas during start-up
 	// warm-up, before readiness flipped.
 	WarmupFetched int64
@@ -83,13 +77,11 @@ type Stats struct {
 type Healer struct {
 	cfg    Config
 	client *http.Client
-	hints  *hintStore
 	logf   func(string, ...any)
 
 	stop     chan struct{}
 	stopOnce sync.Once
 	wg       sync.WaitGroup
-	peerUpCh chan string
 
 	mu        sync.Mutex
 	scrubNext string // cursor: first key after the last scrubbed one
@@ -99,8 +91,6 @@ type Healer struct {
 	dropped                            *obs.Counter
 	pushes, pushFails                  *obs.Counter
 	fetchFails                         *obs.Counter
-	hintsWritten, hintsDelivered       *obs.Counter
-	hintsDropped                       *obs.Counter
 	warmupFetched                      *obs.Counter
 	scrubPasses, scrubErrs, scrubFixed *obs.Counter
 }
@@ -129,12 +119,10 @@ func New(cfg Config) (*Healer, error) {
 		cfg.Logf = log.Printf
 	}
 	h := &Healer{
-		cfg:      cfg,
-		client:   &http.Client{Timeout: 30 * time.Second},
-		hints:    &hintStore{dir: filepath.Join(cfg.Cache.Dir(), "hints")},
-		logf:     cfg.Logf,
-		stop:     make(chan struct{}),
-		peerUpCh: make(chan string, 32),
+		cfg:    cfg,
+		client: &http.Client{Timeout: 30 * time.Second},
+		logf:   cfg.Logf,
+		stop:   make(chan struct{}),
 	}
 	h.registerMetrics(cfg.Metrics)
 	return h, nil
@@ -150,14 +138,10 @@ func (h *Healer) registerMetrics(reg *obs.Registry) {
 	h.pushes = reg.Counter("bootes_antientropy_pushes_total", "Entry replication/handoff pushes to peers.")
 	h.pushFails = reg.Counter("bootes_antientropy_push_failures_total", "Entry pushes that failed (transport error or non-2xx).")
 	h.fetchFails = reg.Counter("bootes_antientropy_fetch_failures_total", "Digest or entry fetches that failed.")
-	h.hintsWritten = reg.Counter("bootes_antientropy_hints_written_total", "Writes parked as durable hints for a down replica.")
-	h.hintsDelivered = reg.Counter("bootes_antientropy_hints_delivered_total", "Parked hints delivered after the replica recovered.")
-	h.hintsDropped = reg.Counter("bootes_antientropy_hints_dropped_total", "Hints dropped by the per-peer spool bound.")
 	h.warmupFetched = reg.Counter("bootes_antientropy_warmup_fetched_total", "Entries streamed from replicas during start-up warm-up.")
 	h.scrubPasses = reg.Counter("bootes_scrub_passes_total", "Cache entries re-read and re-verified by the scrubber.")
 	h.scrubErrs = reg.Counter("bootes_scrub_errors_total", "Scrubbed entries that failed verification and were quarantined.")
 	h.scrubFixed = reg.Counter("bootes_scrub_repaired_total", "Quarantined entries restored from a peer replica.")
-	reg.GaugeFunc("bootes_antientropy_hints_pending", "Hints currently parked for down replicas.", h.hints.pending)
 }
 
 // Stats snapshots the healer's counters.
@@ -170,10 +154,6 @@ func (h *Healer) Stats() Stats {
 		Pushes:            h.pushes.Value(),
 		PushFailures:      h.pushFails.Value(),
 		FetchFailures:     h.fetchFails.Value(),
-		HintsWritten:      h.hintsWritten.Value(),
-		HintsDelivered:    h.hintsDelivered.Value(),
-		HintsDropped:      h.hintsDropped.Value(),
-		HintsPending:      h.hints.pending(),
 		WarmupFetched:     h.warmupFetched.Value(),
 		ScrubPasses:       h.scrubPasses.Value(),
 		ScrubErrors:       h.scrubErrs.Value(),
@@ -195,11 +175,12 @@ func (h *Healer) peerUp(peer string) bool {
 	return h.cfg.PeerUp(peer)
 }
 
-// Start launches the background loops: periodic digest repair, the scrub
-// trickle, and hint delivery on peer recovery. One goroutine runs all three
-// — healing work is strictly sequential per node, so a slow repair round
-// simply delays the next scrub tick instead of piling up.
+// Start launches the background loops: periodic digest repair and the scrub
+// trickle. One goroutine runs both — healing work is strictly sequential per
+// node, so a slow repair round simply delays the next scrub tick instead of
+// piling up.
 func (h *Healer) Start() {
+	h.logf("self-heal: repair every %s, scrub every %s", h.cfg.RepairInterval, h.cfg.ScrubInterval)
 	h.wg.Add(1)
 	go func() {
 		defer h.wg.Done()
@@ -211,10 +192,6 @@ func (h *Healer) Start() {
 			select {
 			case <-h.stop:
 				return
-			case peer := <-h.peerUpCh:
-				ctx, cancel := h.opCtx()
-				h.deliverHints(ctx, peer)
-				cancel()
 			case <-repair.C:
 				h.RepairOnce(context.Background())
 			case <-scrub.C:
@@ -233,29 +210,14 @@ func (h *Healer) Stop() {
 	h.client.CloseIdleConnections()
 }
 
-// NotifyPeerUp tells the healer a peer transitioned down→up (the router's
-// OnPeerUp hook): parked hints for it are delivered on the healing
-// goroutine. Non-blocking — if the queue is full the periodic repair round
-// delivers instead.
-func (h *Healer) NotifyPeerUp(peer string) {
-	select {
-	case h.peerUpCh <- peer:
-	default:
-	}
-}
-
-// opCtx bounds one network operation.
-func (h *Healer) opCtx() (context.Context, context.CancelFunc) {
-	return context.WithTimeout(context.Background(), fetchTimeout)
-}
-
 // Replicate synchronously pushes key's freshly written entry to the other
-// members of its replica set, parking a durable hint for any replica that is
-// down or fails the push. planserve calls it after the pipeline's cache
-// write, on the request goroutine — replication cost is bounded by
-// fetchTimeout per replica and plans are minutes of compute, so the
-// milliseconds of synchronous push are noise against losing the plan with
-// the node.
+// members of its replica set that are up. A replica that is down or fails
+// the push is logged and nothing is kept for it: its own next repair round
+// pulls the entry, or its warm-up does if it restarts. planserve calls it
+// after the pipeline's cache write, on the request goroutine — replication
+// cost is bounded by fetchTimeout per replica and plans are minutes of
+// compute, so the milliseconds of synchronous push are noise against losing
+// the plan with the node.
 func (h *Healer) Replicate(key string) {
 	data, ok := h.encodeLocal(key)
 	if !ok {
@@ -266,15 +228,11 @@ func (h *Healer) Replicate(key string) {
 			continue
 		}
 		if !h.peerUp(rep) {
-			h.parkHint(rep, key, data)
+			h.logf("antientropy: replica %s of %.12s is down; it pulls the entry when it repairs", rep, key)
 			continue
 		}
-		ctx, cancel := h.opCtx()
-		err := h.pushEntry(ctx, rep, key, data)
-		cancel()
-		if err != nil {
-			h.logf("antientropy: replicate %.12s to %s failed, parking hint: %v", key, rep, err)
-			h.parkHint(rep, key, data)
+		if err := h.pushEntry(context.Background(), rep, key, data); err != nil {
+			h.logf("antientropy: replicate %.12s to %s failed; it pulls the entry when it repairs: %v", key, rep, err)
 		}
 	}
 }
@@ -292,47 +250,10 @@ func (h *Healer) encodeLocal(key string) ([]byte, bool) {
 	return data, true
 }
 
-// parkHint spools one write for a down replica.
-func (h *Healer) parkHint(peer, key string, data []byte) {
-	stored, err := h.hints.put(peer, key, data)
-	switch {
-	case err != nil:
-		h.logf("antientropy: parking hint %.12s for %s failed: %v", key, peer, err)
-		h.hintsDropped.Inc()
-	case !stored:
-		h.hintsDropped.Inc()
-	default:
-		h.hintsWritten.Inc()
-	}
-}
-
-// deliverHints replays the parked hints for one recovered peer, in key
-// order, stopping at the first failure (the peer flapped; retry on the next
-// recovery or repair round).
-func (h *Healer) deliverHints(ctx context.Context, peer string) {
-	keys, err := h.hints.keys(peer)
-	if err != nil || len(keys) == 0 {
-		return
-	}
-	for _, key := range keys {
-		data, err := h.hints.load(peer, key)
-		if err != nil {
-			continue // corrupt hint, already removed
-		}
-		if err := h.pushEntry(ctx, peer, key, data); err != nil {
-			h.logf("antientropy: hint delivery %.12s to %s failed: %v", key, peer, err)
-			return
-		}
-		h.hints.remove(peer, key)
-		h.hintsDelivered.Inc()
-	}
-}
-
-// RepairOnce runs one digest-exchange round against every up peer: deliver
-// any parked hints, pull entries the peer holds for keys this node owns but
-// lacks, resolve divergent copies toward the canonical bytes, and finally
-// hand off + drop the entries the digest diff found the ring no longer
-// assigns here.
+// RepairOnce runs one digest-exchange round against every up peer: pull
+// entries the peer holds for keys this node owns but lacks, resolve
+// divergent copies toward the canonical bytes, and finally hand off + drop
+// the entries the digest diff found the ring no longer assigns here.
 func (h *Healer) RepairOnce(ctx context.Context) {
 	h.repairRounds.Inc()
 	var notOwned []string
@@ -340,27 +261,43 @@ func (h *Healer) RepairOnce(ctx context.Context) {
 		if peer == h.cfg.Self || !h.peerUp(peer) {
 			continue
 		}
-		h.deliverHints(ctx, peer)
-		dg, err := h.fetchDigest(ctx, peer)
-		if err != nil {
-			h.fetchFails.Inc()
-			continue
-		}
-		d := ComputeDiff(h.cfg.Cache, dg, h.owns)
-		notOwned = d.NotOwned
-		for _, key := range d.Missing {
-			if h.pullEntry(ctx, peer, key) {
-				h.repaired.With("missing").Inc()
+		if d, _, ok := h.pullMissing(ctx, peer, h.repaired.With("missing")); ok {
+			notOwned = d.NotOwned
+			for _, key := range d.Divergent {
+				h.resolveDivergent(ctx, peer, key)
 			}
-		}
-		for _, key := range d.Divergent {
-			h.resolveDivergent(ctx, peer, key)
 		}
 		if ctx.Err() != nil {
 			return
 		}
 	}
 	h.dropNotOwned(ctx, notOwned)
+}
+
+// pullMissing is one peer's share of a repair round or of warm-up: fetch
+// the peer's digest, diff it against the local cache, and pull every owned
+// key the peer holds that this node lacks, until ctx ends. Each stored pull
+// counts on pulled. It returns the diff and the number of entries pulled;
+// ok is false when the digest could not be fetched.
+func (h *Healer) pullMissing(ctx context.Context, peer string, pulled *obs.Counter) (d Diff, n int, ok bool) {
+	dg, err := h.fetchDigest(ctx, peer)
+	if err != nil {
+		if ctx.Err() == nil {
+			h.fetchFails.Inc()
+		}
+		return Diff{}, 0, false
+	}
+	d = ComputeDiff(h.cfg.Cache, dg, h.owns)
+	for _, key := range d.Missing {
+		if ctx.Err() != nil {
+			break
+		}
+		if h.pullEntry(ctx, peer, key) {
+			pulled.Inc()
+			n++
+		}
+	}
+	return d, n, true
 }
 
 // pullEntry fetches key from peer through the verified fill path and stores
@@ -455,7 +392,7 @@ func (h *Healer) scrubOnce() {
 		h.logf("antientropy: scrub quarantined %.12s, repairing from peers: %v", key, err)
 	}
 	h.scrubErrs.Inc()
-	ctx, cancel := h.opCtx()
+	ctx, cancel := context.WithTimeout(context.Background(), fetchTimeout)
 	defer cancel()
 	for _, rep := range h.cfg.Ring.Replicas(key, h.cfg.Replicas) {
 		if rep == h.cfg.Self || !h.peerUp(rep) {
@@ -468,34 +405,21 @@ func (h *Healer) scrubOnce() {
 	}
 }
 
-// Warmup streams this node's owned keys from its current replicas: fetch
-// each up peer's digest, pull every owned key the local cache lacks. Called
-// by bootesd before flipping readiness, under the warm-up deadline — on
-// ctx expiry it returns what it has; anti-entropy finishes the rest in the
-// background. Returns the number of entries fetched.
+// Warmup streams this node's owned keys from its current replicas: the
+// missing-key pull of a repair round, against each up peer, and nothing
+// else. Called by bootesd before flipping readiness, under the warm-up
+// deadline — on ctx expiry it returns what it has; anti-entropy finishes the
+// rest in the background. Returns the number of entries fetched.
 func (h *Healer) Warmup(ctx context.Context) int {
 	fetched := 0
 	for _, peer := range h.cfg.Ring.Nodes() {
 		if peer == h.cfg.Self || !h.peerUp(peer) {
 			continue
 		}
-		dg, err := h.fetchDigest(ctx, peer)
-		if err != nil {
-			if ctx.Err() != nil {
-				return fetched
-			}
-			h.fetchFails.Inc()
-			continue
-		}
-		d := ComputeDiff(h.cfg.Cache, dg, h.owns)
-		for _, key := range d.Missing {
-			if ctx.Err() != nil {
-				return fetched
-			}
-			if h.pullEntry(ctx, peer, key) {
-				h.warmupFetched.Inc()
-				fetched++
-			}
+		_, n, _ := h.pullMissing(ctx, peer, h.warmupFetched)
+		fetched += n
+		if ctx.Err() != nil {
+			break
 		}
 	}
 	return fetched
@@ -537,10 +461,6 @@ func (h *Healer) DrainPush(ctx context.Context) {
 		}
 	}
 }
-
-// HintsPending reports the parked-hint backlog (tests and the chaos
-// harness's drained-spool invariant).
-func (h *Healer) HintsPending() int64 { return h.hints.pending() }
 
 // fetchDigest GETs one peer's cache digest.
 func (h *Healer) fetchDigest(ctx context.Context, peer string) (Digest, error) {

@@ -1,7 +1,7 @@
 // End-to-end healer tests: every peer is a real planserve server (the same
-// handler stack production runs), so digest fetches, pulls, pushes, and hint
-// deliveries ride the actual HTTP endpoints. External test package because
-// planserve imports antientropy.
+// handler stack production runs), so digest fetches, pulls and pushes ride
+// the actual HTTP endpoints. External test package because planserve imports
+// antientropy.
 package antientropy_test
 
 import (
@@ -9,9 +9,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io/fs"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
@@ -30,9 +32,22 @@ type peer struct {
 	ts    *httptest.Server
 }
 
+// newPeer serves a cache as a self-healing planserve node would, so it takes
+// pushes. The server's own healer only opens that ingest; each test drives
+// the healers it builds with newHealer over the whole ring.
 func newPeer(t *testing.T) *peer {
 	t.Helper()
 	cache, err := plancache.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewUnstartedServer(nil)
+	self := "http://" + ts.Listener.Addr().String()
+	r, err := ring.New([]string{self}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	own, err := antientropy.New(antientropy.Config{Cache: cache, Ring: r, Self: self, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,14 +56,30 @@ func newPeer(t *testing.T) *peer {
 			return nil, errors.New("healer tests never plan")
 		},
 		Cache: cache,
+		Heal:  own,
 		Logf:  t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(srv.Handler())
+	ts.Config.Handler = srv.Handler()
+	ts.Start()
 	t.Cleanup(ts.Close)
 	return &peer{cache: cache, srv: srv, ts: ts}
+}
+
+// tree lists every path under dir.
+func tree(t *testing.T, dir string) []string {
+	t.Helper()
+	var paths []string
+	err := filepath.WalkDir(dir, func(path string, _ fs.DirEntry, err error) error {
+		paths = append(paths, path)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return paths
 }
 
 // mkEntry builds a valid entry under an arbitrary filename-safe key.
@@ -89,56 +120,54 @@ func newHealer(t *testing.T, self *peer, cfg antientropy.Config, peers ...*peer)
 	return h
 }
 
-// TestReplicateAndHintedHandoff: a fresh write replicates to an up peer
-// synchronously; with the peer down it parks a durable hint that survives a
-// healer restart and is delivered by the next repair round after recovery.
-func TestReplicateAndHintedHandoff(t *testing.T) {
+// TestReplicateSkipsDownReplicaWhichPullsItself: a fresh write replicates
+// to an up peer synchronously. With the peer down in A's view, Replicate
+// pushes nothing and writes nothing under A's cache directory; B's own
+// repair round then pulls the entry it missed, byte-identical.
+func TestReplicateSkipsDownReplicaWhichPullsItself(t *testing.T) {
 	a, b := newPeer(t), newPeer(t)
 	up := true
-	cfg := antientropy.Config{PeerUp: func(string) bool { return up }}
-	h := newHealer(t, a, cfg, b)
+	ha := newHealer(t, a, antientropy.Config{PeerUp: func(string) bool { return up }}, b)
 
 	e1 := mkEntry(t, "key-live", 4)
 	if err := a.cache.Put(e1); err != nil {
 		t.Fatal(err)
 	}
-	h.Replicate(e1.Key)
+	ha.Replicate(e1.Key)
 	if _, ok := b.cache.Peek(e1.Key); !ok {
 		t.Fatal("live replicate did not reach the peer")
 	}
-	if st := h.Stats(); st.Pushes != 1 || st.HintsWritten != 0 {
+	if st := ha.Stats(); st.Pushes != 1 {
 		t.Fatalf("stats after live replicate: %+v", st)
 	}
 
-	// Peer down: the write parks as a hint.
+	// B down in A's view: nothing is pushed, and nothing is kept for B.
 	up = false
-	e2 := mkEntry(t, "key-parked", 8)
+	e2 := mkEntry(t, "key-missed", 8)
 	if err := a.cache.Put(e2); err != nil {
 		t.Fatal(err)
 	}
-	h.Replicate(e2.Key)
+	before := tree(t, a.cache.Dir())
+	ha.Replicate(e2.Key)
 	if _, ok := b.cache.Peek(e2.Key); ok {
 		t.Fatal("replicate reached a down peer")
 	}
-	if st := h.Stats(); st.HintsWritten != 1 || st.HintsPending != 1 {
-		t.Fatalf("stats after parked replicate: %+v", st)
+	if st := ha.Stats(); st.Pushes != 1 || st.PushFailures != 0 {
+		t.Fatalf("stats after replicate to a down peer: %+v", st)
+	}
+	if after := tree(t, a.cache.Dir()); !slices.Equal(after, before) {
+		t.Fatalf("replicate to a down peer wrote under the cache dir: %v, was %v", after, before)
 	}
 
-	// The hint survives a healer restart (same cache, so the same spool), like
-	// a process crash between park and delivery.
-	h2 := newHealer(t, a, cfg, b)
-	if h2.HintsPending() != 1 {
-		t.Fatal("hint lost across healer restart")
+	// B's own repair round pulls the write it missed.
+	hb := newHealer(t, b, antientropy.Config{}, a)
+	hb.RepairOnce(context.Background())
+	sa, _ := a.cache.Stat(e2.Key)
+	if sb, ok := b.cache.Stat(e2.Key); !ok || sb != sa {
+		t.Fatalf("after B's repair: %+v (held %v), A holds %+v", sb, ok, sa)
 	}
-
-	// Recovery: the repair round delivers and clears the spool.
-	up = true
-	h2.RepairOnce(context.Background())
-	if _, ok := b.cache.Peek(e2.Key); !ok {
-		t.Fatal("hint not delivered after recovery")
-	}
-	if st := h2.Stats(); st.HintsDelivered != 1 || st.HintsPending != 0 {
-		t.Fatalf("stats after delivery: %+v", st)
+	if st := hb.Stats(); st.RepairedMissing != 1 {
+		t.Fatalf("RepairedMissing = %d, want 1", st.RepairedMissing)
 	}
 }
 

@@ -196,7 +196,7 @@ type episode struct {
 	// patterns are seed-independent (a banded matrix is fully determined by
 	// its shape and density), so independent draws can collide on the cache
 	// key — and a duplicate write is a pure cache hit, which breaks
-	// scenario accounting that counts hints or computes per drawn matrix.
+	// scenario accounting that counts computes per drawn matrix.
 	seenKeys map[string]bool
 }
 

@@ -190,11 +190,10 @@ func TestFleetPartitionSoak(t *testing.T) {
 }
 
 // TestFleetHealSoak drills the self-healing cycle: kill a replica, write
-// through the survivors (parking hints), restart it, and require exact
-// convergence — warmed owned ranges before ready, hints drained, replica
-// digests byte-identical, zero recomputes. The acceptance bar is ≥200
-// episodes (make chaos, HEAL_EPISODES knob); the default keeps plain
-// `go test` fast.
+// through the survivors, restart it, and require exact convergence — warmed
+// owned ranges before ready, replica digests byte-identical, zero
+// recomputes. The acceptance bar is ≥200 episodes (make chaos, HEAL_EPISODES
+// knob); the default keeps plain `go test` fast.
 func TestFleetHealSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fleet-heal soak skipped in -short mode")

@@ -2,9 +2,9 @@
 // kill → write-through-survivors → restart → converge cycle. Where
 // fleet-partition proves the ring routes around a dead owner, this scenario
 // proves the anti-entropy layer repairs the damage the outage left behind:
-// writes that missed the dead replica park as hints and drain on recovery,
-// the restarted node warms its owned ranges before answering ready, and the
-// fleet converges to byte-identical replica sets with zero pipeline reruns.
+// the restarted node pulls the writes it missed, warming its owned ranges
+// before answering ready, and the fleet converges to byte-identical replica
+// sets with zero pipeline reruns.
 
 package chaos
 
@@ -125,7 +125,7 @@ func scenarioFleetHeal(e *episode) {
 
 	// Phase 2: kill one node, wait until the survivors see it down, then
 	// write fresh keys through the survivors. Writes whose replica set
-	// includes the dead node must park exactly one hint each.
+	// includes the dead node reach it only by its own pulls.
 	victim := c.Nodes[e.rng.Intn(fleetNodes)]
 	h.markDown(victim.URL)
 	victim.Kill()
@@ -159,24 +159,6 @@ func scenarioFleetHeal(e *episode) {
 		}
 	}
 	sort.Strings(victimOwned)
-	wantHints := 0
-	for _, k := range keys2 {
-		if h.ring.OwnedBy(k, victim.URL, h.replicas) {
-			wantHints++
-		}
-	}
-	pendingHints := func() int {
-		total := 0
-		for _, nd := range h.upNodes() {
-			if hl := nd.Healer(); hl != nil {
-				total += int(hl.HintsPending())
-			}
-		}
-		return total
-	}
-	if got := pendingHints(); got != wantHints {
-		h.violatef("fleet-heal: %d hints parked for the dead replica, want %d", got, wantHints)
-	}
 
 	// Half the episodes also rot one victim-owned entry on disk while the
 	// node is down: restart must quarantine it and warm-up must re-fetch it.
@@ -229,14 +211,6 @@ func scenarioFleetHeal(e *episode) {
 		return h.peersSee(victim.URL, true)
 	})
 	h.markUp(victim.URL)
-	h.waitUntil("hints to drain", func() bool {
-		for _, nd := range c.Nodes {
-			if hl := nd.Healer(); hl != nil && hl.HintsPending() != 0 {
-				return false
-			}
-		}
-		return true
-	})
 	h.waitUntil("victim to converge to its exact owned key set", func() bool {
 		cache := victim.Cache()
 		if cache == nil {

@@ -156,15 +156,6 @@ type Router struct {
 	stop chan struct{}
 	wg   sync.WaitGroup
 
-	// onPeerUp, when set, is called with a peer's URL each time this node's
-	// health view of it transitions down→up (probe or live traffic). The
-	// anti-entropy healer hooks it to deliver parked hints the moment a
-	// crashed replica returns. Set once during assembly via SetOnPeerUp;
-	// called from prober and request goroutines, so it must be cheap and
-	// non-blocking.
-	onPeerUpMu sync.Mutex
-	onPeerUp   func(peer string)
-
 	probes, probeFails     *obs.Counter
 	forwards, forwardFails *obs.Counter
 	hedges, hedgeWins      *obs.Counter
@@ -268,25 +259,6 @@ func (rt *Router) PeerUp(peer string) bool {
 	return ok && p.upNow()
 }
 
-// SetOnPeerUp installs the down→up transition hook (see the field comment).
-// Call during assembly, before Start.
-func (rt *Router) SetOnPeerUp(fn func(peer string)) {
-	rt.onPeerUpMu.Lock()
-	rt.onPeerUp = fn
-	rt.onPeerUpMu.Unlock()
-}
-
-// notePeerUp records an up-transition: the metric, and the hook if set.
-func (rt *Router) notePeerUp(peer string) {
-	rt.transitions.With("up").Inc()
-	rt.onPeerUpMu.Lock()
-	fn := rt.onPeerUp
-	rt.onPeerUpMu.Unlock()
-	if fn != nil {
-		fn(peer)
-	}
-}
-
 // Start launches the background health prober.
 func (rt *Router) Start() {
 	rt.wg.Add(1)
@@ -333,8 +305,8 @@ func (rt *Router) probeAll() {
 				rt.cfg.Logf("fleet: peer %s marked down: %v", peer, err)
 			}
 		} else if p.noteSuccess(false) {
+			rt.transitions.With("up").Inc()
 			rt.cfg.Logf("fleet: peer %s recovered", peer)
-			rt.notePeerUp(peer)
 		}
 	}
 }
@@ -546,7 +518,7 @@ func (c *cancelOnClose) Close() error {
 func (rt *Router) recordOutcome(p *peerState, success bool, err error) {
 	if success {
 		if p.noteSuccess(true) {
-			rt.notePeerUp(p.url)
+			rt.transitions.With("up").Inc()
 		}
 		return
 	}

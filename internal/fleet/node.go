@@ -51,8 +51,9 @@ type NodeConfig struct {
 	// request or not.
 	Fleet Config
 	// SelfHeal runs the anti-entropy healer: replication of fresh plans,
-	// hinted handoff, digest repair, warm-up on start, drain push on Close,
-	// and scrubbing. It requires Fleet.Peers and CacheDir.
+	// digest repair, warm-up on start, drain push on Close, and scrubbing,
+	// and opens the replica ingest (PUT /v1/cache/{key}). It requires
+	// Fleet.Peers and CacheDir.
 	SelfHeal bool
 	// Heal paces the healer. StartNode sets Cache, Ring, Self, Replicas,
 	// PeerUp, Metrics and Logf from the node.
@@ -168,8 +169,9 @@ func (nd *Node) start(ln net.Listener, warm bool) (err error) {
 	}
 
 	// Self-healing rides on fleet mode: the healer shares the router's ring
-	// and health view, replicates fresh plans across each key's replica set,
-	// parks hints for down replicas, and repairs divergence in the background.
+	// and health view, replicates fresh plans to each key's up replicas, and
+	// in the background pulls what this node missed while it or a peer was
+	// down, and repairs divergence.
 	var healer *antientropy.Healer
 	if cfg.SelfHeal {
 		hc := cfg.Heal
@@ -178,7 +180,6 @@ func (nd *Node) start(ln net.Listener, warm bool) (err error) {
 		if healer, err = antientropy.New(hc); err != nil {
 			return err
 		}
-		router.SetOnPeerUp(healer.NotifyPeerUp)
 	}
 
 	sc.Cache, sc.Queue, sc.Metrics, sc.Logf = cache, queue, reg, logf
@@ -275,8 +276,6 @@ func (nd *Node) start(ln net.Listener, warm bool) (err error) {
 			srv.SetWarming(false)
 		}
 		healer.Start()
-		logf("self-heal: repair every %s, scrub every %s, %d hints pending",
-			cfg.Heal.RepairInterval, cfg.Heal.ScrubInterval, healer.HintsPending())
 	}
 	return nil
 }
@@ -369,8 +368,8 @@ func (nd *Node) Kill() {
 	if router != nil {
 		router.Stop()
 	}
-	// The process dies; its goroutines must still join (leakcheck). Parked
-	// hints and journaled jobs survive on disk, which is their point.
+	// The process dies; its goroutines must still join (leakcheck). The
+	// cache and journaled jobs survive on disk, which is their point.
 	if healer != nil {
 		healer.Stop()
 	}

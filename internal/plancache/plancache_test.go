@@ -423,6 +423,41 @@ func TestOpenCreatesDir(t *testing.T) {
 	}
 }
 
+// TestOpenSkipsSubdirectories: a directory inside the cache directory is not
+// an entry, whatever it holds, and Open leaves it alone. The hint spool that
+// older self-healing nodes kept under <cache>/hints is such a directory: it
+// is inert and safe to delete.
+func TestOpenSkipsSubdirectories(t *testing.T) {
+	dir := t.TempDir()
+	e := testEntry(t, testMatrix(t, 1))
+	data, err := EncodeEntry(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spool := filepath.Join(dir, "hints", "aHR0cDovL3BlZXI6ODA4MA==")
+	if err := os.MkdirAll(spool, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	files := []string{filepath.Join(spool, e.Key+".hint"), filepath.Join(spool, e.Key+Ext)}
+	for _, f := range files {
+		if err := os.WriteFile(f, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := c.Stats(); st.Entries != 0 || st.Quarantined != 0 {
+		t.Fatalf("a subdirectory's files reached the cache: %+v", st)
+	}
+	for _, f := range files {
+		if _, err := os.Stat(f); err != nil {
+			t.Fatalf("Open disturbed a subdirectory: %v", err)
+		}
+	}
+}
+
 func TestPutEmptyKeyRejected(t *testing.T) {
 	c, err := Open(t.TempDir())
 	if err != nil {

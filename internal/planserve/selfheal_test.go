@@ -4,14 +4,37 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"math/rand"
 	"net/http"
+	"slices"
 	"testing"
 
+	"bootes"
 	"bootes/internal/antientropy"
 	"bootes/internal/plancache"
 	"bootes/internal/ring"
 	"bootes/internal/sparse"
 )
+
+// newHealer builds an idle healer over cache on a one-node ring: enough to
+// make a server self-healing (its /statsz Heal section and replica ingest).
+func newHealer(t *testing.T, cache *plancache.Cache) *antientropy.Healer {
+	t.Helper()
+	r, err := ring.New([]string{"http://self"}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	healer, err := antientropy.New(antientropy.Config{
+		Cache: cache,
+		Ring:  r,
+		Self:  "http://self",
+		Logf:  t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return healer
+}
 
 // putEntry PUTs one encoded entry at the anti-entropy ingest endpoint.
 func putEntry(t *testing.T, url, key string, data []byte) *http.Response {
@@ -41,14 +64,14 @@ func healthyEntry(t *testing.T, m *sparse.CSR) *plancache.Entry {
 }
 
 // TestCachePutEndpoint covers the ingest endpoint's verification bar and the
-// canonical-bytes conflict rule.
+// canonical-bytes conflict rule on a self-healing server.
 func TestCachePutEndpoint(t *testing.T) {
 	cache, err := plancache.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := &countingPlanner{}
-	_, ts := newTestServer(t, Config{Plan: p.fn(), Cache: cache})
+	_, ts := newTestServer(t, Config{Plan: p.fn(), Cache: cache, Heal: newHealer(t, cache)})
 
 	e := healthyEntry(t, testMatrix(t, 1))
 	data, err := plancache.EncodeEntry(e)
@@ -126,6 +149,63 @@ func TestCachePutEndpoint(t *testing.T) {
 	}
 }
 
+// TestStandaloneNodeRefusesCachePut: a server that does not self-heal does
+// not serve the replica ingest, so no client can plant a plan under a
+// matrix's key. The planted entry is a valid bijection whose bytes sort
+// below the computed plan's, so an open ingest would adopt it as canonical.
+func TestStandaloneNodeRefusesCachePut(t *testing.T) {
+	cache, err := plancache.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newTestServer(t, Config{Plan: PipelinePlan(bootes.Options{Seed: 1}), Cache: cache})
+	m := testMatrix(t, 1)
+	body := mmBody(t, m)
+	computed := planOf(t, ts.URL, "", body)
+	key := plancache.KeyCSR(m)
+	stored, ok := cache.Peek(key)
+	if !ok {
+		t.Fatal("computed plan not cached")
+	}
+	storedData, err := plancache.EncodeEntry(stored)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var planted []byte
+	rng := rand.New(rand.NewSource(1))
+	for try := 0; planted == nil; try++ {
+		if try == 1000 {
+			t.Fatal("no shuffled plan sorts below the computed one")
+		}
+		perm := make(sparse.Permutation, m.Rows)
+		for i, v := range rng.Perm(m.Rows) {
+			perm[i] = int32(v)
+		}
+		data, err := plancache.EncodeEntry(&plancache.Entry{Key: key, Perm: perm, Reordered: true, K: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bytes.Compare(data, storedData) < 0 {
+			planted = data
+		}
+	}
+	if resp := putEntry(t, ts.URL, key, planted); resp.StatusCode < 300 {
+		t.Fatalf("standalone server accepted a cache put: status %d", resp.StatusCode)
+	}
+	got, ok := cache.Peek(key)
+	if !ok {
+		t.Fatal("computed plan left the cache")
+	}
+	if gotData, err := plancache.EncodeEntry(got); err != nil || !bytes.Equal(gotData, storedData) {
+		t.Fatalf("cache entry changed by a refused put (%v)", err)
+	}
+	again := planOf(t, ts.URL, "", body)
+	if !again.Cached || !slices.Equal(again.Perm, computed.Perm) {
+		t.Fatalf("repeat answered cached=%v with a different plan than the one computed", again.Cached)
+	}
+}
+
 // TestCacheDigestEndpoint pins the digest wire format: sorted keys and stats
 // matching the cache index.
 func TestCacheDigestEndpoint(t *testing.T) {
@@ -176,7 +256,7 @@ func TestWarmingGatesReadyz(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := &countingPlanner{}
-	s, ts := newTestServer(t, Config{Plan: p.fn(), Cache: cache})
+	s, ts := newTestServer(t, Config{Plan: p.fn(), Cache: cache, Heal: newHealer(t, cache)})
 
 	s.SetWarming(true)
 	resp, err := http.Get(ts.URL + "/readyz")
@@ -226,21 +306,8 @@ func TestStatszHealSection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := ring.New([]string{"http://self"}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	healer, err := antientropy.New(antientropy.Config{
-		Cache: cache,
-		Ring:  r,
-		Self:  "http://self",
-		Logf:  t.Logf,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	p := &countingPlanner{}
-	_, ts := newTestServer(t, Config{Plan: p.fn(), Cache: cache, Heal: healer})
+	_, ts := newTestServer(t, Config{Plan: p.fn(), Cache: cache, Heal: newHealer(t, cache)})
 	resp, err := http.Get(ts.URL + "/statsz")
 	if err != nil {
 		t.Fatal(err)

@@ -118,9 +118,9 @@ type Config struct {
 	// body may arrive is the HTTP server's business (fleet.NodeConfig's
 	// UploadReadTimeout).
 	MaxUploadBytes int64
-	// AllowLocalPaths permits `{"path": ...}` / ?path= requests that read a
-	// matrix from the server's filesystem. Off by default: enable only for
-	// trusted local clients (the bootesd -allow-path flag).
+	// AllowLocalPaths permits ?path= requests that read a matrix from the
+	// server's filesystem. Off by default: enable only for trusted local
+	// clients (the bootesd -allow-path flag).
 	AllowLocalPaths bool
 	// PeerFill, when set, is consulted on a local cache miss before the
 	// pipeline runs: it asks the key's replica set (internal/fleet) whether a
@@ -130,7 +130,7 @@ type Config struct {
 	PeerFill func(ctx context.Context, key string) (*plancache.Entry, bool)
 	// Replicate, when set, is called after the pipeline's successful cache
 	// write with the entry's key (internal/antientropy pushes the fresh plan
-	// to the key's other replicas, parking hints for down ones). Called
+	// to the key's other up replicas; a down one pulls it later). Called
 	// synchronously on the admitted request's or the job's goroutine —
 	// implementations bound their own network time. Peer-filled entries are
 	// not re-announced: they came from the replica set already.
@@ -142,7 +142,9 @@ type Config struct {
 	// fleet router's Route.
 	Route func(w http.ResponseWriter, r *http.Request, key string, body []byte) bool
 	// Heal, when set, contributes the anti-entropy healer's counters to
-	// /statsz (the healer's lifecycle belongs to the caller, like Queue's).
+	// /statsz and opens the replica ingest, PUT /v1/cache/{key}, which is
+	// not served without it (the healer's lifecycle belongs to the caller,
+	// like Queue's).
 	Heal *antientropy.Healer
 	// AutoK marks responses from this server as planned under eigengap
 	// auto-k: cache-hit responses report AutoK "cached" (the per-attempt
@@ -263,7 +265,9 @@ func New(cfg Config) (*Server, error) {
 	s.mux.HandleFunc("POST /v1/plan", s.handlePlan)
 	s.mux.HandleFunc("GET /v1/jobs/{id}", s.handleJobGet)
 	s.mux.HandleFunc("GET /v1/cache/{key}", s.handleCacheGet)
-	s.mux.HandleFunc("PUT /v1/cache/{key}", s.handleCachePut)
+	if cfg.Heal != nil {
+		s.mux.HandleFunc("PUT /v1/cache/{key}", s.handleCachePut)
+	}
 	s.mux.HandleFunc("GET /v1/cache/digest", s.handleCacheDigest)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /readyz", s.handleReadyz)
@@ -510,8 +514,9 @@ func (s *Server) handleCacheGet(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write(data)
 }
 
-// handleCachePut is the anti-entropy ingest endpoint: replication pushes,
-// hint deliveries, and drain handoffs all land here. The body is a raw
+// handleCachePut is the anti-entropy ingest endpoint, served only on a
+// self-healing node: replication pushes, handoffs of entries the ring moved
+// elsewhere, and drain pushes all land here. The body is a raw
 // encoded entry; it is decoded (CRC-checked), key-matched, and field-verified
 // before it can touch the cache, and degraded entries are refused outright —
 // the same bar every other ingest path applies. When the local cache already
