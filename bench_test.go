@@ -11,6 +11,7 @@ package bootes
 // index; cmd/benchsuite renders the full report at larger scales).
 
 import (
+	"context"
 	"testing"
 
 	"bootes/internal/accel"
@@ -518,10 +519,11 @@ func BenchmarkAblationTwoLevelCache(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationKSelection compares two ways of choosing the cluster
-// count on a matrix with 24 hidden groups: eigengap auto-k over the refined
-// similarity (the Options.AutoK policy, which can pick k outside the
-// candidate set), and the best of a full candidate sweep (oracle).
+// BenchmarkAblationKSelection compares three ways of choosing the cluster
+// count on a matrix with 24 hidden groups: the untrained gate's fixed k
+// (default options), eigengap auto-k over the refined similarity (the
+// Options.AutoK policy, which can pick k outside the candidate set), and the
+// best of a full candidate sweep (oracle).
 func BenchmarkAblationKSelection(b *testing.B) {
 	a := ablationMatrix()
 	const cache = 64 << 10
@@ -529,6 +531,23 @@ func BenchmarkAblationKSelection(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.Run("gate", func(b *testing.B) {
+		ratio, k := 0.0, 0
+		for i := 0; i < b.N; i++ {
+			p := &core.Pipeline{Spectral: core.SpectralOptions{Seed: 1}}
+			res, err := p.Reorder(a)
+			if err != nil {
+				b.Fatal(err)
+			}
+			est, err := trafficmodel.EstimateBWithPerm(a, a, res.Perm, cache, 12)
+			if err != nil {
+				b.Fatal(err)
+			}
+			ratio, k = float64(est.BTraffic)/float64(base.BTraffic), int(res.Extra["k"])
+		}
+		b.ReportMetric(ratio, "traffic-ratio")
+		b.ReportMetric(float64(k), "k")
+	})
 	b.Run("autok", func(b *testing.B) {
 		ratio, k := 0.0, 0
 		for i := 0; i < b.N; i++ {
@@ -567,4 +586,21 @@ func BenchmarkAblationKSelection(b *testing.B) {
 		}
 		b.ReportMetric(ratio, "traffic-ratio")
 	})
+}
+
+// BenchmarkPlanDefault plans a fixed ten-matrix cycle shaped like
+// e2ebench's cold-sparse requests (experiments.ColdSparseCycle) through
+// PlanContext with default options, as bootesd's first attempt does: the
+// untrained gate picks k, and every plan is verified. One op plans all ten.
+func BenchmarkPlanDefault(b *testing.B) {
+	mats := experiments.ColdSparseCycle(1)
+	ctx := context.Background()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, m := range mats {
+			if _, err := PlanContext(ctx, m, &Options{Seed: 1}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
 }

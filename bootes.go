@@ -92,12 +92,15 @@ func WriteBinary(w io.Writer, m *Matrix) error { return sparse.WriteBinary(w, m)
 // Options configures the Bootes pipeline.
 type Options struct {
 	// Model is a trained decision-tree gate (see TrainModel / LoadModel).
-	// nil uses a structural heuristic instead.
+	// nil uses a structural heuristic instead: it declines matrices whose
+	// rows barely overlap or whose order already realizes the overlap, and
+	// reorders every other matrix at k = 8 whatever its size (DESIGN.md §5).
 	Model *Model
 	// ForceReorder bypasses the gate and always reorders.
 	ForceReorder bool
 	// ForceK fixes the cluster count (must be one of CandidateKs) instead of
-	// letting the gate choose. 0 lets the model/heuristic decide.
+	// letting the gate choose. 0 lets the model decide, or without a model
+	// the heuristic's k = 8.
 	ForceK int
 	// AutoK enables eigengap-based automatic cluster-count selection: when
 	// the gate approves reordering, the planner refines the explicit

@@ -29,7 +29,7 @@ func main() {
 	scale := flag.Float64("scale", 0.12, "matrix size scale (1 = paper's full Table 3 sizes)")
 	seed := flag.Int64("seed", 1, "global random seed")
 	outPath := flag.String("out", "", "write the report to this file (default stdout)")
-	only := flag.String("only", "", "comma-separated experiment ids to run (T1,T2,T3,T4,F1,F2,F3,F4,F5,F6,DT,MC,EN,AM,SC); empty = all")
+	only := flag.String("only", "", "comma-separated experiment ids to run (T1,T2,T3,T4,F1,F2,F3,F4,F5,F6,DT,MC,EN,AM,SC,KP); empty = all")
 	suite := flag.String("suite", "", "comma-separated Table 3 workload IDs to restrict to")
 	skipTrain := flag.Bool("skip-train", false, "skip decision-tree training (F3 and DT are skipped; Bootes uses its heuristic gate)")
 	figDir := flag.String("figdir", "", "write PGM spy plots for Figures 1-2 into this directory")
@@ -118,6 +118,7 @@ func main() {
 		{"EN", func() error { _, err := experiments.EnergyReport(cfg); return err }},
 		{"AM", func() error { _, err := experiments.Amortization(cfg); return err }},
 		{"SC", func() error { _, err := experiments.SelectorComparison(cfg); return err }},
+		{"KP", func() error { _, err := experiments.KPolicy(cfg); return err }},
 		{"MC", func() error {
 			if *skipTrain || corpus == nil {
 				fmt.Fprintln(out, "\nModel comparison skipped (-skip-train)")

@@ -25,7 +25,9 @@ func main() {
 
 	// Step 1: plan. Bootes extracts structural features, decides whether
 	// reordering will pay off, picks the cluster count k, and runs spectral
-	// clustering.
+	// clustering. Without a trained model the gate serves k=8, which mixes
+	// four of this matrix's 32 groups per cluster: ForceK: 32 cuts B traffic
+	// 2.53× here instead of 1.19×, for about twice the planning time.
 	plan, err := bootes.Plan(a, &bootes.Options{Seed: 1})
 	if err != nil {
 		log.Fatal(err)

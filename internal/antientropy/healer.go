@@ -61,7 +61,8 @@ type Stats struct {
 	Dropped int64
 	// Pushes / PushFailures count replication and handoff PUTs.
 	Pushes, PushFailures int64
-	// FetchFailures counts failed digest or entry pulls.
+	// FetchFailures counts failed digest or entry pulls. A warm-up digest
+	// fetch that fails is not counted (see Warmup).
 	FetchFailures int64
 	// WarmupFetched counts entries streamed from replicas during start-up
 	// warm-up, before readiness flipped.
@@ -137,7 +138,7 @@ func (h *Healer) registerMetrics(reg *obs.Registry) {
 	h.dropped = reg.Counter("bootes_antientropy_dropped_total", "Entries deleted after the ring reassigned them elsewhere.")
 	h.pushes = reg.Counter("bootes_antientropy_pushes_total", "Entry replication/handoff pushes to peers.")
 	h.pushFails = reg.Counter("bootes_antientropy_push_failures_total", "Entry pushes that failed (transport error or non-2xx).")
-	h.fetchFails = reg.Counter("bootes_antientropy_fetch_failures_total", "Digest or entry fetches that failed.")
+	h.fetchFails = reg.Counter("bootes_antientropy_fetch_failures_total", "Digest or entry fetches that failed, except warm-up digest fetches.")
 	h.warmupFetched = reg.Counter("bootes_antientropy_warmup_fetched_total", "Entries streamed from replicas during start-up warm-up.")
 	h.scrubPasses = reg.Counter("bootes_scrub_passes_total", "Cache entries re-read and re-verified by the scrubber.")
 	h.scrubErrs = reg.Counter("bootes_scrub_errors_total", "Scrubbed entries that failed verification and were quarantined.")
@@ -261,11 +262,15 @@ func (h *Healer) RepairOnce(ctx context.Context) {
 		if peer == h.cfg.Self || !h.peerUp(peer) {
 			continue
 		}
-		if d, _, ok := h.pullMissing(ctx, peer, h.repaired.With("missing")); ok {
+		d, _, ok := h.pullMissing(ctx, peer, h.repaired.With("missing"))
+		switch {
+		case ok:
 			notOwned = d.NotOwned
 			for _, key := range d.Divergent {
 				h.resolveDivergent(ctx, peer, key)
 			}
+		case ctx.Err() == nil:
+			h.fetchFails.Inc()
 		}
 		if ctx.Err() != nil {
 			return
@@ -278,13 +283,11 @@ func (h *Healer) RepairOnce(ctx context.Context) {
 // the peer's digest, diff it against the local cache, and pull every owned
 // key the peer holds that this node lacks, until ctx ends. Each stored pull
 // counts on pulled. It returns the diff and the number of entries pulled;
-// ok is false when the digest could not be fetched.
+// ok is false when the digest could not be fetched, which the caller
+// decides whether to count as a fetch failure.
 func (h *Healer) pullMissing(ctx context.Context, peer string, pulled *obs.Counter) (d Diff, n int, ok bool) {
 	dg, err := h.fetchDigest(ctx, peer)
 	if err != nil {
-		if ctx.Err() == nil {
-			h.fetchFails.Inc()
-		}
 		return Diff{}, 0, false
 	}
 	d = ComputeDiff(h.cfg.Cache, dg, h.owns)
@@ -410,6 +413,10 @@ func (h *Healer) scrubOnce() {
 // else. Called by bootesd before flipping readiness, under the warm-up
 // deadline — on ctx expiry it returns what it has; anti-entropy finishes the
 // rest in the background. Returns the number of entries fetched.
+//
+// Warm-up is best-effort: a peer whose digest cannot be fetched is skipped
+// without counting a fetch failure, because when a fleet starts together its
+// peers are not listening yet, and the next repair round retries the fetch.
 func (h *Healer) Warmup(ctx context.Context) int {
 	fetched := 0
 	for _, peer := range h.cfg.Ring.Nodes() {

@@ -276,6 +276,27 @@ func TestWarmupStreamsOwnedKeys(t *testing.T) {
 	}
 }
 
+// TestWarmupSkipsPeersNotListening: nodes of a fleet that start together
+// warm up before their peers listen. Those failed digest fetches are not
+// fetch failures, since the next repair round retries them; a repair round
+// against a stopped peer still counts one.
+func TestWarmupSkipsPeersNotListening(t *testing.T) {
+	a, b, c := newPeer(t), newPeer(t), newPeer(t)
+	h := newHealer(t, a, antientropy.Config{}, b, c)
+	b.ts.Close()
+	c.ts.Close()
+	if n := h.Warmup(context.Background()); n != 0 {
+		t.Fatalf("Warmup fetched %d from stopped peers", n)
+	}
+	if st := h.Stats(); st.FetchFailures != 0 {
+		t.Fatalf("FetchFailures = %d after warming up against 2 stopped peers, want 0", st.FetchFailures)
+	}
+	h.RepairOnce(context.Background())
+	if st := h.Stats(); st.FetchFailures != 2 {
+		t.Fatalf("FetchFailures = %d after a repair round against 2 stopped peers, want 2", st.FetchFailures)
+	}
+}
+
 // TestDrainPushHandsOffEntries: drain pushes local entries to replicas that
 // lack them, skipping ones they already hold.
 func TestDrainPushHandsOffEntries(t *testing.T) {

@@ -220,6 +220,25 @@ func TestPipelineForceOptions(t *testing.T) {
 	}
 }
 
+// TestUntrainedGateServesOneK: without a model the gate serves UntrainedK
+// to every matrix it approves, whatever its row count.
+func TestUntrainedGateServesOneK(t *testing.T) {
+	want, err := LabelForK(UntrainedK)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rows := range []int{200, 400, 800, 3000} {
+		a := workloads.ScrambledBlock(workloads.Params{Rows: rows, Cols: rows, Density: 16 / float64(rows), Seed: 5})
+		label, err := (&Pipeline{}).Decide(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if label != want {
+			t.Errorf("%d rows: gate label %d, want %d (k=%d)", rows, label, want, UntrainedK)
+		}
+	}
+}
+
 func TestFixedKAdapter(t *testing.T) {
 	a := blockMatrix(8, 4)
 	r := FixedK{K: 4, Opts: SpectralOptions{Seed: 1}}

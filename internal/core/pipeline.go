@@ -45,8 +45,9 @@ func KForLabel(label int) (int, error) {
 // directly against the baselines.
 type Pipeline struct {
 	// Model is the trained cost/benefit predictor. When nil, a structural
-	// heuristic stands in (reorder unless row overlap is negligible; pick k
-	// by matrix size), so the pipeline is usable before training.
+	// heuristic stands in (reorder unless row overlap is negligible or the
+	// current order already realizes it; k = UntrainedK for every approved
+	// matrix), so the pipeline is usable before training.
 	Model *dtree.Tree
 	// Spectral carries the base spectral options; K is overridden by the
 	// model's prediction.
@@ -68,36 +69,32 @@ func (p *Pipeline) Name() string { return "Bootes" }
 func (p *Pipeline) Decide(a *sparse.CSR) (label int, err error) {
 	feats := ExtractFeatures(a)
 	if p.Model == nil {
-		return heuristicLabel(a, feats), nil
+		return heuristicLabel(feats), nil
 	}
 	return p.Model.Predict(feats.Vector())
 }
 
+// UntrainedK is the cluster count the untrained gate serves to every matrix
+// it approves, whatever its size. The eigensolve dominates a plan and grows
+// with k (a k=32 plan costs about 3× a k=8 one), while on e2ebench's cold
+// corpora k=8 models less B traffic than k=32 at 64 and 256 KiB caches and
+// stays within about a point of the per-matrix best k. It loses at 16 KiB
+// on larger matrices with many clusters or 3-D stencils, where k=16 or 32
+// fits the cache better (EXPERIMENTS.md, "KP — untrained-gate k").
+const UntrainedK = 8
+
 // heuristicLabel is the untrained fallback policy: reorder only when coupled
 // rows overlap strongly AND the current order does not already realize that
 // overlap (adjacent rows dissimilar) — the banded/FEM versus scrambled-block
-// distinction. k then scales with matrix size.
-func heuristicLabel(a *sparse.CSR, f Features) int {
+// distinction. An approved matrix is reordered at UntrainedK.
+func heuristicLabel(f Features) int {
 	if f.CoupledAvg < 0.05 {
 		return ClassNoReorder // nothing substantial to align
 	}
 	if f.AdjacentAvg > 0.8*f.CoupledAvg {
 		return ClassNoReorder // the existing order already captures it
 	}
-	// Scale k with matrix size: roughly one cluster per few hundred rows,
-	// clamped to the candidate set. Over-clustering is cheap insurance —
-	// the Fiedler-sorted cluster layout keeps related clusters adjacent —
-	// while under-clustering mixes unrelated row groups.
-	k := 32
-	switch {
-	case a.Rows < 256:
-		k = 4
-	case a.Rows < 512:
-		k = 8
-	case a.Rows < 1024:
-		k = 16
-	}
-	label, _ := LabelForK(k)
+	label, _ := LabelForK(UntrainedK)
 	return label
 }
 
