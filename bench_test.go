@@ -521,9 +521,10 @@ func BenchmarkAblationTwoLevelCache(b *testing.B) {
 
 // BenchmarkAblationKSelection compares three ways of choosing the cluster
 // count on a matrix with 24 hidden groups: the untrained gate's fixed k
-// (default options), eigengap auto-k over the refined similarity (the
-// Options.AutoK policy, which can pick k outside the candidate set), and the
-// best of a full candidate sweep (oracle).
+// (default options), eigengap auto-k over the refined similarity
+// (core.EigengapK, which can pick k outside the candidate set, then a
+// core.FixedK plan at its k), and the best of a full candidate sweep
+// (oracle).
 func BenchmarkAblationKSelection(b *testing.B) {
 	a := ablationMatrix()
 	const cache = 64 << 10
@@ -551,8 +552,12 @@ func BenchmarkAblationKSelection(b *testing.B) {
 	b.Run("autok", func(b *testing.B) {
 		ratio, k := 0.0, 0
 		for i := 0; i < b.N; i++ {
-			p := &core.Pipeline{ForceReorder: true, Spectral: core.SpectralOptions{Seed: 1}, AutoK: true}
-			res, err := p.Reorder(a)
+			opts := core.SpectralOptions{Seed: 1}
+			sel, _, outcome, err := core.EigengapK(context.Background(), a, opts)
+			if err != nil || outcome != core.AutoKSelected {
+				b.Fatalf("eigengap selection: %s, %v", outcome, err)
+			}
+			res, err := core.FixedK{K: sel, Opts: opts}.Reorder(a)
 			if err != nil {
 				b.Fatal(err)
 			}

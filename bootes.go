@@ -34,14 +34,13 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
+	"slices"
 
 	"bootes/internal/accel"
 	"bootes/internal/core"
 	"bootes/internal/dtree"
 	"bootes/internal/plancache"
 	"bootes/internal/planverify"
-	"bootes/internal/refine"
 	"bootes/internal/reorder"
 	"bootes/internal/sparse"
 )
@@ -98,20 +97,10 @@ type Options struct {
 	Model *Model
 	// ForceReorder bypasses the gate and always reorders.
 	ForceReorder bool
-	// ForceK fixes the cluster count (must be one of CandidateKs) instead of
-	// letting the gate choose. 0 lets the model decide, or without a model
-	// the heuristic's k = 8.
+	// ForceK fixes the cluster count instead of letting the gate choose. It
+	// must be 0 or one of CandidateKs; PlanContext rejects any other value.
+	// 0 lets the model decide, or without a model the heuristic's k = 8.
 	ForceK int
-	// AutoK enables eigengap-based automatic cluster-count selection: when
-	// the gate approves reordering, the planner refines the explicit
-	// similarity matrix (crop-diagonal, 95th-percentile thresholding,
-	// symmetrization, diffusion, row-max normalization), solves its top
-	// spectrum, and picks k at the largest eigengap ratio within
-	// [2, 64] instead of the fixed candidate set. An ambiguous spectrum falls
-	// back to the gate's fixed k (recorded in ReorderPlan.AutoK, not a
-	// degradation); a failed attempt degrades to the fixed-k ladder. Ignored
-	// when ForceK is set. Auto-k plans cache under a distinct key.
-	AutoK bool
 	// Seed makes the spectral pass deterministic (Lanczos start vectors,
 	// k-means seeding). The gate's feature sampling runs at one fixed seed,
 	// so the gate's decision does not depend on Seed.
@@ -151,14 +140,6 @@ type ReorderPlan struct {
 	// ("exact", "approx", "implicit"). Empty when no spectral pass ran
 	// (gate decline, identity fallback).
 	SimilarityMode string
-	// AutoK records the eigengap auto-k outcome when Options.AutoK was set:
-	// "selected: k=… gap-ratio=…" when the eigengap chose the cluster count,
-	// "fallback-ambiguous: …" / "fallback-implicit: …" when selection
-	// declined and the gate's fixed k was used (not a degradation),
-	// "degraded" when the attempt failed and planning fell to the fixed-k
-	// ladder, and "cached" on a cache hit (the outcome itself is not
-	// persisted). Empty when auto-k was not requested.
-	AutoK string
 	// FromCache reports that the plan was served from Options.Cache;
 	// PreprocessSeconds and FootprintBytes then describe the original
 	// computation (what the hit saved), not this call.
@@ -189,12 +170,15 @@ func Plan(m *Matrix, opts *Options) (*ReorderPlan, error) {
 // plan to the identity permutation instead (see ReorderPlan.Degraded), so
 // bound planning time with context.WithTimeout.
 //
+// A ForceK that is neither 0 nor one of CandidateKs is an error, returned
+// before the cache is consulted.
+//
 // Every plan, computed or read from Options.Cache, is machine-checked before
 // it is returned (internal/planverify): the permutation must be a bijection
-// of the right length, K must be a feasible cluster count (a candidate count
-// or an auto-k selection within [2, rows]), Degraded must carry a reason,
-// and, unless ForceReorder/ForceK bypassed the gate, the traffic model must
-// not predict that the reordering moves more bytes than the original order.
+// of the right length, K must be 0 or a candidate count, Degraded must
+// carry a reason, and, unless ForceReorder/ForceK bypassed the gate, the
+// traffic model must not predict that the reordering moves more bytes than
+// the original order.
 // A violating computed plan falls back to the identity permutation with the
 // violation recorded in DegradedReason; a violating cache entry is
 // recomputed.
@@ -202,6 +186,9 @@ func PlanContext(ctx context.Context, m *Matrix, opts *Options) (*ReorderPlan, e
 	var o Options
 	if opts != nil {
 		o = *opts
+	}
+	if o.ForceK != 0 && !slices.Contains(core.CandidateKs, o.ForceK) {
+		return nil, fmt.Errorf("bootes: ForceK %d is not a candidate cluster count (want 0 or one of %v)", o.ForceK, core.CandidateKs)
 	}
 	var key string
 	if o.Cache != nil {
@@ -219,13 +206,6 @@ func PlanContext(ctx context.Context, m *Matrix, opts *Options) (*ReorderPlan, e
 				if e.K > 0 {
 					simMode = core.EffectiveSimilarityMode(m, o.spectralOptions()).String()
 				}
-				autoK := ""
-				if o.AutoK {
-					// The key covers the auto-k request, so the entry was
-					// planned with auto-k; the per-attempt outcome string
-					// itself is not persisted.
-					autoK = "cached"
-				}
 				return &ReorderPlan{
 					Perm:              e.Perm,
 					Reordered:         e.Reordered,
@@ -235,7 +215,6 @@ func PlanContext(ctx context.Context, m *Matrix, opts *Options) (*ReorderPlan, e
 					Degraded:          e.Degraded,
 					DegradedReason:    e.DegradedReason,
 					SimilarityMode:    simMode,
-					AutoK:             autoK,
 					FromCache:         true,
 				}, nil
 			}
@@ -245,7 +224,6 @@ func PlanContext(ctx context.Context, m *Matrix, opts *Options) (*ReorderPlan, e
 		Spectral:     o.spectralOptions(),
 		ForceReorder: o.ForceReorder,
 		ForceK:       o.ForceK,
-		AutoK:        o.AutoK,
 	}
 	if o.Model != nil {
 		p.Model = o.Model.tree
@@ -270,7 +248,6 @@ func PlanContext(ctx context.Context, m *Matrix, opts *Options) (*ReorderPlan, e
 		Degraded:          res.Degraded,
 		DegradedReason:    res.DegradedReason,
 		SimilarityMode:    res.SimilarityMode,
-		AutoK:             res.AutoK,
 	}
 	if o.Cache != nil && !plan.Degraded {
 		// Degraded plans reflect the moment's faults, not the matrix; only
@@ -318,9 +295,10 @@ func MatrixKey(m *Matrix) string { return plancache.KeyCSR(m) }
 // The context's deadline is deliberately excluded: it only influences
 // degraded plans, which are never cached.
 //
-// Key bytes 17, 18 and 21 record the similarity tier and auto-k's S kernel
-// that the row count picks; KeyCSR already covers the row count, and the
-// bytes stay so that persisted keys do not move.
+// Key bytes 17 and 18 record the similarity tier that the row count picks;
+// KeyCSR already covers the row count, and the bytes stay so that persisted
+// keys do not move. Bytes 19–31 are always zero; setting them would move
+// every persisted key.
 func planKey(m *Matrix, o *Options) string {
 	h := sha256.New()
 	h.Write([]byte(plancache.KeyCSR(m)))
@@ -335,18 +313,6 @@ func planKey(m *Matrix, o *Options) string {
 		opt[17] = 1
 	case core.SimApprox:
 		opt[18] = 1
-	}
-	// Auto-k keys separately from fixed-k planning. The refinement recipe
-	// is fixed, but its five op flags and threshold percentile stay in the
-	// key so auto-k keys are unchanged from releases where the recipe was an
-	// option.
-	if o.AutoK {
-		opt[19] = 1
-		if core.AutoKKernelDiffers(m) {
-			opt[21] = 1
-		}
-		opt[20] = 0x1f // crop, threshold, symmetrize, diffuse, row-max
-		binary.LittleEndian.PutUint64(opt[24:], math.Float64bits(refine.Percentile))
 	}
 	h.Write(opt[:])
 	if o.Model != nil {

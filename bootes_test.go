@@ -48,8 +48,8 @@ func TestPlanReordersStructuredMatrix(t *testing.T) {
 		t.Error(err)
 	}
 	// The exact k is legitimately seed-dependent — the sweep ranks candidates
-	// by modeled traffic, and ladder changes (e.g. the auto-k rung) may shift
-	// the winner between equally good candidates. Tier-1 pins the traffic
+	// by modeled traffic, and ladder changes may shift the winner between
+	// equally good candidates. Tier-1 pins the traffic
 	// contract instead of the chosen k: the plan must strictly beat the
 	// unordered baseline on the model it was selected by.
 	base, err := trafficmodel.EstimateB(m, m, 64<<10, 12)

@@ -74,7 +74,7 @@ func main() {
 	groups := flag.Int("groups", 16, "hidden row groups")
 	workers := flag.String("workers", "1", "comma-separated worker counts (0 = host default)")
 	seed := flag.Int64("seed", 7, "workload and planning seed")
-	k := flag.Int("k", 8, "forced cluster count (keeps tiers comparable)")
+	k := flag.Int("k", 8, "forced cluster count, one of 2,4,8,16,32 (keeps tiers comparable)")
 	out := flag.String("out", "", "write the JSON document here (empty = stdout)")
 	reps := flag.Int("reps", 1, "runs per tier; the minimum is recorded (denoises shared hosts)")
 	tiersFlag := flag.String("tiers", "exact,approx,implicit", "comma-separated tiers to run (speedups need exact first)")

@@ -12,13 +12,10 @@
 //	bootes plan     -in A.mtx [-server http://localhost:8080] [-async] [-tenant team-a]  # plan via a running bootesd
 //
 // Commands that run the planning pipeline (analyze, reorder, plan) accept
-// -timeout (a planning deadline, enforced through PlanContext), -strict
-// (exit non-zero when the plan is degraded), and -auto-k (pick the cluster
-// count by the largest eigengap of the refined similarity instead of the
-// decision tree's fixed candidate k; ambiguous spectra fall back to the
-// fixed-k sweep). The matrix's row count picks the similarity tier; the
-// plan reports the one that ran. Degraded plans always print a warning to
-// stderr.
+// -timeout (a planning deadline, enforced through PlanContext) and -strict
+// (exit non-zero when the plan is degraded). The matrix's row count picks
+// the similarity tier; the plan reports the one that ran. Degraded plans
+// always print a warning to stderr.
 package main
 
 import (
@@ -151,7 +148,6 @@ func cmdAnalyze(args []string) {
 	timeout := fs.Duration("timeout", 0, "planning deadline (0 = none)")
 	strict := fs.Bool("strict", false, "exit non-zero if the plan is degraded")
 	stats := fs.Bool("stats", false, "print a per-stage planning time table")
-	autoK := autoKFlag(fs)
 	fs.Parse(args)
 	if *in == "" {
 		log.Fatal("analyze: -in is required")
@@ -172,7 +168,7 @@ func cmdAnalyze(args []string) {
 		trace = obs.Default().NewTrace()
 		ctx = obs.WithTrace(ctx, trace)
 	}
-	opts := &bootes.Options{Seed: *seed, Model: loadModel(*model), AutoK: *autoK}
+	opts := &bootes.Options{Seed: *seed, Model: loadModel(*model)}
 	plan, err := bootes.PlanContext(ctx, m, opts)
 	if err != nil {
 		log.Fatal(err)
@@ -188,9 +184,6 @@ func cmdAnalyze(args []string) {
 	}
 	if plan.SimilarityMode != "" {
 		fmt.Printf("similarity: %s tier\n", plan.SimilarityMode)
-	}
-	if plan.AutoK != "" {
-		fmt.Printf("auto-k:    %s\n", plan.AutoK)
 	}
 	if trace != nil {
 		fmt.Print(trace.Table())
@@ -209,7 +202,6 @@ func cmdReorder(args []string) {
 	seed := fs.Int64("seed", 1, "random seed")
 	timeout := fs.Duration("timeout", 0, "planning deadline (0 = none)")
 	strict := fs.Bool("strict", false, "exit non-zero if the plan is degraded")
-	autoK := autoKFlag(fs)
 	fs.Parse(args)
 	if *in == "" || *out == "" {
 		log.Fatal("reorder: -in and -out are required")
@@ -217,12 +209,12 @@ func cmdReorder(args []string) {
 	m := readMatrix(*in)
 	ctx, cancel := planCtx(*timeout)
 	defer cancel()
-	opts := &bootes.Options{
-		Seed: *seed, ForceK: *k, ForceReorder: *force, Model: loadModel(*model), AutoK: *autoK,
-	}
+	opts := &bootes.Options{Seed: *seed, ForceK: *k, ForceReorder: *force, Model: loadModel(*model)}
 	plan, err := bootes.PlanContext(ctx, m, opts)
 	if err != nil {
-		log.Fatal(err)
+		// A -k outside the candidates lands here, with the error naming them.
+		log.Print(err)
+		osExit(1)
 	}
 	if !plan.Reordered {
 		fmt.Println("gate declined to reorder; writing the matrix unchanged (use -force to override)")
@@ -449,7 +441,6 @@ func cmdPlan(args []string) {
 	async := fs.Bool("async", false, "submit to the daemon's async queue and poll the job until it finishes (needs -server)")
 	tenant := fs.String("tenant", "", "tenant identity sent as X-Tenant (quota accounting on the daemon)")
 	retries := fs.Int("retries", 5, "max retries when the daemon sheds with 429 (Retry-After is honored)")
-	autoK := autoKFlag(fs)
 	fs.Parse(args)
 	if *in == "" {
 		log.Fatal("plan: -in is required")
@@ -465,7 +456,7 @@ func cmdPlan(args []string) {
 	m := readMatrix(*in)
 	ctx, cancel := planCtx(*timeout)
 	defer cancel()
-	opts := &bootes.Options{Seed: *seed, Model: loadModel(*model), AutoK: *autoK}
+	opts := &bootes.Options{Seed: *seed, Model: loadModel(*model)}
 	if *cacheDir != "" {
 		cache, err := bootes.OpenPlanCache(*cacheDir)
 		if err != nil {
@@ -487,15 +478,7 @@ func cmdPlan(args []string) {
 	if plan.SimilarityMode != "" {
 		fmt.Printf("similarity: %s tier\n", plan.SimilarityMode)
 	}
-	if plan.AutoK != "" {
-		fmt.Printf("auto-k:    %s\n", plan.AutoK)
-	}
 	warnDegraded(plan.Degraded, plan.DegradedReason, *strict)
-}
-
-// autoKFlag registers the shared -auto-k flag on a planning command.
-func autoKFlag(fs *flag.FlagSet) *bool {
-	return fs.Bool("auto-k", false, "pick the cluster count by eigengap on the refined similarity (falls back to the fixed-k sweep when ambiguous)")
 }
 
 // remotePlan mirrors the daemon's PlanResponse fields the CLI reports on.
@@ -506,7 +489,6 @@ type remotePlan struct {
 	Degraded          bool    `json:"degraded"`
 	DegradedReason    string  `json:"degradedReason"`
 	PreprocessSeconds float64 `json:"preprocessSeconds"`
-	AutoK             string  `json:"autoK"`
 	Cached            bool    `json:"cached"`
 	Coalesced         bool    `json:"coalesced"`
 	Breaker           string  `json:"breaker"`
@@ -792,7 +774,4 @@ func printRemotePlan(pr *remotePlan, source string) {
 	fmt.Printf("key:       %s\n", pr.Key)
 	fmt.Printf("plan:      reordered=%v k=%d (%s, %.3fs)\n",
 		pr.Reordered, pr.K, source, pr.PreprocessSeconds)
-	if pr.AutoK != "" {
-		fmt.Printf("auto-k:    %s\n", pr.AutoK)
-	}
 }

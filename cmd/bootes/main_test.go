@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"io"
+	"log"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -107,6 +108,32 @@ func TestPlanReadsBCSRInProcess(t *testing.T) {
 	}
 	if !strings.Contains(out, "key:       "+bootes.MatrixKey(m)) || !strings.Contains(out, "(computed,") {
 		t.Fatalf("plan of a .bcsr file printed:\n%s", out)
+	}
+}
+
+// TestReorderRejectsNonCandidateK: -k must be 0 or a candidate count; any
+// other value exits 1 with an error naming the candidates and writes no
+// output.
+func TestReorderRejectsNonCandidateK(t *testing.T) {
+	in := testMatrixFile(t)
+	var logs bytes.Buffer
+	log.SetOutput(&logs)
+	defer log.SetOutput(os.Stderr)
+	for _, k := range []string{"-1", "1", "3", "301"} {
+		logs.Reset()
+		outPath := filepath.Join(t.TempDir(), "r.mtx")
+		out, code, exited := runCLI(t, func() {
+			cmdReorder([]string{"-in", in, "-out", outPath, "-k", k})
+		})
+		if !exited || code != 1 {
+			t.Errorf("reorder -k %s: exited=%v code=%d, want exit 1\n%s", k, exited, code, out)
+		}
+		if !strings.Contains(logs.String(), "[2 4 8 16 32]") {
+			t.Errorf("reorder -k %s: error does not name the candidates: %q", k, logs.String())
+		}
+		if _, err := os.Stat(outPath); !os.IsNotExist(err) {
+			t.Errorf("reorder -k %s wrote %s", k, outPath)
+		}
 	}
 }
 

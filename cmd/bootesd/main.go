@@ -75,7 +75,6 @@ func main() {
 	readTimeout := flag.Duration("read-timeout", 2*time.Minute, "maximum time to read an entire request")
 	idleTimeout := flag.Duration("idle-timeout", 2*time.Minute, "keep-alive connection idle timeout")
 	pprofOn := flag.Bool("pprof", false, "serve runtime profiles on /debug/pprof/ (CPU, heap, goroutine, ...)")
-	autoK := flag.Bool("auto-k", false, "pick the cluster count by eigengap on the refined similarity (falls back to the fixed-k sweep when ambiguous)")
 	queueDir := flag.String("queue-dir", "", "durable async job queue directory (empty disables ?async=1; requires -cache)")
 	queueWorkers := flag.Int("queue-workers", 0, "async queue worker pool size (default max-inflight)")
 	queueMax := flag.Int("queue-max", 1024, "async jobs queued before submissions shed")
@@ -123,7 +122,7 @@ func main() {
 	// families in one exposition.
 	node, err := fleet.StartNode(ln, fleet.NodeConfig{
 		Serve: planserve.Config{
-			Plan:            planserve.PipelinePlan(bootes.Options{Model: model, Seed: *seed, AutoK: *autoK}),
+			Plan:            planserve.PipelinePlan(bootes.Options{Model: model, Seed: *seed}),
 			Tenants:         planserve.TenantConfig{Rate: *tenantRate, Burst: *tenantBurst},
 			MaxInFlight:     *maxInFlight,
 			MaxQueue:        *maxQueue,
@@ -135,7 +134,6 @@ func main() {
 			},
 			MaxUploadBytes:  *maxUpload,
 			AllowLocalPaths: *allowPath,
-			AutoK:           *autoK,
 		},
 		CacheDir: *cacheDir,
 		Queue: planqueue.Config{

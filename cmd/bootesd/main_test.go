@@ -54,7 +54,7 @@ func TestFlagSet(t *testing.T) {
 	}
 	slices.Sort(got)
 	want := []string{
-		"addr", "allow-path", "auto-k", "breaker-cooldown", "breaker-failures",
+		"addr", "allow-path", "breaker-cooldown", "breaker-failures",
 		"cache", "deadline", "down-after", "drain", "hedge-after",
 		"idle-timeout", "max-inflight", "max-queue", "max-upload-bytes", "model",
 		"peers", "pprof", "probe-interval", "probe-timeout", "queue-dir",

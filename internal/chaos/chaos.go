@@ -1,11 +1,10 @@
 // Package chaos is the deterministic fault-injection harness for the Bootes
 // serving stack. A Run executes N seeded episodes, each of which picks a
-// scenario (direct planning, auto-k planning, HTTP serving, cache byte
-// corruption, mid-write crashes, durable-queue crash recovery, tenant quota
-// storms), arms a
-// randomized-but-reproducible subset of the faultinject
-// registry, drives the real pipeline end to end, and then asserts the global
-// invariants the rest of the codebase promises:
+// scenario (direct planning, forced fixed-k planning, HTTP serving, cache
+// byte corruption, mid-write crashes, durable-queue crash recovery, tenant
+// quota storms), arms a randomized-but-reproducible subset of the
+// faultinject registry, drives the real pipeline end to end, and then
+// asserts the global invariants the rest of the codebase promises:
 //
 //   - no panic escapes any layer;
 //   - no goroutine with a bootes/ frame outlives its episode, the shared
@@ -39,7 +38,6 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -431,7 +429,7 @@ type scenario struct {
 
 var scenarios = []scenario{
 	{"plan-direct", true, scenarioPlanDirect},
-	{"plan-autok", true, scenarioPlanAutoK},
+	{"plan-forcek", true, scenarioPlanForceK},
 	{"plan-approx", false, scenarioPlanApprox},
 	{"serve-http", true, scenarioServeHTTP},
 	{"cache-bitflip", false, scenarioCacheBitFlip},
@@ -486,19 +484,16 @@ func (e *episode) plan(ctx context.Context, where string, m *sparse.CSR, opts *b
 	return nil, false
 }
 
-// scenarioPlanAutoK drives an auto-k plan request (eigengap selection over
-// the refined similarity) under the shared 0–2-point fault schedule. The
-// matrix always has planted cluster structure, so a spectral reorder that
-// returns the identity permutation is impossible except through the
-// degradation ladder's identity floor — which makes the sharpest auto-k
+// scenarioPlanForceK drives a forced plan request (ForceReorder with a
+// ForceK drawn from the candidate set) under the shared 0–2-point fault
+// schedule. The matrix always has planted cluster structure, so a spectral
+// reorder that returns the identity permutation is impossible except through
+// the degradation ladder's identity floor — which makes the sharpest
 // invariant checkable: every response is a valid plan or a marked-degraded
 // plan, and an identity plan must carry the ladder-exhausted reason. The
 // second call exercises the cache-hit path; the post-episode cache sweep
-// asserts no auto-k-keyed degraded entry was persisted. When the first call
-// selected k without degrading, the faults are cleared and a ForceK plan at
-// that k and seed must reproduce its permutation bit for bit: auto-k and
-// fixed-k share one spectral pass, so the same k gives the same plan.
-func scenarioPlanAutoK(e *episode) {
+// asserts no degraded entry was persisted.
+func scenarioPlanForceK(e *episode) {
 	archetypes := []workloads.Archetype{
 		workloads.ArchScrambledBlock,
 		workloads.ArchManySmallClusters,
@@ -513,7 +508,7 @@ func scenarioPlanAutoK(e *episode) {
 	})
 	cache, err := bootes.OpenPlanCache(e.dir)
 	if err != nil {
-		e.violatef("plan-autok: open cache: %v", err)
+		e.violatef("plan-forcek: open cache: %v", err)
 		return
 	}
 	ctx, cancel := context.WithCancel(context.Background())
@@ -522,40 +517,21 @@ func scenarioPlanAutoK(e *episode) {
 	e.armAll()
 	opts := &bootes.Options{
 		Seed:         e.rng.Int63(),
-		AutoK:        true,
+		ForceK:       core.CandidateKs[e.rng.Intn(len(core.CandidateKs))],
 		ForceReorder: true,
 		Cache:        cache,
 	}
-	var selected *bootes.ReorderPlan
 	for call := 0; call < 2; call++ {
-		plan, ok := e.plan(ctx, "plan-autok", m, opts)
+		plan, ok := e.plan(ctx, "plan-forcek", m, opts)
 		if !ok {
 			return
 		}
-		e.checkPlanShape("plan-autok", m.Rows, plan.Perm, plan.K, plan.Reordered, plan.Degraded, plan.DegradedReason)
+		e.checkPlanShape("plan-forcek", m.Rows, plan.Perm, plan.K, plan.Reordered, plan.Degraded, plan.DegradedReason)
 		if plan.Perm.IsIdentity() &&
 			!(plan.Degraded && strings.Contains(plan.DegradedReason, "identity")) {
-			e.violatef("plan-autok: identity plan without ladder exhaustion (degraded=%v reason=%q)",
+			e.violatef("plan-forcek: identity plan without ladder exhaustion (degraded=%v reason=%q)",
 				plan.Degraded, plan.DegradedReason)
 		}
-		if call == 0 && strings.HasPrefix(plan.AutoK, "selected:") && !plan.Degraded {
-			selected = plan
-		}
-	}
-	if selected == nil {
-		return
-	}
-	faultinject.Reset()
-	fixed, err := bootes.PlanContext(context.Background(), m, &bootes.Options{
-		Seed: opts.Seed, ForceReorder: true, ForceK: selected.K,
-	})
-	switch {
-	case err != nil:
-		e.violatef("plan-autok: fault-free ForceK=%d re-plan failed: %v", selected.K, err)
-	case fixed.Degraded:
-		e.violatef("plan-autok: fault-free ForceK=%d re-plan degraded: %s", selected.K, fixed.DegradedReason)
-	case !slices.Equal(fixed.Perm, selected.Perm):
-		e.violatef("plan-autok: ForceK=%d plan differs from the auto-k plan at the same k and seed", selected.K)
 	}
 }
 

@@ -2,13 +2,9 @@ package core
 
 import (
 	"context"
-	"maps"
 	"math/rand"
-	"strings"
 	"testing"
 
-	"bootes/internal/faultinject"
-	"bootes/internal/obs"
 	"bootes/internal/sparse"
 	"bootes/internal/workloads"
 )
@@ -85,17 +81,6 @@ func noisyPlanted(t *testing.T, n, k int, noise float64, seed int64) *sparse.CSR
 	return m
 }
 
-// autoKPipeline is the golden-test configuration: gate bypassed (the planted
-// fixtures are tiny and the decision is not under test), auto-k on with the
-// production refinement recipe.
-func autoKPipeline(seed int64) *Pipeline {
-	return &Pipeline{
-		ForceReorder: true,
-		Spectral:     SpectralOptions{Seed: seed},
-		AutoK:        true,
-	}
-}
-
 // plantedCases are the golden auto-k fixtures: k planted blocks over n rows,
 // with cross-block noise for the large-k ones (see noisyPlanted).
 var plantedCases = []struct {
@@ -119,40 +104,39 @@ func plantedFixture(t *testing.T, n, k int, noise float64) *sparse.CSR {
 func TestAutoKRecoversPlantedK(t *testing.T) {
 	for _, c := range plantedCases {
 		m := plantedFixture(t, c.n, c.k, c.noise)
-		res, err := autoKPipeline(7).ReorderContext(context.Background(), m)
+		k, ratio, outcome, err := EigengapK(context.Background(), m, SpectralOptions{Seed: 7})
 		if err != nil {
 			t.Fatalf("n=%d k=%d: %v", c.n, c.k, err)
 		}
-		if res.Degraded {
-			t.Fatalf("n=%d k=%d: degraded: %s", c.n, c.k, res.DegradedReason)
+		if outcome != AutoKSelected {
+			t.Fatalf("n=%d k=%d: outcome %s (k=%d ratio=%.3f), want selected", c.n, c.k, outcome, k, ratio)
 		}
-		if !strings.HasPrefix(res.AutoK, AutoKSelected+":") {
-			t.Fatalf("n=%d k=%d: outcome %q, want selected", c.n, c.k, res.AutoK)
-		}
-		if got := int(res.Extra["k"]); got != c.k {
-			t.Errorf("n=%d planted k=%d: auto-k picked %d (%s)", c.n, c.k, got, res.AutoK)
-		}
-		if err := res.Perm.Validate(c.n); err != nil {
-			t.Errorf("n=%d k=%d: invalid permutation: %v", c.n, c.k, err)
+		if k != c.k {
+			t.Errorf("n=%d planted k=%d: eigengap picked %d (ratio %.3f)", c.n, c.k, k, ratio)
 		}
 	}
 }
 
-// TestAutoKMatchesForceK: auto-k orders rows with the shared spectral core,
-// so a selected plan is bit-identical to a ForceK plan at the selected k and
-// the same seed.
+// TestAutoKMatchesForceK: a selection is planned with FixedK at the selected
+// k, and that plan is bit-identical to a forced pipeline plan at the same k
+// and seed, so the SC experiment scores the order a ForceK request at that k
+// would get.
 func TestAutoKMatchesForceK(t *testing.T) {
 	for _, c := range plantedCases {
 		m := plantedFixture(t, c.n, c.k, c.noise)
-		auto, err := autoKPipeline(7).ReorderContext(context.Background(), m)
+		opts := SpectralOptions{Seed: 7}
+		k, _, outcome, err := EigengapK(context.Background(), m, opts)
+		if err != nil || outcome != AutoKSelected {
+			t.Fatalf("n=%d k=%d: outcome %s, %v; want a selection", c.n, c.k, outcome, err)
+		}
+		auto, err := FixedK{K: k, Opts: opts}.Reorder(m)
 		if err != nil {
-			t.Fatalf("n=%d k=%d: %v", c.n, c.k, err)
+			t.Fatalf("n=%d FixedK=%d: %v", c.n, k, err)
 		}
-		if !strings.HasPrefix(auto.AutoK, AutoKSelected+":") || auto.Degraded {
-			t.Fatalf("n=%d k=%d: outcome %q degraded=%v, want a healthy selection", c.n, c.k, auto.AutoK, auto.Degraded)
+		if err := auto.Perm.Validate(c.n); err != nil {
+			t.Fatalf("n=%d FixedK=%d: invalid permutation: %v", c.n, k, err)
 		}
-		k := int(auto.Extra["k"])
-		forced := &Pipeline{ForceReorder: true, ForceK: k, Spectral: SpectralOptions{Seed: 7}}
+		forced := &Pipeline{ForceReorder: true, ForceK: k, Spectral: opts}
 		fixed, err := forced.ReorderContext(context.Background(), m)
 		if err != nil {
 			t.Fatalf("n=%d ForceK=%d: %v", c.n, k, err)
@@ -161,35 +145,8 @@ func TestAutoKMatchesForceK(t *testing.T) {
 			t.Fatalf("n=%d ForceK=%d: degraded: %s", c.n, k, fixed.DegradedReason)
 		}
 		if !sameInt32(auto.Perm, fixed.Perm) {
-			t.Errorf("n=%d: auto-k plan at k=%d differs from the ForceK plan", c.n, k)
+			t.Errorf("n=%d: FixedK plan at k=%d differs from the ForceK plan", c.n, k)
 		}
-	}
-}
-
-// TestAutoKCountsOneSimilarityTier: under default options below the
-// approximate row band, auto-k forms S with an exact kernel and orders rows
-// through the implicit operator. The plan reports the operator's tier, and
-// bootes_similarity_mode_total counts the attempt once, by the kernel.
-func TestAutoKCountsOneSimilarityTier(t *testing.T) {
-	reg := obs.NewRegistry()
-	m := plantedBlockMatrix(t, 96, 3, 3)
-	res, err := autoKPipeline(7).ReorderContext(obs.WithRegistry(context.Background(), reg), m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(res.AutoK, AutoKSelected+":") || res.SimilarityMode != "implicit" {
-		t.Fatalf("outcome %q tier %q, want a selection reporting implicit", res.AutoK, res.SimilarityMode)
-	}
-	got := map[string]int64{}
-	for _, f := range reg.Snapshot() {
-		if f.Name == obs.SimilarityModeName {
-			for _, s := range f.Series {
-				got[s.Labels] = s.Value
-			}
-		}
-	}
-	if want := map[string]int64{`mode="exact"`: 1}; !maps.Equal(got, want) {
-		t.Errorf("similarity counter = %v, want %v", got, want)
 	}
 }
 
@@ -211,77 +168,25 @@ func TestAutoKAmbiguousSpectrumFallsBack(t *testing.T) {
 		"single-blob": blob,
 	}
 	for name, m := range fixtures {
-		res, err := autoKPipeline(7).ReorderContext(context.Background(), m)
+		k, ratio, outcome, err := EigengapK(context.Background(), m, SpectralOptions{Seed: 7})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if !strings.HasPrefix(res.AutoK, AutoKFallbackAmbiguous) {
-			t.Errorf("%s: outcome %q, want %s with a recorded reason", name, res.AutoK, AutoKFallbackAmbiguous)
-		}
-		if res.Degraded {
-			t.Errorf("%s: ambiguous fallback must not be a degradation: %s", name, res.DegradedReason)
-		}
-		if err := res.Perm.Validate(m.Rows); err != nil {
-			t.Errorf("%s: invalid permutation: %v", name, err)
+		if outcome != AutoKFallbackAmbiguous || ratio >= autoKMinGapRatio {
+			t.Errorf("%s: outcome %s at k=%d ratio %.3f, want %s below %.2f",
+				name, outcome, k, ratio, AutoKFallbackAmbiguous, autoKMinGapRatio)
 		}
 	}
 }
 
 func TestAutoKImplicitTierFallsBack(t *testing.T) {
 	m := plantedBlockMatrix(t, 96, 3, 3)
-	p := autoKPipeline(7)
-	p.Spectral.Similarity = SimImplicit
-	res, err := p.ReorderContext(context.Background(), m)
+	k, ratio, outcome, err := EigengapK(context.Background(), m, SpectralOptions{Seed: 7, Similarity: SimImplicit})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.HasPrefix(res.AutoK, AutoKFallbackImplicit) {
-		t.Errorf("outcome %q, want %s", res.AutoK, AutoKFallbackImplicit)
-	}
-	if res.Degraded {
-		t.Errorf("implicit fallback must not degrade: %s", res.DegradedReason)
-	}
-}
-
-func TestAutoKNoConvergeDegradesToFixedKLadder(t *testing.T) {
-	t.Cleanup(faultinject.Reset)
-	if err := faultinject.Arm(faultinject.AutoKNoConverge); err != nil {
-		t.Fatal(err)
-	}
-	m := plantedBlockMatrix(t, 96, 3, 3)
-	res, err := autoKPipeline(7).ReorderContext(context.Background(), m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.AutoK != AutoKDegraded {
-		t.Errorf("outcome %q, want %s", res.AutoK, AutoKDegraded)
-	}
-	if !res.Degraded || !strings.Contains(res.DegradedReason, "autok: eigensolver did not converge") {
-		t.Errorf("degradation not recorded: degraded=%v reason=%q", res.Degraded, res.DegradedReason)
-	}
-	// The fixed-k ladder still produced a usable plan: a valid bijection with
-	// the tree's k, not the identity floor.
-	if err := res.Perm.Validate(m.Rows); err != nil {
-		t.Fatalf("ladder plan invalid: %v", err)
-	}
-	if !res.Reordered || res.Extra["k"] == 0 {
-		t.Errorf("expected a fixed-k ladder plan, got reordered=%v k=%v", res.Reordered, res.Extra["k"])
-	}
-}
-
-func TestAutoKRespectsForceK(t *testing.T) {
-	m := plantedBlockMatrix(t, 96, 3, 3)
-	p := autoKPipeline(7)
-	p.ForceK = 4
-	res, err := p.ReorderContext(context.Background(), m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.AutoK != "" {
-		t.Errorf("auto-k ran despite ForceK: %q", res.AutoK)
-	}
-	if got := int(res.Extra["k"]); got != 4 {
-		t.Errorf("k = %d, want forced 4", got)
+	if outcome != AutoKFallbackImplicit || k != 0 || ratio != 0 {
+		t.Errorf("outcome %s k=%d ratio=%g, want %s with no spectrum", outcome, k, ratio, AutoKFallbackImplicit)
 	}
 }
 
@@ -308,16 +213,48 @@ func TestSelectEigengap(t *testing.T) {
 	}
 }
 
+// TestAutoKOutcomeLabel: EigengapK returns exactly one of its three outcome
+// labels, with k and ratio consistent with it — a selection in [2, autoKMax]
+// at or above the threshold, an ambiguous fallback below it (nothing solved
+// on a matrix too small to have a gap), an implicit fallback with no
+// spectrum.
 func TestAutoKOutcomeLabel(t *testing.T) {
-	cases := map[string]string{
-		"selected: k=24 gap-ratio=3.10": "selected",
-		"fallback-ambiguous: no gap":    "fallback-ambiguous",
-		"degraded":                      "degraded",
-		"":                              "",
+	tiny, err := sparse.FromRows(2, 2, [][]int32{{0}, {1}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for in, want := range cases {
-		if got := AutoKOutcomeLabel(in); got != want {
-			t.Errorf("AutoKOutcomeLabel(%q) = %q, want %q", in, got, want)
+	cases := []struct {
+		name    string
+		m       *sparse.CSR
+		sim     SimilarityMode
+		outcome string
+	}{
+		{"planted", plantedBlockMatrix(t, 96, 3, 3), SimAuto, AutoKSelected},
+		{"uniform-random", workloads.Generate(workloads.ArchRandom,
+			workloads.Params{Rows: 200, Cols: 200, Density: 0.04, Seed: 11}), SimAuto, AutoKFallbackAmbiguous},
+		{"two rows", tiny, SimAuto, AutoKFallbackAmbiguous},
+		{"implicit", plantedBlockMatrix(t, 96, 3, 3), SimImplicit, AutoKFallbackImplicit},
+	}
+	for _, c := range cases {
+		k, ratio, outcome, err := EigengapK(context.Background(), c.m, SpectralOptions{Seed: 7, Similarity: c.sim})
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if outcome != c.outcome {
+			t.Errorf("%s: outcome %q, want %q", c.name, outcome, c.outcome)
+			continue
+		}
+		var ok bool
+		switch outcome {
+		case AutoKSelected:
+			ok = k >= 2 && k <= autoKMax && ratio >= autoKMinGapRatio
+		case AutoKFallbackAmbiguous:
+			ok = ratio < autoKMinGapRatio && (c.m.Rows > 2 || k == 0 && ratio == 0)
+		case AutoKFallbackImplicit:
+			ok = k == 0 && ratio == 0
+		}
+		if !ok {
+			t.Errorf("%s: %s with k=%d ratio=%.3f is inconsistent", c.name, outcome, k, ratio)
 		}
 	}
 }

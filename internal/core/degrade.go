@@ -160,49 +160,6 @@ func (p *Pipeline) ReorderContext(ctx context.Context, a *sparse.CSR) (res *reor
 	base := p.Spectral
 	base.K = k
 	var reasons []string
-
-	// Auto-k rung: attempted once, before the fixed-k ladder. A successful
-	// selection returns directly; a fallback outcome (ambiguous spectrum,
-	// implicit tier) proceeds with the tree's k un-degraded; a failure
-	// degrades onto the fixed-k ladder with the reason recorded.
-	autoK := ""
-	if p.AutoK && p.ForceK == 0 {
-		obs.RungAttempt(ctx, "autok")
-		sr, outcome, err := p.attemptAutoK(ctx, a, base)
-		switch {
-		case err == nil && sr != nil:
-			obs.AutoKOutcome(ctx, AutoKOutcomeLabel(outcome))
-			return &reorder.Result{
-				Perm:           sr.Perm,
-				PreprocessTime: time.Since(start),
-				FootprintBytes: sr.FootprintBytes + modelBytes(p.Model),
-				Reordered:      !sr.Perm.IsIdentity(),
-				SimilarityMode: sr.Similarity.String(),
-				AutoK:          outcome,
-				Extra: map[string]float64{
-					"k":           float64(sr.K),
-					"matvecs":     float64(sr.MatVecs),
-					"kmeansIters": float64(sr.KMeansIters),
-				},
-			}, nil
-		case err == nil:
-			obs.AutoKOutcome(ctx, AutoKOutcomeLabel(outcome))
-			autoK = outcome
-		default:
-			obs.RungFailure(ctx, "autok")
-			if err := cancelled(ctx); err != nil {
-				return nil, err
-			}
-			obs.AutoKOutcome(ctx, AutoKDegraded)
-			autoK = AutoKDegraded
-			if ctx.Err() != nil {
-				reasons = append(reasons, "autok: wall-clock budget exhausted")
-			} else {
-				reasons = append(reasons, rungReason("autok", err))
-			}
-		}
-	}
-
 	for _, r := range buildLadder(base) {
 		if ctx.Err() != nil {
 			break
@@ -224,7 +181,6 @@ func (p *Pipeline) ReorderContext(ctx context.Context, a *sparse.CSR) (res *reor
 			Degraded:       len(reasons) > 0,
 			DegradedReason: strings.Join(reasons, "; "),
 			SimilarityMode: sr.Similarity.String(),
-			AutoK:          autoK,
 			Extra: map[string]float64{
 				"k":           float64(r.opts.K),
 				"matvecs":     float64(sr.MatVecs),
@@ -249,7 +205,6 @@ func (p *Pipeline) ReorderContext(ctx context.Context, a *sparse.CSR) (res *reor
 		Reordered:      false,
 		Degraded:       true,
 		DegradedReason: strings.Join(reasons, "; ") + "; fell back to identity",
-		AutoK:          autoK,
 		Extra:          map[string]float64{"k": 0},
 	}, nil
 }

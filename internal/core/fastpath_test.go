@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"bootes/internal/faultinject"
+	"bootes/internal/obs"
 	"bootes/internal/parallel"
 	"bootes/internal/sparse"
 	"bootes/internal/workloads"
@@ -26,6 +27,32 @@ func selectorMatrix(rows int) *sparse.CSR {
 	return workloads.ScrambledBlock(workloads.Params{
 		Rows: rows, Cols: rows, Density: 0.05, Seed: 11, Groups: 4,
 	})
+}
+
+// eigengapKernel runs the eigengap selector, the S-kernel rule's one caller,
+// over a and returns the kernel that formed its S, read from
+// bootes_similarity_mode_total; a selection that forms no S (the implicit
+// fallback) returns SimImplicit.
+func eigengapKernel(t *testing.T, a *sparse.CSR, opts SpectralOptions) SimilarityMode {
+	t.Helper()
+	reg := obs.NewRegistry()
+	_, _, outcome, err := EigengapK(obs.WithRegistry(context.Background(), reg), a, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if outcome == AutoKFallbackImplicit {
+		return SimImplicit
+	}
+	for _, f := range reg.Snapshot() {
+		if f.Name == obs.SimilarityModeName && len(f.Series) == 1 && f.Series[0].Value == 1 {
+			label := strings.TrimSuffix(strings.TrimPrefix(f.Series[0].Labels, `mode="`), `"`)
+			if mode, err := ParseSimilarityMode(label); err == nil {
+				return mode
+			}
+		}
+	}
+	t.Fatalf("%d rows: outcome %s formed no single counted S", a.Rows, outcome)
+	return SimAuto
 }
 
 // TestParseSimilarityMode: every accepted name round-trips through String,
@@ -54,15 +81,12 @@ func TestParseSimilarityMode(t *testing.T) {
 
 // TestSimilaritySelectorThresholds pins the two SimAuto rules. The operator
 // rule gives the tier a fixed-k pass runs: matrix-free except in the approx
-// row band. The S-kernel rule gives the kernel auto-k materializes S with:
-// exact below the band, approx in it, and no S at all (implicit) from the
-// implicit row threshold or over the byte cap.
+// row band. The S-kernel rule gives the kernel the eigengap selector
+// materializes S with: exact below the band, approx in it, and no S at all
+// (implicit) from the implicit row threshold or over the byte cap.
 func TestSimilaritySelectorThresholds(t *testing.T) {
 	setSelectorThresholds(t, 128, 256, 1<<28)
-	kernel := func(a *sparse.CSR) SimilarityMode {
-		hub, colCounts := resolveHub(a)
-		return similarityKernel(a, SpectralOptions{}, hub, colCounts)
-	}
+	kernel := func(a *sparse.CSR) SimilarityMode { return eigengapKernel(t, a, SpectralOptions{Seed: 1}) }
 	for _, tc := range []struct {
 		rows           int
 		operator, sKer SimilarityMode
@@ -79,7 +103,7 @@ func TestSimilaritySelectorThresholds(t *testing.T) {
 			t.Errorf("auto operator at %d rows = %v, want %v", tc.rows, got, tc.operator)
 		}
 		if got := kernel(m); got != tc.sKer {
-			t.Errorf("auto-k S kernel at %d rows = %v, want %v", tc.rows, got, tc.sKer)
+			t.Errorf("eigengap S kernel at %d rows = %v, want %v", tc.rows, got, tc.sKer)
 		}
 	}
 
@@ -87,7 +111,7 @@ func TestSimilaritySelectorThresholds(t *testing.T) {
 	// threshold; the operator rule never consults it.
 	setSelectorThresholds(t, 1<<30, 1<<30, 1)
 	if got := kernel(selectorMatrix(96)); got != SimImplicit {
-		t.Errorf("byte-capped auto-k S kernel = %v, want SimImplicit", got)
+		t.Errorf("byte-capped eigengap S kernel = %v, want SimImplicit", got)
 	}
 	if got := EffectiveSimilarityMode(selectorMatrix(96), SpectralOptions{}); got != SimImplicit {
 		t.Errorf("byte-capped auto operator = %v, want SimImplicit", got)
@@ -97,13 +121,12 @@ func TestSimilaritySelectorThresholds(t *testing.T) {
 func TestSimilaritySelectorExplicitWins(t *testing.T) {
 	setSelectorThresholds(t, 128, 256, 1<<28)
 	m := selectorMatrix(300) // auto would say implicit
-	hub, colCounts := resolveHub(m)
 	for _, mode := range []SimilarityMode{SimExact, SimApprox, SimImplicit} {
-		opts := SpectralOptions{Similarity: mode}
+		opts := SpectralOptions{Seed: 1, Similarity: mode}
 		if got := EffectiveSimilarityMode(m, opts); got != mode {
 			t.Errorf("explicit %v resolved to %v", mode, got)
 		}
-		if got := similarityKernel(m, opts, hub, colCounts); got != mode {
+		if got := eigengapKernel(t, m, opts); got != mode {
 			t.Errorf("explicit %v picked S kernel %v", mode, got)
 		}
 	}

@@ -56,10 +56,6 @@ type Pipeline struct {
 	ForceReorder bool
 	// ForceK overrides the predicted cluster count when > 0.
 	ForceK int
-	// AutoK attempts eigengap-based cluster-count selection over the refined
-	// similarity before the fixed-k ladder (see attemptAutoK). Ignored when
-	// ForceK is set.
-	AutoK bool
 }
 
 // Name implements reorder.Reorderer.

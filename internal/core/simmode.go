@@ -24,8 +24,9 @@ import (
 // SimAuto (the zero value) resolves to SimImplicit, or to SimApprox in the
 // band simApproxMinRows ≤ n < simImplicitMinRows (EffectiveSimilarityMode).
 // Every plan the public API serves runs SimAuto, so the row count alone
-// picks its tier. The exact kernel then serves auto-k, which refines S
-// itself (similarityKernel), and the experiments, which pin a tier.
+// picks its tier. The exact kernel then serves the eigengap selector
+// (EigengapK), which refines S itself (similarityKernel), and the
+// experiments, which pin a tier.
 type SimilarityMode int
 
 // The similarity tiers. SimAuto is the default and resolves to one of the
@@ -74,17 +75,18 @@ func ParseSimilarityMode(s string) (SimilarityMode, error) {
 // inputs. Two rules read them. The operator rule (EffectiveSimilarityMode)
 // picks the normalized operator a fixed-k spectral pass runs: matrix-free
 // except in the [simApproxMinRows, simImplicitMinRows) band. The S-kernel
-// rule (similarityKernel) picks how auto-k materializes S for refinement,
-// the one caller that needs S itself: the row bands pick a kernel, and the
-// byte cap refuses any S whose degree-sum bound exceeds what the planner
-// should ever materialize.
+// rule (similarityKernel) picks how the eigengap selector materializes S
+// for refinement, the one caller that needs S itself: the row bands pick a
+// kernel, and the byte cap refuses any S whose degree-sum bound exceeds
+// what the planner should ever materialize.
 var (
 	// simApproxMinRows starts the band in which LSH sparsification forms S,
-	// for the fixed-k operator and auto-k's refinement alike: an exact S is
-	// too much work per plan there.
+	// for the fixed-k operator and the eigengap selector's refinement alike:
+	// an exact S is too much work per plan there.
 	simApproxMinRows = 8192
 	// simImplicitMinRows ends that band: from here not even a sparsified S
-	// is worth forming, so auto-k declines and the operator is matrix-free.
+	// is worth forming, so the eigengap selector declines and the operator
+	// is matrix-free.
 	simImplicitMinRows = 65536
 	// simExplicitBytesCap bounds the modeled size of an explicit exact S
 	// (12 bytes per entry: int32 index + float64 count).
@@ -109,20 +111,12 @@ func EffectiveSimilarityMode(a *sparse.CSR, opts SpectralOptions) SimilarityMode
 	return SimImplicit
 }
 
-// AutoKKernelDiffers reports whether auto-k over a forms S with a kernel
-// other than the tier the operator rule names: below simApproxMinRows the
-// operator is matrix-free but the S-kernel rule forms an exact S (unless
-// the byte cap declines). Plan keys record it.
-func AutoKKernelDiffers(a *sparse.CSR) bool {
-	return a.Rows < simApproxMinRows
-}
-
-// similarityKernel is the S-kernel rule: the tier auto-k materializes S
-// with, given the already computed hub threshold and column counts. An
-// explicit mode wins; SimAuto forms an exact S below simApproxMinRows and an
-// approximate one in the band, and returns SimImplicit (form no S) from
-// simImplicitMinRows rows or when the modeled bytes of an exact S exceed
-// simExplicitBytesCap.
+// similarityKernel is the S-kernel rule: the tier the eigengap selector
+// materializes S with, given the already computed hub threshold and column
+// counts. An explicit mode wins; SimAuto forms an exact S below
+// simApproxMinRows and an approximate one in the band, and returns
+// SimImplicit (form no S) from simImplicitMinRows rows or when the modeled
+// bytes of an exact S exceed simExplicitBytesCap.
 func similarityKernel(a *sparse.CSR, opts SpectralOptions, hub int, colCounts []int) SimilarityMode {
 	if opts.Similarity != SimAuto {
 		return opts.Similarity
@@ -164,8 +158,9 @@ func buildSimilarityOperator(ctx context.Context, a *sparse.CSR, opts SpectralOp
 
 // explicitSimilarity forms S for an explicit tier (exact or approx)
 // through that tier's kernel, given the resolved hub cap and column counts,
-// and returns it with the tier's modeled similarity-phase bytes. Auto-k
-// calls it directly because refinement needs S itself, not an operator.
+// and returns it with the tier's modeled similarity-phase bytes. The
+// eigengap selector calls it directly because refinement needs S itself,
+// not an operator.
 func explicitSimilarity(ctx context.Context, a *sparse.CSR, mode SimilarityMode, hub int, colCounts []int) (*sparse.CSR, int64, error) {
 	var (
 		sim   *sparse.CSR

@@ -44,9 +44,9 @@ type SpectralOptions struct {
 // eigenOptions is the eigensolver configuration for a kdim-vector solve:
 // Eigen with every unset field filled in. Clustering only needs the
 // invariant subspace approximately, so the defaults trade residual precision
-// for speed. Every solve of the spectral pass — fixed k, the sweep, auto-k's
-// spectrum and embedding — and the footprint model take their settings
-// from here.
+// for speed. Every solve of the spectral pass — fixed k, the sweep, the
+// eigengap selector's spectrum — and the footprint model take their
+// settings from here.
 func (o SpectralOptions) eigenOptions(kdim int) eigen.Options {
 	eo := o.Eigen
 	eo.K = kdim
@@ -224,8 +224,7 @@ func assign(ctx context.Context, vectors [][]float64, n, k int, opts SpectralOpt
 // degree and inverse-square-root arrays, and the solver's vectors under eo)
 // or the k-means phase (the n×k embedding, the assignment and the
 // centroids), whichever is larger — per the paper S is freed before k-means
-// — plus the output permutation. The fixed-k and auto-k results both report
-// it.
+// — plus the output permutation. A fixed-k result reports it.
 func spectralFootprint(n, k int, simBytes int64, eo eigen.Options) int64 {
 	eigPhase := simBytes + int64(n)*8*2 + eigen.ModeledBytes(eo, n)
 	kmPhase := int64(n)*int64(k)*8 + int64(n)*4 + int64(k*k)*8

@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"time"
 
 	"bootes/internal/core"
 	"bootes/internal/parallel"
@@ -12,7 +13,8 @@ import (
 // SelectorRecord captures one corpus matrix's cluster-count-selector
 // comparison: the best fixed-k sweep result (the strongest selector the
 // candidate set {2,4,8,16,32} can produce — every k is tried and scored by
-// the traffic model) against eigengap auto-k over the refined similarity.
+// the traffic model) against eigengap auto-k over the refined similarity
+// (core.EigengapK) and against the served default, k = core.UntrainedK.
 // Ratios are predicted B traffic under the permutation divided by B traffic
 // in original order (internal/trafficmodel), lower is better.
 type SelectorRecord struct {
@@ -31,14 +33,23 @@ type SelectorRecord struct {
 	// BestFixedK and FixedRatio are the sweep winner and its traffic ratio.
 	BestFixedK int
 	FixedRatio float64
-	// AutoK and AutoRatio are the eigengap selection and its ratio. On a
-	// fallback outcome the selector defers to the fixed-k sweep (AutoK = 0,
-	// AutoRatio = FixedRatio): the production recipe falls back to the sweep
-	// when the spectrum is ambiguous, so the comparison scores that policy.
+	// DefaultRatio is the ratio of the served default's order: core.FixedK
+	// at core.UntrainedK, the k the untrained gate serves.
+	DefaultRatio float64
+	// GapK and GapRatio are the largest eigengap ratio of the refined
+	// spectrum and where it lies; Outcome is core.EigengapK's outcome.
+	GapK     int
+	GapRatio float64
+	Outcome  string
+	// AutoK and AutoRatio are the eigengap selection, planned with
+	// core.FixedK at that k, and its ratio. On a fallback outcome the arm
+	// defers to the fixed-k sweep (AutoK = 0, AutoRatio = FixedRatio).
 	AutoK     int
 	AutoRatio float64
-	// Outcome is the auto-k outcome string ("selected: k=…" / "fallback-…").
-	Outcome string
+	// FixedTime, AutoTime and DefaultTime are each arm's planning wall
+	// clock: the sweep; the selector plus the plan it scores (the sweep, on
+	// a fallback); the k = core.UntrainedK plan.
+	FixedTime, AutoTime, DefaultTime time.Duration
 }
 
 // DeltaPct is the auto-k improvement over the best fixed k in percent of the
@@ -139,11 +150,12 @@ func selectorIsNew(arch string) bool {
 }
 
 // SelectorComparison runs the SC experiment: fixed-k sweep vs eigengap auto-k
-// over the archetype corpus, scored by the row-granular LRU traffic model at a
-// per-matrix cache of ~1/20 the operand's modeled bytes (see
-// SelectorRecord.CacheBytes). Deterministic for a given (Scale, Seed) and
-// any Jobs value — each workload is independently seeded and records land in
-// spec order.
+// vs the served default k over the archetype corpus, scored by the
+// row-granular LRU traffic model at a per-matrix cache of ~1/20 the
+// operand's modeled bytes (see SelectorRecord.CacheBytes). Deterministic for
+// a given (Scale, Seed) and any Jobs value — each workload is independently
+// seeded and records land in spec order — except the arms' plan times,
+// which are wall clock and grow with Jobs.
 func SelectorComparison(c Config) (*SelectorReport, error) {
 	c = c.WithDefaults()
 	specs := selectorCorpus()
@@ -161,11 +173,13 @@ func SelectorComparison(c Config) (*SelectorReport, error) {
 	}
 	rep := &SelectorReport{Records: recs}
 
-	c.printf("\nSelector comparison (SC): best fixed-k sweep vs eigengap auto-k\n")
-	c.printf("predicted B-traffic ratio vs original order at a per-matrix cache of\n")
-	c.printf("~B-bytes/20; Δ%% > 0 = auto-k better\n\n")
-	c.printf("   %-22s %6s %8s %8s | %6s %8s | %8s %8s  %s\n",
-		"archetype", "rows", "nnz", "cacheB", "best-k", "fixed", "auto-k", "Δ%", "outcome")
+	c.printf("\nSelector comparison (SC): best fixed-k sweep vs eigengap auto-k vs the\n")
+	c.printf("served default k=%d; predicted B-traffic ratio vs original order at a\n", core.UntrainedK)
+	c.printf("per-matrix cache of ~B-bytes/20; Δ%% > 0 = auto-k better than the sweep\n\n")
+	c.printf("   %-22s %6s %8s %8s | %6s %8s | %8s | %5s %6s %-18s | %8s %8s\n",
+		"archetype", "rows", "nnz", "cacheB", "best-k", "fixed", fmt.Sprintf("k=%d", core.UntrainedK),
+		"gap-k", "gap", "outcome", "auto-k", "Δ%")
+	var fixedT, autoT, defaultT time.Duration
 	for _, r := range recs {
 		mark := " "
 		if r.New {
@@ -175,13 +189,19 @@ func SelectorComparison(c Config) (*SelectorReport, error) {
 		if r.AutoK > 0 {
 			autoK = fmt.Sprintf("k=%d", r.AutoK)
 		}
-		c.printf(" %s %-22s %6d %8d %8d | %6d %8.4f | %8.4f %+8.2f  %s [%s]\n",
+		c.printf(" %s %-22s %6d %8d %8d | %6d %8.4f | %8.4f | %5d %6.3f %-18s | %8.4f %+8.2f  %s\n",
 			mark, r.Archetype, r.Rows, r.NNZ, r.CacheBytes, r.BestFixedK, r.FixedRatio,
-			r.AutoRatio, r.DeltaPct(), autoK, r.Outcome)
+			r.DefaultRatio, r.GapK, r.GapRatio, r.Outcome, r.AutoRatio, r.DeltaPct(), autoK)
+		fixedT += r.FixedTime
+		autoT += r.AutoTime
+		defaultT += r.DefaultTime
 	}
 	wins, total := rep.NewArchetypeWins()
 	c.printf("\n * = new auto-k archetype; auto-k strictly better on %d/%d new, "+
 		"worst existing-archetype regression %.2f%%\n", wins, total, rep.WorstExistingRegressionPct())
+	ms := func(d time.Duration) float64 { return d.Seconds() * 1000 / float64(len(recs)) }
+	c.printf(" mean plan ms (wall clock, -jobs %d): sweep %.1f, auto-k %.1f (selector plus the\n"+
+		" plan it scores), k=%d %.1f\n", max(c.Jobs, 1), ms(fixedT), ms(autoT), core.UntrainedK, ms(defaultT))
 	return rep, nil
 }
 
@@ -198,7 +218,9 @@ func (c Config) selectorRun(spec workloads.Spec) (SelectorRecord, error) {
 	}
 
 	// Fixed-k arm: sweep every candidate, keep the traffic-model winner.
+	start := time.Now()
 	entries, err := core.SpectralSweep(a, core.CandidateKs, c.spectral(spec.Seed))
+	rec.FixedTime = time.Since(start)
 	if err != nil {
 		return rec, fmt.Errorf("SC %s: sweep: %w", spec.Name, err)
 	}
@@ -213,28 +235,36 @@ func (c Config) selectorRun(spec workloads.Spec) (SelectorRecord, error) {
 		}
 	}
 
-	// Auto-k arm: the eigengap selector with the production refinement
-	// recipe. ForceReorder bypasses the gate — the selector, not the gate,
-	// is under comparison here.
-	p := &core.Pipeline{
-		ForceReorder: true,
-		Spectral:     c.spectral(spec.Seed),
-		AutoK:        true,
+	// Default arm: the k the untrained gate serves, past the gate.
+	start = time.Now()
+	res, err := core.FixedK{K: core.UntrainedK, Opts: c.spectral(spec.Seed)}.Reorder(a)
+	rec.DefaultTime = time.Since(start)
+	if err != nil {
+		return rec, fmt.Errorf("SC %s: k=%d: %w", spec.Name, core.UntrainedK, err)
 	}
-	res, err := p.ReorderContext(context.Background(), a)
+	if rec.DefaultRatio, err = trafficRatio(a, res.Perm, cache); err != nil {
+		return rec, fmt.Errorf("SC %s: traffic k=%d: %w", spec.Name, core.UntrainedK, err)
+	}
+
+	// Auto-k arm: the eigengap selector, then a plan at its k.
+	start = time.Now()
+	rec.GapK, rec.GapRatio, rec.Outcome, err = core.EigengapK(context.Background(), a, c.spectral(spec.Seed))
 	if err != nil {
 		return rec, fmt.Errorf("SC %s: auto-k: %w", spec.Name, err)
 	}
-	rec.Outcome = res.AutoK
-	if core.AutoKOutcomeLabel(res.AutoK) == core.AutoKSelected {
-		rec.AutoK = int(res.Extra["k"])
-		rec.AutoRatio, err = trafficRatio(a, res.Perm, cache)
-		if err != nil {
-			return rec, fmt.Errorf("SC %s: traffic auto-k: %w", spec.Name, err)
-		}
-	} else {
-		// Fallback: the production policy defers to the fixed-k sweep.
+	if rec.Outcome != core.AutoKSelected {
+		rec.AutoTime = time.Since(start) + rec.FixedTime
 		rec.AutoRatio = rec.FixedRatio
+		return rec, nil
+	}
+	rec.AutoK = rec.GapK
+	res, err = core.FixedK{K: rec.AutoK, Opts: c.spectral(spec.Seed)}.Reorder(a)
+	rec.AutoTime = time.Since(start)
+	if err != nil {
+		return rec, fmt.Errorf("SC %s: auto-k plan: %w", spec.Name, err)
+	}
+	if rec.AutoRatio, err = trafficRatio(a, res.Perm, cache); err != nil {
+		return rec, fmt.Errorf("SC %s: traffic auto-k: %w", spec.Name, err)
 	}
 	return rec, nil
 }

@@ -28,10 +28,6 @@ const (
 	// SweepCancel fires at the start of each per-k sweep step; arm it with
 	// OnFire(cancel) to cancel a spectral sweep mid-flight.
 	SweepCancel = "core/sweep-cancel"
-	// AutoKNoConverge makes the eigengap auto-k spectrum solve fail with
-	// ErrNoConverge, driving the degradation path from the auto-k rung down
-	// to the fixed-k ladder.
-	AutoKNoConverge = "eigen/autok-no-converge"
 
 	// CacheWriteTemp simulates a crash after the cache entry's temp file has
 	// been created but before (or during) the payload write: atomicio aborts
@@ -79,7 +75,6 @@ var points = []string{
 	EigenNoConverge,
 	WorkerStall,
 	SweepCancel,
-	AutoKNoConverge,
 	CacheWriteTemp,
 	CacheWriteFsync,
 	CacheWriteRename,

@@ -197,9 +197,7 @@ const (
 
 // SimilarityModeName is the counter family recording which similarity tier
 // (exact, approx, implicit) each spectral pass actually ran with (label:
-// mode). An auto-k attempt counts once, by the kernel that formed
-// the S it refines, even where its ordering embedding runs on the implicit
-// operator. Exported so serving processes can read it back out of their
+// mode). Exported so serving processes can read it back out of their
 // registries for /metrics assertions.
 const SimilarityModeName = "bootes_similarity_mode_total"
 
@@ -207,17 +205,6 @@ const SimilarityModeName = "bootes_similarity_mode_total"
 func SimilarityModeUsed(ctx context.Context, mode string) {
 	RegistryFrom(ctx).CounterVec(SimilarityModeName,
 		"Spectral passes by similarity construction tier.", "mode").With(mode).Inc()
-}
-
-// AutoKName is the counter family recording eigengap auto-k attempts by
-// outcome (selected, fallback-ambiguous, fallback-implicit, degraded).
-// Exported so serving processes can assert on it from their registries.
-const AutoKName = "bootes_autok_total"
-
-// AutoKOutcome counts one auto-k attempt by its outcome label.
-func AutoKOutcome(ctx context.Context, outcome string) {
-	RegistryFrom(ctx).CounterVec(AutoKName,
-		"Eigengap auto-k attempts by outcome.", "outcome").With(outcome).Inc()
 }
 
 // Plan outcome labels.

@@ -116,35 +116,6 @@ func TestPlanOutcomeAndRungCounters(t *testing.T) {
 	}
 }
 
-// TestAutoKOutcomeExpositionPinned pins the bootes_autok_total family's
-// rendered shape across every outcome label the planner emits: name, help,
-// type, and the label scheme must not drift (dashboards and the bootesd
-// /metrics assertions key on these exact series).
-func TestAutoKOutcomeExpositionPinned(t *testing.T) {
-	r := NewRegistry()
-	ctx := WithRegistry(context.Background(), r)
-	AutoKOutcome(ctx, "selected")
-	AutoKOutcome(ctx, "selected")
-	AutoKOutcome(ctx, "fallback-ambiguous")
-	AutoKOutcome(ctx, "fallback-implicit")
-	AutoKOutcome(ctx, "degraded")
-
-	var b strings.Builder
-	if err := r.WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	want := `# HELP bootes_autok_total Eigengap auto-k attempts by outcome.
-# TYPE bootes_autok_total counter
-bootes_autok_total{outcome="degraded"} 1
-bootes_autok_total{outcome="fallback-ambiguous"} 1
-bootes_autok_total{outcome="fallback-implicit"} 1
-bootes_autok_total{outcome="selected"} 2
-`
-	if got := b.String(); got != want {
-		t.Errorf("autok exposition drifted:\n--- got ---\n%s--- want ---\n%s", got, want)
-	}
-}
-
 func TestVerifyViolationMirror(t *testing.T) {
 	before := Default().CounterVec(VerifyViolationsName, "", "site", "code").
 		With("test-site", "test-code").Value()

@@ -514,8 +514,7 @@ func TestPutRejectsInvalidPlan(t *testing.T) {
 		t.Fatal("non-bijective perm accepted")
 	}
 	badK := testEntry(t, testMatrix(t, 3))
-	// Auto-k may select any k in [2, rows], so a non-candidate count like 3
-	// is legal; k=1 is below every feasible cluster count.
+	// K must be 0 or a candidate count.
 	badK.K = 1
 	if err := c.Put(badK); err == nil {
 		t.Fatal("illegal K accepted")

@@ -104,7 +104,7 @@ func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
 func (s *Server) asyncPlanBody(r *http.Request, jb planqueue.Job) *PlanResponse {
 	if s.cfg.Cache != nil && !jb.Degraded {
 		if e, ok := s.cfg.Cache.Get(jb.Key); ok && s.verified(e, len(e.Perm), "cached") {
-			plan := s.planResponseFromEntry(e)
+			plan := planResponseFromEntry(e)
 			plan.Cached = jb.Cached
 			if r.URL.Query().Get("perm") != "1" {
 				plan.Perm = nil

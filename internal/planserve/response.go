@@ -37,22 +37,13 @@ func planResponseFromResult(key string, m *sparse.CSR, res *reorder.Result) *Pla
 		FootprintBytes:    res.FootprintBytes,
 		Rows:              m.Rows,
 		SimilarityMode:    res.SimilarityMode,
-		AutoK:             res.AutoK,
 		Perm:              res.Perm,
 	}
 }
 
-// planResponseFromEntry shapes a cache entry into a response. On a server
-// planning under auto-k the outcome is reported as "cached": the entry was
-// keyed (and thus planned) with auto-k, but the per-attempt outcome string is
-// not persisted.
-func (s *Server) planResponseFromEntry(e *plancache.Entry) *PlanResponse {
-	autoK := ""
-	if s.cfg.AutoK {
-		autoK = "cached"
-	}
+// planResponseFromEntry shapes a cache entry into a response.
+func planResponseFromEntry(e *plancache.Entry) *PlanResponse {
 	return &PlanResponse{
-		AutoK:             autoK,
 		Key:               e.Key,
 		Reordered:         e.Reordered,
 		K:                 e.K,

@@ -74,7 +74,6 @@ func PipelinePlan(opts bootes.Options) PlanFunc {
 			Degraded:       plan.Degraded,
 			DegradedReason: plan.DegradedReason,
 			SimilarityMode: plan.SimilarityMode,
-			AutoK:          plan.AutoK,
 			PreprocessTime: time.Duration(plan.PreprocessSeconds * float64(time.Second)),
 			FootprintBytes: plan.FootprintBytes,
 			Extra:          map[string]float64{"k": float64(plan.K)},
@@ -146,11 +145,6 @@ type Config struct {
 	// not served without it (the healer's lifecycle belongs to the caller,
 	// like Queue's).
 	Heal *antientropy.Healer
-	// AutoK marks responses from this server as planned under eigengap
-	// auto-k: cache-hit responses report AutoK "cached" (the per-attempt
-	// outcome string is not persisted in cache entries). Purely cosmetic for
-	// the response body — the PlanFunc decides whether auto-k actually runs.
-	AutoK bool
 	// Metrics is the registry the server's serving counters register on and
 	// the pipeline's stage spans record into; GET /metrics exposes it merged
 	// with obs.Default(). nil scopes the server to a private registry, so
@@ -418,10 +412,9 @@ type PlanResponse struct {
 	// ("exact", "approx", "implicit"); empty when no spectral pass ran
 	// this request (gate decline, identity fallback, cache hit).
 	SimilarityMode string `json:"similarityMode,omitempty"`
-	// AutoK reports the eigengap auto-k outcome for this plan ("selected: …",
-	// "fallback-ambiguous: …", "fallback-implicit: …", "degraded", or
-	// "cached" for a cache hit planned under auto-k); empty when the server
-	// does not run auto-k.
+	// AutoK is never set by the server, so the JSON omits it: it held the
+	// outcome of the retired auto-k planning rung. e2ebench's per-layer
+	// replay still sets it, so it goes with that code.
 	AutoK string `json:"autoK,omitempty"`
 	// Cached is true when the plan came from the persistent cache;
 	// Coalesced when it was computed by a concurrent identical request;
@@ -714,7 +707,7 @@ func (s *Server) servePlan(w http.ResponseWriter, r *http.Request, in *planInput
 	key := in.key
 	if e, peerFilled := s.lookup(ctx, key, in.rows); e != nil {
 		s.served.Inc()
-		resp := s.planResponseFromEntry(e)
+		resp := planResponseFromEntry(e)
 		resp.PeerFilled = peerFilled
 		s.respond(w, r, resp, true, false, "")
 		return
@@ -766,7 +759,7 @@ func (s *Server) servePlan(w http.ResponseWriter, r *http.Request, in *planInput
 
 	s.served.Inc()
 	if out.hit != nil {
-		s.respond(w, r, s.planResponseFromEntry(out.hit), true, shared, "")
+		s.respond(w, r, planResponseFromEntry(out.hit), true, shared, "")
 		return
 	}
 	if out.res.Degraded {

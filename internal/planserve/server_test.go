@@ -906,16 +906,19 @@ func TestVerifyReplacesCorruptPipelinePlan(t *testing.T) {
 	}
 }
 
-// TestCorruptCacheEntryDemotedToMiss plants two decodable-but-invalid entries
-// directly in the cache directory (bypassing Put's verification): one whose
-// permutation belongs to a different row count, one marked degraded. Both
-// must be demoted to misses, recomputed, and the first overwritten with the
-// healthy plan.
+// TestCorruptCacheEntryDemotedToMiss plants three decodable-but-invalid
+// entries directly in the cache directory (bypassing Put's verification): one
+// whose permutation belongs to a different row count, one marked degraded,
+// and one cached under a k outside the candidate set (what a node planning
+// with the retired eigengap auto-k, which could select k = 20 or 64, left
+// behind). All must be demoted to misses and recomputed, and the first and
+// last overwritten with the healthy plan.
 func TestCorruptCacheEntryDemotedToMiss(t *testing.T) {
 	leakcheck.Goroutines(t)
 	dir := t.TempDir()
 	mWrong := testMatrix(t, 3)
 	mDegraded := testMatrix(t, 4)
+	mBadK := testMatrix(t, 5)
 	plant := func(e *plancache.Entry) {
 		t.Helper()
 		data, err := plancache.EncodeEntry(e)
@@ -933,6 +936,7 @@ func TestCorruptCacheEntryDemotedToMiss(t *testing.T) {
 		Degraded:       true,
 		DegradedReason: "requested: eigensolver did not converge; fell back to identity",
 	})
+	plant(&plancache.Entry{Key: plancache.KeyCSR(mBadK), Perm: healthyResult(mBadK).Perm, Reordered: true, K: 20})
 
 	cache, err := plancache.Open(dir)
 	if err != nil {
@@ -943,9 +947,10 @@ func TestCorruptCacheEntryDemotedToMiss(t *testing.T) {
 	hitViolations := obs.Default().CounterVec(obs.VerifyViolationsName, "", "site", "code")
 	wrongRows := hitViolations.With(planverify.SiteServeHit, planverify.CodePermInvalid)
 	degraded := hitViolations.With(planverify.SiteServeHit, planverify.CodeDegradedCached)
-	wrongBefore, degradedBefore := wrongRows.Value(), degraded.Value()
+	badK := hitViolations.With(planverify.SiteServeHit, planverify.CodeBadK)
+	wrongBefore, degradedBefore, badKBefore := wrongRows.Value(), degraded.Value(), badK.Value()
 
-	for _, m := range []*sparse.CSR{mWrong, mDegraded} {
+	for _, m := range []*sparse.CSR{mWrong, mDegraded, mBadK} {
 		resp, body := postPlan(t, ts.URL, mmBody(t, m), "")
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("status %d: %s", resp.StatusCode, body)
@@ -964,14 +969,18 @@ func TestCorruptCacheEntryDemotedToMiss(t *testing.T) {
 			t.Fatal("pipeline did not recompute the demoted hit")
 		}
 	}
-	if st := s.Stats(); st.VerifyViolations < 2 {
-		t.Fatalf("VerifyViolations = %d, want ≥ 2", st.VerifyViolations)
+	if st := s.Stats(); st.VerifyViolations < 3 {
+		t.Fatalf("VerifyViolations = %d, want ≥ 3", st.VerifyViolations)
 	}
-	// The wrong-rows entry was overwritten by the healthy recomputation.
+	// The wrong-rows and k=20 entries were overwritten by the healthy
+	// recomputations.
 	if e, ok := cache.Get(plancache.KeyCSR(mWrong)); !ok || len(e.Perm) != mWrong.Rows {
 		t.Fatal("healthy recomputation did not replace the invalid entry")
 	}
-	if wrongRows.Value() == wrongBefore || degraded.Value() == degradedBefore {
+	if e, ok := cache.Get(plancache.KeyCSR(mBadK)); !ok || e.K != 8 {
+		t.Fatal("healthy recomputation did not replace the k=20 entry")
+	}
+	if wrongRows.Value() == wrongBefore || degraded.Value() == degradedBefore || badK.Value() == badKBefore {
 		t.Fatal("violations not recorded under the serve-hit site")
 	}
 }
@@ -1007,81 +1016,29 @@ func TestVerifyInjectedCorruptionCaughtAtServe(t *testing.T) {
 	}
 }
 
-// TestAutoKResponseField pins the /v1/plan autoK field contract on a server
-// planning under auto-k: a fresh plan reports the pipeline's per-attempt
-// outcome string verbatim, and a cache hit reports "cached" (the entry was
-// keyed with auto-k, but the outcome string is not persisted). A server
-// without Config.AutoK must omit the field entirely.
-func TestAutoKResponseField(t *testing.T) {
-	leakcheck.Goroutines(t)
-	p := &countingPlanner{make: func(m *sparse.CSR, attempt int) (*reorder.Result, error) {
-		res := healthyResult(m)
-		res.AutoK = "selected: k=8 gap-ratio=2.10"
-		return res, nil
-	}}
-	cache, err := plancache.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, ts := newTestServer(t, Config{Plan: p.fn(), Cache: cache, AutoK: true})
-
-	m := testMatrix(t, 6)
-	decode := func(body string) PlanResponse {
-		t.Helper()
-		var pr PlanResponse
-		if err := json.Unmarshal([]byte(body), &pr); err != nil {
-			t.Fatalf("bad response %s: %v", body, err)
-		}
-		return pr
-	}
-	_, body := postPlan(t, ts.URL, mmBody(t, m), "")
-	if pr := decode(body); pr.Cached || pr.AutoK != "selected: k=8 gap-ratio=2.10" {
-		t.Fatalf("fresh plan autoK = %q (cached=%v), want the pipeline outcome", pr.AutoK, pr.Cached)
-	}
-	_, body = postPlan(t, ts.URL, mmBody(t, m), "")
-	if pr := decode(body); !pr.Cached || pr.AutoK != "cached" {
-		t.Fatalf("cache hit autoK = %q (cached=%v), want \"cached\"", pr.AutoK, pr.Cached)
-	}
-
-	// Without Config.AutoK the field stays empty on hits and the JSON
-	// omits it (omitempty) — fixed-k servers keep their response shape.
-	p2 := &countingPlanner{}
-	cache2, err := plancache.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, ts2 := newTestServer(t, Config{Plan: p2.fn(), Cache: cache2})
-	_, body = postPlan(t, ts2.URL, mmBody(t, m), "")
-	_, body = postPlan(t, ts2.URL, mmBody(t, m), "")
-	if strings.Contains(body, "autoK") {
-		t.Fatalf("fixed-k server leaked an autoK field: %s", body)
-	}
-}
-
 // TestPipelinePlanCarriesPlanContextFields: the production PlanFunc returns
-// what bootes.PlanContext returns, auto-k outcome included, and attempt 1
-// plans at seed+0x9E3779B9.
+// what bootes.PlanContext returns, and attempt 1 plans at seed+0x9E3779B9.
 func TestPipelinePlanCarriesPlanContextFields(t *testing.T) {
 	m := workloads.ScrambledBlock(workloads.Params{Rows: 256, Cols: 256, Density: 0.04, Seed: 17, Groups: 4})
 	ctx := context.Background()
 	const seed = 7
-	want, err := bootes.PlanContext(ctx, m, &bootes.Options{Seed: seed + 0x9E3779B9, AutoK: true})
+	want, err := bootes.PlanContext(ctx, m, &bootes.Options{Seed: seed + 0x9E3779B9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := PipelinePlan(bootes.Options{Seed: seed, AutoK: true})(ctx, m, 1)
+	got, err := PipelinePlan(bootes.Options{Seed: seed})(ctx, m, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !want.Reordered || want.AutoK == "" {
-		t.Fatalf("fixture: want a reordered auto-k plan, got reordered=%v autoK=%q", want.Reordered, want.AutoK)
+	if !want.Reordered {
+		t.Fatal("fixture: want a reordered plan")
 	}
 	if !slices.Equal(got.Perm, want.Perm) || got.Reordered != want.Reordered || got.Degraded != want.Degraded ||
-		int(got.Extra["k"]) != want.K || got.SimilarityMode != want.SimilarityMode || got.AutoK != want.AutoK ||
+		int(got.Extra["k"]) != want.K || got.SimilarityMode != want.SimilarityMode ||
 		got.FootprintBytes != want.FootprintBytes || got.PreprocessTime <= 0 {
-		t.Fatalf("attempt 1 = {k=%v sim=%q autoK=%q footprint=%d preprocess=%v}, want PlanContext's {k=%d sim=%q autoK=%q footprint=%d} and a positive time",
-			got.Extra["k"], got.SimilarityMode, got.AutoK, got.FootprintBytes, got.PreprocessTime,
-			want.K, want.SimilarityMode, want.AutoK, want.FootprintBytes)
+		t.Fatalf("attempt 1 = {k=%v sim=%q footprint=%d preprocess=%v}, want PlanContext's {k=%d sim=%q footprint=%d} and a positive time",
+			got.Extra["k"], got.SimilarityMode, got.FootprintBytes, got.PreprocessTime,
+			want.K, want.SimilarityMode, want.FootprintBytes)
 	}
 
 	// Through a plan cache the recorded time comes back exactly: the entry
@@ -1090,11 +1047,11 @@ func TestPipelinePlanCarriesPlanContextFields(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stored, err := PipelinePlan(bootes.Options{Seed: seed, AutoK: true, Cache: cache})(ctx, m, 1)
+	stored, err := PipelinePlan(bootes.Options{Seed: seed, Cache: cache})(ctx, m, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hit, err := bootes.PlanContext(ctx, m, &bootes.Options{Seed: seed + 0x9E3779B9, AutoK: true, Cache: cache})
+	hit, err := bootes.PlanContext(ctx, m, &bootes.Options{Seed: seed + 0x9E3779B9, Cache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}

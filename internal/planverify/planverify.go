@@ -12,9 +12,8 @@
 // The checks, in cost order:
 //
 //   - structural: the permutation is a bijection of exactly the matrix's row
-//     count; K is 0 or a feasible cluster count (2..rows by default — auto-k
-//     may select any k in that range — or an explicitly configured allowed
-//     set); Degraded implies a non-empty DegradedReason (and vice versa);
+//     count; K is 0 or one of core.CandidateKs; Degraded implies a non-empty
+//     DegradedReason (and vice versa);
 //     Reordered agrees with whether the permutation is the identity. O(rows).
 //   - traffic (optional, planning site only): the row-granular LRU model of
 //     internal/trafficmodel predicts the reordered matrix moves no more B
@@ -46,8 +45,7 @@ import (
 const (
 	// CodePermInvalid: the permutation is not a bijection on [0, rows).
 	CodePermInvalid = "perm-invalid"
-	// CodeBadK: K is neither 0 nor a feasible cluster count (outside
-	// [2, rows] and not a candidate count).
+	// CodeBadK: K is neither 0 nor a candidate cluster count.
 	CodeBadK = "k-not-allowed"
 	// CodeReasonMismatch: Degraded and DegradedReason disagree (a degraded
 	// plan without a reason, or a reason on a healthy plan).
@@ -134,12 +132,11 @@ func CheckPlan(rows int, perm sparse.Permutation, k int, reordered, degraded boo
 	} else {
 		permOK = true
 	}
-	if k != 0 && (k < 2 || k > rows) && !slices.Contains(core.CandidateKs, k) {
-		// Auto-k may select any k in [2, rows]; fixed-k requests record the
-		// *requested* candidate count, which may exceed a tiny matrix's row
-		// count, so the candidate set stays legal at any size.
+	if k != 0 && !slices.Contains(core.CandidateKs, k) {
+		// A plan records the *requested* candidate count, which may exceed a
+		// tiny matrix's row count, so the candidate set is legal at any size.
 		vs = append(vs, Violation{CodeBadK,
-			fmt.Sprintf("k=%d outside [2, %d] and not a candidate count", k, rows)})
+			fmt.Sprintf("k=%d is not a candidate count %v", k, core.CandidateKs)})
 	}
 	if degraded && reason == "" {
 		vs = append(vs, Violation{CodeReasonMismatch, "degraded plan without a reason"})
@@ -279,7 +276,6 @@ func fallbackIdentity(rows int, res *reorder.Result, vs []Violation) *reorder.Re
 		Reordered:      false,
 		Degraded:       true,
 		DegradedReason: reason,
-		AutoK:          res.AutoK,
 		Extra:          map[string]float64{"k": 0},
 	}
 	for key, v := range res.Extra {

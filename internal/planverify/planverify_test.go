@@ -67,6 +67,11 @@ func TestCheckPlanSound(t *testing.T) {
 	if vs := CheckPlan(4, perm, 2, true, false, ""); len(vs) != 0 {
 		t.Fatalf("sound plan flagged: %v", vs)
 	}
+	// A candidate count above the row count is what a tiny matrix's plan
+	// records (the requested k), so it stays legal.
+	if vs := CheckPlan(4, perm, 32, true, false, ""); len(vs) != 0 {
+		t.Fatalf("candidate k above rows flagged: %v", vs)
+	}
 	// A degraded identity plan with a reason is also sound.
 	if vs := CheckPlan(4, sparse.IdentityPerm(4), 0, false, true, "budget"); len(vs) != 0 {
 		t.Fatalf("sound degraded plan flagged: %v", vs)
@@ -93,6 +98,7 @@ func TestCheckPlanViolations(t *testing.T) {
 		{"out of range", CheckPlan(4, sparse.Permutation{0, 1, 2, 9}, 0, false, false, ""), CodePermInvalid},
 		{"k below 2", CheckPlan(4, sparse.Permutation{1, 0, 2, 3}, 1, true, false, ""), CodeBadK},
 		{"k above rows", CheckPlan(4, sparse.Permutation{1, 0, 2, 3}, 5, true, false, ""), CodeBadK},
+		{"k=3 not a candidate", CheckPlan(4, sparse.Permutation{1, 0, 2, 3}, 3, true, false, ""), CodeBadK},
 		{"degraded without reason", CheckPlan(4, sparse.IdentityPerm(4), 0, false, true, ""), CodeReasonMismatch},
 		{"reason without degraded", CheckPlan(4, sparse.IdentityPerm(4), 0, false, false, "oops"), CodeReasonMismatch},
 		{"reordered identity", CheckPlan(4, sparse.IdentityPerm(4), 2, true, false, ""), CodeReorderedMismatch},

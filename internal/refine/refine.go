@@ -1,8 +1,8 @@
-// Package refine implements the affinity-refinement pipeline the auto-k
-// selector runs over the CSR similarity matrix before eigengap analysis:
-// crop-diagonal, per-row 95th-percentile thresholding, symmetrization
-// (elementwise max with the transpose), diffusion S·Sᵀ, and row-max
-// renormalization. The ops mirror the SpectralCluster production recipe
+// Package refine implements the affinity-refinement pipeline the eigengap
+// selector (core.EigengapK) runs over the CSR similarity matrix before
+// eigengap analysis: crop-diagonal, per-row 95th-percentile thresholding,
+// symmetrization (elementwise max with the transpose), diffusion S·Sᵀ, and
+// row-max renormalization. The ops mirror the SpectralCluster production recipe
 // (minus the gaussian blur, which only makes sense for dense affinities) and
 // Apply composes them in one fixed order.
 //

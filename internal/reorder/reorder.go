@@ -41,11 +41,9 @@ type Result struct {
 	// ("exact", "approx", "implicit"). Empty when no spectral pass ran
 	// (gate decline, identity fallback, baselines).
 	SimilarityMode string
-	// AutoK records the eigengap auto-k outcome when auto-k was requested:
-	// "selected: ..." when the eigengap chose k, "fallback-...: ..." when
-	// selection declined and the fixed k was used, "degraded" when the
-	// attempt failed and planning fell to the fixed-k ladder. Empty when
-	// auto-k was not requested.
+	// AutoK is set by no planner and read by nothing: it held the outcome
+	// of the retired auto-k planning rung. e2ebench's per-layer replay
+	// still copies it, so it goes with that code.
 	AutoK string
 	// Extra carries algorithm-specific diagnostics (e.g. Lanczos matvec
 	// count, chosen k) for the experiment reports.

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"bootes/internal/faultinject"
+	"bootes/internal/workloads"
 )
 
 func TestPlanContextPreCancelled(t *testing.T) {
@@ -85,5 +86,36 @@ func TestPlanWallClockBudget(t *testing.T) {
 	}
 	if err := plan.Perm.Validate(m.Rows); err != nil {
 		t.Fatalf("degraded plan invalid: %v", err)
+	}
+}
+
+// TestForceKMustBeACandidate: a ForceK that is neither 0 nor one of
+// CandidateKs is an error naming the candidates, returned before anything is
+// planned or cached, whether it is below every candidate, between two, above
+// the row count or negative.
+func TestForceKMustBeACandidate(t *testing.T) {
+	m := workloads.ScrambledBlock(workloads.Params{Rows: 300, Cols: 300, Density: 0.03, Seed: 11, Groups: 4})
+	cache, err := OpenPlanCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []int{-1, 1, 3, 301} {
+		plan, err := PlanContext(context.Background(), m, &Options{Seed: 1, ForceK: k, ForceReorder: true, Cache: cache})
+		if err == nil {
+			t.Errorf("ForceK %d: got a plan (k=%d degraded=%v reason=%q), want an error",
+				k, plan.K, plan.Degraded, plan.DegradedReason)
+			continue
+		}
+		if !strings.Contains(err.Error(), "[2 4 8 16 32]") {
+			t.Errorf("ForceK %d: error %q does not name the candidates", k, err)
+		}
+	}
+	if cache.Len() != 0 {
+		t.Errorf("rejected ForceK values left %d cache entries", cache.Len())
+	}
+	for _, k := range []int{0, 2, 32} {
+		if plan, err := PlanContext(context.Background(), m, &Options{Seed: 1, ForceK: k, ForceReorder: true}); err != nil || plan.Degraded {
+			t.Errorf("ForceK %d: err=%v, want a healthy plan", k, err)
+		}
 	}
 }

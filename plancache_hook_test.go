@@ -144,7 +144,6 @@ func TestPlanKeyGolden(t *testing.T) {
 	}{
 		{"default", Options{Seed: 1}, "fe439b9bdec9e3b565a655a6c9a13a7397df8fb8f8da7cfec9fb37b41f7fcbb4"},
 		{"forceK", Options{Seed: 1, ForceReorder: true, ForceK: 4}, "fe8e8b6f14689545dc149e683bf2be28e88dcad65ca6ccf7794833cb3606748b"},
-		{"autoK", Options{Seed: 1, AutoK: true}, "7dcdd7bc541d431f3d9e7dd67c24d8ae4450f02830e9d7f6151fd65cb6234f7b"},
 	} {
 		if got := planKey(m, &tc.o); got != tc.want {
 			t.Errorf("%s: planKey = %s, want %s", tc.name, got, tc.want)
