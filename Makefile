@@ -36,8 +36,9 @@
 #                  asserted from the fleet's own /metrics
 #   make bench-queue — the durable-queue benchmark behind BENCH_queue.json
 #                  (enqueue/drain throughput, journal replay at 10k jobs)
-#   make bench   — the parallel-layer, eigensolver, matrix-reader, plan-key
-#                  and hot-hit benchmarks behind BENCH_parallel.json, plus the
+#   make bench   — the parallel-layer, eigensolver (including the k=8
+#                  cold-sparse Lanczos solves), matrix-reader, plan-key and
+#                  hot-hit benchmarks behind BENCH_parallel.json, plus the
 #                  exact vs implicit similarity ablation (DESIGN.md §5)
 #   make bench-matrix — the similarity/eigen/k-means/sweep benchmarks across
 #                  BOOTES_WORKERS ∈ {1,2,4,max} plus the end-to-end
@@ -142,7 +143,9 @@ bench:
 	$(GO) test ./internal/planserve/ -run XXX -bench HotHit -benchmem
 	$(GO) test ./internal/cluster/ -run XXX -bench KMeans -benchtime 10x
 	$(GO) test ./internal/core/ -run XXX -bench 'Eigensolve|Sweep' -benchtime 5x
+	$(GO) test ./internal/core/ -run XXX -bench LanczosColdSparse -benchmem -benchtime 20x
 	$(GO) test ./internal/eigen/ -run XXX -bench 'DenseSymEigen|LargestK32' -benchmem -benchtime 10x
+	$(GO) test ./internal/eigen/ -run XXX -bench 'VectorKernels|ColdSparseSolveKernels' -cpu 1
 	$(GO) test . -run XXX -bench AblationImplicitSimilarity -benchtime 10x
 
 # Fast-path benchmark matrix: the similarity/eigensolver/k-means/sweep

@@ -594,11 +594,11 @@ func BenchmarkAblationKSelection(b *testing.B) {
 }
 
 // BenchmarkPlanDefault plans a fixed ten-matrix cycle shaped like
-// e2ebench's cold-sparse requests (experiments.ColdSparseCycle) through
+// e2ebench's cold-sparse requests (workloads.ColdSparse) through
 // PlanContext with default options, as bootesd's first attempt does: the
 // untrained gate picks k, and every plan is verified. One op plans all ten.
 func BenchmarkPlanDefault(b *testing.B) {
-	mats := experiments.ColdSparseCycle(1)
+	mats := workloads.Corpus(workloads.ColdSparse, 1, 1)
 	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -51,9 +51,12 @@ import (
 // without forking a subprocess.
 var osExit = os.Exit
 
+// logPrefix starts every line the CLI logs. Errors from the bootes package
+// start with the same word, which fatal drops.
+const logPrefix = "bootes: "
+
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("bootes: ")
+	initLog()
 	if len(os.Args) < 2 {
 		usage()
 	}
@@ -74,6 +77,20 @@ func main() {
 	default:
 		usage()
 	}
+}
+
+// initLog sets up the standard logger the CLI prints its errors and
+// warnings through.
+func initLog() {
+	log.SetFlags(0)
+	log.SetPrefix(logPrefix)
+}
+
+// fatal logs err and exits 1, printing the program name once: a bootes
+// package error already starts with the prefix the log adds.
+func fatal(err error) {
+	log.Print(strings.TrimPrefix(err.Error(), logPrefix))
+	osExit(1)
 }
 
 func usage() {
@@ -107,7 +124,7 @@ func warnDegraded(degraded bool, reason string, strict bool) {
 // protocol, so an interrupted run never leaves a torn output.
 func writeFileAtomic(path string, write func(io.Writer) error) {
 	if err := atomicio.WriteFile(path, write); err != nil {
-		log.Fatal(err)
+		fatal(err)
 	}
 }
 
@@ -116,7 +133,7 @@ func writeFileAtomic(path string, write func(io.Writer) error) {
 func readMatrix(path string) *sparse.CSR {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		log.Fatal(err)
+		fatal(err)
 	}
 	m, err := sparse.ReadBody(data)
 	if err != nil {
@@ -131,7 +148,7 @@ func loadModel(path string) *bootes.Model {
 	}
 	data, err := os.ReadFile(path)
 	if err != nil {
-		log.Fatal(err)
+		fatal(err)
 	}
 	m, err := bootes.LoadModel(data)
 	if err != nil {
@@ -171,7 +188,7 @@ func cmdAnalyze(args []string) {
 	opts := &bootes.Options{Seed: *seed, Model: loadModel(*model)}
 	plan, err := bootes.PlanContext(ctx, m, opts)
 	if err != nil {
-		log.Fatal(err)
+		fatal(err)
 	}
 	switch {
 	case plan.Reordered:
@@ -213,15 +230,14 @@ func cmdReorder(args []string) {
 	plan, err := bootes.PlanContext(ctx, m, opts)
 	if err != nil {
 		// A -k outside the candidates lands here, with the error naming them.
-		log.Print(err)
-		osExit(1)
+		fatal(err)
 	}
 	if !plan.Reordered {
 		fmt.Println("gate declined to reorder; writing the matrix unchanged (use -force to override)")
 	}
 	pm, err := plan.Apply(m)
 	if err != nil {
-		log.Fatal(err)
+		fatal(err)
 	}
 	writeFileAtomic(*out, func(w io.Writer) error {
 		return sparse.WriteMatrixMarket(w, pm)
@@ -318,18 +334,18 @@ func cmdSimulate(args []string) {
 	b := trafficmodel.OperandB(a)
 	res, err := r.Reorder(a)
 	if err != nil {
-		log.Fatal(err)
+		fatal(err)
 	}
 	ap := a
 	if !res.Perm.IsIdentity() {
 		ap, err = sparse.PermuteRows(a, res.Perm)
 		if err != nil {
-			log.Fatal(err)
+			fatal(err)
 		}
 	}
 	sim, err := accel.SimulateRowWise(cfg, ap, b)
 	if err != nil {
-		log.Fatal(err)
+		fatal(err)
 	}
 	fmt.Printf("accelerator: %s\n", cfg)
 	fmt.Printf("reordering:  %s (%.3fs preprocessing)\n", r.Name(), res.PreprocessTime.Seconds())
@@ -366,7 +382,7 @@ func cmdCompare(args []string) {
 		r, _ := reordererByName(name, *seed, *timeout)
 		res, err := r.Reorder(a)
 		if err != nil {
-			log.Fatal(err)
+			fatal(err)
 		}
 		if res.Degraded {
 			degradedReasons[name] = res.DegradedReason
@@ -374,18 +390,18 @@ func cmdCompare(args []string) {
 		// Quick traffic estimate via the row-LRU model, plus full sim total.
 		est, err := trafficmodel.EstimateBWithPerm(a, b, res.Perm, cfg.CacheBytes, 12)
 		if err != nil {
-			log.Fatal(err)
+			fatal(err)
 		}
 		ap := a
 		if !res.Perm.IsIdentity() {
 			ap, err = sparse.PermuteRows(a, res.Perm)
 			if err != nil {
-				log.Fatal(err)
+				fatal(err)
 			}
 		}
 		sim, err := accel.SimulateRowWise(cfg, ap, b)
 		if err != nil {
-			log.Fatal(err)
+			fatal(err)
 		}
 		if name == "none" {
 			baseTotal = sim.Traffic.Total()
@@ -466,7 +482,7 @@ func cmdPlan(args []string) {
 	}
 	plan, err := bootes.PlanContext(ctx, m, opts)
 	if err != nil {
-		log.Fatal(err)
+		fatal(err)
 	}
 	source := "computed"
 	if plan.FromCache {
@@ -585,7 +601,7 @@ func (c *remoteClient) roundTrip(method, url string, payload []byte, deadline ti
 	}
 	req, err := http.NewRequestWithContext(c.ctx, method, url, body)
 	if err != nil {
-		log.Fatal(err)
+		fatal(err)
 	}
 	if deadline > 0 {
 		req.Header.Set("X-Deadline", deadline.String())
@@ -631,7 +647,7 @@ func (c *remoteClient) backoff(retryAfter string, attempt int) time.Duration {
 func planRemote(server, in string, timeout, maxWait time.Duration, strict, async bool, tenant string, maxRetries int) {
 	payload, err := os.ReadFile(in)
 	if err != nil {
-		log.Fatal(err)
+		fatal(err)
 	}
 	var bases []string
 	for _, s := range strings.Split(server, ",") {

@@ -137,6 +137,31 @@ func TestReorderRejectsNonCandidateK(t *testing.T) {
 	}
 }
 
+// TestLibraryErrorPrefixedOnce: a bootes package error reaches stderr with
+// the program name once, not "bootes: bootes: ...".
+func TestLibraryErrorPrefixedOnce(t *testing.T) {
+	in := testMatrixFile(t)
+	var logs bytes.Buffer
+	flags, prefix := log.Flags(), log.Prefix()
+	initLog()
+	log.SetOutput(&logs)
+	defer func() {
+		log.SetOutput(os.Stderr)
+		log.SetFlags(flags)
+		log.SetPrefix(prefix)
+	}()
+	_, code, exited := runCLI(t, func() {
+		cmdReorder([]string{"-in", in, "-out", filepath.Join(t.TempDir(), "r.mtx"), "-k", "3"})
+	})
+	if !exited || code != 1 {
+		t.Fatalf("reorder -k 3: exited=%v code=%d, want exit 1", exited, code)
+	}
+	got := logs.String()
+	if !strings.HasPrefix(got, "bootes: ForceK 3 is not a candidate") || strings.Count(got, "bootes:") != 1 {
+		t.Fatalf("stderr = %q, want one \"bootes: \" prefix before the error", got)
+	}
+}
+
 func TestUsageExitsTwo(t *testing.T) {
 	_, code, exited := runCLI(t, usage)
 	if !exited || code != 2 {

@@ -37,7 +37,13 @@ type peer struct {
 // the healers it builds with newHealer over the whole ring.
 func newPeer(t *testing.T) *peer {
 	t.Helper()
-	cache, err := plancache.Open(t.TempDir())
+	return newPeerIn(t, t.TempDir())
+}
+
+// newPeerIn is newPeer over an existing cache directory.
+func newPeerIn(t *testing.T, dir string) *peer {
+	t.Helper()
+	cache, err := plancache.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,6 +201,36 @@ func TestRepairPullsMissing(t *testing.T) {
 	}
 	if st := h.Stats(); st.RepairedMissing != 4 {
 		t.Fatalf("RepairedMissing = %d, want 4", st.RepairedMissing)
+	}
+}
+
+// TestRefusedEntryNeverAdvertised: a plan entry Put would refuse (k=20,
+// which an eigengap-selecting node of an older release could cache) is
+// quarantined when its holder opens its cache, so no digest advertises it
+// and a replica's repair rounds never count a failed fetch of it.
+func TestRefusedEntryNeverAdvertised(t *testing.T) {
+	dir := t.TempDir()
+	bad := mkEntry(t, "key-k20", 20)
+	data, err := plancache.EncodeEntry(bad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, bad.Key+plancache.Ext), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	a, b := newPeerIn(t, dir), newPeer(t)
+	if st := a.cache.Stats(); st.Quarantined != 1 || st.Entries != 0 {
+		t.Fatalf("holder's cache after Open: %+v, want the entry quarantined", st)
+	}
+	h := newHealer(t, b, antientropy.Config{}, a)
+	for round := 1; round <= 3; round++ {
+		h.RepairOnce(context.Background())
+		if st := h.Stats(); st.FetchFailures != 0 {
+			t.Fatalf("after repair round %d: %d fetch failures, want 0", round, st.FetchFailures)
+		}
+	}
+	if _, ok := b.cache.Peek(bad.Key); ok {
+		t.Fatal("refused entry reached the replica")
 	}
 }
 

@@ -56,13 +56,43 @@ func (o SpectralOptions) eigenOptions(kdim int) eigen.Options {
 	if eo.Tol == 0 {
 		eo.Tol = 1e-5
 	}
-	if eo.MaxRestarts == 0 {
-		eo.MaxRestarts = 12
+	if eo.MaxBasis == 0 && eo.MaxRestarts == 0 {
+		eo.MaxBasis, eo.MaxRestarts = krylovShape(kdim)
 	}
 	if eo.MaxBasis == 0 {
-		eo.MaxBasis = max(2*kdim+16, 48)
+		eo.MaxBasis = wideBasis(kdim)
+	}
+	if eo.MaxRestarts == 0 {
+		eo.MaxRestarts = wideRestarts
 	}
 	return eo
+}
+
+// The wide Krylov shape, a basis of max(2·kdim+16, 48) vectors restarted up
+// to 12 times, fills in whichever of the two a caller leaves unset. Its
+// matvec cap, basis + 12·(basis − eigen.RitzBlock(kdim)), is also the budget
+// of every solve that sets neither.
+const wideRestarts = 12
+
+func wideBasis(kdim int) int { return max(2*kdim+16, 48) }
+
+// krylovShape is the default basis size and restart count of a kdim-vector
+// solve. From kdim = 4 up the basis floor is 32, not 48: at kdim = 8 a
+// thick restart then comes every 16 new vectors instead of every 32, and
+// every Gram–Schmidt pass and Ritz rotation runs against fewer vectors. The
+// restart count rises until the matvec cap is at least the wide shape's, so
+// a hard solve may still do as much work. A 2-vector solve keeps the wide
+// basis: on 32 vectors, 13 of 200 cold-sparse k = 2 solves ended
+// unconverged, against none on 48.
+func krylovShape(kdim int) (basis, restarts int) {
+	wide := wideBasis(kdim)
+	if kdim < 4 {
+		return wide, wideRestarts
+	}
+	budget := wide + wideRestarts*(wide-eigen.RitzBlock(kdim))
+	basis = max(2*kdim+16, 32)
+	cycle := basis - eigen.RitzBlock(kdim)
+	return basis, (budget - basis + cycle - 1) / cycle
 }
 
 // kmeansOptions is the k-means configuration for k clusters: KMeans with

@@ -500,3 +500,30 @@ func TestModeledBytesCountsRitzBlock(t *testing.T) {
 		t.Errorf("n=90 dense path: %d bytes, want %d", got, want)
 	}
 }
+
+// TestUnconvergedSolveSpendsMatvecCap pins the matvec cap RitzBlock's doc
+// states, which the spectral pipeline sizes its restart counts by: a solve
+// that never meets its tolerance applies the operator exactly
+// MaxBasis + MaxRestarts·(MaxBasis − RitzBlock(K)) times.
+func TestUnconvergedSolveSpendsMatvecCap(t *testing.T) {
+	// A mesh's slowly decaying spectrum keeps the solves far from 1e-15.
+	op := NewImplicitSimilarity(workloads.Generate(workloads.ArchFEM, workloads.Params{
+		Rows: 2000, Cols: 2000, Density: 0.004, Seed: 2,
+	}))
+	for _, o := range []Options{
+		{K: 8, MaxBasis: 32, MaxRestarts: 3},
+		{K: 2, MaxBasis: 48, MaxRestarts: 2},
+		{K: 16, MaxBasis: 48, MaxRestarts: 1},
+	} {
+		o.Tol, o.Seed = 1e-15, 1
+		res, err := Largest(op, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := o.MaxBasis + o.MaxRestarts*(o.MaxBasis-RitzBlock(o.K))
+		if res.Converged || res.MatVecs != want {
+			t.Errorf("%+v: converged=%v after %d matvecs, want unconverged after %d",
+				o, res.Converged, res.MatVecs, want)
+		}
+	}
+}

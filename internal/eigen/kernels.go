@@ -6,11 +6,26 @@ import (
 )
 
 // The dense vector kernels behind reorthogonalization and Ritz rotation.
-// project and addCombination handle four basis vectors per sweep over the
-// target vector, with an independent accumulator per basis vector, so the
-// target is streamed once per four basis vectors instead of once per
-// vector. Everything is sequential: results are bit-identical for any
-// worker count.
+// project and addCombination hand the basis vectors to dot4 and axpy4 four
+// at a time. axpy4 streams the target once per four basis vectors; dot4
+// keeps four lane sums per basis vector and streams the target once per
+// four basis vectors in AVX and once per two in Go (eight lane sums fill
+// the registers). They run on the caller's goroutine, so results are
+// bit-identical for any worker count.
+//
+// dot4 and axpy4 start as the portable Go kernels; on amd64,
+// kernels_amd64.go swaps in AVX kernels at init when the CPU and the OS
+// support them. Both versions perform the same roundings in the same order
+// and neither fuses a multiply into an add, so an amd64 build computes the
+// same plan bits with and without AVX (Go 1.24 fuses no multiply-add on
+// amd64 at any GOAMD64 level). That does not extend across architectures:
+// on arm64, loong64, ppc64le, riscv64 and s390x the compiler fuses the
+// s += x*y of dot, axpy, the SpMV row sums and the QL solve into
+// multiply-adds, so plans built there can differ at roundoff level.
+var (
+	dot4  = dot4Go
+	axpy4 = axpy4Go
+)
 
 // project sets c[i] = ⟨basis[i], v⟩ for every basis vector.
 func project(c []float64, basis [][]float64, v []float64) {
@@ -60,23 +75,52 @@ func orthogonalize(v []float64, basis [][]float64, c []float64) {
 	gramSchmidt(v, basis, c)
 }
 
-// dot4 returns ⟨v, a⟩, ⟨v, b⟩, ⟨v, c⟩ and ⟨v, d⟩ in one sweep over v.
-func dot4(v, a, b, c, d []float64) (sa, sb, sc, sd float64) {
-	a, b, c, d = a[:len(v)], b[:len(v)], c[:len(v)], d[:len(v)]
-	for k, x := range v {
-		sa += x * a[k]
-		sb += x * b[k]
-		sc += x * c[k]
-		sd += x * d[k]
-	}
+// dot4Go returns ⟨v, a⟩, ⟨v, b⟩, ⟨v, c⟩ and ⟨v, d⟩, each summed in four
+// lanes: lane l accumulates the products at the indices ≡ l (mod 4) below
+// the last multiple of four, the lanes combine as (l0+l2) + (l1+l3), and
+// the leftover products are then added in index order. That is the AVX
+// kernel's order. Every product is rounded before it is added (the float64
+// conversions forbid a fused multiply-add). Two basis vectors per sweep
+// keep the eight lane sums in registers; four would spill them.
+func dot4Go(v, a, b, c, d []float64) (sa, sb, sc, sd float64) {
+	sa, sb = dot2Go(v, a, b)
+	sc, sd = dot2Go(v, c, d)
 	return sa, sb, sc, sd
 }
 
-// axpy4 adds ca·a + cb·b + cc·c + cd·d to y in one sweep over y.
-func axpy4(y, a, b, c, d []float64, ca, cb, cc, cd float64) {
+// dot2Go returns ⟨v, a⟩ and ⟨v, b⟩ in dot4Go's lane order.
+func dot2Go(v, a, b []float64) (sa, sb float64) {
+	a, b = a[:len(v)], b[:len(v)]
+	var a0, a1, a2, a3, b0, b1, b2, b3 float64
+	k := 0
+	for ; k+4 <= len(v); k += 4 {
+		a0 += float64(v[k] * a[k])
+		a1 += float64(v[k+1] * a[k+1])
+		a2 += float64(v[k+2] * a[k+2])
+		a3 += float64(v[k+3] * a[k+3])
+		b0 += float64(v[k] * b[k])
+		b1 += float64(v[k+1] * b[k+1])
+		b2 += float64(v[k+2] * b[k+2])
+		b3 += float64(v[k+3] * b[k+3])
+	}
+	sa, sb = (a0+a2)+(a1+a3), (b0+b2)+(b1+b3)
+	for ; k < len(v); k++ {
+		sa += float64(v[k] * a[k])
+		sb += float64(v[k] * b[k])
+	}
+	return sa, sb
+}
+
+// axpy4Go adds ca·a + cb·b + cc·c + cd·d to y in one sweep over y. Each
+// element's terms are summed left to right, with every product rounded
+// first, as the AVX kernel sums them.
+func axpy4Go(y, a, b, c, d []float64, ca, cb, cc, cd float64) {
 	a, b, c, d = a[:len(y)], b[:len(y)], c[:len(y)], d[:len(y)]
 	for k := range y {
-		y[k] += ca*a[k] + cb*b[k] + cc*c[k] + cd*d[k]
+		t := float64(ca*a[k]) + float64(cb*b[k])
+		t += float64(cc * c[k])
+		t += float64(cd * d[k])
+		y[k] += t
 	}
 }
 

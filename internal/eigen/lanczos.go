@@ -47,9 +47,9 @@ func (o Options) withDefaults(n int) Options {
 			o.MaxBasis = 48
 		}
 	}
-	// A restart retains ritzBlock(K) vectors plus the residual direction;
+	// A restart retains RitzBlock(K) vectors plus the residual direction;
 	// a basis no larger than that restarts without adding a Krylov vector.
-	if floor := ritzBlock(o.K) + 1; o.MaxBasis < floor {
+	if floor := RitzBlock(o.K) + 1; o.MaxBasis < floor {
 		o.MaxBasis = floor
 	}
 	if o.MaxBasis > n {
@@ -182,7 +182,7 @@ func denseLargest(ctx context.Context, op Operator, k int) (*Result, error) {
 func thickRestartLanczos(ctx context.Context, op Operator, opts Options) (*Result, error) {
 	n := op.Dim()
 	m := opts.MaxBasis
-	keepMax := min(ritzBlock(opts.K), m)
+	keepMax := min(RitzBlock(opts.K), m)
 	rng := rand.New(rand.NewSource(opts.Seed ^ 0x1a2c3))
 
 	// Every buffer is allocated once and reused across restarts, so no
@@ -363,10 +363,13 @@ func ritzResult(theta []float64, ritz [][]float64, k, matvecs int, converged boo
 	return res
 }
 
-// ritzBlock is the number of Ritz vectors a thick restart retains: the K
+// RitzBlock is the number of Ritz vectors a thick restart retains: the K
 // wanted pairs plus up to eight more, which speed up convergence of the
-// trailing wanted ones.
-func ritzBlock(k int) int { return k + min(k, 8) }
+// trailing wanted ones. Each restart cycle therefore adds
+// MaxBasis − RitzBlock(K) Krylov vectors, one matvec each, and a solve that
+// never converges stops after MaxBasis + MaxRestarts·(MaxBasis − RitzBlock(K))
+// matvecs.
+func RitzBlock(k int) int { return k + min(k, 8) }
 
 // ModeledBytes is the vector storage LargestContext holds for a dimension-n
 // operator under opts, in float64s: the (MaxBasis+1)×n basis slab plus the
@@ -375,7 +378,7 @@ func ritzBlock(k int) int { return k + min(k, 8) }
 // eigensolve term of the spectral pipeline's footprint model.
 func ModeledBytes(opts Options, n int) int64 {
 	o := opts.withDefaults(n)
-	vecs := o.MaxBasis + 1 + min(ritzBlock(o.K), o.MaxBasis)
+	vecs := o.MaxBasis + 1 + min(RitzBlock(o.K), o.MaxBasis)
 	if n <= o.DenseFallbackDim || o.MaxBasis >= n {
 		vecs = n + o.K
 	}

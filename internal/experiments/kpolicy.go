@@ -16,46 +16,20 @@ import (
 // small on-chip buffer, e2ebench's traffic cache, and a large one.
 var kpCaches = []int64{16 << 10, 64 << 10, 256 << 10}
 
-// kpSlot is one (archetype, rows, density) slot of a KP corpus group.
-type kpSlot struct {
-	arch    workloads.Archetype
-	rows    int
-	density float64
-}
-
 // kpGroup is a named set of slots, each generated at several seeds.
 type kpGroup struct {
 	name  string
-	slots []kpSlot
+	slots []workloads.Slot
 	seeds int
 }
-
-// kpColdSparse and kpColdDense are e2ebench's cold-sparse and cold-dense
-// request cycles (e2ebench/workload.go): the matrices a served cold plan
-// sees.
-var (
-	kpColdSparse = []kpSlot{
-		{workloads.ArchScrambledBlock, 1024, 0.006}, {workloads.ArchFEM, 1536, 0.004},
-		{workloads.ArchPowerLaw, 1024, 0.007}, {workloads.ArchKNN, 1024, 0.007},
-		{workloads.ArchBanded, 1024, 0.006}, {workloads.ArchFEM3D, 1536, 0.004},
-		{workloads.ArchScrambledBlock, 2048, 0.004}, {workloads.ArchCircuit, 768, 0.008},
-		{workloads.ArchPowerLaw, 1536, 0.005}, {workloads.ArchKNN, 768, 0.008},
-	}
-	kpColdDense = []kpSlot{
-		{workloads.ArchScrambledBlock, 768, 0.05}, {workloads.ArchKNN, 1024, 0.04},
-		{workloads.ArchScrambledBlock, 1024, 0.04}, {workloads.ArchFEM3D, 1024, 0.03},
-		{workloads.ArchRandom, 1024, 0.03}, {workloads.ArchScrambledBlock, 640, 0.06},
-		{workloads.ArchKNN, 768, 0.05}, {workloads.ArchPowerLaw, 768, 0.05},
-	}
-)
 
 // kpGroups is the KP corpus: both cold cycles at three seeds each, then
 // eight archetypes at 4 096 and 8 000 rows and about 8 nonzeros per row,
 // larger than any e2ebench matrix.
 func kpGroups() []kpGroup {
 	groups := []kpGroup{
-		{name: "cold-sparse", slots: kpColdSparse, seeds: 3},
-		{name: "cold-dense", slots: kpColdDense, seeds: 3},
+		{name: "cold-sparse", slots: workloads.ColdSparse, seeds: 3},
+		{name: "cold-dense", slots: workloads.ColdDense, seeds: 3},
 	}
 	for _, arch := range []workloads.Archetype{
 		workloads.ArchScrambledBlock, workloads.ArchFEM, workloads.ArchPowerLaw,
@@ -64,7 +38,7 @@ func kpGroups() []kpGroup {
 	} {
 		g := kpGroup{name: arch.String(), seeds: 1}
 		for _, rows := range []int{4096, 8000} {
-			g.slots = append(g.slots, kpSlot{arch, rows, 8 / float64(rows)})
+			g.slots = append(g.slots, workloads.Slot{Arch: arch, Rows: rows, Density: 8 / float64(rows)})
 		}
 		groups = append(groups, g)
 	}
@@ -77,38 +51,12 @@ type kpMatrix struct {
 	a     *sparse.CSR
 }
 
-// kpCorpus generates a group's matrices in slot-major, seed-minor order.
-// Seed s of a slot jitters its row count by up to 31 rows, as e2ebench's
-// corpus does, and seeds the generator independently.
+// kpCorpus generates a group's matrices in slot-major, seed-minor order
+// (workloads.Corpus).
 func kpCorpus(g kpGroup, seed int64) []kpMatrix {
 	var out []kpMatrix
-	for i, sl := range g.slots {
-		for s := 0; s < g.seeds; s++ {
-			h := splitmix64(uint64(seed)<<20 ^ uint64(i)<<8 ^ uint64(s))
-			rows := sl.rows + int(h%32)
-			out = append(out, kpMatrix{g.name, workloads.Generate(sl.arch, workloads.Params{
-				Rows: rows, Cols: rows, Density: sl.density, Seed: int64(h >> 1),
-			})})
-		}
-	}
-	return out
-}
-
-// splitmix64 spreads a (seed, slot, sub-seed) word into an independent
-// generator seed.
-func splitmix64(x uint64) uint64 {
-	x += 0x9E3779B97F4A7C15
-	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
-	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
-	return x ^ (x >> 31)
-}
-
-// ColdSparseCycle generates one matrix per slot of e2ebench's cold-sparse
-// cycle at seed: a fixed ten-matrix set shaped like served cold plans.
-func ColdSparseCycle(seed int64) []*sparse.CSR {
-	var out []*sparse.CSR
-	for _, m := range kpCorpus(kpGroup{slots: kpColdSparse, seeds: 1}, seed) {
-		out = append(out, m.a)
+	for _, a := range workloads.Corpus(g.slots, seed, g.seeds) {
+		out = append(out, kpMatrix{g.name, a})
 	}
 	return out
 }

@@ -5,10 +5,11 @@
 // atomicio's temp-file + fsync + atomic-rename protocol, each carrying a
 // format version and a CRC32 over its payload. A kill -9 at any instant
 // leaves every entry either fully present or fully absent; Open never fails
-// on a damaged directory — corrupt or truncated entries are quarantined
-// (renamed aside with QuarantineSuffix, preserving the bytes for postmortem)
-// and counted, stray temp files from interrupted writes are removed, and
-// service continues with the surviving entries.
+// on a damaged directory — corrupt or truncated entries, and entries whose
+// plan Put would refuse, are quarantined (renamed aside with
+// QuarantineSuffix, preserving the bytes for postmortem) and counted, stray
+// temp files from interrupted writes are removed, and service continues
+// with the surviving entries.
 package plancache
 
 import (
@@ -43,7 +44,8 @@ type Stats struct {
 	// WriteErrors counts failed Puts (the cache stays consistent: a failed
 	// write publishes nothing).
 	WriteErrors int64
-	// Quarantined counts entries set aside as corrupt, at Open or on Get.
+	// Quarantined counts entries set aside as corrupt or as plans Put would
+	// refuse, at Open or by Scrub.
 	Quarantined int64
 }
 
@@ -71,8 +73,9 @@ type Cache struct {
 	stats   Stats
 }
 
-// Open loads (or creates) a cache directory. Corrupt entries are quarantined,
-// not fatal; leftover atomicio temp files are removed.
+// Open loads (or creates) a cache directory. Corrupt entries and entries
+// Put would refuse are quarantined, not fatal; leftover atomicio temp files
+// are removed.
 func Open(dir string) (*Cache, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
@@ -114,7 +117,7 @@ func (c *Cache) Dir() string { return c.dir }
 
 // loadEntry reads and decodes one entry file, cross-checking the embedded
 // key against the filename so a file copied under the wrong name cannot
-// serve another matrix's plan.
+// serve another matrix's plan, and holds the plan to the checks Put runs.
 func loadEntry(path, key string) (*Entry, EntryStat, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -126,6 +129,12 @@ func loadEntry(path, key string) (*Entry, EntryStat, error) {
 	}
 	if e.Key != key {
 		return nil, EntryStat{}, fmt.Errorf("%w: entry key %q under filename key %q", ErrCorrupt, e.Key, key)
+	}
+	// The plan-field checks Put runs. An entry an older release could write
+	// but Put now refuses, such as one under a k outside the candidates,
+	// must not be served or advertised to replicas that would refuse it.
+	if vs := planverify.CheckEntryFields(len(e.Perm), e.Perm, e.K, e.Reordered, e.Degraded, e.DegradedReason); len(vs) > 0 {
+		return nil, EntryStat{}, fmt.Errorf("%w: entry %.12s fails the plan checks: %v", ErrCorrupt, key, vs)
 	}
 	return e, statOf(data), nil
 }

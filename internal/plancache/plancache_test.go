@@ -341,6 +341,39 @@ func TestCacheFilenameKeyMismatch(t *testing.T) {
 	}
 }
 
+// TestOpenQuarantinesEntriesPutRefuses: an entry that decodes cleanly but
+// whose plan Put would refuse (here k=20, which an eigengap-selecting node
+// of an older release could cache) is quarantined at Open, so it is neither
+// served nor listed in Keys, the anti-entropy digest's source.
+func TestOpenQuarantinesEntriesPutRefuses(t *testing.T) {
+	dir := t.TempDir()
+	good := testEntry(t, testMatrix(t, 1))
+	bad := testEntry(t, testMatrix(t, 2))
+	bad.K = 20
+	for _, e := range []*Entry{good, bad} {
+		data, err := EncodeEntry(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, e.Key+Ext), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := c.Stats(); st.Quarantined != 1 || st.Entries != 1 {
+		t.Fatalf("stats %+v, want 1 entry and 1 quarantined", st)
+	}
+	if keys := c.Keys(); len(keys) != 1 || keys[0] != good.Key {
+		t.Fatalf("Keys() = %v, want only %s", keys, good.Key)
+	}
+	if _, err := os.Stat(filepath.Join(dir, bad.Key+Ext+QuarantineSuffix)); err != nil {
+		t.Fatalf("refused entry not set aside: %v", err)
+	}
+}
+
 // TestCacheConcurrentAccess hammers one cache with concurrent writers and
 // readers across overlapping keys (run under -race via make race-serve).
 func TestCacheConcurrentAccess(t *testing.T) {

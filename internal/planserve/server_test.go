@@ -911,16 +911,27 @@ func TestVerifyReplacesCorruptPipelinePlan(t *testing.T) {
 // whose permutation belongs to a different row count, one marked degraded,
 // and one cached under a k outside the candidate set (what a node planning
 // with the retired eigengap auto-k, which could select k = 20 or 64, left
-// behind). All must be demoted to misses and recomputed, and the first and
-// last overwritten with the healthy plan.
+// behind). The last two fail the checks Put runs, so Open quarantines them;
+// the first passes them, since only the request's matrix shows its row
+// count is wrong. A fleet sibling on an older release can still hand over
+// the last two, so a peer fill offers them on the local miss. The serve-hit
+// verification must demote all three to misses, each is recomputed, and
+// the first and last are overwritten with the healthy plan.
 func TestCorruptCacheEntryDemotedToMiss(t *testing.T) {
 	leakcheck.Goroutines(t)
 	dir := t.TempDir()
 	mWrong := testMatrix(t, 3)
 	mDegraded := testMatrix(t, 4)
 	mBadK := testMatrix(t, 5)
-	plant := func(e *plancache.Entry) {
-		t.Helper()
+	wrong := &plancache.Entry{Key: plancache.KeyCSR(mWrong), Perm: sparse.IdentityPerm(10)}
+	degraded := &plancache.Entry{
+		Key:            plancache.KeyCSR(mDegraded),
+		Perm:           sparse.IdentityPerm(mDegraded.Rows),
+		Degraded:       true,
+		DegradedReason: "requested: eigensolver did not converge; fell back to identity",
+	}
+	badK := &plancache.Entry{Key: plancache.KeyCSR(mBadK), Perm: healthyResult(mBadK).Perm, Reordered: true, K: 20}
+	for _, e := range []*plancache.Entry{wrong, degraded, badK} {
 		data, err := plancache.EncodeEntry(e)
 		if err != nil {
 			t.Fatal(err)
@@ -929,26 +940,29 @@ func TestCorruptCacheEntryDemotedToMiss(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	plant(&plancache.Entry{Key: plancache.KeyCSR(mWrong), Perm: sparse.IdentityPerm(10)})
-	plant(&plancache.Entry{
-		Key:            plancache.KeyCSR(mDegraded),
-		Perm:           sparse.IdentityPerm(mDegraded.Rows),
-		Degraded:       true,
-		DegradedReason: "requested: eigensolver did not converge; fell back to identity",
-	})
-	plant(&plancache.Entry{Key: plancache.KeyCSR(mBadK), Perm: healthyResult(mBadK).Perm, Reordered: true, K: 20})
 
 	cache, err := plancache.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if st := cache.Stats(); st.Quarantined != 2 || st.Entries != 1 {
+		t.Fatalf("cache after Open: %+v, want the degraded and k=20 entries quarantined", st)
+	}
+	peerFill := func(_ context.Context, key string) (*plancache.Entry, bool) {
+		for _, e := range []*plancache.Entry{degraded, badK} {
+			if e.Key == key {
+				return e, true
+			}
+		}
+		return nil, false
+	}
 	p := &countingPlanner{}
-	s, ts := newTestServer(t, Config{Plan: p.fn(), Cache: cache})
+	s, ts := newTestServer(t, Config{Plan: p.fn(), Cache: cache, PeerFill: peerFill})
 	hitViolations := obs.Default().CounterVec(obs.VerifyViolationsName, "", "site", "code")
 	wrongRows := hitViolations.With(planverify.SiteServeHit, planverify.CodePermInvalid)
-	degraded := hitViolations.With(planverify.SiteServeHit, planverify.CodeDegradedCached)
-	badK := hitViolations.With(planverify.SiteServeHit, planverify.CodeBadK)
-	wrongBefore, degradedBefore, badKBefore := wrongRows.Value(), degraded.Value(), badK.Value()
+	degradedHits := hitViolations.With(planverify.SiteServeHit, planverify.CodeDegradedCached)
+	badKHits := hitViolations.With(planverify.SiteServeHit, planverify.CodeBadK)
+	wrongBefore, degradedBefore, badKBefore := wrongRows.Value(), degradedHits.Value(), badKHits.Value()
 
 	for _, m := range []*sparse.CSR{mWrong, mDegraded, mBadK} {
 		resp, body := postPlan(t, ts.URL, mmBody(t, m), "")
@@ -959,7 +973,7 @@ func TestCorruptCacheEntryDemotedToMiss(t *testing.T) {
 		if err := json.Unmarshal([]byte(body), &pr); err != nil {
 			t.Fatal(err)
 		}
-		if pr.Cached {
+		if pr.Cached || pr.PeerFilled {
 			t.Fatalf("invalid entry served as a cache hit: %s", body)
 		}
 		if pr.Degraded {
@@ -969,8 +983,8 @@ func TestCorruptCacheEntryDemotedToMiss(t *testing.T) {
 			t.Fatal("pipeline did not recompute the demoted hit")
 		}
 	}
-	if st := s.Stats(); st.VerifyViolations < 3 {
-		t.Fatalf("VerifyViolations = %d, want ≥ 3", st.VerifyViolations)
+	if st := s.Stats(); st.VerifyViolations < 3 || st.PeerFills != 0 {
+		t.Fatalf("VerifyViolations = %d, PeerFills = %d; want ≥ 3 and 0", st.VerifyViolations, st.PeerFills)
 	}
 	// The wrong-rows and k=20 entries were overwritten by the healthy
 	// recomputations.
@@ -980,7 +994,7 @@ func TestCorruptCacheEntryDemotedToMiss(t *testing.T) {
 	if e, ok := cache.Get(plancache.KeyCSR(mBadK)); !ok || e.K != 8 {
 		t.Fatal("healthy recomputation did not replace the k=20 entry")
 	}
-	if wrongRows.Value() == wrongBefore || degraded.Value() == degradedBefore || badK.Value() == badKBefore {
+	if wrongRows.Value() == wrongBefore || degradedHits.Value() == degradedBefore || badKHits.Value() == badKBefore {
 		t.Fatal("violations not recorded under the serve-hit site")
 	}
 }
