@@ -1,8 +1,9 @@
 # Development targets for the Bootes reproduction.
 #
-#   make check   — vet + build + full test suite + fuzz seed corpus + the
-#                  short deterministic chaos run + the observability coverage
-#                  gate + vet and tests of the e2ebench module (tier-1 gate)
+#   make check   — vet + the gofmt gate + build + full test suite + fuzz
+#                  seed corpus + the short deterministic chaos run + the
+#                  observability coverage gate + vet and tests of the
+#                  e2ebench module (tier-1 gate)
 #   make cover   — per-package statement coverage report; enforces a floor on
 #                  internal/obs (metrics must stay tested), report-only
 #                  everywhere else
@@ -19,7 +20,10 @@
 #                  queue-crash chaos soak, whose jobs run on planqueue's
 #                  workers through planserve's RunJob and shared state, and
 #                  the fleet-heal chaos soak, whose healers replicate,
-#                  repair, warm up and scrub against a live prober
+#                  repair, warm up and scrub against a live prober, then ten
+#                  runs of the request-body lifetime tests (pooled bodies
+#                  shared by handlers and fleet forwards, and the cached
+#                  permutation encoding many hits build at once)
 #   make fuzz    — short fuzzing smoke over the sparse-format parsers, the
 #                  CSR constructor, and the plan-cache entry decoder (the
 #                  hostile-input hardening targets)
@@ -46,6 +50,7 @@
 #   make report  — regenerate the reproduction report at the default scale
 
 GO ?= go
+GOFMT ?= gofmt
 FUZZTIME ?= 10s
 CHAOS_EPISODES ?= 2000
 CHAOS_SEED ?= 20250806
@@ -57,12 +62,17 @@ SOAK_QPS ?= 100
 
 OBS_COVER_FLOOR ?= 60.0
 
-.PHONY: check vet build test e2ebench cover race race-serve fuzz fuzz-seeds chaos chaos-short soak bench bench-matrix bench-queue report
+.PHONY: check vet fmt build test e2ebench cover race race-serve fuzz fuzz-seeds chaos chaos-short soak bench bench-matrix bench-queue report
 
-check: vet build test fuzz-seeds chaos-short cover e2ebench
+check: vet fmt build test fuzz-seeds chaos-short cover e2ebench
 
 vet:
 	$(GO) vet ./...
+
+# Formatting gate: gofmt -l names every Go file, e2ebench's included, whose
+# layout differs from gofmt's, and rewrites none of them.
+fmt:
+	@out=$$($(GOFMT) -l .); if [ -n "$$out" ]; then echo "gofmt -l lists files to format:"; echo "$$out"; exit 1; fi
 
 build:
 	$(GO) build ./...
@@ -100,6 +110,8 @@ race-serve:
 		./internal/ring/ ./internal/fleet/ ./internal/antientropy/ ./internal/refine/ \
 		./cmd/bootesd/
 	GOMAXPROCS=4 $(GO) test -race -count=2 -timeout 10m ./internal/chaos/ -run 'TestQueueCrashSoak|TestFleetHealSoak'
+	GOMAXPROCS=4 $(GO) test -race -count=10 -timeout 10m ./internal/planserve/ ./internal/fleet/ ./internal/plancache/ \
+		-run 'TestHedgeLoserKeepsItsBody|TestBodyReferencesSettleOnEveryPath|TestBodyReleaseMisusePanics|TestConcurrentHitsShareOneEncoding|TestPermJSONBuiltOnFirstUse'
 
 # Seed-corpus-only pass: every fuzz target replays its checked-in corpus as
 # plain tests (no mutation engine), so check catches corpus regressions fast.

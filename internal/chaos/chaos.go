@@ -9,7 +9,8 @@
 //   - no panic escapes any layer;
 //   - no goroutine with a bootes/ frame outlives its episode, the shared
 //     worker pool's extra-worker gauge returns to zero, and every admission
-//     semaphore slot is released (internal/leakcheck);
+//     semaphore slot and every request-body reference is released
+//     (internal/leakcheck);
 //   - every served plan is structurally valid or explicitly marked degraded
 //     with a reason — never silently wrong;
 //   - the plan cache never holds a corrupt or degraded entry: damage is
@@ -664,6 +665,9 @@ func scenarioServeHTTP(e *episode) {
 	if err := leakcheck.SettleZero("admission slots", func() int64 {
 		return int64(srv.SlotsInUse())
 	}); err != nil {
+		e.violatef("serve-http: %v", err)
+	}
+	if err := leakcheck.SettleZero("body references", srv.BodyRefs); err != nil {
 		e.violatef("serve-http: %v", err)
 	}
 	// The drained server's registry must also be quiescent and consistent.

@@ -297,13 +297,22 @@ func scenarioFleetPartition(e *episode) {
 		}
 	}
 
-	// Teardown invariants: every node drains to zero slots, and no node's
-	// cache holds a corrupt entry after the crash cycle.
+	// Teardown invariants: every node drains to zero slots and zero body
+	// references, and no node's cache holds a corrupt entry after the crash
+	// cycle.
 	for _, nd := range c.Nodes {
 		nd := nd
 		if err := leakcheck.SettleZero("slots "+nd.URL, func() int64 {
 			if s := nd.Server(); s != nil {
 				return int64(s.SlotsInUse())
+			}
+			return 0
+		}); err != nil {
+			e.violatef("fleet-partition: %v", err)
+		}
+		if err := leakcheck.SettleZero("body references "+nd.URL, func() int64 {
+			if s := nd.Server(); s != nil {
+				return s.BodyRefs()
 			}
 			return 0
 		}); err != nil {

@@ -268,6 +268,14 @@ func scenarioFleetHeal(e *episode) {
 		}); err != nil {
 			e.violatef("fleet-heal: %v", err)
 		}
+		if err := leakcheck.SettleZero("body references "+nd.URL, func() int64 {
+			if s := nd.Server(); s != nil {
+				return s.BodyRefs()
+			}
+			return 0
+		}); err != nil {
+			e.violatef("fleet-heal: %v", err)
+		}
 	}
 	c.Close()
 	for i := 0; i < fleetNodes; i++ {

@@ -10,10 +10,11 @@ import (
 
 // TestEigenOptionsMatvecCap: the default Krylov shape of each candidate k
 // may spend at least the matvecs of 12 restarts on a max(2k+16, 48) basis,
-// and at most one restart cycle more, whatever basis it runs on.
+// and never fewer than k = 8's 432 (k = 16's 12 restarts give only 336), and
+// at most one restart cycle more, whatever basis it runs on.
 func TestEigenOptionsMatvecCap(t *testing.T) {
 	for _, tc := range []struct{ k, basis, wideCap int }{
-		{2, 48, 576}, {4, 32, 528}, {8, 32, 432}, {16, 48, 336}, {32, 80, 560},
+		{2, 48, 576}, {4, 32, 528}, {8, 32, 432}, {16, 48, 432}, {32, 80, 560},
 	} {
 		eo := SpectralOptions{Seed: 1}.eigenOptions(tc.k)
 		// A solve that never converges stops after a full first basis and
@@ -65,18 +66,22 @@ func coldSparseOps(tb testing.TB, perSlot int) []eigen.Operator {
 	return ops
 }
 
-// TestColdSparseK8SolvesConverge: every k = 8 solve over 40 cold-sparse
-// matrices meets the default tolerance within the default Krylov shape, so
-// the narrower basis does not trade converged plans for speed.
-func TestColdSparseK8SolvesConverge(t *testing.T) {
-	opts := SpectralOptions{K: 8, Seed: 1}
-	for i, op := range coldSparseOps(t, 4) {
-		res, err := eigen.LargestContext(context.Background(), op, opts.eigenOptions(8))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !res.Converged {
-			t.Errorf("matrix %d (%d rows): unconverged after %d matvecs", i, op.Dim(), res.MatVecs)
+// TestColdSparseSolvesConverge: at every candidate k, every solve over 40
+// cold-sparse matrices meets the default tolerance within the default
+// Krylov shape, so a narrower basis or a tighter matvec cap does not trade
+// converged plans for speed.
+func TestColdSparseSolvesConverge(t *testing.T) {
+	ops := coldSparseOps(t, 4)
+	for _, k := range CandidateKs {
+		eo := SpectralOptions{K: k, Seed: 1}.eigenOptions(k)
+		for i, op := range ops {
+			res, err := eigen.LargestContext(context.Background(), op, eo)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Converged {
+				t.Errorf("k=%d, matrix %d (%d rows): unconverged after %d matvecs", k, i, op.Dim(), res.MatVecs)
+			}
 		}
 	}
 }

@@ -30,7 +30,6 @@
 package fleet
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -374,7 +373,7 @@ func (rt *Router) servePeers(w http.ResponseWriter, _ *http.Request) {
 // the answer, or returns false for planserve to serve it here. It serves
 // here what this node owns, and falls back to serving here when no remote
 // replica is up, or every forward failed: availability beats placement.
-func (rt *Router) Route(w http.ResponseWriter, r *http.Request, key string, body []byte) bool {
+func (rt *Router) Route(w http.ResponseWriter, r *http.Request, key string, body *planserve.Body) bool {
 	replicas := rt.ring.Replicas(key, rt.cfg.Replicas)
 	if replicas[0] == rt.cfg.Self {
 		return false
@@ -408,8 +407,10 @@ func (rt *Router) Route(w http.ResponseWriter, r *http.Request, key string, body
 // forwardHedged forwards body to candidates[0] and, if it has not answered
 // within HedgeAfter, fires one duplicate at candidates[1]. The first
 // acceptable response wins; the loser is cancelled. Returns (nil, nil) when
-// every attempt failed.
-func (rt *Router) forwardHedged(r *http.Request, body []byte, candidates []*peerState) (*http.Response, *peerState) {
+// every attempt failed. Each attempt holds its own references to body (see
+// forwardOnce), so an attempt still running when the caller returns, a loser
+// being reaped, never reads bytes the caller's release gave back.
+func (rt *Router) forwardHedged(r *http.Request, body *planserve.Body, candidates []*peerState) (*http.Response, *peerState) {
 	type attempt struct {
 		resp *http.Response
 		peer *peerState
@@ -420,26 +421,34 @@ func (rt *Router) forwardHedged(r *http.Request, body []byte, candidates []*peer
 	// total failure); cancelling earlier would sever the winning stream.
 	results := make(chan attempt, len(candidates))
 	launch := func(p *peerState) {
-		rt.forwards.Inc()
-		resp, err := rt.forwardOnce(ctx, r, body, p)
-		if err != nil && ctx.Err() != nil {
-			// Cancelled because the race was decided, not because the peer is
-			// sick: no verdict either way.
-			results <- attempt{nil, p, err}
-			return
-		}
-		success := err == nil && resp.StatusCode < http.StatusInternalServerError
-		rt.recordOutcome(p, success, err)
-		if err == nil && !success {
-			// A 5xx is a failed attempt; drain it so the connection is reusable.
-			_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20))
-			resp.Body.Close()
-			err = fmt.Errorf("%s answered %d", p.url, resp.StatusCode)
-			resp = nil
-		}
-		results <- attempt{resp, p, err}
+		// The attempt's reference is taken before its goroutine starts: by
+		// the time it runs, the caller may have returned and let go of its
+		// own.
+		body.Retain()
+		go func() {
+			rt.forwards.Inc()
+			resp, err := rt.forwardOnce(ctx, r, body, p)
+			body.Release()
+			if err != nil && ctx.Err() != nil {
+				// Cancelled because the race was decided, not because the
+				// peer is sick: no verdict either way.
+				results <- attempt{nil, p, err}
+				return
+			}
+			success := err == nil && resp.StatusCode < http.StatusInternalServerError
+			rt.recordOutcome(p, success, err)
+			if err == nil && !success {
+				// A 5xx is a failed attempt; drain it so the connection is
+				// reusable.
+				_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20))
+				resp.Body.Close()
+				err = fmt.Errorf("%s answered %d", p.url, resp.StatusCode)
+				resp = nil
+			}
+			results <- attempt{resp, p, err}
+		}()
 	}
-	go launch(candidates[0])
+	launch(candidates[0])
 	launched, finished := 1, 0
 	var hedge <-chan time.Time
 	if rt.cfg.HedgeAfter >= 0 && len(candidates) > 1 {
@@ -454,7 +463,7 @@ func (rt *Router) forwardHedged(r *http.Request, body []byte, candidates []*peer
 		case <-hedge:
 			hedge = nil
 			rt.hedges.Inc()
-			go launch(candidates[1])
+			launch(candidates[1])
 			launched++
 		case a := <-results:
 			finished++
@@ -467,7 +476,7 @@ func (rt *Router) forwardHedged(r *http.Request, body []byte, candidates []*peer
 					// The primary died before the hedge timer: promote the
 					// hedge immediately rather than waiting out the timer.
 					hedge = nil
-					go launch(candidates[1])
+					launch(candidates[1])
 					launched++
 				}
 				continue
@@ -534,11 +543,18 @@ func (rt *Router) recordOutcome(p *peerState, success bool, err error) {
 
 // forwardOnce proxies one plan request to p with body, the bytes the client
 // sent, preserving method, path, query, and the content and routing headers.
-func (rt *Router) forwardOnce(ctx context.Context, r *http.Request, body []byte, p *peerState) (*http.Response, error) {
-	req, err := http.NewRequestWithContext(ctx, r.Method, p.url+r.URL.RequestURI(), bytes.NewReader(body))
+// The caller holds a reference to body until forwardOnce returns, which
+// covers every GetBody rewind (net/http rewinds only inside the round trip).
+// The request body, and each rewind's, is a body.NewReader with a reference
+// of its own, which net/http drops by closing it when it is done writing,
+// possibly after the round trip returned.
+func (rt *Router) forwardOnce(ctx context.Context, r *http.Request, body *planserve.Body, p *peerState) (*http.Response, error) {
+	req, err := http.NewRequestWithContext(ctx, r.Method, p.url+r.URL.RequestURI(), nil)
 	if err != nil {
 		return nil, err
 	}
+	req.Body, req.ContentLength = body.NewReader(), int64(body.Len())
+	req.GetBody = func() (io.ReadCloser, error) { return body.NewReader(), nil }
 	for _, h := range []string{"Content-Type", "X-Deadline", "X-Tenant", "Accept"} {
 		if v := r.Header.Get(h); v != "" {
 			req.Header.Set(h, v)

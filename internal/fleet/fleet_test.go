@@ -756,7 +756,8 @@ func TestForwardCarriesClientBytes(t *testing.T) {
 
 // TestForwardedAnswerMatchesOwnerDirect: through a real cluster, a Matrix
 // Market request forwarded by a non-owner gets the same bytes back (key,
-// perm and all) as the same request sent to the owner directly.
+// perm and all) as the same request sent to the owner directly, and both
+// are what json.Encoder writes for the owner's cached plan.
 func TestForwardedAnswerMatchesOwnerDirect(t *testing.T) {
 	var computes atomic.Int64
 	c, err := LaunchCluster(3, NodeConfig{
@@ -789,6 +790,21 @@ func TestForwardedAnswerMatchesOwnerDirect(t *testing.T) {
 	}
 	ask(owner) // the miss that plans and caches
 	_, direct := ask(owner)
+	e, ok := nodeByURL(t, c, owner).Cache().Get(keyMust(t, body))
+	if !ok {
+		t.Fatal("the owner cached no plan")
+	}
+	var want bytes.Buffer
+	if err := json.NewEncoder(&want).Encode(&planserve.PlanResponse{
+		Key: e.Key, Reordered: e.Reordered, K: e.K, Degraded: e.Degraded, DegradedReason: e.DegradedReason,
+		PreprocessSeconds: e.PreprocessSeconds, FootprintBytes: e.FootprintBytes, Rows: len(e.Perm),
+		Cached: true, Perm: e.Perm,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(direct, want.Bytes()) {
+		t.Errorf("the owner's hit differs from json.Encoder's encoding\n got %s\nwant %s", direct, want.Bytes())
+	}
 	for _, nd := range c.Nodes {
 		if nd.URL == owner {
 			continue

@@ -5,11 +5,13 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"math"
+	"sync/atomic"
 
 	"bootes/internal/reorder"
 	"bootes/internal/sparse"
@@ -68,6 +70,24 @@ type Entry struct {
 	PreprocessSeconds float64
 	// FootprintBytes is the modeled peak planning memory of the original run.
 	FootprintBytes int64
+
+	// permJSON is Perm as JSON, built by the first PermJSON call.
+	permJSON atomic.Pointer[[]byte]
+}
+
+// PermJSON returns Perm encoded as JSON, built on the first call and kept
+// with the entry, so the hits that ask for the permutation encode it once
+// per entry instead of once per hit. Nothing builds it at Put or Open: an
+// entry no one asks for costs no memory for it. Concurrent first calls may
+// each build it; they build the same bytes. The caller must not modify the
+// result, nor Perm once the entry is shared.
+func (e *Entry) PermJSON() []byte {
+	if b := e.permJSON.Load(); b != nil {
+		return *b
+	}
+	b, _ := json.Marshal([]int32(e.Perm)) // an []int32 always encodes
+	e.permJSON.CompareAndSwap(nil, &b)
+	return *e.permJSON.Load()
 }
 
 // EntryFromResult is the cache entry for a planning result stored under key.

@@ -2,9 +2,12 @@ package planserve
 
 import (
 	"crypto/sha256"
+	"errors"
 	"io"
+	"math/bits"
 	"net/http"
 	"sync"
+	"sync/atomic"
 
 	"bootes/internal/obs"
 	"bootes/internal/plancache"
@@ -13,14 +16,147 @@ import (
 
 // maxPresize caps the buffer readRequestBody allocates from a declared
 // Content-Length before the bytes arrive: a header claiming 256 MB costs at
-// most this much until the body actually delivers more.
+// most this much until the body actually delivers more. It is also the
+// largest pooled buffer.
 const maxPresize = 1 << 20
 
+// Body buffers are pooled in power-of-two size classes from 512 bytes, where
+// a body without a declared length starts, to maxPresize.
+const (
+	minClassShift = 9
+	maxClassShift = 20
+)
+
+var bodyPools [maxClassShift - minClassShift + 1]sync.Pool
+
+// bodyClass is the pool index of the smallest size class that holds size
+// bytes, or -1 past maxPresize.
+func bodyClass(size int64) int {
+	if size > maxPresize {
+		return -1
+	}
+	return max(bits.Len64(uint64(size-1)), minClassShift) - minClassShift
+}
+
+// Body is a request body read into one buffer that is shared by reference
+// count and returned to its size class's pool by the last Release. Each
+// holder that reads the bytes holds its own reference: the handler that read
+// them, until it has digested or parsed them, and each forward of them to a
+// peer, through a NewReader that net/http closes when it is done, which may
+// be after the handler returned. A reference dropped early would let a later
+// request overwrite bytes still being read, so releasing one twice panics; a
+// reference never dropped costs only a pool miss, because its buffer is then
+// collected like any other.
+type Body struct {
+	b      []byte  // the bytes, valid while a reference is held
+	pooled *[]byte // the buffer's pool slot; nil when not pooled
+	class  int
+	refs   atomic.Int32
+	held   *atomic.Int64 // the reading server's outstanding references
+}
+
+// newBody returns an empty body with room for size bytes, holding one
+// reference, which held counts.
+func newBody(size int64, held *atomic.Int64) *Body {
+	body := &Body{class: bodyClass(size), held: held}
+	if body.class < 0 {
+		body.b = make([]byte, 0, maxPresize)
+	} else {
+		p, ok := bodyPools[body.class].Get().(*[]byte)
+		if !ok {
+			b := make([]byte, 0, 1<<(minClassShift+body.class))
+			p = &b
+		}
+		body.pooled, body.b = p, (*p)[:0]
+	}
+	body.refs.Store(1)
+	held.Add(1)
+	return body
+}
+
+// Len returns the body's length in bytes.
+func (b *Body) Len() int { return len(b.b) }
+
+// Retain takes another reference. The caller must already hold one: a body
+// whose last reference is gone may be in another request's hands.
+func (b *Body) Retain() {
+	if b.refs.Add(1) <= 1 {
+		panic("planserve: Retain of a released request body")
+	}
+	b.held.Add(1)
+}
+
+// Release drops one reference; the last returns a pooled buffer for reuse.
+func (b *Body) Release() {
+	switch n := b.refs.Add(-1); {
+	case n < 0:
+		panic("planserve: request body released more often than retained")
+	case n == 0:
+		if b.pooled != nil {
+			bodyPools[b.class].Put(b.pooled)
+		}
+		b.b, b.pooled = nil, nil
+	}
+	b.held.Add(-1)
+}
+
+// NewReader returns a reader over the body's bytes that holds a reference of
+// its own until its first Close. A forward hands it to net/http as the
+// request body, and net/http closes a request body once it is done with it,
+// even on errors and even after the round trip returned, so a peer still
+// being written to keeps its bytes.
+func (b *Body) NewReader() io.ReadCloser {
+	b.Retain()
+	return &bodyReader{body: b}
+}
+
+// errBodyClosed is what a Read after Close returns.
+var errBodyClosed = errors.New("planserve: read of a closed request body")
+
+// bodyReader reads a Body through its own reference. Read and Close
+// serialize, so a Close from one goroutine never releases the bytes under a
+// Read in progress on another.
+type bodyReader struct {
+	body *Body
+
+	mu     sync.Mutex
+	off    int
+	closed bool
+}
+
+func (r *bodyReader) Read(p []byte) (int, error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.closed {
+		return 0, errBodyClosed
+	}
+	if r.off >= r.body.Len() {
+		return 0, io.EOF
+	}
+	n := copy(p, r.body.b[r.off:])
+	r.off += n
+	return n, nil
+}
+
+// Close drops the reader's reference; closing again is a no-op.
+func (r *bodyReader) Close() error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if !r.closed {
+		r.closed = true
+		r.body.Release()
+	}
+	return nil
+}
+
 // readRequestBody reads r's body whole into one buffer presized from its
-// Content-Length, capped at maxPresize; past the cap, or without a declared
-// length, the buffer grows as bytes arrive. A body declared or received
-// longer than limit bytes is an *http.MaxBytesError.
-func readRequestBody(r *http.Request, limit int64) ([]byte, error) {
+// Content-Length: a pooled buffer of the smallest size class that holds the
+// declared length plus one byte, or past maxPresize an unpooled one capped at
+// maxPresize. Past its capacity, or without a declared length, the buffer
+// grows as bytes arrive, and a grown buffer is never pooled. A body declared
+// or received longer than limit bytes is an *http.MaxBytesError. The
+// returned body holds one reference, the caller's, which held counts.
+func readRequestBody(r *http.Request, limit int64, held *atomic.Int64) (*Body, error) {
 	if r.ContentLength > limit {
 		return nil, &http.MaxBytesError{Limit: limit}
 	}
@@ -30,22 +166,25 @@ func readRequestBody(r *http.Request, limit int64) ([]byte, error) {
 		// the buffer.
 		size = r.ContentLength + 1
 	}
-	b := make([]byte, 0, min(size, maxPresize))
-	body := io.LimitReader(r.Body, limit+1)
+	body := newBody(size, held)
+	src := io.LimitReader(r.Body, limit+1)
 	for {
-		n, err := body.Read(b[len(b):cap(b)])
-		b = b[:len(b)+n]
-		if int64(len(b)) > limit {
+		n, err := src.Read(body.b[len(body.b):cap(body.b)])
+		body.b = body.b[:len(body.b)+n]
+		if int64(len(body.b)) > limit {
+			body.Release()
 			return nil, &http.MaxBytesError{Limit: limit}
 		}
 		if err == io.EOF {
-			return b, nil
+			return body, nil
 		}
 		if err != nil {
+			body.Release()
 			return nil, err
 		}
-		if len(b) == cap(b) {
-			b = append(b, 0)[:len(b)]
+		if len(body.b) == cap(body.b) {
+			body.b = append(body.b, 0)[:len(body.b)]
+			body.pooled = nil // a grown buffer is never pooled
 		}
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"bootes/internal/obs"
@@ -256,13 +257,31 @@ func TestBodyMemoConcurrent(t *testing.T) {
 }
 
 // TestReadRequestBody pins the body read: the limit (413 material, whatever
-// the Content-Length says or leaves out), and an allocation up front that a
-// declared length cannot push past maxPresize.
+// the Content-Length says or leaves out), an allocation up front that a
+// declared length cannot push past maxPresize, and a reference count that
+// every outcome leaves at zero once the caller releases what it was given.
 func TestReadRequestBody(t *testing.T) {
 	req := func(body string, declared int64) *http.Request {
 		r := httptest.NewRequest(http.MethodPost, "/v1/plan", io.NopCloser(strings.NewReader(body)))
 		r.ContentLength = declared
 		return r
+	}
+	var held atomic.Int64
+	read := func(r *http.Request, limit int64) (string, int, error) {
+		t.Helper()
+		b, err := readRequestBody(r, limit, &held)
+		if err != nil {
+			if b != nil || held.Load() != 0 {
+				t.Fatalf("a failed read returned %v and left %d references held", b, held.Load())
+			}
+			return "", 0, err
+		}
+		s, c := string(b.b), cap(b.b)
+		b.Release()
+		if n := held.Load(); n != 0 {
+			t.Fatalf("%d references held after the only one was released", n)
+		}
+		return s, c, nil
 	}
 	for _, tc := range []struct {
 		body     string
@@ -275,9 +294,9 @@ func TestReadRequestBody(t *testing.T) {
 		{"0123456789a", -1, true},
 		{"0", 1 << 30, true}, // refused on the header alone
 	} {
-		b, err := readRequestBody(req(tc.body, tc.declared), 10)
+		b, _, err := read(req(tc.body, tc.declared), 10)
 		var mbe *http.MaxBytesError
-		if got := errors.As(err, &mbe); got != tc.tooBig || (!tc.tooBig && (err != nil || string(b) != tc.body)) {
+		if got := errors.As(err, &mbe); got != tc.tooBig || (!tc.tooBig && (err != nil || b != tc.body)) {
 			t.Errorf("%d bytes declared %d: got %q, %v; want too-big %v", len(tc.body), tc.declared, b, err, tc.tooBig)
 		}
 		if mbe != nil && mbe.Limit != 10 {
@@ -285,15 +304,15 @@ func TestReadRequestBody(t *testing.T) {
 		}
 	}
 
-	b, err := readRequestBody(req("0123456789", 64<<20), 256<<20)
-	if err != nil || string(b) != "0123456789" {
+	b, c, err := read(req("0123456789", 64<<20), 256<<20)
+	if err != nil || b != "0123456789" {
 		t.Fatalf("short body under a 64 MiB header: %q, %v", b, err)
 	}
-	if cap(b) > maxPresize {
-		t.Errorf("a 64 MiB header reserved %d bytes for a 10-byte body, cap %d", cap(b), maxPresize)
+	if c > maxPresize {
+		t.Errorf("a 64 MiB header reserved %d bytes for a 10-byte body, cap %d", c, maxPresize)
 	}
 	body := strings.Repeat("x", 3*maxPresize)
-	if b, err := readRequestBody(req(body, int64(len(body))), 256<<20); err != nil || string(b) != body {
+	if b, _, err := read(req(body, int64(len(body))), 256<<20); err != nil || b != body {
 		t.Fatalf("a body past the presize cap read back %d bytes, %v", len(b), err)
 	}
 }

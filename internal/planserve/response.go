@@ -9,11 +9,12 @@ import (
 	"bootes/internal/sparse"
 )
 
-// respond writes the JSON plan response. The permutation itself is opt-in
-// (?perm=1): it is rows×~10 bytes of JSON that most clients (monitoring,
-// cache warmers) do not want.
-func (s *Server) respond(w http.ResponseWriter, r *http.Request, resp *PlanResponse, cached, coalesced bool, breakerNote string) {
-	resp.Cached = cached
+// respond writes the JSON plan response; hit is the cache entry behind
+// resp, nil when the plan was not a cache answer. The permutation itself is
+// opt-in (?perm=1): it is rows×~10 bytes of JSON that most clients
+// (monitoring, cache warmers) do not want.
+func (s *Server) respond(w http.ResponseWriter, r *http.Request, resp *PlanResponse, hit *plancache.Entry, coalesced bool, breakerNote string) {
+	resp.Cached = hit != nil
 	resp.Coalesced = coalesced
 	resp.Breaker = breakerNote
 	if r.URL.Query().Get("perm") != "1" {
@@ -23,8 +24,26 @@ func (s *Server) respond(w http.ResponseWriter, r *http.Request, resp *PlanRespo
 	if resp.Degraded {
 		w.Header().Set("X-Bootes-Degraded", "true")
 	}
-	_ = json.NewEncoder(w).Encode(resp)
+	if hit == nil || len(resp.Perm) == 0 {
+		_ = json.NewEncoder(w).Encode(resp)
+		return
+	}
+	// A hit's permutation is written from the entry's kept encoding
+	// (plancache.Entry.PermJSON), so the body is byte for byte what
+	// json.Encoder writes: Perm is the struct's last field, written last,
+	// before the closing brace and the newline.
+	resp.Perm = nil
+	head, err := json.Marshal(resp)
+	if err != nil {
+		return // as json.Encoder does: nothing written
+	}
+	_, _ = w.Write(head[:len(head)-1])
+	_, _ = w.Write(permField)
+	_, _ = w.Write(hit.PermJSON())
+	_, _ = w.Write(permTail)
 }
+
+var permField, permTail = []byte(`,"perm":`), []byte("}\n")
 
 func planResponseFromResult(key string, m *sparse.CSR, res *reorder.Result) *PlanResponse {
 	return &PlanResponse{

@@ -137,9 +137,12 @@ type Config struct {
 	// Route, when set, is offered each client plan request (not a peer's
 	// forward, ?async=1 or ?path=) once its body is read and keyed. It
 	// returns true when it answered the request by forwarding it, false to
-	// have it admitted and served here. fleet.StartNode sets it to the
-	// fleet router's Route.
-	Route func(w http.ResponseWriter, r *http.Request, key string, body []byte) bool
+	// have it admitted and served here. The caller holds a reference to body
+	// for the length of the call; a forward that may read the bytes after
+	// Route returns (net/http closes a request body asynchronously) reads
+	// them through body.NewReader, which holds its own. fleet.StartNode sets
+	// it to the fleet router's Route.
+	Route func(w http.ResponseWriter, r *http.Request, key string, body *Body) bool
 	// Heal, when set, contributes the anti-entropy healer's counters to
 	// /statsz and opens the replica ingest, PUT /v1/cache/{key}, which is
 	// not served without it (the healer's lifecycle belongs to the caller,
@@ -211,6 +214,7 @@ type Server struct {
 	draining atomic.Bool
 	warming  atomic.Bool
 	inflight sync.WaitGroup // tracks admitted pipeline executions
+	bodyRefs atomic.Int64   // outstanding request-body references
 
 	// Serving counters live on reg (Config.Metrics or a private registry);
 	// Stats() and /statsz read the same instruments /metrics exposes.
@@ -335,6 +339,13 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // requests in flight means an admitted request leaked its slot.
 func (s *Server) SlotsInUse() int { return len(s.sem) }
 
+// BodyRefs returns the number of references to request bodies this server
+// read that are still held: by handlers, and by forwards of their bytes to
+// peers. At rest it must settle to 0, which the chaos harness asserts after
+// every episode; net/http closes a forward's body asynchronously, so the
+// check polls. A reference never released keeps its buffer out of the pool.
+func (s *Server) BodyRefs() int64 { return s.bodyRefs.Load() }
+
 // Shutdown performs the graceful drain: new plan requests are refused with
 // 503 immediately, then Shutdown blocks until every admitted pipeline has
 // finished (their cache writes are synchronous, so returning implies the
@@ -424,7 +435,9 @@ type PlanResponse struct {
 	Coalesced  bool   `json:"coalesced,omitempty"`
 	Breaker    string `json:"breaker,omitempty"`
 	PeerFilled bool   `json:"peerFilled,omitempty"`
-	// Perm is included only when the request asked with ?perm=1.
+	// Perm is included only when the request asked with ?perm=1. It stays
+	// the last field: respond writes a cache hit's kept encoding of it after
+	// the rest of the response.
 	Perm []int32 `json:"perm,omitempty"`
 }
 
@@ -647,6 +660,7 @@ func (s *Server) receivePlan(w *statusWriter, r *http.Request) (forwarded bool) 
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return false
 	}
+	defer in.release()
 	if routable {
 		// A forward's answer is relayed on the connection's own writer: it is
 		// the serving node's outcome, not this one's.
@@ -684,6 +698,9 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request) bool {
 // servePlan serves an admitted request here: an async submission, or the
 // sync path from cache lookup to response.
 func (s *Server) servePlan(w http.ResponseWriter, r *http.Request, in *planInput) {
+	if in.m != nil {
+		in.release() // parsed already: nothing here reads the bytes again
+	}
 	if isAsync(r) {
 		m, err := in.matrix()
 		if err != nil {
@@ -706,10 +723,11 @@ func (s *Server) servePlan(w http.ResponseWriter, r *http.Request, in *planInput
 
 	key := in.key
 	if e, peerFilled := s.lookup(ctx, key, in.rows); e != nil {
+		in.release()
 		s.served.Inc()
 		resp := planResponseFromEntry(e)
 		resp.PeerFilled = peerFilled
-		s.respond(w, r, resp, true, false, "")
+		s.respond(w, r, resp, e, false, "")
 		return
 	}
 	// No plan to hand back: from here on the request needs its matrix.
@@ -735,7 +753,7 @@ func (s *Server) servePlan(w http.ResponseWriter, r *http.Request, in *planInput
 			s.verifyBad.Add(int64(len(vs)))
 			res = vres
 		}
-		s.respond(w, r, planResponseFromResult(key, m, res), false, false, "open")
+		s.respond(w, r, planResponseFromResult(key, m, res), nil, false, "open")
 		return
 	}
 	if shared {
@@ -759,13 +777,13 @@ func (s *Server) servePlan(w http.ResponseWriter, r *http.Request, in *planInput
 
 	s.served.Inc()
 	if out.hit != nil {
-		s.respond(w, r, planResponseFromEntry(out.hit), true, shared, "")
+		s.respond(w, r, planResponseFromEntry(out.hit), out.hit, shared, "")
 		return
 	}
 	if out.res.Degraded {
 		s.degraded.Inc()
 	}
-	s.respond(w, r, planResponseFromResult(key, m, out.res), false, shared, "")
+	s.respond(w, r, planResponseFromResult(key, m, out.res), nil, shared, "")
 }
 
 // fly leads key's singleflight, or joins the flight already planning it,
@@ -1029,25 +1047,34 @@ func requestDeadline(r *http.Request, def time.Duration) (time.Duration, error) 
 
 // planInput is what a plan request resolved to before any cache lookup: the
 // plan key and row count, and the matrix once parsed. body is the upload,
-// held only until it is parsed.
+// whose reference the request holds only until the bytes are parsed or no
+// longer needed.
 type planInput struct {
 	key  string
 	rows int
 	m    *sparse.CSR
-	body []byte
+	body *Body
+}
+
+// release drops the request's reference to its body, if it still holds one.
+func (in *planInput) release() {
+	if in.body != nil {
+		in.body.Release()
+		in.body = nil
+	}
 }
 
 // matrix returns the request's matrix, parsing the body if no one has yet,
 // and lets go of the body: a pipeline run does not pin the upload.
 func (in *planInput) matrix() (*sparse.CSR, error) {
 	if in.m == nil {
-		m, err := sparse.ReadBody(in.body)
+		m, err := sparse.ReadBody(in.body.b)
 		if err != nil {
 			return nil, err
 		}
 		in.m = m
 	}
-	in.body = nil
+	in.release()
 	return in.m, nil
 }
 
@@ -1069,12 +1096,13 @@ func (s *Server) readInput(r *http.Request) (*planInput, error) {
 		}
 		return &planInput{key: plancache.KeyCSR(m), rows: m.Rows, m: m}, nil
 	}
-	body, err := readRequestBody(r, s.cfg.MaxUploadBytes)
+	body, err := readRequestBody(r, s.cfg.MaxUploadBytes, &s.bodyRefs)
 	if err != nil {
 		return nil, fmt.Errorf("reading matrix body: %w", err)
 	}
-	key, rows, m, err := s.memo.resolve(body)
+	key, rows, m, err := s.memo.resolve(body.b)
 	if err != nil {
+		body.Release()
 		return nil, err
 	}
 	return &planInput{key: key, rows: rows, m: m, body: body}, nil
