@@ -50,7 +50,6 @@
 #   make report  — regenerate the reproduction report at the default scale
 
 GO ?= go
-GOFMT ?= gofmt
 FUZZTIME ?= 10s
 CHAOS_EPISODES ?= 2000
 CHAOS_SEED ?= 20250806
@@ -69,10 +68,11 @@ check: vet fmt build test fuzz-seeds chaos-short cover e2ebench
 vet:
 	$(GO) vet ./...
 
-# Formatting gate: gofmt -l names every Go file, e2ebench's included, whose
-# layout differs from gofmt's, and rewrites none of them.
+# Formatting gate: the toolchain's own gofmt -l names every Go file,
+# e2ebench's included, whose layout differs from gofmt's, and rewrites none
+# of them.
 fmt:
-	@out=$$($(GOFMT) -l .); if [ -n "$$out" ]; then echo "gofmt -l lists files to format:"; echo "$$out"; exit 1; fi
+	@out=$$($$($(GO) env GOROOT)/bin/gofmt -l .) || exit 1; if [ -n "$$out" ]; then echo "gofmt -l lists files to format:"; echo "$$out"; exit 1; fi
 
 build:
 	$(GO) build ./...

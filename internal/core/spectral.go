@@ -76,26 +76,27 @@ const wideRestarts = 12
 
 func wideBasis(kdim int) int { return max(2*kdim+16, 48) }
 
-// minMatvecCap is the smallest matvec cap krylovShape gives a solve from
-// kdim = 4 up: k = 8's wide cap, 48 + 12·(48 − 16). The wide shape alone
-// gives k = 16 only 336 (48 + 12·24), where 20 of 200 cold-sparse k = 16
-// solves ended unconverged, against none at 16 restarts (432).
-const minMatvecCap = 432
+// wideCap is the wide shape's matvec cap for a kdim-vector solve.
+func wideCap(kdim int) int {
+	wide := wideBasis(kdim)
+	return wide + wideRestarts*(wide-eigen.RitzBlock(kdim))
+}
 
 // krylovShape is the default basis size and restart count of a kdim-vector
 // solve. From kdim = 4 up the basis floor is 32, not 48: at kdim = 8 a
 // thick restart then comes every 16 new vectors instead of every 32, and
 // every Gram–Schmidt pass and Ritz rotation runs against fewer vectors. The
 // restart count rises until the matvec cap is at least the wide shape's, so
-// a hard solve may still do as much work, and at least minMatvecCap. A
+// a hard solve may still do as much work, and at least k = 8's wide cap
+// (432): the wide shape alone gives k = 16 only 336, where 20 of 200
+// cold-sparse k = 16 solves ended unconverged, against none at 432. A
 // 2-vector solve keeps the wide basis: on 32 vectors, 13 of 200 cold-sparse
 // k = 2 solves ended unconverged, against none on 48.
 func krylovShape(kdim int) (basis, restarts int) {
-	wide := wideBasis(kdim)
 	if kdim < 4 {
-		return wide, wideRestarts
+		return wideBasis(kdim), wideRestarts
 	}
-	budget := max(wide+wideRestarts*(wide-eigen.RitzBlock(kdim)), minMatvecCap)
+	budget := max(wideCap(kdim), wideCap(8))
 	basis = max(2*kdim+16, 32)
 	cycle := basis - eigen.RitzBlock(kdim)
 	return basis, (budget - basis + cycle - 1) / cycle

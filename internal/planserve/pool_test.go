@@ -16,20 +16,8 @@ import (
 	"bootes/internal/leakcheck"
 	"bootes/internal/plancache"
 	"bootes/internal/planqueue"
+	"bootes/internal/workloads"
 )
-
-// padBody returns a Matrix Market body of the same matrix at least size
-// bytes long: comment lines after the header pad it. Padding changes the
-// bytes, and so the memo's digest, but not the plan key.
-func padBody(body []byte, size int, fill byte) []byte {
-	nl := bytes.IndexByte(body, '\n') + 1
-	out := append([]byte(nil), body[:nl]...)
-	line := append(append([]byte{'%'}, bytes.Repeat([]byte{fill}, 1022)...), '\n')
-	for len(out)+len(body)-nl < size {
-		out = append(out, line...)
-	}
-	return append(out, body[nl:]...)
-}
 
 // TestBodyReferencesSettleOnEveryPath: however a plan request ends, it
 // leaves no reference to its body held: a miss and a hit, a body without a
@@ -47,7 +35,11 @@ func TestBodyReferencesSettleOnEveryPath(t *testing.T) {
 	if err := os.WriteFile(path, body, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	tooBig := padBody(body, 5<<20, 'x')
+	tooBig := bytes.Repeat([]byte("%"), 5<<20)
+	large := mmBody(t, workloads.KNNGraph(workloads.Params{Rows: 2048, Cols: 2048, Density: 0.05, Seed: 1}))
+	if len(large) <= maxPresize {
+		t.Fatalf("a %d-byte body is not past the largest pooled class", len(large))
+	}
 	for _, tc := range []struct {
 		name, query string
 		body        []byte
@@ -57,12 +49,12 @@ func TestBodyReferencesSettleOnEveryPath(t *testing.T) {
 	}{
 		{"miss", "?perm=1", body, nil, false, http.StatusOK},
 		{"hit", "?perm=1", body, nil, false, http.StatusOK},
-		{"chunked", "?perm=1", padBody(body, 3000, 'c'), nil, true, http.StatusOK},
-		{"over 1 MiB", "", padBody(body, 2<<20, 'b'), nil, false, http.StatusOK},
+		{"chunked", "?perm=1", mmBody(t, testMatrix(t, 3)), nil, true, http.StatusOK},
+		{"over 1 MiB", "", large, nil, false, http.StatusOK},
 		{"413 declared", "", tooBig, nil, false, http.StatusRequestEntityTooLarge},
 		{"413 chunked", "", tooBig, nil, true, http.StatusRequestEntityTooLarge},
 		{"400 body", "", []byte("not a matrix"), nil, false, http.StatusBadRequest},
-		{"400 deadline", "", padBody(body, 600, 'd'), map[string]string{"X-Deadline": "soon"}, false, http.StatusBadRequest},
+		{"400 deadline", "", mmBody(t, testMatrix(t, 4)), map[string]string{"X-Deadline": "soon"}, false, http.StatusBadRequest},
 		{"async", "?async=1", mmBody(t, testMatrix(t, 2)), nil, false, http.StatusAccepted},
 		{"path", "?path=" + path, nil, nil, false, http.StatusOK},
 	} {
