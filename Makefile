@@ -23,7 +23,9 @@
 #                  repair, warm up and scrub against a live prober, then ten
 #                  runs of the request-body lifetime tests (pooled bodies
 #                  shared by handlers and fleet forwards, and the cached
-#                  permutation encoding many hits build at once)
+#                  permutation encoding many hits build at once) and ten of
+#                  the key-first forward tests (reads by key, forged ones,
+#                  and a hedge race a "send the body" reply must not win)
 #   make fuzz    — short fuzzing smoke over the sparse-format parsers, the
 #                  CSR constructor, and the plan-cache entry decoder (the
 #                  hostile-input hardening targets)
@@ -41,8 +43,9 @@
 #   make bench-queue — the durable-queue benchmark behind BENCH_queue.json
 #                  (enqueue/drain throughput, journal replay at 10k jobs)
 #   make bench   — the parallel-layer, eigensolver (including the k=8
-#                  cold-sparse Lanczos solves), matrix-reader, plan-key and
-#                  hot-hit benchmarks behind BENCH_parallel.json, plus the
+#                  cold-sparse Lanczos solves), matrix-reader, plan-key,
+#                  hot-hit and forwarded-hit benchmarks behind
+#                  BENCH_parallel.json, plus the
 #                  exact vs implicit similarity ablation (DESIGN.md §5)
 #   make bench-matrix — the similarity/eigen/k-means/sweep benchmarks across
 #                  BOOTES_WORKERS ∈ {1,2,4,max} plus the end-to-end
@@ -111,7 +114,9 @@ race-serve:
 		./cmd/bootesd/
 	GOMAXPROCS=4 $(GO) test -race -count=2 -timeout 10m ./internal/chaos/ -run 'TestQueueCrashSoak|TestFleetHealSoak'
 	GOMAXPROCS=4 $(GO) test -race -count=10 -timeout 10m ./internal/planserve/ ./internal/fleet/ ./internal/plancache/ \
-		-run 'TestHedgeLoserKeepsItsBody|TestBodyReferencesSettleOnEveryPath|TestBodyReleaseMisusePanics|TestConcurrentHitsShareOneEncoding|TestPermJSONBuiltOnFirstUse'
+		-run 'TestHedgeLoserKeepsItsBody|TestBodyReferencesSettleOnEveryPath|TestBodyReleaseMisusePanics|TestBodyReaderWriteTo|TestBodyForwardWritesBodyOnce|TestConcurrentHitsShareOneEncoding|TestPermJSONBuiltOnFirstUse'
+	GOMAXPROCS=4 $(GO) test -race -count=10 -timeout 10m ./internal/planserve/ ./internal/fleet/ \
+		-run 'TestReadByKeyAnswersAsAForwardedHit|TestForgedReadsByKey|TestOwnerAnswersForwardByKey|TestBodyParsedOncePerNode|TestSendBodyLosesToALaterPlan'
 
 # Seed-corpus-only pass: every fuzz target replays its checked-in corpus as
 # plain tests (no mutation engine), so check catches corpus regressions fast.
@@ -153,6 +158,7 @@ bench:
 	$(GO) test ./internal/sparse/ -run XXX -bench 'ReadMatrixMarket|ReadBinary' -benchmem
 	$(GO) test ./internal/plancache/ -run XXX -bench KeyCSR -benchmem
 	$(GO) test ./internal/planserve/ -run XXX -bench HotHit -benchmem
+	$(GO) test ./internal/fleet/ -run XXX -bench ForwardedHit -benchmem -cpu 2
 	$(GO) test ./internal/cluster/ -run XXX -bench KMeans -benchtime 10x
 	$(GO) test ./internal/core/ -run XXX -bench 'Eigensolve|Sweep' -benchtime 5x
 	$(GO) test ./internal/core/ -run XXX -bench LanczosColdSparse -benchmem -benchtime 20x

@@ -81,11 +81,12 @@ type Diff struct {
 // whether the ring assigns a key to this node. The same function decides
 // what the repair loop pulls and what it drops, and backs the ring-churn
 // agreement test, so what the tests prove about ring movement is exactly
-// what the healer will do.
+// what the healer will do. A peer's key not of plancache.KeyCSR's shape is
+// ignored: a digest is network input.
 func ComputeDiff(c *plancache.Cache, peer Digest, owns func(key string) bool) Diff {
 	var d Diff
 	for _, pe := range peer.Entries {
-		if !owns(pe.Key) {
+		if !plancache.ValidKey(pe.Key) || !owns(pe.Key) {
 			continue
 		}
 		st, ok := c.Stat(pe.Key)

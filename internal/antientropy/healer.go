@@ -504,9 +504,13 @@ var ErrNotCached = errors.New("not cached")
 
 // FetchEntry GETs key from peer's cache (GET /v1/cache/{key}), reads at most
 // MaxEntryBytes, decodes the entry (CRC and bijection checks) and checks
-// that it is filed under key. A 404 wraps ErrNotCached. The caller bounds
-// ctx.
+// that it is filed under key. A 404 wraps ErrNotCached. A key not of
+// plancache.KeyCSR's shape is refused before any request, so the key cannot
+// reshape the URL. The caller bounds ctx.
 func FetchEntry(ctx context.Context, client *http.Client, peer, key string) (*plancache.Entry, error) {
+	if !plancache.ValidKey(key) {
+		return nil, fmt.Errorf("antientropy: malformed plan key %q", key)
+	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, peer+"/v1/cache/"+key, nil)
 	if err != nil {
 		return nil, err

@@ -7,13 +7,17 @@ package antientropy_test
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"io/fs"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"slices"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -88,15 +92,17 @@ func tree(t *testing.T, dir string) []string {
 	return paths
 }
 
-// mkEntry builds a valid entry under an arbitrary filename-safe key.
-func mkEntry(t *testing.T, key string, k int) *plancache.Entry {
+// mkEntry builds a valid entry under a key of plancache.KeyCSR's shape, the
+// hex SHA-256 of label: peers refuse any other key.
+func mkEntry(t *testing.T, label string, k int) *plancache.Entry {
 	t.Helper()
 	const rows = 16
 	perm := make(sparse.Permutation, rows)
 	for i := range perm {
 		perm[i] = int32(rows - 1 - i)
 	}
-	return &plancache.Entry{Key: key, Perm: perm, Reordered: true, K: k}
+	sum := sha256.Sum256([]byte(label))
+	return &plancache.Entry{Key: hex.EncodeToString(sum[:]), Perm: perm, Reordered: true, K: k}
 }
 
 // newHealer builds a healer for self over the given peers' URLs.
@@ -265,7 +271,7 @@ func TestDivergentConvergesToCanonicalBytes(t *testing.T) {
 	hb.RepairOnce(context.Background())
 
 	for name, c := range map[string]*plancache.Cache{"a": a.cache, "b": b.cache} {
-		got, ok := c.Peek("key-div")
+		got, ok := c.Peek(ea.Key)
 		if !ok {
 			t.Fatalf("%s lost the key", name)
 		}
@@ -367,14 +373,15 @@ func TestDropNotOwnedHandsOffFirst(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Find a key owned by b under Replicas=1.
-	var key string
+	var e *plancache.Entry
 	for i := 0; ; i++ {
-		key = fmt.Sprintf("stray-%03d", i)
-		if r.Owner(key) == b.ts.URL {
+		e = mkEntry(t, fmt.Sprintf("stray-%03d", i), 4)
+		if r.Owner(e.Key) == b.ts.URL {
 			break
 		}
 	}
-	if err := a.cache.Put(mkEntry(t, key, 4)); err != nil {
+	key := e.Key
+	if err := a.cache.Put(e); err != nil {
 		t.Fatal(err)
 	}
 
@@ -453,5 +460,30 @@ func TestScrubRepairsBitRot(t *testing.T) {
 	}
 	if _, err := os.Stat(path + plancache.QuarantineSuffix); err != nil {
 		t.Fatal("corrupt bytes not preserved in quarantine")
+	}
+}
+
+// TestMalformedPeerKeysIgnored: a key not of plancache.KeyCSR's shape that
+// reaches a healer from the network is refused: a repair round never pulls
+// one a peer's digest lists, and FetchEntry sends no request for one.
+func TestMalformedPeerKeysIgnored(t *testing.T) {
+	a := newPeer(t)
+	good := mkEntry(t, "key-good", 4)
+	peer := antientropy.Digest{Entries: []antientropy.DigestEntry{
+		{Key: "../../escaped", Size: 1, CRC: 1},
+		{Key: good.Key, Size: 1, CRC: 1},
+	}}
+	d := antientropy.ComputeDiff(a.cache, peer, func(string) bool { return true })
+	if !slices.Equal(d.Missing, []string{good.Key}) {
+		t.Errorf("missing keys %q, want only the plan key", d.Missing)
+	}
+	var asked atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		asked.Add(1)
+		http.NotFound(w, r)
+	}))
+	defer ts.Close()
+	if _, err := antientropy.FetchEntry(context.Background(), ts.Client(), ts.URL, "../v1/cache/digest"); err == nil || asked.Load() != 0 {
+		t.Errorf("FetchEntry of a malformed key: %v after %d requests, want a refusal before any", err, asked.Load())
 	}
 }

@@ -2,12 +2,15 @@ package fleet
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -30,15 +33,30 @@ func padBody(body []byte, size int, fill byte) []byte {
 	return append(out, body[nl:]...)
 }
 
+// askForBody answers a read by key as a peer that lacks the plan does, and
+// reports whether r was one.
+func askForBody(w http.ResponseWriter, r *http.Request) bool {
+	if r.Header.Get(planserve.KeyHeader) == "" {
+		return false
+	}
+	w.Header().Set(planserve.SendBodyHeader, "1")
+	w.WriteHeader(http.StatusNotFound)
+	return true
+}
+
 // lingeringPeer is the far end of a forward as net/http's RoundTripper
-// contract lets a transport behave: the round trip gives up when the
-// forward is cancelled, but the request body is read on, slowly, to its
-// end, and closed only then. It reports the SHA-256 of what it read.
+// contract lets a transport behave: it asks for the body, and then the
+// round trip gives up when the forward is cancelled, but the request body
+// is read on, slowly, to its end, and closed only then. It reports the
+// SHA-256 of what it read.
 type lingeringPeer struct {
 	sum chan [sha256.Size]byte
 }
 
 func (p *lingeringPeer) RoundTrip(req *http.Request) (*http.Response, error) {
+	if rec := httptest.NewRecorder(); askForBody(rec, req) {
+		return rec.Result(), nil
+	}
 	go func() {
 		defer req.Body.Close()
 		h := sha256.New()
@@ -58,9 +76,10 @@ func (p *lingeringPeer) RoundTrip(req *http.Request) (*http.Response, error) {
 }
 
 // rewindingTransport sends requests for host to lingering and every other
-// request through next after a rewind: it reads a little of the body, closes
-// it and sends a fresh one from GetBody, as net/http does when it retries a
-// request on a new connection.
+// body forward through next after a rewind: it reads a little of the body,
+// closes it and sends a fresh one from GetBody, as net/http does when it
+// retries a request on a new connection. Reads by key go to next as they
+// are.
 type rewindingTransport struct {
 	host      string
 	lingering http.RoundTripper
@@ -70,6 +89,9 @@ type rewindingTransport struct {
 func (t *rewindingTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 	if req.URL.Host == t.host {
 		return t.lingering.RoundTrip(req)
+	}
+	if req.Body == nil {
+		return t.next.RoundTrip(req)
 	}
 	_, _ = req.Body.Read(make([]byte, 100))
 	req.Body.Close()
@@ -83,17 +105,21 @@ func (t *rewindingTransport) RoundTrip(req *http.Request) (*http.Response, error
 }
 
 // TestHedgeLoserKeepsItsBody: a forward's request body outlives the handler
-// that read it. The key's owner reads its forward slowly and is still
-// reading when the hedge's answer has been relayed and the handler has
-// returned, while other requests read same-sized bodies through the pool.
-// The owner must still read the client's exact bytes, the hedge target must
-// get them through a GetBody rewind, and every reference must settle.
+// that read it. Both peers ask for the body. The key's owner reads its
+// forward slowly and is still reading when the hedge's answer has been
+// relayed and the handler has returned, while other requests read
+// same-sized bodies through the pool. The owner must still read the
+// client's exact bytes, the hedge target must get them through a GetBody
+// rewind, and every reference must settle.
 func TestHedgeLoserKeepsItsBody(t *testing.T) {
 	// On one P, sync.Pool hands a released buffer to the very next request
 	// that asks for one, so a buffer released too early is overwritten.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var hedgeGot atomic.Value
 	fast := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if askForBody(w, r) {
+			return
+		}
 		h := sha256.New()
 		_, _ = io.Copy(h, r.Body)
 		hedgeGot.Store([sha256.Size]byte(h.Sum(nil)))
@@ -153,5 +179,77 @@ func TestHedgeLoserKeepsItsBody(t *testing.T) {
 	}
 	if err := leakcheck.SettleZero("body references", srv.BodyRefs); err != nil {
 		t.Error(err)
+	}
+}
+
+// recordingConn records the length of every Write to a connection.
+type recordingConn struct {
+	net.Conn
+	mu     sync.Mutex
+	writes []int
+}
+
+func (c *recordingConn) Write(p []byte) (int, error) {
+	c.mu.Lock()
+	c.writes = append(c.writes, len(p))
+	c.mu.Unlock()
+	return c.Conn.Write(p)
+}
+
+// TestBodyForwardWritesBodyOnce: a body forward reaches its connection, a
+// bodyConn, in one Write of all the bytes the transport's 4 KB header buffer
+// did not take, the body's WriteTo, rather than through a copy buffer in
+// 32 KB pieces, and the peer reads the client's exact bytes.
+func TestBodyForwardWritesBodyOnce(t *testing.T) {
+	var got atomic.Value
+	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/readyz" || askForBody(w, r) {
+			return
+		}
+		h := sha256.New()
+		_, _ = io.Copy(h, r.Body)
+		got.Store([sha256.Size]byte(h.Sum(nil)))
+		fmt.Fprint(w, `{"k":8}`)
+	}))
+	defer peer.Close()
+	h := newRouterHarness(t, Config{Replicas: 2, HedgeAfter: -1}, peer)
+	var conns []*recordingConn
+	var mu sync.Mutex
+	tr := newTransport()
+	tr.DialContext = func(ctx context.Context, network, addr string) (net.Conn, error) {
+		c, err := (&net.Dialer{}).DialContext(ctx, network, addr)
+		if err != nil {
+			return nil, err
+		}
+		rc := &recordingConn{Conn: c}
+		mu.Lock()
+		conns = append(conns, rc)
+		mu.Unlock()
+		return bodyConn{rc}, nil
+	}
+	defer tr.CloseIdleConnections()
+	h.rt.client.Transport = tr
+
+	body := padBody(bodyOwnedBy(t, h.rt, 1, peer.URL), 200<<10, 'a')
+	client := &http.Client{Timeout: 30 * time.Second}
+	defer client.CloseIdleConnections()
+	if resp, _ := postPlan(t, client, h.front.URL, body); resp.Header.Get(ServedByHeader) != peer.URL {
+		t.Fatalf("served by %q, want the peer %s", resp.Header.Get(ServedByHeader), peer.URL)
+	}
+	if g, _ := got.Load().([sha256.Size]byte); g != sha256.Sum256(body) {
+		t.Fatal("the peer read other bytes than the client sent")
+	}
+	largest := 0
+	mu.Lock()
+	for _, c := range conns {
+		c.mu.Lock()
+		for _, n := range c.writes {
+			largest = max(largest, n)
+		}
+		c.mu.Unlock()
+	}
+	mu.Unlock()
+	if largest < len(body)-4096 {
+		t.Errorf("the largest write to a peer connection was %d bytes; want the %d-byte body in one write", largest, len(body))
 	}
 }

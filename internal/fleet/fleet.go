@@ -7,11 +7,12 @@
 //     through its body memo, and offers it to Route, which proxies a request
 //     whose key this node does not own to the key's owner, so every key's
 //     plan is computed and cached on a deterministic replica set instead of
-//     wherever a client happened to connect. The forward carries the bytes
-//     and Content-Type the client sent, so the owner's memo answers every
-//     repeat of them without a parse. Forwarded requests carry
-//     planserve.ForwardedHeader; the receiving node serves them locally (no
-//     forwarding loops by construction).
+//     wherever a client happened to connect. A forward asks by key first: the
+//     owner answers a plan it holds from the key and row count alone, and
+//     only when it asks for the body (planserve.SendBodyHeader) does the
+//     forward carry the bytes and Content-Type the client sent. Forwarded
+//     requests carry planserve.ForwardedHeader; the receiving node serves
+//     them locally (no forwarding loops by construction).
 //   - Failure awareness: a background prober walks every peer's /readyz; a
 //     peer that fails DownAfter consecutive probes or live requests (forwards
 //     and cache fills) is routed around until one of them succeeds again. A
@@ -36,8 +37,11 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"net"
 	"net/http"
+	"slices"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -157,6 +161,7 @@ type Router struct {
 
 	probes, probeFails     *obs.Counter
 	forwards, forwardFails *obs.Counter
+	bodyForwards           *obs.Counter
 	hedges, hedgeWins      *obs.Counter
 	fills, fillMisses      *obs.Counter
 	localFallbacks         *obs.Counter
@@ -201,7 +206,7 @@ func New(cfg Config) (*Router, error) {
 		cfg:    cfg,
 		ring:   r,
 		peers:  make(map[string]*peerState),
-		client: &http.Client{Timeout: 2 * time.Minute},
+		client: &http.Client{Timeout: 2 * time.Minute, Transport: newTransport()},
 		stop:   make(chan struct{}),
 	}
 	rt.registerMetrics(cfg.Metrics)
@@ -223,7 +228,8 @@ func (rt *Router) registerMetrics(reg *obs.Registry) {
 	rt.reg = reg
 	rt.probes = reg.Counter("bootes_fleet_probes_total", "Peer health probes sent.")
 	rt.probeFails = reg.Counter("bootes_fleet_probe_failures_total", "Peer health probes that failed.")
-	rt.forwards = reg.Counter("bootes_fleet_forwards_total", "Plan requests forwarded to a replica.")
+	rt.forwards = reg.Counter("bootes_fleet_forwards_total", "Forward attempts sent to a replica: reads by key and body forwards.")
+	rt.bodyForwards = reg.Counter("bootes_fleet_body_forwards_total", "Forward attempts that carried the client's body, after a read by key found no plan.")
 	rt.forwardFails = reg.Counter("bootes_fleet_forward_failures_total", "Forward attempts that failed (transport error or 5xx).")
 	rt.hedges = reg.Counter("bootes_fleet_hedges_total", "Hedged duplicate requests fired at the next replica.")
 	rt.hedgeWins = reg.Counter("bootes_fleet_hedge_wins_total", "Hedged requests that answered before the primary.")
@@ -373,7 +379,11 @@ func (rt *Router) servePeers(w http.ResponseWriter, _ *http.Request) {
 // the answer, or returns false for planserve to serve it here. It serves
 // here what this node owns, and falls back to serving here when no remote
 // replica is up, or every forward failed: availability beats placement.
-func (rt *Router) Route(w http.ResponseWriter, r *http.Request, key string, body *planserve.Body) bool {
+//
+// A forward is key-first. The replicas are asked for the plan by key and
+// row count, with no body; only when none answers with it is the body
+// forwarded, to the replicas whose read did not fail.
+func (rt *Router) Route(w http.ResponseWriter, r *http.Request, key string, rows int, body *planserve.Body) bool {
 	replicas := rt.ring.Replicas(key, rt.cfg.Replicas)
 	if replicas[0] == rt.cfg.Self {
 		return false
@@ -390,11 +400,11 @@ func (rt *Router) Route(w http.ResponseWriter, r *http.Request, key string, body
 			candidates = append(candidates, p)
 		}
 	}
-	if len(candidates) == 0 {
-		rt.localFallbacks.Inc()
-		return false
+	resp, peer, failed := rt.forwardHedged(r, forward{key: key, rows: rows}, candidates)
+	if resp == nil && r.Context().Err() == nil {
+		candidates = slices.DeleteFunc(candidates, func(p *peerState) bool { return slices.Contains(failed, p) })
+		resp, peer, _ = rt.forwardHedged(r, forward{body: body}, candidates)
 	}
-	resp, peer := rt.forwardHedged(r, body, candidates)
 	if resp == nil {
 		rt.localFallbacks.Inc()
 		return false
@@ -404,31 +414,51 @@ func (rt *Router) Route(w http.ResponseWriter, r *http.Request, key string, body
 	return true
 }
 
-// forwardHedged forwards body to candidates[0] and, if it has not answered
-// within HedgeAfter, fires one duplicate at candidates[1]. The first
-// acceptable response wins; the loser is cancelled. Returns (nil, nil) when
-// every attempt failed. Each attempt holds its own references to body (see
-// forwardOnce), so an attempt still running when the caller returns, a loser
-// being reaped, never reads bytes the caller's release gave back.
-func (rt *Router) forwardHedged(r *http.Request, body *planserve.Body, candidates []*peerState) (*http.Response, *peerState) {
+// forward is what a forward attempt sends: a read by key, the plan key and
+// row count with no body, or, when body is set, the client's body.
+type forward struct {
+	key  string
+	rows int
+	body *planserve.Body
+}
+
+// forwardHedged sends fw to candidates[0] and, if it has not answered within
+// HedgeAfter, one duplicate to candidates[1]. The first answer wins; the
+// loser is cancelled. A peer that asks for the body (a read by key that
+// found no plan) has not answered: it wins nothing while another attempt
+// may still answer, and counts against no peer's health. Returns a nil
+// response when no attempt answered, with the peers whose attempt failed.
+// Each body attempt holds its own references to the body (see forwardOnce),
+// so an attempt still running when the caller returns, a loser being
+// reaped, never reads bytes the caller's release gave back.
+func (rt *Router) forwardHedged(r *http.Request, fw forward, candidates []*peerState) (*http.Response, *peerState, []*peerState) {
+	if len(candidates) == 0 {
+		return nil, nil, nil
+	}
 	type attempt struct {
 		resp *http.Response
 		peer *peerState
 		err  error
 	}
 	ctx, cancel := context.WithCancel(r.Context())
-	// cancel fires only after the winner's body has been fully copied (or on
-	// total failure); cancelling earlier would sever the winning stream.
+	// cancel fires only after the winner's body has been fully copied (or
+	// when no attempt answered); cancelling earlier would sever the winning
+	// stream.
 	results := make(chan attempt, len(candidates))
 	launch := func(p *peerState) {
-		// The attempt's reference is taken before its goroutine starts: by
-		// the time it runs, the caller may have returned and let go of its
-		// own.
-		body.Retain()
+		rt.forwards.Inc()
+		if fw.body != nil {
+			rt.bodyForwards.Inc()
+			// The attempt's reference is taken before its goroutine starts:
+			// by the time it runs, the caller may have returned and let go
+			// of its own.
+			fw.body.Retain()
+		}
 		go func() {
-			rt.forwards.Inc()
-			resp, err := rt.forwardOnce(ctx, r, body, p)
-			body.Release()
+			resp, err := rt.forwardOnce(ctx, r, p, fw)
+			if fw.body != nil {
+				fw.body.Release()
+			}
 			if err != nil && ctx.Err() != nil {
 				// Cancelled because the race was decided, not because the
 				// peer is sick: no verdict either way.
@@ -440,8 +470,7 @@ func (rt *Router) forwardHedged(r *http.Request, body *planserve.Body, candidate
 			if err == nil && !success {
 				// A 5xx is a failed attempt; drain it so the connection is
 				// reusable.
-				_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20))
-				resp.Body.Close()
+				drainClose(resp)
 				err = fmt.Errorf("%s answered %d", p.url, resp.StatusCode)
 				resp = nil
 			}
@@ -458,6 +487,7 @@ func (rt *Router) forwardHedged(r *http.Request, body *planserve.Body, candidate
 	}
 	var winner *http.Response
 	var winnerPeer *peerState
+	var failed []*peerState
 	for finished < launched && winner == nil {
 		select {
 		case <-hedge:
@@ -468,6 +498,7 @@ func (rt *Router) forwardHedged(r *http.Request, body *planserve.Body, candidate
 		case a := <-results:
 			finished++
 			if a.err != nil {
+				failed = append(failed, a.peer)
 				if ctx.Err() == nil {
 					rt.forwardFails.Inc()
 					rt.cfg.Logf("fleet: forward to %s failed: %v", a.peer.url, a.err)
@@ -479,6 +510,12 @@ func (rt *Router) forwardHedged(r *http.Request, body *planserve.Body, candidate
 					launch(candidates[1])
 					launched++
 				}
+				continue
+			}
+			if a.resp.Header.Get(planserve.SendBodyHeader) != "" {
+				// No plan there. No hedge is promoted for it: the body
+				// forward that follows peer-fills from the other replicas.
+				drainClose(a.resp)
 				continue
 			}
 			winner = a.resp
@@ -494,20 +531,26 @@ func (rt *Router) forwardHedged(r *http.Request, body *planserve.Body, candidate
 		go func() {
 			for i := 0; i < remaining; i++ {
 				if a := <-results; a.resp != nil {
-					_, _ = io.Copy(io.Discard, io.LimitReader(a.resp.Body, 1<<20))
-					a.resp.Body.Close()
+					drainClose(a.resp)
 				}
 			}
 		}()
 	}
 	if winner == nil {
 		cancel()
-		return nil, nil
+		return nil, nil, failed
 	}
 	// Losers still in flight are cancelled once the winner's body is closed
 	// by the caller; tie cancel to the response body lifetime.
 	winner.Body = &cancelOnClose{ReadCloser: winner.Body, cancel: cancel}
-	return winner, winnerPeer
+	return winner, winnerPeer, nil
+}
+
+// drainClose reads what is left of a response not relayed, up to 1 MiB, and
+// closes it, so its connection is reusable.
+func drainClose(resp *http.Response) {
+	_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20))
+	resp.Body.Close()
 }
 
 // cancelOnClose cancels the forward context when the response body is
@@ -541,20 +584,27 @@ func (rt *Router) recordOutcome(p *peerState, success bool, err error) {
 	}
 }
 
-// forwardOnce proxies one plan request to p with body, the bytes the client
-// sent, preserving method, path, query, and the content and routing headers.
-// The caller holds a reference to body until forwardOnce returns, which
-// covers every GetBody rewind (net/http rewinds only inside the round trip).
-// The request body, and each rewind's, is a body.NewReader with a reference
-// of its own, which net/http drops by closing it when it is done writing,
-// possibly after the round trip returned.
-func (rt *Router) forwardOnce(ctx context.Context, r *http.Request, body *planserve.Body, p *peerState) (*http.Response, error) {
+// forwardOnce sends one attempt of a plan request to p, preserving method,
+// path, query, and the content and routing headers. A read by key carries
+// the key and row count and no body. A body forward carries the bytes the
+// client sent: the caller holds a reference to fw.body until forwardOnce
+// returns, which covers every GetBody rewind (net/http rewinds only inside
+// the round trip), and the request body, and each rewind's, is a
+// body.NewReader with a reference of its own, which net/http drops by
+// closing it when it is done writing, possibly after the round trip
+// returned.
+func (rt *Router) forwardOnce(ctx context.Context, r *http.Request, p *peerState, fw forward) (*http.Response, error) {
 	req, err := http.NewRequestWithContext(ctx, r.Method, p.url+r.URL.RequestURI(), nil)
 	if err != nil {
 		return nil, err
 	}
-	req.Body, req.ContentLength = body.NewReader(), int64(body.Len())
-	req.GetBody = func() (io.ReadCloser, error) { return body.NewReader(), nil }
+	if body := fw.body; body != nil {
+		req.Body, req.ContentLength = body.NewReader(), int64(body.Len())
+		req.GetBody = func() (io.ReadCloser, error) { return body.NewReader(), nil }
+	} else {
+		req.Header.Set(planserve.KeyHeader, fw.key)
+		req.Header.Set(planserve.RowsHeader, strconv.Itoa(fw.rows))
+	}
 	for _, h := range []string{"Content-Type", "X-Deadline", "X-Tenant", "Accept"} {
 		if v := r.Header.Get(h); v != "" {
 			req.Header.Set(h, v)
@@ -562,6 +612,55 @@ func (rt *Router) forwardOnce(ctx context.Context, r *http.Request, body *planse
 	}
 	req.Header.Set(planserve.ForwardedHeader, "1")
 	return rt.client.Do(req)
+}
+
+// newTransport returns the router's HTTP transport: the default transport,
+// over connections that hand a forwarded body to the socket in one Write
+// (bodyConn).
+func newTransport() *http.Transport {
+	t := http.DefaultTransport.(*http.Transport).Clone()
+	dial := t.DialContext
+	t.DialContext = func(ctx context.Context, network, addr string) (net.Conn, error) {
+		c, err := dial(ctx, network, addr)
+		if err != nil {
+			return nil, err
+		}
+		return bodyConn{c}, nil
+	}
+	return t
+}
+
+// bodyConn is a connection to a peer that writes a forward's body with the
+// body's own WriteTo. net/http passes a request body of declared length to
+// the connection's ReadFrom as an io.LimitedReader, which hides the body's
+// WriteTo, and a *net.TCPConn copies that through a fresh 32 KB buffer.
+type bodyConn struct{ net.Conn }
+
+func (c bodyConn) ReadFrom(r io.Reader) (int64, error) {
+	if lr, ok := r.(*io.LimitedReader); ok {
+		if wt, ok := lr.R.(io.WriterTo); ok {
+			n, err := wt.WriteTo(&limitedWriter{c.Conn, lr.N})
+			lr.N -= n
+			return n, err
+		}
+	}
+	return io.Copy(c.Conn, r)
+}
+
+// limitedWriter writes at most n bytes to w: a Write past them fails, as a
+// body longer than its declared length must.
+type limitedWriter struct {
+	w io.Writer
+	n int64
+}
+
+func (l *limitedWriter) Write(p []byte) (int, error) {
+	if int64(len(p)) > l.n {
+		return 0, errors.New("fleet: forward body longer than its declared length")
+	}
+	n, err := l.w.Write(p)
+	l.n -= int64(n)
+	return n, err
 }
 
 // copyResponse relays a proxied response, stamping which node served it.

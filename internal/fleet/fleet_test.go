@@ -540,11 +540,12 @@ func TestFillSkipsDownPeersAndVerifiesKey(t *testing.T) {
 
 	h := newRouterHarness(t, Config{Replicas: 3}, backend)
 	ctx := context.Background()
-	if e, ok := h.rt.Fill(ctx, "somekey"); !ok || e == nil || e.Key != "somekey" {
+	someKey, otherKey := strings.Repeat("a", 64), strings.Repeat("b", 64)
+	if e, ok := h.rt.Fill(ctx, someKey); !ok || e == nil || e.Key != someKey {
 		t.Fatalf("Fill = (%v, %v), want a matching entry", e, ok)
 	}
 	wrongKey.Store(true)
-	if _, ok := h.rt.Fill(ctx, "otherkey"); ok {
+	if _, ok := h.rt.Fill(ctx, otherKey); ok {
 		t.Error("Fill accepted an entry whose embedded key mismatched")
 	}
 
@@ -553,7 +554,7 @@ func TestFillSkipsDownPeersAndVerifiesKey(t *testing.T) {
 	p.mu.Lock()
 	p.isUp = false
 	p.mu.Unlock()
-	if _, ok := h.rt.Fill(ctx, "somekey"); ok {
+	if _, ok := h.rt.Fill(ctx, someKey); ok {
 		t.Error("Fill consulted a down peer")
 	}
 }
@@ -665,9 +666,10 @@ type arrival struct {
 	body        []byte
 }
 
-// forwardRig is a router over two stub peers that record every forward they
-// receive: the key's owner, which stalls until the forward is cancelled and
-// so loses every race to the hedge, and the hedge target, which answers.
+// forwardRig is a router over two stub peers that ask for the body on every
+// read by key and record every body forward they receive: the key's owner,
+// which stalls until the forward is cancelled and so loses every race to the
+// hedge, and the hedge target, which answers.
 type forwardRig struct {
 	*routerHarness
 	owner, hedge *httptest.Server
@@ -682,7 +684,7 @@ func newForwardRig(t *testing.T) *forwardRig {
 	fr := &forwardRig{client: &http.Client{Timeout: 10 * time.Second}}
 	peer := func(stall bool) *httptest.Server {
 		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if r.URL.Path == "/readyz" {
+			if r.URL.Path == "/readyz" || askForBody(w, r) {
 				return
 			}
 			b, _ := io.ReadAll(r.Body)
@@ -704,8 +706,8 @@ func newForwardRig(t *testing.T) *forwardRig {
 	return fr
 }
 
-// post sends body to the router and returns the two forwards of it, the
-// owner's and the hedge's.
+// post sends body to the router and returns the two body forwards of it,
+// the owner's and the hedge's.
 func (fr *forwardRig) post(t *testing.T, contentType string, body []byte) []arrival {
 	t.Helper()
 	fr.mu.Lock()
@@ -847,11 +849,13 @@ func TestForwardAfterMemoHitCarriesClientBytes(t *testing.T) {
 	}
 }
 
-// TestOwnerAnswersForwardFromItsMemo: through a real cluster, the same text
-// body sent three times via a non-owner is parsed once by that node and once
-// by the owner, which answers the later forwards from its memo with the same
-// plan.
-func TestOwnerAnswersForwardFromItsMemo(t *testing.T) {
+// TestOwnerAnswersForwardByKey: through a real cluster, the same text body
+// sent three times via a non-owner. The first request misses fleet-wide: the
+// entry node makes one read by key and one body forward, and the owner
+// parses and plans once. Each repeat is a read by key the owner answers from
+// its cache with the same plan, so no body moves: the owner's memo counters
+// and the entry node's body-forward counter stay flat.
+func TestOwnerAnswersForwardByKey(t *testing.T) {
 	var computes atomic.Int64
 	c, err := LaunchCluster(3, NodeConfig{
 		Serve:    planserve.Config{Plan: countingPlan(&computes)},
@@ -872,7 +876,21 @@ func TestOwnerAnswersForwardFromItsMemo(t *testing.T) {
 	if via == owner {
 		via = c.Nodes[1].URL
 	}
+	counts := func() map[string]int64 {
+		out := make(map[string]int64)
+		for _, at := range []string{
+			via + " bootes_fleet_forwards_total",
+			via + " bootes_fleet_body_forwards_total",
+			owner + " bootes_serve_body_memo_misses_total",
+			owner + " bootes_serve_body_memo_hits_total",
+		} {
+			url, name, _ := strings.Cut(at, " ")
+			out[at] = scrapeCounter(t, client, url, name)
+		}
+		return out
+	}
 	var answers [][]byte
+	var afterMiss map[string]int64
 	for i := 0; i < 3; i++ {
 		resp, err := client.Post(via+"/v1/plan?perm=1", "text/plain", bytes.NewReader(body))
 		if err != nil {
@@ -884,23 +902,94 @@ func TestOwnerAnswersForwardFromItsMemo(t *testing.T) {
 			t.Fatalf("request %d: status %d served by %q, want 200 from owner %s", i, resp.StatusCode, resp.Header.Get(ServedByHeader), owner)
 		}
 		answers = append(answers, bytes.Replace(data, []byte(`,"cached":true`), nil, 1))
-	}
-	for at, want := range map[string]int64{
-		via + " bootes_serve_body_memo_misses_total":   1,
-		via + " bootes_serve_body_memo_hits_total":     2,
-		owner + " bootes_serve_body_memo_misses_total": 1,
-		owner + " bootes_serve_body_memo_hits_total":   2,
-	} {
-		url, name, _ := strings.Cut(at, " ")
-		if got := scrapeCounter(t, client, url, name); got != want {
-			t.Errorf("%s on %s = %d, want %d", name, url, got, want)
+		if i == 0 {
+			afterMiss = counts()
+			for at, want := range map[string]int64{
+				via + " bootes_fleet_forwards_total":           2,
+				via + " bootes_fleet_body_forwards_total":      1,
+				owner + " bootes_serve_body_memo_misses_total": 1,
+				owner + " bootes_serve_body_memo_hits_total":   0,
+			} {
+				if got := afterMiss[at]; got != want {
+					t.Errorf("after the miss: %s = %d, want %d", at, got, want)
+				}
+			}
 		}
+	}
+	after := counts()
+	for _, at := range []string{
+		via + " bootes_fleet_body_forwards_total",
+		owner + " bootes_serve_body_memo_misses_total",
+		owner + " bootes_serve_body_memo_hits_total",
+	} {
+		if after[at] != afterMiss[at] {
+			t.Errorf("%s moved from %d to %d across two repeats: a forwarded hit moved a body", at, afterMiss[at], after[at])
+		}
+	}
+	if got := after[via+" bootes_fleet_forwards_total"]; got != 4 {
+		t.Errorf("bootes_fleet_forwards_total on %s = %d, want 4: the miss's two attempts and one read per repeat", via, got)
 	}
 	if !bytes.Equal(answers[1], answers[0]) || !bytes.Equal(answers[2], answers[0]) {
 		t.Errorf("answers differ beyond the cached flag:\n%s\n%s\n%s", answers[0], answers[1], answers[2])
 	}
 	if n := computes.Load(); n != 1 {
 		t.Errorf("fleet computed the plan %d times, want 1", n)
+	}
+}
+
+// TestSendBodyLosesToALaterPlan: a hedge replica that lacks the plan and
+// asks for the body does not win the race while the slow owner, which holds
+// the plan, may still answer: the client gets the owner's plan, no body is
+// forwarded, and the replica's answer counts against nobody's health.
+func TestSendBodyLosesToALaterPlan(t *testing.T) {
+	asked := make(chan struct{})
+	var bodies atomic.Int64
+	owner := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/readyz" {
+			return
+		}
+		if r.Header.Get(planserve.KeyHeader) == "" {
+			bodies.Add(1)
+		}
+		select {
+		case <-asked:
+		case <-r.Context().Done():
+			return
+		}
+		time.Sleep(20 * time.Millisecond) // the replica's answer has landed by now
+		fmt.Fprint(w, `{"servedBy":"owner"}`)
+	}))
+	defer owner.Close()
+	var once sync.Once
+	replica := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/readyz" {
+			return
+		}
+		if !askForBody(w, r) {
+			bodies.Add(1)
+		}
+		once.Do(func() { close(asked) })
+	}))
+	defer replica.Close()
+
+	h := newRouterHarness(t, Config{Replicas: 3, HedgeAfter: 5 * time.Millisecond}, owner, replica)
+	body := bodyOwnedBy(t, h.rt, 2, owner.URL, replica.URL)
+	client := &http.Client{Timeout: 10 * time.Second}
+	defer client.CloseIdleConnections()
+	resp, _ := postPlan(t, client, h.front.URL, body)
+	if got := resp.Header.Get(ServedByHeader); resp.StatusCode != http.StatusOK || got != owner.URL {
+		t.Fatalf("status %d served by %q, want the owner's plan from %s", resp.StatusCode, got, owner.URL)
+	}
+	if n := bodies.Load(); n != 0 || h.rt.bodyForwards.Value() != 0 {
+		t.Errorf("%d bodies reached the peers (%d body forwards counted), want none", n, h.rt.bodyForwards.Value())
+	}
+	if h.rt.hedges.Value() != 1 || h.rt.hedgeWins.Value() != 0 {
+		t.Errorf("hedges %d, hedge wins %d; want the one hedge fired and lost", h.rt.hedges.Value(), h.rt.hedgeWins.Value())
+	}
+	for _, pv := range h.rt.Peers() {
+		if !pv.Up || pv.ConsecFails != 0 {
+			t.Errorf("peer %s after the race: %+v, want up with no failures", pv.URL, pv)
+		}
 	}
 }
 
@@ -1122,8 +1211,9 @@ func TestDrainingNodeStillForwards(t *testing.T) {
 }
 
 // TestBodyParsedOncePerNode: a text body sent to its owner once and then
-// twice via a non-owner is parsed once on each node; every later arrival of
-// the same bytes, the forwards on the owner included, is a memo hit.
+// twice via a non-owner is parsed once on each node that reads it, and the
+// owner reads it once: the owner answers the forwards by key, so the
+// non-owner forwards no body and the owner's memo sees neither forward.
 func TestBodyParsedOncePerNode(t *testing.T) {
 	var computes atomic.Int64
 	c, err := LaunchCluster(2, NodeConfig{
@@ -1148,13 +1238,16 @@ func TestBodyParsedOncePerNode(t *testing.T) {
 	for _, tc := range []struct {
 		url          string
 		misses, hits int64
-	}{{b.URL, 1, 2}, {a.URL, 1, 1}} {
+	}{{b.URL, 1, 0}, {a.URL, 1, 1}} {
 		if got := scrapeCounter(t, client, tc.url, "bootes_serve_body_memo_misses_total"); got != tc.misses {
 			t.Errorf("%s parsed the body %d times, want %d", tc.url, got, tc.misses)
 		}
 		if got := scrapeCounter(t, client, tc.url, "bootes_serve_body_memo_hits_total"); got != tc.hits {
 			t.Errorf("bootes_serve_body_memo_hits_total on %s = %d, want %d", tc.url, got, tc.hits)
 		}
+	}
+	if got := scrapeCounter(t, client, a.URL, "bootes_fleet_body_forwards_total"); got != 0 {
+		t.Errorf("the non-owner forwarded the body %d times, want 0", got)
 	}
 	if n := computes.Load(); n != 1 {
 		t.Errorf("fleet computed the plan %d times, want 1", n)

@@ -140,6 +140,21 @@ func KeyCSR(m *sparse.CSR) string {
 	return hex.EncodeToString(h.Sum(sum[:0]))
 }
 
+// ValidKey reports whether key has KeyCSR's shape: 64 lowercase hex digits.
+// A key that arrives from the network, in a replica push, a peer's digest or
+// a fleet peer's read by key, is refused unless it does.
+func ValidKey(key string) bool {
+	if len(key) != 2*sha256.Size {
+		return false
+	}
+	for i := 0; i < len(key); i++ {
+		if c := key[i]; (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return false
+		}
+	}
+	return true
+}
+
 // EncodeEntry serializes e into the container format.
 func EncodeEntry(e *Entry) ([]byte, error) {
 	if len(e.Key) > math.MaxUint16 || len(e.DegradedReason) > math.MaxUint16 {

@@ -193,8 +193,9 @@ func (c *Cache) Peek(key string) (*Entry, bool) {
 // what a future Open will serve. Violations are counted by planverify and
 // fail the Put without touching disk.
 func (c *Cache) Put(e *Entry) error {
-	if e.Key == "" {
-		return fmt.Errorf("plancache: empty key")
+	path, err := c.entryPath(e.Key)
+	if err != nil {
+		return err
 	}
 	if err := planverify.CachePut(e.Perm, e.K, e.Reordered, e.Degraded, e.DegradedReason); err != nil {
 		c.mu.Lock()
@@ -214,7 +215,6 @@ func (c *Cache) Put(e *Entry) error {
 		c.mu.Unlock()
 		return fmt.Errorf("plancache: rejecting entry %.12s: %w", e.Key, err)
 	}
-	path := filepath.Join(c.dir, e.Key+Ext)
 	if err := atomicio.WriteFileBytes(path, data); err != nil {
 		c.mu.Lock()
 		c.stats.WriteErrors++
@@ -232,13 +232,24 @@ func (c *Cache) Put(e *Entry) error {
 	return nil
 }
 
+// entryPath returns the file that holds key's entry. A key that is not one
+// file name in the cache directory is an error, so no key, wherever it came
+// from, names a path outside the directory.
+func (c *Cache) entryPath(key string) (string, error) {
+	name := key + Ext
+	if key == "" || filepath.Base(name) != name || !filepath.IsLocal(name) {
+		return "", fmt.Errorf("plancache: key %q is not a file name in the cache directory", key)
+	}
+	return filepath.Join(c.dir, name), nil
+}
+
 // PutCanonical is Put for a copy of an entry received from another replica:
 // it stores e unless the cache already holds an entry for e.Key whose
 // encoding is canonical against e's. Of two encodings of one key's entry the
 // lexicographically smaller byte string is canonical. Every replica applies
 // this one rule to every copy it receives, whether pushed or pulled, so a
 // replica set converges on one entry whichever side repairs first. It
-// reports whether e was stored.
+// reports whether e was stored, and refuses any key Put refuses.
 func (c *Cache) PutCanonical(e *Entry) (bool, error) {
 	if local, ok := c.Peek(e.Key); ok {
 		localData, err := EncodeEntry(local)
@@ -302,14 +313,19 @@ func (c *Cache) Stat(key string) (EntryStat, bool) {
 
 // Delete removes key's entry from disk and the index. Used by the
 // anti-entropy repair loop to drop entries this node no longer owns after a
-// ring change. Deleting an absent key is a no-op.
+// ring change. Deleting an absent key is a no-op; a key that is not a file
+// name in the cache directory is an error.
 func (c *Cache) Delete(key string) error {
+	path, err := c.entryPath(key)
+	if err != nil {
+		return err
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, ok := c.entries[key]; !ok {
 		return nil
 	}
-	if err := os.Remove(filepath.Join(c.dir, key+Ext)); err != nil && !os.IsNotExist(err) {
+	if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
 		return err
 	}
 	delete(c.entries, key)
@@ -322,14 +338,18 @@ func (c *Cache) Delete(key string) error {
 // invariants (CRC, structure, key match) plus bit-agreement with the index's
 // recorded stat. A failure quarantines the file, evicts the entry from the
 // index, and returns the decode error — the caller (the anti-entropy
-// scrubber) then repairs from a peer. Scrubbing an unindexed key is a no-op.
+// scrubber) then repairs from a peer. Scrubbing an unindexed key is a no-op;
+// a key that is not a file name in the cache directory is an error.
 func (c *Cache) Scrub(key string) error {
+	path, err := c.entryPath(key)
+	if err != nil {
+		return err
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, ok := c.entries[key]; !ok {
 		return nil
 	}
-	path := filepath.Join(c.dir, key+Ext)
 	evict := func() {
 		c.quarantine(path)
 		delete(c.entries, key)

@@ -501,6 +501,63 @@ func TestPutEmptyKeyRejected(t *testing.T) {
 	}
 }
 
+// TestKeysOutsideCacheDirRefused: Put, PutCanonical, Delete and Scrub refuse
+// a key that is not one file name in the cache directory, and write or
+// remove nothing, while a file-name key that is not a plan key still works.
+func TestKeysOutsideCacheDirRefused(t *testing.T) {
+	root := t.TempDir()
+	dir := filepath.Join(root, "a", "cache")
+	c, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	victim := filepath.Join(root, "victim"+Ext)
+	if err := os.WriteFile(victim, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{"../../escaped", "../../victim", "sub/key", "/abs", "dir/", ""} {
+		e := testEntry(t, testMatrix(t, 1))
+		e.Key = key
+		if err := c.Put(e); err == nil {
+			t.Errorf("Put accepted key %q", key)
+		}
+		if _, err := c.PutCanonical(e); err == nil {
+			t.Errorf("PutCanonical accepted key %q", key)
+		}
+		if err := c.Delete(key); err == nil {
+			t.Errorf("Delete accepted key %q", key)
+		}
+		if err := c.Scrub(key); err == nil {
+			t.Errorf("Scrub accepted key %q", key)
+		}
+	}
+	if _, err := os.Stat(victim); err != nil {
+		t.Errorf("a file outside the cache directory was removed: %v", err)
+	}
+	if _, err := os.Stat(filepath.Join(root, "escaped"+Ext)); !os.IsNotExist(err) {
+		t.Errorf("an entry was written outside the cache directory (stat: %v)", err)
+	}
+	e := testEntry(t, testMatrix(t, 1))
+	e.Key = "key-001"
+	if err := c.Put(e); err != nil {
+		t.Errorf("a file-name key was refused: %v", err)
+	}
+}
+
+// TestValidKey pins the shape every network ingress requires of a key:
+// KeyCSR's 64 lowercase hex digits.
+func TestValidKey(t *testing.T) {
+	key := KeyCSR(testMatrix(t, 1))
+	if !ValidKey(key) {
+		t.Errorf("KeyCSR's %q is not a valid key", key)
+	}
+	for _, bad := range []string{"", key[:63], key + "0", strings.ToUpper(key), "../" + key[3:], key[:63] + "g"} {
+		if ValidKey(bad) {
+			t.Errorf("ValidKey(%q) = true", bad)
+		}
+	}
+}
+
 func ExampleKeyCSR() {
 	m := sparse.Identity(4, false)
 	fmt.Println(len(KeyCSR(m)))

@@ -20,7 +20,9 @@
 //
 // On a fleet node a client's request is read and keyed first, then offered
 // to Config.Route, which forwards it to the key's owner or hands it back to
-// be admitted and served here.
+// be admitted and served here. The owner is asked by key first (KeyHeader):
+// it answers a cached plan with no body sent, and asks for the body
+// (SendBodyHeader) otherwise.
 //
 // Async jobs take the same lookup, pipeline and persist through RunJob.
 package planserve
@@ -34,6 +36,7 @@ import (
 	"log"
 	"net/http"
 	"os"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -135,14 +138,14 @@ type Config struct {
 	// not re-announced: they came from the replica set already.
 	Replicate func(key string)
 	// Route, when set, is offered each client plan request (not a peer's
-	// forward, ?async=1 or ?path=) once its body is read and keyed. It
-	// returns true when it answered the request by forwarding it, false to
-	// have it admitted and served here. The caller holds a reference to body
-	// for the length of the call; a forward that may read the bytes after
-	// Route returns (net/http closes a request body asynchronously) reads
-	// them through body.NewReader, which holds its own. fleet.StartNode sets
-	// it to the fleet router's Route.
-	Route func(w http.ResponseWriter, r *http.Request, key string, body *Body) bool
+	// forward, ?async=1 or ?path=) once its body is read and keyed to key and
+	// rows, the matrix's row count. It returns true when it answered the
+	// request by forwarding it, false to have it admitted and served here.
+	// The caller holds a reference to body for the length of the call; a
+	// forward that may read the bytes after Route returns (net/http closes a
+	// request body asynchronously) reads them through body.NewReader, which
+	// holds its own. fleet.StartNode sets it to the fleet router's Route.
+	Route func(w http.ResponseWriter, r *http.Request, key string, rows int, body *Body) bool
 	// Heal, when set, contributes the anti-entropy healer's counters to
 	// /statsz and opens the replica ingest, PUT /v1/cache/{key}, which is
 	// not served without it (the healer's lifecycle belongs to the caller,
@@ -165,6 +168,18 @@ type Config struct {
 // served where it arrives, never offered to Config.Route again, so a request
 // is forwarded at most once.
 const ForwardedHeader = "X-Bootes-Forwarded"
+
+// A fleet peer's read by key is a forwarded plan request with no body that
+// carries KeyHeader and RowsHeader: the plan key and row count the entry
+// node resolved for its client's body. It is answered with the plan when
+// this node holds a verified one for them, and otherwise with SendBodyHeader
+// on a 404, after which the peer forwards the body. The headers count only
+// on a request that also carries ForwardedHeader.
+const (
+	KeyHeader      = "X-Bootes-Key"
+	RowsHeader     = "X-Bootes-Rows"
+	SendBodyHeader = "X-Bootes-Send-Body"
+)
 
 // Stats is the /statsz payload.
 type Stats struct {
@@ -506,7 +521,11 @@ func (s *Server) handleCacheGet(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "no plan cache on this node", http.StatusNotFound)
 		return
 	}
-	e, ok := s.cfg.Cache.Peek(r.PathValue("key"))
+	key, ok := pathKey(w, r)
+	if !ok {
+		return
+	}
+	e, ok := s.cfg.Cache.Peek(key)
 	if !ok {
 		http.Error(w, "not cached", http.StatusNotFound)
 		return
@@ -534,7 +553,10 @@ func (s *Server) handleCachePut(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "no plan cache on this node", http.StatusNotFound)
 		return
 	}
-	key := r.PathValue("key")
+	key, ok := pathKey(w, r)
+	if !ok {
+		return
+	}
 	data, err := io.ReadAll(io.LimitReader(r.Body, antientropy.MaxEntryBytes))
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
@@ -566,6 +588,18 @@ func (s *Server) handleCachePut(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
+}
+
+// pathKey returns the {key} of a /v1/cache/{key} request, or answers 400 for
+// a key not of plancache.KeyCSR's shape: ServeMux unescapes the path, so a
+// key could otherwise name a file outside the cache directory.
+func pathKey(w http.ResponseWriter, r *http.Request) (string, bool) {
+	key := r.PathValue("key")
+	if !plancache.ValidKey(key) {
+		http.Error(w, "malformed plan key", http.StatusBadRequest)
+		return "", false
+	}
+	return key, true
 }
 
 // handleCacheDigest serves the anti-entropy digest: every cached key's
@@ -631,21 +665,26 @@ func latencyOutcome(code int) string {
 func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	start := s.reg.Now()
 	sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
-	if forwarded := s.receivePlan(sw, r); !forwarded {
+	if answered := s.receivePlan(sw, r); answered {
 		s.latency.With(latencyOutcome(sw.code)).Observe(s.reg.Now().Sub(start).Seconds())
 	}
 }
 
 // receivePlan admits, reads and keys a plan request and serves it, unless
-// Config.Route forwards it, which it reports. A request the router may move
-// is read and keyed first and admitted only if it stays, so a node spends no
-// tenant tokens on a request it forwards, nor refuses one while draining.
-// Every other request is admitted before a byte of its body is buffered.
-func (s *Server) receivePlan(w *statusWriter, r *http.Request) (forwarded bool) {
-	routable := s.cfg.Route != nil && r.Header.Get(ForwardedHeader) == "" &&
-		!isAsync(r) && r.URL.Query().Get("path") == ""
+// Config.Route forwards it. It reports whether this node answered the
+// request: not when it forwarded it, nor when a read by key asked for the
+// body. A request the router may move is read and keyed first and admitted
+// only if it stays, so a node spends no tenant tokens on a request it
+// forwards, nor refuses one while draining. Every other request is admitted
+// before a byte of its body is buffered.
+func (s *Server) receivePlan(w *statusWriter, r *http.Request) (answered bool) {
+	forwarded := r.Header.Get(ForwardedHeader) != ""
+	if forwarded && r.Header.Get(KeyHeader) != "" {
+		return s.readByKey(w, r)
+	}
+	routable := s.cfg.Route != nil && !forwarded && !isAsync(r) && r.URL.Query().Get("path") == ""
 	if !routable && !s.admit(w, r) {
-		return false
+		return true
 	}
 	in, err := s.readInput(r)
 	if err != nil {
@@ -655,24 +694,69 @@ func (s *Server) receivePlan(w *statusWriter, r *http.Request) (forwarded bool) 
 		if errors.As(err, &tooBig) {
 			http.Error(w, fmt.Sprintf("matrix body exceeds the %d-byte upload limit", tooBig.Limit),
 				http.StatusRequestEntityTooLarge)
-			return false
+			return true
 		}
 		http.Error(w, err.Error(), http.StatusBadRequest)
-		return false
+		return true
 	}
 	defer in.release()
 	if routable {
 		// A forward's answer is relayed on the connection's own writer: it is
 		// the serving node's outcome, not this one's.
-		if s.cfg.Route(w.ResponseWriter, r, in.key, in.body) {
-			return true
+		if s.cfg.Route(w.ResponseWriter, r, in.key, in.rows, in.body) {
+			return false
 		}
 		if !s.admit(w, r) {
-			return false
+			return true
 		}
 	}
 	s.servePlan(w, r, in)
-	return false
+	return true
+}
+
+// readByKey answers a fleet peer's read by key (KeyHeader, RowsHeader): the
+// plan key and row count the peer resolved for its client's body, which it
+// has not sent. A verified cached plan for them is admitted and served as a
+// forwarded request's hit is, so the client gets the same bytes and this
+// node spends the request's tenant token. Anything else, a plan of another
+// row count included, gets SendBodyHeader, spends no token and records no
+// violation: the peer forwards the body next, and this node keys those
+// bytes, peer-fills and checks as for any request. So a claimed key is only
+// ever a lookup key in the local cache: nothing is planned, filled, cached
+// or memoized under it, and a forged read learns only what
+// GET /v1/cache/{key} serves anyone. A malformed key or row count, or a
+// body, is a 400 before any lookup.
+func (s *Server) readByKey(w *statusWriter, r *http.Request) (answered bool) {
+	key := r.Header.Get(KeyHeader)
+	rows, err := strconv.Atoi(r.Header.Get(RowsHeader))
+	switch {
+	case !plancache.ValidKey(key):
+		http.Error(w, "malformed plan key", http.StatusBadRequest)
+		return true
+	case err != nil || rows < 0:
+		http.Error(w, "malformed row count", http.StatusBadRequest)
+		return true
+	case r.ContentLength != 0:
+		http.Error(w, "a read by key carries no body", http.StatusBadRequest)
+		return true
+	}
+	if _, err := requestDeadline(r, s.cfg.DefaultDeadline); err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return true
+	}
+	var e *plancache.Entry
+	if s.cfg.Cache != nil {
+		e, _ = s.cfg.Cache.Get(key)
+	}
+	if e == nil || len(e.Perm) != rows || !s.verified(e, rows, "cached") {
+		w.Header().Set(SendBodyHeader, "1")
+		http.Error(w, "no plan for this key here: send the body", http.StatusNotFound)
+		return false
+	}
+	if s.admit(w, r) {
+		s.serveHit(w, r, e, false)
+	}
+	return true
 }
 
 // admit refuses a request while the server drains (503) and sheds one over
@@ -724,10 +808,7 @@ func (s *Server) servePlan(w http.ResponseWriter, r *http.Request, in *planInput
 	key := in.key
 	if e, peerFilled := s.lookup(ctx, key, in.rows); e != nil {
 		in.release()
-		s.served.Inc()
-		resp := planResponseFromEntry(e)
-		resp.PeerFilled = peerFilled
-		s.respond(w, r, resp, e, false, "")
+		s.serveHit(w, r, e, peerFilled)
 		return
 	}
 	// No plan to hand back: from here on the request needs its matrix.
@@ -784,6 +865,14 @@ func (s *Server) servePlan(w http.ResponseWriter, r *http.Request, in *planInput
 		s.degraded.Inc()
 	}
 	s.respond(w, r, planResponseFromResult(key, m, out.res), nil, shared, "")
+}
+
+// serveHit answers a request with the plan lookup found.
+func (s *Server) serveHit(w http.ResponseWriter, r *http.Request, e *plancache.Entry, peerFilled bool) {
+	s.served.Inc()
+	resp := planResponseFromEntry(e)
+	resp.PeerFilled = peerFilled
+	s.respond(w, r, resp, e, false, "")
 }
 
 // fly leads key's singleflight, or joins the flight already planning it,

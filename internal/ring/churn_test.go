@@ -6,6 +6,8 @@
 package ring_test
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"testing"
 
@@ -31,9 +33,11 @@ func TestRingChurnAgreement(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// Plan-shaped keys: a digest's other keys are never pulled.
 	keys := make([]string, nKeys)
 	for i := range keys {
-		keys[i] = fmt.Sprintf("k%03d", i)
+		sum := sha256.Sum256([]byte(fmt.Sprintf("k%03d", i)))
+		keys[i] = hex.EncodeToString(sum[:])
 	}
 
 	// OwnedBy must agree with scanning Replicas, and every key must have
