@@ -25,7 +25,8 @@
 #                  shared by handlers and fleet forwards, and the cached
 #                  permutation encoding many hits build at once) and ten of
 #                  the key-first forward tests (reads by key, forged ones,
-#                  and a hedge race a "send the body" reply must not win)
+#                  a hedge race a "send the body" reply must not win, and
+#                  one a hung owner must not stall)
 #   make fuzz    — short fuzzing smoke over the sparse-format parsers, the
 #                  CSR constructor, and the plan-cache entry decoder (the
 #                  hostile-input hardening targets)
@@ -44,7 +45,7 @@
 #                  (enqueue/drain throughput, journal replay at 10k jobs)
 #   make bench   — the parallel-layer, eigensolver (including the k=8
 #                  cold-sparse Lanczos solves), matrix-reader, plan-key,
-#                  hot-hit and forwarded-hit benchmarks behind
+#                  hot-hit and forwarded hit and miss benchmarks behind
 #                  BENCH_parallel.json, plus the
 #                  exact vs implicit similarity ablation (DESIGN.md §5)
 #   make bench-matrix — the similarity/eigen/k-means/sweep benchmarks across
@@ -114,9 +115,9 @@ race-serve:
 		./cmd/bootesd/
 	GOMAXPROCS=4 $(GO) test -race -count=2 -timeout 10m ./internal/chaos/ -run 'TestQueueCrashSoak|TestFleetHealSoak'
 	GOMAXPROCS=4 $(GO) test -race -count=10 -timeout 10m ./internal/planserve/ ./internal/fleet/ ./internal/plancache/ \
-		-run 'TestHedgeLoserKeepsItsBody|TestBodyReferencesSettleOnEveryPath|TestBodyReleaseMisusePanics|TestBodyReaderWriteTo|TestBodyForwardWritesBodyOnce|TestConcurrentHitsShareOneEncoding|TestPermJSONBuiltOnFirstUse'
+		-run 'TestHedgeLoserKeepsItsBody|TestBodyReferencesSettleOnEveryPath|TestBodyReleaseMisusePanics|TestConcurrentHitsShareOneEncoding|TestPermJSONBuiltOnFirstUse'
 	GOMAXPROCS=4 $(GO) test -race -count=10 -timeout 10m ./internal/planserve/ ./internal/fleet/ \
-		-run 'TestReadByKeyAnswersAsAForwardedHit|TestForgedReadsByKey|TestOwnerAnswersForwardByKey|TestBodyParsedOncePerNode|TestSendBodyLosesToALaterPlan'
+		-run 'TestReadByKeyAnswersAsAForwardedHit|TestForgedReadsByKey|TestOwnerAnswersForwardByKey|TestBodyParsedOncePerNode|TestSendBodyLosesToALaterPlan|TestHungOwnerLetsTheHedgeHaveTheBody'
 
 # Seed-corpus-only pass: every fuzz target replays its checked-in corpus as
 # plain tests (no mutation engine), so check catches corpus regressions fast.
@@ -158,7 +159,7 @@ bench:
 	$(GO) test ./internal/sparse/ -run XXX -bench 'ReadMatrixMarket|ReadBinary' -benchmem
 	$(GO) test ./internal/plancache/ -run XXX -bench KeyCSR -benchmem
 	$(GO) test ./internal/planserve/ -run XXX -bench HotHit -benchmem
-	$(GO) test ./internal/fleet/ -run XXX -bench ForwardedHit -benchmem -cpu 2
+	$(GO) test ./internal/fleet/ -run XXX -bench 'ForwardedHit|ForwardedMiss' -benchmem -cpu 2
 	$(GO) test ./internal/cluster/ -run XXX -bench KMeans -benchtime 10x
 	$(GO) test ./internal/core/ -run XXX -bench 'Eigensolve|Sweep' -benchtime 5x
 	$(GO) test ./internal/core/ -run XXX -bench LanczosColdSparse -benchmem -benchtime 20x

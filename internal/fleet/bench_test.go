@@ -59,3 +59,62 @@ func BenchmarkForwardedHit(b *testing.B) {
 		send()
 	}
 }
+
+// BenchmarkForwardedMiss is BenchmarkForwardedHit's request for a matrix no
+// node has planned: each op POSTs, with ?perm=1 and via the non-owner, the
+// Matrix Market text of a k-NN graph of a fresh seed (768 rows, density
+// 0.05, about 211 KB), which the owner reads, digests, parses, peer-fills
+// in vain from the entry node, plans with a stub pipeline and caches. It
+// times the whole hop of a fleet-wide miss; building the next body and
+// finding its owner is not timed.
+func BenchmarkForwardedMiss(b *testing.B) {
+	c, err := LaunchCluster(2, NodeConfig{
+		Serve:    planserve.Config{Plan: countingPlan(new(atomic.Int64))},
+		CacheDir: b.TempDir(),
+		Logf:     func(string, ...any) {},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	client := &http.Client{Timeout: 30 * time.Second}
+	defer client.CloseIdleConnections()
+	type request struct {
+		body       []byte
+		via, owner string
+	}
+	next := func(seed int64) request {
+		body := mmBody(b, workloads.KNNGraph(workloads.Params{Rows: 768, Cols: 768, Density: 0.05, Seed: seed}))
+		owner := c.Nodes[0].Router().Ring().Owner(keyMust(b, body))
+		via := c.Nodes[0].URL
+		if via == owner {
+			via = c.Nodes[1].URL
+		}
+		return request{body, via, owner}
+	}
+	send := func(rq request) {
+		resp, err := client.Post(rq.via+"/v1/plan?perm=1", "text/plain", bytes.NewReader(rq.body))
+		if err != nil {
+			b.Fatal(err)
+		}
+		data, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || resp.Header.Get(ServedByHeader) != rq.owner || bytes.Contains(data, []byte(`"cached":true`)) {
+			b.Fatalf("status %d served by %q, want an uncached 200 from the owner", resp.StatusCode, resp.Header.Get(ServedByHeader))
+		}
+	}
+	seed := int64(1000)
+	for i := 0; i < 3; i++ {
+		seed++
+		send(next(seed)) // warm both nodes' connections and pools
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		seed++
+		rq := next(seed)
+		b.StartTimer()
+		send(rq)
+	}
+}

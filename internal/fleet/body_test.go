@@ -2,15 +2,12 @@ package fleet
 
 import (
 	"bytes"
-	"context"
 	"crypto/sha256"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -179,77 +176,5 @@ func TestHedgeLoserKeepsItsBody(t *testing.T) {
 	}
 	if err := leakcheck.SettleZero("body references", srv.BodyRefs); err != nil {
 		t.Error(err)
-	}
-}
-
-// recordingConn records the length of every Write to a connection.
-type recordingConn struct {
-	net.Conn
-	mu     sync.Mutex
-	writes []int
-}
-
-func (c *recordingConn) Write(p []byte) (int, error) {
-	c.mu.Lock()
-	c.writes = append(c.writes, len(p))
-	c.mu.Unlock()
-	return c.Conn.Write(p)
-}
-
-// TestBodyForwardWritesBodyOnce: a body forward reaches its connection, a
-// bodyConn, in one Write of all the bytes the transport's 4 KB header buffer
-// did not take, the body's WriteTo, rather than through a copy buffer in
-// 32 KB pieces, and the peer reads the client's exact bytes.
-func TestBodyForwardWritesBodyOnce(t *testing.T) {
-	var got atomic.Value
-	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/readyz" || askForBody(w, r) {
-			return
-		}
-		h := sha256.New()
-		_, _ = io.Copy(h, r.Body)
-		got.Store([sha256.Size]byte(h.Sum(nil)))
-		fmt.Fprint(w, `{"k":8}`)
-	}))
-	defer peer.Close()
-	h := newRouterHarness(t, Config{Replicas: 2, HedgeAfter: -1}, peer)
-	var conns []*recordingConn
-	var mu sync.Mutex
-	tr := newTransport()
-	tr.DialContext = func(ctx context.Context, network, addr string) (net.Conn, error) {
-		c, err := (&net.Dialer{}).DialContext(ctx, network, addr)
-		if err != nil {
-			return nil, err
-		}
-		rc := &recordingConn{Conn: c}
-		mu.Lock()
-		conns = append(conns, rc)
-		mu.Unlock()
-		return bodyConn{rc}, nil
-	}
-	defer tr.CloseIdleConnections()
-	h.rt.client.Transport = tr
-
-	body := padBody(bodyOwnedBy(t, h.rt, 1, peer.URL), 200<<10, 'a')
-	client := &http.Client{Timeout: 30 * time.Second}
-	defer client.CloseIdleConnections()
-	if resp, _ := postPlan(t, client, h.front.URL, body); resp.Header.Get(ServedByHeader) != peer.URL {
-		t.Fatalf("served by %q, want the peer %s", resp.Header.Get(ServedByHeader), peer.URL)
-	}
-	if g, _ := got.Load().([sha256.Size]byte); g != sha256.Sum256(body) {
-		t.Fatal("the peer read other bytes than the client sent")
-	}
-	largest := 0
-	mu.Lock()
-	for _, c := range conns {
-		c.mu.Lock()
-		for _, n := range c.writes {
-			largest = max(largest, n)
-		}
-		c.mu.Unlock()
-	}
-	mu.Unlock()
-	if largest < len(body)-4096 {
-		t.Errorf("the largest write to a peer connection was %d bytes; want the %d-byte body in one write", largest, len(body))
 	}
 }

@@ -37,9 +37,7 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"net"
 	"net/http"
-	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -66,7 +64,9 @@ type Config struct {
 	// fleet size). The owner is replica 0.
 	Replicas int
 	// HedgeAfter is how long to wait on the owner before firing one hedged
-	// duplicate at the next up replica (default 250ms; <0 disables hedging).
+	// duplicate at the next up replica (default 250ms; <0 disables hedging),
+	// and how long a replica that asked for the body waits for an attempt
+	// still in flight before it is sent the body.
 	HedgeAfter time.Duration
 	// ProbeInterval is the health-probe period (default 2s).
 	ProbeInterval time.Duration
@@ -206,7 +206,7 @@ func New(cfg Config) (*Router, error) {
 		cfg:    cfg,
 		ring:   r,
 		peers:  make(map[string]*peerState),
-		client: &http.Client{Timeout: 2 * time.Minute, Transport: newTransport()},
+		client: &http.Client{Timeout: 2 * time.Minute},
 		stop:   make(chan struct{}),
 	}
 	rt.registerMetrics(cfg.Metrics)
@@ -380,9 +380,9 @@ func (rt *Router) servePeers(w http.ResponseWriter, _ *http.Request) {
 // here what this node owns, and falls back to serving here when no remote
 // replica is up, or every forward failed: availability beats placement.
 //
-// A forward is key-first. The replicas are asked for the plan by key and
-// row count, with no body; only when none answers with it is the body
-// forwarded, to the replicas whose read did not fail.
+// A forward is key-first: the replicas are asked for the plan by key and
+// row count, with no body, and the body goes only to a replica that asks
+// for it (forwardHedged).
 func (rt *Router) Route(w http.ResponseWriter, r *http.Request, key string, rows int, body *planserve.Body) bool {
 	replicas := rt.ring.Replicas(key, rt.cfg.Replicas)
 	if replicas[0] == rt.cfg.Self {
@@ -400,11 +400,11 @@ func (rt *Router) Route(w http.ResponseWriter, r *http.Request, key string, rows
 			candidates = append(candidates, p)
 		}
 	}
-	resp, peer, failed := rt.forwardHedged(r, forward{key: key, rows: rows}, candidates)
-	if resp == nil && r.Context().Err() == nil {
-		candidates = slices.DeleteFunc(candidates, func(p *peerState) bool { return slices.Contains(failed, p) })
-		resp, peer, _ = rt.forwardHedged(r, forward{body: body}, candidates)
+	if len(candidates) == 0 {
+		rt.localFallbacks.Inc()
+		return false
 	}
+	resp, peer := rt.forwardHedged(r, key, rows, body, candidates)
 	if resp == nil {
 		rt.localFallbacks.Inc()
 		return false
@@ -422,30 +422,32 @@ type forward struct {
 	body *planserve.Body
 }
 
-// forwardHedged sends fw to candidates[0] and, if it has not answered within
-// HedgeAfter, one duplicate to candidates[1]. The first answer wins; the
-// loser is cancelled. A peer that asks for the body (a read by key that
-// found no plan) has not answered: it wins nothing while another attempt
-// may still answer, and counts against no peer's health. Returns a nil
-// response when no attempt answered, with the peers whose attempt failed.
-// Each body attempt holds its own references to the body (see forwardOnce),
-// so an attempt still running when the caller returns, a loser being
-// reaped, never reads bytes the caller's release gave back.
-func (rt *Router) forwardHedged(r *http.Request, fw forward, candidates []*peerState) (*http.Response, *peerState, []*peerState) {
-	if len(candidates) == 0 {
-		return nil, nil, nil
-	}
+// forwardHedged races a plan request over candidates[0] and, if it has not
+// answered within HedgeAfter, one hedge at candidates[1]. Each attempt is
+// key-first: it reads by key, and a peer that asks for the body (a read that
+// found no plan) has not answered. It is sent the body at once when no
+// other attempt is in flight, and otherwise a HedgeAfter later, so a slow
+// peer that holds the plan can still win the race but a hung one holds the
+// request up by one HedgeAfter at most; a second peer that asks waits a
+// HedgeAfter after the first one's body. The first answer wins; the losers
+// are cancelled. Asking for the body counts against no peer's health.
+// Returns a nil response when no attempt answered. Each body attempt holds
+// its own references to the body (see forwardOnce), so an attempt still
+// running when the caller returns, a loser being reaped, never reads bytes
+// the caller's release gave back.
+func (rt *Router) forwardHedged(r *http.Request, key string, rows int, body *planserve.Body, candidates []*peerState) (*http.Response, *peerState) {
 	type attempt struct {
-		resp *http.Response
-		peer *peerState
-		err  error
+		resp  *http.Response
+		peer  *peerState
+		err   error
+		asked bool // a read that asked for the body
 	}
 	ctx, cancel := context.WithCancel(r.Context())
 	// cancel fires only after the winner's body has been fully copied (or
 	// when no attempt answered); cancelling earlier would sever the winning
 	// stream.
-	results := make(chan attempt, len(candidates))
-	launch := func(p *peerState) {
+	results := make(chan attempt, 4) // a read and a body forward per peer
+	launch := func(p *peerState, fw forward) {
 		rt.forwards.Inc()
 		if fw.body != nil {
 			rt.bodyForwards.Inc()
@@ -462,7 +464,7 @@ func (rt *Router) forwardHedged(r *http.Request, fw forward, candidates []*peerS
 			if err != nil && ctx.Err() != nil {
 				// Cancelled because the race was decided, not because the
 				// peer is sick: no verdict either way.
-				results <- attempt{nil, p, err}
+				results <- attempt{nil, p, err, false}
 				return
 			}
 			success := err == nil && resp.StatusCode < http.StatusInternalServerError
@@ -474,10 +476,18 @@ func (rt *Router) forwardHedged(r *http.Request, fw forward, candidates []*peerS
 				err = fmt.Errorf("%s answered %d", p.url, resp.StatusCode)
 				resp = nil
 			}
-			results <- attempt{resp, p, err}
+			if err == nil && fw.body == nil && resp.Header.Get(planserve.SendBodyHeader) != "" {
+				// No plan there: not an answer, and the peer gets the
+				// body next.
+				drainClose(resp)
+				results <- attempt{nil, p, nil, true}
+				return
+			}
+			results <- attempt{resp, p, err, false}
 		}()
 	}
-	launch(candidates[0])
+	read := forward{key: key, rows: rows}
+	launch(candidates[0], read)
 	launched, finished := 1, 0
 	var hedge <-chan time.Time
 	if rt.cfg.HedgeAfter >= 0 && len(candidates) > 1 {
@@ -485,44 +495,64 @@ func (rt *Router) forwardHedged(r *http.Request, fw forward, candidates []*peerS
 		defer ht.Stop()
 		hedge = ht.C
 	}
+	// waiting holds the peers that asked for the body and have not been
+	// sent it, in the order they asked; sendNext fires when the first of
+	// them is due it while other attempts are in flight.
+	var waiting []*peerState
+	var sendNext <-chan time.Time
+	sendBody := func() {
+		launch(waiting[0], forward{body: body})
+		launched++
+		waiting = waiting[1:]
+		sendNext = nil
+		if len(waiting) > 0 {
+			sendNext = time.After(rt.cfg.HedgeAfter)
+		}
+	}
 	var winner *http.Response
 	var winnerPeer *peerState
-	var failed []*peerState
 	for finished < launched && winner == nil {
 		select {
 		case <-hedge:
 			hedge = nil
 			rt.hedges.Inc()
-			launch(candidates[1])
+			launch(candidates[1], read)
 			launched++
+			continue
+		case <-sendNext:
+			sendBody()
+			continue
 		case a := <-results:
 			finished++
-			if a.err != nil {
-				failed = append(failed, a.peer)
+			switch {
+			case a.err != nil:
 				if ctx.Err() == nil {
 					rt.forwardFails.Inc()
 					rt.cfg.Logf("fleet: forward to %s failed: %v", a.peer.url, a.err)
 				}
-				if finished == launched && hedge != nil && launched < len(candidates) {
-					// The primary died before the hedge timer: promote the
-					// hedge immediately rather than waiting out the timer.
-					hedge = nil
-					launch(candidates[1])
-					launched++
+			case a.asked:
+				waiting = append(waiting, a.peer)
+			default:
+				winner = a.resp
+				winnerPeer = a.peer
+				if a.peer != candidates[0] {
+					rt.hedgeWins.Inc()
 				}
 				continue
 			}
-			if a.resp.Header.Get(planserve.SendBodyHeader) != "" {
-				// No plan there. No hedge is promoted for it: the body
-				// forward that follows peer-fills from the other replicas.
-				drainClose(a.resp)
-				continue
-			}
-			winner = a.resp
-			winnerPeer = a.peer
-			if a.peer != candidates[0] {
-				rt.hedgeWins.Inc()
-			}
+		}
+		switch {
+		case finished == launched && len(waiting) > 0:
+			// No attempt in flight may still answer with the plan.
+			sendBody()
+		case finished == launched && hedge != nil:
+			// The primary failed before the hedge timer: promote the hedge
+			// rather than waiting out the timer.
+			hedge = nil
+			launch(candidates[1], read)
+			launched++
+		case len(waiting) > 0 && sendNext == nil:
+			sendNext = time.After(rt.cfg.HedgeAfter)
 		}
 	}
 	if remaining := launched - finished; remaining > 0 {
@@ -538,12 +568,12 @@ func (rt *Router) forwardHedged(r *http.Request, fw forward, candidates []*peerS
 	}
 	if winner == nil {
 		cancel()
-		return nil, nil, failed
+		return nil, nil
 	}
 	// Losers still in flight are cancelled once the winner's body is closed
 	// by the caller; tie cancel to the response body lifetime.
 	winner.Body = &cancelOnClose{ReadCloser: winner.Body, cancel: cancel}
-	return winner, winnerPeer, nil
+	return winner, winnerPeer
 }
 
 // drainClose reads what is left of a response not relayed, up to 1 MiB, and
@@ -612,55 +642,6 @@ func (rt *Router) forwardOnce(ctx context.Context, r *http.Request, p *peerState
 	}
 	req.Header.Set(planserve.ForwardedHeader, "1")
 	return rt.client.Do(req)
-}
-
-// newTransport returns the router's HTTP transport: the default transport,
-// over connections that hand a forwarded body to the socket in one Write
-// (bodyConn).
-func newTransport() *http.Transport {
-	t := http.DefaultTransport.(*http.Transport).Clone()
-	dial := t.DialContext
-	t.DialContext = func(ctx context.Context, network, addr string) (net.Conn, error) {
-		c, err := dial(ctx, network, addr)
-		if err != nil {
-			return nil, err
-		}
-		return bodyConn{c}, nil
-	}
-	return t
-}
-
-// bodyConn is a connection to a peer that writes a forward's body with the
-// body's own WriteTo. net/http passes a request body of declared length to
-// the connection's ReadFrom as an io.LimitedReader, which hides the body's
-// WriteTo, and a *net.TCPConn copies that through a fresh 32 KB buffer.
-type bodyConn struct{ net.Conn }
-
-func (c bodyConn) ReadFrom(r io.Reader) (int64, error) {
-	if lr, ok := r.(*io.LimitedReader); ok {
-		if wt, ok := lr.R.(io.WriterTo); ok {
-			n, err := wt.WriteTo(&limitedWriter{c.Conn, lr.N})
-			lr.N -= n
-			return n, err
-		}
-	}
-	return io.Copy(c.Conn, r)
-}
-
-// limitedWriter writes at most n bytes to w: a Write past them fails, as a
-// body longer than its declared length must.
-type limitedWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (l *limitedWriter) Write(p []byte) (int, error) {
-	if int64(len(p)) > l.n {
-		return 0, errors.New("fleet: forward body longer than its declared length")
-	}
-	n, err := l.w.Write(p)
-	l.n -= int64(n)
-	return n, err
 }
 
 // copyResponse relays a proxied response, stamping which node served it.

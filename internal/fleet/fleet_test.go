@@ -939,8 +939,9 @@ func TestOwnerAnswersForwardByKey(t *testing.T) {
 
 // TestSendBodyLosesToALaterPlan: a hedge replica that lacks the plan and
 // asks for the body does not win the race while the slow owner, which holds
-// the plan, may still answer: the client gets the owner's plan, no body is
-// forwarded, and the replica's answer counts against nobody's health.
+// the plan, may still answer: the owner answers within a HedgeAfter of the
+// replica's ask, so the client gets the owner's plan, no body is forwarded,
+// and the replica's answer counts against nobody's health.
 func TestSendBodyLosesToALaterPlan(t *testing.T) {
 	asked := make(chan struct{})
 	var bodies atomic.Int64
@@ -972,7 +973,7 @@ func TestSendBodyLosesToALaterPlan(t *testing.T) {
 	}))
 	defer replica.Close()
 
-	h := newRouterHarness(t, Config{Replicas: 3, HedgeAfter: 5 * time.Millisecond}, owner, replica)
+	h := newRouterHarness(t, Config{Replicas: 3, HedgeAfter: 100 * time.Millisecond}, owner, replica)
 	body := bodyOwnedBy(t, h.rt, 2, owner.URL, replica.URL)
 	client := &http.Client{Timeout: 10 * time.Second}
 	defer client.CloseIdleConnections()
@@ -990,6 +991,59 @@ func TestSendBodyLosesToALaterPlan(t *testing.T) {
 		if !pv.Up || pv.ConsecFails != 0 {
 			t.Errorf("peer %s after the race: %+v, want up with no failures", pv.URL, pv)
 		}
+	}
+}
+
+// TestHungOwnerLetsTheHedgeHaveTheBody: the owner hangs and the hedge
+// replica lacks the plan. The replica's ask for the body waits one
+// HedgeAfter for the owner, not for the owner's answer: the replica is then
+// sent the body and answers within a few HedgeAfter.
+func TestHungOwnerLetsTheHedgeHaveTheBody(t *testing.T) {
+	release := make(chan struct{})
+	hung := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/readyz" {
+			return
+		}
+		select {
+		case <-release:
+		case <-r.Context().Done():
+		}
+	}))
+	defer hung.Close()
+	defer close(release)
+	replica := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/readyz" || askForBody(w, r) {
+			return
+		}
+		_, _ = io.Copy(io.Discard, r.Body)
+		fmt.Fprint(w, `{"servedBy":"replica"}`)
+	}))
+	defer replica.Close()
+
+	const hedgeAfter = 20 * time.Millisecond
+	h := newRouterHarness(t, Config{Replicas: 3, HedgeAfter: hedgeAfter}, hung, replica)
+	body := bodyOwnedBy(t, h.rt, 2, hung.URL, replica.URL)
+	client := &http.Client{Timeout: 10 * time.Second}
+	defer client.CloseIdleConnections()
+	start := time.Now()
+	resp, err := client.Post(h.front.URL+"/v1/plan", "application/octet-stream", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	took := time.Since(start)
+	if got := resp.Header.Get(ServedByHeader); got != replica.URL || !bytes.Contains(data, []byte("replica")) {
+		t.Fatalf("status %d served by %q: %q, want the replica's answer", resp.StatusCode, got, data)
+	}
+	if took > 50*hedgeAfter {
+		t.Errorf("answered after %v, want within a few HedgeAfter (%v)", took, hedgeAfter)
+	}
+	if n := h.rt.bodyForwards.Value(); n != 1 {
+		t.Errorf("body forwards = %d, want the replica's 1", n)
+	}
+	if h.rt.hedges.Value() != 1 || h.rt.hedgeWins.Value() != 1 {
+		t.Errorf("hedges %d, hedge wins %d; want the one hedge fired and won", h.rt.hedges.Value(), h.rt.hedgeWins.Value())
 	}
 }
 

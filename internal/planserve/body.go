@@ -138,26 +138,6 @@ func (r *bodyReader) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-// WriteTo writes the unread bytes to w in one Write, so a forward hands the
-// body to its connection without a copy buffer. The Write runs under a body
-// reference of its own rather than the reader's lock: net/http may Close the
-// reader from another goroutine while the Write blocks on a socket, and that
-// Close must not wait for it.
-func (r *bodyReader) WriteTo(w io.Writer) (int64, error) {
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		return 0, errBodyClosed
-	}
-	rest := r.body.b[r.off:]
-	r.off = r.body.Len()
-	r.body.Retain()
-	r.mu.Unlock()
-	defer r.body.Release()
-	n, err := w.Write(rest)
-	return int64(n), err
-}
-
 // Close drops the reader's reference; closing again is a no-op.
 func (r *bodyReader) Close() error {
 	r.mu.Lock()

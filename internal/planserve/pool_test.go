@@ -13,7 +13,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"bootes/internal/leakcheck"
 	"bootes/internal/plancache"
@@ -92,70 +91,6 @@ func TestBodyReferencesSettleOnEveryPath(t *testing.T) {
 		if err := leakcheck.SettleZero("body references", s.BodyRefs); err != nil {
 			t.Errorf("%s: %v", tc.name, err)
 		}
-	}
-}
-
-// writerFunc is an io.Writer made of a function.
-type writerFunc func(p []byte) (int, error)
-
-func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
-
-// TestBodyReaderWriteTo: WriteTo hands the unread bytes to one Write under a
-// reference of its own, so a Close racing the Write, as net/http's may,
-// neither waits for it nor lets the buffer back into the pool under it.
-func TestBodyReaderWriteTo(t *testing.T) {
-	// On one P, sync.Pool hands a released buffer to the very next body that
-	// asks for one, so a buffer released under the Write is reused.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	var held atomic.Int64
-	b := newBody(4096, &held)
-	b.b = append(b.b, bytes.Repeat([]byte("x"), 3000)...)
-	r := b.NewReader()
-	if n, err := r.Read(make([]byte, 1000)); n != 1000 || err != nil {
-		t.Fatalf("Read = %d, %v", n, err)
-	}
-	entered, release := make(chan []byte), make(chan struct{})
-	done := make(chan int64)
-	go func() {
-		n, err := r.(io.WriterTo).WriteTo(writerFunc(func(p []byte) (int, error) {
-			entered <- p
-			<-release
-			return len(p), nil
-		}))
-		if err != nil {
-			t.Error(err)
-		}
-		done <- n
-	}()
-	p := <-entered
-	closed := make(chan struct{})
-	go func() {
-		r.Close()
-		close(closed)
-	}()
-	select {
-	case <-closed:
-	case <-time.After(10 * time.Second):
-		t.Fatal("Close waited for the Write in progress")
-	}
-	b.Release()
-	if n := held.Load(); n != 1 {
-		t.Fatalf("%d references held while the Write runs, want its own 1", n)
-	}
-	// A body of the same class, read while the Write runs, must not get the
-	// Write's buffer.
-	other := newBody(4096, &held)
-	other.b = append(other.b, bytes.Repeat([]byte("y"), 3000)...)
-	other.Release()
-	if !bytes.Equal(p, bytes.Repeat([]byte("x"), 2000)) {
-		t.Error("the bytes under the Write changed: its buffer was reused")
-	}
-	close(release)
-	if n := <-done; n != 2000 {
-		t.Errorf("WriteTo wrote %d bytes, want the 2000 unread", n)
-	}
-	if n := held.Load(); n != 0 {
-		t.Errorf("%d references held after the Write, want 0", n)
 	}
 }
 
