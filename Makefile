@@ -22,11 +22,12 @@
 #                  the fleet-heal chaos soak, whose healers replicate,
 #                  repair, warm up and scrub against a live prober, then ten
 #                  runs of the request-body lifetime tests (pooled bodies
-#                  shared by handlers and fleet forwards, and the cached
-#                  permutation encoding many hits build at once) and ten of
-#                  the key-first forward tests (reads by key, forged ones,
-#                  a hedge race a "send the body" reply must not win, and
-#                  one a hung owner must not stall)
+#                  shared by handlers and fleet forwards, the cached
+#                  permutation encoding many hits build at once, and the
+#                  body memo's tags from one AEAD shared by goroutines) and
+#                  ten of the key-first forward tests (reads by key, forged
+#                  ones, a hedge race a "send the body" reply must not win,
+#                  and one a hung owner must not stall)
 #   make fuzz    — short fuzzing smoke over the sparse-format parsers, the
 #                  CSR constructor, and the plan-cache entry decoder (the
 #                  hostile-input hardening targets)
@@ -115,7 +116,7 @@ race-serve:
 		./cmd/bootesd/
 	GOMAXPROCS=4 $(GO) test -race -count=2 -timeout 10m ./internal/chaos/ -run 'TestQueueCrashSoak|TestFleetHealSoak'
 	GOMAXPROCS=4 $(GO) test -race -count=10 -timeout 10m ./internal/planserve/ ./internal/fleet/ ./internal/plancache/ \
-		-run 'TestHedgeLoserKeepsItsBody|TestBodyReferencesSettleOnEveryPath|TestBodyReleaseMisusePanics|TestConcurrentHitsShareOneEncoding|TestPermJSONBuiltOnFirstUse'
+		-run 'TestHedgeLoserKeepsItsBody|TestBodyReferencesSettleOnEveryPath|TestBodyReleaseMisusePanics|TestConcurrentHitsShareOneEncoding|TestPermJSONBuiltOnFirstUse|TestBodyMemoConcurrent|TestBodyMemoTagsExactBytes|TestBodyMemosTagApart'
 	GOMAXPROCS=4 $(GO) test -race -count=10 -timeout 10m ./internal/planserve/ ./internal/fleet/ \
 		-run 'TestReadByKeyAnswersAsAForwardedHit|TestForgedReadsByKey|TestOwnerAnswersForwardByKey|TestBodyParsedOncePerNode|TestSendBodyLosesToALaterPlan|TestHungOwnerLetsTheHedgeHaveTheBody'
 

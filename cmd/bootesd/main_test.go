@@ -3,9 +3,12 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"slices"
@@ -166,6 +169,30 @@ func TestDaemonPlansAndDrainsOnSIGTERM(t *testing.T) {
 	for _, want := range []string{"draining", "stopped"} {
 		if !strings.Contains(tail.String(), want) {
 			t.Errorf("log lacks %q:\n%s", want, tail.String())
+		}
+	}
+}
+
+// TestFIPSOnlyModeRefusedAtStart starts the binary under
+// GODEBUG=fips140=only, where Go refuses GCM under a caller-chosen nonce, and
+// expects it to exit non-zero at start naming that refusal: the body memo
+// keys repeat bodies by a GCM tag and has no other fingerprint to fall back
+// to.
+func TestFIPSOnlyModeRefusedAtStart(t *testing.T) {
+	dir := t.TempDir()
+	bin := buildDaemon(t, dir)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	cmd := exec.CommandContext(ctx, bin, "-addr", "127.0.0.1:0", "-cache", filepath.Join(dir, "plans"))
+	cmd.Env = append(os.Environ(), "GODEBUG=fips140=only")
+	out, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	if ctx.Err() != nil || !errors.As(err, &exit) || exit.ExitCode() <= 0 {
+		t.Fatalf("bootesd under fips140=only: %v (context %v), want a non-zero exit at start\n%s", err, ctx.Err(), out)
+	}
+	for _, want := range []string{"body memo", "GCM", "FIPS 140-only mode"} {
+		if !strings.Contains(string(out), want) {
+			t.Errorf("start-up error lacks %q:\n%s", want, out)
 		}
 	}
 }

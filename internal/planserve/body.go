@@ -1,8 +1,11 @@
 package planserve
 
 import (
-	"crypto/sha256"
+	"crypto/aes"
+	"crypto/cipher"
+	"crypto/rand"
 	"errors"
+	"fmt"
 	"io"
 	"math/bits"
 	"net/http"
@@ -41,7 +44,7 @@ func bodyClass(size int64) int {
 // Body is a request body read into one buffer that is shared by reference
 // count and returned to its size class's pool by the last Release. Each
 // holder that reads the bytes holds its own reference: the handler that read
-// them, until it has digested or parsed them, and each forward of them to a
+// them, until it has tagged or parsed them, and each forward of them to a
 // peer, through a NewReader that net/http closes when it is done, which may
 // be after the handler returned. A reference dropped early would let a later
 // request overwrite bytes still being read, so releasing one twice panics; a
@@ -189,23 +192,40 @@ func readRequestBody(r *http.Request, limit int64, held *atomic.Int64) (*Body, e
 	}
 }
 
-// memoEntries bounds a bodyMemo. An entry is a 32-byte digest, a 64-byte hex
-// key and a row count: a full memo holds about 0.8 MB of heap.
+// memoEntries bounds a bodyMemo. An entry is a 16-byte tag, a 64-byte hex
+// key and a row count: a full memo holds about 0.7 MB of heap.
 const memoEntries = 4096
 
-// bodyMemo maps the SHA-256 of a plan-request body to the plan key and row
-// count that parsing it produced, so a byte-identical resubmission resolves
-// without a parse or a KeyCSR. The digest is cryptographic because the first
-// body to claim one decides the key every later sender of it gets: a crafted
-// collision would otherwise serve one client another client's plan. Only
-// bodies that parsed are recorded, and the memo lives in memory, so a restart
-// or a parser change starts it empty. When full, recording drops an arbitrary
-// entry; eviction can only turn a later hit into a parse.
+// memoTag is a body's tag: the map key of its memo entry, and nothing else.
+type memoTag [16]byte
+
+// memoNonce is the one GCM nonce every tag is sealed under.
+var memoNonce [12]byte
+
+// bodyMemo maps a tag of a plan-request body's exact bytes to the plan key
+// and row count that parsing it produced, so a byte-identical resubmission
+// resolves without a parse or a KeyCSR. The first body to claim a tag decides
+// the key every later sender of it gets, so no client may be able to make two
+// different bodies share one: a shared tag would serve one client another
+// client's plan. The tag is AES-GCM's authentication tag of the body, sealed
+// as additional data under a fixed nonce and a 128-bit key drawn from
+// crypto/rand when the memo is made, which is GHASH, a Carter-Wegman
+// universal hash, masked by one secret block. Two distinct bodies of at most
+// ℓ 16-byte blocks get the same tag with probability at most (ℓ+1)/2¹²⁸ over
+// the key: at most 2⁻¹⁰⁴ at the default 256 MiB upload cap, and 2⁻⁹² for one
+// request against a full memo. That bound needs a key no client can learn,
+// so a tag is only ever a map key, never logged, returned, exported or
+// persisted; anyone who can read the key from the process's memory could
+// already rewrite its plans. Only bodies that parsed are recorded, and the
+// memo and its key live in memory, so a restart or a parser change starts it
+// empty under a fresh key. When full, recording drops an arbitrary entry;
+// eviction can only turn a later hit into a parse.
 type bodyMemo struct {
 	hits, misses *obs.Counter
+	gcm          cipher.AEAD // Seal only reads it, so every request shares one
 
 	mu      sync.Mutex
-	entries map[[sha256.Size]byte]memoEntry
+	entries map[memoTag]memoEntry
 }
 
 type memoEntry struct {
@@ -213,19 +233,38 @@ type memoEntry struct {
 	rows int
 }
 
-// newBodyMemo returns an empty memo that counts its hits and misses on the
-// given counters.
-func newBodyMemo(hits, misses *obs.Counter) *bodyMemo {
-	return &bodyMemo{hits: hits, misses: misses, entries: make(map[[sha256.Size]byte]memoEntry)}
+// newBodyMemo returns an empty memo under a fresh random key; the caller binds
+// its hit and miss counters. It fails where GCM under a caller-chosen nonce is
+// refused, as in Go's FIPS 140-only mode.
+func newBodyMemo() (*bodyMemo, error) {
+	var key [16]byte
+	if _, err := rand.Read(key[:]); err != nil {
+		return nil, fmt.Errorf("planserve: keying the body memo: %w", err)
+	}
+	block, err := aes.NewCipher(key[:])
+	if err != nil {
+		return nil, fmt.Errorf("planserve: keying the body memo: %w", err)
+	}
+	gcm, err := cipher.NewGCM(block)
+	if err != nil {
+		return nil, fmt.Errorf("planserve: keying the body memo: %w", err)
+	}
+	return &bodyMemo{gcm: gcm, entries: make(map[memoTag]memoEntry)}, nil
+}
+
+// tag returns body's tag under the memo's key.
+func (mm *bodyMemo) tag(body []byte) (t memoTag) {
+	mm.gcm.Seal(t[:0], memoNonce[:], nil, body)
+	return t
 }
 
 // resolve returns the plan key and row count of the matrix body encodes.
 // Bytes the memo has seen are answered from it, with a nil m; any other body
 // is parsed with sparse.ReadBody, recorded if it parses, and returned as m.
 func (mm *bodyMemo) resolve(body []byte) (key string, rows int, m *sparse.CSR, err error) {
-	digest := sha256.Sum256(body)
+	tag := mm.tag(body)
 	mm.mu.Lock()
-	e, ok := mm.entries[digest]
+	e, ok := mm.entries[tag]
 	mm.mu.Unlock()
 	if ok {
 		mm.hits.Inc()
@@ -238,12 +277,12 @@ func (mm *bodyMemo) resolve(body []byte) (key string, rows int, m *sparse.CSR, e
 	key = plancache.KeyCSR(m)
 	mm.mu.Lock()
 	if len(mm.entries) >= memoEntries {
-		for d := range mm.entries {
-			delete(mm.entries, d)
+		for t := range mm.entries {
+			delete(mm.entries, t)
 			break
 		}
 	}
-	mm.entries[digest] = memoEntry{key, m.Rows}
+	mm.entries[tag] = memoEntry{key, m.Rows}
 	mm.mu.Unlock()
 	return key, m.Rows, m, nil
 }

@@ -52,9 +52,16 @@ func memoCounts(s *Server) (hits, misses int64) {
 	return s.memo.hits.Value(), s.memo.misses.Value()
 }
 
+// newTestMemo returns a memo under a fresh key whose counters live on a
+// private registry.
 func newTestMemo() *bodyMemo {
+	mm, err := newBodyMemo()
+	if err != nil {
+		panic(err)
+	}
 	reg := obs.NewRegistry()
-	return newBodyMemo(reg.Counter("bootes_test_memo_hits_total", "Hits."), reg.Counter("bootes_test_memo_misses_total", "Misses."))
+	mm.hits, mm.misses = reg.Counter("bootes_test_memo_hits_total", "Hits."), reg.Counter("bootes_test_memo_misses_total", "Misses.")
+	return mm
 }
 
 func memoLen(mm *bodyMemo) int {
@@ -253,6 +260,60 @@ func TestBodyMemoConcurrent(t *testing.T) {
 	wg.Wait()
 	if l := memoLen(mm); l != len(bodies) {
 		t.Fatalf("memo holds %d entries, want %d", l, len(bodies))
+	}
+}
+
+// TestBodyMemoTagsExactBytes: the exact bytes of a recorded body hit, and
+// each near miss of them misses and goes to the parser, whether it parses or
+// not: a byte flipped at the first, middle or last offset, the body less its
+// last byte, and the body plus one zero byte or plus a zero 16-byte block.
+func TestBodyMemoTagsExactBytes(t *testing.T) {
+	mm := newTestMemo()
+	m := testMatrix(t, 1)
+	body := mmBody(t, m)
+	if key, rows, parsed, err := mm.resolve(body); err != nil || parsed == nil || key != plancache.KeyCSR(m) || rows != m.Rows {
+		t.Fatalf("first sighting resolved (%.12s, %d, parsed %v, %v)", key, rows, parsed != nil, err)
+	}
+	if key, rows, parsed, err := mm.resolve(slices.Clone(body)); err != nil || parsed != nil || key != plancache.KeyCSR(m) || rows != m.Rows {
+		t.Fatalf("the same bytes again resolved (%.12s, %d, parsed %v, %v), want the memo's answer", key, rows, parsed != nil, err)
+	}
+	flip := func(i int) []byte {
+		b := slices.Clone(body)
+		b[i] ^= 1
+		return b
+	}
+	for _, tc := range []struct {
+		name string
+		body []byte
+	}{
+		{"first byte flipped", flip(0)},
+		{"middle byte flipped", flip(len(body) / 2)},
+		{"last byte flipped", flip(len(body) - 1)},
+		{"last byte cut", slices.Clone(body[:len(body)-1])},
+		{"zero byte appended", append(slices.Clone(body), 0)},
+		{"zero block appended", append(slices.Clone(body), make([]byte, 16)...)},
+	} {
+		hits, misses := mm.hits.Value(), mm.misses.Value()
+		key, _, parsed, err := mm.resolve(tc.body)
+		if mm.hits.Value() != hits || mm.misses.Value() != misses+1 || (parsed == nil && err == nil) {
+			t.Errorf("%s: answered from the memo", tc.name)
+		}
+		if parsed != nil && key != plancache.KeyCSR(parsed) {
+			t.Errorf("%s: resolved to %.12s, not its own key %.12s", tc.name, key, plancache.KeyCSR(parsed))
+		}
+	}
+}
+
+// TestBodyMemosTagApart: two memos, as two processes have, tag one body
+// differently, and each tags it the same way every time.
+func TestBodyMemosTagApart(t *testing.T) {
+	body := mmBody(t, testMatrix(t, 1))
+	a, b := newTestMemo(), newTestMemo()
+	if a.tag(body) != a.tag(slices.Clone(body)) {
+		t.Fatal("one memo tagged the same bytes two ways")
+	}
+	if a.tag(body) == b.tag(body) {
+		t.Fatal("two memos tagged a body alike: their keys are not independent")
 	}
 }
 

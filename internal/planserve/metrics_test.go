@@ -149,6 +149,10 @@ bootes_serve_draining 0
 bootes_serve_inflight 0
 # HELP bootes_serve_latency_seconds End-to-end /v1/plan request latency by outcome (ok, shed, error).
 # TYPE bootes_serve_latency_seconds histogram
+bootes_serve_latency_seconds_bucket{outcome="ok",le="0.00025"} 0
+bootes_serve_latency_seconds_bucket{outcome="ok",le="0.0005"} 0
+bootes_serve_latency_seconds_bucket{outcome="ok",le="0.001"} 0
+bootes_serve_latency_seconds_bucket{outcome="ok",le="0.0025"} 0
 bootes_serve_latency_seconds_bucket{outcome="ok",le="0.005"} 0
 bootes_serve_latency_seconds_bucket{outcome="ok",le="0.01"} 0
 bootes_serve_latency_seconds_bucket{outcome="ok",le="0.025"} 1

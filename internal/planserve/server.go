@@ -261,16 +261,23 @@ func (cfg Config) WithDefaults() Config {
 	return cfg
 }
 
-// New validates cfg, applies its defaults, and builds the server.
+// New validates cfg, applies its defaults, and builds the server. It fails
+// where Go refuses the body memo's AES-GCM under a fixed nonce, as in FIPS
+// 140-only mode.
 func New(cfg Config) (*Server, error) {
 	if cfg.Plan == nil {
 		return nil, errors.New("planserve: Config.Plan is required")
 	}
 	cfg = cfg.WithDefaults()
+	memo, err := newBodyMemo()
+	if err != nil {
+		return nil, err
+	}
 	s := &Server{
 		cfg:     cfg,
 		sem:     make(chan struct{}, cfg.MaxInFlight),
 		breaker: newBreaker(cfg.Breaker, cfg.Now),
+		memo:    memo,
 	}
 	s.registerMetrics(cfg.Metrics)
 	s.limiter = newTenantLimiter(cfg.Tenants, cfg.Now, s.reg)
@@ -307,9 +314,8 @@ func (s *Server) registerMetrics(reg *obs.Registry) {
 	s.verifyBad = reg.Counter("bootes_serve_verify_violations_total", "Plan-verification violations observed by this server.")
 	s.asyncRejected = reg.Counter("bootes_serve_async_rejected_total", "Async submissions rejected by queue backlog bounds (429).")
 	s.peerFills = reg.Counter("bootes_serve_peer_fills_total", "Local cache misses answered by a fleet sibling's cache.")
-	s.memo = newBodyMemo(
-		reg.Counter("bootes_serve_body_memo_hits_total", "Plan request bodies resolved from the body memo, without a parse."),
-		reg.Counter("bootes_serve_body_memo_misses_total", "Plan request bodies the body memo did not know, parsed instead."))
+	s.memo.hits = reg.Counter("bootes_serve_body_memo_hits_total", "Plan request bodies resolved from the body memo, without a parse.")
+	s.memo.misses = reg.Counter("bootes_serve_body_memo_misses_total", "Plan request bodies the body memo did not know, parsed instead.")
 	s.running = reg.Gauge("bootes_serve_inflight", "Pipelines currently executing.")
 	s.queued = reg.Gauge("bootes_serve_queued", "Requests waiting for an in-flight slot.")
 	s.latency = reg.HistogramVec("bootes_serve_latency_seconds",
@@ -631,9 +637,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	_ = obs.WriteMerged(w, s.reg, obs.Default())
 }
 
-// latencyBuckets covers sub-10ms cache hits through multi-minute pipeline
-// runs; cmd/loadgen derives its p99 SLO check from these bounds.
-var latencyBuckets = []float64{0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30, 60}
+// latencyBuckets covers sub-millisecond cache hits through multi-minute
+// pipeline runs; cmd/loadgen derives its p99 SLO check from these bounds.
+var latencyBuckets = []float64{0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30, 60}
 
 // statusWriter records the response code so the latency histogram can label
 // by outcome.

@@ -48,7 +48,7 @@ type tenantLimiter struct {
 	buckets map[string]*tenantBucket
 
 	shed       *obs.CounterVec
-	shedLabels map[string]string // tenant → label actually used (cardinality cap)
+	shedLabels map[string]struct{} // tenants with their own shed label, at most tenantShedLabelCap
 	shedTotal  *obs.Counter
 }
 
@@ -68,7 +68,7 @@ func newTenantLimiter(cfg TenantConfig, now func() time.Time, reg *obs.Registry)
 		now:        now,
 		buckets:    make(map[string]*tenantBucket),
 		shed:       reg.CounterVec("bootes_tenant_shed_total", "Requests shed by per-tenant quota, by tenant (high-cardinality tenants aggregate under \"_other\").", "tenant"),
-		shedLabels: make(map[string]string),
+		shedLabels: make(map[string]struct{}),
 		shedTotal:  reg.Counter("bootes_tenant_shed_all_total", "Requests shed by per-tenant quota, all tenants."),
 	}
 }
@@ -98,17 +98,19 @@ func (l *tenantLimiter) allow(tenant string) (ok bool, retryAfter time.Duration)
 }
 
 // recordShed counts a quota rejection for tenant on both the per-tenant
-// vector (cardinality-capped) and the scalar total.
+// vector (cardinality-capped) and the scalar total. Only the tenants that get
+// their own label are remembered; every later one counts under "_other"
+// without being stored, so a flood of unique names costs no memory here.
 func (l *tenantLimiter) recordShed(tenant string) {
 	l.shedTotal.Inc()
+	label := tenant
 	l.mu.Lock()
-	label, ok := l.shedLabels[tenant]
-	if !ok {
-		label = tenant
-		if len(l.shedLabels) >= tenantShedLabelCap {
+	if _, ok := l.shedLabels[tenant]; !ok {
+		if len(l.shedLabels) < tenantShedLabelCap {
+			l.shedLabels[tenant] = struct{}{}
+		} else {
 			label = "_other"
 		}
-		l.shedLabels[tenant] = label
 	}
 	l.mu.Unlock()
 	l.shed.With(label).Inc()
